@@ -432,7 +432,7 @@ class RolloutCollector:
         stats = RolloutStats()
         obs_rows, critic_rows, act_rows, logp_rows = [], [], [], []
         value_rows, reward_rows, term_rows = [], [], []
-        seg_bounds = []  # (start, end, bootstrap_value) in env-step units
+        seg_bounds = []  # (start, end, per-slot bootstrap values) in env-step units
         seg_start = 0
         steps_needed = -(-n_transitions // self.n_learners)
 
@@ -475,7 +475,7 @@ class RolloutCollector:
                 stats.episode_returns.append(self._episode_reward)
                 stats.episode_lengths.append(self.state.step)
                 stats.episode_terminals.append(out.terminal)
-                seg_bounds.append((seg_start, step_i + 1, 0.0))
+                seg_bounds.append((seg_start, step_i + 1, np.zeros(self.n_learners)))
                 seg_start = step_i + 1
                 if step_i + 1 < steps_needed:
                     obs = self._begin_episode()
@@ -483,13 +483,13 @@ class RolloutCollector:
                 obs = out.observations
 
         if seg_start < steps_needed:
-            # cut mid-episode: bootstrap with the value of the current state
+            # cut mid-episode: bootstrap each slot with the value of the current state
             if self.central:
                 tail_value = float(model.values(self._central_obs(self.state)[None, :])[0])
+                tail_values = np.full(self.n_learners, tail_value)
             else:
-                tail_obs = sim.observe_all(self.state)[: self.n_learners]
-                tail_value = float(np.mean(model.values(tail_obs)))
-            seg_bounds.append((seg_start, steps_needed, tail_value))
+                tail_values = model.values(sim.observe_all(self.state)[: self.n_learners])
+            seg_bounds.append((seg_start, steps_needed, tail_values))
 
         # GAE per learner slot over each episode segment, then flatten
         rewards = np.asarray(reward_rows)
@@ -505,7 +505,7 @@ class RolloutCollector:
                     terminals[start:end],
                     cfg.gamma,
                     cfg.gae_lambda,
-                    bootstrap_value=bootstrap,
+                    bootstrap_value=float(bootstrap[slot]),
                 )
                 adv_rows[start:end, slot] = adv
                 ret_rows[start:end, slot] = ret

@@ -209,6 +209,21 @@ def test_collect_rollouts_learner_streams_only():
     np.testing.assert_array_equal(batch.actor_in[: len(replay)], replay)
 
 
+def test_cut_rollout_bootstraps_each_slot_with_its_own_value():
+    # the last transition of a cut episode is non-terminal, so its return is
+    # the shared reward plus gamma times the bootstrap of its own slot
+    env = reduced_4p2e3o(num_ctrl=4, num_unctrl=0)
+    cfg = rl.PpoConfig(batch=64, minibatch=32)
+    model = make_model(obs_dim=sim.obs_length(env), critic_dim=sim.obs_length(env), dtype=np.float32, cfg=cfg)
+    collector = rl.RolloutCollector(env, model, cfg, substream(4, "roll"))
+    batch, _ = collector.collect(64)
+    assert collector.state.terminal == sim.RUNNING
+    tail = model.values(sim.observe_all(collector.state)[:4]).astype(np.float64)
+    assert np.ptp(tail) > 1e-4
+    last = batch.returns[-4:]
+    np.testing.assert_allclose(last - last[0], cfg.gamma * (tail - tail[0]), rtol=0, atol=1e-9)
+
+
 def test_mappo_critic_input_length():
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     assert sim.central_obs_length(env, 2) == 2 * sim.obs_length(env) + 2 * env.players.num_e
