@@ -1,0 +1,89 @@
+"""Golden bytes of tiny fixed-seed trainings and one evaluation.
+
+SP, MAPPO and NAHT-D each train for two PPO updates (batch 64, minibatch 32,
+one epoch) on `reduced_4p2e3o`; a 6-episode `eval` then runs the NAHT-D and
+MAPPO checkpoints side by side with greedy partners. The sha256 of every
+deterministic output is compared with `tests/golden/hashes.json`:
+`metrics.csv`, the `params.bin` and `manifest.json` members of every
+checkpoint, and `report.json`. Archive members are compared instead of the
+`.zip` files, and a manifest is compared as parsed JSON, so that only the
+recorded numbers count.
+
+A refactor leaves every hash unchanged. After a change that moves outputs on
+purpose, rerun `PYTHONPATH=src python tests/golden/regen_hashes.py` and say in
+the commit why the bytes moved.
+"""
+
+import hashlib
+import json
+import platform
+import zipfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from pursuit_lab import cli, config, rl, teammate
+from conftest import reduced_4p2e3o
+
+HASHES = Path(__file__).parent / "golden" / "hashes.json"
+PPO = rl.PpoConfig(batch=64, minibatch=32, epochs=1, total_steps=128)
+SEED = 5
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def platform_tag() -> dict:
+    """Float results depend on the numpy build and the CPU architecture."""
+    return {"numpy": np.__version__, "machine": platform.machine()}
+
+
+def checkpoint_hashes(run: str, path) -> dict[str, str]:
+    with zipfile.ZipFile(path) as zf:
+        manifest = json.loads(zf.read("manifest.json"))
+        params = zf.read("params.bin")
+    key = f"{run}/{Path(path).name}"
+    return {
+        f"{key}/params.bin": sha256(params),
+        f"{key}/manifest.json": sha256(json.dumps(manifest, sort_keys=True).encode("utf-8")),
+    }
+
+
+def golden_hashes(root: Path) -> dict[str, str]:
+    """Run the golden trainings and evaluation under `root`; hash their outputs."""
+    solo = reduced_4p2e3o()
+    mixed = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
+    pool = [rl.ScriptedSlotPolicy("greedy")]
+    runs = {
+        "sp": lambda out: rl.ippo_selfplay_train(PPO, solo, SEED, out_dir=out),
+        "mappo": lambda out: rl.mappo_train(PPO, mixed, SEED, teammate_pool=pool, out_dir=out),
+        "naht-d": lambda out: teammate.naht_d_train(PPO, mixed, pool, SEED, out_dir=out),
+    }
+    hashes = {}
+    for run, train in runs.items():
+        out = root / run
+        result = train(str(out))
+        rl.write_metrics_csv(out / "metrics.csv", result.metrics)
+        hashes[f"{run}/metrics.csv"] = sha256((out / "metrics.csv").read_bytes())
+        for path in result.checkpoints:
+            hashes.update(checkpoint_hashes(run, path))
+
+    env_path = root / "mixed.json"
+    env_path.write_text(config.serialize_config(mixed))
+    report = root / "eval"
+    rc = cli.main([
+        "eval", "--ckpt", str(root / "naht-d" / "final.zip"), str(root / "mappo" / "final.zip"),
+        "--zoo", "1", "--env", str(env_path), "--episodes", "6", "--seed", str(SEED), "--report", str(report),
+    ])
+    assert rc == 0
+    hashes["eval/report.json"] = sha256((report / "report.json").read_bytes())
+    return dict(sorted(hashes.items()))
+
+
+def test_outputs_match_the_golden_hashes(tmp_path):
+    golden = json.loads(HASHES.read_text())
+    if golden["platform"] != platform_tag():
+        pytest.skip(f"golden hashes were recorded on {golden['platform']}, not {platform_tag()}")
+    assert golden_hashes(tmp_path) == golden["hashes"]
