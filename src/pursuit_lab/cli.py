@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 domain violation (invalid config, failed check),
 2 usage or IO error. Every long-running command writes a run manifest into
 its output directory before any heavy computation; rerunning a command with
-the same arguments and --deterministic reproduces its outputs byte for byte.
-The PURSUIT_LAB_DIR environment variable provides the default asset root for
-zoo checkpoints.
+the same arguments reproduces its outputs byte for byte. `eval --jobs J`
+runs seed blocks in J worker processes with results identical for any J;
+`eval --deterministic` forces one process. The PURSUIT_LAB_DIR environment
+variable provides the default asset root for zoo checkpoints.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ def cmd_train(args) -> int:
             print(v, file=sys.stderr)
         return 1
 
-    jobs = 1 if args.deterministic else args.jobs
     cfg = rl.PpoConfig(total_steps=args.steps)
     out = args.out
     _write_manifest(out, "train", args, env_cfg)
@@ -144,7 +144,6 @@ def cmd_train(args) -> int:
             out_dir=out,
         )
         rl.write_metrics_csv(os.path.join(out, "metrics.csv"), result.metrics)
-    del jobs
     return 0
 
 
@@ -250,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--generations", type=int, default=5)
     p_train.add_argument("--init-sp-steps", type=int, default=50_000, help="self-play budget for the initial hola population")
     p_train.add_argument("--teammates", default="greedy", help="comma-separated policy refs for uncontrolled slots")
-    p_train.add_argument("--deterministic", action="store_true")
-    p_train.add_argument("--jobs", type=int, default=1)
     p_train.set_defaults(fn=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate checkpoints against an unseen zoo")

@@ -520,9 +520,3 @@ def with_velocities(cfg: EnvConfig, velocity_p: float | None = None, velocity_e:
         players = replace(players, velocity_e=velocity_e)
     return replace(cfg, players=players)
 
-
-def config_digest(cfg: EnvConfig) -> str:
-    """Stable content hash of a config, used in cache keys and manifests."""
-    import hashlib
-
-    return hashlib.sha256(serialize_config(cfg).encode("utf-8")).hexdigest()[:16]

@@ -195,6 +195,11 @@ def adam_step(opt: AdamState, params: list[np.ndarray], grads: list[np.ndarray])
 # Checkpoint archive: manifest.json + params.bin (little-endian float32)
 # ---------------------------------------------------------------------------
 
+#: Fixed zip entry timestamp (the zip epoch), so that saving the same arrays
+#: again gives the same archive bytes.
+ZIP_DATE_TIME = (1980, 1, 1, 0, 0, 0)
+
+
 def save_arrays(path, kind: str, named_arrays: list[tuple[str, np.ndarray]], extra: dict | None = None) -> None:
     """Write one checkpoint archive: a JSON manifest plus the flat float32 blob."""
     manifest = {
@@ -208,19 +213,38 @@ def save_arrays(path, kind: str, named_arrays: list[tuple[str, np.ndarray]], ext
     for _, arr in named_arrays:
         blob.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
-        zf.writestr("manifest.json", json.dumps(manifest, indent=2))
-        zf.writestr("params.bin", blob.getvalue())
+        for name, data in (("manifest.json", json.dumps(manifest, indent=2)), ("params.bin", blob.getvalue())):
+            zf.writestr(zipfile.ZipInfo(name, ZIP_DATE_TIME), data, compress_type=zipfile.ZIP_DEFLATED)
 
 
-def load_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint archive back into (manifest, name -> float32 array)."""
+class ArrayTable(dict):
+    """Arrays of a checkpoint by name; an absent name is a ValueError."""
+
+    def __missing__(self, name):
+        raise ValueError(f"checkpoint has no array named {name!r}")
+
+
+def load_arrays(path, kind: str | None = None) -> tuple[dict, ArrayTable]:
+    """Read a checkpoint archive back into (manifest, name -> float32 array).
+
+    Raises ValueError on an unknown format version, on a kind other than
+    `kind` (when given), and on a `params.bin` whose size differs from the
+    manifest's array table.
+    """
     with zipfile.ZipFile(path, "r") as zf:
         manifest = json.loads(zf.read("manifest.json").decode("utf-8"))
         raw = zf.read("params.bin")
-    arrays: dict[str, np.ndarray] = {}
+    version = manifest.get("format_version")
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise ValueError(f"{path}: checkpoint format_version {version!r} is not {CHECKPOINT_FORMAT_VERSION}")
+    if kind is not None and manifest["kind"] != kind:
+        raise ValueError(f"checkpoint kind {manifest['kind']!r} is not {kind}")
+    sizes = [math.prod(spec["shape"]) for spec in manifest["arrays"]]
+    if len(raw) != 4 * sum(sizes):
+        raise ValueError(f"{path}: params.bin holds {len(raw)} bytes, its array table {4 * sum(sizes)}")
+    arrays = ArrayTable()
     offset = 0
-    for spec in manifest["arrays"]:
-        n = int(np.prod(spec["shape"])) if spec["shape"] else 1
+    for spec, n in zip(manifest["arrays"], sizes):
         arr = np.frombuffer(raw, dtype="<f4", count=n, offset=offset).reshape(spec["shape"])
         arrays[spec["name"]] = arr.astype(np.float32)
         offset += 4 * n

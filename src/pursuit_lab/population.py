@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import nn, rl, sim
+from . import evalkit, rl, sim
 from .config import EnvConfig, with_control_split
 from .seeding import substream
 
@@ -173,28 +173,11 @@ def estimate_edge_weight(
     rng = substream(seed, "edge-weight")
     total = 0.0
     for _ in range(episodes):
-        total += _play_team_episode(edge_policies, env_cfg, int(rng.integers(0, 2**63)))
+        total += evalkit.play_episode(env_cfg, edge_policies, int(rng.integers(0, 2**63))).episode_return
     weight = total / episodes
     if cache is not None and cache_key is not None:
         cache[cache_key] = weight
     return weight
-
-
-def _play_team_episode(slot_policies, env_cfg: EnvConfig, seed: int) -> float:
-    state, obs = sim.reset(env_cfg, seed)
-    ep_rng = substream(seed, "policies")
-    for pol in slot_policies:
-        pol.begin_episode(ep_rng)
-    episode_return = 0.0
-    while state.terminal == sim.RUNNING:
-        actions = np.zeros(env_cfg.players.num_p)
-        for i, pol in enumerate(slot_policies):
-            view = sim.pursuer_view(state, i) if getattr(pol, "needs_view", False) else None
-            actions[i] = pol.act(obs[i], view)
-        out = sim.step(state, actions)
-        episode_return += out.reward
-        obs = out.observations
-    return episode_return
 
 
 def build_learner_subgraph(
@@ -273,15 +256,8 @@ def max_step_train(
     if budget <= 0:
         return []
     teammates = MixtureTeammates(strategy, pop.policies)
-    result = rl.train_loop(
-        env_cfg,
-        pop.learner_model,
-        ppo_cfg,
-        seed,
-        teammates=teammates,
-        total_steps=budget,
-    )
-    return result.metrics
+    collector = rl.RolloutCollector(env_cfg, pop.learner_model, ppo_cfg, substream(seed, "rollout"), teammates=teammates)
+    return rl.train_loop(collector, pop.learner_model, ppo_cfg, seed, total_steps=budget).metrics
 
 
 @dataclass

@@ -125,7 +125,8 @@ def _mlp_from_arrays(prefix: str, arrays: dict, n_layers: int) -> nn.Mlp:
     )
 
 
-def save_policy(path, model: ActorCritic, extra: dict | None = None) -> None:
+def actor_critic_arrays(model: ActorCritic) -> tuple[list[tuple[str, np.ndarray]], dict]:
+    """Named arrays and manifest dims of an actor-critic, for any checkpoint kind."""
     named = _named_mlp_arrays("actor", model.actor) + [("log_std", model.log_std)]
     named += _named_mlp_arrays("critic", model.critic)
     meta = {
@@ -135,16 +136,12 @@ def save_policy(path, model: ActorCritic, extra: dict | None = None) -> None:
         "actor_layers": len(model.actor.weights),
         "critic_layers": len(model.critic.weights),
     }
-    meta.update(extra or {})
-    nn.save_arrays(path, "actor_critic", named, extra=meta)
+    return named, meta
 
 
-def load_policy(path) -> tuple[ActorCritic, dict]:
-    manifest, arrays = nn.load_arrays(path)
-    if manifest["kind"] != "actor_critic":
-        raise ValueError(f"checkpoint kind {manifest['kind']!r} is not actor_critic")
-    meta = manifest["extra"]
-    model = ActorCritic(
+def actor_critic_from_arrays(arrays: dict, meta: dict) -> ActorCritic:
+    """Inverse of `actor_critic_arrays`."""
+    return ActorCritic(
         actor=_mlp_from_arrays("actor", arrays, meta["actor_layers"]),
         log_std=arrays["log_std"].copy(),
         critic=_mlp_from_arrays("critic", arrays, meta["critic_layers"]),
@@ -152,27 +149,41 @@ def load_policy(path) -> tuple[ActorCritic, dict]:
         act_dim=meta["act_dim"],
         critic_in_dim=meta["critic_in_dim"],
     )
-    return model, manifest
+
+
+def save_policy(path, model: ActorCritic, extra: dict | None = None) -> None:
+    named, meta = actor_critic_arrays(model)
+    meta.update(extra or {})
+    nn.save_arrays(path, "actor_critic", named, extra=meta)
+
+
+def load_policy(path) -> tuple[ActorCritic, dict]:
+    manifest, arrays = nn.load_arrays(path, kind="actor_critic")
+    return actor_critic_from_arrays(arrays, manifest["extra"]), manifest
 
 
 # ---------------------------------------------------------------------------
 # GAE
 # ---------------------------------------------------------------------------
 
-def compute_gae(rewards, values, terminals, gamma: float, lam: float, bootstrap_value: float = 0.0):
+def compute_gae(rewards, values, terminals, gamma: float, lam: float, bootstrap_value=0.0):
     """Standard recursive GAE over a (possibly multi-episode) sequence.
 
-    `terminals[t]` marks that transition t ended its episode; the bootstrap
-    value is used for the value of the state after the final transition when
-    that transition is non-terminal.
+    `values` is (T,) or (T, n_slots); the (T,) rewards and terminals are
+    shared by all slots. `terminals[t]` marks that transition t ended its
+    episode; the bootstrap value (a scalar or one per slot) is used for the
+    value of the state after the final transition when that transition is
+    non-terminal. Slots are computed elementwise, so each slot's result is
+    bitwise the one of a separate (T,) call.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     terminals = np.asarray(terminals, dtype=np.float64)
+    bootstrap_value = np.asarray(bootstrap_value, dtype=np.float64)
     if not (len(rewards) == len(values) == len(terminals)):
         raise ValueError("rewards/values/terminals length mismatch")
     T = len(rewards)
-    advantages = np.zeros(T)
+    advantages = np.zeros(values.shape)
     last = 0.0
     for t in range(T - 1, -1, -1):
         nonterminal = 1.0 - terminals[t]
@@ -332,16 +343,6 @@ class NetSlotPolicy:
         return float(action[0, 0])
 
 
-class FixedTeammates:
-    """Same teammate policies every episode."""
-
-    def __init__(self, policies):
-        self.policies = list(policies)
-
-    def sample(self, rng: np.random.Generator):
-        return list(self.policies)
-
-
 class UniformTeammates:
     """Each uncontrolled slot draws independently and uniformly from a pool."""
 
@@ -377,7 +378,9 @@ class RolloutCollector:
     Learner slots are [0, num_ctrl); the remaining slots are filled by the
     teammate sampler each episode. With `central=True` the critic consumes the
     centralized observation (all learner observations plus global evader
-    positions unless `central_evaders=False`).
+    positions unless `central_evaders=False`); otherwise each slot's critic
+    reads that slot's observation. Subclasses feed extra actor inputs and
+    record extra per-step rows through `_actor_input` and `_record_step`.
     """
 
     def __init__(
@@ -408,12 +411,6 @@ class RolloutCollector:
 
     # -- episode plumbing ---------------------------------------------------
 
-    def _central_obs(self, state) -> np.ndarray:
-        obs = sim.central_observation(state, range(self.n_learners))
-        if not self.central_evaders:
-            obs = obs[: self.n_learners * sim.obs_length(self.env_cfg)]
-        return obs
-
     def _begin_episode(self):
         seed = int(self.rng.integers(0, 2**63))
         self.state, obs = sim.reset(self.env_cfg, seed)
@@ -425,16 +422,33 @@ class RolloutCollector:
                 pol.begin_episode(self.rng)
         return obs
 
+    def _critic(self, learner_obs):
+        """(critic input rows, value per learner slot) in the current state."""
+        if not self.central:
+            return learner_obs, self.model.values(learner_obs)
+        central = sim.central_observation(self.state, range(self.n_learners))
+        if not self.central_evaders:
+            central = central[: self.n_learners * sim.obs_length(self.env_cfg)]
+        critic_in = central[None, :]
+        return np.repeat(critic_in, self.n_learners, axis=0), np.repeat(self.model.values(critic_in), self.n_learners)
+
+    def _actor_input(self, learner_obs):
+        """Actor input for this step; the batch keeps the raw observations."""
+        return learner_obs
+
+    def _record_step(self, learner_obs, actions) -> None:
+        """Sees each step's joint actions before the env steps."""
+
     def collect(self, n_transitions: int) -> tuple[PpoBatch, RolloutStats]:
         """Gather at least n_transitions learner transitions (multiple of
         n_learners), running whole steps and bootstrapping a cut episode."""
-        cfg, model = self.cfg, self.model
+        n = self.n_learners
         stats = RolloutStats()
         obs_rows, critic_rows, act_rows, logp_rows = [], [], [], []
         value_rows, reward_rows, term_rows = [], [], []
         seg_bounds = []  # (start, end, per-slot bootstrap values) in env-step units
         seg_start = 0
-        steps_needed = -(-n_transitions // self.n_learners)
+        steps_needed = -(-n_transitions // n)
 
         if self.state is None or self.state.terminal != sim.RUNNING:
             obs = self._begin_episode()
@@ -442,23 +456,16 @@ class RolloutCollector:
             obs = sim.observe_all(self.state)
 
         for step_i in range(steps_needed):
-            learner_obs = obs[: self.n_learners]
-            actions, logp = model.act(learner_obs, self.rng)
-            if self.central:
-                critic_in = self._central_obs(self.state)[None, :]
-                values = model.values(critic_in)
-                critic_step = np.repeat(critic_in, self.n_learners, axis=0)
-                value_step = np.repeat(values, self.n_learners)
-            else:
-                critic_step = learner_obs
-                value_step = model.values(learner_obs)
+            learner_obs = obs[:n]
+            actions, logp = self.model.act(self._actor_input(learner_obs), self.rng)
+            critic_step, value_step = self._critic(learner_obs)
 
             all_actions = np.zeros(self.env_cfg.players.num_p)
-            all_actions[: self.n_learners] = actions[:, 0]
+            all_actions[:n] = actions[:, 0]
             for k, pol in enumerate(self._slot_policies):
-                slot = self.n_learners + k
-                view = sim.pursuer_view(self.state, slot) if pol.needs_view else None
-                all_actions[slot] = pol.act(obs[slot], view)
+                view = sim.pursuer_view(self.state, n + k) if pol.needs_view else None
+                all_actions[n + k] = pol.act(obs[n + k], view)
+            self._record_step(learner_obs, all_actions)
 
             out = sim.step(self.state, all_actions)
             self._episode_reward += out.reward
@@ -475,7 +482,7 @@ class RolloutCollector:
                 stats.episode_returns.append(self._episode_reward)
                 stats.episode_lengths.append(self.state.step)
                 stats.episode_terminals.append(out.terminal)
-                seg_bounds.append((seg_start, step_i + 1, np.zeros(self.n_learners)))
+                seg_bounds.append((seg_start, step_i + 1, 0.0))
                 seg_start = step_i + 1
                 if step_i + 1 < steps_needed:
                     obs = self._begin_episode()
@@ -483,50 +490,34 @@ class RolloutCollector:
                 obs = out.observations
 
         if seg_start < steps_needed:
-            # cut mid-episode: bootstrap each slot with the value of the current state
-            if self.central:
-                tail_value = float(model.values(self._central_obs(self.state)[None, :])[0])
-                tail_values = np.full(self.n_learners, tail_value)
-            else:
-                tail_values = model.values(sim.observe_all(self.state)[: self.n_learners])
-            seg_bounds.append((seg_start, steps_needed, tail_values))
+            # cut mid-episode: bootstrap each slot with its value of the current state
+            seg_bounds.append((seg_start, steps_needed, self._critic(obs[:n])[1]))
 
-        # GAE per learner slot over each episode segment, then flatten
+        # GAE over each episode segment, all learner slots at once, then flatten
         rewards = np.asarray(reward_rows)
         terminals = np.asarray(term_rows)
-        adv_rows = np.zeros((steps_needed, self.n_learners))
-        ret_rows = np.zeros((steps_needed, self.n_learners))
-        value_cache = np.stack(value_rows)  # (T, n_learners)
-        for slot in range(self.n_learners):
-            for start, end, bootstrap in seg_bounds:
-                adv, ret = compute_gae(
-                    rewards[start:end],
-                    value_cache[start:end, slot],
-                    terminals[start:end],
-                    cfg.gamma,
-                    cfg.gae_lambda,
-                    bootstrap_value=float(bootstrap[slot]),
-                )
-                adv_rows[start:end, slot] = adv
-                ret_rows[start:end, slot] = ret
+        values = np.stack(value_rows)  # (T, n_learners)
+        advantages = np.zeros((steps_needed, n))
+        returns = np.zeros((steps_needed, n))
+        for start, end, bootstrap in seg_bounds:
+            advantages[start:end], returns[start:end] = compute_gae(
+                rewards[start:end],
+                values[start:end],
+                terminals[start:end],
+                self.cfg.gamma,
+                self.cfg.gae_lambda,
+                bootstrap_value=bootstrap,
+            )
 
         batch = PpoBatch(
             actor_in=np.concatenate(obs_rows, axis=0),
             critic_in=np.concatenate(critic_rows, axis=0),
             actions=np.concatenate(act_rows, axis=0),
             old_logp=np.concatenate(logp_rows, axis=0),
-            advantages=adv_rows.reshape(-1),
-            returns=ret_rows.reshape(-1),
+            advantages=advantages.reshape(-1),
+            returns=returns.reshape(-1),
         )
         return batch, stats
-
-
-def collect_rollouts(env_cfg, model, cfg, rng, steps, teammates=None, central: bool = False, central_evaders: bool = True):
-    """One-shot rollout collection (fresh collector)."""
-    collector = RolloutCollector(
-        env_cfg, model, cfg, rng, teammates=teammates, central=central, central_evaders=central_evaders
-    )
-    return collector.collect(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +555,7 @@ def write_metrics_csv(path, rows) -> None:
             writer.writerow({k: row.get(k, "") for k in METRIC_FIELDS})
 
 
-def _metrics_row(step, update, window_stats, diag, recon_loss=0.0) -> dict:
+def _metrics_row(step, update, window_stats, diag) -> dict:
     returns = window_stats.episode_returns[-50:]
     terms = window_stats.episode_terminals[-50:]
     return {
@@ -577,7 +568,7 @@ def _metrics_row(step, update, window_stats, diag, recon_loss=0.0) -> dict:
         "entropy": diag["entropy"],
         "clip_frac": diag["clip_frac"],
         "approx_kl": diag["approx_kl"],
-        "recon_loss": recon_loss,
+        "recon_loss": diag.get("recon_loss", 0.0),
     }
 
 
@@ -596,71 +587,75 @@ def evaluate_selfplay_suc(model: ActorCritic, env_cfg: EnvConfig, seed: int, epi
     return 100.0 * wins / episodes
 
 
-def _maybe_checkpoint(out_dir, name, model, extra) -> str | None:
+def _maybe_checkpoint(out_dir, name, model, extra, save=save_policy) -> str | None:
     if out_dir is None:
         return None
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    save_policy(path, model, extra=extra)
+    save(path, model, extra=extra)
     return path
 
 
+def save_final(result: TrainResult, out_dir, extra: dict, save=save_policy) -> TrainResult:
+    """Write the trained model to `out_dir/final.zip` (if any) and record the path."""
+    result.final_path = _maybe_checkpoint(out_dir, "final.zip", result.model, extra, save)
+    if result.final_path:
+        result.checkpoints.append(result.final_path)
+    return result
+
+
 def train_loop(
-    env_cfg: EnvConfig,
-    model: ActorCritic,
+    collector: RolloutCollector,
+    model,
     cfg: PpoConfig,
     seed: int,
-    teammates=None,
-    central: bool = False,
-    central_evaders: bool = True,
+    update=ppo_update,
+    save=save_policy,
     out_dir=None,
     ckpt_prefix: str = "ckpt",
     total_steps: int | None = None,
 ) -> TrainResult:
-    """Shared PPO outer loop used by the SP/MAPPO/HOLA trainers."""
+    """The PPO outer loop of every trainer: collect a batch, update, checkpoint.
+
+    `collector` streams the batches that `model` learns from;
+    `update(model, opt, batch, cfg, rng)` runs one update and returns its
+    diagnostics; `save(path, model, extra=...)` writes a checkpoint.
+    """
     cfg.validate()
     total = total_steps if total_steps is not None else cfg.total_steps
     n_updates = max(1, int(np.ceil(total / cfg.batch)))
     opt = nn.adam_init(model.params(), lr=cfg.lr)
-    collector = RolloutCollector(
-        env_cfg,
-        model,
-        cfg,
-        substream(seed, "rollout"),
-        teammates=teammates,
-        central=central,
-        central_evaders=central_evaders,
-    )
     update_rng = substream(seed, "update")
     window = RolloutStats()
     metrics, checkpoints = [], []
     ckpt_every = max(1, n_updates // 5)
-    for update in range(n_updates):
+    for i in range(n_updates):
         batch, stats = collector.collect(cfg.batch)
         window.episode_returns += stats.episode_returns
         window.episode_lengths += stats.episode_lengths
         window.episode_terminals += stats.episode_terminals
-        diag = ppo_update(model, opt, batch, cfg, update_rng)
-        step_count = (update + 1) * cfg.batch
-        metrics.append(_metrics_row(step_count, update, window, diag))
-        if out_dir is not None and (update + 1) % ckpt_every == 0:
-            path = _maybe_checkpoint(out_dir, f"{ckpt_prefix}_{step_count:09d}.zip", model, {"step": step_count})
-            checkpoints.append(path)
+        diag = update(model, opt, batch, cfg, update_rng)
+        step_count = (i + 1) * cfg.batch
+        metrics.append(_metrics_row(step_count, i, window, diag))
+        if out_dir is not None and (i + 1) % ckpt_every == 0:
+            name = f"{ckpt_prefix}_{step_count:09d}.zip"
+            checkpoints.append(_maybe_checkpoint(out_dir, name, model, {"step": step_count}, save))
     return TrainResult(model=model, metrics=metrics, checkpoints=checkpoints, final_path=None)
+
+
+def _finish_scored(result: TrainResult, env_cfg: EnvConfig, seed: int, out_dir, algo: str) -> TrainResult:
+    """Record the self-play success rate and save it with the final checkpoint."""
+    result.selfplay_suc = evaluate_selfplay_suc(result.model, env_cfg, seed)
+    return save_final(result, out_dir, {"algo": algo, "seed": seed, "selfplay_suc": result.selfplay_suc})
 
 
 def ippo_selfplay_train(cfg: PpoConfig, env_cfg: EnvConfig, seed: int, out_dir=None) -> TrainResult:
     """Self-play IPPO: one shared actor-critic drives all pursuer slots."""
     sp_cfg = with_control_split(env_cfg, env_cfg.players.num_p, 0)
     model = init_actor_critic(sim.obs_length(sp_cfg), sim.obs_length(sp_cfg), cfg, substream(seed, "init"))
-    result = train_loop(sp_cfg, model, cfg, seed, out_dir=out_dir, ckpt_prefix="sp")
-    result.selfplay_suc = evaluate_selfplay_suc(model, env_cfg, seed)
-    result.final_path = _maybe_checkpoint(
-        out_dir, "final.zip", model, {"algo": "sp", "seed": seed, "selfplay_suc": result.selfplay_suc}
-    )
-    if result.final_path:
-        result.checkpoints.append(result.final_path)
-    return result
+    collector = RolloutCollector(sp_cfg, model, cfg, substream(seed, "rollout"))
+    result = train_loop(collector, model, cfg, seed, out_dir=out_dir, ckpt_prefix="sp")
+    return _finish_scored(result, env_cfg, seed, out_dir, "sp")
 
 
 def mappo_train(
@@ -686,24 +681,17 @@ def mappo_train(
     if not central_evaders:
         critic_dim -= 2 * env_cfg.players.num_e
     model = init_actor_critic(sim.obs_length(env_cfg), critic_dim, cfg, substream(seed, "init"))
-    result = train_loop(
+    collector = RolloutCollector(
         env_cfg,
         model,
         cfg,
-        seed,
+        substream(seed, "rollout"),
         teammates=teammates,
         central=True,
         central_evaders=central_evaders,
-        out_dir=out_dir,
-        ckpt_prefix="mappo",
     )
-    result.selfplay_suc = evaluate_selfplay_suc(model, env_cfg, seed)
-    result.final_path = _maybe_checkpoint(
-        out_dir, "final.zip", model, {"algo": "mappo", "seed": seed, "selfplay_suc": result.selfplay_suc}
-    )
-    if result.final_path:
-        result.checkpoints.append(result.final_path)
-    return result
+    result = train_loop(collector, model, cfg, seed, out_dir=out_dir, ckpt_prefix="mappo")
+    return _finish_scored(result, env_cfg, seed, out_dir, "mappo")
 
 
 # ---------------------------------------------------------------------------
@@ -787,12 +775,10 @@ def pbt_train(
 
     checkpoints = []
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         for i, member in enumerate(members):
             suc = evaluate_selfplay_suc(member.model, env_cfg, seed + i)
-            path = os.path.join(out_dir, f"pbt_member{i}.zip")
-            save_policy(path, member.model, extra={"algo": "pbt", "member": i, "selfplay_suc": suc})
-            checkpoints.append(path)
+            extra = {"algo": "pbt", "member": i, "selfplay_suc": suc}
+            checkpoints.append(_maybe_checkpoint(out_dir, f"pbt_member{i}.zip", member.model, extra))
     return PbtResult(members=members, exploit_events=exploit_events, checkpoints=checkpoints)
 
 

@@ -29,16 +29,6 @@ EVADER_OBSTACLE_RANGE = 0.5
 
 
 @dataclass(frozen=True)
-class ScriptedPolicySpec:
-    kind: str  # "greedy" | "vicsek" | "evader"
-    evasion_range: float = GREEDY_EVASION_RANGE
-    drone_evasion_range: float = GREEDY_DRONE_EVASION_RANGE
-    agent_range: float = VICSEK_AGENT_RANGE
-    obstacle_range: float = VICSEK_OBSTACLE_RANGE
-    gain: float = VICSEK_GAIN
-
-
-@dataclass(frozen=True)
 class AgentView:
     """Egocentric world snapshot handed to a scripted policy.
 
@@ -95,7 +85,7 @@ def _away_from(view: AgentView, point) -> tuple[float, float]:
     return ux, uy
 
 
-def greedy_action(view: AgentView, spec: ScriptedPolicySpec | None = None) -> float:
+def greedy_action(view: AgentView) -> float:
     """Chase the nearest target, deflecting away from threats in evasion range.
 
     Three-part avoidance: inside a hard radius the drone flees the threat
@@ -104,8 +94,6 @@ def greedy_action(view: AgentView, spec: ScriptedPolicySpec | None = None) -> fl
     tangential swirl (toward whichever tangent is closer to the current
     heading) so head-on encounters break symmetry.
     """
-    er_static = spec.evasion_range if spec else GREEDY_EVASION_RANGE
-    er_drone = spec.drone_evasion_range if spec else GREEDY_DRONE_EVASION_RANGE
     tx, ty = _nearest_target(view)
     attract = geometry.unit(tx - view.x, ty - view.y)
     vx, vy = attract
@@ -119,7 +107,7 @@ def greedy_action(view: AgentView, spec: ScriptedPolicySpec | None = None) -> fl
             return steer_towards(view, ux, uy)
 
     for d, point, is_drone in entries:
-        rng = er_drone if is_drone else er_static
+        rng = GREEDY_DRONE_EVASION_RANGE if is_drone else GREEDY_EVASION_RANGE
         if d >= rng:
             continue
         s = (rng - max(d, 0.0)) / rng
@@ -136,26 +124,22 @@ def greedy_action(view: AgentView, spec: ScriptedPolicySpec | None = None) -> fl
     return steer_towards(view, vx, vy)
 
 
-def vicsek_action(view: AgentView, spec: ScriptedPolicySpec | None = None) -> float:
+def vicsek_action(view: AgentView) -> float:
     """Unit attraction plus (1/d - 1/range) repulsion from every nearby threat."""
-    agent_range = spec.agent_range if spec else VICSEK_AGENT_RANGE
-    obstacle_range = spec.obstacle_range if spec else VICSEK_OBSTACLE_RANGE
-    gain = spec.gain if spec else VICSEK_GAIN
-
     tx, ty = _nearest_target(view)
     vx, vy = geometry.unit(tx - view.x, ty - view.y)
 
     for qx, qy in view.other_drones:
         d = math.hypot(qx - view.x, qy - view.y)
-        if d < agent_range:
-            mag = gain * (1.0 / max(d, 1e-6) - 1.0 / agent_range)
+        if d < VICSEK_AGENT_RANGE:
+            mag = VICSEK_GAIN * (1.0 / max(d, 1e-6) - 1.0 / VICSEK_AGENT_RANGE)
             ax, ay = _away_from(view, (qx, qy))
             vx += mag * ax
             vy += mag * ay
 
     for d, point in _static_entries(view):
-        if d < obstacle_range:
-            mag = gain * (1.0 / max(d, 1e-6) - 1.0 / obstacle_range)
+        if d < VICSEK_OBSTACLE_RANGE:
+            mag = VICSEK_GAIN * (1.0 / max(d, 1e-6) - 1.0 / VICSEK_OBSTACLE_RANGE)
             ax, ay = _away_from(view, point)
             vx += mag * ax
             vy += mag * ay

@@ -52,13 +52,6 @@ TRAJECTORY_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
-class Pose:
-    x: float
-    y: float
-    heading: float  # rad in (-pi, pi]
-
-
-@dataclass(frozen=True)
 class CaptureEvent:
     evader: int
     pursuer: int
@@ -97,12 +90,6 @@ class WorldState:
             rng=rng,
             evader_kind=self.evader_kind,
         )
-
-    def pursuer_poses(self) -> list[Pose]:
-        return [Pose(*row) for row in self.pursuers]
-
-    def evader_poses(self) -> list[Pose]:
-        return [Pose(*row) for row in self.evaders]
 
 
 @dataclass
@@ -320,11 +307,6 @@ def observe_all(state: WorldState) -> np.ndarray:
     return np.concatenate([ev_block.reshape(n, -1), ob_block, tm_block.reshape(n, -1)], axis=1)
 
 
-def observe(state: WorldState, agent_id: int) -> np.ndarray:
-    """Egocentric observation for one pursuer (row of observe_all)."""
-    return observe_all(state)[agent_id]
-
-
 def central_observation(state: WorldState, learner_slots) -> np.ndarray:
     """Centralized-critic input: learner observations plus global evader positions.
 
@@ -332,7 +314,8 @@ def central_observation(state: WorldState, learner_slots) -> np.ndarray:
     evaders are zeroed.
     """
     cfg = state.cfg
-    parts = [observe(state, i) for i in learner_slots]
+    obs = observe_all(state)
+    parts = [obs[i] for i in learner_slots]
     ev = np.zeros(2 * cfg.players.num_e, dtype=np.float64)
     for e in range(cfg.players.num_e):
         if not state.captured[e]:

@@ -15,8 +15,8 @@ slots, so per-slot distinct predictions would be unidentifiable).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -302,7 +302,6 @@ def init_naht_model(
     layout = WindowLayout(num_e=env_cfg.players.num_e, num_p=env_cfg.players.num_p, k=k)
     critic_dim = sim.central_obs_length(env_cfg, env_cfg.players.num_ctrl)
     ac = rl.init_actor_critic(obs_dim + embed_dim, critic_dim, cfg, rng)
-    ac.obs_dim = obs_dim + embed_dim
     encoder = init_encoder(layout, rng, embed_dim=embed_dim, dtype=dtype)
     decoder = None if no_decoder else init_decoder(embed_dim, rng, dtype=dtype)
     return NahtModel(ac=ac, encoder=encoder, decoder=decoder, obs_dim=obs_dim, embed_dim=embed_dim)
@@ -396,134 +395,44 @@ def naht_update(
 # Rollout collection with histories
 # ---------------------------------------------------------------------------
 
-class NahtCollector:
-    """Rollout collector for NAHT-D: embedding-conditioned actor, centralized
-    critic, per-learner history windows, observed teammate actions."""
+class NahtCollector(rl.RolloutCollector):
+    """Rollout collector for NAHT-D: the centralized-critic collector with an
+    embedding-conditioned actor, per-learner history windows and the
+    observed teammate actions."""
 
     def __init__(self, env_cfg: EnvConfig, model: NahtModel, cfg: rl.PpoConfig, rng, teammates):
         if env_cfg.players.num_unctrl < 1:
             raise ValueError("NAHT-D needs at least one uncontrolled teammate slot")
-        self.env_cfg = env_cfg
-        self.model = model
-        self.cfg = cfg
-        self.rng = rng
-        self.teammates = teammates
-        self.n_learners = env_cfg.players.num_ctrl
+        super().__init__(env_cfg, model.ac, cfg, rng, teammates=teammates, central=True)
+        self.naht_model = model
         self.layout = model.encoder.layout
-        self.state = None
-        self._episode_reward = 0.0
+        self._boundary = (env_cfg.site.boundary_width, env_cfg.site.boundary_height)
         self._windows = [HistoryWindow(self.layout) for _ in range(self.n_learners)]
-        self._slot_policies = []
+        self._win_rows, self._mate_rows = [], []
 
     def _begin_episode(self):
-        seed = int(self.rng.integers(0, 2**63))
-        self.state, obs = sim.reset(self.env_cfg, seed)
-        self._episode_reward = 0.0
         for w in self._windows:
             w.reset()
-        self._slot_policies = self.teammates.sample(self.rng)
-        for pol in self._slot_policies:
-            pol.begin_episode(self.rng)
-        return obs
+        return super()._begin_episode()
 
-    def collect(self, n_transitions: int):
-        cfg, model = self.cfg, self.model
-        stats = rl.RolloutStats()
-        obs_rows, critic_rows, act_rows, logp_rows = [], [], [], []
-        win_rows, mate_rows, value_rows, reward_rows, term_rows = [], [], [], [], []
-        seg_bounds = []
-        seg_start = 0
-        steps_needed = -(-n_transitions // self.n_learners)
+    def _actor_input(self, learner_obs):
+        windows = np.stack([w.vector() for w in self._windows])
+        self._win_rows.append(windows)
+        emb, _ = encode(self.naht_model.encoder, windows)
+        return self.naht_model.actor_input(learner_obs, emb)
 
-        if self.state is None or self.state.terminal != sim.RUNNING:
-            obs = self._begin_episode()
-        else:
-            obs = sim.observe_all(self.state)
+    def _record_step(self, learner_obs, actions) -> None:
+        for i, window in enumerate(self._windows):
+            window.push(self.layout.step_record(learner_obs[i], self.state.pursuers[i], float(actions[i]), self._boundary))
+        self._mate_rows.append(np.tile(actions[self.n_learners :], (self.n_learners, 1)))
 
-        for step_i in range(steps_needed):
-            learner_obs = obs[: self.n_learners]
-            windows = np.stack([w.vector() for w in self._windows])
-            emb, _ = encode(model.encoder, windows)
-            actor_in = model.actor_input(learner_obs, emb)
-            mean = model.ac.action_mean(actor_in)
-            actions = nn.gaussian_sample(mean, model.ac.log_std, self.rng)
-            logp = nn.gaussian_log_prob(mean, model.ac.log_std, actions)
-
-            central = sim.central_observation(self.state, range(self.n_learners))[None, :]
-            value = float(model.ac.values(central)[0])
-
-            all_actions = np.zeros(self.env_cfg.players.num_p)
-            all_actions[: self.n_learners] = actions[:, 0]
-            for k, pol in enumerate(self._slot_policies):
-                slot = self.n_learners + k
-                view = sim.pursuer_view(self.state, slot) if getattr(pol, "needs_view", False) else None
-                all_actions[slot] = pol.act(obs[slot], view)
-            poses = [tuple(self.state.pursuers[i]) for i in range(self.n_learners)]
-
-            out = sim.step(self.state, all_actions)
-            self._episode_reward += out.reward
-
-            boundary = (self.env_cfg.site.boundary_width, self.env_cfg.site.boundary_height)
-            for i in range(self.n_learners):
-                self._windows[i].push(
-                    self.layout.step_record(learner_obs[i], poses[i], float(all_actions[i]), boundary)
-                )
-
-            obs_rows.append(learner_obs)
-            win_rows.append(windows)
-            act_rows.append(actions)
-            logp_rows.append(logp)
-            critic_rows.append(np.repeat(central, self.n_learners, axis=0))
-            value_rows.append(np.full(self.n_learners, value))
-            mate_rows.append(np.tile(all_actions[self.n_learners :], (self.n_learners, 1)))
-            reward_rows.append(out.reward)
-            term_rows.append(1.0 if out.terminal != sim.RUNNING else 0.0)
-
-            if out.terminal != sim.RUNNING:
-                stats.episode_returns.append(self._episode_reward)
-                stats.episode_lengths.append(self.state.step)
-                stats.episode_terminals.append(out.terminal)
-                seg_bounds.append((seg_start, step_i + 1, 0.0))
-                seg_start = step_i + 1
-                if step_i + 1 < steps_needed:
-                    obs = self._begin_episode()
-            else:
-                obs = out.observations
-
-        if seg_start < steps_needed:
-            central = sim.central_observation(self.state, range(self.n_learners))[None, :]
-            seg_bounds.append((seg_start, steps_needed, float(model.ac.values(central)[0])))
-
-        rewards = np.asarray(reward_rows)
-        terminals = np.asarray(term_rows)
-        value_cache = np.stack(value_rows)
-        adv_rows = np.zeros((steps_needed, self.n_learners))
-        ret_rows = np.zeros((steps_needed, self.n_learners))
-        for slot in range(self.n_learners):
-            for start, end, bootstrap in seg_bounds:
-                adv, ret = rl.compute_gae(
-                    rewards[start:end],
-                    value_cache[start:end, slot],
-                    terminals[start:end],
-                    cfg.gamma,
-                    cfg.gae_lambda,
-                    bootstrap_value=bootstrap,
-                )
-                adv_rows[start:end, slot] = adv
-                ret_rows[start:end, slot] = ret
-
-        base = rl.PpoBatch(
-            actor_in=np.concatenate(obs_rows, axis=0),
-            critic_in=np.concatenate(critic_rows, axis=0),
-            actions=np.concatenate(act_rows, axis=0),
-            old_logp=np.concatenate(logp_rows, axis=0),
-            advantages=adv_rows.reshape(-1),
-            returns=ret_rows.reshape(-1),
-        )
+    def collect(self, n_transitions: int) -> tuple[NahtBatch, rl.RolloutStats]:
+        self._win_rows, self._mate_rows = [], []
+        base, stats = super().collect(n_transitions)
         batch = NahtBatch(
             base=base,
-            windows=np.concatenate(win_rows, axis=0),
-            teammate_actions=np.concatenate(mate_rows, axis=0),
+            windows=np.concatenate(self._win_rows, axis=0),
+            teammate_actions=np.concatenate(self._mate_rows, axis=0),
         )
         return batch, stats
 
@@ -551,90 +460,59 @@ def naht_d_train(
     """
     if not teammate_pool:
         raise ValueError("teammate pool must be nonempty")
-    cfg.validate()
-    total = total_steps if total_steps is not None else cfg.total_steps
-    n_updates = max(1, int(np.ceil(total / cfg.batch)))
     model = init_naht_model(env_cfg, cfg, substream(seed, "init"), k=k, no_decoder=no_decoder)
-    opt = nn.adam_init(model.params(), lr=cfg.lr)
     teammates = rl.UniformTeammates(teammate_pool, env_cfg.players.num_unctrl)
     collector = NahtCollector(env_cfg, model, cfg, substream(seed, "rollout"), teammates)
-    update_rng = substream(seed, "update")
-    window = rl.RolloutStats()
-    metrics, checkpoints = [], []
-    ckpt_every = max(1, n_updates // 5)
-    for update in range(n_updates):
-        batch, stats = collector.collect(cfg.batch)
-        window.episode_returns += stats.episode_returns
-        window.episode_lengths += stats.episode_lengths
-        window.episode_terminals += stats.episode_terminals
-        diag = naht_update(model, opt, batch, cfg, update_rng, beta=beta)
-        step_count = (update + 1) * cfg.batch
-        row = rl._metrics_row(step_count, update, window, diag, recon_loss=diag["recon_loss"])
-        metrics.append(row)
-        if out_dir is not None and (update + 1) % ckpt_every == 0:
-            os.makedirs(out_dir, exist_ok=True)
-            path = os.path.join(out_dir, f"naht_{step_count:09d}.zip")
-            save_naht(path, model, extra={"step": step_count})
-            checkpoints.append(path)
-    final_path = None
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        final_path = os.path.join(out_dir, "final.zip")
-        algo = "naht-d-nodec" if no_decoder else "naht-d"
-        save_naht(final_path, model, extra={"algo": algo, "seed": seed, "beta": beta})
-        checkpoints.append(final_path)
-    result = rl.TrainResult(model=model, metrics=metrics, checkpoints=checkpoints, final_path=final_path)
-    return result
+    result = rl.train_loop(
+        collector,
+        model,
+        cfg,
+        seed,
+        update=partial(naht_update, beta=beta),
+        save=save_naht,
+        out_dir=out_dir,
+        ckpt_prefix="naht",
+        total_steps=total_steps,
+    )
+    algo = "naht-d-nodec" if no_decoder else "naht-d"
+    return rl.save_final(result, out_dir, {"algo": algo, "seed": seed, "beta": beta}, save=save_naht)
+
+
+_ENCODER_NETS = (("enc_evader", "evader_net"), ("enc_self", "self_net"), ("enc_relpos", "relpos_net"))
 
 
 def save_naht(path, model: NahtModel, extra: dict | None = None) -> None:
-    named = rl._named_mlp_arrays("actor", model.ac.actor) + [("log_std", model.ac.log_std)]
-    named += rl._named_mlp_arrays("critic", model.ac.critic)
-    named += rl._named_mlp_arrays("enc_evader", model.encoder.evader_net)
-    named += rl._named_mlp_arrays("enc_self", model.encoder.self_net)
-    named += rl._named_mlp_arrays("enc_relpos", model.encoder.relpos_net)
-    named += [("mix_logits", model.encoder.mix_logits)]
+    named, meta = rl.actor_critic_arrays(model.ac)
+    for prefix, attr in _ENCODER_NETS:
+        named += rl._named_mlp_arrays(prefix, getattr(model.encoder, attr))
+    named.append(("mix_logits", model.encoder.mix_logits))
     if model.decoder is not None:
         named += rl._named_mlp_arrays("decoder", model.decoder.net)
     layout = model.encoder.layout
-    meta = {
-        "obs_dim": model.obs_dim,
-        "embed_dim": model.embed_dim,
-        "act_dim": model.ac.act_dim,
-        "critic_in_dim": model.ac.critic_in_dim,
-        "actor_layers": len(model.ac.actor.weights),
-        "critic_layers": len(model.ac.critic.weights),
-        "encoder_layers": len(model.encoder.evader_net.weights),
-        "decoder_layers": len(model.decoder.net.weights) if model.decoder else 0,
-        "has_decoder": model.decoder is not None,
-        "num_e": layout.num_e,
-        "num_p": layout.num_p,
-        "history_k": layout.k,
-    }
+    meta.update(
+        obs_dim=model.obs_dim,  # the raw observation; the actor also reads the embedding
+        embed_dim=model.embed_dim,
+        encoder_layers=len(model.encoder.evader_net.weights),
+        decoder_layers=len(model.decoder.net.weights) if model.decoder else 0,
+        has_decoder=model.decoder is not None,
+        num_e=layout.num_e,
+        num_p=layout.num_p,
+        history_k=layout.k,
+    )
     meta.update(extra or {})
     nn.save_arrays(path, "naht_d", named, extra=meta)
 
 
 def load_naht(path) -> tuple[NahtModel, dict]:
-    manifest, arrays = nn.load_arrays(path)
-    if manifest["kind"] != "naht_d":
-        raise ValueError(f"checkpoint kind {manifest['kind']!r} is not naht_d")
+    manifest, arrays = nn.load_arrays(path, kind="naht_d")
     meta = manifest["extra"]
-    layout = WindowLayout(num_e=meta["num_e"], num_p=meta["num_p"], k=meta["history_k"])
-    ac = rl.ActorCritic(
-        actor=rl._mlp_from_arrays("actor", arrays, meta["actor_layers"]),
-        log_std=arrays["log_std"].copy(),
-        critic=rl._mlp_from_arrays("critic", arrays, meta["critic_layers"]),
-        obs_dim=meta["obs_dim"] + meta["embed_dim"],
-        act_dim=meta["act_dim"],
-        critic_in_dim=meta["critic_in_dim"],
-    )
+    ac = rl.actor_critic_from_arrays(arrays, meta)
+    ac.obs_dim += meta["embed_dim"]
+    nets = {attr: rl._mlp_from_arrays(prefix, arrays, meta["encoder_layers"]) for prefix, attr in _ENCODER_NETS}
     encoder = TeamEncoder(
-        evader_net=rl._mlp_from_arrays("enc_evader", arrays, meta["encoder_layers"]),
-        self_net=rl._mlp_from_arrays("enc_self", arrays, meta["encoder_layers"]),
-        relpos_net=rl._mlp_from_arrays("enc_relpos", arrays, meta["encoder_layers"]),
+        **nets,
         mix_logits=arrays["mix_logits"].copy(),
-        layout=layout,
+        layout=WindowLayout(num_e=meta["num_e"], num_p=meta["num_p"], k=meta["history_k"]),
         embed_dim=meta["embed_dim"],
     )
     decoder = TeamDecoder(rl._mlp_from_arrays("decoder", arrays, meta["decoder_layers"])) if meta["has_decoder"] else None

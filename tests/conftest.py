@@ -17,6 +17,16 @@ def reduced_4p2e3o(velocity_e=0.3, num_ctrl=4, num_unctrl=0, unseen=()):
     return config.with_control_split(cfg, num_ctrl, num_unctrl, unseen)
 
 
+class FixedTeammates:
+    """Teammate sampler that returns the same slot policies every episode."""
+
+    def __init__(self, policies):
+        self.policies = list(policies)
+
+    def sample(self, rng):
+        return list(self.policies)
+
+
 def open_arena(num_p=1, num_e=1, velocity_e=1e-6, horizon=1000):
     """Obstacle-free arena for closed-loop scripted-policy tests."""
     import json

@@ -153,3 +153,11 @@ def test_manifest_written_before_outputs(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tool_version"]
     assert manifest["argv"][0] == "train"
+
+
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--deterministic"]])
+def test_train_rejects_removed_options(tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train", "--algo", "sp", "--env", "4p2e3o", "--out", str(tmp_path / "run"), *flag)
+    assert exc.value.code == 2
+    assert not (tmp_path / "run").exists()

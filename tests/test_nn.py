@@ -1,4 +1,6 @@
+import json
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -249,3 +251,59 @@ def test_checkpoint_roundtrip(tmp_path):
     assert nn.checkpoint_kind(path) == "actor_critic"
     for name, arr in arrays:
         np.testing.assert_array_equal(loaded[name], arr)  # float32 exact
+
+
+def _write_archive(path, manifest: dict, params: bytes) -> None:
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("manifest.json", json.dumps(manifest))
+        zf.writestr("params.bin", params)
+
+
+def _saved_parts(tmp_path):
+    arrays = [("w", np.arange(6, dtype=np.float32).reshape(2, 3)), ("b", np.ones(3, dtype=np.float32))]
+    path = tmp_path / "good.zip"
+    nn.save_arrays(path, "actor_critic", arrays)
+    with zipfile.ZipFile(path) as zf:
+        return json.loads(zf.read("manifest.json")), zf.read("params.bin")
+
+
+def test_checkpoint_rejects_unknown_format_version(tmp_path):
+    manifest, params = _saved_parts(tmp_path)
+    manifest["format_version"] = nn.CHECKPOINT_FORMAT_VERSION + 1
+    _write_archive(tmp_path / "bad.zip", manifest, params)
+    with pytest.raises(ValueError, match="format_version"):
+        nn.load_arrays(tmp_path / "bad.zip")
+
+
+@pytest.mark.parametrize("cut", [-4, 4], ids=["truncated", "trailing"])
+def test_checkpoint_rejects_params_size_mismatch(tmp_path, cut):
+    manifest, params = _saved_parts(tmp_path)
+    params = params[:cut] if cut < 0 else params + b"\0" * cut
+    _write_archive(tmp_path / "bad.zip", manifest, params)
+    with pytest.raises(ValueError, match="params.bin"):
+        nn.load_arrays(tmp_path / "bad.zip")
+
+
+def test_checkpoint_missing_array_is_value_error(tmp_path):
+    manifest, params = _saved_parts(tmp_path)
+    _write_archive(tmp_path / "ok.zip", manifest, params)
+    _, arrays = nn.load_arrays(tmp_path / "ok.zip")
+    with pytest.raises(ValueError, match="no array named 'critic.w0'"):
+        arrays["critic.w0"]
+
+
+def test_checkpoint_kind_mismatch_is_value_error(tmp_path):
+    manifest, params = _saved_parts(tmp_path)
+    _write_archive(tmp_path / "ok.zip", manifest, params)
+    with pytest.raises(ValueError, match="is not naht_d"):
+        nn.load_arrays(tmp_path / "ok.zip", kind="naht_d")
+
+
+def test_checkpoint_resave_is_byte_identical(tmp_path):
+    # entries carry a fixed timestamp instead of the wall clock
+    arrays = [("w", np.arange(6, dtype=np.float32))]
+    nn.save_arrays(tmp_path / "a.zip", "actor_critic", arrays, extra={"step": 1})
+    nn.save_arrays(tmp_path / "b.zip", "actor_critic", arrays, extra={"step": 1})
+    assert (tmp_path / "a.zip").read_bytes() == (tmp_path / "b.zip").read_bytes()
+    with zipfile.ZipFile(tmp_path / "a.zip") as zf:
+        assert [info.date_time for info in zf.infolist()] == [nn.ZIP_DATE_TIME] * 2

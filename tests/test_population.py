@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pursuit_lab import population as pop
-from pursuit_lab import rl, sim
+from pursuit_lab import evalkit, rl, sim
 from pursuit_lab.seeding import substream
 from conftest import reduced_4p2e3o
 
@@ -212,7 +212,7 @@ def small_population(env, seed=0):
     ), cfg
 
 
-def test_edge_weight_single_episode_and_cache():
+def test_edge_weight_single_episode_and_cache(monkeypatch):
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     policies = [rl.ScriptedSlotPolicy("greedy")] * 4
     w1 = pop.estimate_edge_weight(policies, env, episodes=1, seed=5)
@@ -222,21 +222,18 @@ def test_edge_weight_single_episode_and_cache():
 
     cache = {}
     calls = []
-    orig = pop._play_team_episode
+    orig = evalkit.play_episode
 
     def counting(*args, **kw):
         calls.append(1)
         return orig(*args, **kw)
 
-    pop._play_team_episode = counting
-    try:
-        a = pop.estimate_edge_weight(policies, env, episodes=2, seed=5, cache=cache, cache_key=("k", 0))
-        n_calls = len(calls)
-        b = pop.estimate_edge_weight(policies, env, episodes=2, seed=5, cache=cache, cache_key=("k", 0))
-        assert len(calls) == n_calls  # cache hit: zero extra simulation
-        assert a == b
-    finally:
-        pop._play_team_episode = orig
+    monkeypatch.setattr(evalkit, "play_episode", counting)
+    a = pop.estimate_edge_weight(policies, env, episodes=2, seed=5, cache=cache, cache_key=("k", 0))
+    assert len(calls) == 2
+    b = pop.estimate_edge_weight(policies, env, episodes=2, seed=5, cache=cache, cache_key=("k", 0))
+    assert len(calls) == 2  # cache hit: zero extra simulation
+    assert a == b
 
 
 def test_greedy_team_beats_random_team():

@@ -5,7 +5,7 @@ import pytest
 
 from pursuit_lab import config, nn, rl, sim
 from pursuit_lab.seeding import substream
-from conftest import reduced_4p2e3o
+from conftest import FixedTeammates, reduced_4p2e3o
 
 
 def brute_force_gae(rewards, values, terminals, gamma, lam, bootstrap=0.0):
@@ -157,7 +157,7 @@ def test_collect_rollouts_learner_transition_count():
     env = reduced_4p2e3o(num_ctrl=4, num_unctrl=0)
     cfg = rl.PpoConfig(batch=1024, minibatch=256)
     model = make_model(obs_dim=sim.obs_length(env), critic_dim=sim.obs_length(env), dtype=np.float32, cfg=cfg)
-    batch, stats = rl.collect_rollouts(env, model, cfg, substream(0, "roll"), 1024)
+    batch, stats = rl.RolloutCollector(env, model, cfg, substream(0, "roll")).collect(1024)
     assert len(batch) == 1024  # 256 env steps x 4 learner slots
     assert batch.actor_in.shape == (1024, sim.obs_length(env))
     assert np.all(np.isfinite(batch.advantages))
@@ -169,7 +169,7 @@ def test_collect_rollouts_deterministic():
 
     def collect_once():
         model = make_model(obs_dim=sim.obs_length(env), critic_dim=sim.obs_length(env), dtype=np.float32, cfg=cfg)
-        return rl.collect_rollouts(env, model, cfg, substream(7, "roll"), 512)[0]
+        return rl.RolloutCollector(env, model, cfg, substream(7, "roll")).collect(512)[0]
 
     a = collect_once()
     b = collect_once()
@@ -184,8 +184,8 @@ def test_collect_rollouts_learner_streams_only():
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     cfg = rl.PpoConfig(batch=64, minibatch=32)
     model = make_model(obs_dim=sim.obs_length(env), critic_dim=sim.obs_length(env), dtype=np.float32, cfg=cfg)
-    teammates = rl.FixedTeammates([rl.ScriptedSlotPolicy("greedy"), rl.ScriptedSlotPolicy("greedy")])
-    batch, _ = rl.collect_rollouts(env, model, cfg, substream(9, "roll"), 64, teammates=teammates)
+    teammates = FixedTeammates([rl.ScriptedSlotPolicy("greedy"), rl.ScriptedSlotPolicy("greedy")])
+    batch, _ = rl.RolloutCollector(env, model, cfg, substream(9, "roll"), teammates=teammates).collect(64)
     assert len(batch) == 64  # 32 env steps x 2 learner slots
 
     # independent replay with an identical collector run
@@ -229,8 +229,8 @@ def test_mappo_critic_input_length():
     assert sim.central_obs_length(env, 2) == 2 * sim.obs_length(env) + 2 * env.players.num_e
     cfg = rl.PpoConfig(batch=64, minibatch=32)
     model = rl.init_actor_critic(sim.obs_length(env), sim.central_obs_length(env, 2), cfg, substream(0, "init"))
-    teammates = rl.FixedTeammates([rl.ScriptedSlotPolicy("greedy"), rl.ScriptedSlotPolicy("greedy")])
-    batch, _ = rl.collect_rollouts(env, model, cfg, substream(3, "roll"), 64, teammates=teammates, central=True)
+    teammates = FixedTeammates([rl.ScriptedSlotPolicy("greedy"), rl.ScriptedSlotPolicy("greedy")])
+    batch, _ = rl.RolloutCollector(env, model, cfg, substream(3, "roll"), teammates=teammates, central=True).collect(64)
     assert batch.critic_in.shape[1] == sim.central_obs_length(env, 2)
 
 
@@ -244,11 +244,11 @@ def test_mappo_single_learner_reduces_to_ippo():
 
     def run(central):
         model = rl.init_actor_critic(obs_dim, obs_dim, cfg, substream(5, "init"))
-        teammates = rl.FixedTeammates([rl.ScriptedSlotPolicy("greedy")] * 3)
-        batch, _ = rl.collect_rollouts(
-            env, model, cfg, substream(5, "roll"), 128,
-            teammates=teammates, central=central, central_evaders=False,
+        teammates = FixedTeammates([rl.ScriptedSlotPolicy("greedy")] * 3)
+        collector = rl.RolloutCollector(
+            env, model, cfg, substream(5, "roll"), teammates=teammates, central=central, central_evaders=False
         )
+        batch, _ = collector.collect(128)
         opt = nn.adam_init(model.params(), lr=cfg.lr)
         rl.ppo_update(model, opt, batch, cfg, substream(5, "upd"))
         return batch, model
@@ -348,3 +348,18 @@ def test_random_policy_bounds():
     pol.begin_episode(substream(0, "r"))
     for _ in range(100):
         assert -1.0 <= pol.act(None, None) <= 1.0
+
+
+def test_gae_over_slots_equals_one_call_per_slot():
+    rng = np.random.default_rng(2)
+    T, n = 40, 3
+    rewards = rng.normal(size=T)
+    values = rng.normal(size=(T, n)).astype(np.float32)
+    terminals = (rng.random(T) < 0.1).astype(float)
+    terminals[-1] = 0.0
+    bootstrap = rng.normal(size=n).astype(np.float32)
+    adv, ret = rl.compute_gae(rewards, values, terminals, 0.99, 0.95, bootstrap)
+    for slot in range(n):
+        a, r = rl.compute_gae(rewards, values[:, slot], terminals, 0.99, 0.95, float(bootstrap[slot]))
+        np.testing.assert_array_equal(adv[:, slot], a)
+        np.testing.assert_array_equal(ret[:, slot], r)

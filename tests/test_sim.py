@@ -211,7 +211,7 @@ def test_observation_masking_and_frame(env_4p2e3o):
     state.pursuers[0] = [0.5, 2.5, 0.0]
     state.evaders[0] = [1.5, 2.5, 0.0]
     state.evaders[1] = [3.0, 2.5, 0.0]  # 2.5 m away
-    obs = sim.observe(state, 0)
+    obs = sim.observe_all(state)[0]
     assert obs[0] == pytest.approx(1.0 / 2.0)  # distance 1.0 normalized by reception 2
     assert obs[1] == pytest.approx(0.0)  # dead ahead
     assert obs[2] == 1.0
@@ -245,7 +245,7 @@ def test_nearest_obstacle_block_reflects_wall(env_4p2e3o):
     )
     assert clearance == pytest.approx(brute) == pytest.approx(0.05)
     assert point == (0.0, 2.5)
-    obs = sim.observe(state, 0)
+    obs = sim.observe_all(state)[0]
     num_e = env_4p2e3o.players.num_e
     block = obs[3 * num_e : 3 * num_e + 3]
     assert block[0] == pytest.approx(0.05 / 2.0)
@@ -333,7 +333,7 @@ def test_captured_evaders_stay_frozen():
         sim.step(state, [0.0, 0.0])
         np.testing.assert_array_equal(state.evaders[0], frozen)
         # captured evader is masked in observations
-        assert tuple(sim.observe(state, 0)[0:3]) == (0.0, 0.0, 0.0)
+        assert tuple(sim.observe_all(state)[0][0:3]) == (0.0, 0.0, 0.0)
 
 
 def test_headings_stay_normalized_positions_finite(env_4p2e3o):

@@ -3,7 +3,7 @@ import pytest
 
 from pursuit_lab import nn, rl, sim, teammate
 from pursuit_lab.seeding import substream
-from conftest import reduced_4p2e3o
+from conftest import FixedTeammates, reduced_4p2e3o
 
 from test_nn import finite_difference, max_rel_error
 
@@ -170,7 +170,7 @@ def test_naht_collector_shapes_and_determinism():
 
     def collect():
         model = teammate.init_naht_model(env, cfg, substream(1, "init"))
-        teammates = rl.FixedTeammates([rl.ScriptedSlotPolicy("greedy"), rl.ScriptedSlotPolicy("greedy")])
+        teammates = FixedTeammates([rl.ScriptedSlotPolicy("greedy"), rl.ScriptedSlotPolicy("greedy")])
         col = teammate.NahtCollector(env, model, cfg, substream(1, "roll"), teammates)
         return col.collect(64)
 
