@@ -18,7 +18,6 @@ import os
 import sys
 
 from . import __version__, config, evalkit, population, render, rl, sim, teammate
-from .seeding import substream
 
 ALGOS = ("sp", "pbt", "mappo", "hola", "hola-nog", "naht-d", "naht-d-nodec")
 

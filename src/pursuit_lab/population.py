@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from . import evalkit, rl, sim
-from .config import EnvConfig, with_control_split
+from .config import EnvConfig
 from .seeding import substream
 
 MIN_STEP_EPSILON = 0.01
@@ -256,8 +256,9 @@ def max_step_train(
     if budget <= 0:
         return []
     teammates = MixtureTeammates(strategy, pop.policies)
-    collector = rl.RolloutCollector(env_cfg, pop.learner_model, ppo_cfg, substream(seed, "rollout"), teammates=teammates)
-    return rl.train_loop(collector, pop.learner_model, ppo_cfg, seed, total_steps=budget).metrics
+    model = pop.learner_model
+    collector = rl.RolloutCollector(env_cfg, model, ppo_cfg, substream(seed, "rollout"), teammates=teammates)
+    return rl.train_loop(collector, model, ppo_cfg, seed, total_steps=budget).metrics
 
 
 @dataclass

@@ -173,24 +173,29 @@ def compute_gae(rewards, values, terminals, gamma: float, lam: float, bootstrap_
     shared by all slots. `terminals[t]` marks that transition t ended its
     episode; the bootstrap value (a scalar or one per slot) is used for the
     value of the state after the final transition when that transition is
-    non-terminal. Slots are computed elementwise, so each slot's result is
-    bitwise the one of a separate (T,) call.
+    non-terminal. Every step is elementwise float64 in the order of the
+    scalar recursion, so each slot's result is bitwise the one of a
+    separate (T,) call.
     """
-    rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    terminals = np.asarray(terminals, dtype=np.float64)
-    bootstrap_value = np.asarray(bootstrap_value, dtype=np.float64)
     if not (len(rewards) == len(values) == len(terminals)):
         raise ValueError("rewards/values/terminals length mismatch")
-    T = len(rewards)
-    advantages = np.zeros(values.shape)
-    last = 0.0
-    for t in range(T - 1, -1, -1):
-        nonterminal = 1.0 - terminals[t]
-        next_value = bootstrap_value if t == T - 1 else values[t + 1]
-        delta = rewards[t] + gamma * next_value * nonterminal - values[t]
-        last = delta + gamma * lam * nonterminal * last
-        advantages[t] = last
+    per_step = (len(values),) + (1,) * (values.ndim - 1)  # broadcast over slots
+    rewards = np.asarray(rewards, dtype=np.float64).reshape(per_step)
+    nonterminal = 1.0 - np.asarray(terminals, dtype=np.float64).reshape(per_step)
+    bootstrap = np.broadcast_to(np.asarray(bootstrap_value, dtype=np.float64), values.shape[1:])
+    next_values = np.concatenate([values[1:], bootstrap[None]])
+    deltas = rewards + gamma * next_values * nonterminal - values
+    decay = gamma * lam * nonterminal
+    # the recursion runs backwards over Python floats (IEEE float64 too), one
+    # list of slots per step: on a few slots that beats per-step numpy calls
+    n_slots = int(np.prod(values.shape[1:]))
+    last = [0.0] * n_slots
+    reversed_adv = []
+    for delta, coef in zip(deltas.reshape(-1, n_slots).tolist()[::-1], decay.reshape(-1).tolist()[::-1]):
+        last = [d + coef * a for d, a in zip(delta, last)]
+        reversed_adv.append(last)
+    advantages = np.array(reversed_adv[::-1]).reshape(values.shape)
     return advantages, advantages + values
 
 
@@ -430,7 +435,8 @@ class RolloutCollector:
         if not self.central_evaders:
             central = central[: self.n_learners * sim.obs_length(self.env_cfg)]
         critic_in = central[None, :]
-        return np.repeat(critic_in, self.n_learners, axis=0), np.repeat(self.model.values(critic_in), self.n_learners)
+        values = self.model.values(critic_in)
+        return np.repeat(critic_in, self.n_learners, axis=0), np.repeat(values, self.n_learners)
 
     def _actor_input(self, learner_obs):
         """Actor input for this step; the batch keeps the raw observations."""

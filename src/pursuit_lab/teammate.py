@@ -423,7 +423,8 @@ class NahtCollector(rl.RolloutCollector):
 
     def _record_step(self, learner_obs, actions) -> None:
         for i, window in enumerate(self._windows):
-            window.push(self.layout.step_record(learner_obs[i], self.state.pursuers[i], float(actions[i]), self._boundary))
+            pose = self.state.pursuers[i]  # before the step, like the observation
+            window.push(self.layout.step_record(learner_obs[i], pose, float(actions[i]), self._boundary))
         self._mate_rows.append(np.tile(actions[self.n_learners :], (self.n_learners, 1)))
 
     def collect(self, n_transitions: int) -> tuple[NahtBatch, rl.RolloutStats]:
@@ -508,9 +509,9 @@ def load_naht(path) -> tuple[NahtModel, dict]:
     meta = manifest["extra"]
     ac = rl.actor_critic_from_arrays(arrays, meta)
     ac.obs_dim += meta["embed_dim"]
-    nets = {attr: rl._mlp_from_arrays(prefix, arrays, meta["encoder_layers"]) for prefix, attr in _ENCODER_NETS}
+    n_enc = meta["encoder_layers"]
     encoder = TeamEncoder(
-        **nets,
+        **{attr: rl._mlp_from_arrays(prefix, arrays, n_enc) for prefix, attr in _ENCODER_NETS},
         mix_logits=arrays["mix_logits"].copy(),
         layout=WindowLayout(num_e=meta["num_e"], num_p=meta["num_p"], k=meta["history_k"]),
         embed_dim=meta["embed_dim"],

@@ -158,6 +158,6 @@ def test_manifest_written_before_outputs(tmp_path):
 @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--deterministic"]])
 def test_train_rejects_removed_options(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
-        run_cli("train", "--algo", "sp", "--env", "4p2e3o", "--out", str(tmp_path / "run"), *flag)
+        run_cli("train", "--algo", "sp", "--env", "4p2e3o", "--steps", "64", "--out", str(tmp_path / "run"), *flag)
     assert exc.value.code == 2
     assert not (tmp_path / "run").exists()
