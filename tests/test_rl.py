@@ -350,16 +350,29 @@ def test_random_policy_bounds():
         assert -1.0 <= pol.act(None, None) <= 1.0
 
 
-def test_gae_over_slots_equals_one_call_per_slot():
+def scalar_gae(rewards, values, terminals, gamma, lam, bootstrap):
+    """The textbook backward recursion, one scalar step at a time."""
+    adv = np.zeros(len(rewards))
+    last = 0.0
+    for t in range(len(rewards) - 1, -1, -1):
+        nonterminal = 1.0 - terminals[t]
+        next_value = bootstrap if t == len(rewards) - 1 else values[t + 1]
+        delta = rewards[t] + gamma * next_value * nonterminal - values[t]
+        last = delta + gamma * lam * nonterminal * last
+        adv[t] = last
+    return adv, adv + values
+
+
+def test_gae_over_slots_is_bitwise_the_scalar_recursion_per_slot():
     rng = np.random.default_rng(2)
     T, n = 40, 3
     rewards = rng.normal(size=T)
-    values = rng.normal(size=(T, n)).astype(np.float32)
+    values = rng.normal(size=(T, n)).astype(np.float32).astype(np.float64)
     terminals = (rng.random(T) < 0.1).astype(float)
     terminals[-1] = 0.0
-    bootstrap = rng.normal(size=n).astype(np.float32)
+    bootstrap = rng.normal(size=n)
     adv, ret = rl.compute_gae(rewards, values, terminals, 0.99, 0.95, bootstrap)
     for slot in range(n):
-        a, r = rl.compute_gae(rewards, values[:, slot], terminals, 0.99, 0.95, float(bootstrap[slot]))
+        a, r = scalar_gae(rewards, values[:, slot], terminals, 0.99, 0.95, float(bootstrap[slot]))
         np.testing.assert_array_equal(adv[:, slot], a)
         np.testing.assert_array_equal(ret[:, slot], r)
