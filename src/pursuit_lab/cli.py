@@ -1,12 +1,14 @@
 """Command-line entry points: validate, train, eval, render.
 
-Exit codes: 0 success, 1 domain violation (invalid config, failed check),
-2 usage or IO error. Every long-running command writes a run manifest into
-its output directory before any heavy computation; rerunning a command with
-the same arguments reproduces its outputs byte for byte. `eval --jobs J`
-runs seed blocks in J worker processes with results identical for any J;
-`eval --deterministic` forces one process. The PURSUIT_LAB_DIR environment
-variable provides the default asset root for zoo checkpoints.
+Exit codes: 0 success, 1 domain violation (invalid config, failed check, or a
+ValueError from `train` or `eval` such as an infeasible respawn region or a
+bad policy reference), 2 usage or IO error. Every long-running command writes
+a run manifest into its output directory before any heavy computation;
+rerunning a command with the same arguments reproduces its outputs byte for
+byte. `eval --jobs J` runs seed blocks in J worker processes with results
+identical for any J; `eval --deterministic` forces one process. The
+PURSUIT_LAB_DIR environment variable provides the default asset root for zoo
+checkpoints.
 """
 
 from __future__ import annotations
@@ -76,13 +78,11 @@ def cmd_validate(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-def _teammate_pool(refs: str, env_cfg, deterministic_nets: bool = False):
-    pool = []
-    for ref in refs.split(","):
-        ref = ref.strip()
-        if ref:
-            pool.append(evalkit.resolve_policy(ref, env_cfg, deterministic=deterministic_nets))
-    return pool
+def _teammate_pool(refs: str | None, env_cfg):
+    """Stochastic slot policies for `--teammates`, or for the config's
+    `players.unseen_drones` when the flag is not given."""
+    refs = [ref.strip() for ref in refs.split(",")] if refs is not None else env_cfg.players.unseen_drones
+    return [evalkit.resolve_policy(ref, env_cfg, deterministic=False) for ref in refs if ref]
 
 
 def cmd_train(args) -> int:
@@ -100,9 +100,16 @@ def cmd_train(args) -> int:
         return 1
 
     cfg = rl.PpoConfig(total_steps=args.steps)
-    out = args.out
-    _write_manifest(out, "train", args, env_cfg)
+    _write_manifest(args.out, "train", args, env_cfg)
+    try:
+        return _train(args, cfg, env_cfg)
+    except (ValueError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
+
+def _train(args, cfg: rl.PpoConfig, env_cfg) -> int:
+    out = args.out
     if args.algo == "sp":
         result = rl.ippo_selfplay_train(cfg, env_cfg, args.seed, out_dir=out)
         rl.write_metrics_csv(os.path.join(out, "metrics.csv"), result.metrics)
@@ -130,10 +137,10 @@ def cmd_train(args) -> int:
                 os.path.join(out, f"metrics_gen{report.generation:03d}.csv"), report.metrics
             )
     else:  # naht-d / naht-d-nodec
-        pool = _teammate_pool(args.teammates, env_cfg)
         if env_cfg.players.num_unctrl < 1:
             print("naht-d needs uncontrolled teammate slots in the env config", file=sys.stderr)
             return 1
+        pool = _teammate_pool(args.teammates, env_cfg)
         result = teammate.naht_d_train(
             cfg,
             env_cfg,
@@ -247,7 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--pop-size", type=int, default=4)
     p_train.add_argument("--generations", type=int, default=5)
     p_train.add_argument("--init-sp-steps", type=int, default=50_000, help="self-play budget for the initial hola population")
-    p_train.add_argument("--teammates", default="greedy", help="comma-separated policy refs for uncontrolled slots")
+    p_train.add_argument(
+        "--teammates",
+        default=None,
+        help="comma-separated policy refs for uncontrolled slots (default: the config's players.unseen_drones)",
+    )
     p_train.set_defaults(fn=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate checkpoints against an unseen zoo")

@@ -3,7 +3,8 @@
 Configs are plain JSON documents with three sections (players / site / task);
 `config_data/env_config.schema.json` is the published JSON-Schema mirror of
 the structural rules enforced here. Parsing is strict: unknown keys, missing
-keys, and type mismatches are hard errors reported with their JSON path.
+keys, type mismatches and non-finite numbers (NaN, Infinity) are hard errors
+reported with their JSON path.
 Geometric and cross-field invariants are checked by `validate_config`, which
 returns *every* violation rather than stopping at the first.
 """
@@ -11,6 +12,7 @@ returns *every* violation rather than stopping at the first.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
@@ -140,11 +142,21 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], path: str, errors: list[str
             errors.append(f"{path}.{key}: missing required key")
 
 
+def _is_finite(value: int | float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _get_number(obj: dict, key: str, path: str, errors: list[str]) -> float:
     value = obj.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         if key in obj:
             errors.append(f"{path}.{key}: expected number, got {type(value).__name__}")
+        return 0.0
+    if not _is_finite(value):
+        errors.append(f"{path}.{key}: expected a finite number, got {value}")
         return 0.0
     return float(value)
 
@@ -189,9 +201,9 @@ def _parse_point(obj, path: str, errors: list[str]) -> tuple[float, float]:
     if (
         not isinstance(obj, list)
         or len(obj) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in obj)
+        or any(isinstance(v, bool) or not isinstance(v, (int, float)) or not _is_finite(v) for v in obj)
     ):
-        errors.append(f"{path}: expected [x, y] numbers")
+        errors.append(f"{path}: expected [x, y] finite numbers")
         return (0.0, 0.0)
     return (float(obj[0]), float(obj[1]))
 
@@ -505,18 +517,5 @@ def with_control_split(cfg: EnvConfig, num_ctrl: int, num_unctrl: int, unseen_dr
     players = replace(
         cfg.players, num_ctrl=num_ctrl, num_unctrl=num_unctrl, unseen_drones=tuple(unseen_drones)
     )
-    return replace(cfg, players=players)
-
-
-def with_task_horizon(cfg: EnvConfig, horizon: int) -> EnvConfig:
-    return replace(cfg, task=replace(cfg.task, task_horizon=horizon))
-
-
-def with_velocities(cfg: EnvConfig, velocity_p: float | None = None, velocity_e: float | None = None) -> EnvConfig:
-    players = cfg.players
-    if velocity_p is not None:
-        players = replace(players, velocity_p=velocity_p)
-    if velocity_e is not None:
-        players = replace(players, velocity_e=velocity_e)
     return replace(cfg, players=players)
 

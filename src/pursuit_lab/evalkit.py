@@ -20,7 +20,7 @@ from .config import EnvConfig
 from .seeding import substream
 
 DEFAULT_EPISODES = 250
-DEFAULT_SEED_BLOCKS = 5
+SEED_BLOCKS = 5
 
 
 @dataclass(frozen=True)
@@ -81,25 +81,17 @@ def resolve_policy(ref: str, env_cfg: EnvConfig, deterministic: bool = True):
     kind = nn.checkpoint_kind(path)
     if kind == "actor_critic":
         model, manifest = rl.load_policy(path)
-        _check_dims(manifest, env_cfg)
-        return rl.NetSlotPolicy(model, deterministic=deterministic)
-    if kind == "naht_d":
+    elif kind == "naht_d":
         model, manifest = teammate.load_naht(path)
-        if manifest["extra"]["obs_dim"] != sim.obs_length(env_cfg):
-            raise ValueError(
-                f"checkpoint obs dim {manifest['extra']['obs_dim']} does not match env obs length {sim.obs_length(env_cfg)}"
-            )
-        boundary = (env_cfg.site.boundary_width, env_cfg.site.boundary_height)
-        return teammate.NahtSlotPolicy(model, boundary, deterministic=deterministic)
-    raise ValueError(f"unknown checkpoint kind {kind!r}")
-
-
-def _check_dims(manifest: dict, env_cfg: EnvConfig) -> None:
+    else:
+        raise ValueError(f"unknown checkpoint kind {kind!r}")
     obs_dim = manifest["extra"]["obs_dim"]
     if obs_dim != sim.obs_length(env_cfg):
-        raise ValueError(
-            f"checkpoint obs dim {obs_dim} does not match env obs length {sim.obs_length(env_cfg)}"
-        )
+        raise ValueError(f"checkpoint obs dim {obs_dim} does not match env obs length {sim.obs_length(env_cfg)}")
+    if kind == "naht_d":
+        boundary = (env_cfg.site.boundary_width, env_cfg.site.boundary_height)
+        return teammate.NahtSlotPolicy(model, boundary, deterministic=deterministic)
+    return rl.NetSlotPolicy(model, deterministic=deterministic)
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +107,9 @@ class EpisodeRecord:
     index: int
 
 
-def play_episode(env_cfg: EnvConfig, slot_policies, seed: int, evader_kind: str = "potential", log=None) -> EpisodeRecord:
+def play_episode(env_cfg: EnvConfig, slot_policies, seed: int, log=None) -> EpisodeRecord:
     """Run one full episode with the given per-slot policies."""
-    state, obs = sim.reset(env_cfg, seed, evader_kind=evader_kind)
+    state, obs = sim.reset(env_cfg, seed)
     ep_rng = substream(seed, "policies")
     for pol in slot_policies:
         pol.begin_episode(ep_rng)
@@ -238,13 +230,9 @@ def compute_metrics(records, seed: int = 0, seed_blocks: int | None = None) -> E
 
 def _eval_block(args) -> list[EpisodeRecord]:
     """One seed block of evaluation episodes (top-level for multiprocessing)."""
-    learner_refs, zoo, env_cfg, block, episodes, seed, deterministic, evader_kind = args
-    learners = [resolve_policy(ref, env_cfg, deterministic=deterministic) for ref in learner_refs]
-    zoo_policies = (
-        {ref: resolve_policy(ref, env_cfg, deterministic=deterministic) for ref in zoo.members}
-        if zoo is not None
-        else {}
-    )
+    learner_refs, zoo, env_cfg, block, episodes, seed = args
+    learners = [resolve_policy(ref, env_cfg) for ref in learner_refs]
+    zoo_policies = {ref: resolve_policy(ref, env_cfg) for ref in zoo.members} if zoo is not None else {}
     records = []
     for e in range(episodes):
         ep_seed = int(substream(seed, "eval", block, e).integers(0, 2**63))
@@ -253,7 +241,7 @@ def _eval_block(args) -> list[EpisodeRecord]:
         for _ in range(env_cfg.players.num_unctrl):
             ref = zoo.members[int(zoo_rng.integers(0, len(zoo.members)))]
             slots.append(zoo_policies[ref])
-        rec = play_episode(env_cfg, slots, ep_seed, evader_kind=evader_kind)
+        rec = play_episode(env_cfg, slots, ep_seed)
         records.append(
             EpisodeRecord(
                 terminal=rec.terminal,
@@ -272,18 +260,16 @@ def run_evaluation(
     env_cfg: EnvConfig,
     n_episodes: int,
     seed: int,
-    seed_blocks: int = DEFAULT_SEED_BLOCKS,
-    deterministic: bool = True,
-    evader_kind: str = "potential",
     jobs: int = 1,
 ) -> tuple[EvalReport, list[EpisodeRecord]]:
     """Evaluate learner policies (slots [0, N)) with zoo partners (slots [N, num_p)).
 
     `learner_refs` is a single policy ref or a list; a single ref is shared
     across all N learner slots. Zoo members are drawn independently per
-    uncontrolled slot each episode. Everything is seeded: episode e of block b
-    uses the (seed, "eval", b, e) substream, so results are identical for any
-    `jobs` value (blocks just run in parallel processes when jobs > 1).
+    uncontrolled slot each episode. The episodes are split over `SEED_BLOCKS`
+    seed blocks. Everything is seeded: episode e of block b uses the
+    (seed, "eval", b, e) substream, so results are identical for any `jobs`
+    value (blocks just run in parallel processes when jobs > 1).
     """
     p = env_cfg.players
     if isinstance(learner_refs, str):
@@ -297,20 +283,17 @@ def run_evaluation(
     for ref in learner_refs:
         resolve_policy(ref, env_cfg)  # fail fast on bad refs / dim mismatches
 
-    per_block = [n_episodes // seed_blocks] * seed_blocks
-    for i in range(n_episodes % seed_blocks):
+    per_block = [n_episodes // SEED_BLOCKS] * SEED_BLOCKS
+    for i in range(n_episodes % SEED_BLOCKS):
         per_block[i] += 1
-    tasks = [
-        (list(learner_refs), zoo, env_cfg, b, per_block[b], seed, deterministic, evader_kind)
-        for b in range(seed_blocks)
-    ]
+    tasks = [(list(learner_refs), zoo, env_cfg, b, per_block[b], seed) for b in range(SEED_BLOCKS)]
     if jobs > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(min(jobs, seed_blocks)) as pool:
+        with multiprocessing.Pool(min(jobs, SEED_BLOCKS)) as pool:
             block_records = pool.map(_eval_block, tasks)
     else:
         block_records = [_eval_block(t) for t in tasks]
     records = [rec for block in block_records for rec in block]
-    report = compute_metrics(records, seed=seed, seed_blocks=seed_blocks)
+    report = compute_metrics(records, seed=seed, seed_blocks=SEED_BLOCKS)
     return report, records

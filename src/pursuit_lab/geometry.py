@@ -74,17 +74,6 @@ def boundary_clearance(px: float, py: float, width: float, height: float) -> flo
     return min(px, width - px, py, height - py)
 
 
-def closest_point_on_boundary(px: float, py: float, width: float, height: float) -> tuple[float, float]:
-    gaps = (
-        (px, 0.0, py),
-        (width - px, width, py),
-        (py, px, 0.0),
-        (height - py, px, height),
-    )
-    best = min(gaps, key=lambda g: g[0])
-    return best[1], best[2]
-
-
 def wall_entries(px: float, py: float, width: float, height: float):
     """Per-wall (clearance, closest point) for all four arena walls."""
     return [

@@ -32,10 +32,6 @@ class Mlp:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    @property
-    def dims(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
     def arrays(self) -> list[np.ndarray]:
         out = []
         for w, b in zip(self.weights, self.biases):
@@ -133,18 +129,6 @@ def gaussian_entropy(log_std: np.ndarray) -> float:
 def gaussian_sample(mean: np.ndarray, log_std: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     ls = clamp_log_std(np.asarray(log_std))
     return mean + np.exp(ls) * rng.standard_normal(mean.shape)
-
-
-def gaussian_kl(mean_p, log_std_p, mean_q, log_std_q):
-    """Closed-form KL(p || q) for diagonal Gaussians; >= 0, 0 iff p == q."""
-    lp = clamp_log_std(np.asarray(log_std_p, dtype=np.float64))
-    lq = clamp_log_std(np.asarray(log_std_q, dtype=np.float64))
-    mp = np.asarray(mean_p, dtype=np.float64)
-    mq = np.asarray(mean_q, dtype=np.float64)
-    var_p = np.exp(2.0 * lp)
-    var_q = np.exp(2.0 * lq)
-    per_dim = lq - lp + (var_p + (mp - mq) ** 2) / (2.0 * var_q) - 0.5
-    return float(np.sum(per_dim))
 
 
 # ---------------------------------------------------------------------------

@@ -94,22 +94,6 @@ def preference_centrality(pg: PreferenceHypergraph, g: Hypergraph, node: str) ->
     return incoming_degree(pg, node) / d_g
 
 
-def sum_centrality(pg: PreferenceHypergraph, g: Hypergraph, nodes) -> float:
-    return sum(preference_centrality(pg, g, n) for n in nodes)
-
-
-def is_preference_optimal(g: Hypergraph, candidate: tuple[str, ...]) -> bool:
-    """Exhaustive check that `candidate` maximizes summed preference centrality
-    over all same-size node subsets. Test/analysis helper, not a training path."""
-    pg = build_preference_hypergraph(g)
-    target = sum_centrality(pg, g, candidate)
-    n = len(candidate)
-    return all(
-        target >= sum_centrality(pg, g, subset) - 1e-12
-        for subset in combinations(g.nodes, n)
-    )
-
-
 def min_step_solve(subsets, centralities: dict[str, float], epsilon: float = MIN_STEP_EPSILON) -> MixedStrategy:
     """Mixed strategy over partner subsets: probability proportional to the
     reciprocal of the subset's mean member centrality (worse partners first)."""
@@ -341,7 +325,7 @@ def init_population(
         "vicsek": rl.ScriptedSlotPolicy("vicsek"),
     }
     for i in range(2):
-        res = rl.ippo_selfplay_train(
+        res = rl.ippo_selfplay_unscored(
             replace(ppo_cfg, total_steps=sp_budget), env_cfg, substream_seed_int(seed, "init-sp", i)
         )
         policies[f"sp_seed{i}"] = rl.NetSlotPolicy(res.model, deterministic=True)

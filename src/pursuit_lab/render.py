@@ -126,12 +126,3 @@ def render_episode(records: list[dict], cfg: EnvConfig) -> str:
                     f'stroke="{COLLISION_COLOR}" stroke-width="2.50"/>'
                 )
     return svg.finish()
-
-
-def render_log_file(log_path, cfg: EnvConfig, out_path) -> None:
-    from .sim import load_trajectory
-
-    records = load_trajectory(log_path)
-    svg = render_episode(records, cfg)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)

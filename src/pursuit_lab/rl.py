@@ -266,33 +266,47 @@ def normalize_advantages(adv: np.ndarray) -> np.ndarray:
     return (adv - adv.mean()) / (adv.std() + 1e-8)
 
 
-def ppo_update(model: ActorCritic, opt: nn.AdamState, batch: PpoBatch, cfg: PpoConfig, rng: np.random.Generator):
-    """Run cfg.epochs of shuffled minibatch updates over one batch."""
-    if len(batch) != cfg.batch:
-        raise ValueError(f"batch size {len(batch)} != cfg.batch {cfg.batch}")
-    adv = normalize_advantages(batch.advantages)
-    idx = np.arange(len(batch))
+def minibatch_epochs(model, opt: nn.AdamState, n_rows: int, cfg: PpoConfig, rng: np.random.Generator, loss_and_grads):
+    """The update loop of every trainer: cfg.epochs shuffled passes of Adam
+    steps over minibatches of a batch of `n_rows` rows.
+
+    `loss_and_grads(rows)` returns (grads aligned with model.params(),
+    diagnostics) for one minibatch of row indices. Returns the mean of each
+    scalar diagnostic.
+    """
+    if n_rows != cfg.batch:
+        raise ValueError(f"batch size {n_rows} != cfg.batch {cfg.batch}")
+    idx = np.arange(n_rows)
     diags = []
     for _epoch in range(cfg.epochs):
         rng.shuffle(idx)
-        for start in range(0, len(batch), cfg.minibatch):
-            mb = idx[start : start + cfg.minibatch]
-            grads, _, diag = ppo_loss_and_grads(
-                model,
-                batch.actor_in[mb],
-                batch.critic_in[mb],
-                batch.actions[mb],
-                batch.old_logp[mb],
-                adv[mb],
-                batch.returns[mb],
-                cfg,
-            )
+        for start in range(0, n_rows, cfg.minibatch):
+            grads, diag = loss_and_grads(idx[start : start + cfg.minibatch])
             if not np.isfinite(diag["loss"]):
-                raise FloatingPointError("non-finite PPO loss")
+                raise FloatingPointError("non-finite loss")
             nn.adam_step(opt, model.params(), grads)
             diags.append(diag)
-    keys = ("pi_loss", "v_loss", "entropy", "clip_frac", "approx_kl", "loss")
-    return {k: float(np.mean([d[k] for d in diags])) for k in keys}
+    return {k: float(np.mean([d[k] for d in diags])) for k, v in diags[0].items() if np.ndim(v) == 0}
+
+
+def ppo_update(model: ActorCritic, opt: nn.AdamState, batch: PpoBatch, cfg: PpoConfig, rng: np.random.Generator):
+    """Run cfg.epochs of shuffled minibatch updates over one batch."""
+    adv = normalize_advantages(batch.advantages)
+
+    def loss_and_grads(mb):
+        grads, _, diag = ppo_loss_and_grads(
+            model,
+            batch.actor_in[mb],
+            batch.critic_in[mb],
+            batch.actions[mb],
+            batch.old_logp[mb],
+            adv[mb],
+            batch.returns[mb],
+            cfg,
+        )
+        return grads, diag
+
+    return minibatch_epochs(model, opt, len(batch), cfg, rng, loss_and_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +385,6 @@ class RolloutStats:
     episode_lengths: list[int] = field(default_factory=list)
     episode_terminals: list[str] = field(default_factory=list)
 
-    def suc(self) -> float:
-        if not self.episode_terminals:
-            return 0.0
-        return 100.0 * sum(t == sim.SUCCESS for t in self.episode_terminals) / len(self.episode_terminals)
-
 
 class RolloutCollector:
     """Streams learner transitions from one env into PPO batches.
@@ -383,9 +392,9 @@ class RolloutCollector:
     Learner slots are [0, num_ctrl); the remaining slots are filled by the
     teammate sampler each episode. With `central=True` the critic consumes the
     centralized observation (all learner observations plus global evader
-    positions unless `central_evaders=False`); otherwise each slot's critic
-    reads that slot's observation. Subclasses feed extra actor inputs and
-    record extra per-step rows through `_actor_input` and `_record_step`.
+    positions); otherwise each slot's critic reads that slot's observation.
+    Subclasses feed extra actor inputs and record extra per-step rows through
+    `_actor_input` and `_record_step`.
     """
 
     def __init__(
@@ -396,7 +405,6 @@ class RolloutCollector:
         rng: np.random.Generator,
         teammates=None,
         central: bool = False,
-        central_evaders: bool = True,
     ):
         self.env_cfg = env_cfg
         self.model = model
@@ -404,10 +412,11 @@ class RolloutCollector:
         self.rng = rng
         self.teammates = teammates
         self.central = central
-        self.central_evaders = central_evaders
         self.n_learners = env_cfg.players.num_ctrl
         if self.n_learners < 1:
             raise ValueError("need at least one learner slot")
+        if cfg.batch % self.n_learners:
+            raise ValueError(f"batch {cfg.batch} is not a multiple of the {self.n_learners} learner slots")
         if env_cfg.players.num_unctrl > 0 and teammates is None:
             raise ValueError("uncontrolled slots present but no teammate sampler given")
         self.state = None
@@ -431,10 +440,7 @@ class RolloutCollector:
         """(critic input rows, value per learner slot) in the current state."""
         if not self.central:
             return learner_obs, self.model.values(learner_obs)
-        central = sim.central_observation(self.state, range(self.n_learners))
-        if not self.central_evaders:
-            central = central[: self.n_learners * sim.obs_length(self.env_cfg)]
-        critic_in = central[None, :]
+        critic_in = sim.central_observation(self.state, learner_obs)[None, :]
         values = self.model.values(critic_in)
         return np.repeat(critic_in, self.n_learners, axis=0), np.repeat(values, self.n_learners)
 
@@ -539,6 +545,8 @@ class TrainResult:
     selfplay_suc: float | None = None
 
 
+SELFPLAY_EVAL_EPISODES = 50
+
 METRIC_FIELDS = (
     "step",
     "update",
@@ -578,19 +586,20 @@ def _metrics_row(step, update, window_stats, diag) -> dict:
     }
 
 
-def evaluate_selfplay_suc(model: ActorCritic, env_cfg: EnvConfig, seed: int, episodes: int = 50) -> float:
-    """Deterministic self-play success rate; recorded in checkpoint manifests."""
+def evaluate_selfplay_suc(model: ActorCritic, env_cfg: EnvConfig, seed: int) -> float:
+    """Deterministic self-play success rate over `SELFPLAY_EVAL_EPISODES`
+    episodes; recorded in checkpoint manifests."""
     sp_cfg = with_control_split(env_cfg, env_cfg.players.num_p, 0)
     wins = 0
     rng = substream(seed, "selfplay-eval")
-    for i in range(episodes):
+    for _ in range(SELFPLAY_EVAL_EPISODES):
         state, obs = sim.reset(sp_cfg, int(rng.integers(0, 2**63)))
         while state.terminal == sim.RUNNING:
             actions, _ = model.act(obs, rng, deterministic=True)
             out = sim.step(state, actions[:, 0])
             obs = out.observations
         wins += state.terminal == sim.SUCCESS
-    return 100.0 * wins / episodes
+    return 100.0 * wins / SELFPLAY_EVAL_EPISODES
 
 
 def _maybe_checkpoint(out_dir, name, model, extra, save=save_policy) -> str | None:
@@ -655,12 +664,21 @@ def _finish_scored(result: TrainResult, env_cfg: EnvConfig, seed: int, out_dir, 
     return save_final(result, out_dir, {"algo": algo, "seed": seed, "selfplay_suc": result.selfplay_suc})
 
 
-def ippo_selfplay_train(cfg: PpoConfig, env_cfg: EnvConfig, seed: int, out_dir=None) -> TrainResult:
-    """Self-play IPPO: one shared actor-critic drives all pursuer slots."""
+def ippo_selfplay_unscored(cfg: PpoConfig, env_cfg: EnvConfig, seed: int, out_dir=None) -> TrainResult:
+    """Self-play IPPO: one shared actor-critic drives all pursuer slots.
+
+    Trains and writes the periodic checkpoints, but neither scores the result
+    nor saves `final.zip`; `ippo_selfplay_train` does both.
+    """
     sp_cfg = with_control_split(env_cfg, env_cfg.players.num_p, 0)
     model = init_actor_critic(sim.obs_length(sp_cfg), sim.obs_length(sp_cfg), cfg, substream(seed, "init"))
     collector = RolloutCollector(sp_cfg, model, cfg, substream(seed, "rollout"))
-    result = train_loop(collector, model, cfg, seed, out_dir=out_dir, ckpt_prefix="sp")
+    return train_loop(collector, model, cfg, seed, out_dir=out_dir, ckpt_prefix="sp")
+
+
+def ippo_selfplay_train(cfg: PpoConfig, env_cfg: EnvConfig, seed: int, out_dir=None) -> TrainResult:
+    """Self-play IPPO, scored by `evaluate_selfplay_suc` and saved as `final.zip`."""
+    result = ippo_selfplay_unscored(cfg, env_cfg, seed, out_dir=out_dir)
     return _finish_scored(result, env_cfg, seed, out_dir, "sp")
 
 
@@ -669,7 +687,6 @@ def mappo_train(
     env_cfg: EnvConfig,
     seed: int,
     teammate_pool=None,
-    central_evaders: bool = True,
     out_dir=None,
 ) -> TrainResult:
     """MAPPO: shared actor, one centralized critic over all learner observations.
@@ -684,18 +701,8 @@ def mappo_train(
             raise ValueError("mappo_train with uncontrolled slots needs a teammate pool")
         teammates = UniformTeammates(teammate_pool, env_cfg.players.num_unctrl)
     critic_dim = sim.central_obs_length(env_cfg, n_learners)
-    if not central_evaders:
-        critic_dim -= 2 * env_cfg.players.num_e
     model = init_actor_critic(sim.obs_length(env_cfg), critic_dim, cfg, substream(seed, "init"))
-    collector = RolloutCollector(
-        env_cfg,
-        model,
-        cfg,
-        substream(seed, "rollout"),
-        teammates=teammates,
-        central=True,
-        central_evaders=central_evaders,
-    )
+    collector = RolloutCollector(env_cfg, model, cfg, substream(seed, "rollout"), teammates=teammates, central=True)
     result = train_loop(collector, model, cfg, seed, out_dir=out_dir, ckpt_prefix="mappo")
     return _finish_scored(result, env_cfg, seed, out_dir, "mappo")
 

@@ -71,13 +71,6 @@ def _static_entries(view: AgentView):
     return out
 
 
-def _threat_points(view: AgentView):
-    """(distance, closest point) for every drone, obstacle, and wall."""
-    out = [(math.hypot(q[0] - view.x, q[1] - view.y), q) for q in view.other_drones]
-    out.extend(_static_entries(view))
-    return out
-
-
 def _away_from(view: AgentView, point) -> tuple[float, float]:
     ux, uy = geometry.unit(view.x - point[0], view.y - point[1])
     if ux == 0.0 and uy == 0.0:
@@ -171,24 +164,9 @@ def evader_action(view: AgentView) -> float:
     return steer_towards(view, fx, fy)
 
 
-def evader_hold_action(view: AgentView) -> float:
-    """Trivially predictable evader: never steers (the arena wall stops it).
-
-    Used by reduced training fixtures where the benchmark difficulty should
-    come from navigation and collision avoidance, not from out-running a
-    reactive target.
-    """
-    return 0.0
-
-
 PURSUER_POLICIES = {
     "greedy": greedy_action,
     "vicsek": vicsek_action,
-}
-
-EVADER_POLICIES = {
-    "potential": evader_action,
-    "hold": evader_hold_action,
 }
 
 
@@ -198,11 +176,3 @@ def pursuer_policy(policy_id: str):
         return PURSUER_POLICIES[policy_id]
     except KeyError:
         raise KeyError(f"unknown scripted pursuer policy {policy_id!r}") from None
-
-
-def evader_policy(policy_id: str):
-    """Scripted evader callable: "potential" (flee field) or "hold"."""
-    try:
-        return EVADER_POLICIES[policy_id]
-    except KeyError:
-        raise KeyError(f"unknown scripted evader policy {policy_id!r}") from None

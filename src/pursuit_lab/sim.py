@@ -75,21 +75,6 @@ class WorldState:
     captured: np.ndarray  # (num_e,) bool
     terminal: str
     rng: np.random.Generator
-    evader_kind: str = "potential"  # key into scripted.EVADER_POLICIES
-
-    def copy(self) -> "WorldState":
-        rng = np.random.default_rng()
-        rng.bit_generator.state = self.rng.bit_generator.state
-        return WorldState(
-            cfg=self.cfg,
-            step=self.step,
-            pursuers=self.pursuers.copy(),
-            evaders=self.evaders.copy(),
-            captured=self.captured.copy(),
-            terminal=self.terminal,
-            rng=rng,
-            evader_kind=self.evader_kind,
-        )
 
 
 @dataclass
@@ -130,7 +115,7 @@ def _sample_positions(cfg: EnvConfig, rng, region, count, existing, min_sep) -> 
                 continue
             break
         else:
-            raise RuntimeError("respawn region infeasible after 10000 rejection attempts")
+            raise ValueError("respawn region infeasible after 10000 rejection attempts")
         placed.append((x, y))
         out.append((x, y))
     return out
@@ -143,7 +128,7 @@ def _fixed_positions(region, count) -> list[tuple[float, float]]:
     return [(region.x_min + (i + 0.5) * region.width / count, yc) for i in range(count)]
 
 
-def reset(cfg: EnvConfig, seed: int, evader_kind: str = "potential") -> tuple[WorldState, np.ndarray]:
+def reset(cfg: EnvConfig, seed: int) -> tuple[WorldState, np.ndarray]:
     """Fresh episode state plus the initial observations for all pursuers."""
     rng = substream(seed, "env")
     p = cfg.players
@@ -176,26 +161,8 @@ def reset(cfg: EnvConfig, seed: int, evader_kind: str = "potential") -> tuple[Wo
         captured=np.zeros(p.num_e, dtype=bool),
         terminal=RUNNING,
         rng=rng,
-        evader_kind=evader_kind,
     )
     return state, observe_all(state)
-
-
-def make_state(cfg: EnvConfig, pursuers, evaders, captured=None, step: int = 0, evader_kind: str = "potential") -> WorldState:
-    """Build a WorldState from explicit poses (fixtures, replays, rendering)."""
-    pursuers = np.asarray(pursuers, dtype=np.float64).reshape(cfg.players.num_p, 3)
-    evaders = np.asarray(evaders, dtype=np.float64).reshape(cfg.players.num_e, 3)
-    cap = np.zeros(cfg.players.num_e, dtype=bool) if captured is None else np.asarray(captured, dtype=bool)
-    return WorldState(
-        cfg=cfg,
-        step=step,
-        pursuers=pursuers.copy(),
-        evaders=evaders.copy(),
-        captured=cap.copy(),
-        terminal=RUNNING,
-        rng=substream(0, "fixture"),
-        evader_kind=evader_kind,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +221,6 @@ def nearest_static_all(cfg: EnvConfig, pts: np.ndarray) -> tuple[np.ndarray, np.
     return best, best_pts
 
 
-def nearest_obstacle_or_wall(cfg: EnvConfig, x: float, y: float) -> tuple[float, tuple[float, float]]:
-    """(clearance, closest point) over all obstacles and the four walls."""
-    clear, pts = nearest_static_all(cfg, np.array([[x, y]]))
-    return float(clear[0]), (float(pts[0, 0]), float(pts[0, 1]))
-
-
 def _relative_blocks(origins: np.ndarray, headings: np.ndarray, targets: np.ndarray, reception: float, visible_mask=None):
     """(n_origins, n_targets, 3) blocks of (dist/reception, bearing/pi, mask)."""
     dx = targets[None, :, 0] - origins[:, None, 0]
@@ -307,22 +268,20 @@ def observe_all(state: WorldState) -> np.ndarray:
     return np.concatenate([ev_block.reshape(n, -1), ob_block, tm_block.reshape(n, -1)], axis=1)
 
 
-def central_observation(state: WorldState, learner_slots) -> np.ndarray:
+def central_observation(state: WorldState, learner_obs: np.ndarray) -> np.ndarray:
     """Centralized-critic input: learner observations plus global evader positions.
 
-    Evader positions are normalized to [-1, 1] over the arena; captured
-    evaders are zeroed.
+    `learner_obs` holds the `observe_all(state)` rows of the learner slots, in
+    slot order. Evader positions are normalized to [-1, 1] over the arena;
+    captured evaders are zeroed.
     """
     cfg = state.cfg
-    obs = observe_all(state)
-    parts = [obs[i] for i in learner_slots]
     ev = np.zeros(2 * cfg.players.num_e, dtype=np.float64)
     for e in range(cfg.players.num_e):
         if not state.captured[e]:
             ev[2 * e] = 2.0 * state.evaders[e, 0] / cfg.site.boundary_width - 1.0
             ev[2 * e + 1] = 2.0 * state.evaders[e, 1] / cfg.site.boundary_height - 1.0
-    parts.append(ev)
-    return np.concatenate(parts)
+    return np.concatenate([learner_obs.reshape(-1), ev])
 
 
 def central_obs_length(cfg: EnvConfig, n_learners: int) -> int:
@@ -454,7 +413,12 @@ def _proximity_count(state: WorldState) -> int:
     return int(np.sum(drone_band | static_band))
 
 
-def _transition_reward(prev_pursuers, prev_evaders, prev_captured, nxt: WorldState, captures, collisions) -> float:
+def compute_reward(prev_pursuers, prev_evaders, prev_captured, nxt: WorldState, captures, collisions) -> float:
+    """Shared team reward for the transition from the previous poses to `nxt`.
+
+    capture bonus + one-sided min-distance progress shaping on evaders that
+    stay uncaptured - proximity-band penalty - terminal collision penalty.
+    """
     reward = R_CAP * len(captures)
     prev_d = _min_pursuer_distances(prev_pursuers, prev_evaders, prev_captured)
     next_d = _min_pursuer_distances(nxt.pursuers, nxt.evaders, nxt.captured)
@@ -466,15 +430,6 @@ def _transition_reward(prev_pursuers, prev_evaders, prev_captured, nxt: WorldSta
     if collisions:
         reward -= R_COL
     return reward
-
-
-def compute_reward(prev: WorldState, nxt: WorldState, captures, collisions) -> float:
-    """Shared team reward for one transition.
-
-    capture bonus + one-sided min-distance progress shaping on evaders that
-    stay uncaptured - proximity-band penalty - terminal collision penalty.
-    """
-    return _transition_reward(prev.pursuers, prev.evaders, prev.captured, nxt, captures, collisions)
 
 
 def step(state: WorldState, actions) -> StepOutcome:
@@ -495,11 +450,10 @@ def step(state: WorldState, actions) -> StepOutcome:
     state.pursuers[:, 0] += cfg.players.velocity_p * np.cos(state.pursuers[:, 2]) * dt
     state.pursuers[:, 1] += cfg.players.velocity_p * np.sin(state.pursuers[:, 2]) * dt
 
-    evader_fn = scripted.evader_policy(state.evader_kind)
     for e in range(cfg.players.num_e):
         if state.captured[e]:
             continue
-        esteer = evader_fn(evader_view(state, e))
+        esteer = scripted.evader_action(evader_view(state, e))
         old_xy = state.evaders[e, :2].copy()
         _advance(state.evaders[e], esteer, cfg.players.velocity_e, OMEGA_MAX, dt)
         # Evaders never terminate the episode, so block them from entering
@@ -511,7 +465,7 @@ def step(state: WorldState, actions) -> StepOutcome:
     for ev in captures:
         state.captured[ev.evader] = True
     collisions = detect_collisions(state)
-    reward = _transition_reward(prev_pursuers, prev_evaders, prev_captured, state, captures, collisions)
+    reward = compute_reward(prev_pursuers, prev_evaders, prev_captured, state, captures, collisions)
     state.step += 1
     state.terminal = is_terminal(state, collisions)
 
@@ -541,7 +495,6 @@ class TrajectoryLog:
         from .config import serialize_config
 
         rec["env"] = json.loads(serialize_config(state.cfg))
-        rec["evader_kind"] = state.evader_kind
         self.records.append(rec)
 
     def record_step(self, state: WorldState, actions, outcome: StepOutcome) -> None:

@@ -15,7 +15,7 @@ slots, so per-slot distinct predictions would be unidentifiable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -221,14 +221,6 @@ def init_decoder(embed_dim: int, rng, hidden: int = 64, dtype=np.float32) -> Tea
     return TeamDecoder(net=nn.mlp_init([embed_dim, hidden, 2], rng, dtype=dtype))
 
 
-def decoder_predict(dec: TeamDecoder, emb: np.ndarray, n_teammates: int):
-    """(means, log_stds) with shape (batch, n_teammates): shared head, tiled."""
-    out, cache = nn.mlp_forward(dec.net, emb)
-    mean = np.repeat(out[:, :1], n_teammates, axis=1)
-    log_std = np.repeat(nn.clamp_log_std(out[:, 1:2]), n_teammates, axis=1)
-    return mean, log_std, cache
-
-
 def reconstruction_loss(dec: TeamDecoder, emb: np.ndarray, teammate_actions: np.ndarray, target_std: float = RECON_TARGET_STD):
     """Mean KL(target || predicted) over teammates and batch.
 
@@ -293,18 +285,16 @@ def init_naht_model(
     env_cfg: EnvConfig,
     cfg: rl.PpoConfig,
     rng,
-    k: int = HISTORY_LENGTH,
-    embed_dim: int = EMBED_DIM,
     no_decoder: bool = False,
     dtype=np.float32,
 ) -> NahtModel:
     obs_dim = sim.obs_length(env_cfg)
-    layout = WindowLayout(num_e=env_cfg.players.num_e, num_p=env_cfg.players.num_p, k=k)
+    layout = WindowLayout(num_e=env_cfg.players.num_e, num_p=env_cfg.players.num_p)
     critic_dim = sim.central_obs_length(env_cfg, env_cfg.players.num_ctrl)
-    ac = rl.init_actor_critic(obs_dim + embed_dim, critic_dim, cfg, rng)
-    encoder = init_encoder(layout, rng, embed_dim=embed_dim, dtype=dtype)
-    decoder = None if no_decoder else init_decoder(embed_dim, rng, dtype=dtype)
-    return NahtModel(ac=ac, encoder=encoder, decoder=decoder, obs_dim=obs_dim, embed_dim=embed_dim)
+    ac = rl.init_actor_critic(obs_dim + EMBED_DIM, critic_dim, cfg, rng)
+    encoder = init_encoder(layout, rng, dtype=dtype)
+    decoder = None if no_decoder else init_decoder(EMBED_DIM, rng, dtype=dtype)
+    return NahtModel(ac=ac, encoder=encoder, decoder=decoder, obs_dim=obs_dim, embed_dim=EMBED_DIM)
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +308,10 @@ class NahtBatch:
     teammate_actions: np.ndarray  # (B, M)
 
 
-def naht_loss_and_grads(model: NahtModel, mb: NahtBatch, idx, cfg: rl.PpoConfig, beta: float, zero_embedding: bool = False):
+def naht_loss_and_grads(model: NahtModel, mb: NahtBatch, idx, cfg: rl.PpoConfig, beta: float):
     """Joint PPO + beta * reconstruction loss over one minibatch of indices."""
     obs = mb.base.actor_in[idx]
-    windows = mb.windows[idx]
-    if zero_embedding:
-        emb = np.zeros((obs.shape[0], model.embed_dim))
-        enc_cache = None
-    else:
-        emb, enc_cache = encode(model.encoder, windows)
+    emb, enc_cache = encode(model.encoder, mb.windows[idx])
     actor_in = model.actor_input(obs, emb)
     ac_grads, dactor_in, diag = rl.ppo_loss_and_grads(
         model.ac,
@@ -344,11 +329,7 @@ def naht_loss_and_grads(model: NahtModel, mb: NahtBatch, idx, cfg: rl.PpoConfig,
     if model.decoder is not None:
         recon, dec_grads, demb_rec = reconstruction_loss(model.decoder, emb, mb.teammate_actions[idx])
         demb = demb + beta * demb_rec
-    if zero_embedding:
-        enc_grads = [np.zeros_like(p) for p in model.encoder.params()]
-    else:
-        enc_grads = encode_backward(model.encoder, enc_cache, demb)
-    grads = ac_grads + enc_grads
+    grads = ac_grads + encode_backward(model.encoder, enc_cache, demb)
     if model.decoder is not None:
         grads += [beta * g for g in dec_grads]
     diag = dict(diag)
@@ -364,31 +345,13 @@ def naht_update(
     cfg: rl.PpoConfig,
     rng: np.random.Generator,
     beta: float = RECON_BETA,
-    zero_embedding: bool = False,
 ):
-    adv = rl.normalize_advantages(batch.base.advantages)
-    normalized = rl.PpoBatch(
-        actor_in=batch.base.actor_in,
-        critic_in=batch.base.critic_in,
-        actions=batch.base.actions,
-        old_logp=batch.base.old_logp,
-        advantages=adv,
-        returns=batch.base.returns,
+    """`rl.ppo_update`'s minibatch loop over the joint NAHT-D loss."""
+    base = replace(batch.base, advantages=rl.normalize_advantages(batch.base.advantages))
+    nb = NahtBatch(base=base, windows=batch.windows, teammate_actions=batch.teammate_actions)
+    return rl.minibatch_epochs(
+        model, opt, len(base), cfg, rng, lambda rows: naht_loss_and_grads(model, nb, rows, cfg, beta)
     )
-    nb = NahtBatch(base=normalized, windows=batch.windows, teammate_actions=batch.teammate_actions)
-    idx = np.arange(len(batch.base))
-    diags = []
-    for _epoch in range(cfg.epochs):
-        rng.shuffle(idx)
-        for start in range(0, len(idx), cfg.minibatch):
-            mb_idx = idx[start : start + cfg.minibatch]
-            grads, diag = naht_loss_and_grads(model, nb, mb_idx, cfg, beta, zero_embedding)
-            if not np.isfinite(diag["loss"]):
-                raise FloatingPointError("non-finite NAHT-D loss")
-            nn.adam_step(opt, model.params(), grads)
-            diags.append(diag)
-    keys = ("pi_loss", "v_loss", "entropy", "clip_frac", "approx_kl", "loss", "recon_loss")
-    return {k: float(np.mean([d[k] for d in diags])) for k in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +412,6 @@ def naht_d_train(
     seed: int,
     beta: float = RECON_BETA,
     no_decoder: bool = False,
-    k: int = HISTORY_LENGTH,
     out_dir=None,
     total_steps: int | None = None,
 ) -> rl.TrainResult:
@@ -461,7 +423,7 @@ def naht_d_train(
     """
     if not teammate_pool:
         raise ValueError("teammate pool must be nonempty")
-    model = init_naht_model(env_cfg, cfg, substream(seed, "init"), k=k, no_decoder=no_decoder)
+    model = init_naht_model(env_cfg, cfg, substream(seed, "init"), no_decoder=no_decoder)
     teammates = rl.UniformTeammates(teammate_pool, env_cfg.players.num_unctrl)
     collector = NahtCollector(env_cfg, model, cfg, substream(seed, "rollout"), teammates)
     result = rl.train_loop(

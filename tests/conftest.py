@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pursuit_lab import config
+from pursuit_lab import config, sim
+from pursuit_lab.seeding import substream
 
 
 @pytest.fixture(scope="session")
@@ -12,9 +15,22 @@ def env_4p2e3o():
 def reduced_4p2e3o(velocity_e=0.3, num_ctrl=4, num_unctrl=0, unseen=()):
     """Scaled-down training/eval fixture: 4p2e3o, 300-step horizon."""
     cfg = config.builtin_env("4p2e3o")
-    cfg = config.with_task_horizon(cfg, 300)
-    cfg = config.with_velocities(cfg, velocity_e=velocity_e)
+    cfg = replace(cfg, task=replace(cfg.task, task_horizon=300), players=replace(cfg.players, velocity_e=velocity_e))
     return config.with_control_split(cfg, num_ctrl, num_unctrl, unseen)
+
+
+def make_state(cfg, pursuers, evaders, captured=None, step=0):
+    """A running WorldState with explicit poses."""
+    cap = np.zeros(cfg.players.num_e, dtype=bool) if captured is None else captured
+    return sim.WorldState(
+        cfg=cfg,
+        step=step,
+        pursuers=np.array(pursuers, dtype=np.float64).reshape(cfg.players.num_p, 3),
+        evaders=np.array(evaders, dtype=np.float64).reshape(cfg.players.num_e, 3),
+        captured=np.array(cap, dtype=bool),
+        terminal=sim.RUNNING,
+        rng=substream(0, "fixture"),
+    )
 
 
 class FixedTeammates:

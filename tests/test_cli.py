@@ -161,3 +161,44 @@ def test_train_rejects_removed_options(tmp_path, flag):
         run_cli("train", "--algo", "sp", "--env", "4p2e3o", "--steps", "64", "--out", str(tmp_path / "run"), *flag)
     assert exc.value.code == 2
     assert not (tmp_path / "run").exists()
+
+
+def write_env(tmp_path, **players):
+    doc = json.loads(config.builtin_env_text("4p2e3o"))
+    doc["players"].update(players)
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "players, message",
+    [
+        # a valid arena whose learner count does not divide the default batch of 1024
+        ({"num_p": 3, "num_ctrl": 3, "num_unctrl": 0, "unseen_drones": []}, "not a multiple"),
+        # a valid but infeasible pursuer respawn region
+        ({"respawn_region": {
+            "pursuer": {"x_min": 1.0, "y_min": 0.2, "x_max": 1.3, "y_max": 0.5},
+            "evader": {"x_min": 0.2, "y_min": 4.2, "x_max": 3.4, "y_max": 4.8},
+        }}, "infeasible"),
+    ],
+)
+def test_train_maps_value_errors_to_exit_1(tmp_path, capsys, players, message):
+    env = write_env(tmp_path, **players)
+    assert run_cli("train", "--algo", "sp", "--env", env, "--steps", "64", "--out", str(tmp_path / "run")) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, expected", [([], ["vicsek"]), (["--teammates", "greedy, vicsek"], ["greedy", "vicsek"])])
+def test_train_teammates_default_to_the_unseen_drones(tmp_path, monkeypatch, flag, expected):
+    env = write_env(tmp_path, unseen_drones=["vicsek"])
+    pools = []
+
+    def fake_mappo_train(cfg, env_cfg, seed, teammate_pool=None, out_dir=None):
+        pools.append(teammate_pool)
+        return rl.TrainResult(model=None, metrics=[], checkpoints=[], final_path=None)
+
+    monkeypatch.setattr(rl, "mappo_train", fake_mappo_train)
+    assert run_cli("train", "--algo", "mappo", "--env", env, "--out", str(tmp_path / "run"), *flag) == 0
+    [pool] = pools
+    assert [p.policy_id for p in pool] == expected

@@ -215,8 +215,29 @@ def test_override_helpers():
     assert sp.players.num_ctrl == 4 and sp.players.num_unctrl == 0
     assert sp.players.unseen_drones == ()
     assert validate_config(sp) == []
-    short = config.with_task_horizon(cfg, 300)
-    assert short.task.task_horizon == 300
-    slow = config.with_velocities(cfg, velocity_e=0.25)
-    assert slow.players.velocity_e == 0.25
-    assert cfg.task.task_horizon == 1000  # originals untouched
+    assert cfg.players.num_ctrl == 2  # the original is untouched
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("players", "reception_range", float("nan")),
+        ("task", "fps", float("inf")),
+        ("task", "capture_range", float("-inf")),
+        ("players", "velocity_p", 10**400),  # beyond the float range
+    ],
+)
+def test_non_finite_number_rejected_with_path(section, key, value):
+    doc = doc_dict()
+    doc[section][key] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))  # json writes NaN / Infinity / -Infinity
+    assert f"$.{section}.{key}: expected a finite number" in str(err.value)
+
+
+def test_non_finite_point_rejected_with_path():
+    doc = doc_dict()
+    doc["site"]["obstacles"]["obstacle1"]["center"] = [float("nan"), 1.0]
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert "$.site.obstacles.obstacle1.center" in str(err.value)

