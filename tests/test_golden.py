@@ -1,4 +1,10 @@
-"""Golden bytes of tiny fixed-seed trainings and one evaluation.
+"""Golden bytes of the simulator, of tiny fixed-seed trainings and of one evaluation.
+
+The simulator's hash covers a few fixed-seed episodes on each built-in arena
+(`4p2e1o`, `4p2e3o`, `4p2e5o`, `4p3e5o`, up to 200 steps each), driven by
+greedy, Vicsek and random slots: the reset observations and poses, then per
+step the actions, observations, reward, terminal, capture and collision
+events, and the poses and capture flags after the step.
 
 SP, MAPPO and NAHT-D each train for two PPO updates (batch 64, minibatch 32,
 one epoch) on `reduced_4p2e3o`; a 6-episode `eval` then runs the NAHT-D and
@@ -9,7 +15,7 @@ checkpoint, and `report.json`. Archive members are compared instead of the
 `.zip` files, and a manifest is compared as parsed JSON, so that only the
 recorded numbers count.
 
-A refactor leaves every hash unchanged. After a change that moves outputs on
+All of them are keys of one file. A refactor leaves every hash unchanged. After a change that moves outputs on
 purpose, rerun `PYTHONPATH=src python tests/golden/regen_hashes.py` and say in
 the commit why the bytes moved.
 """
@@ -23,12 +29,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pursuit_lab import cli, config, rl, teammate
+from pursuit_lab import cli, config, rl, sim, teammate
+from pursuit_lab.seeding import substream
 from conftest import reduced_4p2e3o
 
 HASHES = Path(__file__).parent / "golden" / "hashes.json"
 PPO = rl.PpoConfig(batch=64, minibatch=32, epochs=1, total_steps=128)
 SEED = 5
+STEP_KEY = "sim/step-outcomes"
+STEP_EPISODES = 3
+STEP_LIMIT = 200
 
 
 def sha256(data: bytes) -> str:
@@ -49,6 +59,38 @@ def checkpoint_hashes(run: str, path) -> dict[str, str]:
         f"{key}/params.bin": sha256(params),
         f"{key}/manifest.json": sha256(json.dumps(manifest, sort_keys=True).encode("utf-8")),
     }
+
+
+def step_slot_policies(num_p: int, episode: int) -> list:
+    """All greedy in episode 0, so that captures happen; then greedy, Vicsek
+    and random slots in turn, so that drones hit obstacles and walls."""
+    kinds = (lambda: rl.ScriptedSlotPolicy("greedy"), lambda: rl.ScriptedSlotPolicy("vicsek"), rl.RandomSlotPolicy)
+    return [kinds[0 if episode == 0 else (i + episode) % len(kinds)]() for i in range(num_p)]
+
+
+def step_outcome_hash() -> str:
+    """sha256 over every observable of a few fixed-seed episodes on each arena."""
+    h = hashlib.sha256()
+    for a, name in enumerate(config.BUILTIN_ENV_NAMES):
+        cfg = config.builtin_env(name)
+        for episode in range(STEP_EPISODES):
+            seed = 100 * a + episode
+            state, obs = sim.reset(cfg, seed)
+            policies = step_slot_policies(cfg.players.num_p, episode)
+            rng = substream(seed, "policies")
+            for pol in policies:
+                pol.begin_episode(rng)
+            for arr in (obs, state.pursuers, state.evaders):
+                h.update(arr.tobytes())
+            while state.terminal == sim.RUNNING and state.step < STEP_LIMIT:
+                views = [sim.pursuer_view(state, i) if pol.needs_view else None for i, pol in enumerate(policies)]
+                actions = np.array([pol.act(obs[i], views[i]) for i, pol in enumerate(policies)])
+                out = sim.step(state, actions)
+                obs = out.observations
+                for arr in (actions, obs, state.pursuers, state.evaders, state.captured):
+                    h.update(arr.tobytes())
+                h.update(repr((out.reward, out.terminal, out.captures, out.collisions)).encode())
+    return h.hexdigest()
 
 
 def golden_hashes(root: Path) -> dict[str, str]:
@@ -82,8 +124,17 @@ def golden_hashes(root: Path) -> dict[str, str]:
     return dict(sorted(hashes.items()))
 
 
-def test_outputs_match_the_golden_hashes(tmp_path):
-    golden = json.loads(HASHES.read_text())
-    if golden["platform"] != platform_tag():
-        pytest.skip(f"golden hashes were recorded on {golden['platform']}, not {platform_tag()}")
-    assert golden_hashes(tmp_path) == golden["hashes"]
+@pytest.fixture(scope="module")
+def golden() -> dict[str, str]:
+    doc = json.loads(HASHES.read_text())
+    if doc["platform"] != platform_tag():
+        pytest.skip(f"golden hashes were recorded on {doc['platform']}, not {platform_tag()}")
+    return doc["hashes"]
+
+
+def test_step_outcomes_match_the_golden_hash(golden):
+    assert step_outcome_hash() == golden[STEP_KEY]
+
+
+def test_outputs_match_the_golden_hashes(tmp_path, golden):
+    assert golden_hashes(tmp_path) == {key: value for key, value in golden.items() if key != STEP_KEY}
