@@ -1,10 +1,14 @@
 """Deterministic discrete-time kinematic pursuit simulator.
 
-One step: pursuers turn/advance by their steer commands, evaders turn/advance
-by the scripted escape policy, then captures, collisions, reward, and
-termination are evaluated in that fixed order. All randomness is confined to
-`reset` (respawn sampling); given (config, seed, action sequence) the whole
-trajectory is bitwise reproducible on a single thread.
+One step, in this fixed order: pursuers turn/advance by their steer commands;
+evaders turn/advance by the scripted escape policy; captures are detected and
+applied; one geometry pass (`pursuer_geometry`) measures the pursuers' final
+positions: pursuer-pursuer distances, the pursuer-obstacle clearance matrix
+and wall clearances; from that one pass come the collisions, the reward and
+the observations, with termination decided before the observations. All
+randomness is confined to `reset` (respawn sampling); given (config, seed,
+action sequence) the whole trajectory is bitwise reproducible on a single
+thread.
 
 Steer commands are scalars in [-1, 1]; one unit of steer turns the drone at
 OMEGA_MAX rad/s. Distances and thresholds come from the config: drone-drone
@@ -17,11 +21,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import geometry, scripted
-from .config import EnvConfig
+from .config import EnvConfig, Obstacle
 from .seeding import substream
 
 # Terminal states of an episode.
@@ -171,54 +177,85 @@ def reset(cfg: EnvConfig, seed: int) -> tuple[WorldState, np.ndarray]:
 
 def _wall_clearances(cfg: EnvConfig, pts: np.ndarray) -> np.ndarray:
     w, h = cfg.site.boundary_width, cfg.site.boundary_height
-    return np.min(np.stack([pts[:, 0], w - pts[:, 0], pts[:, 1], h - pts[:, 1]]), axis=0)
+    x, y = pts[:, 0], pts[:, 1]
+    return np.minimum(np.minimum(np.minimum(x, w - x), y), h - y)
 
 
 def _wall_closest_points(cfg: EnvConfig, pts: np.ndarray) -> np.ndarray:
     w, h = cfg.site.boundary_width, cfg.site.boundary_height
-    gaps = np.stack([pts[:, 0], w - pts[:, 0], pts[:, 1], h - pts[:, 1]])  # (4, n)
-    which = np.argmin(gaps, axis=0)
+    x, y = pts[:, 0], pts[:, 1]
+    which = np.stack([x, w - x, y, h - y]).argmin(axis=0)  # left, right, bottom, top
     out = pts.copy()
-    out[which == 0, 0] = 0.0
-    out[which == 1, 0] = w
-    out[which == 2, 1] = 0.0
-    out[which == 3, 1] = h
+    out[np.arange(len(pts)), which >> 1] = np.array((0.0, w, 0.0, h))[which]
     return out
 
 
-def _obstacle_clearances(ob, pts: np.ndarray) -> np.ndarray:
-    if ob.shape == "circle":
-        return np.hypot(pts[:, 0] - ob.center[0], pts[:, 1] - ob.center[1]) - ob.radius
-    dx = np.abs(pts[:, 0] - ob.center[0]) - ob.half_extents[0]
-    dy = np.abs(pts[:, 1] - ob.center[1]) - ob.half_extents[1]
-    outside = np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
-    inside = np.maximum(dx, dy)
-    return np.where((dx > 0) & (dy > 0), outside, inside)
+class _ShapeColumns(NamedTuple):
+    """Parameters of the obstacles of one shape, as (1, n) rows."""
+
+    cols: np.ndarray  # their columns in the clearance matrix (config order)
+    cx: np.ndarray
+    cy: np.ndarray
+    sx: np.ndarray  # radius of a circle, x half extent of a rectangle
+    sy: np.ndarray  # y half extent of a rectangle (0 for a circle)
 
 
-def _obstacle_closest_points(ob, pts: np.ndarray) -> np.ndarray:
-    return np.array([ob.closest_point(px, py) for px, py in pts])
+@lru_cache(maxsize=16)
+def _stacked_obstacles(obstacles: tuple[Obstacle, ...]) -> tuple[_ShapeColumns, _ShapeColumns]:
+    """(circles, rectangles) of an obstacle tuple, stacked once per tuple."""
+
+    def columns(shape: str) -> _ShapeColumns:
+        picked = [(k, ob) for k, ob in enumerate(obstacles) if ob.shape == shape]
+        sizes = [(ob.radius, 0.0) if shape == "circle" else ob.half_extents for _, ob in picked]
+        return _ShapeColumns(
+            cols=np.array([k for k, _ in picked], dtype=np.intp),
+            cx=np.array([[ob.center[0] for _, ob in picked]]),
+            cy=np.array([[ob.center[1] for _, ob in picked]]),
+            sx=np.array([[sx for sx, _ in sizes]]),
+            sy=np.array([[sy for _, sy in sizes]]),
+        )
+
+    return columns("circle"), columns("rectangle")
 
 
 def obstacle_clearance_matrix(cfg: EnvConfig, pts: np.ndarray) -> np.ndarray:
-    """(n_points, n_obstacles) clearances; empty second axis with no obstacles."""
-    if not cfg.site.obstacles:
-        return np.zeros((len(pts), 0))
-    return np.stack([_obstacle_clearances(ob, pts) for ob in cfg.site.obstacles], axis=1)
+    """(n_points, n_obstacles) signed clearances, columns in config order.
+
+    One array pass over all circles and one over all rectangles, with the
+    elementwise operations of `Obstacle.clearance`; the second axis is empty
+    without obstacles.
+    """
+    circles, rects = _stacked_obstacles(cfg.site.obstacles)
+    out = np.empty((len(pts), len(cfg.site.obstacles)))
+    x, y = pts[:, 0:1], pts[:, 1:2]
+    if circles.cols.size:
+        out[:, circles.cols] = np.hypot(x - circles.cx, y - circles.cy) - circles.sx
+    if rects.cols.size:
+        dx = np.abs(x - rects.cx) - rects.sx
+        dy = np.abs(y - rects.cy) - rects.sy
+        outside = np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
+        out[:, rects.cols] = np.where((dx > 0) & (dy > 0), outside, np.maximum(dx, dy))
+    return out
 
 
-def nearest_static_all(cfg: EnvConfig, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per point: (clearance, closest point) over all obstacles and walls."""
-    best = _wall_clearances(cfg, pts)
+def nearest_static_all(
+    cfg: EnvConfig, pts: np.ndarray, obstacle: np.ndarray, wall: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per point: (clearance, closest point) over all obstacles and walls.
+
+    `obstacle` and `wall` are the points' `obstacle_clearance_matrix` and wall
+    clearances. A tie goes to the wall, then to the lowest obstacle index.
+    """
     best_pts = _wall_closest_points(cfg, pts)
-    for ob in cfg.site.obstacles:
-        c = _obstacle_clearances(ob, pts)
-        better = c < best
-        if np.any(better):
-            cand = _obstacle_closest_points(ob, pts[better])
-            best_pts[better] = cand
-            best[better] = c[better]
-    return best, best_pts
+    if not obstacle.shape[1]:
+        return wall.copy(), best_pts
+    nearest = obstacle.argmin(axis=1)
+    clear = obstacle[np.arange(len(pts)), nearest]
+    wins = clear < wall
+    xy = pts.tolist()
+    for i in np.flatnonzero(wins).tolist():
+        best_pts[i] = cfg.site.obstacles[nearest[i]].closest_point(*xy[i])
+    return np.where(wins, clear, wall), best_pts
 
 
 def _relative_blocks(origins: np.ndarray, headings: np.ndarray, targets: np.ndarray, reception: float, visible_mask=None):
@@ -237,8 +274,10 @@ def _relative_blocks(origins: np.ndarray, headings: np.ndarray, targets: np.ndar
     return block
 
 
-def observe_all(state: WorldState) -> np.ndarray:
+def observe_all(state: WorldState, geom: PursuerGeometry | None = None) -> np.ndarray:
     """Observations for every pursuer, one row per agent.
+
+    `geom` is the state's `pursuer_geometry`, when the caller has it.
 
     Row layout (all components in [-1, 1], masked entries exactly 0, mask 0):
       [per evader: dist/reception, bearing/pi, mask] * num_e
@@ -253,7 +292,9 @@ def observe_all(state: WorldState) -> np.ndarray:
 
     ev_block = _relative_blocks(P, headings, state.evaders, reception, visible_mask=~state.captured)
 
-    clear, pts = nearest_static_all(cfg, P[:, :2])
+    if geom is None:
+        geom = pursuer_geometry(state)
+    clear, pts = nearest_static_all(cfg, P[:, :2], geom.obstacle, geom.wall)
     angle = geometry.wrap_angle(np.arctan2(pts[:, 1] - P[:, 1], pts[:, 0] - P[:, 0]) - headings)
     o_vis = clear <= reception
     ob_block = np.zeros((n, 3))
@@ -294,15 +335,15 @@ def central_obs_length(cfg: EnvConfig, n_learners: int) -> int:
 
 def pursuer_view(state: WorldState, agent_id: int) -> scripted.AgentView:
     cfg = state.cfg
-    live = [tuple(state.evaders[e, :2]) for e in range(cfg.players.num_e) if not state.captured[e]]
-    mates = [tuple(state.pursuers[j, :2]) for j in range(cfg.players.num_p) if j != agent_id]
-    x, y, heading = state.pursuers[agent_id]
+    pursuers = state.pursuers.tolist()
+    x, y, heading = pursuers[agent_id]
+    evaders = zip(state.evaders.tolist(), state.captured.tolist())
     return scripted.AgentView(
-        x=float(x),
-        y=float(y),
-        heading=float(heading),
-        targets=tuple(live),
-        other_drones=tuple(mates),
+        x=x,
+        y=y,
+        heading=heading,
+        targets=tuple((ex, ey) for (ex, ey, _), captured in evaders if not captured),
+        other_drones=tuple((px, py) for j, (px, py, _) in enumerate(pursuers) if j != agent_id),
         obstacles=cfg.site.obstacles,
         boundary=(cfg.site.boundary_width, cfg.site.boundary_height),
         reception_range=cfg.players.reception_range,
@@ -313,14 +354,13 @@ def pursuer_view(state: WorldState, agent_id: int) -> scripted.AgentView:
 
 def evader_view(state: WorldState, evader_id: int) -> scripted.AgentView:
     cfg = state.cfg
-    pursuers = [tuple(row[:2]) for row in state.pursuers]
-    x, y, heading = state.evaders[evader_id]
+    x, y, heading = state.evaders[evader_id].tolist()
     return scripted.AgentView(
-        x=float(x),
-        y=float(y),
-        heading=float(heading),
+        x=x,
+        y=y,
+        heading=heading,
         targets=(),
-        other_drones=tuple(pursuers),
+        other_drones=tuple((px, py) for px, py, _ in state.pursuers.tolist()),
         obstacles=cfg.site.obstacles,
         boundary=(cfg.site.boundary_width, cfg.site.boundary_height),
         reception_range=cfg.players.reception_range,
@@ -343,6 +383,24 @@ def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
 
 
+class PursuerGeometry(NamedTuple):
+    """Static geometry of the pursuers' positions."""
+
+    pair: np.ndarray  # (num_p, num_p) center distances
+    obstacle: np.ndarray  # (num_p, n_obstacles) signed clearances, config order
+    wall: np.ndarray  # (num_p,) signed clearance to the nearest wall
+
+
+def pursuer_geometry(state: WorldState) -> PursuerGeometry:
+    """The geometry pass that a step's collisions, reward and observations share."""
+    pts = state.pursuers[:, :2]
+    return PursuerGeometry(
+        pair=_pair_distances(state.pursuers, state.pursuers),
+        obstacle=obstacle_clearance_matrix(state.cfg, pts),
+        wall=_wall_clearances(state.cfg, pts),
+    )
+
+
 def _min_pursuer_distances(pursuers: np.ndarray, evaders: np.ndarray, captured: np.ndarray) -> np.ndarray:
     """Per-evader min distance to any pursuer (captured evaders get nan)."""
     d = _pair_distances(pursuers, evaders).min(axis=0)
@@ -361,29 +419,30 @@ def detect_captures(state: WorldState) -> list[CaptureEvent]:
     return events
 
 
-def detect_collisions(state: WorldState) -> list[CollisionEvent]:
+def _static_clearances(geom: PursuerGeometry) -> np.ndarray:
+    """(num_p, n_obstacles + 1): the obstacle clearances, then the wall's."""
+    return np.concatenate([geom.obstacle, geom.wall[:, None]], axis=1)
+
+
+def detect_collisions(state: WorldState, geom: PursuerGeometry) -> list[CollisionEvent]:
     """Drone-drone, drone-obstacle, and drone-wall collision events.
 
     Only pursuers collide; evaders are excluded from collision failure.
     Thresholds: center distance < capture_range for drone-drone, clearance
-    < safe_radius for obstacles and walls.
+    < safe_radius for obstacles and walls. `geom` is the state's
+    `pursuer_geometry`. Order: drone-drone pairs (i < j), then per pursuer
+    its obstacles by index and then its wall.
     """
-    cfg = state.cfg
-    events = []
-    num_p = cfg.players.num_p
-    d = _pair_distances(state.pursuers, state.pursuers)
-    for i in range(num_p):
-        for j in range(i + 1, num_p):
-            if d[i, j] < cfg.task.capture_range:
-                events.append(CollisionEvent(kind="drone-drone", agents=(i, j)))
-    oc = obstacle_clearance_matrix(cfg, state.pursuers[:, :2])
-    wc = _wall_clearances(cfg, state.pursuers[:, :2])
-    for i in range(num_p):
-        for k in range(oc.shape[1]):
-            if oc[i, k] < cfg.task.safe_radius:
-                events.append(CollisionEvent(kind="drone-obstacle", agents=(i,), obstacle=k))
-        if wc[i] < cfg.task.safe_radius:
+    task = state.cfg.task
+    rows, cols = (a.tolist() for a in np.nonzero(geom.pair < task.capture_range))  # row-major
+    events = [CollisionEvent(kind="drone-drone", agents=(i, j)) for i, j in zip(rows, cols) if i < j]
+    wall_col = geom.obstacle.shape[1]
+    rows, cols = (a.tolist() for a in np.nonzero(_static_clearances(geom) < task.safe_radius))
+    for i, k in zip(rows, cols):
+        if k == wall_col:
             events.append(CollisionEvent(kind="drone-wall", agents=(i,)))
+        else:
+            events.append(CollisionEvent(kind="drone-obstacle", agents=(i,), obstacle=k))
     return events
 
 
@@ -398,23 +457,22 @@ def is_terminal(state: WorldState, collisions=()) -> str:
     return RUNNING
 
 
-def _proximity_count(state: WorldState) -> int:
+def _proximity_count(state: WorldState, geom: PursuerGeometry) -> int:
     """Agents inside the penalty band beyond a collision threshold."""
-    cfg = state.cfg
-    n = cfg.players.num_p
-    dd = cfg.task.capture_range
-    d = _pair_distances(state.pursuers, state.pursuers)
-    np.fill_diagonal(d, np.inf)
-    drone_band = np.any((d >= dd) & (d < dd + PROX_BAND), axis=1)
-    oc = obstacle_clearance_matrix(cfg, state.pursuers[:, :2])
-    wc = _wall_clearances(cfg, state.pursuers[:, :2])
-    static = np.min(np.column_stack([oc, wc]), axis=1) if oc.shape[1] else wc
-    static_band = (static >= cfg.task.safe_radius) & (static < cfg.task.safe_radius + PROX_BAND)
-    return int(np.sum(drone_band | static_band))
+    task = state.cfg.task
+    dd = task.capture_range
+    drone = (geom.pair >= dd) & (geom.pair < dd + PROX_BAND)
+    np.fill_diagonal(drone, False)  # a drone is not its own neighbour
+    static = _static_clearances(geom).min(axis=1)
+    static_band = (static >= task.safe_radius) & (static < task.safe_radius + PROX_BAND)
+    return int(np.sum(drone.any(axis=1) | static_band))
 
 
-def compute_reward(prev_pursuers, prev_evaders, prev_captured, nxt: WorldState, captures, collisions) -> float:
-    """Shared team reward for the transition from the previous poses to `nxt`.
+def compute_reward(
+    prev_pursuers, prev_evaders, prev_captured, nxt: WorldState, captures, collisions, geom: PursuerGeometry
+) -> float:
+    """Shared team reward for the transition from the previous poses to `nxt`,
+    whose `pursuer_geometry` is `geom`.
 
     capture bonus + one-sided min-distance progress shaping on evaders that
     stay uncaptured - proximity-band penalty - terminal collision penalty.
@@ -426,7 +484,7 @@ def compute_reward(prev_pursuers, prev_evaders, prev_captured, nxt: WorldState, 
     if np.any(live):
         progress = np.maximum(0.0, prev_d[live] - next_d[live])
         reward += C_SHAPE * float(progress.sum())
-    reward -= C_PROX * _proximity_count(nxt)
+    reward -= C_PROX * _proximity_count(nxt, geom)
     if collisions:
         reward -= R_COL
     return reward
@@ -464,13 +522,15 @@ def step(state: WorldState, actions) -> StepOutcome:
     captures = detect_captures(state)
     for ev in captures:
         state.captured[ev.evader] = True
-    collisions = detect_collisions(state)
-    reward = compute_reward(prev_pursuers, prev_evaders, prev_captured, state, captures, collisions)
+    # Pursuer poses are final from here on: one geometry pass serves the rest.
+    geom = pursuer_geometry(state)
+    collisions = detect_collisions(state, geom)
+    reward = compute_reward(prev_pursuers, prev_evaders, prev_captured, state, captures, collisions, geom)
     state.step += 1
     state.terminal = is_terminal(state, collisions)
 
     return StepOutcome(
-        observations=observe_all(state),
+        observations=observe_all(state, geom),
         reward=reward,
         terminal=state.terminal,
         captures=captures,

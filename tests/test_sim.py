@@ -8,6 +8,10 @@ from pursuit_lab import config, geometry, scripted, sim
 from conftest import assert_states_equal, make_state, open_arena, reduced_4p2e3o
 
 
+def collisions(state):
+    return sim.detect_collisions(state, sim.pursuer_geometry(state))
+
+
 def test_reset_is_deterministic(env_4p2e3o):
     s1, o1 = sim.reset(env_4p2e3o, seed=7)
     s2, o2 = sim.reset(env_4p2e3o, seed=7)
@@ -34,7 +38,7 @@ def test_reset_poses_inside_regions(env_4p2e3o):
             assert eregion.x_min <= x <= eregion.x_max
             assert eregion.y_min <= y <= eregion.y_max
         # no instant collisions or captures at spawn
-        assert sim.detect_collisions(state) == []
+        assert collisions(state) == []
         assert sim.detect_captures(state) == []
 
 
@@ -110,16 +114,16 @@ def test_collision_thresholds_boundary(env_4p2e3o):
         pursuers=[[1.0, 2.5, 0.0], [1.21, 2.5, 0.0], [0.4, 0.6, 0.0], [3.2, 0.6, 0.0]],
         evaders=[[0.3, 4.5, 0.0], [3.3, 4.5, 0.0]],
     )
-    assert sim.detect_collisions(state) == []  # 0.21 m apart: no event
+    assert collisions(state) == []  # 0.21 m apart: no event
 
     # 0.09 m from obstacle1's edge (rectangle at (0.8, 1.8), hx=hy=0.2)
     state.pursuers[2] = [0.8, 1.8 - 0.2 - 0.09, 0.0]
-    events = sim.detect_collisions(state)
+    events = collisions(state)
     assert any(c.kind == "drone-obstacle" and c.agents == (2,) and c.obstacle == 0 for c in events)
 
     # wall clearance 0.09
     state.pursuers[2] = [0.09, 2.6, 0.0]
-    events = sim.detect_collisions(state)
+    events = collisions(state)
     assert any(c.kind == "drone-wall" and c.agents == (2,) for c in events)
 
 
@@ -191,7 +195,7 @@ def test_collision_and_capture_match_brute_force(env_4p2e3o):
         got = {
             (("drone-drone",) + c.agents) if c.kind == "drone-drone"
             else (("drone-obstacle", c.agents[0], c.obstacle) if c.kind == "drone-obstacle" else ("drone-wall", c.agents[0]))
-            for c in sim.detect_collisions(state)
+            for c in collisions(state)
         }
         assert got == brute_force_events(state)
         caps = {(ev.evader, ev.pursuer) for ev in sim.detect_captures(state)}
@@ -238,7 +242,8 @@ def test_nearest_obstacle_block_reflects_wall(env_4p2e3o):
         pursuers=[[0.05, 2.5, 0.0], [0.5, 0.5, 0.0], [1.8, 0.5, 0.0], [3.3, 0.5, 0.0]],
         evaders=[[0.3, 4.5, 0.0], [3.3, 4.5, 0.0]],
     )
-    clear, points = sim.nearest_static_all(env_4p2e3o, np.array([[0.05, 2.5]]))
+    geom = sim.pursuer_geometry(state)
+    clear, points = sim.nearest_static_all(env_4p2e3o, state.pursuers[:1, :2], geom.obstacle[:1], geom.wall[:1])
     clearance, point = float(clear[0]), tuple(points[0])
     brute = min(
         [ob.clearance(0.05, 2.5) for ob in env_4p2e3o.site.obstacles]
@@ -255,7 +260,8 @@ def test_nearest_obstacle_block_reflects_wall(env_4p2e3o):
 
 
 def transition_reward(prev, nxt, captures=()):
-    return sim.compute_reward(prev.pursuers, prev.evaders, prev.captured, nxt, list(captures), [])
+    geom = sim.pursuer_geometry(nxt)
+    return sim.compute_reward(prev.pursuers, prev.evaders, prev.captured, nxt, list(captures), [], geom)
 
 
 def test_reward_stationary_zero():
@@ -296,9 +302,9 @@ def test_terminal_precedence(env_4p2e3o):
         pursuers=[[1.0, 2.5, 0.0], [1.15, 2.5, 0.0], [0.4, 0.5, 0.0], [3.2, 0.5, 0.0]],
         evaders=[[1.05, 2.5, 0.0], [1.1, 2.6, 0.0]],
     )
-    assert sim.is_terminal(state, collisions=sim.detect_collisions(state)) == sim.COLLISION
+    assert sim.is_terminal(state, collisions=collisions(state)) == sim.COLLISION
     state.captured[:] = True
-    assert sim.is_terminal(state, collisions=sim.detect_collisions(state)) == sim.COLLISION
+    assert sim.is_terminal(state, collisions=collisions(state)) == sim.COLLISION
     assert sim.is_terminal(state, collisions=[]) == sim.SUCCESS
 
 
