@@ -118,11 +118,25 @@ def _named_mlp_arrays(prefix: str, mlp: nn.Mlp) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def _mlp_from_arrays(prefix: str, arrays: dict, n_layers: int) -> nn.Mlp:
-    return nn.Mlp(
-        weights=[arrays[f"{prefix}.w{i}"].copy() for i in range(n_layers)],
-        biases=[arrays[f"{prefix}.b{i}"].copy() for i in range(n_layers)],
-    )
+def _mlp_from_arrays(prefix: str, arrays: dict, n_layers: int, in_dim: int, out_dim: int) -> nn.Mlp:
+    """Rebuild an MLP whose layer shapes chain from `in_dim` to `out_dim`.
+
+    Raises ValueError naming the first array whose shape breaks the chain.
+    """
+    weights, biases = [], []
+    width = in_dim
+    for i in range(n_layers):
+        w, b = arrays[f"{prefix}.w{i}"], arrays[f"{prefix}.b{i}"]
+        if w.ndim != 2 or w.shape[0] != width:
+            raise ValueError(f"checkpoint array {prefix}.w{i} has shape {w.shape}, expected ({width}, n)")
+        width = w.shape[1]
+        if b.shape != (width,):
+            raise ValueError(f"checkpoint array {prefix}.b{i} has shape {b.shape}, expected ({width},)")
+        weights.append(w.copy())
+        biases.append(b.copy())
+    if width != out_dim:
+        raise ValueError(f"checkpoint array {prefix}.w{n_layers - 1} has {width} outputs, expected {out_dim}")
+    return nn.Mlp(weights=weights, biases=biases)
 
 
 def actor_critic_arrays(model: ActorCritic) -> tuple[list[tuple[str, np.ndarray]], dict]:
@@ -140,15 +154,15 @@ def actor_critic_arrays(model: ActorCritic) -> tuple[list[tuple[str, np.ndarray]
 
 
 def actor_critic_from_arrays(arrays: dict, meta: dict) -> ActorCritic:
-    """Inverse of `actor_critic_arrays`."""
-    return ActorCritic(
-        actor=_mlp_from_arrays("actor", arrays, meta["actor_layers"]),
-        log_std=arrays["log_std"].copy(),
-        critic=_mlp_from_arrays("critic", arrays, meta["critic_layers"]),
-        obs_dim=meta["obs_dim"],
-        act_dim=meta["act_dim"],
-        critic_in_dim=meta["critic_in_dim"],
-    )
+    """Inverse of `actor_critic_arrays`; every array's shape is checked
+    against the manifest dims first (ValueError naming the array)."""
+    obs_dim, act_dim, critic_in_dim = meta["obs_dim"], meta["act_dim"], meta["critic_in_dim"]
+    actor = _mlp_from_arrays("actor", arrays, meta["actor_layers"], obs_dim, act_dim)
+    critic = _mlp_from_arrays("critic", arrays, meta["critic_layers"], critic_in_dim, 1)
+    log_std = arrays["log_std"]
+    if log_std.shape != (act_dim,):
+        raise ValueError(f"checkpoint array log_std has shape {log_std.shape}, expected ({act_dim},)")
+    return ActorCritic(actor, log_std.copy(), critic, obs_dim, act_dim, critic_in_dim)
 
 
 def save_policy(path, model: ActorCritic, extra: dict | None = None) -> None:
@@ -624,7 +638,7 @@ def train_loop(
     model,
     cfg: PpoConfig,
     seed: int,
-    update=ppo_update,
+    update=None,
     save=save_policy,
     out_dir=None,
     ckpt_prefix: str = "ckpt",
@@ -634,9 +648,13 @@ def train_loop(
 
     `collector` streams the batches that `model` learns from;
     `update(model, opt, batch, cfg, rng)` runs one update and returns its
-    diagnostics; `save(path, model, extra=...)` writes a checkpoint.
+    diagnostics (default: `ppo_update`, looked up at call time so that a
+    patched `rl.ppo_update` is the one that runs); `save(path, model,
+    extra=...)` writes a checkpoint.
     """
     cfg.validate()
+    if update is None:
+        update = ppo_update
     total = total_steps if total_steps is not None else cfg.total_steps
     n_updates = max(1, int(np.ceil(total / cfg.batch)))
     opt = nn.adam_init(model.params(), lr=cfg.lr)

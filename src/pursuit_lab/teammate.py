@@ -67,6 +67,11 @@ class WindowLayout:
     def window_len(self) -> int:
         return self.k * self.step_len
 
+    @property
+    def branch_in_dims(self) -> tuple[int, int, int]:
+        """Input widths of the evader, self and relative-position branches."""
+        return self.k * self.evader_len, self.k * self.self_len, self.k * 3
+
     def step_record(self, obs_row: np.ndarray, pose_xyh, action: float, boundary) -> np.ndarray:
         """Encode one completed step (observation, own pose, own action)."""
         ev = obs_row[: self.evader_len]
@@ -148,10 +153,11 @@ class TeamEncoder:
 
 
 def init_encoder(layout: WindowLayout, rng, hidden: int = 128, embed_dim: int = EMBED_DIM, dtype=np.float32) -> TeamEncoder:
+    ev_dim, self_dim, rel_dim = layout.branch_in_dims
     return TeamEncoder(
-        evader_net=nn.mlp_init([layout.k * layout.evader_len, hidden, embed_dim], rng, dtype=dtype),
-        self_net=nn.mlp_init([layout.k * layout.self_len, hidden, embed_dim], rng, dtype=dtype),
-        relpos_net=nn.mlp_init([layout.k * 3, hidden, embed_dim], rng, dtype=dtype),
+        evader_net=nn.mlp_init([ev_dim, hidden, embed_dim], rng, dtype=dtype),
+        self_net=nn.mlp_init([self_dim, hidden, embed_dim], rng, dtype=dtype),
+        relpos_net=nn.mlp_init([rel_dim, hidden, embed_dim], rng, dtype=dtype),
         mix_logits=np.zeros(3, dtype=dtype),
         layout=layout,
         embed_dim=embed_dim,
@@ -217,8 +223,12 @@ class TeamDecoder:
         return TeamDecoder(self.net.copy())
 
 
+#: Decoder outputs: mean and log std of the teammates' action distribution.
+DECODER_OUT = 2
+
+
 def init_decoder(embed_dim: int, rng, hidden: int = 64, dtype=np.float32) -> TeamDecoder:
-    return TeamDecoder(net=nn.mlp_init([embed_dim, hidden, 2], rng, dtype=dtype))
+    return TeamDecoder(net=nn.mlp_init([embed_dim, hidden, DECODER_OUT], rng, dtype=dtype))
 
 
 def reconstruction_loss(dec: TeamDecoder, emb: np.ndarray, teammate_actions: np.ndarray, target_std: float = RECON_TARGET_STD):
@@ -467,19 +477,26 @@ def save_naht(path, model: NahtModel, extra: dict | None = None) -> None:
 
 
 def load_naht(path) -> tuple[NahtModel, dict]:
+    """Inverse of `save_naht`; every array's shape is checked against the
+    manifest dims first (ValueError naming the array)."""
     manifest, arrays = nn.load_arrays(path, kind="naht_d")
     meta = manifest["extra"]
-    ac = rl.actor_critic_from_arrays(arrays, meta)
-    ac.obs_dim += meta["embed_dim"]
-    n_enc = meta["encoder_layers"]
-    encoder = TeamEncoder(
-        **{attr: rl._mlp_from_arrays(prefix, arrays, n_enc) for prefix, attr in _ENCODER_NETS},
-        mix_logits=arrays["mix_logits"].copy(),
-        layout=WindowLayout(num_e=meta["num_e"], num_p=meta["num_p"], k=meta["history_k"]),
-        embed_dim=meta["embed_dim"],
-    )
-    decoder = TeamDecoder(rl._mlp_from_arrays("decoder", arrays, meta["decoder_layers"])) if meta["has_decoder"] else None
-    model = NahtModel(ac=ac, encoder=encoder, decoder=decoder, obs_dim=meta["obs_dim"], embed_dim=meta["embed_dim"])
+    embed_dim = meta["embed_dim"]
+    # the actor reads the raw observation and the embedding
+    ac = rl.actor_critic_from_arrays(arrays, {**meta, "obs_dim": meta["obs_dim"] + embed_dim})
+    layout = WindowLayout(num_e=meta["num_e"], num_p=meta["num_p"], k=meta["history_k"])
+    nets = {
+        attr: rl._mlp_from_arrays(prefix, arrays, meta["encoder_layers"], in_dim, embed_dim)
+        for (prefix, attr), in_dim in zip(_ENCODER_NETS, layout.branch_in_dims)
+    }
+    mix_logits = arrays["mix_logits"]
+    if mix_logits.shape != (3,):
+        raise ValueError(f"checkpoint array mix_logits has shape {mix_logits.shape}, expected (3,)")
+    encoder = TeamEncoder(**nets, mix_logits=mix_logits.copy(), layout=layout, embed_dim=embed_dim)
+    decoder = None
+    if meta["has_decoder"]:
+        decoder = TeamDecoder(rl._mlp_from_arrays("decoder", arrays, meta["decoder_layers"], embed_dim, DECODER_OUT))
+    model = NahtModel(ac=ac, encoder=encoder, decoder=decoder, obs_dim=meta["obs_dim"], embed_dim=embed_dim)
     return model, manifest
 
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from pursuit_lab import cli, config, rl, sim
+from pursuit_lab import cli, config, nn, rl, sim
 from pursuit_lab.seeding import substream
 
 
@@ -104,6 +104,22 @@ def test_eval_zoo1_and_errors(tmp_path):
         "eval", "--ckpt", "greedy", "--zoo", "2", "--env", "4p2e3o",
         "--episodes", "2", "--seed", "0", "--report", str(tmp_path / "y"),
         "--zoo-assets", str(tmp_path / "empty"),
+    ) == 1
+
+
+def test_eval_rejects_a_checkpoint_with_a_misshapen_array(tmp_path):
+    # a (1,) bias broadcasts over its layer: without the shape check this
+    # checkpoint loads and acts
+    env = config.builtin_env("4p2e3o")
+    obs_dim = sim.obs_length(env)
+    model = rl.init_actor_critic(obs_dim, obs_dim, rl.PpoConfig(), substream(0, "init"))
+    named, meta = rl.actor_critic_arrays(model)
+    named = [(n, a[:1] if n == "actor.b0" else a) for n, a in named]
+    path = tmp_path / "bad.zip"
+    nn.save_arrays(path, "actor_critic", named, extra=meta)
+    assert run_cli(
+        "eval", "--ckpt", str(path), "--zoo", "1", "--env", "4p2e3o",
+        "--episodes", "2", "--seed", "0", "--report", str(tmp_path / "rep"),
     ) == 1
 
 

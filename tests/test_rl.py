@@ -291,6 +291,48 @@ def test_ippo_selfplay_smoke_and_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(eval_traj(res.model), eval_traj(loaded))
 
 
+def test_train_loop_runs_the_patched_ppo_update(monkeypatch):
+    # the default update is looked up at call time, so a wrapper installed
+    # on rl.ppo_update (as a tracer does) sees every update
+    calls = []
+    real = rl.ppo_update
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rl, "ppo_update", counting)
+    cfg = rl.PpoConfig(batch=64, minibatch=32, epochs=1, total_steps=128)
+    res = rl.ippo_selfplay_unscored(cfg, reduced_4p2e3o(), seed=0)
+    assert len(calls) == len(res.metrics) == 2
+
+
+@pytest.mark.parametrize(
+    "shapes, name",
+    [
+        ({"actor.b0": (1,)}, "actor.b0"),  # broadcasts over the layer, so it used to load and act
+        ({"actor.w0": (7, 64)}, "actor.w0"),  # first layer rows != obs_dim
+        ({"actor.w1": (63, 64)}, "actor.w1"),  # widths do not chain
+        ({"actor.b2": (2,)}, "actor.b2"),  # bias longer than its layer
+        ({"actor.w2": (64, 2), "actor.b2": (2,)}, "actor.w2"),  # last width != act_dim
+        ({"critic.w0": (7, 64)}, "critic.w0"),  # first layer rows != critic_in_dim
+        ({"critic.w2": (64, 2), "critic.b2": (2,)}, "critic.w2"),  # last width != 1
+        ({"log_std": (2,)}, "log_std"),
+        ({"log_std": ()}, "log_std"),
+    ],
+)
+def test_checkpoint_array_shapes_are_checked_against_the_manifest(tmp_path, shapes, name):
+    env = reduced_4p2e3o()
+    obs_dim = sim.obs_length(env)
+    model = rl.init_actor_critic(obs_dim, obs_dim, rl.PpoConfig(hidden=(64, 64)), substream(0, "init"))
+    named, meta = rl.actor_critic_arrays(model)
+    named = [(n, np.zeros(shapes[n], dtype=np.float32) if n in shapes else a) for n, a in named]
+    path = tmp_path / "bad.zip"
+    nn.save_arrays(path, "actor_critic", named, extra=meta)
+    with pytest.raises(ValueError, match=f"array {name} has"):
+        rl.load_policy(path)
+
+
 def test_ippo_two_seeds_differ():
     env = reduced_4p2e3o()
     cfg = rl.PpoConfig(batch=256, minibatch=64, epochs=2, total_steps=256)

@@ -325,3 +325,29 @@ def test_naht_ablation_recon_identically_zero():
     res = teammate.naht_d_train(cfg, env, pool, seed=2, no_decoder=True, total_steps=256)
     assert res.model.decoder is None
     assert all(row["recon_loss"] == 0.0 for row in res.metrics)
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [
+        ("actor.w0", (10, 128)),  # the actor reads the observation and the embedding
+        ("enc_self.b0", (1,)),
+        ("enc_relpos.w0", (4, 128)),
+        ("enc_evader.w1", (127, 16)),  # widths do not chain
+        ("decoder.b1", (3,)),
+        ("mix_logits", (2,)),
+    ],
+)
+def test_naht_checkpoint_array_shapes_are_checked(tmp_path, name, shape):
+    env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
+    model = teammate.init_naht_model(env, rl.PpoConfig(hidden=(128,)), substream(0, "init"))
+    good = tmp_path / "good.zip"
+    teammate.save_naht(good, model)
+    manifest, arrays = nn.load_arrays(good)
+    named = [(n, np.zeros(shape, dtype=np.float32) if n == name else arrays[n]) for n in (a["name"] for a in manifest["arrays"])]
+    bad = tmp_path / "bad.zip"
+    nn.save_arrays(bad, "naht_d", named, extra=manifest["extra"])
+    loaded, _ = teammate.load_naht(good)
+    assert loaded.ac.obs_dim == model.ac.obs_dim == model.obs_dim + model.embed_dim
+    with pytest.raises(ValueError, match=f"array {name} has"):
+        teammate.load_naht(bad)
