@@ -15,9 +15,10 @@ checkpoint, and `report.json`. Archive members are compared instead of the
 `.zip` files, and a manifest is compared as parsed JSON, so that only the
 recorded numbers count.
 
-All of them are keys of one file. A refactor leaves every hash unchanged. After a change that moves outputs on
-purpose, rerun `PYTHONPATH=src python tests/golden/regen_hashes.py` and say in
-the commit why the bytes moved.
+All of them are keys of the same file. A refactor leaves every hash
+unchanged. After a change that moves outputs on purpose, rerun
+`PYTHONPATH=src python tests/golden/regen_hashes.py` and say in the commit
+why the bytes moved.
 """
 
 import hashlib
