@@ -6,6 +6,11 @@ greedy, Vicsek and random slots: the reset observations and poses, then per
 step the actions, observations, reward, terminal, capture and collision
 events, and the poses and capture flags after the step.
 
+The scripted evaluation's hash covers the path on which no slot reads
+observations: the `report.json` of a greedy learner with zoo 1 partners on
+`4p3e5o`, and the trajectory-log bytes of one episode that greedy, Vicsek
+and random slots play on that arena.
+
 SP, MAPPO and NAHT-D each train for two PPO updates (batch 64, minibatch 32,
 one epoch) on `reduced_4p2e3o`; a 6-episode `eval` then runs the NAHT-D and
 MAPPO checkpoints side by side with greedy partners. The sha256 of every
@@ -30,7 +35,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pursuit_lab import cli, config, rl, sim, teammate
+from pursuit_lab import cli, config, evalkit, rl, sim, teammate
 from pursuit_lab.seeding import substream
 from conftest import reduced_4p2e3o
 
@@ -40,6 +45,10 @@ SEED = 5
 STEP_KEY = "sim/step-outcomes"
 STEP_EPISODES = 3
 STEP_LIMIT = 200
+SCRIPTED_EVAL_KEY = "eval/scripted"
+SCRIPTED_EVAL_ENV = "4p3e5o"
+SCRIPTED_EVAL_EPISODES = 6
+SCRIPTED_LOG_SEED = 3  # the random slot ends the episode in a collision at step 125
 
 
 def sha256(data: bytes) -> str:
@@ -94,6 +103,22 @@ def step_outcome_hash() -> str:
     return h.hexdigest()
 
 
+def scripted_eval_hash() -> str:
+    """sha256 over a greedy + zoo 1 `report.json`, its episode records (full
+    return bits) and one scripted episode's trajectory log."""
+    cfg = config.builtin_env(SCRIPTED_EVAL_ENV)
+    zoo = evalkit.build_zoo("zoo1", evalkit.ZooAssets())
+    report, records = evalkit.run_evaluation(["greedy"], zoo, cfg, SCRIPTED_EVAL_EPISODES, SEED)
+    log = sim.TrajectoryLog(cfg)
+    slots = [rl.ScriptedSlotPolicy("greedy"), rl.ScriptedSlotPolicy("vicsek"), rl.RandomSlotPolicy()]
+    evalkit.play_episode(cfg, [slots[i % len(slots)] for i in range(cfg.players.num_p)], SCRIPTED_LOG_SEED, log=log)
+    return sha256((report.to_json() + repr(records) + log.dumps()).encode("utf-8"))
+
+
+#: Keys hashed without training, each by its own function.
+SEPARATE_KEYS = {STEP_KEY: step_outcome_hash, SCRIPTED_EVAL_KEY: scripted_eval_hash}
+
+
 def golden_hashes(root: Path) -> dict[str, str]:
     """Run the golden trainings and evaluation under `root`; hash their outputs."""
     solo = reduced_4p2e3o()
@@ -137,5 +162,9 @@ def test_step_outcomes_match_the_golden_hash(golden):
     assert step_outcome_hash() == golden[STEP_KEY]
 
 
+def test_scripted_eval_matches_the_golden_hash(golden):
+    assert scripted_eval_hash() == golden[SCRIPTED_EVAL_KEY]
+
+
 def test_outputs_match_the_golden_hashes(tmp_path, golden):
-    assert golden_hashes(tmp_path) == {key: value for key, value in golden.items() if key != STEP_KEY}
+    assert golden_hashes(tmp_path) == {key: value for key, value in golden.items() if key not in SEPARATE_KEYS}
