@@ -781,19 +781,22 @@ def pbt_train(
     exploit_events: list[dict] = []
     next_exploit = exploit_interval if exploit_interval else None
 
-    def member_collector(i: int) -> RolloutCollector:
+    # One collector per member for the whole run, so that its rollout stream
+    # and its unfinished episode carry over from round to round. Each has its
+    # own teammate pool, one stochastic policy per member.
+    for i, member in enumerate(members):
         teammates = None
         if env_cfg.players.num_unctrl > 0:
             pool = [NetSlotPolicy(m.model, deterministic=False) for m in members]
             teammates = UniformTeammates(pool, env_cfg.players.num_unctrl)
-        return RolloutCollector(env_cfg, members[i].model, cfg, substream(seed, "rollout", i), teammates=teammates)
+        member.collector = RolloutCollector(
+            env_cfg, member.model, cfg, substream(seed, "rollout", i), teammates=teammates
+        )
 
     while min(m.steps for m in members) < total:
         for i, member in enumerate(members):
-            # teammate pool references live member models: rebuild each round
-            collector = member_collector(i)
             member_cfg = replace(cfg, lr=member.lr, entropy_coef=member.entropy_coef)
-            batch, stats = collector.collect(cfg.batch)
+            batch, stats = member.collector.collect(cfg.batch)
             member.opt.lr = member.lr
             diag = ppo_update(member.model, member.opt, batch, member_cfg, update_rngs[i])
             member.steps += cfg.batch
@@ -803,6 +806,7 @@ def pbt_train(
         if next_exploit is not None and min(m.steps for m in members) >= next_exploit:
             exploit_events += _pbt_exploit(members, exploit_rng)
             next_exploit += exploit_interval
+            _point_at_live_models(members)
 
     checkpoints = []
     if out_dir is not None:
@@ -811,6 +815,16 @@ def pbt_train(
             extra = {"algo": "pbt", "member": i, "selfplay_suc": suc}
             checkpoints.append(_maybe_checkpoint(out_dir, f"pbt_member{i}.zip", member.model, extra))
     return PbtResult(members=members, exploit_events=exploit_events, checkpoints=checkpoints)
+
+
+def _point_at_live_models(members: list[PbtMember]) -> None:
+    """After an exploit has replaced some members' models, make every
+    collector train its member's model and every pool policy act with it."""
+    for member in members:
+        member.collector.model = member.model
+        if member.collector.teammates is not None:
+            for pol, source in zip(member.collector.teammates.pool, members):
+                pol.model = source.model
 
 
 def _pbt_exploit(members: list[PbtMember], rng: np.random.Generator) -> list[dict]:

@@ -382,6 +382,41 @@ def test_pbt_train_runs_and_checkpoints(tmp_path):
         assert m.steps >= 256
 
 
+def test_pbt_rounds_continue_one_rollout_stream_per_member(monkeypatch):
+    # each member keeps one collector: no episode seed is replayed in a later
+    # round, and an episode is not cut at every round's batch / num_ctrl steps
+    env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
+    cfg = rl.PpoConfig(batch=64, minibatch=32, epochs=1)
+    seeds, lengths = [], [0]
+    real_reset, real_step = sim.reset, sim.step
+
+    def reset(cfg, seed):
+        seeds.append(seed)
+        return real_reset(cfg, seed)
+
+    def step(state, actions, **kwargs):
+        out = real_step(state, actions, **kwargs)
+        lengths[0] = max(lengths[0], state.step)
+        return out
+
+    monkeypatch.setattr(sim, "reset", reset)
+    monkeypatch.setattr(sim, "step", step)
+    rl.pbt_train(2, cfg, env, seed=0, exploit_interval=None, total_steps=3 * cfg.batch)
+    assert len(seeds) > 2
+    assert len(set(seeds)) == len(seeds)
+    assert lengths[0] > cfg.batch // env.players.num_ctrl
+
+
+def test_pbt_collectors_and_pools_follow_the_exploited_models():
+    env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
+    cfg = rl.PpoConfig(batch=64, minibatch=32, epochs=1)
+    res = rl.pbt_train(4, cfg, env, seed=0, exploit_interval=cfg.batch, total_steps=2 * cfg.batch)
+    assert res.exploit_events
+    for member in res.members:
+        assert member.collector.model is member.model
+        assert [pol.model for pol in member.collector.teammates.pool] == [m.model for m in res.members]
+
+
 def test_random_policy_bounds():
     pol = rl.RandomSlotPolicy()
     pol.begin_episode(substream(0, "r"))
