@@ -108,20 +108,25 @@ class EpisodeRecord:
 
 
 def play_episode(env_cfg: EnvConfig, slot_policies, seed: int, log=None) -> EpisodeRecord:
-    """Run one full episode with the given per-slot policies."""
+    """Run one full episode with the given per-slot policies.
+
+    The steps build observation rows only when some slot reads them
+    (`needs_obs`); a slot that does not is handed None for its row.
+    """
     state, obs = sim.reset(env_cfg, seed)
     ep_rng = substream(seed, "policies")
     for pol in slot_policies:
         pol.begin_episode(ep_rng)
     if log is not None:
         log.record_reset(state)
+    observe = any(pol.needs_obs for pol in slot_policies)
     episode_return = 0.0
     while state.terminal == sim.RUNNING:
         actions = np.zeros(env_cfg.players.num_p)
         for i, pol in enumerate(slot_policies):
-            view = sim.pursuer_view(state, i) if getattr(pol, "needs_view", False) else None
-            actions[i] = pol.act(obs[i], view)
-        out = sim.step(state, actions)
+            view = sim.pursuer_view(state, i) if pol.needs_view else None
+            actions[i] = pol.act(obs[i] if pol.needs_obs else None, view)
+        out = sim.step(state, actions, observe=observe)
         if log is not None:
             log.record_step(state, actions, out)
         episode_return += out.reward

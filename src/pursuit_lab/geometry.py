@@ -74,16 +74,6 @@ def boundary_clearance(px: float, py: float, width: float, height: float) -> flo
     return min(px, width - px, py, height - py)
 
 
-def wall_entries(px: float, py: float, width: float, height: float):
-    """Per-wall (clearance, closest point) for all four arena walls."""
-    return [
-        (px, (0.0, py)),
-        (width - px, (width, py)),
-        (py, (px, 0.0)),
-        (height - py, (px, height)),
-    ]
-
-
 def rects_intersect(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> bool:
     """Overlap test for two AABBs given as (x_min, y_min, x_max, y_max)."""
     ax0, ay0, ax1, ay1 = a

@@ -77,15 +77,14 @@ class ActorCritic:
         mean, _ = nn.mlp_forward(self.actor, obs)
         return mean
 
-    def act(self, obs: np.ndarray, rng: np.random.Generator, deterministic: bool = False):
-        """(actions, log_probs) for a batch of observations."""
+    def act(self, obs: np.ndarray, rng: np.random.Generator):
+        """(sampled actions, their log-probs) for a batch of observations.
+
+        Deterministic actions are `action_mean`.
+        """
         mean = self.action_mean(obs)
-        if deterministic:
-            actions = mean.copy()
-        else:
-            actions = nn.gaussian_sample(mean, self.log_std, rng)
-        logp = nn.gaussian_log_prob(mean, self.log_std, actions)
-        return actions, logp
+        actions = nn.gaussian_sample(mean, self.log_std, rng)
+        return actions, nn.gaussian_log_prob(mean, self.log_std, actions)
 
     def values(self, critic_in: np.ndarray) -> np.ndarray:
         v, _ = nn.mlp_forward(self.critic, critic_in)
@@ -325,12 +324,19 @@ def ppo_update(model: ActorCritic, opt: nn.AdamState, batch: PpoBatch, cfg: PpoC
 
 # ---------------------------------------------------------------------------
 # Slot policies (runtime behavior of non-learner pursuer slots)
+#
+# A slot policy has `begin_episode(rng)`, called once per episode with the
+# episode's policy rng, and `act(obs_row, view) -> steer`. Two class
+# attributes say what `act` reads, so that the episode loop builds only that:
+# `needs_view` asks for the slot's `sim.pursuer_view` (else view is None) and
+# `needs_obs` for its observation row (else obs_row may be None).
 # ---------------------------------------------------------------------------
 
 class ScriptedSlotPolicy:
     """Wraps a scripted pursuer function; acts from the AgentView."""
 
     needs_view = True
+    needs_obs = False
 
     def __init__(self, policy_id: str):
         self.policy_id = policy_id
@@ -347,6 +353,7 @@ class RandomSlotPolicy:
     """Uniform random steering, reseeded per episode."""
 
     needs_view = False
+    needs_obs = False
 
     def __init__(self):
         self._rng = np.random.default_rng(0)
@@ -359,9 +366,11 @@ class RandomSlotPolicy:
 
 
 class NetSlotPolicy:
-    """Frozen actor-critic policy driving one pursuer slot."""
+    """Frozen actor-critic policy driving one pursuer slot: the action mean
+    when deterministic, else a sample from the episode-seeded rng."""
 
     needs_view = False
+    needs_obs = True
 
     def __init__(self, model: ActorCritic, deterministic: bool = True):
         self.model = model
@@ -372,7 +381,9 @@ class NetSlotPolicy:
         self._rng = np.random.default_rng(rng.integers(0, 2**63))
 
     def act(self, obs_row, view) -> float:
-        action, _ = self.model.act(obs_row[None, :], self._rng, deterministic=self.deterministic)
+        if self.deterministic:
+            return float(self.model.action_mean(obs_row[None, :])[0, 0])
+        action, _ = self.model.act(obs_row[None, :], self._rng)
         return float(action[0, 0])
 
 
@@ -609,8 +620,7 @@ def evaluate_selfplay_suc(model: ActorCritic, env_cfg: EnvConfig, seed: int) -> 
     for _ in range(SELFPLAY_EVAL_EPISODES):
         state, obs = sim.reset(sp_cfg, int(rng.integers(0, 2**63)))
         while state.terminal == sim.RUNNING:
-            actions, _ = model.act(obs, rng, deterministic=True)
-            out = sim.step(state, actions[:, 0])
+            out = sim.step(state, model.action_mean(obs)[:, 0])
             obs = out.observations
         wins += state.terminal == sim.SUCCESS
     return 100.0 * wins / SELFPLAY_EVAL_EPISODES

@@ -26,6 +26,9 @@ VICSEK_AGENT_RANGE = 0.5
 VICSEK_OBSTACLE_RANGE = 0.4
 VICSEK_GAIN = 1.0
 EVADER_OBSTACLE_RANGE = 0.5
+#: Every policy ignores an obstacle or wall at or beyond its own range, and
+#: no range exceeds this one, so the views report nothing farther away.
+STATIC_RANGE = max(GREEDY_EVASION_RANGE, VICSEK_OBSTACLE_RANGE, EVADER_OBSTACLE_RANGE)
 
 
 @dataclass(frozen=True)
@@ -65,9 +68,24 @@ def _nearest_target(view: AgentView) -> tuple[float, float]:
 
 
 def _static_entries(view: AgentView):
-    """(clearance, closest point) for every obstacle and each of the four walls."""
-    out = [(ob.clearance(view.x, view.y), ob.closest_point(view.x, view.y)) for ob in view.obstacles]
-    out.extend(geometry.wall_entries(view.x, view.y, view.boundary[0], view.boundary[1]))
+    """(clearance, closest point) of each obstacle and wall whose clearance is
+    below `STATIC_RANGE`: obstacles in config order, then the walls (left,
+    right, bottom, top). Closest points are computed for these alone."""
+    x, y = view.x, view.y
+    w, h = view.boundary
+    out = []
+    for ob in view.obstacles:
+        clear = ob.clearance(x, y)
+        if clear < STATIC_RANGE:
+            out.append((clear, ob.closest_point(x, y)))
+    if x < STATIC_RANGE:
+        out.append((x, (0.0, y)))
+    if w - x < STATIC_RANGE:
+        out.append((w - x, (w, y)))
+    if y < STATIC_RANGE:
+        out.append((y, (x, 0.0)))
+    if h - y < STATIC_RANGE:
+        out.append((h - y, (x, h)))
     return out
 
 

@@ -5,7 +5,9 @@ evaders turn/advance by the scripted escape policy; captures are detected and
 applied; one geometry pass (`pursuer_geometry`) measures the pursuers' final
 positions: pursuer-pursuer distances, the pursuer-obstacle clearance matrix
 and wall clearances; from that one pass come the collisions, the reward and
-the observations, with termination decided before the observations. All
+the observations, with termination decided before the observations. A step
+called with `observe=False` skips the observations (its outcome carries
+None), for callers whose policies act from views alone. All
 randomness is confined to `reset` (respawn sampling); given (config, seed,
 action sequence) the whole trajectory is bitwise reproducible on a single
 thread.
@@ -85,7 +87,7 @@ class WorldState:
 
 @dataclass
 class StepOutcome:
-    observations: np.ndarray  # (num_p, obs_len)
+    observations: np.ndarray | None  # (num_p, obs_len); None from step(..., observe=False)
     reward: float
     terminal: str
     captures: list[CaptureEvent] = field(default_factory=list)
@@ -490,8 +492,12 @@ def compute_reward(
     return reward
 
 
-def step(state: WorldState, actions) -> StepOutcome:
-    """Advance the world one tick. Mutates `state` and returns the outcome."""
+def step(state: WorldState, actions, observe: bool = True) -> StepOutcome:
+    """Advance the world one tick. Mutates `state` and returns the outcome.
+
+    With `observe=False` the outcome's observations are None and the rest is
+    unchanged: the observations are the last thing a step computes.
+    """
     cfg = state.cfg
     if state.terminal != RUNNING:
         raise RuntimeError(f"step() on a terminal state ({state.terminal})")
@@ -530,7 +536,7 @@ def step(state: WorldState, actions) -> StepOutcome:
     state.terminal = is_terminal(state, collisions)
 
     return StepOutcome(
-        observations=observe_all(state, geom),
+        observations=observe_all(state, geom) if observe else None,
         reward=reward,
         terminal=state.terminal,
         captures=captures,

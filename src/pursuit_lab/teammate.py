@@ -504,6 +504,7 @@ class NahtSlotPolicy:
     """Runs a NAHT-D checkpoint in one pursuer slot (history kept internally)."""
 
     needs_view = True
+    needs_obs = True
 
     def __init__(self, model: NahtModel, boundary: tuple[float, float], deterministic: bool = True):
         self.model = model
@@ -519,8 +520,11 @@ class NahtSlotPolicy:
     def act(self, obs_row, view) -> float:
         emb, _ = encode(self.model.encoder, self.window.vector()[None, :])
         actor_in = self.model.actor_input(obs_row[None, :], emb)
-        actions, _ = self.model.ac.act(actor_in, self._rng, deterministic=self.deterministic)
-        action = float(actions[0, 0])
+        if self.deterministic:
+            action = float(self.model.ac.action_mean(actor_in)[0, 0])
+        else:
+            actions, _ = self.model.ac.act(actor_in, self._rng)
+            action = float(actions[0, 0])
         record = self.model.encoder.layout.step_record(
             obs_row, (view.x, view.y, view.heading), action, self.boundary
         )

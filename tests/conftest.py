@@ -63,6 +63,20 @@ def open_arena(num_p=1, num_e=1, velocity_e=1e-6, horizon=1000):
     return config.parse_config(json.dumps(doc))
 
 
+def ties_arena():
+    """4 x 5 m, two squares and a circle on y = 2.5, one metre apart: the
+    point (1.5, 2.5) is 0.25 m from both squares, (2.5, 2.5) 0.25 m from the
+    second square and the circle, and (0.375, 2.5) 0.375 m from the first
+    square and the left wall. Its sizes are dyadic, so such ties are exact."""
+    cfg = config.builtin_env("4p2e3o")
+    obstacles = (
+        config.Obstacle("rectangle", (1.0, 2.5), half_extents=(0.25, 0.25)),
+        config.Obstacle("rectangle", (2.0, 2.5), half_extents=(0.25, 0.25)),
+        config.Obstacle("circle", (3.0, 2.5), radius=0.25),
+    )
+    return replace(cfg, site=replace(cfg.site, boundary_width=4.0, boundary_height=5.0, obstacles=obstacles))
+
+
 def assert_states_equal(a, b):
     np.testing.assert_array_equal(a.pursuers, b.pursuers)
     np.testing.assert_array_equal(a.evaders, b.evaders)

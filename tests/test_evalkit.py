@@ -157,3 +157,73 @@ def test_report_serialization(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("suc,col,ast,rew")
     assert len(lines) == 2
+
+
+# ---------------------------------------------------------------------------
+# Episodes whose slots read no observations skip building them
+# ---------------------------------------------------------------------------
+
+def reference_episode(env_cfg, slot_policies, seed):
+    """`play_episode`'s loop with every step observing and every slot handed its row."""
+    state, obs = sim.reset(env_cfg, seed)
+    ep_rng = substream(seed, "policies")
+    for pol in slot_policies:
+        pol.begin_episode(ep_rng)
+    episode_return = 0.0
+    while state.terminal == sim.RUNNING:
+        actions = np.zeros(env_cfg.players.num_p)
+        for i, pol in enumerate(slot_policies):
+            view = sim.pursuer_view(state, i) if pol.needs_view else None
+            actions[i] = pol.act(obs[i], view)
+        out = sim.step(state, actions, observe=True)
+        episode_return += out.reward
+        obs = out.observations
+    return evalkit.EpisodeRecord(state.terminal, state.step, episode_return, seed_block=0, index=0)
+
+
+def scripted_team(kinds):
+    make = {"greedy": lambda: rl.ScriptedSlotPolicy("greedy"), "vicsek": lambda: rl.ScriptedSlotPolicy("vicsek"),
+            "random": rl.RandomSlotPolicy}
+    return [make[kind]() for kind in kinds]
+
+
+@pytest.mark.parametrize("name", config.BUILTIN_ENV_NAMES)
+def test_scripted_episode_equals_the_observing_loop_and_observes_only_at_reset(name, monkeypatch):
+    cfg = config.builtin_env(name)
+    real_observe_all = sim.observe_all
+    calls = []
+
+    def counting_observe_all(*args, **kwargs):
+        calls.append(1)
+        return real_observe_all(*args, **kwargs)
+
+    for seed, kinds in [(1, ["greedy"] * 4), (2, ["greedy", "vicsek", "random", "greedy"])]:
+        want = reference_episode(cfg, scripted_team(kinds), seed)
+        monkeypatch.setattr(sim, "observe_all", counting_observe_all)
+        got = evalkit.play_episode(cfg, scripted_team(kinds), seed)
+        monkeypatch.setattr(sim, "observe_all", real_observe_all)
+        assert got == want
+        assert got.episode_return.hex() == want.episode_return.hex()
+        assert len(calls) == 1  # the reset's
+        calls.clear()
+
+
+class RecordingNet(rl.NetSlotPolicy):
+    def __init__(self, model):
+        super().__init__(model)
+        self.rows = []
+
+    def act(self, obs_row, view):
+        self.rows.append(obs_row.copy())
+        return super().act(obs_row, view)
+
+
+def test_a_team_with_a_net_slot_still_receives_its_observation_rows():
+    cfg = config.builtin_env("4p3e5o")
+    model = rl.init_actor_critic(sim.obs_length(cfg), sim.obs_length(cfg), rl.PpoConfig(), substream(0, "init"))
+    want_net, got_net = RecordingNet(model), RecordingNet(model)
+    want = reference_episode(cfg, [want_net] + scripted_team(["greedy", "random", "greedy"]), 3)
+    got = evalkit.play_episode(cfg, [got_net] + scripted_team(["greedy", "random", "greedy"]), 3)
+    assert got == want
+    assert len(got_net.rows) == got.steps
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got_net.rows, want_net.rows))

@@ -280,10 +280,8 @@ def test_ippo_selfplay_smoke_and_checkpoint_roundtrip(tmp_path):
         sp = config.with_control_split(env, 4, 0)
         state, obs = sim.reset(sp, 123)
         poses = []
-        rng = substream(0, "eval")
         while state.terminal == sim.RUNNING and state.step < 100:
-            actions, _ = model.act(obs, rng, deterministic=True)
-            out = sim.step(state, actions[:, 0])
+            out = sim.step(state, model.action_mean(obs)[:, 0])
             obs = out.observations
             poses.append(state.pursuers.copy())
         return np.stack(poses)
@@ -415,6 +413,22 @@ def test_pbt_collectors_and_pools_follow_the_exploited_models():
     for member in res.members:
         assert member.collector.model is member.model
         assert [pol.model for pol in member.collector.teammates.pool] == [m.model for m in res.members]
+
+
+def test_deterministic_net_slot_acts_with_the_action_mean():
+    model = make_model(dtype=np.float32)
+    rows = substream(0, "rows").normal(size=(20, 5))
+    pol = rl.NetSlotPolicy(model, deterministic=True)
+    pol.begin_episode(substream(0, "episode"))
+    for row in rows:
+        assert pol.act(row, None) == float(model.action_mean(row[None, :])[0, 0])
+    # begin_episode draws from the episode rng whether or not the slot samples
+    draws = []
+    for deterministic in (True, False):
+        rng = substream(0, "episode")
+        rl.NetSlotPolicy(model, deterministic=deterministic).begin_episode(rng)
+        draws.append(rng.integers(0, 2**63))
+    assert draws[0] == draws[1]
 
 
 def test_random_policy_bounds():

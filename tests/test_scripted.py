@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pursuit_lab import scripted, sim
+from pursuit_lab import config, scripted, sim
 from pursuit_lab.config import Obstacle
-from conftest import open_arena
+from conftest import open_arena, ties_arena
 
 
 def make_view(x=1.8, y=2.5, heading=0.0, targets=(), drones=(), obstacles=(),
@@ -147,3 +150,107 @@ def test_greedy_captures_static_evader_closed_loop():
         sim.step(state, [action])
     assert state.terminal == sim.SUCCESS
     assert state.step < 1000
+
+
+# ---------------------------------------------------------------------------
+# The in-range static entries against every obstacle and wall
+# ---------------------------------------------------------------------------
+
+def oracle_static_entries(view):
+    """(clearance, closest point) for every obstacle and each of the four walls."""
+    x, y = view.x, view.y
+    w, h = view.boundary
+    out = [(ob.clearance(x, y), ob.closest_point(x, y)) for ob in view.obstacles]
+    out.extend([(x, (0.0, y)), (w - x, (w, y)), (y, (x, 0.0)), (h - y, (x, h))])  # left, right, bottom, top
+    return out
+
+
+POLICIES = (scripted.greedy_action, scripted.vicsek_action, scripted.evader_action)
+ARENAS = {name: config.builtin_env(name) for name in config.BUILTIN_ENV_NAMES}
+ARENAS["ties"] = ties_arena()
+
+
+def steer_bits(view):
+    return [fn(view).hex() for fn in POLICIES]
+
+
+def oracle_steer_bits(view):
+    with mock.patch.object(scripted, "_static_entries", oracle_static_entries):
+        return steer_bits(view)
+
+
+def arena_view(cfg, x, y, heading, targets=(), drones=()):
+    return make_view(
+        x=x, y=y, heading=heading, targets=targets, drones=drones, obstacles=cfg.site.obstacles,
+        boundary=(cfg.site.boundary_width, cfg.site.boundary_height),
+        reception=cfg.players.reception_range, fps=cfg.task.fps,
+    )
+
+
+def extents(ob):
+    return (ob.radius, ob.radius) if ob.shape == "circle" else ob.half_extents
+
+
+@st.composite
+def points(draw, cfg):
+    """A point anywhere (up to 0.5 m outside the walls), on a 1/8 m grid,
+    inside or near an obstacle, or `STATIC_RANGE` from an obstacle's side or
+    a wall along an axis (exactly so on the dyadic `ties` arena)."""
+    w, h = cfg.site.boundary_width, cfg.site.boundary_height
+    r = scripted.STATIC_RANGE
+    kind = draw(st.sampled_from(["anywhere", "grid", "obstacle", "range"]))
+    if kind == "anywhere":
+        return draw(st.floats(-0.5, w + 0.5)), draw(st.floats(-0.5, h + 0.5))
+    if kind == "grid":
+        return draw(st.integers(-4, int(8 * w) + 4)) / 8.0, draw(st.integers(-4, int(8 * h) + 4)) / 8.0
+    ob = draw(st.sampled_from(cfg.site.obstacles))
+    ex, ey = extents(ob)
+    if kind == "obstacle":
+        return ob.center[0] + draw(st.floats(-1.5, 1.5)) * (ex + r), ob.center[1] + draw(st.floats(-1.5, 1.5)) * (ey + r)
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    along = draw(st.sampled_from(["obstacle-x", "obstacle-y", "wall-x", "wall-y"]))
+    if along == "obstacle-x":
+        return ob.center[0] + sign * (ex + r), ob.center[1]
+    if along == "obstacle-y":
+        return ob.center[0], ob.center[1] + sign * (ey + r)
+    if along == "wall-x":
+        return (r if sign < 0 else w - r), draw(st.integers(0, int(8 * h))) / 8.0
+    return draw(st.integers(0, int(8 * w))) / 8.0, (r if sign < 0 else h - r)
+
+
+@st.composite
+def views(draw, cfg):
+    x, y = draw(points(cfg))
+    near = st.tuples(st.floats(x - 1.0, x + 1.0), st.floats(y - 1.0, y + 1.0))
+    return arena_view(
+        cfg, x, y, draw(st.floats(-math.pi, math.pi)),
+        targets=draw(st.lists(points(cfg), max_size=3)),
+        drones=draw(st.lists(st.one_of(points(cfg), near), max_size=3)),
+    )
+
+
+@pytest.mark.parametrize("name", ARENAS)
+def test_policies_steer_bitwise_as_with_every_static_entry(name):
+    cfg = ARENAS[name]
+
+    @settings(max_examples=100, deadline=None)
+    @given(views(cfg))
+    def check(view):
+        every = oracle_static_entries(view)
+        assert scripted._static_entries(view) == [e for e in every if e[0] < scripted.STATIC_RANGE]
+        assert steer_bits(view) == oracle_steer_bits(view)
+
+    check()
+
+
+def test_entries_at_the_static_range_are_left_out():
+    cfg = ARENAS["ties"]
+    r = scripted.STATIC_RANGE
+    assert r == max(scripted.GREEDY_EVASION_RANGE, scripted.VICSEK_OBSTACLE_RANGE, scripted.EVADER_OBSTACLE_RANGE)
+    # exactly r above the first square, exactly r above the circle, exactly r from the left wall
+    for x, y in [(1.0, 2.5 + 0.25 + r), (3.0, 2.5 + 0.25 + r), (r, 4.0)]:
+        view = arena_view(cfg, x, y, 0.3, targets=[(2.0, 4.5)])
+        every = oracle_static_entries(view)
+        assert min(d for d, _ in every) == r
+        assert scripted._static_entries(view) == [e for e in every if e[0] < r]
+        assert steer_bits(view) == oracle_steer_bits(view)

@@ -405,3 +405,23 @@ def test_infeasible_respawn_region_is_value_error():
     cfg = config.parse_config(json.dumps(doc))
     with pytest.raises(ValueError, match="infeasible"):
         sim.reset(cfg, seed=0)
+
+
+@pytest.mark.parametrize("name", config.BUILTIN_ENV_NAMES)
+def test_step_without_observations_changes_nothing_else(name):
+    cfg = config.builtin_env(name)
+    a, _ = sim.reset(cfg, seed=9)
+    b, _ = sim.reset(cfg, seed=9)
+    rng = np.random.default_rng(9)
+    while a.terminal == sim.RUNNING and a.step < 300:
+        actions = rng.uniform(-1, 1, size=cfg.players.num_p)
+        observed = sim.step(a, actions, observe=True)
+        skipped = sim.step(b, actions, observe=False)
+        assert observed.observations is not None and skipped.observations is None
+        assert observed.reward.hex() == skipped.reward.hex()
+        assert (observed.terminal, observed.captures, observed.collisions) == (
+            skipped.terminal, skipped.captures, skipped.collisions
+        )
+        for x, y in [(a.pursuers, b.pursuers), (a.evaders, b.evaders), (a.captured, b.captured)]:
+            assert x.tobytes() == y.tobytes()
+        assert (a.step, a.terminal) == (b.step, b.terminal)

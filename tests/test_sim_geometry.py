@@ -10,7 +10,6 @@ dyadic sizes make such ties exact).
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,22 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pursuit_lab import config, sim
-from pursuit_lab.config import Obstacle
-from conftest import make_state, open_arena
-
-
-def ties_arena():
-    """4 x 5 m, two squares and a circle on y = 2.5, one metre apart: the
-    point (1.5, 2.5) is 0.25 m from both squares, (2.5, 2.5) 0.25 m from the
-    second square and the circle, and (0.375, 2.5) 0.375 m from the first
-    square and the left wall."""
-    cfg = config.builtin_env("4p2e3o")
-    obstacles = (
-        Obstacle("rectangle", (1.0, 2.5), half_extents=(0.25, 0.25)),
-        Obstacle("rectangle", (2.0, 2.5), half_extents=(0.25, 0.25)),
-        Obstacle("circle", (3.0, 2.5), radius=0.25),
-    )
-    return replace(cfg, site=replace(cfg.site, boundary_width=4.0, boundary_height=5.0, obstacles=obstacles))
+from conftest import make_state, open_arena, ties_arena
 
 
 ARENAS = {name: config.builtin_env(name) for name in config.BUILTIN_ENV_NAMES}
