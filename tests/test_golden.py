@@ -7,8 +7,8 @@ step the actions, observations, reward, terminal, capture and collision
 events, and the poses and capture flags after the step.
 
 The scripted evaluation's hash covers the path on which no slot reads
-observations: the `report.json` of a greedy learner with zoo 1 partners on
-`4p3e5o`, and the trajectory-log bytes of one episode that greedy, Vicsek
+observations: the `report.json` and episode records of a greedy learner
+with zoo 1 partners on `4p3e5o`, and the trajectory-log bytes of one episode that greedy, Vicsek
 and random slots play on that arena.
 
 SP, MAPPO and NAHT-D each train for two PPO updates (batch 64, minibatch 32,
