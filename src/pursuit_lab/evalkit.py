@@ -115,8 +115,7 @@ def play_episode(env_cfg: EnvConfig, slot_policies, seed: int, log=None) -> Epis
     """
     state, obs = sim.reset(env_cfg, seed)
     ep_rng = substream(seed, "policies")
-    for pol in slot_policies:
-        pol.begin_episode(ep_rng)
+    slot_policies = [pol.begin_episode(ep_rng) for pol in slot_policies]
     if log is not None:
         log.record_reset(state)
     observe = any(pol.needs_obs for pol in slot_policies)

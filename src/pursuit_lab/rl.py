@@ -325,12 +325,35 @@ def ppo_update(model: ActorCritic, opt: nn.AdamState, batch: PpoBatch, cfg: PpoC
 # ---------------------------------------------------------------------------
 # Slot policies (runtime behavior of non-learner pursuer slots)
 #
-# A slot policy has `begin_episode(rng)`, called once per episode with the
-# episode's policy rng, and `act(obs_row, view) -> steer`. Two class
-# attributes say what `act` reads, so that the episode loop builds only that:
-# `needs_view` asks for the slot's `sim.pursuer_view` (else view is None) and
-# `needs_obs` for its observation row (else obs_row may be None).
+# A slot policy has `begin_episode(rng) -> actor`, called once per episode
+# and slot with the episode's policy rng, and the actor's `act(obs_row,
+# view) -> steer` drives that slot for that episode. A stateless policy is
+# its own actor; a policy with per-episode state (an rng, a history window)
+# returns an `EpisodeActor` holding a fresh copy of that state, so that one
+# policy object can fill several slots of one episode. Two attributes say
+# what `act` reads, so that the episode loop builds only that: `needs_view`
+# asks for the slot's `sim.pursuer_view` (else view is None) and `needs_obs`
+# for its observation row (else obs_row may be None).
 # ---------------------------------------------------------------------------
+
+class EpisodeActor:
+    """A policy bound to one slot's state for one episode: `act` is the
+    policy's `act` with that state, so it reads the policy's current model."""
+
+    def __init__(self, policy, state):
+        self.policy = policy
+        self.state = state
+        self.needs_view = policy.needs_view
+        self.needs_obs = policy.needs_obs
+
+    def act(self, obs_row, view) -> float:
+        return self.policy.act(obs_row, view, self.state)
+
+
+def episode_rng(rng: np.random.Generator) -> np.random.Generator:
+    """A slot's own rng for one episode, seeded by one draw from `rng`."""
+    return np.random.default_rng(rng.integers(0, 2**63))
+
 
 class ScriptedSlotPolicy:
     """Wraps a scripted pursuer function; acts from the AgentView."""
@@ -342,27 +365,24 @@ class ScriptedSlotPolicy:
         self.policy_id = policy_id
         self._fn = scripted.pursuer_policy(policy_id)
 
-    def begin_episode(self, rng: np.random.Generator) -> None:
-        pass
+    def begin_episode(self, rng: np.random.Generator) -> "ScriptedSlotPolicy":
+        return self
 
     def act(self, obs_row, view) -> float:
         return self._fn(view)
 
 
 class RandomSlotPolicy:
-    """Uniform random steering, reseeded per episode."""
+    """Uniform random steering from a per-episode rng."""
 
     needs_view = False
     needs_obs = False
 
-    def __init__(self):
-        self._rng = np.random.default_rng(0)
+    def begin_episode(self, rng: np.random.Generator) -> EpisodeActor:
+        return EpisodeActor(self, episode_rng(rng))
 
-    def begin_episode(self, rng: np.random.Generator) -> None:
-        self._rng = np.random.default_rng(rng.integers(0, 2**63))
-
-    def act(self, obs_row, view) -> float:
-        return float(self._rng.uniform(-1.0, 1.0))
+    def act(self, obs_row, view, rng: np.random.Generator) -> float:
+        return float(rng.uniform(-1.0, 1.0))
 
 
 class NetSlotPolicy:
@@ -375,15 +395,18 @@ class NetSlotPolicy:
     def __init__(self, model: ActorCritic, deterministic: bool = True):
         self.model = model
         self.deterministic = deterministic
-        self._rng = np.random.default_rng(0)
 
-    def begin_episode(self, rng: np.random.Generator) -> None:
-        self._rng = np.random.default_rng(rng.integers(0, 2**63))
+    def begin_episode(self, rng: np.random.Generator):
+        # the draw happens either way, so that the episode rng's stream does
+        # not depend on whether a slot samples
+        own = episode_rng(rng)
+        return self if self.deterministic else EpisodeActor(self, own)
 
-    def act(self, obs_row, view) -> float:
-        if self.deterministic:
+    def act(self, obs_row, view, rng: np.random.Generator | None = None) -> float:
+        """The action mean without `rng`, else a sample drawn from it."""
+        if rng is None:
             return float(self.model.action_mean(obs_row[None, :])[0, 0])
-        action, _ = self.model.act(obs_row[None, :], self._rng)
+        action, _ = self.model.act(obs_row[None, :], rng)
         return float(action[0, 0])
 
 
@@ -456,9 +479,7 @@ class RolloutCollector:
         self._episode_reward = 0.0
         self._slot_policies = []
         if self.env_cfg.players.num_unctrl > 0:
-            self._slot_policies = self.teammates.sample(self.rng)
-            for pol in self._slot_policies:
-                pol.begin_episode(self.rng)
+            self._slot_policies = [pol.begin_episode(self.rng) for pol in self.teammates.sample(self.rng)]
         return obs
 
     def _critic(self, learner_obs):

@@ -501,7 +501,8 @@ def load_naht(path) -> tuple[NahtModel, dict]:
 
 
 class NahtSlotPolicy:
-    """Runs a NAHT-D checkpoint in one pursuer slot (history kept internally)."""
+    """Runs a NAHT-D checkpoint in one pursuer slot; each episode's actor
+    keeps its own history window and rng."""
 
     needs_view = True
     needs_obs = True
@@ -510,23 +511,21 @@ class NahtSlotPolicy:
         self.model = model
         self.boundary = boundary
         self.deterministic = deterministic
-        self.window = HistoryWindow(model.encoder.layout)
-        self._rng = np.random.default_rng(0)
 
-    def begin_episode(self, rng: np.random.Generator) -> None:
-        self.window.reset()
-        self._rng = np.random.default_rng(rng.integers(0, 2**63))
+    def begin_episode(self, rng: np.random.Generator) -> rl.EpisodeActor:
+        return rl.EpisodeActor(self, (HistoryWindow(self.model.encoder.layout), rl.episode_rng(rng)))
 
-    def act(self, obs_row, view) -> float:
-        emb, _ = encode(self.model.encoder, self.window.vector()[None, :])
+    def act(self, obs_row, view, episode: tuple[HistoryWindow, np.random.Generator]) -> float:
+        window, rng = episode
+        emb, _ = encode(self.model.encoder, window.vector()[None, :])
         actor_in = self.model.actor_input(obs_row[None, :], emb)
         if self.deterministic:
             action = float(self.model.ac.action_mean(actor_in)[0, 0])
         else:
-            actions, _ = self.model.ac.act(actor_in, self._rng)
+            actions, _ = self.model.ac.act(actor_in, rng)
             action = float(actions[0, 0])
         record = self.model.encoder.layout.step_record(
             obs_row, (view.x, view.y, view.heading), action, self.boundary
         )
-        self.window.push(record)
+        window.push(record)
         return action

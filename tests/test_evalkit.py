@@ -167,8 +167,7 @@ def reference_episode(env_cfg, slot_policies, seed):
     """`play_episode`'s loop with every step observing and every slot handed its row."""
     state, obs = sim.reset(env_cfg, seed)
     ep_rng = substream(seed, "policies")
-    for pol in slot_policies:
-        pol.begin_episode(ep_rng)
+    slot_policies = [pol.begin_episode(ep_rng) for pol in slot_policies]
     episode_return = 0.0
     while state.terminal == sim.RUNNING:
         actions = np.zeros(env_cfg.players.num_p)
@@ -227,3 +226,24 @@ def test_a_team_with_a_net_slot_still_receives_its_observation_rows():
     assert got == want
     assert len(got_net.rows) == got.steps
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got_net.rows, want_net.rows))
+
+
+# ---------------------------------------------------------------------------
+# A policy object in several slots plays like one object per slot
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["naht-d", "random"])
+def test_one_policy_object_in_two_slots_plays_like_two_objects(kind):
+    # a zoo draws with replacement and shares one object per ref, so a
+    # stateful policy must keep one history window and rng per slot
+    cfg = config.with_control_split(config.builtin_env("4p2e3o"), 2, 2, ("greedy",))
+    boundary = (cfg.site.boundary_width, cfg.site.boundary_height)
+    model = teammate.init_naht_model(cfg, rl.PpoConfig(), substream(0, "init"))
+    make = {"naht-d": lambda: teammate.NahtSlotPolicy(model, boundary), "random": rl.RandomSlotPolicy}[kind]
+    greedy = [rl.ScriptedSlotPolicy("greedy")] * 2
+    for seed in range(3):
+        shared = make()
+        want = evalkit.play_episode(cfg, greedy + [make(), make()], seed)
+        got = evalkit.play_episode(cfg, greedy + [shared, shared], seed)
+        assert got == want
+        assert got.episode_return.hex() == want.episode_return.hex()

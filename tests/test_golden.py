@@ -88,8 +88,7 @@ def step_outcome_hash() -> str:
             state, obs = sim.reset(cfg, seed)
             policies = step_slot_policies(cfg.players.num_p, episode)
             rng = substream(seed, "policies")
-            for pol in policies:
-                pol.begin_episode(rng)
+            policies = [pol.begin_episode(rng) for pol in policies]
             for arr in (obs, state.pursuers, state.evaders):
                 h.update(arr.tobytes())
             while state.terminal == sim.RUNNING and state.step < STEP_LIMIT:

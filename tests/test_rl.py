@@ -418,8 +418,7 @@ def test_pbt_collectors_and_pools_follow_the_exploited_models():
 def test_deterministic_net_slot_acts_with_the_action_mean():
     model = make_model(dtype=np.float32)
     rows = substream(0, "rows").normal(size=(20, 5))
-    pol = rl.NetSlotPolicy(model, deterministic=True)
-    pol.begin_episode(substream(0, "episode"))
+    pol = rl.NetSlotPolicy(model, deterministic=True).begin_episode(substream(0, "episode"))
     for row in rows:
         assert pol.act(row, None) == float(model.action_mean(row[None, :])[0, 0])
     # begin_episode draws from the episode rng whether or not the slot samples
@@ -432,8 +431,7 @@ def test_deterministic_net_slot_acts_with_the_action_mean():
 
 
 def test_random_policy_bounds():
-    pol = rl.RandomSlotPolicy()
-    pol.begin_episode(substream(0, "r"))
+    pol = rl.RandomSlotPolicy().begin_episode(substream(0, "r"))
     for _ in range(100):
         assert -1.0 <= pol.act(None, None) <= 1.0
 

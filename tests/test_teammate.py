@@ -312,7 +312,7 @@ def test_naht_train_smoke_and_checkpoint_roundtrip(tmp_path):
 
     # the loaded policy drives a slot deterministically
     pol = teammate.NahtSlotPolicy(loaded, (env.site.boundary_width, env.site.boundary_height))
-    pol.begin_episode(substream(0, "ep"))
+    pol = pol.begin_episode(substream(0, "ep"))
     state, obs = sim.reset(env, 5)
     action = pol.act(obs[0], sim.pursuer_view(state, 0))
     assert np.isfinite(action)
