@@ -16,6 +16,29 @@ Steer commands are scalars in [-1, 1]; one unit of steer turns the drone at
 OMEGA_MAX rad/s. Distances and thresholds come from the config: drone-drone
 collision and capture both trigger below `capture_range`, drone-obstacle and
 drone-wall collision below `safe_radius` clearance.
+
+A step runs on Python floats: it takes one `tolist()` snapshot of the
+pursuer, evader and capture arrays, and writes them back once. Its bits are
+those of the same arithmetic on numpy arrays (the oracle in
+`tests/sim_oracle.py`), by these rules, checked for numpy 2.4 on x86_64:
+
+- every distance where numpy would call `np.hypot` (pair distances, circle
+  clearances, rectangle-corner clearances) is `abs(complex(dx, dy))`, which
+  calls the C library's `hypot` as `np.hypot` does; `math.hypot` differs
+  from it in about 0.5 % of inputs;
+- `math.cos`/`math.sin` give the bits of `np.cos`/`np.sin`, Python's `%`
+  those of `np.mod`, and `min`/`max` (or `a if a >= b else b`) break ties
+  as `np.minimum`/`np.maximum` do: the first argument wins;
+- the progress terms of the reward are summed in numpy's order
+  (`_pairwise_sum`): a left fold from -0.0 below 8 terms, not Python's `sum`;
+- the evaders' keep-out check keeps `Obstacle.clearance` (`math.hypot`), as
+  it always has;
+- the nearest-pursuer distances before a move are recomputed from the
+  pre-step poses, never cached on the state, which callers may edit.
+
+The observations stay in numpy (`np.arctan2` differs from `math.atan2` in
+some inputs): `observe_all` reads the step's float geometry through
+`np.array`, which keeps its bits. These rules assume finite steer commands.
 """
 
 from __future__ import annotations
@@ -23,13 +46,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import geometry, scripted
-from .config import EnvConfig, Obstacle
+from .config import EnvConfig
 from .seeding import substream
 
 # Terminal states of an episode.
@@ -177,66 +199,12 @@ def reset(cfg: EnvConfig, seed: int) -> tuple[WorldState, np.ndarray]:
 # Observations
 # ---------------------------------------------------------------------------
 
-def _wall_clearances(cfg: EnvConfig, pts: np.ndarray) -> np.ndarray:
-    w, h = cfg.site.boundary_width, cfg.site.boundary_height
-    x, y = pts[:, 0], pts[:, 1]
-    return np.minimum(np.minimum(np.minimum(x, w - x), y), h - y)
-
-
 def _wall_closest_points(cfg: EnvConfig, pts: np.ndarray) -> np.ndarray:
     w, h = cfg.site.boundary_width, cfg.site.boundary_height
     x, y = pts[:, 0], pts[:, 1]
     which = np.stack([x, w - x, y, h - y]).argmin(axis=0)  # left, right, bottom, top
     out = pts.copy()
     out[np.arange(len(pts)), which >> 1] = np.array((0.0, w, 0.0, h))[which]
-    return out
-
-
-class _ShapeColumns(NamedTuple):
-    """Parameters of the obstacles of one shape, as (1, n) rows."""
-
-    cols: np.ndarray  # their columns in the clearance matrix (config order)
-    cx: np.ndarray
-    cy: np.ndarray
-    sx: np.ndarray  # radius of a circle, x half extent of a rectangle
-    sy: np.ndarray  # y half extent of a rectangle (0 for a circle)
-
-
-@lru_cache(maxsize=16)
-def _stacked_obstacles(obstacles: tuple[Obstacle, ...]) -> tuple[_ShapeColumns, _ShapeColumns]:
-    """(circles, rectangles) of an obstacle tuple, stacked once per tuple."""
-
-    def columns(shape: str) -> _ShapeColumns:
-        picked = [(k, ob) for k, ob in enumerate(obstacles) if ob.shape == shape]
-        sizes = [(ob.radius, 0.0) if shape == "circle" else ob.half_extents for _, ob in picked]
-        return _ShapeColumns(
-            cols=np.array([k for k, _ in picked], dtype=np.intp),
-            cx=np.array([[ob.center[0] for _, ob in picked]]),
-            cy=np.array([[ob.center[1] for _, ob in picked]]),
-            sx=np.array([[sx for sx, _ in sizes]]),
-            sy=np.array([[sy for _, sy in sizes]]),
-        )
-
-    return columns("circle"), columns("rectangle")
-
-
-def obstacle_clearance_matrix(cfg: EnvConfig, pts: np.ndarray) -> np.ndarray:
-    """(n_points, n_obstacles) signed clearances, columns in config order.
-
-    One array pass over all circles and one over all rectangles, with the
-    elementwise operations of `Obstacle.clearance`; the second axis is empty
-    without obstacles.
-    """
-    circles, rects = _stacked_obstacles(cfg.site.obstacles)
-    out = np.empty((len(pts), len(cfg.site.obstacles)))
-    x, y = pts[:, 0:1], pts[:, 1:2]
-    if circles.cols.size:
-        out[:, circles.cols] = np.hypot(x - circles.cx, y - circles.cy) - circles.sx
-    if rects.cols.size:
-        dx = np.abs(x - rects.cx) - rects.sx
-        dy = np.abs(y - rects.cy) - rects.sy
-        outside = np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
-        out[:, rects.cols] = np.where((dx > 0) & (dy > 0), outside, np.maximum(dx, dy))
     return out
 
 
@@ -279,7 +247,8 @@ def _relative_blocks(origins: np.ndarray, headings: np.ndarray, targets: np.ndar
 def observe_all(state: WorldState, geom: PursuerGeometry | None = None) -> np.ndarray:
     """Observations for every pursuer, one row per agent.
 
-    `geom` is the state's `pursuer_geometry`, when the caller has it.
+    `geom` is the `pursuer_geometry` of the state's pursuers, when the
+    caller has it.
 
     Row layout (all components in [-1, 1], masked entries exactly 0, mask 0):
       [per evader: dist/reception, bearing/pi, mask] * num_e
@@ -295,8 +264,9 @@ def observe_all(state: WorldState, geom: PursuerGeometry | None = None) -> np.nd
     ev_block = _relative_blocks(P, headings, state.evaders, reception, visible_mask=~state.captured)
 
     if geom is None:
-        geom = pursuer_geometry(state)
-    clear, pts = nearest_static_all(cfg, P[:, :2], geom.obstacle, geom.wall)
+        geom = pursuer_geometry(cfg, P.tolist())
+    # np.array of the float rows keeps their bits; (n, 0) without obstacles
+    clear, pts = nearest_static_all(cfg, P[:, :2], np.array(geom.obstacle), np.array(geom.wall))
     angle = geometry.wrap_angle(np.arctan2(pts[:, 1] - P[:, 1], pts[:, 0] - P[:, 0]) - headings)
     o_vis = clear <= reception
     ob_block = np.zeros((n, 3))
@@ -354,15 +324,16 @@ def pursuer_view(state: WorldState, agent_id: int) -> scripted.AgentView:
     )
 
 
-def evader_view(state: WorldState, evader_id: int) -> scripted.AgentView:
-    cfg = state.cfg
-    x, y, heading = state.evaders[evader_id].tolist()
+def evader_view(cfg: EnvConfig, evader, drones) -> scripted.AgentView:
+    """View of the evader at pose `evader` ([x, y, heading]) among the
+    pursuers at `drones` ((x, y) each)."""
+    x, y, heading = evader
     return scripted.AgentView(
         x=x,
         y=y,
         heading=heading,
         targets=(),
-        other_drones=tuple((px, py) for px, py, _ in state.pursuers.tolist()),
+        other_drones=drones,
         obstacles=cfg.site.obstacles,
         boundary=(cfg.site.boundary_width, cfg.site.boundary_height),
         reception_range=cfg.players.reception_range,
@@ -375,76 +346,113 @@ def evader_view(state: WorldState, evader_id: int) -> scripted.AgentView:
 # Step
 # ---------------------------------------------------------------------------
 
-def _advance(row: np.ndarray, steer: float, speed: float, omega_max: float, dt: float) -> None:
-    row[2] = geometry.wrap_angle(row[2] + steer * omega_max * dt)
-    row[0] += speed * math.cos(row[2]) * dt
-    row[1] += speed * math.sin(row[2]) * dt
+def _advance(pose: list, steer: float, speed: float, dt: float) -> None:
+    """Turn the [x, y, heading] pose by `steer`, then move it along its new heading."""
+    pose[2] = geometry.wrap_angle(pose[2] + steer * OMEGA_MAX * dt)
+    pose[0] += speed * math.cos(pose[2]) * dt
+    pose[1] += speed * math.sin(pose[2]) * dt
 
 
-def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
+def obstacle_clearance_matrix(cfg: EnvConfig, pts) -> list[list[float]]:
+    """Per point ([x, y, ...]): its signed clearance to each obstacle, in
+    config order; rows are empty without obstacles.
+
+    The operations of `Obstacle.clearance`, with `abs(complex(dx, dy))` for
+    its `hypot`.
+    """
+    rows = [[] for _ in pts]
+    for ob in cfg.site.obstacles:
+        cx, cy = ob.center
+        if ob.shape == "circle":
+            r = ob.radius
+            for row, p in zip(rows, pts):
+                row.append(abs(complex(p[0] - cx, p[1] - cy)) - r)
+        else:
+            hx, hy = ob.half_extents
+            for row, p in zip(rows, pts):
+                dx = abs(p[0] - cx) - hx
+                dy = abs(p[1] - cy) - hy
+                if dx > 0.0 and dy > 0.0:
+                    row.append(abs(complex(dx, dy)))
+                else:
+                    row.append(dx if dx >= dy else dy)
+    return rows
 
 
 class PursuerGeometry(NamedTuple):
-    """Static geometry of the pursuers' positions."""
+    """Static geometry of the pursuers' positions, as float rows."""
 
-    pair: np.ndarray  # (num_p, num_p) center distances
-    obstacle: np.ndarray  # (num_p, n_obstacles) signed clearances, config order
-    wall: np.ndarray  # (num_p,) signed clearance to the nearest wall
+    pair: list[list[float]]  # (num_p, num_p) center distances
+    obstacle: list[list[float]]  # (num_p, n_obstacles) signed clearances, config order
+    wall: list[float]  # (num_p,) signed clearance to the nearest wall
 
 
-def pursuer_geometry(state: WorldState) -> PursuerGeometry:
-    """The geometry pass that a step's collisions, reward and observations share."""
-    pts = state.pursuers[:, :2]
+def pursuer_geometry(cfg: EnvConfig, pursuers) -> PursuerGeometry:
+    """The geometry pass over the pursuer poses that a step's collisions,
+    reward and observations share."""
+    n = len(pursuers)
+    pair = [[0.0] * n for _ in range(n)]
+    for i, (xi, yi, _) in enumerate(pursuers):
+        for j in range(i + 1, n):
+            xj, yj, _ = pursuers[j]
+            pair[i][j] = pair[j][i] = abs(complex(xi - xj, yi - yj))
+    w, h = cfg.site.boundary_width, cfg.site.boundary_height
     return PursuerGeometry(
-        pair=_pair_distances(state.pursuers, state.pursuers),
-        obstacle=obstacle_clearance_matrix(state.cfg, pts),
-        wall=_wall_clearances(state.cfg, pts),
+        pair=pair,
+        obstacle=obstacle_clearance_matrix(cfg, pursuers),
+        wall=[min(x, w - x, y, h - y) for x, y, _ in pursuers],
     )
 
 
-def _min_pursuer_distances(pursuers: np.ndarray, evaders: np.ndarray, captured: np.ndarray) -> np.ndarray:
-    """Per-evader min distance to any pursuer (captured evaders get nan)."""
-    d = _pair_distances(pursuers, evaders).min(axis=0)
-    return np.where(captured, np.nan, d)
-
-
-def detect_captures(state: WorldState) -> list[CaptureEvent]:
-    """Uncaptured evaders within capture_range of any pursuer (nearest wins)."""
-    d = _pair_distances(state.pursuers, state.evaders)
-    events = []
-    for e in range(state.cfg.players.num_e):
-        if state.captured[e]:
+def _nearest_pursuers(pursuers, evaders, captured) -> list[tuple[float, int] | None]:
+    """Per evader: the distance to its nearest pursuer and that pursuer's
+    index (the lowest on a tie); None for a captured evader."""
+    out = []
+    for (ex, ey, _), done in zip(evaders, captured):
+        if done:
+            out.append(None)
             continue
-        if float(d[:, e].min()) < state.cfg.task.capture_range:
-            events.append(CaptureEvent(evader=e, pursuer=int(d[:, e].argmin())))
-    return events
+        best = None
+        for j, (px, py, _) in enumerate(pursuers):
+            d = abs(complex(px - ex, py - ey))
+            if best is None or d < best[0]:
+                best = (d, j)
+        out.append(best)
+    return out
 
 
-def _static_clearances(geom: PursuerGeometry) -> np.ndarray:
-    """(num_p, n_obstacles + 1): the obstacle clearances, then the wall's."""
-    return np.concatenate([geom.obstacle, geom.wall[:, None]], axis=1)
+def detect_captures(cfg: EnvConfig, nearest) -> list[CaptureEvent]:
+    """Uncaptured evaders within capture_range of a pursuer, the nearest
+    pursuer capturing; `nearest` is `_nearest_pursuers` of the poses."""
+    cr = cfg.task.capture_range
+    return [
+        CaptureEvent(evader=e, pursuer=near[1])
+        for e, near in enumerate(nearest)
+        if near is not None and near[0] < cr
+    ]
 
 
-def detect_collisions(state: WorldState, geom: PursuerGeometry) -> list[CollisionEvent]:
+def detect_collisions(cfg: EnvConfig, geom: PursuerGeometry) -> list[CollisionEvent]:
     """Drone-drone, drone-obstacle, and drone-wall collision events.
 
     Only pursuers collide; evaders are excluded from collision failure.
     Thresholds: center distance < capture_range for drone-drone, clearance
-    < safe_radius for obstacles and walls. `geom` is the state's
+    < safe_radius for obstacles and walls. `geom` is the pursuers'
     `pursuer_geometry`. Order: drone-drone pairs (i < j), then per pursuer
     its obstacles by index and then its wall.
     """
-    task = state.cfg.task
-    rows, cols = (a.tolist() for a in np.nonzero(geom.pair < task.capture_range))  # row-major
-    events = [CollisionEvent(kind="drone-drone", agents=(i, j)) for i, j in zip(rows, cols) if i < j]
-    wall_col = geom.obstacle.shape[1]
-    rows, cols = (a.tolist() for a in np.nonzero(_static_clearances(geom) < task.safe_radius))
-    for i, k in zip(rows, cols):
-        if k == wall_col:
+    cr, sr = cfg.task.capture_range, cfg.task.safe_radius
+    pair = geom.pair
+    n = len(pair)
+    events = [
+        CollisionEvent(kind="drone-drone", agents=(i, j)) for i in range(n) for j in range(i + 1, n) if pair[i][j] < cr
+    ]
+    for i, (row, wall) in enumerate(zip(geom.obstacle, geom.wall)):
+        for k, clear in enumerate(row):
+            if clear < sr:
+                events.append(CollisionEvent(kind="drone-obstacle", agents=(i,), obstacle=k))
+        if wall < sr:
             events.append(CollisionEvent(kind="drone-wall", agents=(i,)))
-        else:
-            events.append(CollisionEvent(kind="drone-obstacle", agents=(i,), obstacle=k))
     return events
 
 
@@ -452,41 +460,70 @@ def is_terminal(state: WorldState, collisions=()) -> str:
     """Terminal classification with precedence collision > success > timeout."""
     if collisions:
         return COLLISION
-    if bool(np.all(state.captured)):
+    if state.captured.all():
         return SUCCESS
     if state.step >= state.cfg.task.task_horizon:
         return TIMEOUT
     return RUNNING
 
 
-def _proximity_count(state: WorldState, geom: PursuerGeometry) -> int:
+def _proximity_count(cfg: EnvConfig, geom: PursuerGeometry) -> int:
     """Agents inside the penalty band beyond a collision threshold."""
-    task = state.cfg.task
-    dd = task.capture_range
-    drone = (geom.pair >= dd) & (geom.pair < dd + PROX_BAND)
-    np.fill_diagonal(drone, False)  # a drone is not its own neighbour
-    static = _static_clearances(geom).min(axis=1)
-    static_band = (static >= task.safe_radius) & (static < task.safe_radius + PROX_BAND)
-    return int(np.sum(drone.any(axis=1) | static_band))
+    cr, sr = cfg.task.capture_range, cfg.task.safe_radius
+    cr_band, sr_band = cr + PROX_BAND, sr + PROX_BAND
+    count = 0
+    for i, (dists, row, wall) in enumerate(zip(geom.pair, geom.obstacle, geom.wall)):
+        static = min(row, default=wall)
+        static = static if static <= wall else wall
+        if sr <= static < sr_band or any(cr <= d < cr_band for j, d in enumerate(dists) if j != i):
+            count += 1
+    return count
 
 
-def compute_reward(
-    prev_pursuers, prev_evaders, prev_captured, nxt: WorldState, captures, collisions, geom: PursuerGeometry
-) -> float:
-    """Shared team reward for the transition from the previous poses to `nxt`,
-    whose `pursuer_geometry` is `geom`.
+def _pairwise_sum(values: list[float]) -> float:
+    """numpy's `sum` of a contiguous float64 array, in its order: a left fold
+    from -0.0 below 8 terms, eight running sums in blocks of up to 128
+    terms, and halves (at a multiple of 8) above that."""
+    n = len(values)
+    if n < 8:
+        total = -0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        acc = values[:8]
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            for j in range(8):
+                acc[j] += values[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for v in values[stop:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def compute_reward(cfg: EnvConfig, prev_nearest, nearest, captured, captures, collisions, geom: PursuerGeometry) -> float:
+    """Shared team reward of one transition.
+
+    `prev_nearest` and `nearest` are `_nearest_pursuers` before and after the
+    move (both over the evaders uncaptured before it), `captured` the flags
+    after the captures, and `geom` the `pursuer_geometry` after the move.
 
     capture bonus + one-sided min-distance progress shaping on evaders that
     stay uncaptured - proximity-band penalty - terminal collision penalty.
     """
     reward = R_CAP * len(captures)
-    prev_d = _min_pursuer_distances(prev_pursuers, prev_evaders, prev_captured)
-    next_d = _min_pursuer_distances(nxt.pursuers, nxt.evaders, nxt.captured)
-    live = ~(prev_captured | nxt.captured)
-    if np.any(live):
-        progress = np.maximum(0.0, prev_d[live] - next_d[live])
-        reward += C_SHAPE * float(progress.sum())
-    reward -= C_PROX * _proximity_count(nxt, geom)
+    progress = []
+    for before, after, done in zip(prev_nearest, nearest, captured):
+        if before is not None and not done:
+            gain = before[0] - after[0]
+            progress.append(gain if gain > 0.0 else 0.0)
+    if progress:
+        reward += C_SHAPE * _pairwise_sum(progress)
+    reward -= C_PROX * _proximity_count(cfg, geom)
     if collisions:
         reward -= R_COL
     return reward
@@ -501,37 +538,44 @@ def step(state: WorldState, actions, observe: bool = True) -> StepOutcome:
     cfg = state.cfg
     if state.terminal != RUNNING:
         raise RuntimeError(f"step() on a terminal state ({state.terminal})")
-    steer = np.clip(np.asarray(actions, dtype=np.float64).reshape(-1), -1.0, 1.0)
-    if steer.shape[0] != cfg.players.num_p:
-        raise ValueError(f"expected {cfg.players.num_p} actions, got {steer.shape[0]}")
+    steer = np.asarray(actions, dtype=np.float64).reshape(-1).tolist()
+    if len(steer) != cfg.players.num_p:
+        raise ValueError(f"expected {cfg.players.num_p} actions, got {len(steer)}")
 
-    prev_pursuers = state.pursuers.copy()
-    prev_evaders = state.evaders.copy()
-    prev_captured = state.captured.copy()
+    # One snapshot in, float arithmetic throughout, one write-back below.
+    pursuers = state.pursuers.tolist()
+    evaders = state.evaders.tolist()
+    captured = state.captured.tolist()
+    prev_nearest = _nearest_pursuers(pursuers, evaders, captured)
     dt = 1.0 / cfg.task.fps
 
-    state.pursuers[:, 2] = geometry.wrap_angle(state.pursuers[:, 2] + steer * OMEGA_MAX * dt)
-    state.pursuers[:, 0] += cfg.players.velocity_p * np.cos(state.pursuers[:, 2]) * dt
-    state.pursuers[:, 1] += cfg.players.velocity_p * np.sin(state.pursuers[:, 2]) * dt
+    for pose, s in zip(pursuers, steer):
+        _advance(pose, -1.0 if s < -1.0 else (1.0 if s > 1.0 else s), cfg.players.velocity_p, dt)
 
-    for e in range(cfg.players.num_e):
-        if state.captured[e]:
+    drones = tuple((x, y) for x, y, _ in pursuers)
+    for pose, done in zip(evaders, captured):
+        if done:
             continue
-        esteer = scripted.evader_action(evader_view(state, e))
-        old_xy = state.evaders[e, :2].copy()
-        _advance(state.evaders[e], esteer, cfg.players.velocity_e, OMEGA_MAX, dt)
+        esteer = scripted.evader_action(evader_view(cfg, pose, drones))
+        x, y = pose[0], pose[1]
+        _advance(pose, esteer, cfg.players.velocity_e, dt)
         # Evaders never terminate the episode, so block them from entering
         # obstacles or leaving the arena instead (heading still updates).
-        if _wall_and_obstacle_clearance(cfg, state.evaders[e, 0], state.evaders[e, 1]) < 0.0:
-            state.evaders[e, :2] = old_xy
+        if _wall_and_obstacle_clearance(cfg, pose[0], pose[1]) < 0.0:
+            pose[0], pose[1] = x, y
 
-    captures = detect_captures(state)
+    nearest = _nearest_pursuers(pursuers, evaders, captured)
+    captures = detect_captures(cfg, nearest)
     for ev in captures:
-        state.captured[ev.evader] = True
+        captured[ev.evader] = True
     # Pursuer poses are final from here on: one geometry pass serves the rest.
-    geom = pursuer_geometry(state)
-    collisions = detect_collisions(state, geom)
-    reward = compute_reward(prev_pursuers, prev_evaders, prev_captured, state, captures, collisions, geom)
+    geom = pursuer_geometry(cfg, pursuers)
+    collisions = detect_collisions(cfg, geom)
+    reward = compute_reward(cfg, prev_nearest, nearest, captured, captures, collisions, geom)
+
+    state.pursuers[:] = pursuers
+    state.evaders[:] = evaders
+    state.captured[:] = captured
     state.step += 1
     state.terminal = is_terminal(state, collisions)
 

@@ -1,0 +1,217 @@
+"""The simulator step on numpy arrays: the bitwise oracle of `sim.step`.
+
+`sim.step` runs on Python floats. This module keeps the array version it
+replaced, operation for operation, so that the tests can require equal
+bytes: the same `StepOutcome` fields and the same post-step arrays. It
+shares with `sim` only what the two paths have in common: the observation
+rows (`sim.observe_all`, handed this module's array geometry), termination
+(`sim.is_terminal`), the evader policy and the evaders' keep-out check.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
+
+from pursuit_lab import geometry, scripted, sim
+from pursuit_lab.config import Obstacle
+
+
+def pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
+
+
+class ShapeColumns(NamedTuple):
+    """Parameters of the obstacles of one shape, as (1, n) rows."""
+
+    cols: np.ndarray  # their columns in the clearance matrix (config order)
+    cx: np.ndarray
+    cy: np.ndarray
+    sx: np.ndarray  # radius of a circle, x half extent of a rectangle
+    sy: np.ndarray  # y half extent of a rectangle (0 for a circle)
+
+
+@lru_cache(maxsize=16)
+def stacked_obstacles(obstacles: tuple[Obstacle, ...]) -> tuple[ShapeColumns, ShapeColumns]:
+    """(circles, rectangles) of an obstacle tuple, stacked once per tuple."""
+
+    def columns(shape: str) -> ShapeColumns:
+        picked = [(k, ob) for k, ob in enumerate(obstacles) if ob.shape == shape]
+        sizes = [(ob.radius, 0.0) if shape == "circle" else ob.half_extents for _, ob in picked]
+        return ShapeColumns(
+            cols=np.array([k for k, _ in picked], dtype=np.intp),
+            cx=np.array([[ob.center[0] for _, ob in picked]]),
+            cy=np.array([[ob.center[1] for _, ob in picked]]),
+            sx=np.array([[sx for sx, _ in sizes]]),
+            sy=np.array([[sy for _, sy in sizes]]),
+        )
+
+    return columns("circle"), columns("rectangle")
+
+
+def obstacle_clearance_matrix(cfg, pts: np.ndarray) -> np.ndarray:
+    """(n_points, n_obstacles) signed clearances, columns in config order."""
+    circles, rects = stacked_obstacles(cfg.site.obstacles)
+    out = np.empty((len(pts), len(cfg.site.obstacles)))
+    x, y = pts[:, 0:1], pts[:, 1:2]
+    if circles.cols.size:
+        out[:, circles.cols] = np.hypot(x - circles.cx, y - circles.cy) - circles.sx
+    if rects.cols.size:
+        dx = np.abs(x - rects.cx) - rects.sx
+        dy = np.abs(y - rects.cy) - rects.sy
+        outside = np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
+        out[:, rects.cols] = np.where((dx > 0) & (dy > 0), outside, np.maximum(dx, dy))
+    return out
+
+
+def wall_clearances(cfg, pts: np.ndarray) -> np.ndarray:
+    w, h = cfg.site.boundary_width, cfg.site.boundary_height
+    x, y = pts[:, 0], pts[:, 1]
+    return np.minimum(np.minimum(np.minimum(x, w - x), y), h - y)
+
+
+class ArrayGeometry(NamedTuple):
+    pair: np.ndarray  # (num_p, num_p) center distances
+    obstacle: np.ndarray  # (num_p, n_obstacles) signed clearances, config order
+    wall: np.ndarray  # (num_p,) signed clearance to the nearest wall
+
+
+def pursuer_geometry(state) -> ArrayGeometry:
+    pts = state.pursuers[:, :2]
+    return ArrayGeometry(
+        pair=pair_distances(state.pursuers, state.pursuers),
+        obstacle=obstacle_clearance_matrix(state.cfg, pts),
+        wall=wall_clearances(state.cfg, pts),
+    )
+
+
+def min_pursuer_distances(pursuers: np.ndarray, evaders: np.ndarray, captured: np.ndarray) -> np.ndarray:
+    """Per-evader min distance to any pursuer (captured evaders get nan)."""
+    d = pair_distances(pursuers, evaders).min(axis=0)
+    return np.where(captured, np.nan, d)
+
+
+def detect_captures(state) -> list[sim.CaptureEvent]:
+    d = pair_distances(state.pursuers, state.evaders)
+    events = []
+    for e in range(state.cfg.players.num_e):
+        if state.captured[e]:
+            continue
+        if float(d[:, e].min()) < state.cfg.task.capture_range:
+            events.append(sim.CaptureEvent(evader=e, pursuer=int(d[:, e].argmin())))
+    return events
+
+
+def static_clearances(geom: ArrayGeometry) -> np.ndarray:
+    """(num_p, n_obstacles + 1): the obstacle clearances, then the wall's."""
+    return np.concatenate([geom.obstacle, geom.wall[:, None]], axis=1)
+
+
+def detect_collisions(state, geom: ArrayGeometry) -> list[sim.CollisionEvent]:
+    task = state.cfg.task
+    rows, cols = (a.tolist() for a in np.nonzero(geom.pair < task.capture_range))  # row-major
+    events = [sim.CollisionEvent(kind="drone-drone", agents=(i, j)) for i, j in zip(rows, cols) if i < j]
+    wall_col = geom.obstacle.shape[1]
+    rows, cols = (a.tolist() for a in np.nonzero(static_clearances(geom) < task.safe_radius))
+    for i, k in zip(rows, cols):
+        if k == wall_col:
+            events.append(sim.CollisionEvent(kind="drone-wall", agents=(i,)))
+        else:
+            events.append(sim.CollisionEvent(kind="drone-obstacle", agents=(i,), obstacle=k))
+    return events
+
+
+def proximity_count(state, geom: ArrayGeometry) -> int:
+    """Agents inside the penalty band beyond a collision threshold."""
+    task = state.cfg.task
+    dd = task.capture_range
+    drone = (geom.pair >= dd) & (geom.pair < dd + sim.PROX_BAND)
+    np.fill_diagonal(drone, False)  # a drone is not its own neighbour
+    static = static_clearances(geom).min(axis=1)
+    static_band = (static >= task.safe_radius) & (static < task.safe_radius + sim.PROX_BAND)
+    return int(np.sum(drone.any(axis=1) | static_band))
+
+
+def compute_reward(prev_pursuers, prev_evaders, prev_captured, nxt, captures, collisions, geom: ArrayGeometry) -> float:
+    reward = sim.R_CAP * len(captures)
+    prev_d = min_pursuer_distances(prev_pursuers, prev_evaders, prev_captured)
+    next_d = min_pursuer_distances(nxt.pursuers, nxt.evaders, nxt.captured)
+    live = ~(prev_captured | nxt.captured)
+    if np.any(live):
+        progress = np.maximum(0.0, prev_d[live] - next_d[live])
+        reward += sim.C_SHAPE * float(progress.sum())
+    reward -= sim.C_PROX * proximity_count(nxt, geom)
+    if collisions:
+        reward -= sim.R_COL
+    return reward
+
+
+def evader_view(state, evader_id: int) -> scripted.AgentView:
+    cfg = state.cfg
+    x, y, heading = state.evaders[evader_id].tolist()
+    return scripted.AgentView(
+        x=x,
+        y=y,
+        heading=heading,
+        targets=(),
+        other_drones=tuple((px, py) for px, py, _ in state.pursuers.tolist()),
+        obstacles=cfg.site.obstacles,
+        boundary=(cfg.site.boundary_width, cfg.site.boundary_height),
+        reception_range=cfg.players.reception_range,
+        omega_max=sim.OMEGA_MAX,
+        dt=1.0 / cfg.task.fps,
+    )
+
+
+def advance(row: np.ndarray, steer: float, speed: float, omega_max: float, dt: float) -> None:
+    row[2] = geometry.wrap_angle(row[2] + steer * omega_max * dt)
+    row[0] += speed * math.cos(row[2]) * dt
+    row[1] += speed * math.sin(row[2]) * dt
+
+
+def step(state, actions, observe: bool = True) -> sim.StepOutcome:
+    """`sim.step` on numpy arrays."""
+    cfg = state.cfg
+    if state.terminal != sim.RUNNING:
+        raise RuntimeError(f"step() on a terminal state ({state.terminal})")
+    steer = np.clip(np.asarray(actions, dtype=np.float64).reshape(-1), -1.0, 1.0)
+    if steer.shape[0] != cfg.players.num_p:
+        raise ValueError(f"expected {cfg.players.num_p} actions, got {steer.shape[0]}")
+
+    prev_pursuers = state.pursuers.copy()
+    prev_evaders = state.evaders.copy()
+    prev_captured = state.captured.copy()
+    dt = 1.0 / cfg.task.fps
+
+    state.pursuers[:, 2] = geometry.wrap_angle(state.pursuers[:, 2] + steer * sim.OMEGA_MAX * dt)
+    state.pursuers[:, 0] += cfg.players.velocity_p * np.cos(state.pursuers[:, 2]) * dt
+    state.pursuers[:, 1] += cfg.players.velocity_p * np.sin(state.pursuers[:, 2]) * dt
+
+    for e in range(cfg.players.num_e):
+        if state.captured[e]:
+            continue
+        esteer = scripted.evader_action(evader_view(state, e))
+        old_xy = state.evaders[e, :2].copy()
+        advance(state.evaders[e], esteer, cfg.players.velocity_e, sim.OMEGA_MAX, dt)
+        if sim._wall_and_obstacle_clearance(cfg, state.evaders[e, 0], state.evaders[e, 1]) < 0.0:
+            state.evaders[e, :2] = old_xy
+
+    captures = detect_captures(state)
+    for ev in captures:
+        state.captured[ev.evader] = True
+    geom = pursuer_geometry(state)
+    collisions = detect_collisions(state, geom)
+    reward = compute_reward(prev_pursuers, prev_evaders, prev_captured, state, captures, collisions, geom)
+    state.step += 1
+    state.terminal = sim.is_terminal(state, collisions)
+
+    return sim.StepOutcome(
+        observations=sim.observe_all(state, geom) if observe else None,
+        reward=reward,
+        terminal=state.terminal,
+        captures=captures,
+        collisions=collisions,
+    )

@@ -8,8 +8,21 @@ from pursuit_lab import config, geometry, scripted, sim
 from conftest import assert_states_equal, make_state, open_arena, reduced_4p2e3o
 
 
+def geometry_of(state):
+    return sim.pursuer_geometry(state.cfg, state.pursuers.tolist())
+
+
+def nearest(state, captured=None):
+    flags = state.captured if captured is None else captured
+    return sim._nearest_pursuers(state.pursuers.tolist(), state.evaders.tolist(), flags.tolist())
+
+
 def collisions(state):
-    return sim.detect_collisions(state, sim.pursuer_geometry(state))
+    return sim.detect_collisions(state.cfg, geometry_of(state))
+
+
+def captures(state):
+    return sim.detect_captures(state.cfg, nearest(state))
 
 
 def test_reset_is_deterministic(env_4p2e3o):
@@ -39,7 +52,7 @@ def test_reset_poses_inside_regions(env_4p2e3o):
             assert eregion.y_min <= y <= eregion.y_max
         # no instant collisions or captures at spawn
         assert collisions(state) == []
-        assert sim.detect_captures(state) == []
+        assert captures(state) == []
 
 
 def test_fixed_respawn_layout(env_4p2e3o):
@@ -198,7 +211,7 @@ def test_collision_and_capture_match_brute_force(env_4p2e3o):
             for c in collisions(state)
         }
         assert got == brute_force_events(state)
-        caps = {(ev.evader, ev.pursuer) for ev in sim.detect_captures(state)}
+        caps = {(ev.evader, ev.pursuer) for ev in captures(state)}
         assert caps == brute_force_captures(state)
 
 
@@ -242,8 +255,9 @@ def test_nearest_obstacle_block_reflects_wall(env_4p2e3o):
         pursuers=[[0.05, 2.5, 0.0], [0.5, 0.5, 0.0], [1.8, 0.5, 0.0], [3.3, 0.5, 0.0]],
         evaders=[[0.3, 4.5, 0.0], [3.3, 4.5, 0.0]],
     )
-    geom = sim.pursuer_geometry(state)
-    clear, points = sim.nearest_static_all(env_4p2e3o, state.pursuers[:1, :2], geom.obstacle[:1], geom.wall[:1])
+    geom = geometry_of(state)
+    obstacle, wall = np.array(geom.obstacle), np.array(geom.wall)
+    clear, points = sim.nearest_static_all(env_4p2e3o, state.pursuers[:1, :2], obstacle[:1], wall[:1])
     clearance, point = float(clear[0]), tuple(points[0])
     brute = min(
         [ob.clearance(0.05, 2.5) for ob in env_4p2e3o.site.obstacles]
@@ -260,8 +274,9 @@ def test_nearest_obstacle_block_reflects_wall(env_4p2e3o):
 
 
 def transition_reward(prev, nxt, captures=()):
-    geom = sim.pursuer_geometry(nxt)
-    return sim.compute_reward(prev.pursuers, prev.evaders, prev.captured, nxt, list(captures), [], geom)
+    # both distance passes cover the evaders uncaptured before the transition
+    before, after = nearest(prev), nearest(nxt, captured=prev.captured)
+    return sim.compute_reward(nxt.cfg, before, after, nxt.captured.tolist(), list(captures), [], geometry_of(nxt))
 
 
 def test_reward_stationary_zero():

@@ -1,9 +1,9 @@
-"""The simulator's array geometry against the per-obstacle loops it replaced.
+"""The simulator's geometry against per-obstacle loops.
 
 The oracles below are the scalar-loop versions of `nearest_static_all`,
 `detect_collisions` and `_proximity_count`: one obstacle at a time, one
-pursuer at a time. The array versions must give the same bytes on any
-pursuer layout, including points inside obstacles, points outside the walls,
+pursuer at a time. The simulator's versions (float rows for the step, arrays
+for the observations) must give the same bytes on any pursuer layout, including points inside obstacles, points outside the walls,
 pursuers within `capture_range` of each other, and exact ties between two
 obstacles or between an obstacle and a wall (the `ties` arena, whose
 dyadic sizes make such ties exact).
@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pursuit_lab import config, sim
+import sim_oracle
 from conftest import make_state, open_arena, ties_arena
 
 
@@ -78,7 +79,7 @@ def oracle_detect_collisions(state):
     cfg = state.cfg
     events = []
     num_p = cfg.players.num_p
-    d = sim._pair_distances(state.pursuers, state.pursuers)
+    d = sim_oracle.pair_distances(state.pursuers, state.pursuers)
     for i in range(num_p):
         for j in range(i + 1, num_p):
             if d[i, j] < cfg.task.capture_range:
@@ -97,7 +98,7 @@ def oracle_detect_collisions(state):
 def oracle_proximity_count(state):
     cfg = state.cfg
     dd = cfg.task.capture_range
-    d = sim._pair_distances(state.pursuers, state.pursuers)
+    d = sim_oracle.pair_distances(state.pursuers, state.pursuers)
     np.fill_diagonal(d, np.inf)
     drone_band = np.any((d >= dd) & (d < dd + sim.PROX_BAND), axis=1)
     oc = oracle_clearance_matrix(cfg, state.pursuers[:, :2])
@@ -153,7 +154,7 @@ def same_bytes(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Array versions == oracles, bitwise
+# The simulator's versions == oracles, bitwise
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ARENAS)
@@ -165,19 +166,21 @@ def test_geometry_equals_the_per_obstacle_oracles(name):
     def check(pursuers):
         state = scene(cfg, pursuers)
         pts = state.pursuers[:, :2]
-        geom = sim.pursuer_geometry(state)
-        assert same_bytes(geom.obstacle, oracle_clearance_matrix(cfg, pts))
-        assert same_bytes(geom.wall, oracle_wall_clearances(cfg, pts))
+        geom = sim.pursuer_geometry(cfg, state.pursuers.tolist())
+        obstacle, wall = np.array(geom.obstacle), np.array(geom.wall)
+        assert same_bytes(np.array(geom.pair), sim_oracle.pair_distances(state.pursuers, state.pursuers))
+        assert same_bytes(obstacle, oracle_clearance_matrix(cfg, pts))
+        assert same_bytes(wall, oracle_wall_clearances(cfg, pts))
 
         want_clear, want_pts = oracle_nearest_static_all(cfg, pts)
-        clear, points = sim.nearest_static_all(cfg, pts, geom.obstacle, geom.wall)
+        clear, points = sim.nearest_static_all(cfg, pts, obstacle, wall)
         assert same_bytes(clear, want_clear)
         assert same_bytes(points, want_pts)
 
-        assert sim.detect_collisions(state, geom) == oracle_detect_collisions(state)
-        pair = geom.pair.copy()
-        assert sim._proximity_count(state, geom) == oracle_proximity_count(state)
-        assert same_bytes(geom.pair, pair)  # the shared matrix is left as it was
+        assert sim.detect_collisions(cfg, geom) == oracle_detect_collisions(state)
+        pair = np.array(geom.pair)
+        assert sim._proximity_count(cfg, geom) == oracle_proximity_count(state)
+        assert same_bytes(np.array(geom.pair), pair)  # the shared matrix is left as it was
 
     check()
 
@@ -186,11 +189,11 @@ def test_ties_go_to_the_wall_then_to_the_lowest_obstacle():
     cfg = ARENAS["ties"]
     pursuers = np.array([[1.5, 2.5, 0.0], [2.5, 2.5, 0.0], [0.375, 2.5, 0.0], [0.375, 2.375, 0.0]])
     state = scene(cfg, pursuers)
-    geom = sim.pursuer_geometry(state)
-    assert geom.obstacle[0, 0] == geom.obstacle[0, 1] == 0.25
-    assert geom.obstacle[1, 1] == geom.obstacle[1, 2] == 0.25
-    assert geom.obstacle[2, 0] == geom.wall[2] == 0.375
-    clear, points = sim.nearest_static_all(cfg, pursuers[:, :2], geom.obstacle, geom.wall)
+    geom = sim.pursuer_geometry(cfg, state.pursuers.tolist())
+    assert geom.obstacle[0][0] == geom.obstacle[0][1] == 0.25
+    assert geom.obstacle[1][1] == geom.obstacle[1][2] == 0.25
+    assert geom.obstacle[2][0] == geom.wall[2] == 0.375
+    clear, points = sim.nearest_static_all(cfg, pursuers[:, :2], np.array(geom.obstacle), np.array(geom.wall))
     assert clear.tolist() == [0.25, 0.25, 0.375, 0.375]
     assert points.tolist() == [[1.25, 2.5], [2.25, 2.5], [0.0, 2.5], [0.0, 2.375]]
     want_clear, want_points = oracle_nearest_static_all(cfg, pursuers[:, :2])
@@ -211,9 +214,9 @@ def test_clearance_matrix_is_the_scalar_clearance_with_the_inside_sign(name):
     @EXAMPLES
     @given(layouts(cfg))
     def check(pursuers):
-        matrix = sim.obstacle_clearance_matrix(cfg, pursuers[:, :2])
-        assert matrix.shape == (cfg.players.num_p, len(cfg.site.obstacles))
-        for (x, y, _), row in zip(pursuers.tolist(), matrix.tolist()):
+        matrix = sim.obstacle_clearance_matrix(cfg, pursuers.tolist())
+        assert np.array(matrix).shape == (cfg.players.num_p, len(cfg.site.obstacles))
+        for (x, y, _), row in zip(pursuers.tolist(), matrix):
             for ob, c in zip(cfg.site.obstacles, row):
                 assert abs(c - ob.clearance(x, y)) <= 1e-12
                 if abs(c) > 1e-9:  # away from the rim, where rounding decides
