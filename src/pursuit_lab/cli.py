@@ -6,8 +6,8 @@ bad policy reference), 2 usage or IO error. Every long-running command writes
 a run manifest into its output directory before any heavy computation;
 rerunning a command with the same arguments reproduces its outputs byte for
 byte. `eval --jobs J` runs seed blocks in J worker processes with results
-identical for any J; `eval --deterministic` forces one process. The
-PURSUIT_LAB_DIR environment variable provides the default asset root for zoo
+identical for any J. `train` sizes its PPO batch for the env's learner
+slots (`rl.PpoConfig.for_learners`). The PURSUIT_LAB_DIR environment variable provides the default asset root for zoo
 checkpoints.
 """
 
@@ -38,7 +38,6 @@ def _write_manifest(out_dir: str, command: str, args: argparse.Namespace, env_cf
         "argv": getattr(args, "_argv", sys.argv[1:]),
         "tool_version": __version__,
         "seed": getattr(args, "seed", None),
-        "deterministic": getattr(args, "deterministic", False),
         "jobs": getattr(args, "jobs", 1),
         "out_dir": out_dir,
     }
@@ -99,7 +98,10 @@ def cmd_train(args) -> int:
             print(v, file=sys.stderr)
         return 1
 
-    cfg = rl.PpoConfig(total_steps=args.steps)
+    p = env_cfg.players
+    # self-play trains every slot; HOLA's initial population is self-play too
+    slots = {"sp": (p.num_p,), "hola": (p.num_p, p.num_ctrl), "hola-nog": (p.num_p, p.num_ctrl)}
+    cfg = rl.PpoConfig.for_learners(*slots.get(args.algo, (p.num_ctrl,)), total_steps=args.steps)
     _write_manifest(args.out, "train", args, env_cfg)
     try:
         return _train(args, cfg, env_cfg)
@@ -178,14 +180,13 @@ def cmd_eval(args) -> int:
         return 2
     try:
         zoo = evalkit.build_zoo(f"zoo{args.zoo}", _zoo_assets(args.zoo_assets))
-        jobs = 1 if args.deterministic else args.jobs
         report, _records = evalkit.run_evaluation(
             list(args.ckpt),
             zoo,
             env_cfg,
             n_episodes=args.episodes,
             seed=args.seed,
-            jobs=jobs,
+            jobs=args.jobs,
         )
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -269,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--report", required=True)
     p_eval.add_argument("--zoo-assets", default=None, help="directory of self-play checkpoints (default $PURSUIT_LAB_DIR)")
-    p_eval.add_argument("--deterministic", action="store_true")
     p_eval.add_argument("--jobs", type=int, default=1)
     p_eval.set_defaults(fn=cmd_eval)
 

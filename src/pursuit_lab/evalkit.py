@@ -65,6 +65,18 @@ def build_zoo(zoo_id: str, assets: ZooAssets) -> ZooSpec:
 # Policy references
 # ---------------------------------------------------------------------------
 
+def load_checkpoint(path):
+    """(model, manifest) of a checkpoint archive, read once: an actor-critic
+    or a NAHT-D model, by the manifest's kind."""
+    manifest, arrays = nn.load_arrays(path)
+    kind = manifest["kind"]
+    if kind == "actor_critic":
+        return rl.actor_critic_from_arrays(arrays, manifest["extra"]), manifest
+    if kind == "naht_d":
+        return teammate.naht_from_arrays(arrays, manifest["extra"]), manifest
+    raise ValueError(f"unknown checkpoint kind {kind!r}")
+
+
 def resolve_policy(ref: str, env_cfg: EnvConfig, deterministic: bool = True):
     """Turn a policy reference into a slot policy.
 
@@ -78,17 +90,11 @@ def resolve_policy(ref: str, env_cfg: EnvConfig, deterministic: bool = True):
     path = ref[5:] if ref.startswith("ckpt:") else ref
     if not os.path.exists(path):
         raise FileNotFoundError(f"checkpoint not found: {path}")
-    kind = nn.checkpoint_kind(path)
-    if kind == "actor_critic":
-        model, manifest = rl.load_policy(path)
-    elif kind == "naht_d":
-        model, manifest = teammate.load_naht(path)
-    else:
-        raise ValueError(f"unknown checkpoint kind {kind!r}")
+    model, manifest = load_checkpoint(path)
     obs_dim = manifest["extra"]["obs_dim"]
     if obs_dim != sim.obs_length(env_cfg):
         raise ValueError(f"checkpoint obs dim {obs_dim} does not match env obs length {sim.obs_length(env_cfg)}")
-    if kind == "naht_d":
+    if manifest["kind"] == "naht_d":
         boundary = (env_cfg.site.boundary_width, env_cfg.site.boundary_height)
         return teammate.NahtSlotPolicy(model, boundary, deterministic=deterministic)
     return rl.NetSlotPolicy(model, deterministic=deterministic)
@@ -233,10 +239,12 @@ def compute_metrics(records, seed: int = 0, seed_blocks: int | None = None) -> E
 
 
 def _eval_block(args) -> list[EpisodeRecord]:
-    """One seed block of evaluation episodes (top-level for multiprocessing)."""
-    learner_refs, zoo, env_cfg, block, episodes, seed = args
-    learners = [resolve_policy(ref, env_cfg) for ref in learner_refs]
-    zoo_policies = {ref: resolve_policy(ref, env_cfg) for ref in zoo.members} if zoo is not None else {}
+    """One seed block of evaluation episodes (top-level for multiprocessing).
+
+    `policies` holds the slot policy of every ref, shared by all the slots
+    and episodes that draw the ref."""
+    policies, learner_refs, zoo, env_cfg, block, episodes, seed = args
+    learners = [policies[ref] for ref in learner_refs]
     records = []
     for e in range(episodes):
         ep_seed = int(substream(seed, "eval", block, e).integers(0, 2**63))
@@ -244,7 +252,7 @@ def _eval_block(args) -> list[EpisodeRecord]:
         slots = list(learners)
         for _ in range(env_cfg.players.num_unctrl):
             ref = zoo.members[int(zoo_rng.integers(0, len(zoo.members)))]
-            slots.append(zoo_policies[ref])
+            slots.append(policies[ref])
         rec = play_episode(env_cfg, slots, ep_seed)
         records.append(
             EpisodeRecord(
@@ -273,7 +281,9 @@ def run_evaluation(
     uncontrolled slot each episode. The episodes are split over `SEED_BLOCKS`
     seed blocks. Everything is seeded: episode e of block b uses the
     (seed, "eval", b, e) substream, so results are identical for any `jobs`
-    value (blocks just run in parallel processes when jobs > 1).
+    value (blocks just run in parallel processes when jobs > 1). Each
+    distinct ref is resolved once, which fails fast on a bad ref, and the
+    worker processes receive the resolved policies.
     """
     p = env_cfg.players
     if isinstance(learner_refs, str):
@@ -284,13 +294,13 @@ def run_evaluation(
         raise ValueError(f"need {p.num_ctrl} learner slots, got {len(learner_refs)}")
     if p.num_unctrl > 0 and zoo is None:
         raise ValueError("uncontrolled slots present but no zoo given")
-    for ref in learner_refs:
-        resolve_policy(ref, env_cfg)  # fail fast on bad refs / dim mismatches
+    refs = list(learner_refs) + (list(zoo.members) if zoo is not None else [])
+    policies = {ref: resolve_policy(ref, env_cfg) for ref in dict.fromkeys(refs)}
 
     per_block = [n_episodes // SEED_BLOCKS] * SEED_BLOCKS
     for i in range(n_episodes % SEED_BLOCKS):
         per_block[i] += 1
-    tasks = [(list(learner_refs), zoo, env_cfg, b, per_block[b], seed) for b in range(SEED_BLOCKS)]
+    tasks = [(policies, list(learner_refs), zoo, env_cfg, b, per_block[b], seed) for b in range(SEED_BLOCKS)]
     if jobs > 1:
         import multiprocessing
 

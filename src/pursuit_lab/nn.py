@@ -234,8 +234,3 @@ def load_arrays(path, kind: str | None = None) -> tuple[dict, ArrayTable]:
         offset += 4 * n
     return manifest, arrays
 
-
-def checkpoint_kind(path) -> str:
-    with zipfile.ZipFile(path, "r") as zf:
-        manifest = json.loads(zf.read("manifest.json").decode("utf-8"))
-    return manifest["kind"]

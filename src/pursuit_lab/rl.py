@@ -13,6 +13,7 @@ denominated in those units.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -37,6 +38,15 @@ class PpoConfig:
     total_steps: int = 1_000_000
     hidden: tuple[int, ...] = (128, 128)
     init_std: float = 0.5
+
+    @classmethod
+    def for_learners(cls, *slot_counts: int, **fields) -> "PpoConfig":
+        """The defaults, with the largest batch up to 1024 that every learner
+        slot count divides and that splits into 4 equal minibatches (1024 and
+        256 for 1, 2 or 4 slots)."""
+        step = math.lcm(4, *slot_counts)
+        batch = 1024 // step * step
+        return cls(batch=batch, minibatch=batch // 4, **fields)
 
     def validate(self) -> None:
         if not (0.0 < self.gamma <= 1.0):
@@ -168,11 +178,6 @@ def save_policy(path, model: ActorCritic, extra: dict | None = None) -> None:
     named, meta = actor_critic_arrays(model)
     meta.update(extra or {})
     nn.save_arrays(path, "actor_critic", named, extra=meta)
-
-
-def load_policy(path) -> tuple[ActorCritic, dict]:
-    manifest, arrays = nn.load_arrays(path, kind="actor_critic")
-    return actor_critic_from_arrays(arrays, manifest["extra"]), manifest
 
 
 # ---------------------------------------------------------------------------

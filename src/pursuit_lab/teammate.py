@@ -476,11 +476,10 @@ def save_naht(path, model: NahtModel, extra: dict | None = None) -> None:
     nn.save_arrays(path, "naht_d", named, extra=meta)
 
 
-def load_naht(path) -> tuple[NahtModel, dict]:
-    """Inverse of `save_naht`; every array's shape is checked against the
-    manifest dims first (ValueError naming the array)."""
-    manifest, arrays = nn.load_arrays(path, kind="naht_d")
-    meta = manifest["extra"]
+def naht_from_arrays(arrays: dict, meta: dict) -> NahtModel:
+    """Inverse of `save_naht`, from a checkpoint's arrays and manifest extra;
+    every array's shape is checked against the manifest dims first
+    (ValueError naming the array)."""
     embed_dim = meta["embed_dim"]
     # the actor reads the raw observation and the embedding
     ac = rl.actor_critic_from_arrays(arrays, {**meta, "obs_dim": meta["obs_dim"] + embed_dim})
@@ -496,8 +495,7 @@ def load_naht(path) -> tuple[NahtModel, dict]:
     decoder = None
     if meta["has_decoder"]:
         decoder = TeamDecoder(rl._mlp_from_arrays("decoder", arrays, meta["decoder_layers"], embed_dim, DECODER_OUT))
-    model = NahtModel(ac=ac, encoder=encoder, decoder=decoder, obs_dim=meta["obs_dim"], embed_dim=embed_dim)
-    return model, manifest
+    return NahtModel(ac=ac, encoder=encoder, decoder=decoder, obs_dim=meta["obs_dim"], embed_dim=embed_dim)
 
 
 class NahtSlotPolicy:

@@ -128,7 +128,7 @@ def test_eval_rerun_byte_identical(tmp_path):
     for d in dirs:
         rc = run_cli(
             "eval", "--ckpt", "greedy", "--zoo", "1", "--env", "4p2e3o",
-            "--episodes", "6", "--seed", "11", "--report", str(d), "--deterministic",
+            "--episodes", "6", "--seed", "11", "--report", str(d),
         )
         assert rc == 0
     assert (dirs[0] / "report.json").read_bytes() == (dirs[1] / "report.json").read_bytes()
@@ -179,6 +179,16 @@ def test_train_rejects_removed_options(tmp_path, flag):
     assert not (tmp_path / "run").exists()
 
 
+def test_eval_rejects_the_removed_deterministic_option(tmp_path):
+    # results are identical for any --jobs, so the flag had nothing to force
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "eval", "--ckpt", "greedy", "--zoo", "1", "--env", "4p2e3o", "--episodes", "1",
+            "--report", str(tmp_path / "rep"), "--deterministic",
+        )
+    assert exc.value.code == 2
+
+
 def write_env(tmp_path, **players):
     doc = json.loads(config.builtin_env_text("4p2e3o"))
     doc["players"].update(players)
@@ -190,8 +200,6 @@ def write_env(tmp_path, **players):
 @pytest.mark.parametrize(
     "players, message",
     [
-        # a valid arena whose learner count does not divide the default batch of 1024
-        ({"num_p": 3, "num_ctrl": 3, "num_unctrl": 0, "unseen_drones": []}, "not a multiple"),
         # a valid but infeasible pursuer respawn region
         ({"respawn_region": {
             "pursuer": {"x_min": 1.0, "y_min": 0.2, "x_max": 1.3, "y_max": 0.5},
@@ -203,6 +211,15 @@ def test_train_maps_value_errors_to_exit_1(tmp_path, capsys, players, message):
     env = write_env(tmp_path, **players)
     assert run_cli("train", "--algo", "sp", "--env", env, "--steps", "64", "--out", str(tmp_path / "run")) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("num_p", [3, 5])
+def test_train_sizes_the_batch_for_any_learner_count(tmp_path, num_p):
+    env = write_env(tmp_path, num_p=num_p, num_ctrl=num_p, num_unctrl=0, unseen_drones=[])
+    out = tmp_path / "run"
+    assert run_cli("train", "--algo", "sp", "--env", env, "--steps", "64", "--out", str(out)) == 0
+    rows = (out / "metrics.csv").read_text().splitlines()
+    assert rows[1].split(",")[0] == "1020"  # one update of the largest batch that 4 and num_p divide
 
 
 @pytest.mark.parametrize("flag, expected", [([], ["vicsek"]), (["--teammates", "greedy, vicsek"], ["greedy", "vicsek"])])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pursuit_lab import config, evalkit, rl, sim, teammate
+from pursuit_lab import config, evalkit, nn, rl, sim, teammate
 from pursuit_lab.seeding import substream
 from conftest import reduced_4p2e3o
 
@@ -121,6 +121,32 @@ def test_run_evaluation_parallel_jobs_identical():
     seq, _ = evalkit.run_evaluation("greedy", zoo, env, n_episodes=10, seed=7, jobs=1)
     par, _ = evalkit.run_evaluation("greedy", zoo, env, n_episodes=10, seed=7, jobs=4)
     assert seq.to_json() == par.to_json()
+
+
+def test_run_evaluation_reads_each_checkpoint_once(tmp_path, monkeypatch):
+    env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
+    obs_dim = sim.obs_length(env)
+    refs = []
+    for i in range(2):
+        path = tmp_path / f"sp{i}.zip"
+        rl.save_policy(path, rl.init_actor_critic(obs_dim, obs_dim, rl.PpoConfig(hidden=(16,)), substream(i, "init")))
+        refs.append(f"ckpt:{path}")
+    loads = []
+    real_load = nn.load_arrays
+
+    def counting_load(path, *args, **kwargs):
+        loads.append(str(path))
+        return real_load(path, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "load_arrays", counting_load)
+    # the learner ref fills both learner slots; the zoo repeats a checkpoint
+    zoo = evalkit.ZooSpec(zoo_id="zoo3", members=("greedy", refs[1], refs[0]))
+    seq, _ = evalkit.run_evaluation(refs[0], zoo, env, n_episodes=5, seed=4)
+    assert sorted(loads) == sorted(ref[5:] for ref in refs)
+    loads.clear()
+    par, _ = evalkit.run_evaluation(refs[0], zoo, env, n_episodes=5, seed=4, jobs=2)
+    assert len(loads) == 2  # the workers receive the loaded policies
+    assert par.to_json() == seq.to_json()
 
 
 def test_ast_bounded_by_horizon():

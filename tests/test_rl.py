@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pursuit_lab import config, nn, rl, sim
+from pursuit_lab import config, evalkit, nn, rl, sim
 from pursuit_lab.seeding import substream
 from conftest import FixedTeammates, reduced_4p2e3o
 
@@ -270,7 +270,7 @@ def test_ippo_selfplay_smoke_and_checkpoint_roundtrip(tmp_path):
     assert len(res.metrics) == 2
     assert res.selfplay_suc is not None
 
-    loaded, manifest = rl.load_policy(res.final_path)
+    loaded, manifest = evalkit.load_checkpoint(res.final_path)
     assert manifest["extra"]["algo"] == "sp"
     for pa, pb in zip(res.model.params(), loaded.params()):
         np.testing.assert_array_equal(pa, pb)  # float32 round trip is exact
@@ -328,7 +328,7 @@ def test_checkpoint_array_shapes_are_checked_against_the_manifest(tmp_path, shap
     path = tmp_path / "bad.zip"
     nn.save_arrays(path, "actor_critic", named, extra=meta)
     with pytest.raises(ValueError, match=f"array {name} has"):
-        rl.load_policy(path)
+        evalkit.load_checkpoint(path)
 
 
 def test_ippo_two_seeds_differ():

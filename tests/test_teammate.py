@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pursuit_lab import nn, rl, sim, teammate
+from pursuit_lab import evalkit, nn, rl, sim, teammate
 from pursuit_lab.seeding import substream
 from conftest import FixedTeammates, reduced_4p2e3o
 
@@ -305,7 +305,7 @@ def test_naht_train_smoke_and_checkpoint_roundtrip(tmp_path):
     assert all("recon_loss" in row for row in res.metrics)
     assert any(row["recon_loss"] != 0.0 for row in res.metrics)
 
-    loaded, manifest = teammate.load_naht(res.final_path)
+    loaded, manifest = evalkit.load_checkpoint(res.final_path)
     assert manifest["extra"]["algo"] == "naht-d"
     for a, b in zip(res.model.params(), loaded.params()):
         np.testing.assert_array_equal(a, b)
@@ -347,7 +347,7 @@ def test_naht_checkpoint_array_shapes_are_checked(tmp_path, name, shape):
     named = [(n, np.zeros(shape, dtype=np.float32) if n == name else arrays[n]) for n in (a["name"] for a in manifest["arrays"])]
     bad = tmp_path / "bad.zip"
     nn.save_arrays(bad, "naht_d", named, extra=manifest["extra"])
-    loaded, _ = teammate.load_naht(good)
+    loaded, _ = evalkit.load_checkpoint(good)
     assert loaded.ac.obs_dim == model.ac.obs_dim == model.obs_dim + model.embed_dim
     with pytest.raises(ValueError, match=f"array {name} has"):
-        teammate.load_naht(bad)
+        evalkit.load_checkpoint(bad)
