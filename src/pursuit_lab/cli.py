@@ -7,8 +7,8 @@ a run manifest into its output directory before any heavy computation;
 rerunning a command with the same arguments reproduces its outputs byte for
 byte. `eval --jobs J` runs seed blocks in J worker processes with results
 identical for any J. `train` sizes its PPO batch for the env's learner
-slots (`rl.PpoConfig.for_learners`). The PURSUIT_LAB_DIR environment variable provides the default asset root for zoo
-checkpoints.
+slots (`rl.PpoConfig.for_learners`). The PURSUIT_LAB_DIR environment
+variable provides the default asset root for zoo checkpoints.
 """
 
 from __future__ import annotations

@@ -26,11 +26,15 @@ those of the same arithmetic on numpy arrays (the oracle in
   clearances, rectangle-corner clearances) is `abs(complex(dx, dy))`, which
   calls the C library's `hypot` as `np.hypot` does; `math.hypot` differs
   from it in about 0.5 % of inputs;
-- `math.cos`/`math.sin` give the bits of `np.cos`/`np.sin`, Python's `%`
-  those of `np.mod`, and `min`/`max` (or `a if a >= b else b`) break ties
-  as `np.minimum`/`np.maximum` do: the first argument wins;
-- the progress terms of the reward are summed in numpy's order
-  (`_pairwise_sum`): a left fold from -0.0 below 8 terms, not Python's `sum`;
+- `math.cos`/`math.sin` give the bits of `np.cos`/`np.sin`, and Python's
+  `%` those of `np.mod`;
+- `np.minimum(a, b)` is `a if a < b else b` and `np.maximum(a, b)` is
+  `a if a > b else b`: on a tie the second argument wins, which shows when
+  +0.0 meets -0.0, whereas Python's `min` and `max` keep the first; so the
+  step writes these conditionals where numpy took a minimum or maximum;
+- the progress terms of the reward are summed in numpy's pairwise order
+  (`_pairwise_sum`), which below 8 terms is a left fold from -0.0; Python's
+  `sum` is compensated from 3.12 on;
 - the evaders' keep-out check keeps `Obstacle.clearance` (`math.hypot`), as
   it always has;
 - the nearest-pursuer distances before a move are recomputed from the
@@ -375,8 +379,17 @@ def obstacle_clearance_matrix(cfg: EnvConfig, pts) -> list[list[float]]:
                 if dx > 0.0 and dy > 0.0:
                     row.append(abs(complex(dx, dy)))
                 else:
-                    row.append(dx if dx >= dy else dy)
+                    row.append(dx if dx > dy else dy)
     return rows
+
+
+def _wall_clearance(cfg: EnvConfig, x: float, y: float) -> float:
+    """Signed clearance to the nearest wall, as numpy's running minimum of
+    (x, w - x, y, h - y) takes it."""
+    w, h = cfg.site.boundary_width, cfg.site.boundary_height
+    clear = x if x < w - x else w - x
+    clear = clear if clear < y else y
+    return clear if clear < h - y else h - y
 
 
 class PursuerGeometry(NamedTuple):
@@ -396,11 +409,10 @@ def pursuer_geometry(cfg: EnvConfig, pursuers) -> PursuerGeometry:
         for j in range(i + 1, n):
             xj, yj, _ = pursuers[j]
             pair[i][j] = pair[j][i] = abs(complex(xi - xj, yi - yj))
-    w, h = cfg.site.boundary_width, cfg.site.boundary_height
     return PursuerGeometry(
         pair=pair,
         obstacle=obstacle_clearance_matrix(cfg, pursuers),
-        wall=[min(x, w - x, y, h - y) for x, y, _ in pursuers],
+        wall=[_wall_clearance(cfg, x, y) for x, y, _ in pursuers],
     )
 
 
@@ -473,8 +485,7 @@ def _proximity_count(cfg: EnvConfig, geom: PursuerGeometry) -> int:
     cr_band, sr_band = cr + PROX_BAND, sr + PROX_BAND
     count = 0
     for i, (dists, row, wall) in enumerate(zip(geom.pair, geom.obstacle, geom.wall)):
-        static = min(row, default=wall)
-        static = static if static <= wall else wall
+        static = min(wall, min(row, default=wall))
         if sr <= static < sr_band or any(cr <= d < cr_band for j, d in enumerate(dists) if j != i):
             count += 1
     return count
@@ -520,7 +531,7 @@ def compute_reward(cfg: EnvConfig, prev_nearest, nearest, captured, captures, co
     for before, after, done in zip(prev_nearest, nearest, captured):
         if before is not None and not done:
             gain = before[0] - after[0]
-            progress.append(gain if gain > 0.0 else 0.0)
+            progress.append(0.0 if 0.0 > gain else gain)
     if progress:
         reward += C_SHAPE * _pairwise_sum(progress)
     reward -= C_PROX * _proximity_count(cfg, geom)

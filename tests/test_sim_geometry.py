@@ -223,3 +223,14 @@ def test_clearance_matrix_is_the_scalar_clearance_with_the_inside_sign(name):
                     assert (c < 0) == inside(ob, x, y)
 
     check()
+
+
+def test_wall_clearance_keeps_numpy_signed_zero():
+    # np.minimum keeps the second of two equal values, Python's min the
+    # first: at (0.0, -0.0) numpy's running minimum ends at -0.0
+    cfg = ARENAS["open"]
+    pursuers = np.array([[0.0, -0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [-0.0, 0.0, 0.0]])
+    wall = np.array(sim.pursuer_geometry(cfg, pursuers.tolist()).wall)
+    assert math.copysign(1.0, wall[0]) == -1.0
+    assert same_bytes(wall, sim_oracle.wall_clearances(cfg, pursuers[:, :2]))
+    assert same_bytes(wall, oracle_wall_clearances(cfg, pursuers[:, :2]))
