@@ -430,6 +430,19 @@ def test_deterministic_net_slot_acts_with_the_action_mean():
     assert draws[0] == draws[1]
 
 
+def test_a_running_actor_acts_with_its_policys_current_model():
+    # PBT re-points a pool policy's model after an exploit; episodes already
+    # running must act with the new model
+    old, new = make_model(dtype=np.float32, seed=0), make_model(dtype=np.float32, seed=1)
+    row = substream(0, "rows").normal(size=5)
+    for deterministic in (True, False):
+        pol = rl.NetSlotPolicy(old, deterministic=deterministic)
+        actor = pol.begin_episode(substream(0, "episode"))
+        pol.model = new
+        want = rl.NetSlotPolicy(new, deterministic=deterministic).begin_episode(substream(0, "episode"))
+        assert actor.act(row, None) == want.act(row, None)
+
+
 def test_random_policy_bounds():
     pol = rl.RandomSlotPolicy().begin_episode(substream(0, "r"))
     for _ in range(100):
