@@ -208,12 +208,11 @@ class ArrayTable(dict):
         raise ValueError(f"checkpoint has no array named {name!r}")
 
 
-def load_arrays(path, kind: str | None = None) -> tuple[dict, ArrayTable]:
+def load_arrays(path) -> tuple[dict, ArrayTable]:
     """Read a checkpoint archive back into (manifest, name -> float32 array).
 
-    Raises ValueError on an unknown format version, on a kind other than
-    `kind` (when given), and on a `params.bin` whose size differs from the
-    manifest's array table.
+    Raises ValueError on an unknown format version and on a `params.bin`
+    whose size differs from the manifest's array table.
     """
     with zipfile.ZipFile(path, "r") as zf:
         manifest = json.loads(zf.read("manifest.json").decode("utf-8"))
@@ -221,8 +220,6 @@ def load_arrays(path, kind: str | None = None) -> tuple[dict, ArrayTable]:
     version = manifest.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"{path}: checkpoint format_version {version!r} is not {CHECKPOINT_FORMAT_VERSION}")
-    if kind is not None and manifest["kind"] != kind:
-        raise ValueError(f"checkpoint kind {manifest['kind']!r} is not {kind}")
     sizes = [math.prod(spec["shape"]) for spec in manifest["arrays"]]
     if len(raw) != 4 * sum(sizes):
         raise ValueError(f"{path}: params.bin holds {len(raw)} bytes, its array table {4 * sum(sizes)}")

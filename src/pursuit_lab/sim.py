@@ -12,10 +12,11 @@ randomness is confined to `reset` (respawn sampling); given (config, seed,
 action sequence) the whole trajectory is bitwise reproducible on a single
 thread.
 
-Steer commands are scalars in [-1, 1]; one unit of steer turns the drone at
-OMEGA_MAX rad/s. Distances and thresholds come from the config: drone-drone
-collision and capture both trigger below `capture_range`, drone-obstacle and
-drone-wall collision below `safe_radius` clearance.
+Steer commands are finite scalars, clipped to [-1, 1] (a non-finite one is a
+ValueError); one unit of steer turns the drone at OMEGA_MAX rad/s. Distances
+and thresholds come from the config: drone-drone collision and capture both
+trigger below `capture_range`, drone-obstacle and drone-wall collision below
+`safe_radius` clearance.
 
 A step runs on Python floats: it takes one `tolist()` snapshot of the
 pursuer, evader and capture arrays, and writes them back once. Its bits are
@@ -40,9 +41,24 @@ those of the same arithmetic on numpy arrays (the oracle in
 - the nearest-pursuer distances before a move are recomputed from the
   pre-step poses, never cached on the state, which callers may edit.
 
-The observations stay in numpy (`np.arctan2` differs from `math.atan2` in
-some inputs): `observe_all` reads the step's float geometry through
-`np.array`, which keeps its bits. These rules assume finite steer commands.
+The observations (`observe_all`, `nearest_static_all`, `central_observation`)
+run on Python floats too, from one `tolist()` snapshot of their own, and
+reuse the step's float geometry when the step passes it. Their bits are those
+of the array code in `tests/sim_oracle.py`, by the rules above and these:
+
+- the bearings of every visible entry of every row come from one
+  `np.arctan2` call over a flat array: `np.arctan2` gives an element the
+  same bits whatever the array's length or shape, whereas `math.atan2`
+  differs from it in a few percent of inputs; masked entries are written as
+  (0.0, 0.0, 0.0) and never reach the call;
+- each bearing is turned into the drone's frame with the scalar
+  `geometry.wrap_angle`, which gives the bits of its array form;
+- the clearance term is `clear if clear > 0.0 else 0.0`, numpy's
+  `np.maximum(clear, 0.0)`, which turns -0.0 into 0.0;
+- the nearest wall point is the first minimum of (x, w - x, y, h - y), the
+  nearest obstacle the first minimum of its clearance row, and an obstacle
+  wins only when its clearance is strictly below the wall's, as `argmin`
+  and `np.where` take them.
 """
 
 from __future__ import annotations
@@ -203,49 +219,52 @@ def reset(cfg: EnvConfig, seed: int) -> tuple[WorldState, np.ndarray]:
 # Observations
 # ---------------------------------------------------------------------------
 
-def _wall_closest_points(cfg: EnvConfig, pts: np.ndarray) -> np.ndarray:
-    w, h = cfg.site.boundary_width, cfg.site.boundary_height
-    x, y = pts[:, 0], pts[:, 1]
-    which = np.stack([x, w - x, y, h - y]).argmin(axis=0)  # left, right, bottom, top
-    out = pts.copy()
-    out[np.arange(len(pts)), which >> 1] = np.array((0.0, w, 0.0, h))[which]
-    return out
+def nearest_static_all(cfg: EnvConfig, pursuers, obstacle, wall) -> tuple[list[float], list[tuple[float, float]]]:
+    """Per pursuer ([x, y, ...] row): (clearance, closest point) over all
+    obstacles and walls.
 
-
-def nearest_static_all(
-    cfg: EnvConfig, pts: np.ndarray, obstacle: np.ndarray, wall: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per point: (clearance, closest point) over all obstacles and walls.
-
-    `obstacle` and `wall` are the points' `obstacle_clearance_matrix` and wall
-    clearances. A tie goes to the wall, then to the lowest obstacle index.
+    `obstacle` and `wall` are the pursuers' `obstacle_clearance_matrix` and
+    wall clearances, as in `PursuerGeometry`. A tie goes to the wall, then
+    to the lowest obstacle index.
     """
-    best_pts = _wall_closest_points(cfg, pts)
-    if not obstacle.shape[1]:
-        return wall.copy(), best_pts
-    nearest = obstacle.argmin(axis=1)
-    clear = obstacle[np.arange(len(pts)), nearest]
-    wins = clear < wall
-    xy = pts.tolist()
-    for i in np.flatnonzero(wins).tolist():
-        best_pts[i] = cfg.site.obstacles[nearest[i]].closest_point(*xy[i])
-    return np.where(wins, clear, wall), best_pts
+    w, h = cfg.site.boundary_width, cfg.site.boundary_height
+    clears, points = [], []
+    for p, row, clear in zip(pursuers, obstacle, wall):
+        x, y = p[0], p[1]
+        # the wall point: the first of (left, right, bottom, top) at the minimum
+        point, best = (0.0, y), x
+        if w - x < best:
+            point, best = (w, y), w - x
+        if y < best:
+            point, best = (x, 0.0), y
+        if h - y < best:
+            point = (x, h)
+        if row:
+            k = row.index(min(row))  # the first minimum
+            if row[k] < clear:
+                clear, point = row[k], cfg.site.obstacles[k].closest_point(x, y)
+        clears.append(clear)
+        points.append(point)
+    return clears, points
 
 
-def _relative_blocks(origins: np.ndarray, headings: np.ndarray, targets: np.ndarray, reception: float, visible_mask=None):
-    """(n_origins, n_targets, 3) blocks of (dist/reception, bearing/pi, mask)."""
-    dx = targets[None, :, 0] - origins[:, None, 0]
-    dy = targets[None, :, 1] - origins[:, None, 1]
-    d = np.hypot(dx, dy)
-    vis = d <= reception
-    if visible_mask is not None:
-        vis &= visible_mask[None, :]
-    bearing = geometry.wrap_angle(np.arctan2(dy, dx) - headings[:, None])
-    block = np.zeros(d.shape + (3,))
-    block[..., 0] = np.where(vis, d / reception, 0.0)
-    block[..., 1] = np.where(vis, bearing / np.pi, 0.0)
-    block[..., 2] = vis
-    return block
+def _relative_entries(row: list, x: float, y: float, heading: float, targets, reception: float, bearings: list) -> None:
+    """Append (dist/reception, bearing/pi, mask) to `row` per target ([x, y,
+    ...], or None for a masked one), as seen from (x, y, heading).
+
+    A visible entry's bearing is left at 0.0 and queued on `bearings` as
+    (row, column, dy, dx, heading) for `observe_all`'s one `np.arctan2` call.
+    """
+    for t in targets:
+        if t is not None:
+            dx = t[0] - x
+            dy = t[1] - y
+            d = abs(complex(dx, dy))
+            if d <= reception:
+                bearings.append((row, len(row) + 1, dy, dx, heading))
+                row += (d / reception, 0.0, 1.0)
+                continue
+        row += (0.0, 0.0, 0.0)
 
 
 def observe_all(state: WorldState, geom: PursuerGeometry | None = None) -> np.ndarray:
@@ -261,28 +280,31 @@ def observe_all(state: WorldState, geom: PursuerGeometry | None = None) -> np.nd
     """
     cfg = state.cfg
     reception = cfg.players.reception_range
-    P = state.pursuers
-    n = cfg.players.num_p
-    headings = P[:, 2]
-
-    ev_block = _relative_blocks(P, headings, state.evaders, reception, visible_mask=~state.captured)
-
+    pursuers = state.pursuers.tolist()
+    evaders = [None if done else pose for pose, done in zip(state.evaders.tolist(), state.captured.tolist())]
     if geom is None:
-        geom = pursuer_geometry(cfg, P.tolist())
-    # np.array of the float rows keeps their bits; (n, 0) without obstacles
-    clear, pts = nearest_static_all(cfg, P[:, :2], np.array(geom.obstacle), np.array(geom.wall))
-    angle = geometry.wrap_angle(np.arctan2(pts[:, 1] - P[:, 1], pts[:, 0] - P[:, 0]) - headings)
-    o_vis = clear <= reception
-    ob_block = np.zeros((n, 3))
-    ob_block[:, 0] = np.where(o_vis, np.maximum(clear, 0.0) / reception, 0.0)
-    ob_block[:, 1] = np.where(o_vis, angle / np.pi, 0.0)
-    ob_block[:, 2] = o_vis
+        geom = pursuer_geometry(cfg, pursuers)
+    clears, points = nearest_static_all(cfg, pursuers, geom.obstacle, geom.wall)
 
-    tm_block = _relative_blocks(P, headings, P, reception)
-    off_diag = ~np.eye(n, dtype=bool)
-    tm_block = tm_block[off_diag].reshape(n, n - 1, 3)
+    rows, bearings = [], []
+    for i, (x, y, heading) in enumerate(pursuers):
+        row = []
+        _relative_entries(row, x, y, heading, evaders, reception, bearings)
+        clear = clears[i]
+        if clear <= reception:
+            px, py = points[i]
+            bearings.append((row, len(row) + 1, py - y, px - x, heading))
+            row += ((clear if clear > 0.0 else 0.0) / reception, 0.0, 1.0)
+        else:
+            row += (0.0, 0.0, 0.0)
+        _relative_entries(row, x, y, heading, pursuers[:i] + pursuers[i + 1 :], reception, bearings)
+        rows.append(row)
 
-    return np.concatenate([ev_block.reshape(n, -1), ob_block, tm_block.reshape(n, -1)], axis=1)
+    if bearings:
+        angles = np.arctan2([b[2] for b in bearings], [b[3] for b in bearings]).tolist()
+        for (row, col, _, _, heading), a in zip(bearings, angles):
+            row[col] = geometry.wrap_angle(a - heading) / math.pi
+    return np.array(rows, dtype=np.float64)
 
 
 def central_observation(state: WorldState, learner_obs: np.ndarray) -> np.ndarray:
@@ -292,13 +314,11 @@ def central_observation(state: WorldState, learner_obs: np.ndarray) -> np.ndarra
     slot order. Evader positions are normalized to [-1, 1] over the arena;
     captured evaders are zeroed.
     """
-    cfg = state.cfg
-    ev = np.zeros(2 * cfg.players.num_e, dtype=np.float64)
-    for e in range(cfg.players.num_e):
-        if not state.captured[e]:
-            ev[2 * e] = 2.0 * state.evaders[e, 0] / cfg.site.boundary_width - 1.0
-            ev[2 * e + 1] = 2.0 * state.evaders[e, 1] / cfg.site.boundary_height - 1.0
-    return np.concatenate([learner_obs.reshape(-1), ev])
+    w, h = state.cfg.site.boundary_width, state.cfg.site.boundary_height
+    ev = []
+    for (x, y, _), done in zip(state.evaders.tolist(), state.captured.tolist()):
+        ev += (0.0, 0.0) if done else (2.0 * x / w - 1.0, 2.0 * y / h - 1.0)
+    return np.concatenate([learner_obs.reshape(-1), np.array(ev, dtype=np.float64)])
 
 
 def central_obs_length(cfg: EnvConfig, n_learners: int) -> int:
@@ -552,6 +572,8 @@ def step(state: WorldState, actions, observe: bool = True) -> StepOutcome:
     steer = np.asarray(actions, dtype=np.float64).reshape(-1).tolist()
     if len(steer) != cfg.players.num_p:
         raise ValueError(f"expected {cfg.players.num_p} actions, got {len(steer)}")
+    if not all(map(math.isfinite, steer)):
+        raise ValueError(f"steer commands must be finite, got {steer}")
 
     # One snapshot in, float arithmetic throughout, one write-back below.
     pursuers = state.pursuers.tolist()

@@ -1,11 +1,12 @@
-"""The simulator step on numpy arrays: the bitwise oracle of `sim.step`.
+"""The simulator step and observations on numpy arrays: the bitwise oracles
+of `sim.step`, `sim.observe_all` and `sim.central_observation`.
 
-`sim.step` runs on Python floats. This module keeps the array version it
+`sim` runs on Python floats. This module keeps the array versions they
 replaced, operation for operation, so that the tests can require equal
-bytes: the same `StepOutcome` fields and the same post-step arrays. It
-shares with `sim` only what the two paths have in common: the observation
-rows (`sim.observe_all`, handed this module's array geometry), termination
-(`sim.is_terminal`), the evader policy and the evaders' keep-out check.
+bytes: the same `StepOutcome` fields, the same post-step arrays and the
+same observation rows. It shares with `sim` only what the two paths have in
+common: termination (`sim.is_terminal`), the evader policy and the evaders'
+keep-out check.
 """
 
 from __future__ import annotations
@@ -86,6 +87,87 @@ def pursuer_geometry(state) -> ArrayGeometry:
         obstacle=obstacle_clearance_matrix(state.cfg, pts),
         wall=wall_clearances(state.cfg, pts),
     )
+
+
+def wall_closest_points(cfg, pts: np.ndarray) -> np.ndarray:
+    w, h = cfg.site.boundary_width, cfg.site.boundary_height
+    x, y = pts[:, 0], pts[:, 1]
+    which = np.stack([x, w - x, y, h - y]).argmin(axis=0)  # left, right, bottom, top
+    out = pts.copy()
+    out[np.arange(len(pts)), which >> 1] = np.array((0.0, w, 0.0, h))[which]
+    return out
+
+
+def nearest_static_all(cfg, pts: np.ndarray, obstacle: np.ndarray, wall: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per point: (clearance, closest point) over all obstacles and walls.
+
+    `obstacle` and `wall` are the points' `obstacle_clearance_matrix` and wall
+    clearances. A tie goes to the wall, then to the lowest obstacle index.
+    """
+    best_pts = wall_closest_points(cfg, pts)
+    if not obstacle.shape[1]:
+        return wall.copy(), best_pts
+    nearest = obstacle.argmin(axis=1)
+    clear = obstacle[np.arange(len(pts)), nearest]
+    wins = clear < wall
+    xy = pts.tolist()
+    for i in np.flatnonzero(wins).tolist():
+        best_pts[i] = cfg.site.obstacles[nearest[i]].closest_point(*xy[i])
+    return np.where(wins, clear, wall), best_pts
+
+
+def relative_blocks(origins: np.ndarray, headings: np.ndarray, targets: np.ndarray, reception: float, visible_mask=None):
+    """(n_origins, n_targets, 3) blocks of (dist/reception, bearing/pi, mask)."""
+    dx = targets[None, :, 0] - origins[:, None, 0]
+    dy = targets[None, :, 1] - origins[:, None, 1]
+    d = np.hypot(dx, dy)
+    vis = d <= reception
+    if visible_mask is not None:
+        vis &= visible_mask[None, :]
+    bearing = geometry.wrap_angle(np.arctan2(dy, dx) - headings[:, None])
+    block = np.zeros(d.shape + (3,))
+    block[..., 0] = np.where(vis, d / reception, 0.0)
+    block[..., 1] = np.where(vis, bearing / np.pi, 0.0)
+    block[..., 2] = vis
+    return block
+
+
+def observe_all(state, geom: ArrayGeometry | None = None) -> np.ndarray:
+    """`sim.observe_all` on numpy arrays."""
+    cfg = state.cfg
+    reception = cfg.players.reception_range
+    P = state.pursuers
+    n = cfg.players.num_p
+    headings = P[:, 2]
+
+    ev_block = relative_blocks(P, headings, state.evaders, reception, visible_mask=~state.captured)
+
+    if geom is None:
+        geom = pursuer_geometry(state)
+    clear, pts = nearest_static_all(cfg, P[:, :2], geom.obstacle, geom.wall)
+    angle = geometry.wrap_angle(np.arctan2(pts[:, 1] - P[:, 1], pts[:, 0] - P[:, 0]) - headings)
+    o_vis = clear <= reception
+    ob_block = np.zeros((n, 3))
+    ob_block[:, 0] = np.where(o_vis, np.maximum(clear, 0.0) / reception, 0.0)
+    ob_block[:, 1] = np.where(o_vis, angle / np.pi, 0.0)
+    ob_block[:, 2] = o_vis
+
+    tm_block = relative_blocks(P, headings, P, reception)
+    off_diag = ~np.eye(n, dtype=bool)
+    tm_block = tm_block[off_diag].reshape(n, n - 1, 3)
+
+    return np.concatenate([ev_block.reshape(n, -1), ob_block, tm_block.reshape(n, -1)], axis=1)
+
+
+def central_observation(state, learner_obs: np.ndarray) -> np.ndarray:
+    """`sim.central_observation` on numpy arrays."""
+    cfg = state.cfg
+    ev = np.zeros(2 * cfg.players.num_e, dtype=np.float64)
+    for e in range(cfg.players.num_e):
+        if not state.captured[e]:
+            ev[2 * e] = 2.0 * state.evaders[e, 0] / cfg.site.boundary_width - 1.0
+            ev[2 * e + 1] = 2.0 * state.evaders[e, 1] / cfg.site.boundary_height - 1.0
+    return np.concatenate([learner_obs.reshape(-1), ev])
 
 
 def min_pursuer_distances(pursuers: np.ndarray, evaders: np.ndarray, captured: np.ndarray) -> np.ndarray:
@@ -209,7 +291,7 @@ def step(state, actions, observe: bool = True) -> sim.StepOutcome:
     state.terminal = sim.is_terminal(state, collisions)
 
     return sim.StepOutcome(
-        observations=sim.observe_all(state, geom) if observe else None,
+        observations=observe_all(state, geom) if observe else None,
         reward=reward,
         terminal=state.terminal,
         captures=captures,

@@ -149,6 +149,13 @@ def test_run_evaluation_reads_each_checkpoint_once(tmp_path, monkeypatch):
     assert par.to_json() == seq.to_json()
 
 
+def test_load_checkpoint_rejects_an_unknown_kind(tmp_path):
+    path = tmp_path / "odd.zip"
+    nn.save_arrays(path, "critic_only", [("w", np.zeros(3, dtype=np.float32))])
+    with pytest.raises(ValueError, match="unknown checkpoint kind 'critic_only'"):
+        evalkit.load_checkpoint(path)
+
+
 def test_ast_bounded_by_horizon():
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     zoo = evalkit.ZooSpec(zoo_id="zoo1", members=("greedy",))

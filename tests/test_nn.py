@@ -303,13 +303,6 @@ def test_checkpoint_missing_array_is_value_error(tmp_path):
         arrays["critic.w0"]
 
 
-def test_checkpoint_kind_mismatch_is_value_error(tmp_path):
-    manifest, params = _saved_parts(tmp_path)
-    _write_archive(tmp_path / "ok.zip", manifest, params)
-    with pytest.raises(ValueError, match="is not naht_d"):
-        nn.load_arrays(tmp_path / "ok.zip", kind="naht_d")
-
-
 def test_checkpoint_resave_is_byte_identical(tmp_path):
     # entries carry a fixed timestamp instead of the wall clock
     arrays = [("w", np.arange(6, dtype=np.float32))]

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -256,9 +257,8 @@ def test_nearest_obstacle_block_reflects_wall(env_4p2e3o):
         evaders=[[0.3, 4.5, 0.0], [3.3, 4.5, 0.0]],
     )
     geom = geometry_of(state)
-    obstacle, wall = np.array(geom.obstacle), np.array(geom.wall)
-    clear, points = sim.nearest_static_all(env_4p2e3o, state.pursuers[:1, :2], obstacle[:1], wall[:1])
-    clearance, point = float(clear[0]), tuple(points[0])
+    clear, points = sim.nearest_static_all(env_4p2e3o, state.pursuers.tolist()[:1], geom.obstacle[:1], geom.wall[:1])
+    clearance, point = clear[0], points[0]
     brute = min(
         [ob.clearance(0.05, 2.5) for ob in env_4p2e3o.site.obstacles]
         + [geometry.boundary_clearance(0.05, 2.5, 3.6, 5.0)]
@@ -375,6 +375,19 @@ def test_action_validation(env_4p2e3o):
     sim.step(state, [5.0, 0.0, 0.0, 0.0])
     turned = geometry.wrap_angle(state.pursuers[0, 2] - before)
     assert turned == pytest.approx(sim.OMEGA_MAX / env_4p2e3o.task.fps)
+
+
+@pytest.mark.parametrize("slot, bad", [(0, math.nan), (2, math.inf), (3, -math.inf)])
+def test_step_rejects_non_finite_steer(env_4p2e3o, slot, bad):
+    # a NaN pose would never collide or capture again, so the step refuses it
+    state, _ = sim.reset(env_4p2e3o, seed=1)
+    before, rng_state = copy.deepcopy(state), state.rng.bit_generator.state
+    actions = [0.0] * 4
+    actions[slot] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        sim.step(state, actions)
+    assert_states_equal(state, before)
+    assert state.rng.bit_generator.state == rng_state
 
 
 def test_shaping_telescopes_on_monotone_approach():

@@ -2,8 +2,9 @@
 
 The oracles below are the scalar-loop versions of `nearest_static_all`,
 `detect_collisions` and `_proximity_count`: one obstacle at a time, one
-pursuer at a time. The simulator's versions (float rows for the step, arrays
-for the observations) must give the same bytes on any pursuer layout, including points inside obstacles, points outside the walls,
+pursuer at a time. The simulator's versions, on float rows, and the array
+`nearest_static_all` of `sim_oracle` must give the same bytes on any pursuer
+layout, including points inside obstacles, points outside the walls,
 pursuers within `capture_range` of each other, and exact ties between two
 obstacles or between an obstacle and a wall (the `ties` arena, whose
 dyadic sizes make such ties exact).
@@ -173,7 +174,10 @@ def test_geometry_equals_the_per_obstacle_oracles(name):
         assert same_bytes(wall, oracle_wall_clearances(cfg, pts))
 
         want_clear, want_pts = oracle_nearest_static_all(cfg, pts)
-        clear, points = sim.nearest_static_all(cfg, pts, obstacle, wall)
+        clear, points = sim.nearest_static_all(cfg, state.pursuers.tolist(), geom.obstacle, geom.wall)
+        assert same_bytes(clear, want_clear)
+        assert same_bytes(points, want_pts)
+        clear, points = sim_oracle.nearest_static_all(cfg, pts, obstacle, wall)
         assert same_bytes(clear, want_clear)
         assert same_bytes(points, want_pts)
 
@@ -193,9 +197,9 @@ def test_ties_go_to_the_wall_then_to_the_lowest_obstacle():
     assert geom.obstacle[0][0] == geom.obstacle[0][1] == 0.25
     assert geom.obstacle[1][1] == geom.obstacle[1][2] == 0.25
     assert geom.obstacle[2][0] == geom.wall[2] == 0.375
-    clear, points = sim.nearest_static_all(cfg, pursuers[:, :2], np.array(geom.obstacle), np.array(geom.wall))
-    assert clear.tolist() == [0.25, 0.25, 0.375, 0.375]
-    assert points.tolist() == [[1.25, 2.5], [2.25, 2.5], [0.0, 2.5], [0.0, 2.375]]
+    clear, points = sim.nearest_static_all(cfg, pursuers.tolist(), geom.obstacle, geom.wall)
+    assert clear == [0.25, 0.25, 0.375, 0.375]
+    assert points == [(1.25, 2.5), (2.25, 2.5), (0.0, 2.5), (0.0, 2.375)]
     want_clear, want_points = oracle_nearest_static_all(cfg, pursuers[:, :2])
     assert same_bytes(clear, want_clear) and same_bytes(points, want_points)
 

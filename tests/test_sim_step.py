@@ -1,19 +1,23 @@
-"""`sim.step` on Python floats against its numpy oracle, bitwise.
+"""`sim.step` and the observations on Python floats against their numpy
+oracles, bitwise.
 
-`sim_oracle.step` is the array step that the float step replaced. Both run
-from copies of one state; the outcome (reward bits, terminal, capture and
-collision events, observation bytes) and the post-step arrays must be equal.
-States are drawn on and near every threshold the step compares against:
-capture range and the drone proximity band between drones, the safe radius
-and its band at obstacle rims, rectangle corners and walls, points inside
-obstacles and outside the arena, captured evaders, the last step of the
+`sim_oracle.step` is the array step that the float step replaced, and
+`sim_oracle.observe_all` the array observations. Both steps run from copies
+of one state; the outcome (reward bits, terminal, capture and collision
+events, observation bytes) and the post-step arrays must be equal. States
+are drawn on and near every threshold the step and the observations compare
+against: capture range and the drone proximity band between drones, the
+safe radius and its band at obstacle rims, rectangle corners and walls, the
+reception range, points inside obstacles and outside the arena, coordinates
+of +-0.0, exact clearance ties, captured evaders, the last step of the
 horizon, and steer commands outside [-1, 1].
 
-The float step reproduces numpy's bits through libm: `abs(complex(dx, dy))`
+The float code reproduces numpy's bits through libm: `abs(complex(dx, dy))`
 and `np.hypot` both call `hypot`, `math.cos`/`math.sin` match `np.cos`/
-`np.sin`. Those are facts of a numpy build and a CPU, so these tests run on
-the platform that `tests/golden/hashes.json` was recorded on and skip
-elsewhere, as the golden tests do.
+`np.sin`, and one `np.arctan2` call over all bearings gives each the bits of
+the oracle's per-block calls. Those are facts of a numpy build and a CPU, so
+these tests run on the platform that `tests/golden/hashes.json` was recorded
+on and skip elsewhere, as the golden tests do.
 """
 
 import copy
@@ -28,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pursuit_lab import config, sim
+from pursuit_lab import config, geometry, sim
 import sim_oracle
 from conftest import make_state, open_arena, ties_arena
 
@@ -50,15 +54,22 @@ def jitter():
 
 @st.composite
 def points(draw, cfg, earlier):
-    """(x, y) anywhere (up to 0.2 m outside the walls), at a threshold from a
-    wall, an obstacle rim or corner, or an earlier drone."""
+    """(x, y) anywhere (up to 0.2 m outside the walls), on a 1/8 m grid, with
+    a coordinate of +-0.0, or at a threshold (reception range included) from
+    a wall, an obstacle rim or corner, or an earlier drone."""
     w, h = cfg.site.boundary_width, cfg.site.boundary_height
-    task = cfg.task
-    static_gaps = [0.0, task.safe_radius, task.safe_radius + sim.PROX_BAND, -0.05]
-    kinds = ["anywhere", "wall"] + (["obstacle"] if cfg.site.obstacles else []) + (["drone"] if earlier else [])
+    task, reception = cfg.task, cfg.players.reception_range
+    static_gaps = [0.0, task.safe_radius, task.safe_radius + sim.PROX_BAND, reception, -0.05]
+    kinds = ["anywhere", "grid", "signed-zero", "wall"]
+    kinds += (["obstacle"] if cfg.site.obstacles else []) + (["drone"] if earlier else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "anywhere":
         return draw(st.floats(-0.2, w + 0.2)), draw(st.floats(-0.2, h + 0.2))
+    if kind == "grid":  # exact distances, and exact clearance ties in the ties arena
+        return draw(st.integers(-1, int(8 * w) + 1)) / 8.0, draw(st.integers(-1, int(8 * h) + 1)) / 8.0
+    if kind == "signed-zero":  # differences of +-0.0, and a wall clearance of -0.0
+        zero, other = draw(st.sampled_from([0.0, -0.0])), draw(st.floats(0.0, min(w, h)))
+        return (zero, other) if draw(st.booleans()) else (other, zero)
     gap = draw(st.sampled_from(static_gaps)) + draw(jitter())
     if kind == "wall":
         x, y = draw(st.floats(0.0, w)), draw(st.floats(0.0, h))
@@ -80,8 +91,9 @@ def points(draw, cfg, earlier):
             return cx + sx * (hx + gap), cy + draw(st.floats(-hy, hy))
         return cx + draw(st.floats(-hx, hx)), cy + sy * (hy + gap)
     ox, oy = draw(st.sampled_from(earlier))
-    dist = draw(st.sampled_from([task.capture_range, task.capture_range + sim.PROX_BAND, 0.0])) + draw(jitter())
-    angle = draw(st.floats(-math.pi, math.pi))
+    dist = draw(st.sampled_from([task.capture_range, task.capture_range + sim.PROX_BAND, reception, 0.0]))
+    dist += draw(jitter())
+    angle = draw(st.sampled_from([0.0, math.pi]) | st.floats(-math.pi, math.pi))
     return ox + dist * math.cos(angle), oy + dist * math.sin(angle)
 
 
@@ -140,6 +152,30 @@ def test_float_step_equals_the_numpy_oracle_bitwise(name):
     check()
 
 
+def with_reception(cfg, reception):
+    return replace(cfg, players=replace(cfg.players, reception_range=reception))
+
+
+@pytest.mark.parametrize("name", ARENAS)
+def test_float_observations_equal_the_numpy_oracle_bitwise(name):
+    # below the arena's half width a static clearance can equal the range
+    cfg = ARENAS[name]
+    ranges = [cfg.players.reception_range, 1.0, 0.5]
+
+    @EXAMPLES
+    @given(st.sampled_from(ranges).flatmap(lambda r: scenes(with_reception(cfg, r))))
+    def check(scene):
+        state, _ = scene
+        want = sim_oracle.observe_all(state)
+        assert same_bytes(sim.observe_all(state), want)
+        geom = sim.pursuer_geometry(state.cfg, state.pursuers.tolist())
+        assert same_bytes(sim.observe_all(state, geom), want)
+        learner_obs = want[:2]
+        assert same_bytes(sim.central_observation(state, learner_obs), sim_oracle.central_observation(state, learner_obs))
+
+    check()
+
+
 @pytest.mark.parametrize("name", config.BUILTIN_ENV_NAMES)
 def test_float_episodes_equal_the_numpy_oracle_bitwise(name):
     # whole episodes: every step of each, from a reset, random steering
@@ -181,3 +217,39 @@ def test_abs_complex_is_numpy_hypot():
     want = np.hypot(xy[:, 0], xy[:, 1])
     got = np.array([abs(complex(dx, dy)) for dx, dy in xy.tolist()])
     assert same_bytes(got, want)
+
+
+def bearing_inputs(n):
+    rng = np.random.default_rng(5)
+    scale = 10.0 ** rng.integers(-8, 3, size=(n, 2))
+    dydx = rng.normal(size=(n, 2)) * scale
+    edges = [0.0, -0.0, 1e-300, -1e-300, 2.0, -2.0, math.inf, -math.inf]
+    dydx = np.concatenate([dydx, np.array([(a, b) for a in edges for b in edges])])
+    return dydx[:, 0].copy(), dydx[:, 1].copy()
+
+
+def test_one_flat_arctan2_call_is_the_per_shape_calls():
+    # observe_all gathers every bearing into one call; the array oracle
+    # calls np.arctan2 on (origins, targets) blocks and on (num_p,) columns
+    dy, dx = bearing_inputs(200_000)
+    flat = np.arctan2(dy, dx)
+    for length in (1, 3, 7, 8, 13, 24, 40):
+        chunks = [np.arctan2(dy[i : i + length], dx[i : i + length]) for i in range(0, len(dy), length)]
+        assert same_bytes(np.concatenate(chunks), flat)
+    for cols in (2, 3, 4):
+        cut = len(dy) - len(dy) % cols
+        block = np.arctan2(dy[:cut].reshape(-1, cols), dx[:cut].reshape(-1, cols))
+        assert same_bytes(block.reshape(-1), flat[:cut])
+    assert same_bytes(np.arctan2(dy[1::3], dx[1::3]), flat[1::3])
+    scalars = [float(np.arctan2(np.float64(a), np.float64(b))) for a, b in zip(dy[:20_000].tolist(), dx[:20_000].tolist())]
+    assert same_bytes(np.array(scalars), flat[:20_000])
+
+
+def test_scalar_wrap_angle_is_the_array_form():
+    # the float step wraps headings, observe_all wraps arctan2 - heading
+    dy, dx = bearing_inputs(200_000)
+    rng = np.random.default_rng(6)
+    headings = rng.uniform(-math.pi, math.pi, len(dy))
+    for angles in (np.arctan2(dy, dx) - headings, rng.uniform(-4 * math.pi, 4 * math.pi, len(dy))):
+        want = geometry.wrap_angle(angles)
+        assert same_bytes(np.array([geometry.wrap_angle(a) for a in angles.tolist()]), want)
