@@ -117,7 +117,7 @@ def play_episode(env_cfg: EnvConfig, slot_policies, seed: int, log=None) -> Epis
     """Run one full episode with the given per-slot policies.
 
     The steps build observation rows only when some slot reads them
-    (`needs_obs`); a slot that does not is handed None for its row.
+    (`needs_obs`); otherwise every slot is handed None for them.
     """
     state, obs = sim.reset(env_cfg, seed)
     ep_rng = substream(seed, "policies")
@@ -129,8 +129,7 @@ def play_episode(env_cfg: EnvConfig, slot_policies, seed: int, log=None) -> Epis
     while state.terminal == sim.RUNNING:
         actions = np.zeros(env_cfg.players.num_p)
         for i, pol in enumerate(slot_policies):
-            view = sim.pursuer_view(state, i) if pol.needs_view else None
-            actions[i] = pol.act(obs[i] if pol.needs_obs else None, view)
+            actions[i] = pol.act(state, i, obs)
         out = sim.step(state, actions, observe=observe)
         if log is not None:
             log.record_step(state, actions, out)

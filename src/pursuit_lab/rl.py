@@ -331,14 +331,14 @@ def ppo_update(model: ActorCritic, opt: nn.AdamState, batch: PpoBatch, cfg: PpoC
 # Slot policies (runtime behavior of non-learner pursuer slots)
 #
 # A slot policy has `begin_episode(rng) -> actor`, called once per episode
-# and slot with the episode's policy rng, and the actor's `act(obs_row,
-# view) -> steer` drives that slot for that episode. A stateless policy is
-# its own actor; a policy with per-episode state (an rng, a history window)
-# returns an `EpisodeActor` holding a fresh copy of that state, so that one
-# policy object can fill several slots of one episode. Two attributes say
-# what `act` reads, so that the episode loop builds only that: `needs_view`
-# asks for the slot's `sim.pursuer_view` (else view is None) and `needs_obs`
-# for its observation row (else obs_row may be None).
+# and slot with the episode's policy rng, and the actor's `act(world, slot,
+# obs) -> steer` drives pursuer `slot` of the `sim.WorldState` `world` for
+# that episode; `obs` holds the step's observation rows, one per pursuer. A
+# stateless policy is its own actor; a policy with per-episode state (an rng,
+# a history window) returns an `EpisodeActor` holding a fresh copy of that
+# state, so that one policy object can fill several slots of one episode.
+# `needs_obs` says whether `act` reads `obs`; when no slot of an episode
+# does, its steps build no observations and `obs` is None.
 # ---------------------------------------------------------------------------
 
 class EpisodeActor:
@@ -348,11 +348,10 @@ class EpisodeActor:
     def __init__(self, policy, state):
         self.policy = policy
         self.state = state
-        self.needs_view = policy.needs_view
         self.needs_obs = policy.needs_obs
 
-    def act(self, obs_row, view) -> float:
-        return self.policy.act(obs_row, view, self.state)
+    def act(self, world, slot: int, obs) -> float:
+        return self.policy.act(world, slot, obs, self.state)
 
 
 def episode_rng(rng: np.random.Generator) -> np.random.Generator:
@@ -361,9 +360,8 @@ def episode_rng(rng: np.random.Generator) -> np.random.Generator:
 
 
 class ScriptedSlotPolicy:
-    """Wraps a scripted pursuer function; acts from the AgentView."""
+    """Wraps a scripted pursuer function; acts from the slot's `sim.pursuer_view`."""
 
-    needs_view = True
     needs_obs = False
 
     def __init__(self, policy_id: str):
@@ -373,20 +371,19 @@ class ScriptedSlotPolicy:
     def begin_episode(self, rng: np.random.Generator) -> "ScriptedSlotPolicy":
         return self
 
-    def act(self, obs_row, view) -> float:
-        return self._fn(view)
+    def act(self, world, slot: int, obs) -> float:
+        return self._fn(sim.pursuer_view(world, slot))
 
 
 class RandomSlotPolicy:
     """Uniform random steering from a per-episode rng."""
 
-    needs_view = False
     needs_obs = False
 
     def begin_episode(self, rng: np.random.Generator) -> EpisodeActor:
         return EpisodeActor(self, episode_rng(rng))
 
-    def act(self, obs_row, view, rng: np.random.Generator) -> float:
+    def act(self, world, slot: int, obs, rng: np.random.Generator) -> float:
         return float(rng.uniform(-1.0, 1.0))
 
 
@@ -394,7 +391,6 @@ class NetSlotPolicy:
     """Frozen actor-critic policy driving one pursuer slot: the action mean
     when deterministic, else a sample from the episode-seeded rng."""
 
-    needs_view = False
     needs_obs = True
 
     def __init__(self, model: ActorCritic, deterministic: bool = True):
@@ -407,11 +403,12 @@ class NetSlotPolicy:
         own = episode_rng(rng)
         return self if self.deterministic else EpisodeActor(self, own)
 
-    def act(self, obs_row, view, rng: np.random.Generator | None = None) -> float:
+    def act(self, world, slot: int, obs, rng: np.random.Generator | None = None) -> float:
         """The action mean without `rng`, else a sample drawn from it."""
+        row = obs[slot : slot + 1]
         if rng is None:
-            return float(self.model.action_mean(obs_row[None, :])[0, 0])
-        action, _ = self.model.act(obs_row[None, :], rng)
+            return float(self.model.action_mean(row)[0, 0])
+        action, _ = self.model.act(row, rng)
         return float(action[0, 0])
 
 
@@ -525,9 +522,8 @@ class RolloutCollector:
 
             all_actions = np.zeros(self.env_cfg.players.num_p)
             all_actions[:n] = actions[:, 0]
-            for k, pol in enumerate(self._slot_policies):
-                view = sim.pursuer_view(self.state, n + k) if pol.needs_view else None
-                all_actions[n + k] = pol.act(obs[n + k], view)
+            for k, pol in enumerate(self._slot_policies, n):
+                all_actions[k] = pol.act(self.state, k, obs)
             self._record_step(learner_obs, all_actions)
 
             out = sim.step(self.state, all_actions)

@@ -18,10 +18,10 @@ and thresholds come from the config: drone-drone collision and capture both
 trigger below `capture_range`, drone-obstacle and drone-wall collision below
 `safe_radius` clearance.
 
-A step runs on Python floats: it takes one `tolist()` snapshot of the
-pursuer, evader and capture arrays, and writes them back once. Its bits are
-those of the same arithmetic on numpy arrays (the oracle in
-`tests/sim_oracle.py`), by these rules, checked for numpy 2.4 on x86_64:
+The state is Python floats: one [x, y, heading] list per drone and one
+bool per evader, which a step updates in place. Its bits are those of the
+same arithmetic on numpy arrays (the oracle in `tests/sim_oracle.py`), by
+these rules, checked for numpy 2.4 on x86_64:
 
 - every distance where numpy would call `np.hypot` (pair distances, circle
   clearances, rectangle-corner clearances) is `abs(complex(dx, dy))`, which
@@ -42,8 +42,8 @@ those of the same arithmetic on numpy arrays (the oracle in
   pre-step poses, never cached on the state, which callers may edit.
 
 The observations (`observe_all`, `nearest_static_all`, `central_observation`)
-run on Python floats too, from one `tolist()` snapshot of their own, and
-reuse the step's float geometry when the step passes it. Their bits are those
+read the same rows, and reuse the step's float geometry when the step
+passes it. Their bits are those
 of the array code in `tests/sim_oracle.py`, by the rules above and these:
 
 - the bearings of every visible entry of every row come from one
@@ -116,13 +116,14 @@ class CollisionEvent:
 
 @dataclass
 class WorldState:
-    """Joint simulator state. Arrays are row-per-agent [x, y, heading]."""
+    """Joint simulator state: one [x, y, heading] list of floats per drone
+    and one capture flag per evader, which `step` updates in place."""
 
     cfg: EnvConfig
     step: int
-    pursuers: np.ndarray  # (num_p, 3) float64
-    evaders: np.ndarray  # (num_e, 3) float64
-    captured: np.ndarray  # (num_e,) bool
+    pursuers: list[list[float]]  # num_p rows
+    evaders: list[list[float]]  # num_e rows
+    captured: list[bool]  # num_e flags
     terminal: str
     rng: np.random.Generator
 
@@ -206,9 +207,9 @@ def reset(cfg: EnvConfig, seed: int) -> tuple[WorldState, np.ndarray]:
     state = WorldState(
         cfg=cfg,
         step=0,
-        pursuers=np.array([[x, y, h] for (x, y), h in zip(pos_p, headings_p)], dtype=np.float64),
-        evaders=np.array([[x, y, h] for (x, y), h in zip(pos_e, headings_e)], dtype=np.float64),
-        captured=np.zeros(p.num_e, dtype=bool),
+        pursuers=[[x, y, h] for (x, y), h in zip(pos_p, headings_p)],
+        evaders=[[x, y, h] for (x, y), h in zip(pos_e, headings_e)],
+        captured=[False] * p.num_e,
         terminal=RUNNING,
         rng=rng,
     )
@@ -280,8 +281,8 @@ def observe_all(state: WorldState, geom: PursuerGeometry | None = None) -> np.nd
     """
     cfg = state.cfg
     reception = cfg.players.reception_range
-    pursuers = state.pursuers.tolist()
-    evaders = [None if done else pose for pose, done in zip(state.evaders.tolist(), state.captured.tolist())]
+    pursuers = state.pursuers
+    evaders = [None if done else pose for pose, done in zip(state.evaders, state.captured)]
     if geom is None:
         geom = pursuer_geometry(cfg, pursuers)
     clears, points = nearest_static_all(cfg, pursuers, geom.obstacle, geom.wall)
@@ -316,7 +317,7 @@ def central_observation(state: WorldState, learner_obs: np.ndarray) -> np.ndarra
     """
     w, h = state.cfg.site.boundary_width, state.cfg.site.boundary_height
     ev = []
-    for (x, y, _), done in zip(state.evaders.tolist(), state.captured.tolist()):
+    for (x, y, _), done in zip(state.evaders, state.captured):
         ev += (0.0, 0.0) if done else (2.0 * x / w - 1.0, 2.0 * y / h - 1.0)
     return np.concatenate([learner_obs.reshape(-1), np.array(ev, dtype=np.float64)])
 
@@ -331,9 +332,9 @@ def central_obs_length(cfg: EnvConfig, n_learners: int) -> int:
 
 def pursuer_view(state: WorldState, agent_id: int) -> scripted.AgentView:
     cfg = state.cfg
-    pursuers = state.pursuers.tolist()
+    pursuers = state.pursuers
     x, y, heading = pursuers[agent_id]
-    evaders = zip(state.evaders.tolist(), state.captured.tolist())
+    evaders = zip(state.evaders, state.captured)
     return scripted.AgentView(
         x=x,
         y=y,
@@ -492,7 +493,7 @@ def is_terminal(state: WorldState, collisions=()) -> str:
     """Terminal classification with precedence collision > success > timeout."""
     if collisions:
         return COLLISION
-    if state.captured.all():
+    if all(state.captured):
         return SUCCESS
     if state.step >= state.cfg.task.task_horizon:
         return TIMEOUT
@@ -575,10 +576,7 @@ def step(state: WorldState, actions, observe: bool = True) -> StepOutcome:
     if not all(map(math.isfinite, steer)):
         raise ValueError(f"steer commands must be finite, got {steer}")
 
-    # One snapshot in, float arithmetic throughout, one write-back below.
-    pursuers = state.pursuers.tolist()
-    evaders = state.evaders.tolist()
-    captured = state.captured.tolist()
+    pursuers, evaders, captured = state.pursuers, state.evaders, state.captured
     prev_nearest = _nearest_pursuers(pursuers, evaders, captured)
     dt = 1.0 / cfg.task.fps
 
@@ -606,9 +604,6 @@ def step(state: WorldState, actions, observe: bool = True) -> StepOutcome:
     collisions = detect_collisions(cfg, geom)
     reward = compute_reward(cfg, prev_nearest, nearest, captured, captures, collisions, geom)
 
-    state.pursuers[:] = pursuers
-    state.evaders[:] = evaders
-    state.captured[:] = captured
     state.step += 1
     state.terminal = is_terminal(state, collisions)
 
@@ -655,9 +650,9 @@ class TrajectoryLog:
         return {
             "schema_version": TRAJECTORY_SCHEMA_VERSION,
             "step": state.step,
-            "pursuers": [[float(v) for v in row] for row in state.pursuers],
-            "evaders": [[float(v) for v in row] for row in state.evaders],
-            "captured": [bool(c) for c in state.captured],
+            "pursuers": [list(row) for row in state.pursuers],
+            "evaders": [list(row) for row in state.evaders],
+            "captured": list(state.captured),
             "actions": actions,
             "reward": float(reward),
             "captures": [[ev.evader, ev.pursuer] for ev in captures],

@@ -502,7 +502,6 @@ class NahtSlotPolicy:
     """Runs a NAHT-D checkpoint in one pursuer slot; each episode's actor
     keeps its own history window and rng."""
 
-    needs_view = True
     needs_obs = True
 
     def __init__(self, model: NahtModel, boundary: tuple[float, float], deterministic: bool = True):
@@ -513,8 +512,9 @@ class NahtSlotPolicy:
     def begin_episode(self, rng: np.random.Generator) -> rl.EpisodeActor:
         return rl.EpisodeActor(self, (HistoryWindow(self.model.encoder.layout), rl.episode_rng(rng)))
 
-    def act(self, obs_row, view, episode: tuple[HistoryWindow, np.random.Generator]) -> float:
+    def act(self, world, slot: int, obs, episode: tuple[HistoryWindow, np.random.Generator]) -> float:
         window, rng = episode
+        obs_row = obs[slot]
         emb, _ = encode(self.model.encoder, window.vector()[None, :])
         actor_in = self.model.actor_input(obs_row[None, :], emb)
         if self.deterministic:
@@ -522,8 +522,6 @@ class NahtSlotPolicy:
         else:
             actions, _ = self.model.ac.act(actor_in, rng)
             action = float(actions[0, 0])
-        record = self.model.encoder.layout.step_record(
-            obs_row, (view.x, view.y, view.heading), action, self.boundary
-        )
+        record = self.model.encoder.layout.step_record(obs_row, world.pursuers[slot], action, self.boundary)
         window.push(record)
         return action

@@ -20,14 +20,15 @@ def reduced_4p2e3o(velocity_e=0.3, num_ctrl=4, num_unctrl=0, unseen=()):
 
 
 def make_state(cfg, pursuers, evaders, captured=None, step=0):
-    """A running WorldState with explicit poses."""
+    """A running WorldState with explicit poses (any array-like of shape
+    (num, 3)), held as the float rows and bool flags that `sim` keeps."""
     cap = np.zeros(cfg.players.num_e, dtype=bool) if captured is None else captured
     return sim.WorldState(
         cfg=cfg,
         step=step,
-        pursuers=np.array(pursuers, dtype=np.float64).reshape(cfg.players.num_p, 3),
-        evaders=np.array(evaders, dtype=np.float64).reshape(cfg.players.num_e, 3),
-        captured=np.array(cap, dtype=bool),
+        pursuers=np.array(pursuers, dtype=np.float64).reshape(cfg.players.num_p, 3).tolist(),
+        evaders=np.array(evaders, dtype=np.float64).reshape(cfg.players.num_e, 3).tolist(),
+        captured=np.array(cap, dtype=bool).tolist(),
         terminal=sim.RUNNING,
         rng=substream(0, "fixture"),
     )
@@ -78,8 +79,6 @@ def ties_arena():
 
 
 def assert_states_equal(a, b):
-    np.testing.assert_array_equal(a.pursuers, b.pursuers)
-    np.testing.assert_array_equal(a.evaders, b.evaders)
-    np.testing.assert_array_equal(a.captured, b.captured)
+    assert (a.pursuers, a.evaders, a.captured) == (b.pursuers, b.evaders, b.captured)
     assert a.step == b.step
     assert a.terminal == b.terminal

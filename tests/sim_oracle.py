@@ -3,15 +3,18 @@ of `sim.step`, `sim.observe_all` and `sim.central_observation`.
 
 `sim` runs on Python floats. This module keeps the array versions they
 replaced, operation for operation, so that the tests can require equal
-bytes: the same `StepOutcome` fields, the same post-step arrays and the
-same observation rows. It shares with `sim` only what the two paths have in
-common: termination (`sim.is_terminal`), the evader policy and the evaders'
-keep-out check.
+bytes: the same `StepOutcome` fields, the same post-step rows and the same
+observation rows. Its entry points take the `sim.WorldState` that `sim`
+keeps and compute on an array copy of it (`arrays`); `step` writes the
+result back as float rows. It shares with `sim` only what the two paths
+have in common: termination (`sim.is_terminal`), the evader policy and the
+evaders' keep-out check.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -19,6 +22,18 @@ import numpy as np
 
 from pursuit_lab import geometry, scripted, sim
 from pursuit_lab.config import Obstacle
+
+
+def arrays(state) -> sim.WorldState:
+    """`state` with its rows as a (num, 3) float64 array each and its flags
+    as a bool array: copies of float rows, the same arrays when they are
+    arrays already."""
+    return replace(
+        state,
+        pursuers=np.asarray(state.pursuers, dtype=np.float64).reshape(-1, 3),
+        evaders=np.asarray(state.evaders, dtype=np.float64).reshape(-1, 3),
+        captured=np.asarray(state.captured, dtype=bool),
+    )
 
 
 def pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -81,6 +96,7 @@ class ArrayGeometry(NamedTuple):
 
 
 def pursuer_geometry(state) -> ArrayGeometry:
+    state = arrays(state)
     pts = state.pursuers[:, :2]
     return ArrayGeometry(
         pair=pair_distances(state.pursuers, state.pursuers),
@@ -134,6 +150,7 @@ def relative_blocks(origins: np.ndarray, headings: np.ndarray, targets: np.ndarr
 
 def observe_all(state, geom: ArrayGeometry | None = None) -> np.ndarray:
     """`sim.observe_all` on numpy arrays."""
+    state = arrays(state)
     cfg = state.cfg
     reception = cfg.players.reception_range
     P = state.pursuers
@@ -161,6 +178,7 @@ def observe_all(state, geom: ArrayGeometry | None = None) -> np.ndarray:
 
 def central_observation(state, learner_obs: np.ndarray) -> np.ndarray:
     """`sim.central_observation` on numpy arrays."""
+    state = arrays(state)
     cfg = state.cfg
     ev = np.zeros(2 * cfg.players.num_e, dtype=np.float64)
     for e in range(cfg.players.num_e):
@@ -255,7 +273,17 @@ def advance(row: np.ndarray, steer: float, speed: float, omega_max: float, dt: f
 
 
 def step(state, actions, observe: bool = True) -> sim.StepOutcome:
-    """`sim.step` on numpy arrays."""
+    """`sim.step` on numpy arrays: steps an array copy of `state`, then
+    writes its rows and flags back into `state` as `sim` keeps them."""
+    arr = arrays(state)
+    out = step_arrays(arr, actions, observe)
+    state.pursuers, state.evaders, state.captured = arr.pursuers.tolist(), arr.evaders.tolist(), arr.captured.tolist()
+    state.step, state.terminal = arr.step, arr.terminal
+    return out
+
+
+def step_arrays(state, actions, observe: bool = True) -> sim.StepOutcome:
+    """The array step, in place on an `arrays` state."""
     cfg = state.cfg
     if state.terminal != sim.RUNNING:
         raise RuntimeError(f"step() on a terminal state ({state.terminal})")

@@ -197,7 +197,7 @@ def test_report_serialization(tmp_path):
 # ---------------------------------------------------------------------------
 
 def reference_episode(env_cfg, slot_policies, seed):
-    """`play_episode`'s loop with every step observing and every slot handed its row."""
+    """`play_episode`'s loop with every step observing and every slot handed the rows."""
     state, obs = sim.reset(env_cfg, seed)
     ep_rng = substream(seed, "policies")
     slot_policies = [pol.begin_episode(ep_rng) for pol in slot_policies]
@@ -205,8 +205,7 @@ def reference_episode(env_cfg, slot_policies, seed):
     while state.terminal == sim.RUNNING:
         actions = np.zeros(env_cfg.players.num_p)
         for i, pol in enumerate(slot_policies):
-            view = sim.pursuer_view(state, i) if pol.needs_view else None
-            actions[i] = pol.act(obs[i], view)
+            actions[i] = pol.act(state, i, obs)
         out = sim.step(state, actions, observe=True)
         episode_return += out.reward
         obs = out.observations
@@ -245,9 +244,9 @@ class RecordingNet(rl.NetSlotPolicy):
         super().__init__(model)
         self.rows = []
 
-    def act(self, obs_row, view):
-        self.rows.append(obs_row.copy())
-        return super().act(obs_row, view)
+    def act(self, world, slot, obs):
+        self.rows.append(obs[slot].copy())
+        return super().act(world, slot, obs)
 
 
 def test_a_team_with_a_net_slot_still_receives_its_observation_rows():
@@ -259,6 +258,32 @@ def test_a_team_with_a_net_slot_still_receives_its_observation_rows():
     assert got == want
     assert len(got_net.rows) == got.steps
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got_net.rows, want_net.rows))
+
+
+# ---------------------------------------------------------------------------
+# Only scripted slots build a view
+# ---------------------------------------------------------------------------
+
+def test_views_are_built_only_for_scripted_slots(monkeypatch):
+    cfg = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
+    boundary = (cfg.site.boundary_width, cfg.site.boundary_height)
+    net = rl.init_actor_critic(sim.obs_length(cfg), sim.obs_length(cfg), rl.PpoConfig(), substream(0, "init"))
+    naht = teammate.init_naht_model(cfg, rl.PpoConfig(), substream(0, "init"))
+    real_view = sim.pursuer_view
+    calls = []
+
+    def counting_view(world, slot):
+        calls.append(slot)
+        return real_view(world, slot)
+
+    monkeypatch.setattr(sim, "pursuer_view", counting_view)
+    learned = [rl.NetSlotPolicy(net), rl.RandomSlotPolicy(), teammate.NahtSlotPolicy(naht, boundary),
+               rl.NetSlotPolicy(net, deterministic=False)]
+    record = evalkit.play_episode(cfg, learned, 4)
+    assert record.steps > 0 and calls == []
+
+    record = evalkit.play_episode(cfg, scripted_team(["greedy", "vicsek", "greedy", "vicsek"]), 4)
+    assert calls == [0, 1, 2, 3] * record.steps
 
 
 # ---------------------------------------------------------------------------

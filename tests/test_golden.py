@@ -90,14 +90,13 @@ def step_outcome_hash() -> str:
             rng = substream(seed, "policies")
             policies = [pol.begin_episode(rng) for pol in policies]
             for arr in (obs, state.pursuers, state.evaders):
-                h.update(arr.tobytes())
+                h.update(np.array(arr).tobytes())
             while state.terminal == sim.RUNNING and state.step < STEP_LIMIT:
-                views = [sim.pursuer_view(state, i) if pol.needs_view else None for i, pol in enumerate(policies)]
-                actions = np.array([pol.act(obs[i], views[i]) for i, pol in enumerate(policies)])
+                actions = np.array([pol.act(state, i, obs) for i, pol in enumerate(policies)])
                 out = sim.step(state, actions)
                 obs = out.observations
                 for arr in (actions, obs, state.pursuers, state.evaders, state.captured):
-                    h.update(arr.tobytes())
+                    h.update(np.array(arr).tobytes())
                 h.update(repr((out.reward, out.terminal, out.captures, out.collisions)).encode())
     return h.hexdigest()
 

@@ -200,7 +200,7 @@ def test_collect_rollouts_learner_streams_only():
         all_actions = np.zeros(4)
         all_actions[:2] = actions[:, 0]
         for k in (2, 3):
-            all_actions[k] = rl.ScriptedSlotPolicy("greedy").act(obs[k], sim.pursuer_view(state, k))
+            all_actions[k] = rl.ScriptedSlotPolicy("greedy").act(state, k, obs)
         out = sim.step(state, all_actions)
         if out.terminal != sim.RUNNING:
             break
@@ -283,7 +283,7 @@ def test_ippo_selfplay_smoke_and_checkpoint_roundtrip(tmp_path):
         while state.terminal == sim.RUNNING and state.step < 100:
             out = sim.step(state, model.action_mean(obs)[:, 0])
             obs = out.observations
-            poses.append(state.pursuers.copy())
+            poses.append(np.array(state.pursuers))
         return np.stack(poses)
 
     np.testing.assert_array_equal(eval_traj(res.model), eval_traj(loaded))
@@ -419,8 +419,8 @@ def test_deterministic_net_slot_acts_with_the_action_mean():
     model = make_model(dtype=np.float32)
     rows = substream(0, "rows").normal(size=(20, 5))
     pol = rl.NetSlotPolicy(model, deterministic=True).begin_episode(substream(0, "episode"))
-    for row in rows:
-        assert pol.act(row, None) == float(model.action_mean(row[None, :])[0, 0])
+    for slot, row in enumerate(rows):
+        assert pol.act(None, slot, rows) == float(model.action_mean(row[None, :])[0, 0])
     # begin_episode draws from the episode rng whether or not the slot samples
     draws = []
     for deterministic in (True, False):
@@ -434,19 +434,19 @@ def test_a_running_actor_acts_with_its_policys_current_model():
     # PBT re-points a pool policy's model after an exploit; episodes already
     # running must act with the new model
     old, new = make_model(dtype=np.float32, seed=0), make_model(dtype=np.float32, seed=1)
-    row = substream(0, "rows").normal(size=5)
+    obs = substream(0, "rows").normal(size=(1, 5))
     for deterministic in (True, False):
         pol = rl.NetSlotPolicy(old, deterministic=deterministic)
         actor = pol.begin_episode(substream(0, "episode"))
         pol.model = new
         want = rl.NetSlotPolicy(new, deterministic=deterministic).begin_episode(substream(0, "episode"))
-        assert actor.act(row, None) == want.act(row, None)
+        assert actor.act(None, 0, obs) == want.act(None, 0, obs)
 
 
 def test_random_policy_bounds():
     pol = rl.RandomSlotPolicy().begin_episode(substream(0, "r"))
     for _ in range(100):
-        assert -1.0 <= pol.act(None, None) <= 1.0
+        assert -1.0 <= pol.act(None, 0, None) <= 1.0
 
 
 def scalar_gae(rewards, values, terminals, gamma, lam, bootstrap):

@@ -10,12 +10,12 @@ from conftest import assert_states_equal, make_state, open_arena, reduced_4p2e3o
 
 
 def geometry_of(state):
-    return sim.pursuer_geometry(state.cfg, state.pursuers.tolist())
+    return sim.pursuer_geometry(state.cfg, state.pursuers)
 
 
 def nearest(state, captured=None):
     flags = state.captured if captured is None else captured
-    return sim._nearest_pursuers(state.pursuers.tolist(), state.evaders.tolist(), flags.tolist())
+    return sim._nearest_pursuers(state.pursuers, state.evaders, flags)
 
 
 def collisions(state):
@@ -37,7 +37,7 @@ def test_reset_is_deterministic(env_4p2e3o):
 def test_reset_seed_changes_layout(env_4p2e3o):
     s1, _ = sim.reset(env_4p2e3o, seed=7)
     s2, _ = sim.reset(env_4p2e3o, seed=8)
-    assert not np.array_equal(s1.pursuers, s2.pursuers)
+    assert s1.pursuers != s2.pursuers
 
 
 def test_reset_poses_inside_regions(env_4p2e3o):
@@ -67,10 +67,11 @@ def test_fixed_respawn_layout(env_4p2e3o):
     state, _ = sim.reset(cfg, seed=0)
     region = cfg.players.respawn_region.pursuer
     expected_x = [region.x_min + (i + 0.5) * region.width / 4 for i in range(4)]
-    np.testing.assert_allclose(state.pursuers[:, 0], expected_x)
-    np.testing.assert_allclose(state.pursuers[:, 1], (region.y_min + region.y_max) / 2)
-    np.testing.assert_allclose(state.pursuers[:, 2], math.pi / 2)  # facing arena center
-    np.testing.assert_allclose(state.evaders[:, 2], -math.pi / 2)
+    pursuers, evaders = np.array(state.pursuers), np.array(state.evaders)
+    np.testing.assert_allclose(pursuers[:, 0], expected_x)
+    np.testing.assert_allclose(pursuers[:, 1], (region.y_min + region.y_max) / 2)
+    np.testing.assert_allclose(pursuers[:, 2], math.pi / 2)  # facing arena center
+    np.testing.assert_allclose(evaders[:, 2], -math.pi / 2)
     s2, _ = sim.reset(cfg, seed=99)
     assert_states_equal(state, s2)
 
@@ -82,14 +83,15 @@ def test_straight_step_displacement(env_4p2e3o):
         pursuers=[[1.0, 1.0, 0.0], [1.0, 4.0, math.pi / 2], [2.6, 1.0, math.pi], [2.6, 4.0, -math.pi / 2]],
         evaders=[[0.3, 2.5, 0.0], [3.3, 2.5, 0.0]],
     )
-    before = state.pursuers.copy()
+    before = np.array(state.pursuers)
     sim.step(state, [0.0, 0.0, 0.0, 0.0])
-    moved = state.pursuers[:, :2] - before[:, :2]
+    after = np.array(state.pursuers)
+    moved = after[:, :2] - before[:, :2]
     for i, (dx, dy) in enumerate(moved):
         assert math.hypot(dx, dy) == pytest.approx(0.03, abs=1e-12)
         expected = (0.03 * math.cos(before[i, 2]), 0.03 * math.sin(before[i, 2]))
         assert (dx, dy) == pytest.approx(expected, abs=1e-12)
-    np.testing.assert_array_equal(state.pursuers[:, 2], before[:, 2])
+    np.testing.assert_array_equal(after[:, 2], before[:, 2])
 
 
 def test_capture_within_range(env_4p2e3o):
@@ -147,11 +149,12 @@ def brute_force_events(state):
     found = set()
     n = cfg.players.num_p
     for i in range(n):
-        xi, yi = state.pursuers[i, 0], state.pursuers[i, 1]
+        xi, yi, _ = state.pursuers[i]
         for j in range(n):
             if j <= i:
                 continue
-            d = math.sqrt((xi - state.pursuers[j, 0]) ** 2 + (yi - state.pursuers[j, 1]) ** 2)
+            xj, yj, _ = state.pursuers[j]
+            d = math.sqrt((xi - xj) ** 2 + (yi - yj) ** 2)
             if d < cfg.task.capture_range:
                 found.add(("drone-drone", i, j))
         for k, ob in enumerate(cfg.site.obstacles):
@@ -170,11 +173,9 @@ def brute_force_captures(state):
         if state.captured[e]:
             continue
         best, best_p = None, None
-        for i in range(cfg.players.num_p):
-            d = math.sqrt(
-                (state.pursuers[i, 0] - state.evaders[e, 0]) ** 2
-                + (state.pursuers[i, 1] - state.evaders[e, 1]) ** 2
-            )
+        ex, ey, _ = state.evaders[e]
+        for i, (px, py, _) in enumerate(state.pursuers):
+            d = math.sqrt((px - ex) ** 2 + (py - ey) ** 2)
             if best is None or d < best:
                 best, best_p = d, i
         if best < cfg.task.capture_range:
@@ -257,7 +258,7 @@ def test_nearest_obstacle_block_reflects_wall(env_4p2e3o):
         evaders=[[0.3, 4.5, 0.0], [3.3, 4.5, 0.0]],
     )
     geom = geometry_of(state)
-    clear, points = sim.nearest_static_all(env_4p2e3o, state.pursuers.tolist()[:1], geom.obstacle[:1], geom.wall[:1])
+    clear, points = sim.nearest_static_all(env_4p2e3o, state.pursuers[:1], geom.obstacle[:1], geom.wall[:1])
     clearance, point = clear[0], points[0]
     brute = min(
         [ob.clearance(0.05, 2.5) for ob in env_4p2e3o.site.obstacles]
@@ -276,7 +277,7 @@ def test_nearest_obstacle_block_reflects_wall(env_4p2e3o):
 def transition_reward(prev, nxt, captures=()):
     # both distance passes cover the evaders uncaptured before the transition
     before, after = nearest(prev), nearest(nxt, captured=prev.captured)
-    return sim.compute_reward(nxt.cfg, before, after, nxt.captured.tolist(), list(captures), [], geometry_of(nxt))
+    return sim.compute_reward(nxt.cfg, before, after, nxt.captured, list(captures), [], geometry_of(nxt))
 
 
 def test_reward_stationary_zero():
@@ -318,7 +319,7 @@ def test_terminal_precedence(env_4p2e3o):
         evaders=[[1.05, 2.5, 0.0], [1.1, 2.6, 0.0]],
     )
     assert sim.is_terminal(state, collisions=collisions(state)) == sim.COLLISION
-    state.captured[:] = True
+    state.captured = [True] * len(state.captured)
     assert sim.is_terminal(state, collisions=collisions(state)) == sim.COLLISION
     assert sim.is_terminal(state, collisions=[]) == sim.SUCCESS
 
@@ -331,7 +332,7 @@ def test_timeout_terminal(env_4p2e3o):
         step=env_4p2e3o.task.task_horizon,
     )
     assert sim.is_terminal(state, collisions=[]) == sim.TIMEOUT
-    state.captured[:] = True
+    state.captured = [True] * len(state.captured)
     assert sim.is_terminal(state, collisions=[]) == sim.SUCCESS  # success beats timeout
 
 
@@ -344,12 +345,12 @@ def test_captured_evaders_stay_frozen():
     )
     out = sim.step(state, [0.0, 0.0])
     assert any(ev.evader == 0 for ev in out.captures)
-    frozen = state.evaders[0].copy()
+    frozen = list(state.evaders[0])
     for _ in range(5):
         if state.terminal != sim.RUNNING:
             break
         sim.step(state, [0.0, 0.0])
-        np.testing.assert_array_equal(state.evaders[0], frozen)
+        assert state.evaders[0] == frozen
         # captured evader is masked in observations
         assert tuple(sim.observe_all(state)[0][0:3]) == (0.0, 0.0, 0.0)
 
@@ -361,9 +362,9 @@ def test_headings_stay_normalized_positions_finite(env_4p2e3o):
         if state.terminal != sim.RUNNING:
             break
         sim.step(state, rng.uniform(-1, 1, size=4))
-        assert np.all(np.isfinite(state.pursuers)) and np.all(np.isfinite(state.evaders))
-        assert np.all(state.pursuers[:, 2] > -math.pi) and np.all(state.pursuers[:, 2] <= math.pi)
-        assert np.all(state.evaders[:, 2] > -math.pi) and np.all(state.evaders[:, 2] <= math.pi)
+        for rows in (np.array(state.pursuers), np.array(state.evaders)):
+            assert np.all(np.isfinite(rows))
+            assert np.all(rows[:, 2] > -math.pi) and np.all(rows[:, 2] <= math.pi)
 
 
 def test_action_validation(env_4p2e3o):
@@ -371,9 +372,9 @@ def test_action_validation(env_4p2e3o):
     with pytest.raises(ValueError):
         sim.step(state, [0.0, 0.0])  # wrong length
     # out-of-range commands are clamped, not rejected
-    before = state.pursuers[0, 2]
+    before = state.pursuers[0][2]
     sim.step(state, [5.0, 0.0, 0.0, 0.0])
-    turned = geometry.wrap_angle(state.pursuers[0, 2] - before)
+    turned = geometry.wrap_angle(state.pursuers[0][2] - before)
     assert turned == pytest.approx(sim.OMEGA_MAX / env_4p2e3o.task.fps)
 
 
@@ -451,5 +452,5 @@ def test_step_without_observations_changes_nothing_else(name):
             skipped.terminal, skipped.captures, skipped.collisions
         )
         for x, y in [(a.pursuers, b.pursuers), (a.evaders, b.evaders), (a.captured, b.captured)]:
-            assert x.tobytes() == y.tobytes()
+            assert np.array(x).tobytes() == np.array(y).tobytes()
         assert (a.step, a.terminal) == (b.step, b.terminal)

@@ -76,17 +76,16 @@ def oracle_nearest_static_all(cfg, pts):
     return best, best_pts
 
 
-def oracle_detect_collisions(state):
-    cfg = state.cfg
+def oracle_detect_collisions(cfg, pursuers):
     events = []
     num_p = cfg.players.num_p
-    d = sim_oracle.pair_distances(state.pursuers, state.pursuers)
+    d = sim_oracle.pair_distances(pursuers, pursuers)
     for i in range(num_p):
         for j in range(i + 1, num_p):
             if d[i, j] < cfg.task.capture_range:
                 events.append(sim.CollisionEvent(kind="drone-drone", agents=(i, j)))
-    oc = oracle_clearance_matrix(cfg, state.pursuers[:, :2])
-    wc = oracle_wall_clearances(cfg, state.pursuers[:, :2])
+    oc = oracle_clearance_matrix(cfg, pursuers[:, :2])
+    wc = oracle_wall_clearances(cfg, pursuers[:, :2])
     for i in range(num_p):
         for k in range(oc.shape[1]):
             if oc[i, k] < cfg.task.safe_radius:
@@ -96,14 +95,13 @@ def oracle_detect_collisions(state):
     return events
 
 
-def oracle_proximity_count(state):
-    cfg = state.cfg
+def oracle_proximity_count(cfg, pursuers):
     dd = cfg.task.capture_range
-    d = sim_oracle.pair_distances(state.pursuers, state.pursuers)
+    d = sim_oracle.pair_distances(pursuers, pursuers)
     np.fill_diagonal(d, np.inf)
     drone_band = np.any((d >= dd) & (d < dd + sim.PROX_BAND), axis=1)
-    oc = oracle_clearance_matrix(cfg, state.pursuers[:, :2])
-    wc = oracle_wall_clearances(cfg, state.pursuers[:, :2])
+    oc = oracle_clearance_matrix(cfg, pursuers[:, :2])
+    wc = oracle_wall_clearances(cfg, pursuers[:, :2])
     static = np.min(np.column_stack([oc, wc]), axis=1) if oc.shape[1] else wc
     static_band = (static >= cfg.task.safe_radius) & (static < cfg.task.safe_radius + sim.PROX_BAND)
     return int(np.sum(drone_band | static_band))
@@ -166,24 +164,24 @@ def test_geometry_equals_the_per_obstacle_oracles(name):
     @given(layouts(cfg))
     def check(pursuers):
         state = scene(cfg, pursuers)
-        pts = state.pursuers[:, :2]
-        geom = sim.pursuer_geometry(cfg, state.pursuers.tolist())
+        pts = pursuers[:, :2]
+        geom = sim.pursuer_geometry(cfg, state.pursuers)
         obstacle, wall = np.array(geom.obstacle), np.array(geom.wall)
-        assert same_bytes(np.array(geom.pair), sim_oracle.pair_distances(state.pursuers, state.pursuers))
+        assert same_bytes(np.array(geom.pair), sim_oracle.pair_distances(pursuers, pursuers))
         assert same_bytes(obstacle, oracle_clearance_matrix(cfg, pts))
         assert same_bytes(wall, oracle_wall_clearances(cfg, pts))
 
         want_clear, want_pts = oracle_nearest_static_all(cfg, pts)
-        clear, points = sim.nearest_static_all(cfg, state.pursuers.tolist(), geom.obstacle, geom.wall)
+        clear, points = sim.nearest_static_all(cfg, state.pursuers, geom.obstacle, geom.wall)
         assert same_bytes(clear, want_clear)
         assert same_bytes(points, want_pts)
         clear, points = sim_oracle.nearest_static_all(cfg, pts, obstacle, wall)
         assert same_bytes(clear, want_clear)
         assert same_bytes(points, want_pts)
 
-        assert sim.detect_collisions(cfg, geom) == oracle_detect_collisions(state)
+        assert sim.detect_collisions(cfg, geom) == oracle_detect_collisions(cfg, pursuers)
         pair = np.array(geom.pair)
-        assert sim._proximity_count(cfg, geom) == oracle_proximity_count(state)
+        assert sim._proximity_count(cfg, geom) == oracle_proximity_count(cfg, pursuers)
         assert same_bytes(np.array(geom.pair), pair)  # the shared matrix is left as it was
 
     check()
@@ -193,7 +191,7 @@ def test_ties_go_to_the_wall_then_to_the_lowest_obstacle():
     cfg = ARENAS["ties"]
     pursuers = np.array([[1.5, 2.5, 0.0], [2.5, 2.5, 0.0], [0.375, 2.5, 0.0], [0.375, 2.375, 0.0]])
     state = scene(cfg, pursuers)
-    geom = sim.pursuer_geometry(cfg, state.pursuers.tolist())
+    geom = sim.pursuer_geometry(cfg, state.pursuers)
     assert geom.obstacle[0][0] == geom.obstacle[0][1] == 0.25
     assert geom.obstacle[1][1] == geom.obstacle[1][2] == 0.25
     assert geom.obstacle[2][0] == geom.wall[2] == 0.375

@@ -4,7 +4,7 @@ oracles, bitwise.
 `sim_oracle.step` is the array step that the float step replaced, and
 `sim_oracle.observe_all` the array observations. Both steps run from copies
 of one state; the outcome (reward bits, terminal, capture and collision
-events, observation bytes) and the post-step arrays must be equal. States
+events, observation bytes) and the post-step rows and flags must be equal. States
 are drawn on and near every threshold the step and the observations compare
 against: capture range and the drone proximity band between drones, the
 safe radius and its band at obstacle rims, rectangle corners and walls, the
@@ -168,7 +168,7 @@ def test_float_observations_equal_the_numpy_oracle_bitwise(name):
         state, _ = scene
         want = sim_oracle.observe_all(state)
         assert same_bytes(sim.observe_all(state), want)
-        geom = sim.pursuer_geometry(state.cfg, state.pursuers.tolist())
+        geom = sim.pursuer_geometry(state.cfg, state.pursuers)
         assert same_bytes(sim.observe_all(state, geom), want)
         learner_obs = want[:2]
         assert same_bytes(sim.central_observation(state, learner_obs), sim_oracle.central_observation(state, learner_obs))

@@ -314,7 +314,7 @@ def test_naht_train_smoke_and_checkpoint_roundtrip(tmp_path):
     pol = teammate.NahtSlotPolicy(loaded, (env.site.boundary_width, env.site.boundary_height))
     pol = pol.begin_episode(substream(0, "ep"))
     state, obs = sim.reset(env, 5)
-    action = pol.act(obs[0], sim.pursuer_view(state, 0))
+    action = pol.act(state, 0, obs)
     assert np.isfinite(action)
 
 
