@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -129,7 +129,6 @@ class PopulationState:
     policies: dict[str, object]
     learner_set: tuple[str, ...]
     learner_model: rl.ActorCritic
-    weight_cache: dict = field(default_factory=dict)
 
     @property
     def non_learners(self) -> tuple[str, ...]:
@@ -137,31 +136,16 @@ class PopulationState:
         return tuple(sorted(n for n in self.policies if n not in learners))
 
 
-def estimate_edge_weight(
-    edge_policies,
-    env_cfg: EnvConfig,
-    episodes: int,
-    seed: int,
-    cache: dict | None = None,
-    cache_key=None,
-) -> float:
-    """Mean episode return of a full pursuer team over seeded episodes.
-
-    `edge_policies` fills the pursuer slots in order; the result is cached by
-    `cache_key` when a cache is supplied.
-    """
-    if cache is not None and cache_key is not None and cache_key in cache:
-        return cache[cache_key]
+def estimate_edge_weight(edge_policies, env_cfg: EnvConfig, episodes: int, seed: int) -> float:
+    """Mean episode return of a full pursuer team over seeded episodes;
+    `edge_policies` fills the pursuer slots in order."""
     if len(edge_policies) != env_cfg.players.num_p:
         raise ValueError("edge policies must fill every pursuer slot")
     rng = substream(seed, "edge-weight")
     total = 0.0
     for _ in range(episodes):
         total += evalkit.play_episode(env_cfg, edge_policies, int(rng.integers(0, 2**63))).episode_return
-    weight = total / episodes
-    if cache is not None and cache_key is not None:
-        cache[cache_key] = weight
-    return weight
+    return total / episodes
 
 
 def build_learner_subgraph(
@@ -188,10 +172,7 @@ def build_learner_subgraph(
         edge = canonical_edge(learner_members + combo)
         slot_policies = [learner_policy] * n
         slot_policies += [pop.policies[name] for name in combo]
-        key = (edge, pop.generation)
-        weights[edge] = estimate_edge_weight(
-            slot_policies, env_cfg, episodes, seed, cache=pop.weight_cache, cache_key=key
-        )
+        weights[edge] = estimate_edge_weight(slot_policies, env_cfg, episodes, seed)
         edges.append(edge)
     return Hypergraph(nodes=nodes, edges=tuple(edges), weights=weights)
 
@@ -242,7 +223,7 @@ def max_step_train(
     teammates = MixtureTeammates(strategy, pop.policies)
     model = pop.learner_model
     collector = rl.RolloutCollector(env_cfg, model, ppo_cfg, substream(seed, "rollout"), teammates=teammates)
-    return rl.train_loop(collector, model, ppo_cfg, seed, total_steps=budget).metrics
+    return rl.train_loop(collector, model, replace(ppo_cfg, total_steps=budget), seed).metrics
 
 
 @dataclass
@@ -293,7 +274,6 @@ def hola_generation(
         policies=policies,
         learner_set=pop.learner_set,
         learner_model=pop.learner_model,
-        weight_cache=pop.weight_cache,
     )
     g = build_learner_subgraph(grown, env_cfg, episodes=episodes_per_edge, seed=seed)
     strategy, centralities = partner_strategy(g, grown, env_cfg, epsilon=epsilon, uniform=uniform_rho)

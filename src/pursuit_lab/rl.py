@@ -674,7 +674,6 @@ def train_loop(
     save=save_policy,
     out_dir=None,
     ckpt_prefix: str = "ckpt",
-    total_steps: int | None = None,
 ) -> TrainResult:
     """The PPO outer loop of every trainer: collect a batch, update, checkpoint.
 
@@ -687,8 +686,7 @@ def train_loop(
     cfg.validate()
     if update is None:
         update = ppo_update
-    total = total_steps if total_steps is not None else cfg.total_steps
-    n_updates = max(1, int(np.ceil(total / cfg.batch)))
+    n_updates = max(1, int(np.ceil(cfg.total_steps / cfg.batch)))
     opt = nn.adam_init(model.params(), lr=cfg.lr)
     update_rng = substream(seed, "update")
     window = RolloutStats()
@@ -787,7 +785,6 @@ def pbt_train(
     seed: int,
     exploit_interval: int | None = 50_000,
     out_dir=None,
-    total_steps: int | None = None,
 ) -> PbtResult:
     """Population-based training over IPPO learners with cross-member rollouts.
 
@@ -800,7 +797,6 @@ def pbt_train(
     if pop_size < 2:
         raise ValueError("pop_size must be >= 2")
     cfg.validate()
-    total = total_steps if total_steps is not None else cfg.total_steps
     obs_dim = sim.obs_length(env_cfg)
     members = []
     for i in range(pop_size):
@@ -825,7 +821,7 @@ def pbt_train(
             env_cfg, member.model, cfg, substream(seed, "rollout", i), teammates=teammates
         )
 
-    while min(m.steps for m in members) < total:
+    while min(m.steps for m in members) < cfg.total_steps:
         for i, member in enumerate(members):
             member_cfg = replace(cfg, lr=member.lr, entropy_coef=member.entropy_coef)
             batch, stats = member.collector.collect(cfg.batch)

@@ -423,7 +423,6 @@ def naht_d_train(
     beta: float = RECON_BETA,
     no_decoder: bool = False,
     out_dir=None,
-    total_steps: int | None = None,
 ) -> rl.TrainResult:
     """Train NAHT-D against a pool of teammate policies.
 
@@ -445,7 +444,6 @@ def naht_d_train(
         save=save_naht,
         out_dir=out_dir,
         ckpt_prefix="naht",
-        total_steps=total_steps,
     )
     algo = "naht-d-nodec" if no_decoder else "naht-d"
     return rl.save_final(result, out_dir, {"algo": algo, "seed": seed, "beta": beta}, save=save_naht)

@@ -371,8 +371,8 @@ def test_pbt_small_population_never_exploits():
 
 def test_pbt_train_runs_and_checkpoints(tmp_path):
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
-    cfg = rl.PpoConfig(batch=128, minibatch=64, epochs=1)
-    res = rl.pbt_train(2, cfg, env, seed=0, exploit_interval=None, out_dir=tmp_path, total_steps=256)
+    cfg = rl.PpoConfig(batch=128, minibatch=64, epochs=1, total_steps=256)
+    res = rl.pbt_train(2, cfg, env, seed=0, exploit_interval=None, out_dir=tmp_path)
     assert len(res.members) == 2
     assert len(res.checkpoints) == 2
     assert res.exploit_events == []
@@ -384,7 +384,7 @@ def test_pbt_rounds_continue_one_rollout_stream_per_member(monkeypatch):
     # each member keeps one collector: no episode seed is replayed in a later
     # round, and an episode is not cut at every round's batch / num_ctrl steps
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
-    cfg = rl.PpoConfig(batch=64, minibatch=32, epochs=1)
+    cfg = rl.PpoConfig(batch=64, minibatch=32, epochs=1, total_steps=3 * 64)
     seeds, lengths = [], [0]
     real_reset, real_step = sim.reset, sim.step
 
@@ -399,7 +399,7 @@ def test_pbt_rounds_continue_one_rollout_stream_per_member(monkeypatch):
 
     monkeypatch.setattr(sim, "reset", reset)
     monkeypatch.setattr(sim, "step", step)
-    rl.pbt_train(2, cfg, env, seed=0, exploit_interval=None, total_steps=3 * cfg.batch)
+    rl.pbt_train(2, cfg, env, seed=0, exploit_interval=None)
     assert len(seeds) > 2
     assert len(set(seeds)) == len(seeds)
     assert lengths[0] > cfg.batch // env.players.num_ctrl
@@ -407,8 +407,8 @@ def test_pbt_rounds_continue_one_rollout_stream_per_member(monkeypatch):
 
 def test_pbt_collectors_and_pools_follow_the_exploited_models():
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
-    cfg = rl.PpoConfig(batch=64, minibatch=32, epochs=1)
-    res = rl.pbt_train(4, cfg, env, seed=0, exploit_interval=cfg.batch, total_steps=2 * cfg.batch)
+    cfg = rl.PpoConfig(batch=64, minibatch=32, epochs=1, total_steps=2 * 64)
+    res = rl.pbt_train(4, cfg, env, seed=0, exploit_interval=cfg.batch)
     assert res.exploit_events
     for member in res.members:
         assert member.collector.model is member.model

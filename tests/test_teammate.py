@@ -298,9 +298,9 @@ def test_zero_embedding_matches_mappo_update():
 
 def test_naht_train_smoke_and_checkpoint_roundtrip(tmp_path):
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
-    cfg = rl.PpoConfig(batch=128, minibatch=64, epochs=1)
+    cfg = rl.PpoConfig(batch=128, minibatch=64, epochs=1, total_steps=256)
     pool = [rl.ScriptedSlotPolicy("greedy")]
-    res = teammate.naht_d_train(cfg, env, pool, seed=1, out_dir=tmp_path, total_steps=256)
+    res = teammate.naht_d_train(cfg, env, pool, seed=1, out_dir=tmp_path)
     assert res.final_path is not None
     assert all("recon_loss" in row for row in res.metrics)
     assert any(row["recon_loss"] != 0.0 for row in res.metrics)
@@ -320,9 +320,9 @@ def test_naht_train_smoke_and_checkpoint_roundtrip(tmp_path):
 
 def test_naht_ablation_recon_identically_zero():
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
-    cfg = rl.PpoConfig(batch=128, minibatch=64, epochs=1)
+    cfg = rl.PpoConfig(batch=128, minibatch=64, epochs=1, total_steps=256)
     pool = [rl.ScriptedSlotPolicy("greedy")]
-    res = teammate.naht_d_train(cfg, env, pool, seed=2, no_decoder=True, total_steps=256)
+    res = teammate.naht_d_train(cfg, env, pool, seed=2, no_decoder=True)
     assert res.model.decoder is None
     assert all(row["recon_loss"] == 0.0 for row in res.metrics)
 
