@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 domain violation (invalid config, failed check, or a
 ValueError from `train` or `eval` such as an infeasible respawn region or a
-bad policy reference), 2 usage or IO error. Every long-running command writes
+bad policy reference), 2 usage or IO error, a `train` flag that the chosen
+`--algo` does not read included. Every long-running command writes
 a run manifest into its output directory before any heavy computation;
 rerunning a command with the same arguments reproduces its outputs byte for
 byte. `eval --jobs J` runs seed blocks in J worker processes with results
@@ -22,6 +23,15 @@ import sys
 from . import __version__, config, evalkit, population, render, rl, sim, teammate
 
 ALGOS = ("sp", "pbt", "mappo", "hola", "hola-nog", "naht-d", "naht-d-nodec")
+
+#: The `train` flags that only some algorithms read: (flag, the algorithms
+#: that read it, its default).
+ALGO_FLAGS = (
+    ("--teammates", ("mappo", "naht-d", "naht-d-nodec"), None),
+    ("--pop-size", ("pbt",), 4),
+    ("--generations", ("hola", "hola-nog"), 5),
+    ("--init-sp-steps", ("hola", "hola-nog"), 50_000),
+)
 
 
 def _load_env(spec: str) -> config.EnvConfig:
@@ -88,6 +98,13 @@ def cmd_train(args) -> int:
     if args.algo not in ALGOS:
         print(f"unknown algo {args.algo!r}; choose from {ALGOS}", file=sys.stderr)
         return 2
+    for flag, algos, default in ALGO_FLAGS:
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif args.algo not in algos:
+            print(f"--algo {args.algo} does not read {flag}", file=sys.stderr)
+            return 2
     try:
         env_cfg = _load_env(args.env)
     except (OSError, config.ConfigError) as exc:
@@ -252,13 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--steps", type=int, default=1_000_000)
     p_train.add_argument("--out", required=True)
-    p_train.add_argument("--pop-size", type=int, default=4)
-    p_train.add_argument("--generations", type=int, default=5)
-    p_train.add_argument("--init-sp-steps", type=int, default=50_000, help="self-play budget for the initial hola population")
+    p_train.add_argument("--pop-size", type=int, help="pbt population size (default 4)")
+    p_train.add_argument("--generations", type=int, help="hola generations (default 5)")
+    p_train.add_argument("--init-sp-steps", type=int, help="self-play budget for the initial hola population (default 50000)")
     p_train.add_argument(
         "--teammates",
-        default=None,
-        help="comma-separated policy refs for uncontrolled slots (default: the config's players.unseen_drones)",
+        help="comma-separated policy refs for the uncontrolled slots of mappo and naht-d "
+        "(default: the config's players.unseen_drones)",
     )
     p_train.set_defaults(fn=cmd_train)
 

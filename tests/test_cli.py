@@ -235,3 +235,26 @@ def test_train_teammates_default_to_the_unseen_drones(tmp_path, monkeypatch, fla
     assert run_cli("train", "--algo", "mappo", "--env", env, "--out", str(tmp_path / "run"), *flag) == 0
     [pool] = pools
     assert [p.policy_id for p in pool] == expected
+
+
+@pytest.mark.parametrize(
+    "algo, flag",
+    [
+        ("sp", ["--teammates", "greedy"]),
+        ("pbt", ["--teammates", "greedy"]),
+        ("hola", ["--teammates", "greedy"]),
+        ("hola-nog", ["--teammates", "greedy"]),
+        ("sp", ["--pop-size", "4"]),
+        ("hola", ["--pop-size", "4"]),
+        ("naht-d", ["--pop-size", "4"]),
+        ("sp", ["--generations", "1"]),
+        ("pbt", ["--generations", "1"]),
+        ("mappo", ["--init-sp-steps", "128"]),
+        ("naht-d-nodec", ["--init-sp-steps", "128"]),
+    ],
+)
+def test_train_rejects_a_flag_its_algo_does_not_read(tmp_path, capsys, algo, flag):
+    out = tmp_path / "run"
+    assert run_cli("train", "--algo", algo, "--env", "4p2e3o", "--steps", "64", "--out", str(out), *flag) == 2
+    assert f"does not read {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()  # refused before the manifest
