@@ -435,6 +435,11 @@ class RolloutStats:
     episode_lengths: list[int] = field(default_factory=list)
     episode_terminals: list[str] = field(default_factory=list)
 
+    def extend(self, other: "RolloutStats") -> None:
+        self.episode_returns += other.episode_returns
+        self.episode_lengths += other.episode_lengths
+        self.episode_terminals += other.episode_terminals
+
 
 class RolloutCollector:
     """Streams learner transitions from one env into PPO batches.
@@ -694,9 +699,7 @@ def train_loop(
     ckpt_every = max(1, n_updates // 5)
     for i in range(n_updates):
         batch, stats = collector.collect(cfg.batch)
-        window.episode_returns += stats.episode_returns
-        window.episode_lengths += stats.episode_lengths
-        window.episode_terminals += stats.episode_terminals
+        window.extend(stats)
         diag = update(model, opt, batch, cfg, update_rng)
         step_count = (i + 1) * cfg.batch
         metrics.append(_metrics_row(step_count, i, window, diag))
@@ -769,6 +772,7 @@ class PbtMember:
     recent_returns: list[float] = field(default_factory=list)
     collector: RolloutCollector | None = None
     metrics: list[dict] = field(default_factory=list)
+    window: RolloutStats = field(default_factory=RolloutStats)  # every episode its collector ended
 
 
 @dataclass
@@ -830,7 +834,8 @@ def pbt_train(
             member.steps += cfg.batch
             member.recent_returns += stats.episode_returns
             member.recent_returns = member.recent_returns[-20:]
-            member.metrics.append(_metrics_row(member.steps, len(member.metrics), stats, diag))
+            member.window.extend(stats)
+            member.metrics.append(_metrics_row(member.steps, len(member.metrics), member.window, diag))
         if next_exploit is not None and min(m.steps for m in members) >= next_exploit:
             exploit_events += _pbt_exploit(members, exploit_rng)
             next_exploit += exploit_interval

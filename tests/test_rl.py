@@ -405,6 +405,36 @@ def test_pbt_rounds_continue_one_rollout_stream_per_member(monkeypatch):
     assert lengths[0] > cfg.batch // env.players.num_ctrl
 
 
+def test_pbt_metrics_rows_average_each_members_last_50_episodes(monkeypatch):
+    # like train_loop's rows: a running window over the member's episodes,
+    # not only those that ended inside the row's update
+    env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
+    cfg = rl.PpoConfig(batch=64, minibatch=32, epochs=1, total_steps=8 * 64)
+    collected = {}
+    real_collect = rl.RolloutCollector.collect
+
+    def collect(self, n_transitions):
+        batch, stats = real_collect(self, n_transitions)
+        collected.setdefault(id(self), []).append(stats)
+        return batch, stats
+
+    monkeypatch.setattr(rl.RolloutCollector, "collect", collect)
+    res = rl.pbt_train(2, cfg, env, seed=0, exploit_interval=None)
+    quiet_updates = 0
+    for member in res.members:
+        rounds = collected[id(member.collector)]
+        assert len(rounds) == len(member.metrics) == 8
+        returns, terminals = [], []
+        for row, stats in zip(member.metrics, rounds):
+            returns += stats.episode_returns
+            terminals += stats.episode_terminals
+            quiet_updates += returns != [] and stats.episode_returns == []
+            window, ends = returns[-50:], terminals[-50:]
+            assert row["ep_return_mean"] == (float(np.mean(window)) if window else 0.0)
+            assert row["suc"] == (100.0 * ends.count(sim.SUCCESS) / len(ends) if ends else 0.0)
+    assert quiet_updates  # an update in which no episode ends keeps the window's figures
+
+
 def test_pbt_collectors_and_pools_follow_the_exploited_models():
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     cfg = rl.PpoConfig(batch=64, minibatch=32, epochs=1, total_steps=2 * 64)
