@@ -116,6 +116,9 @@ def cmd_train(args) -> int:
         return 1
 
     p = env_cfg.players
+    if args.teammates is not None and p.num_unctrl == 0:
+        print("--teammates needs uncontrolled slots in the env config", file=sys.stderr)
+        return 2
     # self-play trains every slot; HOLA's initial population is self-play too
     slots = {"sp": (p.num_p,), "hola": (p.num_p, p.num_ctrl), "hola-nog": (p.num_p, p.num_ctrl)}
     cfg = rl.PpoConfig.for_learners(*slots.get(args.algo, (p.num_ctrl,)), total_steps=args.steps)

@@ -43,8 +43,8 @@ these rules, checked for numpy 2.4 on x86_64:
 
 The observations (`observe_all`, `nearest_static_all`, `central_observation`)
 read the same rows, and reuse the step's float geometry when the step
-passes it. Their bits are those
-of the array code in `tests/sim_oracle.py`, by the rules above and these:
+passes it. Their bits are those of the array code in `tests/sim_oracle.py`,
+by the rules above and these:
 
 - the bearings of every visible entry of every row come from one
   `np.arctan2` call over a flat array: `np.arctan2` gives an element the

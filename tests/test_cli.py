@@ -258,3 +258,11 @@ def test_train_rejects_a_flag_its_algo_does_not_read(tmp_path, capsys, algo, fla
     assert run_cli("train", "--algo", algo, "--env", "4p2e3o", "--steps", "64", "--out", str(out), *flag) == 2
     assert f"does not read {flag[0]}" in capsys.readouterr().err
     assert not out.exists()  # refused before the manifest
+
+
+def test_train_rejects_teammates_without_uncontrolled_slots(tmp_path, capsys):
+    env = write_env(tmp_path, num_ctrl=4, num_unctrl=0, unseen_drones=[])
+    out = tmp_path / "run"
+    assert run_cli("train", "--algo", "mappo", "--env", env, "--out", str(out), "--teammates", "greedy") == 2
+    assert "--teammates needs uncontrolled slots" in capsys.readouterr().err
+    assert not out.exists()

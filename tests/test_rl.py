@@ -406,8 +406,7 @@ def test_pbt_rounds_continue_one_rollout_stream_per_member(monkeypatch):
 
 
 def test_pbt_metrics_rows_average_each_members_last_50_episodes(monkeypatch):
-    # like train_loop's rows: a running window over the member's episodes,
-    # not only those that ended inside the row's update
+    # like train_loop's rows: a running window over the member's episodes
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     cfg = rl.PpoConfig(batch=64, minibatch=32, epochs=1, total_steps=8 * 64)
     collected = {}
