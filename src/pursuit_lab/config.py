@@ -1,12 +1,14 @@
 """Environment configuration: parsing, validation, and the four built-in arenas.
 
-Configs are plain JSON documents with three sections (players / site / task);
-`config_data/env_config.schema.json` is the published JSON-Schema mirror of
-the structural rules enforced here. Parsing is strict: unknown keys, missing
-keys, type mismatches and non-finite numbers (NaN, Infinity) are hard errors
-reported with their JSON path.
-Geometric and cross-field invariants are checked by `validate_config`, which
-returns *every* violation rather than stopping at the first.
+Configs are plain JSON documents with three sections (players / site / task).
+Their structure is written down once, in the published JSON Schema
+`config_data/env_config.schema.json`: `parse_config` checks a document
+against it (unknown keys, missing keys and type mismatches are hard errors),
+adds that numbers are finite (no NaN or Infinity) and that a bool is never a
+number, and reports every problem at once with its JSON path.
+Value ranges, and the geometric and cross-field invariants, are checked by
+`validate_config`, which returns *every* violation rather than stopping at
+the first.
 """
 
 from __future__ import annotations
@@ -133,13 +135,13 @@ class EnvConfig:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _check_keys(obj: dict, allowed: tuple[str, ...], path: str, errors: list[str]) -> None:
-    for key in obj:
-        if key not in allowed:
-            errors.append(f"{path}.{key}: unknown key")
-    for key in allowed:
-        if key not in obj:
-            errors.append(f"{path}.{key}: missing required key")
+@lru_cache(maxsize=None)
+def _schema() -> dict:
+    return json.loads(schema_text())
+
+
+#: The Python types of the schema's `type` names.
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "integer": int, "number": (int, float)}
 
 
 def _is_finite(value: int | float) -> bool:
@@ -149,94 +151,65 @@ def _is_finite(value: int | float) -> bool:
         return False
 
 
-def _get_number(obj: dict, key: str, path: str, errors: list[str]) -> float:
-    value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        if key in obj:
-            errors.append(f"{path}.{key}: expected number, got {type(value).__name__}")
-        return 0.0
-    if not _is_finite(value):
-        errors.append(f"{path}.{key}: expected a finite number, got {value}")
-        return 0.0
-    return float(value)
+def _check(value, schema: dict, path: str, errors: list[str]) -> None:
+    """Append every way `value` breaks `schema` to `errors`, each with its JSON path.
+
+    Interprets the keywords the published schema uses for structure. Numbers
+    must also be finite. Range keywords are left to `validate_config`.
+    """
+    if "$ref" in schema:
+        schema = _schema()["$defs"][schema["$ref"].removeprefix("#/$defs/")]
+    if "oneOf" in schema:  # the obstacle shapes: the `shape` const picks the branch
+        if not isinstance(value, dict):
+            errors.append(f"{path}: expected object, got {type(value).__name__}")
+            return
+        shapes = [branch["properties"]["shape"]["const"] for branch in schema["oneOf"]]
+        if value.get("shape") not in shapes:
+            errors.append(f"{path}.shape: expected {' or '.join(map(repr, shapes))}")
+            return
+        schema = schema["oneOf"][shapes.index(value["shape"])]
+    kind = schema.get("type")
+    if kind is not None:
+        # bool subclasses int, but a bool is never a number
+        if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind != "boolean"):
+            errors.append(f"{path}: expected {kind}, got {type(value).__name__}")
+            return
+        if kind == "number" and not _is_finite(value):
+            errors.append(f"{path}: expected a finite number, got {value}")
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        others = schema.get("additionalProperties", True)
+        for key, item in value.items():
+            if key in properties:
+                _check(item, properties[key], f"{path}.{key}", errors)
+            elif others is False:
+                errors.append(f"{path}.{key}: unknown key")
+            elif isinstance(others, dict):
+                _check(item, others, f"{path}.{key}", errors)
+        for key in schema.get("required", ()):
+            if key not in value:
+                errors.append(f"{path}.{key}: missing required key")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            errors.append(f"{path}: expected at least {schema['minItems']} items, got {len(value)}")
+        if len(value) > schema.get("maxItems", len(value)):
+            errors.append(f"{path}: expected at most {schema['maxItems']} items, got {len(value)}")
+        for i, item in enumerate(value):
+            _check(item, schema.get("items", {}), f"{path}[{i}]", errors)
 
 
-def _get_int(obj: dict, key: str, path: str, errors: list[str]) -> int:
-    value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        if key in obj:
-            errors.append(f"{path}.{key}: expected integer, got {type(value).__name__}")
-        return 0
-    return value
+def _point(xy: list) -> tuple[float, float]:
+    return float(xy[0]), float(xy[1])
 
 
-def _get_bool(obj: dict, key: str, path: str, errors: list[str]) -> bool:
-    value = obj.get(key)
-    if not isinstance(value, bool):
-        if key in obj:
-            errors.append(f"{path}.{key}: expected boolean, got {type(value).__name__}")
-        return False
-    return value
+def _rect(obj: dict) -> Rect:
+    return Rect(float(obj["x_min"]), float(obj["y_min"]), float(obj["x_max"]), float(obj["y_max"]))
 
 
-def _get_str(obj: dict, key: str, path: str, errors: list[str]) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str):
-        if key in obj:
-            errors.append(f"{path}.{key}: expected string, got {type(value).__name__}")
-        return ""
-    return value
-
-
-def _get_dict(obj: dict, key: str, path: str, errors: list[str]) -> dict:
-    value = obj.get(key)
-    if not isinstance(value, dict):
-        if key in obj:
-            errors.append(f"{path}.{key}: expected object, got {type(value).__name__}")
-        return {}
-    return value
-
-
-def _parse_point(obj, path: str, errors: list[str]) -> tuple[float, float]:
-    if (
-        not isinstance(obj, list)
-        or len(obj) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) or not _is_finite(v) for v in obj)
-    ):
-        errors.append(f"{path}: expected [x, y] finite numbers")
-        return (0.0, 0.0)
-    return (float(obj[0]), float(obj[1]))
-
-
-def _parse_rect(obj: dict, path: str, errors: list[str]) -> Rect:
-    _check_keys(obj, ("x_min", "y_min", "x_max", "y_max"), path, errors)
-    return Rect(
-        x_min=_get_number(obj, "x_min", path, errors),
-        y_min=_get_number(obj, "y_min", path, errors),
-        x_max=_get_number(obj, "x_max", path, errors),
-        y_max=_get_number(obj, "y_max", path, errors),
-    )
-
-
-def _parse_obstacle(obj: dict, path: str, errors: list[str]) -> Obstacle:
-    shape = _get_str(obj, "shape", path, errors)
-    if shape == "circle":
-        _check_keys(obj, ("shape", "center", "radius"), path, errors)
-        return Obstacle(
-            shape="circle",
-            center=_parse_point(obj.get("center"), f"{path}.center", errors),
-            radius=_get_number(obj, "radius", path, errors),
-        )
-    if shape == "rectangle":
-        _check_keys(obj, ("shape", "center", "half_extents"), path, errors)
-        hx, hy = _parse_point(obj.get("half_extents"), f"{path}.half_extents", errors)
-        return Obstacle(
-            shape="rectangle",
-            center=_parse_point(obj.get("center"), f"{path}.center", errors),
-            half_extents=(hx, hy),
-        )
-    errors.append(f"{path}.shape: expected 'circle' or 'rectangle'")
-    return Obstacle(shape="circle", center=(0.0, 0.0), radius=1.0)
+def _obstacle(obj: dict) -> Obstacle:
+    if obj["shape"] == "circle":
+        return Obstacle("circle", _point(obj["center"]), radius=float(obj["radius"]))
+    return Obstacle("rectangle", _point(obj["center"]), half_extents=_point(obj["half_extents"]))
 
 
 def parse_config(text: str, *, validate: bool = True) -> EnvConfig:
@@ -250,98 +223,40 @@ def parse_config(text: str, *, validate: bool = True) -> EnvConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"$: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("$: expected top-level object")
-
     errors: list[str] = []
-    _check_keys(doc, ("players", "site", "task"), "$", errors)
-
-    players_obj = _get_dict(doc, "players", "$", errors)
-    _check_keys(
-        players_obj,
-        (
-            "num_p",
-            "num_e",
-            "num_ctrl",
-            "num_unctrl",
-            "random_respawn",
-            "respawn_region",
-            "reception_range",
-            "velocity_p",
-            "velocity_e",
-            "unseen_drones",
-        ),
-        "$.players",
-        errors,
-    )
-    region_obj = _get_dict(players_obj, "respawn_region", "$.players", errors)
-    _check_keys(region_obj, ("pursuer", "evader"), "$.players.respawn_region", errors)
-    unseen = players_obj.get("unseen_drones", [])
-    if not isinstance(unseen, list) or any(not isinstance(s, str) for s in unseen):
-        errors.append("$.players.unseen_drones: expected array of strings")
-        unseen = []
-    players = PlayersCfg(
-        num_p=_get_int(players_obj, "num_p", "$.players", errors),
-        num_e=_get_int(players_obj, "num_e", "$.players", errors),
-        num_ctrl=_get_int(players_obj, "num_ctrl", "$.players", errors),
-        num_unctrl=_get_int(players_obj, "num_unctrl", "$.players", errors),
-        random_respawn=_get_bool(players_obj, "random_respawn", "$.players", errors),
-        respawn_region=RespawnRegion(
-            pursuer=_parse_rect(
-                _get_dict(region_obj, "pursuer", "$.players.respawn_region", errors),
-                "$.players.respawn_region.pursuer",
-                errors,
-            ),
-            evader=_parse_rect(
-                _get_dict(region_obj, "evader", "$.players.respawn_region", errors),
-                "$.players.respawn_region.evader",
-                errors,
-            ),
-        ),
-        reception_range=_get_number(players_obj, "reception_range", "$.players", errors),
-        velocity_p=_get_number(players_obj, "velocity_p", "$.players", errors),
-        velocity_e=_get_number(players_obj, "velocity_e", "$.players", errors),
-        unseen_drones=tuple(unseen),
-    )
-
-    site_obj = _get_dict(doc, "site", "$", errors)
-    _check_keys(site_obj, ("boundary", "obstacles"), "$.site", errors)
-    boundary_obj = _get_dict(site_obj, "boundary", "$.site", errors)
-    _check_keys(boundary_obj, ("width", "height"), "$.site.boundary", errors)
-    obstacles_obj = _get_dict(site_obj, "obstacles", "$.site", errors)
-    obstacles = tuple(
-        _parse_obstacle(
-            _get_dict(obstacles_obj, key, "$.site.obstacles", errors),
-            f"$.site.obstacles.{key}",
-            errors,
-        )
-        for key in obstacles_obj
-    )
-    site = SiteCfg(
-        boundary_width=_get_number(boundary_obj, "width", "$.site.boundary", errors),
-        boundary_height=_get_number(boundary_obj, "height", "$.site.boundary", errors),
-        obstacles=obstacles,
-    )
-
-    task_obj = _get_dict(doc, "task", "$", errors)
-    _check_keys(
-        task_obj,
-        ("task_name", "capture_range", "safe_radius", "task_horizon", "fps"),
-        "$.task",
-        errors,
-    )
-    task = TaskCfg(
-        task_name=_get_str(task_obj, "task_name", "$.task", errors),
-        capture_range=_get_number(task_obj, "capture_range", "$.task", errors),
-        safe_radius=_get_number(task_obj, "safe_radius", "$.task", errors),
-        task_horizon=_get_int(task_obj, "task_horizon", "$.task", errors),
-        fps=_get_number(task_obj, "fps", "$.task", errors),
-    )
-
+    _check(doc, _schema(), "$", errors)
     if errors:
         raise ConfigError("\n".join(errors))
 
-    cfg = EnvConfig(players=players, site=site, task=task)
+    p, site, t = doc["players"], doc["site"], doc["task"]
+    cfg = EnvConfig(
+        players=PlayersCfg(
+            num_p=p["num_p"],
+            num_e=p["num_e"],
+            num_ctrl=p["num_ctrl"],
+            num_unctrl=p["num_unctrl"],
+            random_respawn=p["random_respawn"],
+            respawn_region=RespawnRegion(
+                pursuer=_rect(p["respawn_region"]["pursuer"]), evader=_rect(p["respawn_region"]["evader"])
+            ),
+            reception_range=float(p["reception_range"]),
+            velocity_p=float(p["velocity_p"]),
+            velocity_e=float(p["velocity_e"]),
+            unseen_drones=tuple(p["unseen_drones"]),
+        ),
+        site=SiteCfg(
+            boundary_width=float(site["boundary"]["width"]),
+            boundary_height=float(site["boundary"]["height"]),
+            obstacles=tuple(_obstacle(obj) for obj in site["obstacles"].values()),
+        ),
+        task=TaskCfg(
+            task_name=t["task_name"],
+            capture_range=float(t["capture_range"]),
+            safe_radius=float(t["safe_radius"]),
+            task_horizon=t["task_horizon"],
+            fps=float(t["fps"]),
+        ),
+    )
     if validate:
         violations = validate_config(cfg)
         if violations:

@@ -241,3 +241,122 @@ def test_non_finite_point_rejected_with_path():
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(doc))
     assert "$.site.obstacles.obstacle1.center" in str(err.value)
+
+
+def test_structural_errors_are_all_reported_with_their_paths():
+    doc = doc_dict()
+    doc["players"]["num_p"] = True  # a bool is never a number
+    doc["players"]["unseen_drones"] = ["greedy", 3]
+    doc["site"]["obstacles"]["obstacle1"] = [0.8, 1.8]
+    doc["site"]["obstacles"]["obstacle2"]["shape"] = "triangle"
+    doc["site"]["obstacles"]["obstacle3"]["center"] = [1.8]
+    doc["task"]["task_horizon"] = 100.0  # an integer to JSON Schema, not to the parser
+    doc["task"]["velocty"] = 1.0
+    del doc["task"]["fps"]
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert str(err.value).splitlines() == [
+        "$.players.num_p: expected integer, got bool",
+        "$.players.unseen_drones[1]: expected string, got int",
+        "$.site.obstacles.obstacle1: expected object, got list",
+        "$.site.obstacles.obstacle2.shape: expected 'circle' or 'rectangle'",
+        "$.site.obstacles.obstacle3.center: expected at least 2 items, got 1",
+        "$.task.task_horizon: expected integer, got float",
+        "$.task.velocty: unknown key",
+        "$.task.fps: missing required key",
+    ]
+
+
+#: The keywords `config._check` interprets (`$defs` is where `$ref` points),
+#: the range keywords left to `validate_config`, and the annotations.
+CHECKED_KEYWORDS = {
+    "type", "properties", "required", "additionalProperties", "items", "minItems", "maxItems",
+    "$ref", "$defs", "oneOf", "const",
+}
+RANGE_KEYWORDS = {"minimum", "exclusiveMinimum"}
+ANNOTATIONS = {"$schema", "$id", "title", "description"}
+
+
+def schema_keywords(schema: dict) -> set[str]:
+    found = set(schema)
+    subschemas = [
+        *schema.get("properties", {}).values(),
+        *schema.get("$defs", {}).values(),
+        *schema.get("oneOf", ()),
+        *(schema[key] for key in ("items", "additionalProperties") if isinstance(schema.get(key), dict)),
+    ]
+    for sub in subschemas:
+        found |= schema_keywords(sub)
+    return found
+
+
+def test_every_schema_keyword_is_checked_or_left_to_validate_config():
+    keywords = schema_keywords(json.loads(config.schema_text()))
+    assert keywords - CHECKED_KEYWORDS - RANGE_KEYWORDS - ANNOTATIONS == set()
+
+
+def without_range_keywords(node):
+    if isinstance(node, dict):
+        return {k: without_range_keywords(v) for k, v in node.items() if k not in RANGE_KEYWORDS}
+    if isinstance(node, list):
+        return [without_range_keywords(v) for v in node]
+    return node
+
+
+def mutations(doc):
+    """(label, document) pairs: each key or array item deleted, each value
+    replaced, an unknown key added to each object, an item repeated at the end
+    of each array and each obstacle given an unknown shape. No integral float such as 1.0 is used as a replacement, so
+    no integer key meets the one value JSON Schema and the parser disagree on."""
+    def at(root, path):
+        for step in path:
+            root = root[step]
+        return root
+
+    def walk(node, path):
+        yield path
+        children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for step, child in children:
+            yield from walk(child, path + (step,))
+
+    for path in walk(doc, ()):
+        if path:
+            mutated = json.loads(json.dumps(doc))
+            del at(mutated, path[:-1])[path[-1]]
+            yield f"delete {path}", mutated
+        for value in (None, True, 1, 1.5, "s", [], {}):
+            mutated = json.loads(json.dumps(doc))
+            if path:
+                at(mutated, path[:-1])[path[-1]] = value
+            else:
+                mutated = value
+            yield f"{path} = {value!r}", mutated
+        if isinstance(at(doc, path), dict):
+            mutated = json.loads(json.dumps(doc))
+            at(mutated, path)["unknown_key"] = 1
+            yield f"unknown key in {path}", mutated
+        if isinstance(at(doc, path), list):
+            mutated = json.loads(json.dumps(doc))
+            items = at(mutated, path)
+            items.append(items[-1] if items else 1.5)
+            yield f"one more item in {path}", mutated
+    for key in doc["site"]["obstacles"]:
+        mutated = json.loads(json.dumps(doc))
+        mutated["site"]["obstacles"][key]["shape"] = "triangle"
+        yield f"unknown shape of {key}", mutated
+
+
+@pytest.mark.parametrize("name", BUILTIN_ENV_NAMES)
+def test_parser_rejects_exactly_what_the_schema_rejects(name):
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(without_range_keywords(json.loads(config.schema_text())))
+    disagreements = []
+    for label, doc in mutations(doc_dict(name)):
+        try:
+            parse_config(json.dumps(doc), validate=False)
+            parsed = True
+        except ConfigError:
+            parsed = False
+        if parsed != validator.is_valid(doc):
+            disagreements.append(label)
+    assert disagreements == []

@@ -16,7 +16,6 @@ SRC = Path(__file__).parents[1] / "src" / "pursuit_lab"
 #: Public names kept without a caller in `src`, each with its reason.
 ALLOWED = {
     "sim.TrajectoryLog": "the per-step episode log that `render` reads; the CLI does not write one yet",
-    "config.schema_text": "the published JSON schema of config files, for users' own validators",
 }
 
 
