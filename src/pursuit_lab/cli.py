@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 domain violation (invalid config, failed check, or a
 ValueError from `train` or `eval` such as an infeasible respawn region or a
 bad policy reference), 2 usage or IO error, a `train` flag that the chosen
-`--algo` does not read included. Every long-running command writes
+`--algo` does not read and a `--steps` below 1 included. Every long-running command writes
 a run manifest into its output directory before any heavy computation;
 rerunning a command with the same arguments reproduces its outputs byte for
 byte. `eval --jobs J` runs seed blocks in J worker processes with results
@@ -105,6 +105,9 @@ def cmd_train(args) -> int:
         elif args.algo not in algos:
             print(f"--algo {args.algo} does not read {flag}", file=sys.stderr)
             return 2
+    if args.steps < 1:
+        print(f"--steps must be >= 1, got {args.steps}", file=sys.stderr)
+        return 2
     try:
         env_cfg = _load_env(args.env)
     except (OSError, config.ConfigError) as exc:
@@ -198,6 +201,7 @@ def cmd_eval(args) -> int:
     except (OSError, config.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _write_manifest(args.report, "eval", args, env_cfg)
     try:
         zoo = evalkit.build_zoo(f"zoo{args.zoo}", _zoo_assets(args.zoo_assets))
         report, _records = evalkit.run_evaluation(
@@ -211,8 +215,6 @@ def cmd_eval(args) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    os.makedirs(args.report, exist_ok=True)
-    _write_manifest(args.report, "eval", args, env_cfg)
     with open(os.path.join(args.report, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
     report.write_csv(os.path.join(args.report, "report.csv"))

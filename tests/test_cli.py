@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from pursuit_lab import cli, config, nn, rl, sim
+from pursuit_lab import cli, config, evalkit, nn, rl, sim
 from pursuit_lab.seeding import substream
 
 
@@ -266,3 +266,29 @@ def test_train_rejects_teammates_without_uncontrolled_slots(tmp_path, capsys):
     assert run_cli("train", "--algo", "mappo", "--env", env, "--out", str(out), "--teammates", "greedy") == 2
     assert "--teammates needs uncontrolled slots" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_eval_writes_the_manifest_before_it_evaluates(tmp_path, monkeypatch):
+    report_dir = tmp_path / "rep"
+    seen = []
+
+    def fake_run_evaluation(*args, **kwargs):
+        seen.append((report_dir / "manifest.json").exists())
+        raise ValueError("stop after the check")
+
+    monkeypatch.setattr(evalkit, "run_evaluation", fake_run_evaluation)
+    rc = run_cli(
+        "eval", "--ckpt", "greedy", "--zoo", "1", "--env", "4p2e3o",
+        "--episodes", "1", "--report", str(report_dir),
+    )
+    assert rc == 1
+    assert seen == [True]
+
+
+@pytest.mark.parametrize("algo", ["sp", "pbt"])
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_train_rejects_steps_below_one(tmp_path, capsys, algo, steps):
+    out = tmp_path / "run"
+    assert run_cli("train", "--algo", algo, "--env", "4p2e3o", "--steps", steps, "--out", str(out)) == 2
+    assert "--steps must be >= 1" in capsys.readouterr().err
+    assert not out.exists()  # refused before the manifest
