@@ -839,7 +839,6 @@ def pbt_train(
         if next_exploit is not None and min(m.steps for m in members) >= next_exploit:
             exploit_events += _pbt_exploit(members, exploit_rng)
             next_exploit += exploit_interval
-            _point_at_live_models(members)
 
     checkpoints = []
     if out_dir is not None:
@@ -850,18 +849,12 @@ def pbt_train(
     return PbtResult(members=members, exploit_events=exploit_events, checkpoints=checkpoints)
 
 
-def _point_at_live_models(members: list[PbtMember]) -> None:
-    """After an exploit has replaced some members' models, make every
-    collector train its member's model and every pool policy act with it."""
-    for member in members:
-        member.collector.model = member.model
-        if member.collector.teammates is not None:
-            for pol, source in zip(member.collector.teammates.pool, members):
-                pol.model = source.model
-
-
 def _pbt_exploit(members: list[PbtMember], rng: np.random.Generator) -> list[dict]:
-    """Bottom quartile copies parameters from a uniform top-quartile member."""
+    """Bottom quartile copies parameters from a uniform top-quartile member.
+
+    The copy is in place, so every collector and teammate pool that holds a
+    member's model acts with the copied parameters.
+    """
     k = len(members) // 4
     if k < 1:
         return []
@@ -872,7 +865,8 @@ def _pbt_exploit(members: list[PbtMember], rng: np.random.Generator) -> list[dic
     for b in bottoms:
         src = tops[int(rng.integers(0, len(tops)))]
         member, source = members[b], members[src]
-        member.model = source.model.copy()
+        for mine, theirs in zip(member.model.params(), source.model.params()):
+            mine[...] = theirs
         member.opt = nn.adam_init(member.model.params(), lr=member.lr)
         member.lr = source.lr * float(rng.choice([0.8, 1.25]))
         member.entropy_coef = source.entropy_coef * float(rng.choice([0.8, 1.25]))

@@ -460,8 +460,8 @@ def test_deterministic_net_slot_acts_with_the_action_mean():
 
 
 def test_a_running_actor_acts_with_its_policys_current_model():
-    # PBT re-points a pool policy's model after an exploit; episodes already
-    # running must act with the new model
+    # an episode actor acts through its policy: a model set on the policy
+    # while an episode runs is the one that acts
     old, new = make_model(dtype=np.float32, seed=0), make_model(dtype=np.float32, seed=1)
     obs = substream(0, "rows").normal(size=(1, 5))
     for deterministic in (True, False):
