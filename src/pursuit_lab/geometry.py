@@ -58,15 +58,13 @@ def closest_point_on_rect(px: float, py: float, cx: float, cy: float, hx: float,
         return qx, qy
     # Inside: project to the nearest edge.
     gaps = (
-        (px - (cx - hx), cx - hx, py, "x"),
-        ((cx + hx) - px, cx + hx, py, "x"),
-        (py - (cy - hy), px, cy - hy, "y"),
-        ((cy + hy) - py, px, cy + hy, "y"),
+        (px - (cx - hx), cx - hx, py),
+        ((cx + hx) - px, cx + hx, py),
+        (py - (cy - hy), px, cy - hy),
+        ((cy + hy) - py, px, cy + hy),
     )
-    best = min(gaps, key=lambda g: g[0])
-    if best[3] == "x":
-        return best[1], best[2]
-    return best[1], best[2]
+    _, qx, qy = min(gaps, key=lambda g: g[0])  # the first of equal gaps wins
+    return qx, qy
 
 
 def boundary_clearance(px: float, py: float, width: float, height: float) -> float:

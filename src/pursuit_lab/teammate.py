@@ -141,16 +141,6 @@ class TeamEncoder:
             + [self.mix_logits]
         )
 
-    def copy(self) -> "TeamEncoder":
-        return TeamEncoder(
-            self.evader_net.copy(),
-            self.self_net.copy(),
-            self.relpos_net.copy(),
-            self.mix_logits.copy(),
-            self.layout,
-            self.embed_dim,
-        )
-
 
 def init_encoder(layout: WindowLayout, rng, hidden: int = 128, embed_dim: int = EMBED_DIM, dtype=np.float32) -> TeamEncoder:
     ev_dim, self_dim, rel_dim = layout.branch_in_dims
@@ -219,9 +209,6 @@ class TeamDecoder:
     def params(self) -> list[np.ndarray]:
         return self.net.arrays()
 
-    def copy(self) -> "TeamDecoder":
-        return TeamDecoder(self.net.copy())
-
 
 #: Decoder outputs: mean and log std of the teammates' action distribution.
 DECODER_OUT = 2
@@ -277,15 +264,6 @@ class NahtModel:
         if self.decoder is not None:
             out += self.decoder.params()
         return out
-
-    def copy(self) -> "NahtModel":
-        return NahtModel(
-            ac=self.ac.copy(),
-            encoder=self.encoder.copy(),
-            decoder=self.decoder.copy() if self.decoder else None,
-            obs_dim=self.obs_dim,
-            embed_dim=self.embed_dim,
-        )
 
     def actor_input(self, obs: np.ndarray, emb: np.ndarray) -> np.ndarray:
         return np.concatenate([obs, emb], axis=1)
