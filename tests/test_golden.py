@@ -13,10 +13,13 @@ and random slots play on that arena.
 
 SP, MAPPO and NAHT-D each train for two PPO updates (batch 64, minibatch 32,
 one epoch) on `reduced_4p2e3o`; a 6-episode `eval` then runs the NAHT-D and
-MAPPO checkpoints side by side with greedy partners. The sha256 of every
-deterministic output is compared with `tests/golden/hashes.json`:
-`metrics.csv`, the `params.bin` and `manifest.json` members of every
-checkpoint, and `report.json`. Archive members are compared instead of the
+MAPPO checkpoints side by side with greedy partners. On the same mixed
+arena, a 4-member PBT run trains two rounds with an exploit after each, and
+a HOLA run trains two generations of one update each from a population
+whose self-play seeds had one update each. The sha256 of every
+deterministic output is compared with `tests/golden/hashes.json`: the
+metrics CSVs, the `params.bin` and `manifest.json` members of every
+checkpoint, HOLA's `generation_*.json` and `report.json`. Archive members are compared instead of the
 `.zip` files, and a manifest is compared as parsed JSON, so that only the
 recorded numbers count.
 
@@ -35,7 +38,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pursuit_lab import cli, config, evalkit, rl, sim, teammate
+from pursuit_lab import cli, config, evalkit, population, rl, sim, teammate
 from pursuit_lab.seeding import substream
 from conftest import reduced_4p2e3o
 
@@ -135,6 +138,25 @@ def golden_hashes(root: Path) -> dict[str, str]:
         hashes[f"{run}/metrics.csv"] = sha256((out / "metrics.csv").read_bytes())
         for path in result.checkpoints:
             hashes.update(checkpoint_hashes(run, path))
+
+    out = root / "pbt"
+    pbt = rl.pbt_train(4, PPO, mixed, SEED, exploit_interval=PPO.batch, out_dir=str(out))
+    for i, member in enumerate(pbt.members):
+        csv_path = out / f"metrics_member{i}.csv"
+        rl.write_metrics_csv(csv_path, member.metrics)
+        hashes[f"pbt/{csv_path.name}"] = sha256(csv_path.read_bytes())
+    for path in pbt.checkpoints:
+        hashes.update(checkpoint_hashes("pbt", path))
+
+    out = root / "hola"
+    _, reports = population.hola_train(
+        PPO, mixed, SEED, generations=2, gen_budget=64, sp_budget=64, episodes_per_edge=2, out_dir=str(out)
+    )
+    for report in reports:
+        rl.write_metrics_csv(out / f"metrics_gen{report.generation:03d}.csv", report.metrics)
+    for path in sorted(out.glob("generation_*.json")) + sorted(out.glob("metrics_gen*.csv")):
+        hashes[f"hola/{path.name}"] = sha256(path.read_bytes())
+    hashes.update(checkpoint_hashes("hola", out / "final.zip"))
 
     env_path = root / "mixed.json"
     env_path.write_text(config.serialize_config(mixed))
