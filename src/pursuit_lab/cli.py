@@ -41,6 +41,21 @@ def _load_env(spec: str) -> config.EnvConfig:
         return config.parse_config(fh.read())
 
 
+def _env_or_exit_code(spec: str) -> config.EnvConfig | int:
+    """The env config of `train` and `eval`, or the exit code once the
+    reason is printed: 2 for an unreadable or malformed file, 1 with the
+    violations for a config that fails `validate_config`."""
+    try:
+        return _load_env(spec)
+    except (OSError, config.ConfigError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except config.InvalidConfigError as exc:
+        for v in exc.violations:
+            print(v, file=sys.stderr)
+        return 1
+
+
 def _write_manifest(out_dir: str, command: str, args: argparse.Namespace, env_cfg=None) -> None:
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
@@ -108,15 +123,9 @@ def cmd_train(args) -> int:
     if args.steps < 1:
         print(f"--steps must be >= 1, got {args.steps}", file=sys.stderr)
         return 2
-    try:
-        env_cfg = _load_env(args.env)
-    except (OSError, config.ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except config.InvalidConfigError as exc:
-        for v in exc.violations:
-            print(v, file=sys.stderr)
-        return 1
+    env_cfg = _env_or_exit_code(args.env)
+    if isinstance(env_cfg, int):
+        return env_cfg
 
     p = env_cfg.players
     if args.teammates is not None and p.num_unctrl == 0:
@@ -141,7 +150,7 @@ def _train(args, cfg: rl.PpoConfig, env_cfg) -> int:
     elif args.algo == "pbt":
         result = rl.pbt_train(args.pop_size, cfg, env_cfg, args.seed, out_dir=out)
         for i, member in enumerate(result.members):
-            rl.write_metrics_csv(os.path.join(out, f"metrics_member{i}.csv"), member.metrics)
+            rl.write_metrics_csv(os.path.join(out, f"metrics_member{i}.csv"), member.learner.metrics)
     elif args.algo == "mappo":
         pool = _teammate_pool(args.teammates, env_cfg) if env_cfg.players.num_unctrl > 0 else None
         result = rl.mappo_train(cfg, env_cfg, args.seed, teammate_pool=pool, out_dir=out)
@@ -196,11 +205,9 @@ def cmd_eval(args) -> int:
     if args.zoo not in (1, 2, 3):
         print(f"unknown zoo {args.zoo}; choose 1, 2, or 3", file=sys.stderr)
         return 2
-    try:
-        env_cfg = _load_env(args.env)
-    except (OSError, config.ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    env_cfg = _env_or_exit_code(args.env)
+    if isinstance(env_cfg, int):
+        return env_cfg
     _write_manifest(args.report, "eval", args, env_cfg)
     try:
         zoo = evalkit.build_zoo(f"zoo{args.zoo}", _zoo_assets(args.zoo_assets))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,11 +37,9 @@ class ZooAssets:
     sp_checkpoints: list[str] = field(default_factory=list)
 
     def checkpoint_sucs(self) -> list[tuple[str, float]]:
-        out = []
-        for path in self.sp_checkpoints:
-            manifest, _ = nn.load_arrays(path)
-            out.append((path, float(manifest["extra"].get("selfplay_suc", 0.0))))
-        return out
+        """(path, recorded self-play success rate) of each checkpoint, read
+        from its manifest alone."""
+        return [(path, float(nn.load_manifest(path)["extra"].get("selfplay_suc", 0.0))) for path in self.sp_checkpoints]
 
 
 def build_zoo(zoo_id: str, assets: ZooAssets) -> ZooSpec:
@@ -252,16 +250,7 @@ def _eval_block(args) -> list[EpisodeRecord]:
         for _ in range(env_cfg.players.num_unctrl):
             ref = zoo.members[int(zoo_rng.integers(0, len(zoo.members)))]
             slots.append(policies[ref])
-        rec = play_episode(env_cfg, slots, ep_seed)
-        records.append(
-            EpisodeRecord(
-                terminal=rec.terminal,
-                steps=rec.steps,
-                episode_return=rec.episode_return,
-                seed_block=block,
-                index=e,
-            )
-        )
+        records.append(replace(play_episode(env_cfg, slots, ep_seed), seed_block=block, index=e))
     return records
 
 

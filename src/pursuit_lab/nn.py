@@ -208,18 +208,25 @@ class ArrayTable(dict):
         raise ValueError(f"checkpoint has no array named {name!r}")
 
 
+def load_manifest(path) -> dict:
+    """A checkpoint's manifest alone, without reading `params.bin`; ValueError on an unknown format version."""
+    with zipfile.ZipFile(path, "r") as zf:
+        manifest = json.loads(zf.read("manifest.json").decode("utf-8"))
+    version = manifest.get("format_version")
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise ValueError(f"{path}: checkpoint format_version {version!r} is not {CHECKPOINT_FORMAT_VERSION}")
+    return manifest
+
+
 def load_arrays(path) -> tuple[dict, ArrayTable]:
     """Read a checkpoint archive back into (manifest, name -> float32 array).
 
     Raises ValueError on an unknown format version and on a `params.bin`
     whose size differs from the manifest's array table.
     """
+    manifest = load_manifest(path)
     with zipfile.ZipFile(path, "r") as zf:
-        manifest = json.loads(zf.read("manifest.json").decode("utf-8"))
         raw = zf.read("params.bin")
-    version = manifest.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"{path}: checkpoint format_version {version!r} is not {CHECKPOINT_FORMAT_VERSION}")
     sizes = [math.prod(spec["shape"]) for spec in manifest["arrays"]]
     if len(raw) != 4 * sum(sizes):
         raise ValueError(f"{path}: params.bin holds {len(raw)} bytes, its array table {4 * sum(sizes)}")

@@ -351,11 +351,6 @@ def hola_train(
             with open(os.path.join(out_dir, f"generation_{report.generation:03d}.json"), "w") as fh:
                 fh.write(report.to_json() + "\n")
     if out_dir is not None:
-        suc = rl.evaluate_selfplay_suc(pop.learner_model, env_cfg, seed)
-        algo = "hola-nog" if uniform_rho else "hola"
-        rl.save_policy(
-            os.path.join(out_dir, "final.zip"),
-            pop.learner_model,
-            extra={"algo": algo, "seed": seed, "generations": generations, "selfplay_suc": suc},
-        )
+        extra = {"algo": "hola-nog" if uniform_rho else "hola", "seed": seed, "generations": generations}
+        rl.finish_training(rl.TrainResult(pop.learner_model), out_dir, extra, scored_on=(env_cfg, seed))
     return pop.learner_model, reports

@@ -5,6 +5,11 @@ Gradients are computed analytically against the nn primitives; `ppo_update`
 also returns the gradient with respect to the actor input so trainers that
 feed extra (learned) features into the actor can backpropagate through them.
 
+Every trainer runs `Learner.step`, the one PPO update step (collect, update,
+metrics row): `train_loop` repeats it, and `pbt_train` steps each member once
+per round. `finish_training` scores and saves every final model through
+`save_checkpoint`, the one writer of checkpoint archives.
+
 Rollouts count *learner transitions*: one env step with N learner slots
 contributes N transitions, and `PpoConfig.total_steps` / `batch` are
 denominated in those units.
@@ -100,6 +105,10 @@ class ActorCritic:
         v, _ = nn.mlp_forward(self.critic, critic_in)
         return v[:, 0]
 
+    def checkpoint_arrays(self):
+        """(checkpoint kind, named arrays, manifest dims) for `save_checkpoint`."""
+        return ("actor_critic", *actor_critic_arrays(self))
+
 
 def init_actor_critic(
     obs_dim: int,
@@ -174,10 +183,16 @@ def actor_critic_from_arrays(arrays: dict, meta: dict) -> ActorCritic:
     return ActorCritic(actor, log_std.copy(), critic, obs_dim, act_dim, critic_in_dim)
 
 
-def save_policy(path, model: ActorCritic, extra: dict | None = None) -> None:
-    named, meta = actor_critic_arrays(model)
-    meta.update(extra or {})
-    nn.save_arrays(path, "actor_critic", named, extra=meta)
+def save_checkpoint(out_dir, name: str, model, extra: dict) -> str:
+    """Write `model` to the archive `out_dir/name` and return its path: the
+    one checkpoint writer. An `ActorCritic` and a `teammate.NahtModel` give
+    their kind, named arrays and manifest dims through `checkpoint_arrays`;
+    `extra` is added to the dims."""
+    kind, named, meta = model.checkpoint_arrays()
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    nn.save_arrays(path, kind, named, extra={**meta, **extra})
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -591,9 +606,9 @@ class RolloutCollector:
 @dataclass
 class TrainResult:
     model: ActorCritic
-    metrics: list[dict]
-    checkpoints: list[str]
-    final_path: str | None
+    metrics: list[dict] = field(default_factory=list)
+    checkpoints: list[str] = field(default_factory=list)
+    final_path: str | None = None
     selfplay_suc: float | None = None
 
 
@@ -653,66 +668,69 @@ def evaluate_selfplay_suc(model: ActorCritic, env_cfg: EnvConfig, seed: int) -> 
     return 100.0 * wins / SELFPLAY_EVAL_EPISODES
 
 
-def _maybe_checkpoint(out_dir, name, model, extra, save=save_policy) -> str | None:
-    if out_dir is None:
-        return None
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    save(path, model, extra=extra)
-    return path
-
-
-def save_final(result: TrainResult, out_dir, extra: dict, save=save_policy) -> TrainResult:
-    """Write the trained model to `out_dir/final.zip` (if any) and record the path."""
-    result.final_path = _maybe_checkpoint(out_dir, "final.zip", result.model, extra, save)
-    if result.final_path:
-        result.checkpoints.append(result.final_path)
-    return result
-
-
-def train_loop(
-    collector: RolloutCollector,
-    model,
-    cfg: PpoConfig,
-    seed: int,
-    update=None,
-    save=save_policy,
-    out_dir=None,
-    ckpt_prefix: str = "ckpt",
-) -> TrainResult:
-    """The PPO outer loop of every trainer: collect a batch, update, checkpoint.
+class Learner:
+    """One model's PPO state across updates; `step` runs one update.
 
     `collector` streams the batches that `model` learns from;
     `update(model, opt, batch, cfg, rng)` runs one update and returns its
     diagnostics (default: `ppo_update`, looked up at call time so that a
-    patched `rl.ppo_update` is the one that runs); `save(path, model,
-    extra=...)` writes a checkpoint.
+    patched `rl.ppo_update` is the one that runs). `window` holds every
+    episode the collector ended, `metrics` one row per update.
     """
-    cfg.validate()
-    if update is None:
-        update = ppo_update
+
+    def __init__(self, collector: RolloutCollector, model, cfg: PpoConfig, rng: np.random.Generator, update=None):
+        cfg.validate()
+        self.collector = collector
+        self.model = model
+        self.cfg = cfg
+        self.rng = rng
+        self.update = update
+        self.opt = nn.adam_init(model.params(), lr=cfg.lr)
+        self.window = RolloutStats()
+        self.metrics: list[dict] = []
+
+    @property
+    def steps(self) -> int:
+        """Learner transitions trained on so far."""
+        return len(self.metrics) * self.cfg.batch
+
+    def step(self) -> RolloutStats:
+        """One update on a fresh batch; returns the episodes the batch ended."""
+        batch, stats = self.collector.collect(self.cfg.batch)
+        self.window.extend(stats)
+        diag = (self.update or ppo_update)(self.model, self.opt, batch, self.cfg, self.rng)
+        self.metrics.append(_metrics_row(self.steps + self.cfg.batch, len(self.metrics), self.window, diag))
+        return stats
+
+
+def train_loop(
+    collector: RolloutCollector, model, cfg: PpoConfig, seed: int, update=None, out_dir=None, ckpt_prefix: str = "ckpt"
+) -> TrainResult:
+    """The PPO outer loop: `Learner.step` until `cfg.total_steps`, with five
+    periodic checkpoints in `out_dir` (if any)."""
+    learner = Learner(collector, model, cfg, substream(seed, "update"), update)
     n_updates = max(1, int(np.ceil(cfg.total_steps / cfg.batch)))
-    opt = nn.adam_init(model.params(), lr=cfg.lr)
-    update_rng = substream(seed, "update")
-    window = RolloutStats()
-    metrics, checkpoints = [], []
     ckpt_every = max(1, n_updates // 5)
+    checkpoints = []
     for i in range(n_updates):
-        batch, stats = collector.collect(cfg.batch)
-        window.extend(stats)
-        diag = update(model, opt, batch, cfg, update_rng)
-        step_count = (i + 1) * cfg.batch
-        metrics.append(_metrics_row(step_count, i, window, diag))
+        learner.step()
         if out_dir is not None and (i + 1) % ckpt_every == 0:
-            name = f"{ckpt_prefix}_{step_count:09d}.zip"
-            checkpoints.append(_maybe_checkpoint(out_dir, name, model, {"step": step_count}, save))
-    return TrainResult(model=model, metrics=metrics, checkpoints=checkpoints, final_path=None)
+            name = f"{ckpt_prefix}_{learner.steps:09d}.zip"
+            checkpoints.append(save_checkpoint(out_dir, name, model, {"step": learner.steps}))
+    return TrainResult(model=model, metrics=learner.metrics, checkpoints=checkpoints)
 
 
-def _finish_scored(result: TrainResult, env_cfg: EnvConfig, seed: int, out_dir, algo: str) -> TrainResult:
-    """Record the self-play success rate and save it with the final checkpoint."""
-    result.selfplay_suc = evaluate_selfplay_suc(result.model, env_cfg, seed)
-    return save_final(result, out_dir, {"algo": algo, "seed": seed, "selfplay_suc": result.selfplay_suc})
+def finish_training(result: TrainResult, out_dir, extra: dict, scored_on=None, name: str = "final.zip") -> TrainResult:
+    """The end of every trainer: with `scored_on` = (env config, seed),
+    record `evaluate_selfplay_suc` of the model, then save it as
+    `out_dir/name` (if any) with `extra` and that score in the manifest."""
+    if scored_on is not None:
+        result.selfplay_suc = evaluate_selfplay_suc(result.model, *scored_on)
+        extra = {**extra, "selfplay_suc": result.selfplay_suc}
+    if out_dir is not None:
+        result.final_path = save_checkpoint(out_dir, name, result.model, extra)
+        result.checkpoints.append(result.final_path)
+    return result
 
 
 def ippo_selfplay_unscored(cfg: PpoConfig, env_cfg: EnvConfig, seed: int, out_dir=None) -> TrainResult:
@@ -730,7 +748,7 @@ def ippo_selfplay_unscored(cfg: PpoConfig, env_cfg: EnvConfig, seed: int, out_di
 def ippo_selfplay_train(cfg: PpoConfig, env_cfg: EnvConfig, seed: int, out_dir=None) -> TrainResult:
     """Self-play IPPO, scored by `evaluate_selfplay_suc` and saved as `final.zip`."""
     result = ippo_selfplay_unscored(cfg, env_cfg, seed, out_dir=out_dir)
-    return _finish_scored(result, env_cfg, seed, out_dir, "sp")
+    return finish_training(result, out_dir, {"algo": "sp", "seed": seed}, scored_on=(env_cfg, seed))
 
 
 def mappo_train(
@@ -755,7 +773,7 @@ def mappo_train(
     model = init_actor_critic(sim.obs_length(env_cfg), critic_dim, cfg, substream(seed, "init"))
     collector = RolloutCollector(env_cfg, model, cfg, substream(seed, "rollout"), teammates=teammates, central=True)
     result = train_loop(collector, model, cfg, seed, out_dir=out_dir, ckpt_prefix="mappo")
-    return _finish_scored(result, env_cfg, seed, out_dir, "mappo")
+    return finish_training(result, out_dir, {"algo": "mappo", "seed": seed}, scored_on=(env_cfg, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -764,15 +782,11 @@ def mappo_train(
 
 @dataclass
 class PbtMember:
-    model: ActorCritic
-    opt: nn.AdamState
-    lr: float
-    entropy_coef: float
-    steps: int = 0
+    """A PBT member: its learner (model, cfg with the member's lr and
+    entropy_coef, optimizer, metrics) and the returns that rank it."""
+
+    learner: Learner
     recent_returns: list[float] = field(default_factory=list)
-    collector: RolloutCollector | None = None
-    metrics: list[dict] = field(default_factory=list)
-    window: RolloutStats = field(default_factory=RolloutStats)  # every episode its collector ended
 
 
 @dataclass
@@ -793,59 +807,44 @@ def pbt_train(
     """Population-based training over IPPO learners with cross-member rollouts.
 
     Members occupy the env's learner slots; uncontrolled slots (if any) are
-    filled per episode by uniform draws from the current population. Every
-    `exploit_interval` learner steps the bottom quartile copies parameters
-    from a uniformly chosen top-quartile member and perturbs lr and
-    entropy_coef by x0.8 or x1.25.
+    filled per episode by uniform draws from the current population. Each
+    round steps every member's `Learner` once. Every `exploit_interval`
+    learner steps the bottom quartile copies parameters from a uniformly
+    chosen top-quartile member and perturbs lr and entropy_coef by x0.8 or
+    x1.25.
     """
     if pop_size < 2:
         raise ValueError("pop_size must be >= 2")
-    cfg.validate()
     obs_dim = sim.obs_length(env_cfg)
-    members = []
-    for i in range(pop_size):
-        model = init_actor_critic(obs_dim, obs_dim, cfg, substream(seed, "init", i))
-        members.append(
-            PbtMember(model=model, opt=nn.adam_init(model.params(), lr=cfg.lr), lr=cfg.lr, entropy_coef=cfg.entropy_coef)
-        )
-    exploit_rng = substream(seed, "exploit")
-    update_rngs = [substream(seed, "update", i) for i in range(pop_size)]
-    exploit_events: list[dict] = []
-    next_exploit = exploit_interval if exploit_interval else None
-
+    models = [init_actor_critic(obs_dim, obs_dim, cfg, substream(seed, "init", i)) for i in range(pop_size)]
     # One collector per member for the whole run, so that its rollout stream
     # and its unfinished episode carry over from round to round. Each has its
     # own teammate pool, one stochastic policy per member.
-    for i, member in enumerate(members):
+    members = []
+    for i, model in enumerate(models):
         teammates = None
         if env_cfg.players.num_unctrl > 0:
-            pool = [NetSlotPolicy(m.model, deterministic=False) for m in members]
+            pool = [NetSlotPolicy(m, deterministic=False) for m in models]
             teammates = UniformTeammates(pool, env_cfg.players.num_unctrl)
-        member.collector = RolloutCollector(
-            env_cfg, member.model, cfg, substream(seed, "rollout", i), teammates=teammates
-        )
+        collector = RolloutCollector(env_cfg, model, cfg, substream(seed, "rollout", i), teammates=teammates)
+        members.append(PbtMember(Learner(collector, model, cfg, substream(seed, "update", i))))
+    exploit_rng = substream(seed, "exploit")
+    exploit_events: list[dict] = []
+    next_exploit = exploit_interval if exploit_interval else None
 
-    while min(m.steps for m in members) < cfg.total_steps:
-        for i, member in enumerate(members):
-            member_cfg = replace(cfg, lr=member.lr, entropy_coef=member.entropy_coef)
-            batch, stats = member.collector.collect(cfg.batch)
-            member.opt.lr = member.lr
-            diag = ppo_update(member.model, member.opt, batch, member_cfg, update_rngs[i])
-            member.steps += cfg.batch
-            member.recent_returns += stats.episode_returns
-            member.recent_returns = member.recent_returns[-20:]
-            member.window.extend(stats)
-            member.metrics.append(_metrics_row(member.steps, len(member.metrics), member.window, diag))
-        if next_exploit is not None and min(m.steps for m in members) >= next_exploit:
+    while min(m.learner.steps for m in members) < cfg.total_steps:
+        for member in members:
+            member.recent_returns = (member.recent_returns + member.learner.step().episode_returns)[-20:]
+        if next_exploit is not None and min(m.learner.steps for m in members) >= next_exploit:
             exploit_events += _pbt_exploit(members, exploit_rng)
             next_exploit += exploit_interval
 
     checkpoints = []
     if out_dir is not None:
         for i, member in enumerate(members):
-            suc = evaluate_selfplay_suc(member.model, env_cfg, seed + i)
-            extra = {"algo": "pbt", "member": i, "selfplay_suc": suc}
-            checkpoints.append(_maybe_checkpoint(out_dir, f"pbt_member{i}.zip", member.model, extra))
+            result = TrainResult(member.learner.model)
+            finish_training(result, out_dir, {"algo": "pbt", "member": i}, (env_cfg, seed + i), f"pbt_member{i}.zip")
+            checkpoints.append(result.final_path)
     return PbtResult(members=members, exploit_events=exploit_events, checkpoints=checkpoints)
 
 
@@ -864,12 +863,13 @@ def _pbt_exploit(members: list[PbtMember], rng: np.random.Generator) -> list[dic
     events = []
     for b in bottoms:
         src = tops[int(rng.integers(0, len(tops)))]
-        member, source = members[b], members[src]
+        member, source = members[b].learner, members[src].learner
         for mine, theirs in zip(member.model.params(), source.model.params()):
             mine[...] = theirs
-        member.opt = nn.adam_init(member.model.params(), lr=member.lr)
-        member.lr = source.lr * float(rng.choice([0.8, 1.25]))
-        member.entropy_coef = source.entropy_coef * float(rng.choice([0.8, 1.25]))
-        member.recent_returns = list(source.recent_returns)
-        events.append({"target": b, "source": src, "lr": member.lr, "entropy_coef": member.entropy_coef})
+        lr = source.cfg.lr * float(rng.choice([0.8, 1.25]))
+        entropy_coef = source.cfg.entropy_coef * float(rng.choice([0.8, 1.25]))
+        member.cfg = replace(member.cfg, lr=lr, entropy_coef=entropy_coef)
+        member.opt = nn.adam_init(member.model.params(), lr=lr)
+        members[b].recent_returns = list(members[src].recent_returns)
+        events.append({"target": b, "source": src, "lr": lr, "entropy_coef": entropy_coef})
     return events

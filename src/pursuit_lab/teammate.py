@@ -268,6 +268,27 @@ class NahtModel:
     def actor_input(self, obs: np.ndarray, emb: np.ndarray) -> np.ndarray:
         return np.concatenate([obs, emb], axis=1)
 
+    def checkpoint_arrays(self):
+        """(checkpoint kind, named arrays, manifest dims) for `rl.save_checkpoint`."""
+        named, meta = rl.actor_critic_arrays(self.ac)
+        for prefix, attr in _ENCODER_NETS:
+            named += rl._named_mlp_arrays(prefix, getattr(self.encoder, attr))
+        named.append(("mix_logits", self.encoder.mix_logits))
+        if self.decoder is not None:
+            named += rl._named_mlp_arrays("decoder", self.decoder.net)
+        layout = self.encoder.layout
+        meta.update(
+            obs_dim=self.obs_dim,  # the raw observation; the actor also reads the embedding
+            embed_dim=self.embed_dim,
+            encoder_layers=len(self.encoder.evader_net.weights),
+            decoder_layers=len(self.decoder.net.weights) if self.decoder else 0,
+            has_decoder=self.decoder is not None,
+            num_e=layout.num_e,
+            num_p=layout.num_p,
+            history_k=layout.k,
+        )
+        return "naht_d", named, meta
+
 
 def init_naht_model(
     env_cfg: EnvConfig,
@@ -413,47 +434,17 @@ def naht_d_train(
     model = init_naht_model(env_cfg, cfg, substream(seed, "init"), no_decoder=no_decoder)
     teammates = rl.UniformTeammates(teammate_pool, env_cfg.players.num_unctrl)
     collector = NahtCollector(env_cfg, model, cfg, substream(seed, "rollout"), teammates)
-    result = rl.train_loop(
-        collector,
-        model,
-        cfg,
-        seed,
-        update=partial(naht_update, beta=beta),
-        save=save_naht,
-        out_dir=out_dir,
-        ckpt_prefix="naht",
-    )
+    update = partial(naht_update, beta=beta)
+    result = rl.train_loop(collector, model, cfg, seed, update=update, out_dir=out_dir, ckpt_prefix="naht")
     algo = "naht-d-nodec" if no_decoder else "naht-d"
-    return rl.save_final(result, out_dir, {"algo": algo, "seed": seed, "beta": beta}, save=save_naht)
+    return rl.finish_training(result, out_dir, {"algo": algo, "seed": seed, "beta": beta})
 
 
 _ENCODER_NETS = (("enc_evader", "evader_net"), ("enc_self", "self_net"), ("enc_relpos", "relpos_net"))
 
 
-def save_naht(path, model: NahtModel, extra: dict | None = None) -> None:
-    named, meta = rl.actor_critic_arrays(model.ac)
-    for prefix, attr in _ENCODER_NETS:
-        named += rl._named_mlp_arrays(prefix, getattr(model.encoder, attr))
-    named.append(("mix_logits", model.encoder.mix_logits))
-    if model.decoder is not None:
-        named += rl._named_mlp_arrays("decoder", model.decoder.net)
-    layout = model.encoder.layout
-    meta.update(
-        obs_dim=model.obs_dim,  # the raw observation; the actor also reads the embedding
-        embed_dim=model.embed_dim,
-        encoder_layers=len(model.encoder.evader_net.weights),
-        decoder_layers=len(model.decoder.net.weights) if model.decoder else 0,
-        has_decoder=model.decoder is not None,
-        num_e=layout.num_e,
-        num_p=layout.num_p,
-        history_k=layout.k,
-    )
-    meta.update(extra or {})
-    nn.save_arrays(path, "naht_d", named, extra=meta)
-
-
 def naht_from_arrays(arrays: dict, meta: dict) -> NahtModel:
-    """Inverse of `save_naht`, from a checkpoint's arrays and manifest extra;
+    """Inverse of `NahtModel.checkpoint_arrays`, from a checkpoint's arrays and manifest extra;
     every array's shape is checked against the manifest dims first
     (ValueError naming the array)."""
     embed_dim = meta["embed_dim"]

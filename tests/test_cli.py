@@ -292,3 +292,21 @@ def test_train_rejects_steps_below_one(tmp_path, capsys, algo, steps):
     assert run_cli("train", "--algo", algo, "--env", "4p2e3o", "--steps", steps, "--out", str(out)) == 2
     assert "--steps must be >= 1" in capsys.readouterr().err
     assert not out.exists()  # refused before the manifest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("train", "--algo", "sp", "--steps", "64", "--out"),
+        ("eval", "--ckpt", "greedy", "--zoo", "1", "--episodes", "1", "--report"),
+    ],
+)
+def test_commands_print_the_violations_of_an_invalid_config(tmp_path, capsys, argv):
+    # the config parses but fails validate_config
+    doc = json.loads(config.builtin_env_text("4p2e3o"))
+    doc["task"]["fps"] = -1
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps(doc))
+    assert run_cli(*argv, str(tmp_path / "out"), "--env", str(env)) == 1
+    assert "fps must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before the run manifest

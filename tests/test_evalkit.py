@@ -69,9 +69,7 @@ def test_zoo_compositions(tmp_path):
     paths = []
     for i, suc in enumerate((54.0, 70.0, 60.0)):
         model = rl.init_actor_critic(sim.obs_length(env), sim.obs_length(env), cfg, substream(i, "init"))
-        path = tmp_path / f"sp{i}.zip"
-        rl.save_policy(path, model, extra={"selfplay_suc": suc})
-        paths.append(str(path))
+        paths.append(rl.save_checkpoint(tmp_path, f"sp{i}.zip", model, {"selfplay_suc": suc}))
     assets = evalkit.ZooAssets(sp_checkpoints=paths)
     zoo2 = evalkit.build_zoo("zoo2", assets)
     # maximally separated pair: 70 (strong) and 54 (weak)
@@ -86,14 +84,13 @@ def test_resolve_policy_checks_dims(tmp_path):
     env = reduced_4p2e3o()
     cfg = rl.PpoConfig()
     model = rl.init_actor_critic(7, 7, cfg, substream(0, "init"))  # wrong obs dim
-    path = tmp_path / "bad.zip"
-    rl.save_policy(path, model, extra={})
+    path = rl.save_checkpoint(tmp_path, "bad.zip", model, {})
     with pytest.raises(ValueError):
         evalkit.resolve_policy(f"ckpt:{path}", env)
     # a NAHT-D checkpoint of a 3-evader arena: one more evader block
     naht_env = config.with_control_split(config.builtin_env("4p3e5o"), 2, 2, ("greedy",))
-    naht_path = tmp_path / "naht.zip"
-    teammate.save_naht(naht_path, teammate.init_naht_model(naht_env, cfg, substream(0, "init")))
+    naht_model = teammate.init_naht_model(naht_env, cfg, substream(0, "init"))
+    naht_path = rl.save_checkpoint(tmp_path, "naht.zip", naht_model, {})
     with pytest.raises(ValueError, match="obs dim"):
         evalkit.resolve_policy(f"ckpt:{naht_path}", env)
     with pytest.raises(FileNotFoundError):
@@ -128,9 +125,8 @@ def test_run_evaluation_reads_each_checkpoint_once(tmp_path, monkeypatch):
     obs_dim = sim.obs_length(env)
     refs = []
     for i in range(2):
-        path = tmp_path / f"sp{i}.zip"
-        rl.save_policy(path, rl.init_actor_critic(obs_dim, obs_dim, rl.PpoConfig(hidden=(16,)), substream(i, "init")))
-        refs.append(f"ckpt:{path}")
+        model = rl.init_actor_critic(obs_dim, obs_dim, rl.PpoConfig(hidden=(16,)), substream(i, "init"))
+        refs.append(f"ckpt:{rl.save_checkpoint(tmp_path, f'sp{i}.zip', model, {})}")
     loads = []
     real_load = nn.load_arrays
 
@@ -147,6 +143,38 @@ def test_run_evaluation_reads_each_checkpoint_once(tmp_path, monkeypatch):
     par, _ = evalkit.run_evaluation(refs[0], zoo, env, n_episodes=5, seed=4, jobs=2)
     assert len(loads) == 2  # the workers receive the loaded policies
     assert par.to_json() == seq.to_json()
+
+
+def test_zoo2_eval_loads_only_the_two_chosen_archives(tmp_path, monkeypatch):
+    # ranking the zoo reads the manifests; only the chosen pair is loaded in full
+    env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
+    obs_dim = sim.obs_length(env)
+    paths = []
+    for i, suc in enumerate((54.0, 70.0, 60.0)):
+        model = rl.init_actor_critic(obs_dim, obs_dim, rl.PpoConfig(hidden=(16,)), substream(i, "init"))
+        paths.append(rl.save_checkpoint(tmp_path, f"sp{i}.zip", model, {"selfplay_suc": suc}))
+    loads = []
+    real_load = nn.load_arrays
+
+    def counting_load(path, *args, **kwargs):
+        loads.append(str(path))
+        return real_load(path, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "load_arrays", counting_load)
+    zoo = evalkit.build_zoo("zoo2", evalkit.ZooAssets(sp_checkpoints=paths))
+    evalkit.run_evaluation("greedy", zoo, env, n_episodes=2, seed=0)
+    assert sorted(loads) == sorted([paths[0], paths[1]])
+
+
+def test_zoo_ranking_checks_the_format_version(tmp_path, monkeypatch):
+    obs_dim = sim.obs_length(reduced_4p2e3o())
+    model = rl.init_actor_critic(obs_dim, obs_dim, rl.PpoConfig(hidden=(16,)), substream(0, "init"))
+    good = rl.save_checkpoint(tmp_path, "good.zip", model, {"selfplay_suc": 50.0})
+    monkeypatch.setattr(nn, "CHECKPOINT_FORMAT_VERSION", 2)
+    future = rl.save_checkpoint(tmp_path, "future.zip", model, {"selfplay_suc": 60.0})
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="format_version 2"):
+        evalkit.build_zoo("zoo2", evalkit.ZooAssets(sp_checkpoints=[good, future]))
 
 
 def test_load_checkpoint_rejects_an_unknown_kind(tmp_path):

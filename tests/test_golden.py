@@ -143,7 +143,7 @@ def golden_hashes(root: Path) -> dict[str, str]:
     pbt = rl.pbt_train(4, PPO, mixed, SEED, exploit_interval=PPO.batch, out_dir=str(out))
     for i, member in enumerate(pbt.members):
         csv_path = out / f"metrics_member{i}.csv"
-        rl.write_metrics_csv(csv_path, member.metrics)
+        rl.write_metrics_csv(csv_path, member.learner.metrics)
         hashes[f"pbt/{csv_path.name}"] = sha256(csv_path.read_bytes())
     for path in pbt.checkpoints:
         hashes.update(checkpoint_hashes("pbt", path))

@@ -341,31 +341,31 @@ def test_ippo_two_seeds_differ():
     )
 
 
+def pbt_member(seed: int, returns: list[float]) -> rl.PbtMember:
+    # _pbt_exploit reads no collector
+    learner = rl.Learner(None, make_model(seed=seed, dtype=np.float32), rl.PpoConfig(), substream(seed, "update"))
+    return rl.PbtMember(learner, recent_returns=returns)
+
+
 def test_pbt_exploit_copy_and_perturb():
-    members = []
-    cfg = rl.PpoConfig()
-    for i in range(4):
-        model = make_model(seed=i, dtype=np.float32)
-        m = rl.PbtMember(model=model, opt=nn.adam_init(model.params(), lr=3e-4), lr=3e-4, entropy_coef=0.01)
-        m.recent_returns = [float(i)] * 5  # member 0 worst, member 3 best
-        members.append(m)
+    members = [pbt_member(i, [float(i)] * 5) for i in range(4)]  # member 0 worst, member 3 best
     events = rl._pbt_exploit(members, substream(0, "exploit"))
     assert len(events) == 1
     ev = events[0]
     assert ev["target"] == 0 and ev["source"] == 3
-    for pa, pb in zip(members[0].model.params(), members[3].model.params()):
+    target, source = members[0].learner, members[3].learner
+    for pa, pb in zip(target.model.params(), source.model.params()):
         np.testing.assert_array_equal(pa, pb)  # parameters equal source pre-perturbation
     assert ev["lr"] in (0.8 * 3e-4, 1.25 * 3e-4)
     assert ev["entropy_coef"] == pytest.approx(0.8 * 0.01) or ev["entropy_coef"] == pytest.approx(1.25 * 0.01)
+    # the target trains on with the perturbed cfg and a fresh optimizer at its lr
+    assert (target.cfg.lr, target.cfg.entropy_coef) == (ev["lr"], ev["entropy_coef"])
+    assert target.opt.lr == ev["lr"] and target.opt.t == 0
+    assert members[0].recent_returns == members[3].recent_returns
 
 
 def test_pbt_small_population_never_exploits():
-    members = []
-    for i in range(2):
-        model = make_model(seed=i, dtype=np.float32)
-        m = rl.PbtMember(model=model, opt=nn.adam_init(model.params(), lr=3e-4), lr=3e-4, entropy_coef=0.01)
-        m.recent_returns = [float(i)]
-        members.append(m)
+    members = [pbt_member(i, [float(i)]) for i in range(2)]
     assert rl._pbt_exploit(members, substream(0, "x")) == []
 
 
@@ -377,7 +377,7 @@ def test_pbt_train_runs_and_checkpoints(tmp_path):
     assert len(res.checkpoints) == 2
     assert res.exploit_events == []
     for m in res.members:
-        assert m.steps >= 256
+        assert m.learner.steps >= 256
 
 
 def test_pbt_rounds_continue_one_rollout_stream_per_member(monkeypatch):
@@ -421,10 +421,10 @@ def test_pbt_metrics_rows_average_each_members_last_50_episodes(monkeypatch):
     res = rl.pbt_train(2, cfg, env, seed=0, exploit_interval=None)
     quiet_updates = 0
     for member in res.members:
-        rounds = collected[id(member.collector)]
-        assert len(rounds) == len(member.metrics) == 8
+        rounds = collected[id(member.learner.collector)]
+        assert len(rounds) == len(member.learner.metrics) == 8
         returns, terminals = [], []
-        for row, stats in zip(member.metrics, rounds):
+        for row, stats in zip(member.learner.metrics, rounds):
             returns += stats.episode_returns
             terminals += stats.episode_terminals
             quiet_updates += returns != [] and stats.episode_returns == []
@@ -440,8 +440,9 @@ def test_pbt_collectors_and_pools_follow_the_exploited_models():
     res = rl.pbt_train(4, cfg, env, seed=0, exploit_interval=cfg.batch)
     assert res.exploit_events
     for member in res.members:
-        assert member.collector.model is member.model
-        assert [pol.model for pol in member.collector.teammates.pool] == [m.model for m in res.members]
+        collector = member.learner.collector
+        assert collector.model is member.learner.model
+        assert [pol.model for pol in collector.teammates.pool] == [m.learner.model for m in res.members]
 
 
 def test_deterministic_net_slot_acts_with_the_action_mean():

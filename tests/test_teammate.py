@@ -341,8 +341,7 @@ def test_naht_ablation_recon_identically_zero():
 def test_naht_checkpoint_array_shapes_are_checked(tmp_path, name, shape):
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     model = teammate.init_naht_model(env, rl.PpoConfig(hidden=(128,)), substream(0, "init"))
-    good = tmp_path / "good.zip"
-    teammate.save_naht(good, model)
+    good = rl.save_checkpoint(tmp_path, "good.zip", model, {})
     manifest, arrays = nn.load_arrays(good)
     named = [(n, np.zeros(shape, dtype=np.float32) if n == name else arrays[n]) for n in (a["name"] for a in manifest["arrays"])]
     bad = tmp_path / "bad.zip"
