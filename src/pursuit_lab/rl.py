@@ -843,7 +843,8 @@ def pbt_train(
     if out_dir is not None:
         for i, member in enumerate(members):
             result = TrainResult(member.learner.model)
-            finish_training(result, out_dir, {"algo": "pbt", "member": i}, (env_cfg, seed + i), f"pbt_member{i}.zip")
+            extra = {"algo": "pbt", "member": i}
+            finish_training(result, out_dir, extra, scored_on=(env_cfg, seed + i), name=f"pbt_member{i}.zip")
             checkpoints.append(result.final_path)
     return PbtResult(members=members, exploit_events=exploit_events, checkpoints=checkpoints)
 

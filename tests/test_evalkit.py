@@ -120,13 +120,8 @@ def test_run_evaluation_parallel_jobs_identical():
     assert seq.to_json() == par.to_json()
 
 
-def test_run_evaluation_reads_each_checkpoint_once(tmp_path, monkeypatch):
-    env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
-    obs_dim = sim.obs_length(env)
-    refs = []
-    for i in range(2):
-        model = rl.init_actor_critic(obs_dim, obs_dim, rl.PpoConfig(hidden=(16,)), substream(i, "init"))
-        refs.append(f"ckpt:{rl.save_checkpoint(tmp_path, f'sp{i}.zip', model, {})}")
+def count_loads(monkeypatch) -> list[str]:
+    """The path of every later `nn.load_arrays` call, in order."""
     loads = []
     real_load = nn.load_arrays
 
@@ -135,6 +130,17 @@ def test_run_evaluation_reads_each_checkpoint_once(tmp_path, monkeypatch):
         return real_load(path, *args, **kwargs)
 
     monkeypatch.setattr(nn, "load_arrays", counting_load)
+    return loads
+
+
+def test_run_evaluation_reads_each_checkpoint_once(tmp_path, monkeypatch):
+    env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
+    obs_dim = sim.obs_length(env)
+    refs = []
+    for i in range(2):
+        model = rl.init_actor_critic(obs_dim, obs_dim, rl.PpoConfig(hidden=(16,)), substream(i, "init"))
+        refs.append(f"ckpt:{rl.save_checkpoint(tmp_path, f'sp{i}.zip', model, {})}")
+    loads = count_loads(monkeypatch)
     # the learner ref fills both learner slots; the zoo repeats a checkpoint
     zoo = evalkit.ZooSpec(zoo_id="zoo3", members=("greedy", refs[1], refs[0]))
     seq, _ = evalkit.run_evaluation(refs[0], zoo, env, n_episodes=5, seed=4)
@@ -153,14 +159,7 @@ def test_zoo2_eval_loads_only_the_two_chosen_archives(tmp_path, monkeypatch):
     for i, suc in enumerate((54.0, 70.0, 60.0)):
         model = rl.init_actor_critic(obs_dim, obs_dim, rl.PpoConfig(hidden=(16,)), substream(i, "init"))
         paths.append(rl.save_checkpoint(tmp_path, f"sp{i}.zip", model, {"selfplay_suc": suc}))
-    loads = []
-    real_load = nn.load_arrays
-
-    def counting_load(path, *args, **kwargs):
-        loads.append(str(path))
-        return real_load(path, *args, **kwargs)
-
-    monkeypatch.setattr(nn, "load_arrays", counting_load)
+    loads = count_loads(monkeypatch)
     zoo = evalkit.build_zoo("zoo2", evalkit.ZooAssets(sp_checkpoints=paths))
     evalkit.run_evaluation("greedy", zoo, env, n_episodes=2, seed=0)
     assert sorted(loads) == sorted([paths[0], paths[1]])
