@@ -42,7 +42,7 @@ def _load_env(spec: str) -> config.EnvConfig:
 
 
 def _env_or_exit_code(spec: str) -> config.EnvConfig | int:
-    """The env config of `train` and `eval`, or the exit code once the
+    """The env config of `train`, `eval` and `render --env`, or the exit code once the
     reason is printed: 2 for an unreadable or malformed file, 1 with the
     violations for a config that fails `validate_config`."""
     try:
@@ -245,14 +245,16 @@ def cmd_render(args) -> int:
     if not records:
         print("error: empty trajectory log", file=sys.stderr)
         return 2
+    if args.env:
+        env_cfg = _env_or_exit_code(args.env)
+        if isinstance(env_cfg, int):
+            return env_cfg
+    elif "env" not in records[0]:
+        print("error: log has no embedded env; pass --env", file=sys.stderr)
+        return 2
     try:
-        if args.env:
-            env_cfg = _load_env(args.env)
-        elif "env" in records[0]:
+        if not args.env:
             env_cfg = config.parse_config(json.dumps(records[0]["env"]))
-        else:
-            print("error: log has no embedded env; pass --env", file=sys.stderr)
-            return 2
         svg = render.render_episode(records, env_cfg)
     except (config.ConfigError, config.InvalidConfigError, KeyError) as exc:
         print(f"error: malformed log: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -93,8 +93,7 @@ def resolve_policy(ref: str, env_cfg: EnvConfig, deterministic: bool = True):
     if obs_dim != sim.obs_length(env_cfg):
         raise ValueError(f"checkpoint obs dim {obs_dim} does not match env obs length {sim.obs_length(env_cfg)}")
     if manifest["kind"] == "naht_d":
-        boundary = (env_cfg.site.boundary_width, env_cfg.site.boundary_height)
-        return teammate.NahtSlotPolicy(model, boundary, deterministic=deterministic)
+        return teammate.NahtSlotPolicy(model, deterministic=deterministic)
     return rl.NetSlotPolicy(model, deterministic=deterministic)
 
 
@@ -158,37 +157,21 @@ class EvalReport:
     seed_blocks: int
     seed: int
 
-    def to_json(self) -> str:
-        def r(x, nd=6):
-            return None if x is None else round(float(x), nd)
+    def _row(self) -> dict:
+        """Every field by name, in declaration order: floats rounded to 6
+        places, ints and None as they are."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: round(float(v), 6) if isinstance(v, float) else v for name, v in values.items()}
 
-        doc = {
-            "suc": r(self.suc),
-            "col": self.col,
-            "ast": r(self.ast),
-            "rew": r(self.rew),
-            "col_pct": r(self.col_pct),
-            "timeout_pct": r(self.timeout_pct),
-            "suc_std": r(self.suc_std),
-            "col_std": r(self.col_std),
-            "ast_std": r(self.ast_std),
-            "rew_std": r(self.rew_std),
-            "n_episodes": self.n_episodes,
-            "seed_blocks": self.seed_blocks,
-            "seed": self.seed,
-        }
-        return json.dumps(doc, indent=2) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self._row(), indent=2) + "\n"
 
     def write_csv(self, path) -> None:
-        fields = [
-            "suc", "col", "ast", "rew", "col_pct", "timeout_pct",
-            "suc_std", "col_std", "ast_std", "rew_std",
-            "n_episodes", "seed_blocks", "seed",
-        ]
+        row = self._row()
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(fields)
-            writer.writerow([getattr(self, f) if getattr(self, f) is not None else "" for f in fields])
+            writer.writerow(row)
+            writer.writerow(["" if v is None else v for v in row.values()])
 
 
 def compute_metrics(records, seed: int = 0, seed_blocks: int | None = None) -> EvalReport:

@@ -26,6 +26,8 @@ from .seeding import substream
 
 MIN_STEP_EPSILON = 0.01
 EDGE_EPISODES_DEFAULT = 20
+#: The node id of the trainee, which fills all N learner slots of every hyperedge.
+LEARNER = "learner"
 
 
 @dataclass(frozen=True)
@@ -94,14 +96,15 @@ def preference_centrality(pg: PreferenceHypergraph, g: Hypergraph, node: str) ->
     return incoming_degree(pg, node) / d_g
 
 
-def min_step_solve(subsets, centralities: dict[str, float], epsilon: float = MIN_STEP_EPSILON) -> MixedStrategy:
+def min_step_solve(subsets, centralities: dict[str, float]) -> MixedStrategy:
     """Mixed strategy over partner subsets: probability proportional to the
-    reciprocal of the subset's mean member centrality (worse partners first)."""
+    reciprocal of the subset's mean member centrality plus
+    `MIN_STEP_EPSILON` (worse partners first)."""
     support = tuple(canonical_edge(s) for s in subsets)
     if not support:
         raise ValueError("empty support")
     scores = np.array([np.mean([centralities[m] for m in s]) for s in support])
-    raw = 1.0 / (scores + epsilon)
+    raw = 1.0 / (scores + MIN_STEP_EPSILON)
     return MixedStrategy(support=support, probs=raw / raw.sum())
 
 
@@ -121,24 +124,27 @@ class PopulationState:
     """Generation t of the open-ended loop.
 
     `policies` maps node ids to slot-policy objects (scripted wrappers or
-    frozen nets). The trainee occupies all N learner slots; its node id is in
-    `learner_set`, everything else is the non-learner pool.
+    frozen nets) of the non-learner pool. The trainee `learner_model`
+    occupies all N learner slots under the node id `LEARNER`.
     """
 
     generation: int
     policies: dict[str, object]
-    learner_set: tuple[str, ...]
     learner_model: rl.ActorCritic
 
     @property
     def non_learners(self) -> tuple[str, ...]:
-        learners = set(self.learner_set)
-        return tuple(sorted(n for n in self.policies if n not in learners))
+        return tuple(sorted(self.policies))
 
 
 def estimate_edge_weight(edge_policies, env_cfg: EnvConfig, episodes: int, seed: int) -> float:
     """Mean episode return of a full pursuer team over seeded episodes;
-    `edge_policies` fills the pursuer slots in order."""
+    `edge_policies` fills the pursuer slots in order.
+
+    The episode seeds come from `substream(seed, "edge-weight")` alone, so
+    every hyperedge of every generation plays the same episode starts: the
+    edges of one generation are compared on paired episodes.
+    """
     if len(edge_policies) != env_cfg.players.num_p:
         raise ValueError("edge policies must fill every pursuer slot")
     rng = substream(seed, "edge-weight")
@@ -161,10 +167,9 @@ def build_learner_subgraph(
     non_learners = pop.non_learners
     if len(non_learners) < m:
         raise ValueError(f"need at least {m} non-learners, have {len(non_learners)}")
-    nodes = tuple(sorted(set(pop.learner_set) | set(non_learners)))
-    # learner slots cycle through the learner set (a single shared trainee
-    # simply repeats, keeping every hyperedge at N + M member slots)
-    learner_members = tuple(pop.learner_set[i % len(pop.learner_set)] for i in range(n))
+    nodes = tuple(sorted((LEARNER, *non_learners)))
+    # the shared trainee repeats, keeping every hyperedge at N + M member slots
+    learner_members = (LEARNER,) * n
     edges = []
     weights = {}
     learner_policy = rl.NetSlotPolicy(pop.learner_model, deterministic=True)
@@ -181,7 +186,6 @@ def partner_strategy(
     g: Hypergraph,
     pop: PopulationState,
     env_cfg: EnvConfig,
-    epsilon: float = MIN_STEP_EPSILON,
     uniform: bool = False,
 ) -> tuple[MixedStrategy, dict[str, float]]:
     """Min-step output: mixed strategy over M-subsets of the non-learner pool."""
@@ -190,7 +194,7 @@ def partner_strategy(
     subsets = list(combinations(pop.non_learners, env_cfg.players.num_unctrl))
     if uniform:
         return uniform_strategy(subsets), centralities
-    return min_step_solve(subsets, centralities, epsilon), centralities
+    return min_step_solve(subsets, centralities), centralities
 
 
 class MixtureTeammates:
@@ -259,24 +263,24 @@ def hola_generation(
     gen_budget: int,
     seed: int,
     episodes_per_edge: int = EDGE_EPISODES_DEFAULT,
-    epsilon: float = MIN_STEP_EPSILON,
     uniform_rho: bool = False,
 ) -> tuple[PopulationState, GenerationReport]:
-    """One open-ended generation: snapshot, re-score, min-step, max-step."""
+    """One open-ended generation: snapshot, re-score, min-step, max-step.
+
+    Every generation scores its edges on the same episode starts (see
+    `estimate_edge_weight`), which pairs the edges within a generation;
+    keying the starts by generation would change every HOLA output. Only
+    max-step's seed depends on the generation.
+    """
     t = pop.generation
     snapshot_id = f"gen{t}_snapshot"
     snapshot = rl.NetSlotPolicy(pop.learner_model.copy(), deterministic=True)
     policies = dict(pop.policies)
     policies[snapshot_id] = snapshot
 
-    grown = PopulationState(
-        generation=t + 1,
-        policies=policies,
-        learner_set=pop.learner_set,
-        learner_model=pop.learner_model,
-    )
+    grown = PopulationState(generation=t + 1, policies=policies, learner_model=pop.learner_model)
     g = build_learner_subgraph(grown, env_cfg, episodes=episodes_per_edge, seed=seed)
-    strategy, centralities = partner_strategy(g, grown, env_cfg, epsilon=epsilon, uniform=uniform_rho)
+    strategy, centralities = partner_strategy(g, grown, env_cfg, uniform=uniform_rho)
     metrics = max_step_train(grown, strategy, ppo_cfg, env_cfg, gen_budget, substream_seed_int(seed, "max-step", t))
     report = GenerationReport(
         generation=t + 1,
@@ -311,12 +315,7 @@ def init_population(
         policies[f"sp_seed{i}"] = rl.NetSlotPolicy(res.model, deterministic=True)
     obs_dim = sim.obs_length(env_cfg)
     learner = rl.init_actor_critic(obs_dim, obs_dim, ppo_cfg, substream(seed, "learner-init"))
-    return PopulationState(
-        generation=0,
-        policies=policies,
-        learner_set=("learner",),
-        learner_model=learner,
-    )
+    return PopulationState(generation=0, policies=policies, learner_model=learner)
 
 
 def hola_train(

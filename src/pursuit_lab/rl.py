@@ -115,13 +115,13 @@ def init_actor_critic(
     critic_in_dim: int,
     cfg: PpoConfig,
     rng: np.random.Generator,
-    act_dim: int = 1,
     dtype=np.float32,
 ) -> ActorCritic:
-    actor = nn.mlp_init([obs_dim, *cfg.hidden, act_dim], rng, dtype=dtype, final_scale=0.01)
+    """A fresh actor-critic; the action is the one steer scalar."""
+    actor = nn.mlp_init([obs_dim, *cfg.hidden, 1], rng, dtype=dtype, final_scale=0.01)
     critic = nn.mlp_init([critic_in_dim, *cfg.hidden, 1], rng, dtype=dtype)
-    log_std = np.full(act_dim, np.log(cfg.init_std), dtype=dtype)
-    return ActorCritic(actor, log_std, critic, obs_dim, act_dim, critic_in_dim)
+    log_std = np.full(1, np.log(cfg.init_std), dtype=dtype)
+    return ActorCritic(actor, log_std, critic, obs_dim, 1, critic_in_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +808,9 @@ def pbt_train(
 
     Members occupy the env's learner slots; uncontrolled slots (if any) are
     filled per episode by uniform draws from the current population. Each
-    round steps every member's `Learner` once. Every `exploit_interval`
+    round steps every member's `Learner` once, in member order. The pools
+    hold the members' models themselves, so member i's teammates already act
+    with this round's update of every member j < i. Every `exploit_interval`
     learner steps the bottom quartile copies parameters from a uniformly
     chosen top-quartile member and perturbs lr and entropy_coef by x0.8 or
     x1.25.

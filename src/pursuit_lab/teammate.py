@@ -2,21 +2,21 @@
 decoder, and the NAHT-D trainer (centralized-critic PPO + embedding input +
 KL reconstruction loss).
 
-The encoder consumes a short history window per learner and emits a fixed
-16-dim team embedding that is concatenated onto the actor input. Three branch
-networks (evader states, self states + own action, teammate relative
-positions) are mixed by learned softmax weights. The relative-position branch
-applies one shared network per teammate row and mean-pools, so the embedding
-is invariant to teammate slot order; consistently, the decoder predicts one
-shared action distribution that is scored against every uncontrolled
-teammate's observed action (a permutation-invariant embedding cannot identify
-slots, so per-slot distinct predictions would be unidentifiable).
+The encoder reads each learner's record of its previous step (zeros at
+episode start) and emits a fixed 16-dim team embedding that is concatenated
+onto the actor input. Three branch networks (evader states, self state + own
+action, teammate relative positions) are mixed by learned softmax weights.
+The relative-position branch applies one shared network per teammate row and
+mean-pools, so the embedding is invariant to teammate slot order;
+consistently, the decoder predicts one shared action distribution that is
+scored against every uncontrolled teammate's observed action (a
+permutation-invariant embedding cannot identify slots, so per-slot distinct
+predictions would be unidentifiable).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -25,23 +25,21 @@ from .config import EnvConfig
 from .seeding import substream
 
 EMBED_DIM = 16
-HISTORY_LENGTH = 1
 RECON_TARGET_STD = 0.1
 RECON_BETA = 0.1
 
 
 @dataclass(frozen=True)
 class WindowLayout:
-    """Flat layout of one history step inside the encoder window.
+    """Flat layout of one step record, the encoder's input.
 
-    Per step: [per-evader triples | own pose (x, y, heading) | nearest
-    obstacle triple | own previous action | per-teammate triples]. A window
-    stacks `k` steps oldest-first and is zero-padded before k steps elapse.
+    [per-evader triples | own pose (x, y, heading) | nearest obstacle triple
+    | own action | per-teammate triples]. The encoder reads the record of the
+    learner's previous step, which is all zeros at episode start.
     """
 
     num_e: int
     num_p: int
-    k: int = HISTORY_LENGTH
 
     @property
     def evader_len(self) -> int:
@@ -64,60 +62,28 @@ class WindowLayout:
         return self.evader_len + self.self_len + self.rel_len
 
     @property
-    def window_len(self) -> int:
-        return self.k * self.step_len
-
-    @property
     def branch_in_dims(self) -> tuple[int, int, int]:
         """Input widths of the evader, self and relative-position branches."""
-        return self.k * self.evader_len, self.k * self.self_len, self.k * 3
+        return self.evader_len, self.self_len, 3
 
-    def step_record(self, obs_row: np.ndarray, pose_xyh, action: float, boundary) -> np.ndarray:
-        """Encode one completed step (observation, own pose, own action)."""
+    def step_record(self, obs_row: np.ndarray, world, slot: int, action: float) -> np.ndarray:
+        """Encode one completed step (observation, own pose before the step, own action)."""
         ev = obs_row[: self.evader_len]
         obstacle = obs_row[self.evader_len : self.evader_len + 3]
         rel = obs_row[self.evader_len + 3 :]
-        x, y, heading = pose_xyh
-        w, h = boundary
-        pose = np.array([2.0 * x / w - 1.0, 2.0 * y / h - 1.0, heading / np.pi])
+        x, y, heading = world.pursuers[slot]
+        site = world.cfg.site
+        pose = np.array([2.0 * x / site.boundary_width - 1.0, 2.0 * y / site.boundary_height - 1.0, heading / np.pi])
         return np.concatenate([ev, pose, obstacle, [action], rel])
 
-    def split_branches(self, windows: np.ndarray):
-        """(evader input, self input, relpos rows) for a batch of windows.
+    def split_branches(self, records: np.ndarray):
+        """(evader input, self input, relpos rows) for a batch of step records.
 
-        Relpos rows have shape (batch * n_teammates, k * 3): each teammate's
-        whole history is one row for the shared branch network.
+        Relpos rows have shape (batch * n_teammates, 3): one row per teammate
+        for the shared branch network.
         """
-        B = windows.shape[0]
-        steps = windows.reshape(B, self.k, self.step_len)
-        ev = steps[:, :, : self.evader_len].reshape(B, -1)
-        sf = steps[:, :, self.evader_len : self.evader_len + self.self_len].reshape(B, -1)
-        rel = steps[:, :, self.evader_len + self.self_len :].reshape(B, self.k, self.n_teammates, 3)
-        rel_rows = rel.transpose(0, 2, 1, 3).reshape(B * self.n_teammates, self.k * 3)
-        return ev, sf, rel_rows
-
-
-class HistoryWindow:
-    """Per-agent rolling window of the last k step records."""
-
-    def __init__(self, layout: WindowLayout):
-        self.layout = layout
-        self.records: list[np.ndarray] = []
-
-    def reset(self) -> None:
-        self.records = []
-
-    def push(self, record: np.ndarray) -> None:
-        self.records.append(record)
-        if len(self.records) > self.layout.k:
-            self.records.pop(0)
-
-    def vector(self) -> np.ndarray:
-        k, step_len = self.layout.k, self.layout.step_len
-        out = np.zeros(k * step_len)
-        for i, rec in enumerate(self.records[-k:]):
-            out[(k - len(self.records) + i) * step_len : (k - len(self.records) + i + 1) * step_len] = rec
-        return out
+        e, s = self.evader_len, self.evader_len + self.self_len
+        return records[:, :e], records[:, e:s], records[:, s:].reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +126,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def encode(enc: TeamEncoder, windows: np.ndarray):
-    """Team embedding for a batch of history windows. Returns (emb, cache)."""
+    """Team embedding for a batch of step records. Returns (emb, cache)."""
     if windows.ndim == 1:
         windows = windows[None, :]
     B = windows.shape[0]
@@ -218,12 +184,12 @@ def init_decoder(embed_dim: int, rng, hidden: int = 64, dtype=np.float32) -> Tea
     return TeamDecoder(net=nn.mlp_init([embed_dim, hidden, DECODER_OUT], rng, dtype=dtype))
 
 
-def reconstruction_loss(dec: TeamDecoder, emb: np.ndarray, teammate_actions: np.ndarray, target_std: float = RECON_TARGET_STD):
+def reconstruction_loss(dec: TeamDecoder, emb: np.ndarray, teammate_actions: np.ndarray):
     """Mean KL(target || predicted) over teammates and batch.
 
     The target for each teammate is a Gaussian centered on its observed
-    action with fixed std `target_std`. Returns (loss, grads wrt decoder
-    params, d(loss)/d(embedding)).
+    action with fixed std `RECON_TARGET_STD`. Returns (loss, grads wrt
+    decoder params, d(loss)/d(embedding)).
     """
     if emb.ndim == 1:
         emb = emb[None, :]
@@ -236,11 +202,11 @@ def reconstruction_loss(dec: TeamDecoder, emb: np.ndarray, teammate_actions: np.
     ls = nn.clamp_log_std(raw_ls)
     var = np.exp(2.0 * ls)
     diff = teammate_actions - mu  # (B, M) broadcast
-    per = ls - np.log(target_std) + (target_std**2 + diff**2) / (2.0 * var) - 0.5
+    per = ls - np.log(RECON_TARGET_STD) + (RECON_TARGET_STD**2 + diff**2) / (2.0 * var) - 0.5
     loss = float(np.mean(per))
 
     dmu = np.sum(-diff / var, axis=1, keepdims=True) / (B * M)
-    dls_raw = np.sum(1.0 - (target_std**2 + diff**2) / var, axis=1, keepdims=True) / (B * M)
+    dls_raw = np.sum(1.0 - (RECON_TARGET_STD**2 + diff**2) / var, axis=1, keepdims=True) / (B * M)
     dls = dls_raw * nn.log_std_grad_mask(raw_ls)
     dout = np.concatenate([dmu, dls], axis=1).astype(out.dtype)
     grads, demb = nn.mlp_backward(dec.net, cache, dout)
@@ -285,7 +251,7 @@ class NahtModel:
             has_decoder=self.decoder is not None,
             num_e=layout.num_e,
             num_p=layout.num_p,
-            history_k=layout.k,
+            history_k=1,  # the encoder reads one step record
         )
         return "naht_d", named, meta
 
@@ -313,12 +279,12 @@ def init_naht_model(
 @dataclass
 class NahtBatch:
     base: rl.PpoBatch  # actor_in holds raw observations (no embedding)
-    windows: np.ndarray  # (B, window_len)
+    windows: np.ndarray  # (B, step_len): each row's previous step record
     teammate_actions: np.ndarray  # (B, M)
 
 
-def naht_loss_and_grads(model: NahtModel, mb: NahtBatch, idx, cfg: rl.PpoConfig, beta: float):
-    """Joint PPO + beta * reconstruction loss over one minibatch of indices."""
+def naht_loss_and_grads(model: NahtModel, mb: NahtBatch, idx, cfg: rl.PpoConfig):
+    """Joint PPO + RECON_BETA * reconstruction loss over one minibatch of indices."""
     obs = mb.base.actor_in[idx]
     emb, enc_cache = encode(model.encoder, mb.windows[idx])
     actor_in = model.actor_input(obs, emb)
@@ -337,13 +303,13 @@ def naht_loss_and_grads(model: NahtModel, mb: NahtBatch, idx, cfg: rl.PpoConfig,
     dec_grads = None
     if model.decoder is not None:
         recon, dec_grads, demb_rec = reconstruction_loss(model.decoder, emb, mb.teammate_actions[idx])
-        demb = demb + beta * demb_rec
+        demb = demb + RECON_BETA * demb_rec
     grads = ac_grads + encode_backward(model.encoder, enc_cache, demb)
     if model.decoder is not None:
-        grads += [beta * g for g in dec_grads]
+        grads += [RECON_BETA * g for g in dec_grads]
     diag = dict(diag)
     diag["recon_loss"] = float(recon)
-    diag["loss"] = diag["loss"] + beta * float(recon)
+    diag["loss"] = diag["loss"] + RECON_BETA * float(recon)
     return grads, diag
 
 
@@ -353,13 +319,12 @@ def naht_update(
     batch: NahtBatch,
     cfg: rl.PpoConfig,
     rng: np.random.Generator,
-    beta: float = RECON_BETA,
 ):
     """`rl.ppo_update`'s minibatch loop over the joint NAHT-D loss."""
     base = replace(batch.base, advantages=rl.normalize_advantages(batch.base.advantages))
     nb = NahtBatch(base=base, windows=batch.windows, teammate_actions=batch.teammate_actions)
     return rl.minibatch_epochs(
-        model, opt, len(base), cfg, rng, lambda rows: naht_loss_and_grads(model, nb, rows, cfg, beta)
+        model, opt, len(base), cfg, rng, lambda rows: naht_loss_and_grads(model, nb, rows, cfg)
     )
 
 
@@ -369,7 +334,7 @@ def naht_update(
 
 class NahtCollector(rl.RolloutCollector):
     """Rollout collector for NAHT-D: the centralized-critic collector with an
-    embedding-conditioned actor, per-learner history windows and the
+    embedding-conditioned actor, each learner's previous step record and the
     observed teammate actions."""
 
     def __init__(self, env_cfg: EnvConfig, model: NahtModel, cfg: rl.PpoConfig, rng, teammates):
@@ -378,25 +343,23 @@ class NahtCollector(rl.RolloutCollector):
         super().__init__(env_cfg, model.ac, cfg, rng, teammates=teammates, central=True)
         self.naht_model = model
         self.layout = model.encoder.layout
-        self._boundary = (env_cfg.site.boundary_width, env_cfg.site.boundary_height)
-        self._windows = [HistoryWindow(self.layout) for _ in range(self.n_learners)]
+        self._records = None
         self._win_rows, self._mate_rows = [], []
 
     def _begin_episode(self):
-        for w in self._windows:
-            w.reset()
+        self._records = np.zeros((self.n_learners, self.layout.step_len))
         return super()._begin_episode()
 
     def _actor_input(self, learner_obs):
-        windows = np.stack([w.vector() for w in self._windows])
-        self._win_rows.append(windows)
-        emb, _ = encode(self.naht_model.encoder, windows)
+        self._win_rows.append(self._records)
+        emb, _ = encode(self.naht_model.encoder, self._records)
         return self.naht_model.actor_input(learner_obs, emb)
 
     def _record_step(self, learner_obs, actions) -> None:
-        for i, window in enumerate(self._windows):
-            pose = self.state.pursuers[i]  # before the step, like the observation
-            window.push(self.layout.step_record(learner_obs[i], pose, float(actions[i]), self._boundary))
+        # the world is still before the step, like the observation
+        self._records = np.stack(
+            [self.layout.step_record(learner_obs[i], self.state, i, float(actions[i])) for i in range(self.n_learners)]
+        )
         self._mate_rows.append(np.tile(actions[self.n_learners :], (self.n_learners, 1)))
 
     def collect(self, n_transitions: int) -> tuple[NahtBatch, rl.RolloutStats]:
@@ -419,7 +382,6 @@ def naht_d_train(
     env_cfg: EnvConfig,
     teammate_pool,
     seed: int,
-    beta: float = RECON_BETA,
     no_decoder: bool = False,
     out_dir=None,
 ) -> rl.TrainResult:
@@ -434,10 +396,9 @@ def naht_d_train(
     model = init_naht_model(env_cfg, cfg, substream(seed, "init"), no_decoder=no_decoder)
     teammates = rl.UniformTeammates(teammate_pool, env_cfg.players.num_unctrl)
     collector = NahtCollector(env_cfg, model, cfg, substream(seed, "rollout"), teammates)
-    update = partial(naht_update, beta=beta)
-    result = rl.train_loop(collector, model, cfg, seed, update=update, out_dir=out_dir, ckpt_prefix="naht")
+    result = rl.train_loop(collector, model, cfg, seed, update=naht_update, out_dir=out_dir, ckpt_prefix="naht")
     algo = "naht-d-nodec" if no_decoder else "naht-d"
-    return rl.finish_training(result, out_dir, {"algo": algo, "seed": seed, "beta": beta})
+    return rl.finish_training(result, out_dir, {"algo": algo, "seed": seed, "beta": RECON_BETA})
 
 
 _ENCODER_NETS = (("enc_evader", "evader_net"), ("enc_self", "self_net"), ("enc_relpos", "relpos_net"))
@@ -450,7 +411,9 @@ def naht_from_arrays(arrays: dict, meta: dict) -> NahtModel:
     embed_dim = meta["embed_dim"]
     # the actor reads the raw observation and the embedding
     ac = rl.actor_critic_from_arrays(arrays, {**meta, "obs_dim": meta["obs_dim"] + embed_dim})
-    layout = WindowLayout(num_e=meta["num_e"], num_p=meta["num_p"], k=meta["history_k"])
+    if meta["history_k"] != 1:
+        raise ValueError(f"checkpoint history_k is {meta['history_k']}, expected 1")
+    layout = WindowLayout(num_e=meta["num_e"], num_p=meta["num_p"])
     nets = {
         attr: rl._mlp_from_arrays(prefix, arrays, meta["encoder_layers"], in_dim, embed_dim)
         for (prefix, attr), in_dim in zip(_ENCODER_NETS, layout.branch_in_dims)
@@ -467,28 +430,27 @@ def naht_from_arrays(arrays: dict, meta: dict) -> NahtModel:
 
 class NahtSlotPolicy:
     """Runs a NAHT-D checkpoint in one pursuer slot; each episode's actor
-    keeps its own history window and rng."""
+    keeps its own previous step record and rng."""
 
     needs_obs = True
 
-    def __init__(self, model: NahtModel, boundary: tuple[float, float], deterministic: bool = True):
+    def __init__(self, model: NahtModel, deterministic: bool = True):
         self.model = model
-        self.boundary = boundary
         self.deterministic = deterministic
 
     def begin_episode(self, rng: np.random.Generator) -> rl.EpisodeActor:
-        return rl.EpisodeActor(self, (HistoryWindow(self.model.encoder.layout), rl.episode_rng(rng)))
+        return rl.EpisodeActor(self, [np.zeros(self.model.encoder.layout.step_len), rl.episode_rng(rng)])
 
-    def act(self, world, slot: int, obs, episode: tuple[HistoryWindow, np.random.Generator]) -> float:
-        window, rng = episode
+    def act(self, world, slot: int, obs, episode: list) -> float:
+        """`episode` is [previous step record, rng]; the record is replaced by this step's."""
+        record, rng = episode
         obs_row = obs[slot]
-        emb, _ = encode(self.model.encoder, window.vector()[None, :])
+        emb, _ = encode(self.model.encoder, record[None, :])
         actor_in = self.model.actor_input(obs_row[None, :], emb)
         if self.deterministic:
             action = float(self.model.ac.action_mean(actor_in)[0, 0])
         else:
             actions, _ = self.model.ac.act(actor_in, rng)
             action = float(actions[0, 0])
-        record = self.model.encoder.layout.step_record(obs_row, world.pursuers[slot], action, self.boundary)
-        window.push(record)
+        episode[0] = self.model.encoder.layout.step_record(obs_row, world, slot, action)
         return action

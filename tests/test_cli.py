@@ -135,7 +135,7 @@ def test_eval_rerun_byte_identical(tmp_path):
     assert (dirs[0] / "report.csv").read_bytes() == (dirs[1] / "report.csv").read_bytes()
 
 
-def test_render_roundtrip_and_errors(tmp_path, env_4p2e3o):
+def test_render_roundtrip_and_errors(tmp_path, capsys, env_4p2e3o):
     state, _ = sim.reset(env_4p2e3o, 2)
     log = sim.TrajectoryLog(env_4p2e3o)
     log.record_reset(state)
@@ -161,6 +161,21 @@ def test_render_roundtrip_and_errors(tmp_path, env_4p2e3o):
     bad = tmp_path / "bad.ndjson"
     bad.write_text('{"step": 0}\n')  # no env, no poses
     assert run_cli("render", "--log", str(bad), "--out", str(tmp_path / "d.svg")) == 2
+
+    # --env: a config that fails validate_config prints its violations (exit 1),
+    # an unreadable file is an IO error (exit 2); neither ends in a traceback
+    doc = json.loads(config.builtin_env_text("4p2e3o"))
+    doc["task"]["fps"] = -1
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("render", "--log", str(log_path), "--out", str(tmp_path / "e.svg"), "--env", str(invalid)) == 1
+    err = capsys.readouterr().err
+    assert "fps must be positive" in err and "malformed log" not in err
+    missing = tmp_path / "missing.json"
+    assert run_cli("render", "--log", str(log_path), "--out", str(tmp_path / "f.svg"), "--env", str(missing)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "e.svg").exists() and not (tmp_path / "f.svg").exists()
 
 
 def test_manifest_written_before_outputs(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,16 @@ def test_report_serialization(tmp_path):
     assert lines[0].startswith("suc,col,ast,rew")
     assert len(lines) == 2
 
+    # both files hold the same rounded row; one seed block leaves the stds None
+    records = [make_record(sim.SUCCESS, 100, 1.0), make_record(sim.COLLISION, 7, 0.5), make_record(sim.TIMEOUT, 9, 0.0)]
+    report = evalkit.compute_metrics(records, seed=3)
+    doc = json.loads(report.to_json())
+    assert doc["suc"] == 33.333333 and doc["suc_std"] is None and doc["col"] == 1
+    report.write_csv(path)
+    header, values = path.read_text().strip().splitlines()
+    assert header.split(",") == list(doc)
+    assert values.split(",") == ["" if v is None else str(v) for v in doc.values()]
+
 
 # ---------------------------------------------------------------------------
 # Episodes whose slots read no observations skip building them
@@ -293,7 +305,6 @@ def test_a_team_with_a_net_slot_still_receives_its_observation_rows():
 
 def test_views_are_built_only_for_scripted_slots(monkeypatch):
     cfg = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
-    boundary = (cfg.site.boundary_width, cfg.site.boundary_height)
     net = rl.init_actor_critic(sim.obs_length(cfg), sim.obs_length(cfg), rl.PpoConfig(), substream(0, "init"))
     naht = teammate.init_naht_model(cfg, rl.PpoConfig(), substream(0, "init"))
     real_view = sim.pursuer_view
@@ -304,7 +315,7 @@ def test_views_are_built_only_for_scripted_slots(monkeypatch):
         return real_view(world, slot)
 
     monkeypatch.setattr(sim, "pursuer_view", counting_view)
-    learned = [rl.NetSlotPolicy(net), rl.RandomSlotPolicy(), teammate.NahtSlotPolicy(naht, boundary),
+    learned = [rl.NetSlotPolicy(net), rl.RandomSlotPolicy(), teammate.NahtSlotPolicy(naht),
                rl.NetSlotPolicy(net, deterministic=False)]
     record = evalkit.play_episode(cfg, learned, 4)
     assert record.steps > 0 and calls == []
@@ -320,11 +331,10 @@ def test_views_are_built_only_for_scripted_slots(monkeypatch):
 @pytest.mark.parametrize("kind", ["naht-d", "random"])
 def test_one_policy_object_in_two_slots_plays_like_two_objects(kind):
     # a zoo draws with replacement and shares one object per ref, so a
-    # stateful policy must keep one history window and rng per slot
+    # stateful policy must keep one step record and rng per slot
     cfg = config.with_control_split(config.builtin_env("4p2e3o"), 2, 2, ("greedy",))
-    boundary = (cfg.site.boundary_width, cfg.site.boundary_height)
     model = teammate.init_naht_model(cfg, rl.PpoConfig(), substream(0, "init"))
-    make = {"naht-d": lambda: teammate.NahtSlotPolicy(model, boundary), "random": rl.RandomSlotPolicy}[kind]
+    make = {"naht-d": lambda: teammate.NahtSlotPolicy(model), "random": rl.RandomSlotPolicy}[kind]
     greedy = [rl.ScriptedSlotPolicy("greedy")] * 2
     for seed in range(3):
         shared = make()

@@ -129,7 +129,7 @@ def test_centrality_matches_brute_force_all_toys():
 
 
 def test_min_step_arithmetic_fixture():
-    strategy = pop.min_step_solve([("a",), ("b",)], {"a": 0.0, "b": 1.0}, epsilon=0.01)
+    strategy = pop.min_step_solve([("a",), ("b",)], {"a": 0.0, "b": 1.0})
     expected_worse = (1 / 0.01) / (1 / 0.01 + 1 / 1.01)
     p = dict(zip(strategy.support, strategy.probs))
     assert p[("a",)] == pytest.approx(expected_worse, abs=1e-6)
@@ -219,9 +219,7 @@ def small_population(env, seed=0):
         "vicsek": rl.ScriptedSlotPolicy("vicsek"),
         "random": rl.RandomSlotPolicy(),
     }
-    return pop.PopulationState(
-        generation=0, policies=policies, learner_set=("learner",), learner_model=learner
-    ), cfg
+    return pop.PopulationState(generation=0, policies=policies, learner_model=learner), cfg
 
 
 def test_edge_weight_single_episode_is_deterministic():

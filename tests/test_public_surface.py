@@ -1,4 +1,6 @@
-"""Every public module-level function and class of `pursuit_lab` has a caller.
+"""Every public module-level function and class of `pursuit_lab` has a
+caller, and every defaulted parameter of a public function or method is
+passed by some call.
 
 The sources of `src/pursuit_lab` are scanned with `ast`. A public name (no
 leading underscore) defined at module level counts as used when code in
@@ -6,6 +8,12 @@ leading underscore) defined at module level counts as used when code in
 that imports it with `from .module import name`, or by an `Attribute`
 `module.name` on a module imported with `from . import module`. A public name
 that only the tests use belongs in `tests/`.
+
+A defaulted parameter that no call in `src` passes is a setting that no run
+varies; it belongs in a constant. Calls are matched by name: `f(...)` and
+`module.f(...)` to the function (or the `__init__` of the class) that the
+name resolves to, and `obj.m(...)` to every method named `m`. A call passes
+a parameter by keyword, by position, or through `*args` / `**kwargs`.
 """
 
 import ast
@@ -18,6 +26,20 @@ ALLOWED = {
     "sim.TrajectoryLog": "the per-step episode log that `render` reads; the CLI does not write one yet",
 }
 
+#: Defaulted parameters that no call in `src` passes, each with its reason.
+ALLOWED_DEFAULTS = {
+    "population.hola_train.episodes_per_edge": "the golden and unit tests run HOLA with fewer edge episodes",
+    "rl.pbt_train.exploit_interval": "the golden and unit tests exploit after fewer steps",
+    "rl.init_actor_critic.dtype": "float64 models for the finite-difference gradient checks",
+    "teammate.init_naht_model.dtype": "float64 models for the finite-difference gradient checks",
+    "teammate.init_encoder.hidden": "small float64 encoders for the finite-difference gradient checks",
+    "teammate.init_encoder.embed_dim": "small float64 encoders for the finite-difference gradient checks",
+    "teammate.init_decoder.hidden": "small float64 decoders for the finite-difference gradient checks",
+    "evalkit.play_episode.log": "the trajectory log that the CLI does not write yet",
+    "config.with_control_split.unseen_drones": "the tests' arenas with uncontrolled slots",
+    "cli.main.argv": "the tests call the CLI in process; the console script reads sys.argv",
+}
+
 
 def public_definitions(tree: ast.Module) -> set[str]:
     return {
@@ -27,10 +49,10 @@ def public_definitions(tree: ast.Module) -> set[str]:
     }
 
 
-def references(module: str, tree: ast.Module) -> set[str]:
-    """Qualified `module.name` of every package name this module refers to."""
-    imported_names = {}  # local name -> "module.name"
-    imported_modules = {}  # local name -> module
+def package_imports(tree: ast.Module) -> tuple[dict[str, str], dict[str, str]]:
+    """(local name -> "module.name", local name -> module) of the module's
+    `from .module import name` and `from . import module` imports."""
+    imported_names, imported_modules = {}, {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             for alias in node.names:
@@ -39,6 +61,12 @@ def references(module: str, tree: ast.Module) -> set[str]:
                     imported_modules[local] = alias.name
                 else:
                     imported_names[local] = f"{node.module}.{alias.name}"
+    return imported_names, imported_modules
+
+
+def references(module: str, tree: ast.Module) -> set[str]:
+    """Qualified `module.name` of every package name this module refers to."""
+    imported_names, imported_modules = package_imports(tree)
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -68,3 +96,82 @@ def test_allowed_names_exist_and_have_no_caller():
     # an entry whose name gained a caller or was deleted leaves the allowlist
     defined, used = scan()
     assert set(ALLOWED) <= defined - used
+
+
+def defaulted_parameters(module: str, tree: ast.Module) -> dict[str, tuple[str, list[str], set[str]]]:
+    """`module.function` or `module.Class.method` -> (call key, positional
+    parameters a call fills in order, defaulted parameters), over public
+    functions and the public methods and `__init__` of public classes."""
+    found = {}
+
+    def add(qualname: str, key: str, fn: ast.FunctionDef, bound: bool) -> None:
+        args = fn.args
+        positional = [a.arg for a in args.posonlyargs + args.args][1 if bound else 0 :]
+        defaulted = {a.arg for a in args.args[len(args.args) - len(args.defaults) :]}
+        defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}
+        if defaulted:
+            found[qualname] = (key, positional, defaulted)
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            add(f"{module}.{node.name}", f"{module}.{node.name}", node, bound=False)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and (fn.name == "__init__" or not fn.name.startswith("_")):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+                    # the class call reaches __init__; any obj.method(...) call may reach a method
+                    key = f"{module}.{node.name}" if fn.name == "__init__" else f".{fn.name}"
+                    add(f"{module}.{node.name}.{fn.name}", key, fn, bound=not static)
+    return found
+
+
+def passed_arguments(module: str, tree: ast.Module) -> dict[str, set]:
+    """Call key -> the positional counts and keyword names of its calls in
+    this module; `*args` counts as every position, `**kwargs` as every name."""
+    imported_names, imported_modules = package_imports(tree)
+    passed: dict[str, set] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            key = imported_names.get(func.id, f"{module}.{func.id}")
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in imported_modules:
+            key = f"{imported_modules[func.value.id]}.{func.attr}"
+        elif isinstance(func, ast.Attribute):
+            key = f".{func.attr}"
+        else:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        args = passed.setdefault(key, set())
+        args.add(float("inf") if starred else len(node.args))
+        args |= {"**" if kw.arg is None else kw.arg for kw in node.keywords}
+    return passed
+
+
+def unpassed_defaults() -> set[str]:
+    """Every `qualified.name.param` with a default that no call in `src` passes."""
+    defined, passed = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update(defaulted_parameters(path.stem, tree))
+        for key, args in passed_arguments(path.stem, tree).items():
+            passed.setdefault(key, set()).update(args)
+    unpassed = set()
+    for qualname, (key, positional, defaulted) in defined.items():
+        args = passed.get(key, set())
+        n_positional = max((a for a in args if not isinstance(a, str)), default=0)
+        for name in defaulted:
+            by_position = name in positional and positional.index(name) < n_positional
+            if not (by_position or name in args or "**" in args):
+                unpassed.add(f"{qualname}.{name}")
+    return unpassed
+
+
+def test_every_default_is_passed_by_some_call():
+    assert sorted(unpassed_defaults() - set(ALLOWED_DEFAULTS)) == []
+
+
+def test_allowed_defaults_are_still_unpassed():
+    # an entry whose parameter gained a caller or was deleted leaves the allowlist
+    assert set(ALLOWED_DEFAULTS) <= unpassed_defaults()

@@ -66,9 +66,9 @@ def test_gae_length_mismatch():
         rl.compute_gae([1.0, 2.0], [0.0], [0.0, 1.0], 0.99, 0.95)
 
 
-def make_model(obs_dim=5, critic_dim=5, act_dim=1, dtype=np.float64, seed=0, cfg=None):
+def make_model(obs_dim=5, critic_dim=5, dtype=np.float64, seed=0, cfg=None):
     cfg = cfg or rl.PpoConfig()
-    return rl.init_actor_critic(obs_dim, critic_dim, cfg, substream(seed, "init"), act_dim=act_dim, dtype=dtype)
+    return rl.init_actor_critic(obs_dim, critic_dim, cfg, substream(seed, "init"), dtype=dtype)
 
 
 def test_ppo_ratio_is_one_on_fresh_batch():

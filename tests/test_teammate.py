@@ -8,8 +8,8 @@ from conftest import FixedTeammates, reduced_4p2e3o
 from test_nn import finite_difference, max_rel_error
 
 
-def small_layout(num_e=2, num_p=4, k=1):
-    return teammate.WindowLayout(num_e=num_e, num_p=num_p, k=k)
+def small_layout(num_e=2, num_p=4):
+    return teammate.WindowLayout(num_e=num_e, num_p=num_p)
 
 
 def small_encoder(layout=None, seed=0, hidden=8, embed=4, dtype=np.float64):
@@ -18,32 +18,16 @@ def small_encoder(layout=None, seed=0, hidden=8, embed=4, dtype=np.float64):
 
 
 def test_window_layout_lengths():
-    layout = small_layout(num_e=2, num_p=4, k=1)
+    layout = small_layout(num_e=2, num_p=4)
     assert layout.evader_len == 6
     assert layout.self_len == 7
     assert layout.rel_len == 9
-    assert layout.window_len == 22
-    layout3 = small_layout(num_e=2, num_p=4, k=3)
-    assert layout3.window_len == 66
-
-
-def test_window_zero_padding_before_k_steps():
-    layout = small_layout(k=3)
-    win = teammate.HistoryWindow(layout)
-    assert np.all(win.vector() == 0.0)
-    rec = np.arange(layout.step_len, dtype=float)
-    win.push(rec)
-    v = win.vector()
-    assert np.all(v[: 2 * layout.step_len] == 0.0)  # two oldest slots padded
-    np.testing.assert_array_equal(v[2 * layout.step_len :], rec)
-    for _ in range(5):
-        win.push(rec)
-    np.testing.assert_array_equal(win.vector(), np.tile(rec, 3))
+    assert layout.step_len == 22
 
 
 def test_zero_window_zero_bias_gives_zero_embedding():
     enc = small_encoder()
-    win = np.zeros((3, enc.layout.window_len))
+    win = np.zeros((3, enc.layout.step_len))
     emb, _ = teammate.encode(enc, win)
     np.testing.assert_allclose(emb, 0.0, atol=1e-12)
 
@@ -51,7 +35,7 @@ def test_zero_window_zero_bias_gives_zero_embedding():
 def test_softmax_saturation_selects_branch():
     enc = small_encoder()
     rng = np.random.default_rng(0)
-    win = rng.normal(size=(2, enc.layout.window_len))
+    win = rng.normal(size=(2, enc.layout.step_len))
     ev_in, sf_in, rel_rows = enc.layout.split_branches(win)
     o_ev, _ = nn.mlp_forward(enc.evader_net, ev_in)
     enc.mix_logits = np.array([20.0, 0.0, 0.0])
@@ -63,7 +47,7 @@ def test_encoder_gradients_match_finite_differences():
     enc = small_encoder()
     rng = np.random.default_rng(1)
     enc.mix_logits = rng.normal(size=3)  # move off the symmetric point
-    win = rng.normal(size=(4, enc.layout.window_len))
+    win = rng.normal(size=(4, enc.layout.step_len))
     w = rng.normal(size=(4, enc.embed_dim))
 
     def loss():
@@ -80,13 +64,12 @@ def test_embedding_invariant_to_teammate_row_permutation():
     enc = small_encoder()
     rng = np.random.default_rng(2)
     layout = enc.layout
-    win = rng.normal(size=(1, layout.window_len)).copy()
-    steps = win.reshape(1, layout.k, layout.step_len)
+    win = rng.normal(size=(1, layout.step_len))
     rel_start = layout.evader_len + layout.self_len
-    rel = steps[0, 0, rel_start:].reshape(layout.n_teammates, 3)
+    rel = win[0, rel_start:].reshape(layout.n_teammates, 3)
     perm = np.array([2, 0, 1])
     permuted = win.copy()
-    permuted.reshape(1, layout.k, layout.step_len)[0, 0, rel_start:] = rel[perm].reshape(-1)
+    permuted[0, rel_start:] = rel[perm].reshape(-1)
 
     emb_a, _ = teammate.encode(enc, win)
     emb_b, _ = teammate.encode(enc, permuted)
@@ -94,13 +77,14 @@ def test_embedding_invariant_to_teammate_row_permutation():
 
 
 def test_reconstruction_loss_zero_at_match():
-    dec = teammate.init_decoder(4, substream(0, "dec"), dtype=np.float64)
-    emb = np.zeros((1, 4))
-    out, _ = nn.mlp_forward(dec.net, emb)
-    # target exactly the predicted distribution: mean == out mean, std == target_std
-    sigma_t = float(np.exp(nn.clamp_log_std(out[0, 1])))
-    actions = np.full((1, 2), out[0, 0])
-    loss, _, _ = teammate.reconstruction_loss(dec, emb, actions, target_std=sigma_t)
+    # the decoder predicts mean 0.3 and std RECON_TARGET_STD whatever the
+    # embedding, and both teammates acted 0.3: the target is the prediction
+    dec = teammate.TeamDecoder(
+        net=nn.Mlp(weights=[np.zeros((4, 2))], biases=[np.array([0.3, np.log(teammate.RECON_TARGET_STD)])])
+    )
+    emb = np.random.default_rng(0).normal(size=(3, 4))
+    actions = np.full((3, 2), 0.3)
+    loss, _, _ = teammate.reconstruction_loss(dec, emb, actions)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
@@ -111,7 +95,8 @@ def test_reconstruction_closed_form_value():
     )
     emb = np.zeros((1, 4))
     actions = np.array([[0.5]])
-    loss, _, _ = teammate.reconstruction_loss(dec, emb, actions, target_std=0.1)
+    assert teammate.RECON_TARGET_STD == 0.1
+    loss, _, _ = teammate.reconstruction_loss(dec, emb, actions)
     assert loss == pytest.approx(12.5, abs=1e-9)
 
 
@@ -139,7 +124,7 @@ def test_recon_loss_invariant_under_paired_permutation():
     dec = teammate.init_decoder(enc.embed_dim, substream(5, "dec"), dtype=np.float64)
     rng = np.random.default_rng(6)
     layout = enc.layout
-    win = rng.normal(size=(1, layout.window_len))
+    win = rng.normal(size=(1, layout.step_len))
     actions = rng.uniform(-1, 1, size=(1, 3))
 
     def joint(w, a):
@@ -150,8 +135,8 @@ def test_recon_loss_invariant_under_paired_permutation():
     perm = np.array([1, 2, 0])
     rel_start = layout.evader_len + layout.self_len
     permuted = win.copy()
-    rel = permuted.reshape(1, layout.k, layout.step_len)[0, 0, rel_start:].reshape(layout.n_teammates, 3)
-    permuted.reshape(1, layout.k, layout.step_len)[0, 0, rel_start:] = rel[perm].reshape(-1)
+    rel = permuted[0, rel_start:].reshape(layout.n_teammates, 3)
+    permuted[0, rel_start:] = rel[perm].reshape(-1)
     assert joint(win, actions) == pytest.approx(joint(permuted, actions[:, perm]), abs=1e-12)
 
 
@@ -177,20 +162,20 @@ def test_naht_collector_shapes_and_determinism():
     b1, _ = collect()
     b2, _ = collect()
     assert len(b1.base) == 64
-    assert b1.windows.shape == (64, teammate.WindowLayout(2, 4, 1).window_len)
+    assert b1.windows.shape == (64, teammate.WindowLayout(2, 4).step_len)
     assert b1.teammate_actions.shape == (64, 2)
     np.testing.assert_array_equal(b1.base.actor_in, b2.base.actor_in)
     np.testing.assert_array_equal(b1.windows, b2.windows)
     np.testing.assert_array_equal(b1.teammate_actions, b2.teammate_actions)
-    # first-step windows are all zero-padded
+    # the first step reads an all-zero record
     np.testing.assert_array_equal(b1.windows[0], np.zeros_like(b1.windows[0]))
 
 
 def test_joint_gradient_matches_finite_differences():
-    # end-to-end PPO + beta*recon gradient on a tiny model (64-bit)
+    # end-to-end PPO + RECON_BETA * recon gradient on a tiny model (64-bit)
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     cfg = rl.PpoConfig(batch=8, minibatch=8, epochs=1, hidden=(6,), entropy_coef=0.01)
-    layout = teammate.WindowLayout(num_e=2, num_p=4, k=1)
+    layout = teammate.WindowLayout(num_e=2, num_p=4)
     obs_dim = sim.obs_length(env)
     critic_dim = sim.central_obs_length(env, 2)
     rng_init = substream(7, "init")
@@ -203,7 +188,7 @@ def test_joint_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
     B = 8
     obs = rng.normal(size=(B, obs_dim))
-    windows = rng.normal(size=(B, layout.window_len))
+    windows = rng.normal(size=(B, layout.step_len))
     central = rng.normal(size=(B, critic_dim))
     emb0, _ = teammate.encode(model.encoder, windows)
     mean0 = model.ac.action_mean(model.actor_input(obs, emb0))
@@ -212,11 +197,11 @@ def test_joint_gradient_matches_finite_differences():
     adv = rng.normal(size=B)
     ret = rng.normal(size=B)
     mates = rng.uniform(-1, 1, size=(B, 2))
-    beta = 0.1
+    beta = teammate.RECON_BETA
 
     base = rl.PpoBatch(obs, central, actions, old_logp, adv, ret)
     batch = teammate.NahtBatch(base=base, windows=windows, teammate_actions=mates)
-    grads, diag = teammate.naht_loss_and_grads(model, batch, np.arange(B), cfg, beta)
+    grads, diag = teammate.naht_loss_and_grads(model, batch, np.arange(B), cfg)
 
     def loss_fn():
         emb, _ = teammate.encode(model.encoder, windows)
@@ -236,7 +221,7 @@ def test_joint_gradient_matches_finite_differences():
 
 
 def test_zero_embedding_matches_mappo_update():
-    # beta = 0 and zeroed encoder output layers: the embedding is 0, so the
+    # no decoder and zeroed encoder output layers: the embedding is 0, so the
     # actor's embedding rows get no gradient and pass none back to the
     # encoder. The NAHT update on the obs-part of the actor then equals a
     # plain MAPPO (centralized-critic PPO) update on the same batch, and the
@@ -248,7 +233,7 @@ def test_zero_embedding_matches_mappo_update():
 
     mappo = rl.init_actor_critic(obs_dim, critic_dim, cfg, substream(11, "init"), dtype=np.float64)
     # a float64 naht model with the mappo actor embedded
-    layout = teammate.WindowLayout(2, 4, 1)
+    layout = teammate.WindowLayout(2, 4)
     ac = rl.ActorCritic(
         actor=nn.Mlp(
             weights=[np.vstack([mappo.actor.weights[0], np.zeros((16, 8))]), mappo.actor.weights[1].copy()],
@@ -278,14 +263,14 @@ def test_zero_embedding_matches_mappo_update():
     ret = rng.normal(size=B)
     base = rl.PpoBatch(obs, central, actions, old_logp, adv, ret)
     nbatch = teammate.NahtBatch(
-        base=base, windows=rng.normal(size=(B, layout.window_len)), teammate_actions=rng.normal(size=(B, 2))
+        base=base, windows=rng.normal(size=(B, layout.step_len)), teammate_actions=rng.normal(size=(B, 2))
     )
 
     opt_m = nn.adam_init(mappo.params(), lr=cfg.lr)
     rl.ppo_update(mappo, opt_m, base, cfg, substream(15, "upd"))
 
     opt_n = nn.adam_init(model.params(), lr=cfg.lr)
-    teammate.naht_update(model, opt_n, nbatch, cfg, substream(15, "upd"), beta=0.0)
+    teammate.naht_update(model, opt_n, nbatch, cfg, substream(15, "upd"))
 
     np.testing.assert_allclose(model.ac.actor.weights[0][:obs_dim], mappo.actor.weights[0], atol=1e-12)
     np.testing.assert_allclose(model.ac.actor.weights[0][obs_dim:], np.zeros((16, 8)), atol=0)
@@ -311,7 +296,7 @@ def test_naht_train_smoke_and_checkpoint_roundtrip(tmp_path):
         np.testing.assert_array_equal(a, b)
 
     # the loaded policy drives a slot deterministically
-    pol = teammate.NahtSlotPolicy(loaded, (env.site.boundary_width, env.site.boundary_height))
+    pol = teammate.NahtSlotPolicy(loaded)
     pol = pol.begin_episode(substream(0, "ep"))
     state, obs = sim.reset(env, 5)
     action = pol.act(state, 0, obs)
@@ -350,3 +335,12 @@ def test_naht_checkpoint_array_shapes_are_checked(tmp_path, name, shape):
     assert loaded.ac.obs_dim == model.ac.obs_dim == model.obs_dim + model.embed_dim
     with pytest.raises(ValueError, match=f"array {name} has"):
         evalkit.load_checkpoint(bad)
+
+
+def test_naht_checkpoint_with_a_longer_history_is_rejected():
+    env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
+    model = teammate.init_naht_model(env, rl.PpoConfig(hidden=(8,)), substream(0, "init"))
+    _kind, named, meta = model.checkpoint_arrays()
+    assert meta["history_k"] == 1
+    with pytest.raises(ValueError, match="history_k is 2"):
+        teammate.naht_from_arrays(dict(named), {**meta, "history_k": 2})
