@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 domain violation (invalid config, failed check, or a
 ValueError from `train` or `eval` such as an infeasible respawn region or a
 bad policy reference), 2 usage or IO error, a `train` flag that the chosen
-`--algo` does not read and a `--steps` below 1 included. Every long-running command writes
+`--algo` does not read and a count flag below its minimum included. Every long-running command writes
 a run manifest into its output directory before any heavy computation;
 rerunning a command with the same arguments reproduces its outputs byte for
 byte. `eval --jobs J` runs seed blocks in J worker processes with results
@@ -32,6 +32,16 @@ ALGO_FLAGS = (
     ("--generations", ("hola", "hola-nog"), 5),
     ("--init-sp-steps", ("hola", "hola-nog"), 50_000),
 )
+
+
+def _below_minimum(args: argparse.Namespace, **minimums: int) -> bool:
+    """True, once printed, when a count flag (by its dest) is below its minimum."""
+    for dest, minimum in minimums.items():
+        value = getattr(args, dest)
+        if value < minimum:
+            print(f"--{dest.replace('_', '-')} must be >= {minimum}, got {value}", file=sys.stderr)
+            return True
+    return False
 
 
 def _load_env(spec: str) -> config.EnvConfig:
@@ -120,8 +130,8 @@ def cmd_train(args) -> int:
         elif args.algo not in algos:
             print(f"--algo {args.algo} does not read {flag}", file=sys.stderr)
             return 2
-    if args.steps < 1:
-        print(f"--steps must be >= 1, got {args.steps}", file=sys.stderr)
+    # a flag that --algo does not read holds its default here, which passes
+    if _below_minimum(args, steps=1, pop_size=2, generations=1, init_sp_steps=1):
         return 2
     env_cfg = _env_or_exit_code(args.env)
     if isinstance(env_cfg, int):
@@ -204,6 +214,8 @@ def _zoo_assets(root: str | None) -> evalkit.ZooAssets:
 def cmd_eval(args) -> int:
     if args.zoo not in (1, 2, 3):
         print(f"unknown zoo {args.zoo}; choose 1, 2, or 3", file=sys.stderr)
+        return 2
+    if _below_minimum(args, episodes=1, jobs=1):
         return 2
     env_cfg = _env_or_exit_code(args.env)
     if isinstance(env_cfg, int):

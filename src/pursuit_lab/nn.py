@@ -4,7 +4,8 @@ Fixed feed-forward topology only (tanh hidden layers, linear output) with
 hand-written reverse-mode gradients, which keeps training fully deterministic
 and lets the test suite check every gradient against central finite
 differences. Parameters default to float32; pass dtype=np.float64 for
-gradient-check precision.
+gradient-check precision. Adam's moment decays and denominator term are the
+constants `ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPS`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ import numpy as np
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -63,10 +68,9 @@ def mlp_forward(mlp: Mlp, x: np.ndarray):
     """
     dtype = mlp.weights[0].dtype
     h = np.asarray(x, dtype=dtype)
-    if h.ndim == 1:
-        h = h[None, :]
-    if h.shape[1] != mlp.weights[0].shape[0]:
-        raise ValueError(f"input dim {h.shape[1]} != first layer fan-in {mlp.weights[0].shape[0]}")
+    fan_in = mlp.weights[0].shape[0]
+    if h.shape[1:] != (fan_in,):
+        raise ValueError(f"input shape {h.shape} is not (batch, {fan_in})")
     activations = [h]
     n_layers = len(mlp.weights)
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
@@ -80,8 +84,6 @@ def mlp_forward(mlp: Mlp, x: np.ndarray):
 def mlp_backward(mlp: Mlp, cache: list[np.ndarray], dout: np.ndarray):
     """Exact reverse-mode gradients. Returns (grads aligned with arrays(), dx)."""
     dout = np.asarray(dout, dtype=mlp.weights[0].dtype)
-    if dout.ndim == 1:
-        dout = dout[None, :]
     if dout.shape != cache[-1].shape:
         raise ValueError(f"output-gradient shape {dout.shape} != output shape {cache[-1].shape}")
     n_layers = len(mlp.weights)
@@ -138,9 +140,6 @@ def gaussian_sample(mean: np.ndarray, log_std: np.ndarray, rng: np.random.Genera
 @dataclass
 class AdamState:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -162,16 +161,16 @@ def adam_step(opt: AdamState, params: list[np.ndarray], grads: list[np.ndarray])
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("non-finite gradient")
     opt.t += 1
-    bc1 = 1.0 - opt.beta1**opt.t
-    bc2 = 1.0 - opt.beta2**opt.t
+    bc1 = 1.0 - ADAM_BETA1**opt.t
+    bc2 = 1.0 - ADAM_BETA2**opt.t
     for p, g, m, v in zip(params, grads, opt.m, opt.v):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * g * g
-        p -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params
 
 

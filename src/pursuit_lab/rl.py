@@ -13,6 +13,10 @@ per round. `finish_training` scores and saves every final model through
 Rollouts count *learner transitions*: one env step with N learner slots
 contributes N transitions, and `PpoConfig.total_steps` / `batch` are
 denominated in those units.
+
+The PPO settings that no run varies are constants: the discount `GAMMA`,
+the GAE `GAE_LAMBDA`, the surrogate's `CLIP_RATIO`, the value-loss weight
+`VALUE_COEF` and the initial policy std `INIT_STD`.
 """
 
 from __future__ import annotations
@@ -29,20 +33,22 @@ from .config import EnvConfig, with_control_split
 from .seeding import substream
 
 
+GAMMA = 0.99
+GAE_LAMBDA = 0.95
+CLIP_RATIO = 0.2
+VALUE_COEF = 1.0
+INIT_STD = 0.5
+
+
 @dataclass
 class PpoConfig:
-    gamma: float = 0.99
-    gae_lambda: float = 0.95
     lr: float = 3e-4
-    clip_ratio: float = 0.2
-    value_coef: float = 1.0
     entropy_coef: float = 0.01
     epochs: int = 20
     batch: int = 1024
     minibatch: int = 256
     total_steps: int = 1_000_000
     hidden: tuple[int, ...] = (128, 128)
-    init_std: float = 0.5
 
     @classmethod
     def for_learners(cls, *slot_counts: int, **fields) -> "PpoConfig":
@@ -54,10 +60,6 @@ class PpoConfig:
         return cls(batch=batch, minibatch=batch // 4, **fields)
 
     def validate(self) -> None:
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValueError("gamma must be in (0, 1]")
-        if not (0.0 < self.gae_lambda <= 1.0):
-            raise ValueError("gae_lambda must be in (0, 1]")
         if self.batch % self.minibatch != 0:
             raise ValueError("minibatch must divide batch")
 
@@ -120,7 +122,7 @@ def init_actor_critic(
     """A fresh actor-critic; the action is the one steer scalar."""
     actor = nn.mlp_init([obs_dim, *cfg.hidden, 1], rng, dtype=dtype, final_scale=0.01)
     critic = nn.mlp_init([critic_in_dim, *cfg.hidden, 1], rng, dtype=dtype)
-    log_std = np.full(1, np.log(cfg.init_std), dtype=dtype)
+    log_std = np.full(1, np.log(INIT_STD), dtype=dtype)
     return ActorCritic(actor, log_std, critic, obs_dim, 1, critic_in_dim)
 
 
@@ -260,11 +262,11 @@ def ppo_loss_and_grads(model: ActorCritic, actor_in, critic_in, actions, old_log
     logp = nn.gaussian_log_prob(mean, model.log_std, actions)
     ratio = np.exp(logp - old_logp)
     surr1 = ratio * adv
-    clipped_ratio = np.clip(ratio, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
+    clipped_ratio = np.clip(ratio, 1.0 - CLIP_RATIO, 1.0 + CLIP_RATIO)
     surr2 = clipped_ratio * adv
     pi_loss = -float(np.mean(np.minimum(surr1, surr2)))
 
-    in_range = (ratio >= 1.0 - cfg.clip_ratio) & (ratio <= 1.0 + cfg.clip_ratio)
+    in_range = (ratio >= 1.0 - CLIP_RATIO) & (ratio <= 1.0 + CLIP_RATIO)
     active = (surr1 <= surr2) | in_range
     dlogp = -(adv * ratio * active) / B
 
@@ -279,7 +281,7 @@ def ppo_loss_and_grads(model: ActorCritic, actor_in, critic_in, actions, old_log
     v = v[:, 0]
     v_err = v - ret
     v_loss = float(np.mean(v_err**2))
-    dv = (cfg.value_coef * 2.0 * v_err / B)[:, None]
+    dv = (VALUE_COEF * 2.0 * v_err / B)[:, None]
     critic_grads, _ = nn.mlp_backward(model.critic, c_cache, dv.astype(v.dtype))
 
     grads = actor_grads + [dlog_std.astype(model.log_std.dtype)] + critic_grads
@@ -287,9 +289,9 @@ def ppo_loss_and_grads(model: ActorCritic, actor_in, critic_in, actions, old_log
         "pi_loss": pi_loss,
         "v_loss": v_loss,
         "entropy": float(entropy),
-        "clip_frac": float(np.mean(np.abs(ratio - 1.0) > cfg.clip_ratio)),
+        "clip_frac": float(np.mean(np.abs(ratio - 1.0) > CLIP_RATIO)),
         "approx_kl": float(np.mean(old_logp - logp)),
-        "loss": pi_loss + cfg.value_coef * v_loss - cfg.entropy_coef * float(entropy),
+        "loss": pi_loss + VALUE_COEF * v_loss - cfg.entropy_coef * float(entropy),
         "ratio": ratio,
     }
     return grads, dactor_in, diag
@@ -490,6 +492,7 @@ class RolloutCollector:
         if env_cfg.players.num_unctrl > 0 and teammates is None:
             raise ValueError("uncontrolled slots present but no teammate sampler given")
         self.state = None
+        self._obs = None  # the observation rows of `state`, while it runs
         self._episode_reward = 0.0
         self._slot_policies = []
 
@@ -526,14 +529,12 @@ class RolloutCollector:
         stats = RolloutStats()
         obs_rows, critic_rows, act_rows, logp_rows = [], [], [], []
         value_rows, reward_rows, term_rows = [], [], []
-        seg_bounds = []  # (start, end, per-slot bootstrap values) in env-step units
-        seg_start = 0
         steps_needed = -(-n_transitions // n)
 
         if self.state is None or self.state.terminal != sim.RUNNING:
             obs = self._begin_episode()
         else:
-            obs = sim.observe_all(self.state)
+            obs = self._obs
 
         for step_i in range(steps_needed):
             learner_obs = obs[:n]
@@ -561,32 +562,19 @@ class RolloutCollector:
                 stats.episode_returns.append(self._episode_reward)
                 stats.episode_lengths.append(self.state.step)
                 stats.episode_terminals.append(out.terminal)
-                seg_bounds.append((seg_start, step_i + 1, 0.0))
-                seg_start = step_i + 1
                 if step_i + 1 < steps_needed:
                     obs = self._begin_episode()
             else:
                 obs = out.observations
+        self._obs = obs
 
-        if seg_start < steps_needed:
-            # cut mid-episode: bootstrap each slot with its value of the current state
-            seg_bounds.append((seg_start, steps_needed, self._critic(obs[:n])[1]))
-
-        # GAE over each episode segment, all learner slots at once, then flatten
-        rewards = np.asarray(reward_rows)
-        terminals = np.asarray(term_rows)
+        # One GAE pass over all episodes and slots; a cut episode bootstraps each slot with its
+        # value of the current state. At a terminal, the next episode's first value times
+        # nonterminal = 0 may be -0.0 where a pass per episode bootstrapped +0.0; the reward it
+        # is added to is never -0.0 (`sim.compute_reward` starts from +0.0), so the bits agree.
+        bootstrap = self._critic(obs[:n])[1] if self.state.terminal == sim.RUNNING else 0.0
         values = np.stack(value_rows)  # (T, n_learners)
-        advantages = np.zeros((steps_needed, n))
-        returns = np.zeros((steps_needed, n))
-        for start, end, bootstrap in seg_bounds:
-            advantages[start:end], returns[start:end] = compute_gae(
-                rewards[start:end],
-                values[start:end],
-                terminals[start:end],
-                self.cfg.gamma,
-                self.cfg.gae_lambda,
-                bootstrap_value=bootstrap,
-            )
+        advantages, returns = compute_gae(reward_rows, values, term_rows, GAMMA, GAE_LAMBDA, bootstrap)
 
         batch = PpoBatch(
             actor_in=np.concatenate(obs_rows, axis=0),

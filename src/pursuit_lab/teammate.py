@@ -126,10 +126,8 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def encode(enc: TeamEncoder, windows: np.ndarray):
-    """Team embedding for a batch of step records. Returns (emb, cache)."""
-    if windows.ndim == 1:
-        windows = windows[None, :]
-    B = windows.shape[0]
+    """Team embedding for a (batch, step_len) array of step records. Returns (emb, cache)."""
+    B, _ = windows.shape
     R = enc.layout.n_teammates
     ev_in, sf_in, rel_rows = enc.layout.split_branches(windows)
     o_ev, c_ev = nn.mlp_forward(enc.evader_net, ev_in)
@@ -191,10 +189,6 @@ def reconstruction_loss(dec: TeamDecoder, emb: np.ndarray, teammate_actions: np.
     action with fixed std `RECON_TARGET_STD`. Returns (loss, grads wrt
     decoder params, d(loss)/d(embedding)).
     """
-    if emb.ndim == 1:
-        emb = emb[None, :]
-    if teammate_actions.ndim == 1:
-        teammate_actions = teammate_actions[None, :]
     B, M = teammate_actions.shape
     out, cache = nn.mlp_forward(dec.net, emb)
     mu = out[:, 0:1]  # (B, 1) shared prediction

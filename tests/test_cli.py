@@ -325,3 +325,23 @@ def test_commands_print_the_violations_of_an_invalid_config(tmp_path, capsys, ar
     assert run_cli(*argv, str(tmp_path / "out"), "--env", str(env)) == 1
     assert "fps must be positive" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # rejected before the run manifest
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("train", "--algo", "pbt", "--steps", "64", "--pop-size", "1"), "--pop-size must be >= 2, got 1"),
+        (("train", "--algo", "hola", "--steps", "64", "--generations", "0"), "--generations must be >= 1, got 0"),
+        (("train", "--algo", "hola-nog", "--steps", "64", "--generations", "1", "--init-sp-steps", "0"), "--init-sp-steps must be >= 1, got 0"),
+        (("eval", "--ckpt", "greedy", "--zoo", "1", "--episodes", "0"), "--episodes must be >= 1, got 0"),
+        (("eval", "--ckpt", "greedy", "--zoo", "1", "--episodes", "-3"), "--episodes must be >= 1, got -3"),
+        (("eval", "--ckpt", "greedy", "--zoo", "1", "--episodes", "5", "--jobs", "0"), "--jobs must be >= 1, got 0"),
+        # a count flag that the algo does not read is refused as such
+        (("train", "--algo", "sp", "--steps", "64", "--pop-size", "1"), "--algo sp does not read --pop-size"),
+    ],
+)
+def test_count_flags_below_their_minimum_exit_2_before_the_manifest(tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--out" if argv[0] == "train" else "--report", str(out), "--env", "4p2e3o") == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()  # refused before the manifest

@@ -23,8 +23,13 @@ checkpoint, HOLA's `generation_*.json` and `report.json`. Archive members are co
 `.zip` files, and a manifest is compared as parsed JSON, so that only the
 recorded numbers count.
 
-All of them are keys of the same file. A refactor leaves every hash
-unchanged. After a change that moves outputs on purpose, rerun
+All of them are keys of the same file, recorded with its platform: the
+numpy version, the machine and a fingerprint of the BLAS kernel. Every key
+skips on another numpy version or machine. The simulator and scripted keys
+call no BLAS; the training and evaluation keys do, so they also skip when
+the fingerprint differs (OpenBLAS picks its kernel by CPU, and on x86_64 an
+AVX2-only kernel gives other network bits than an AVX-512 one). A refactor
+leaves every hash unchanged. After a change that moves outputs on purpose, rerun
 `PYTHONPATH=src python tests/golden/regen_hashes.py` and say in the commit
 why the bytes moved.
 """
@@ -58,9 +63,26 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def blas_fingerprint() -> str:
+    """sha256 of seeded float32 matmuls of the trainings' shapes: forwards of
+    1 to 64 rows of 18-wide observations and of 128-wide layers, and the
+    products of their backward passes. Two BLAS kernels that give these the
+    same bits are taken to give the trainings the same bits."""
+    rng = np.random.default_rng(0)
+    h = hashlib.sha256()
+    for rows, fan_in, fan_out in ((1, 18, 128), (4, 18, 128), (32, 128, 128), (64, 128, 128), (64, 128, 1)):
+        x = rng.standard_normal((rows, fan_in)).astype(np.float32)
+        w = rng.standard_normal((fan_in, fan_out)).astype(np.float32)
+        y = x @ w
+        for product in (y, x.T @ y, y @ w.T):
+            h.update(product.tobytes())
+    return h.hexdigest()
+
+
 def platform_tag() -> dict:
-    """Float results depend on the numpy build and the CPU architecture."""
-    return {"numpy": np.__version__, "machine": platform.machine()}
+    """Float results depend on the numpy build and the CPU architecture, and
+    the networks' also on the BLAS kernel."""
+    return {"numpy": np.__version__, "machine": platform.machine(), "blas": blas_fingerprint()}
 
 
 def checkpoint_hashes(run: str, path) -> dict[str, str]:
@@ -171,20 +193,25 @@ def golden_hashes(root: Path) -> dict[str, str]:
 
 
 @pytest.fixture(scope="module")
-def golden() -> dict[str, str]:
+def golden() -> dict:
+    """The recorded document; skips on another numpy version or machine."""
     doc = json.loads(HASHES.read_text())
-    if doc["platform"] != platform_tag():
-        pytest.skip(f"golden hashes were recorded on {doc['platform']}, not {platform_tag()}")
-    return doc["hashes"]
+    here = platform_tag()
+    if any(doc["platform"][k] != here[k] for k in ("numpy", "machine")):
+        pytest.skip(f"golden hashes were recorded on {doc['platform']}, not {here}")
+    return doc
 
 
 def test_step_outcomes_match_the_golden_hash(golden):
-    assert step_outcome_hash() == golden[STEP_KEY]
+    assert step_outcome_hash() == golden["hashes"][STEP_KEY]
 
 
 def test_scripted_eval_matches_the_golden_hash(golden):
-    assert scripted_eval_hash() == golden[SCRIPTED_EVAL_KEY]
+    assert scripted_eval_hash() == golden["hashes"][SCRIPTED_EVAL_KEY]
 
 
 def test_outputs_match_the_golden_hashes(tmp_path, golden):
-    assert golden_hashes(tmp_path) == {key: value for key, value in golden.items() if key not in SEPARATE_KEYS}
+    if golden["platform"]["blas"] != blas_fingerprint():
+        pytest.skip("the network keys were recorded with another BLAS kernel")
+    hashes = golden["hashes"]
+    assert golden_hashes(tmp_path) == {key: value for key, value in hashes.items() if key not in SEPARATE_KEYS}

@@ -76,6 +76,15 @@ def test_forward_dimension_mismatch():
         nn.mlp_forward(mlp, np.zeros((2, 4)))
 
 
+def test_forward_and_backward_take_batches_of_rows():
+    mlp = nn.mlp_init([5, 3], np.random.default_rng(2))
+    with pytest.raises(ValueError):
+        nn.mlp_forward(mlp, np.zeros(5))  # one row is (1, 5), not (5,)
+    _, cache = nn.mlp_forward(mlp, np.zeros((1, 5)))
+    with pytest.raises(ValueError):
+        nn.mlp_backward(mlp, cache, np.zeros(3))
+
+
 def test_backward_matches_finite_differences():
     rng = np.random.default_rng(3)
     for dims in ([3, 5, 2], [4, 8, 8, 1], [2, 16, 4]):

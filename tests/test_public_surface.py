@@ -14,6 +14,11 @@ varies; it belongs in a constant. Calls are matched by name: `f(...)` and
 `module.f(...)` to the function (or the `__init__` of the class) that the
 name resolves to, and `obj.m(...)` to every method named `m`. A call passes
 a parameter by keyword, by position, or through `*args` / `**kwargs`.
+
+Likewise, a defaulted field of a public dataclass that no code in `src` sets
+belongs in a constant. A field is set by a constructor argument (by keyword,
+by position, or through the forwarded `**kwargs` of a `cls(...)` call), by a
+`dataclasses.replace` keyword, or by an attribute assignment to its name.
 """
 
 import ast
@@ -175,3 +180,112 @@ def test_every_default_is_passed_by_some_call():
 def test_allowed_defaults_are_still_unpassed():
     # an entry whose parameter gained a caller or was deleted leaves the allowlist
     assert set(ALLOWED_DEFAULTS) <= unpassed_defaults()
+
+
+#: Defaulted fields of public dataclasses that no code in `src` sets, each with its reason.
+ALLOWED_FIELDS = {
+    "rl.PpoConfig.hidden": "the tests train small networks",
+    "rl.PpoConfig.epochs": "the golden and unit tests train one or two epochs per update",
+}
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def dataclass_fields(module: str, tree: ast.Module) -> dict[str, tuple[list[str], set[str]]]:
+    """`module.Class` -> (fields in order, defaulted fields) of each public dataclass."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_") and is_dataclass(node):
+            annotated = [s for s in node.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+            found[f"{module}.{node.name}"] = (
+                [s.target.id for s in annotated],
+                {s.target.id for s in annotated if s.value is not None},
+            )
+    return found
+
+
+def field_settings(module: str, tree: ast.Module, forwarded: dict[str, set]) -> tuple[dict[str, set], set[str]]:
+    """(class key -> the positional counts and keyword names of its
+    constructor calls, field names set by `replace` keywords or by attribute
+    assignments) in this module.
+
+    A constructor call is `Class(...)`, `module.Class(...)` or `cls(...)` in a
+    method of the class. Its `**name` forwards the `**name` parameter of the
+    enclosing function, so it passes the keywords of that function's calls in
+    `forwarded` (by `.function`); any other `**` passes every field.
+    """
+    imported_names, imported_modules = package_imports(tree)
+    constructed: dict[str, set] = {}
+    assigned: set[str] = set()
+
+    def visit(node, cls_key=None, fn=None):
+        if isinstance(node, ast.ClassDef):
+            cls_key = f"{module}.{node.name}"
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "replace":
+                assigned.update(kw.arg for kw in node.keywords if kw.arg)
+            key = None
+            if isinstance(func, ast.Name):
+                key = cls_key if func.id == "cls" else imported_names.get(func.id, f"{module}.{func.id}")
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in imported_modules:
+                key = f"{imported_modules[func.value.id]}.{func.attr}"
+            if key is not None:
+                args = constructed.setdefault(key, set())
+                args.add(len(node.args))
+                for kw in node.keywords:
+                    if kw.arg is not None:
+                        args.add(kw.arg)
+                    elif fn is not None and fn.args.kwarg and isinstance(kw.value, ast.Name) and kw.value.id == fn.args.kwarg.arg:
+                        args |= forwarded.get(f".{fn.name}", set())
+                    else:
+                        args.add("**")
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                assigned.update(t.attr for t in ast.walk(target) if isinstance(t, ast.Attribute))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls_key, fn)
+
+    visit(tree)
+    return constructed, assigned
+
+
+def unset_fields() -> set[str]:
+    """Every `module.Class.field` with a default that no code in `src` sets."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    forwarded: dict[str, set] = {}
+    for module, tree in trees.items():
+        for key, args in passed_arguments(module, tree).items():
+            forwarded.setdefault(key, set()).update(a for a in args if isinstance(a, str))
+    fields, constructed, assigned = {}, {}, set()
+    for module, tree in trees.items():
+        fields.update(dataclass_fields(module, tree))
+        calls, names = field_settings(module, tree, forwarded)
+        for key, args in calls.items():
+            constructed.setdefault(key, set()).update(args)
+        assigned |= names
+    unset = set()
+    for cls, (ordered, defaulted) in fields.items():
+        args = constructed.get(cls, set())
+        n_positional = max((a for a in args if not isinstance(a, str)), default=0)
+        for name in defaulted:
+            if not (ordered.index(name) < n_positional or name in args or "**" in args or name in assigned):
+                unset.add(f"{cls}.{name}")
+    return unset
+
+
+def test_every_dataclass_default_is_set_by_some_code():
+    assert sorted(unset_fields() - set(ALLOWED_FIELDS)) == []
+
+
+def test_allowed_fields_are_still_unset():
+    # an entry whose field gained a setter or was deleted leaves the allowlist
+    assert set(ALLOWED_FIELDS) <= unset_fields()

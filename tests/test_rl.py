@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pursuit_lab import config, evalkit, nn, rl, sim
 from pursuit_lab.seeding import substream
@@ -103,7 +105,8 @@ def test_ppo_zero_advantages_skip_policy_term():
 
 def test_ppo_loss_matches_hand_computation():
     # 4-sample batch, 1-dim action, tiny linear nets built by hand.
-    cfg = rl.PpoConfig(clip_ratio=0.2, value_coef=1.0, entropy_coef=0.01)
+    assert (rl.CLIP_RATIO, rl.VALUE_COEF) == (0.2, 1.0)
+    cfg = rl.PpoConfig(entropy_coef=0.01)
     actor = nn.Mlp(weights=[np.array([[0.5]])], biases=[np.array([0.1])])
     critic = nn.Mlp(weights=[np.array([[-0.3]])], biases=[np.array([0.2])])
     model = rl.ActorCritic(actor, np.array([0.0]), critic, 1, 1, 1)
@@ -221,7 +224,7 @@ def test_cut_rollout_bootstraps_each_slot_with_its_own_value():
     tail = model.values(sim.observe_all(collector.state)[:4]).astype(np.float64)
     assert np.ptp(tail) > 1e-4
     last = batch.returns[-4:]
-    np.testing.assert_allclose(last - last[0], cfg.gamma * (tail - tail[0]), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(last - last[0], rl.GAMMA * (tail - tail[0]), rtol=0, atol=1e-9)
 
 
 def test_mappo_critic_input_length():
@@ -505,6 +508,61 @@ def test_gae_over_slots_is_bitwise_the_scalar_recursion_per_slot():
         a, r = scalar_gae(rewards, values[:, slot], terminals, 0.99, 0.95, float(bootstrap[slot]))
         np.testing.assert_array_equal(adv[:, slot], a)
         np.testing.assert_array_equal(ret[:, slot], r)
+
+
+def per_episode_gae(rewards, values, terminals, gamma, lam, bootstrap):
+    """The collector's former GAE: one `compute_gae` call per episode into
+    zero-filled arrays, the last episode bootstrapped when it is cut and
+    every ended one with 0.0."""
+    T = len(rewards)
+    ends = [t + 1 for t in range(T) if terminals[t]]
+    if not terminals[-1]:
+        ends.append(T)
+    adv, ret = np.zeros(values.shape), np.zeros(values.shape)
+    start = 0
+    for end in ends:
+        cut = end == T and not terminals[-1]
+        adv[start:end], ret[start:end] = rl.compute_gae(
+            rewards[start:end], values[start:end], terminals[start:end], gamma, lam, bootstrap if cut else 0.0
+        )
+        start = end
+    return adv, ret
+
+
+@st.composite
+def episode_batches(draw):
+    """(rewards, (T, n) values, terminals, bootstrap) of a batch of episodes.
+
+    Values are float32 network outputs; zeros of both signs are drawn often,
+    since the sign of a zero is what a one-pass GAE could change. Rewards are
+    never -0.0: `sim.compute_reward` starts from +0.0, and only a -0.0 reward
+    would tell the next episode's zeroed value (of either sign) from the
+    +0.0 bootstrap of a separate pass; `r + 0.0` turns -0.0 into +0.0.
+    """
+    n = draw(st.sampled_from([1, 2, 4]))
+    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    cut = draw(st.booleans())
+    T = sum(lengths)
+    terminals = np.zeros(T)
+    terminals[np.cumsum(lengths) - 1] = 1.0
+    if cut:
+        terminals[-1] = 0.0
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-50, 50, width=32))
+    reward = st.one_of(st.just(0.0), st.floats(-20, 20)).map(lambda r: r + 0.0)
+    rewards = draw(st.lists(reward, min_size=T, max_size=T))
+    values = np.array(draw(st.lists(value, min_size=T * n, max_size=T * n)), dtype=np.float64).reshape(T, n)
+    bootstrap = np.array(draw(st.lists(value, min_size=n, max_size=n))) if cut else 0.0
+    return rewards, values, terminals, bootstrap
+
+
+@settings(max_examples=200, deadline=None)
+@given(episode_batches(), st.sampled_from([(rl.GAMMA, rl.GAE_LAMBDA), (1.0, 1.0), (0.5, 0.25)]))
+def test_one_gae_pass_over_a_batch_is_bitwise_the_per_episode_passes(batch, coefs):
+    rewards, values, terminals, bootstrap = batch
+    adv, ret = rl.compute_gae(rewards, values, terminals, *coefs, bootstrap_value=bootstrap)
+    want_adv, want_ret = per_episode_gae(rewards, values, terminals, *coefs, bootstrap)
+    assert adv.tobytes() == want_adv.tobytes()
+    assert ret.tobytes() == want_ret.tobytes()
 
 
 def test_collector_rejects_batch_not_a_multiple_of_the_learner_slots():

@@ -38,8 +38,8 @@ from conftest import make_state, open_arena, ties_arena
 
 GOLDEN_PLATFORM = json.loads((Path(__file__).parent / "golden" / "hashes.json").read_text())["platform"]
 pytestmark = pytest.mark.skipif(
-    GOLDEN_PLATFORM != {"numpy": np.__version__, "machine": platform.machine()},
-    reason=f"float rules were checked on {GOLDEN_PLATFORM}",
+    (GOLDEN_PLATFORM["numpy"], GOLDEN_PLATFORM["machine"]) != (np.__version__, platform.machine()),
+    reason=f"float rules were checked on numpy {GOLDEN_PLATFORM['numpy']} on {GOLDEN_PLATFORM['machine']}",
 )
 
 ARENAS = {name: config.builtin_env(name) for name in config.BUILTIN_ENV_NAMES}

@@ -32,6 +32,18 @@ def test_zero_window_zero_bias_gives_zero_embedding():
     np.testing.assert_allclose(emb, 0.0, atol=1e-12)
 
 
+def test_encoder_and_decoder_take_batches_of_rows():
+    enc = small_encoder()
+    dec = teammate.init_decoder(enc.embed_dim, substream(0, "dec"), hidden=8, dtype=np.float64)
+    emb, _ = teammate.encode(enc, np.zeros((2, enc.layout.step_len)))
+    with pytest.raises(ValueError):
+        teammate.encode(enc, np.zeros(enc.layout.step_len))
+    with pytest.raises(ValueError):
+        teammate.reconstruction_loss(dec, emb[0], np.zeros((1, 2)))
+    with pytest.raises(ValueError):
+        teammate.reconstruction_loss(dec, emb, np.zeros(2))
+
+
 def test_softmax_saturation_selects_branch():
     enc = small_encoder()
     rng = np.random.default_rng(0)
