@@ -293,11 +293,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--algo", required=True)
     p_train.add_argument("--env", required=True, help="built-in name or config path")
     p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--steps", type=int, default=1_000_000)
+    p_train.add_argument(
+        "--steps",
+        type=int,
+        default=1_000_000,
+        help="learner-transition budget, per generation for hola; rounds up to whole PPO batches (default 1000000)",
+    )
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--pop-size", type=int, help="pbt population size (default 4)")
     p_train.add_argument("--generations", type=int, help="hola generations (default 5)")
-    p_train.add_argument("--init-sp-steps", type=int, help="self-play budget for the initial hola population (default 50000)")
+    p_train.add_argument(
+        "--init-sp-steps",
+        type=int,
+        help="self-play budget of each initial hola population member; rounds up to whole PPO batches (default 50000)",
+    )
     p_train.add_argument(
         "--teammates",
         help="comma-separated policy refs for the uncontrolled slots of mappo and naht-d "

@@ -110,35 +110,86 @@ class EpisodeRecord:
     index: int
 
 
-def play_episode(env_cfg: EnvConfig, slot_policies, seed: int, log=None) -> EpisodeRecord:
-    """Run one full episode with the given per-slot policies.
+class _Episode:
+    """One episode of `play_episodes` in progress.
 
-    The steps build observation rows only when some slot reads them
-    (`needs_obs`); otherwise every slot is handed None for them.
+    Its slots' actors are split at reset into the per-slot ones and the
+    ones with `act_rows` (see the slot-policy notes in `rl`), which act
+    for the slots of every running episode in one call per step.
     """
-    state, obs = sim.reset(env_cfg, seed)
-    ep_rng = substream(seed, "policies")
-    slot_policies = [pol.begin_episode(ep_rng) for pol in slot_policies]
-    if log is not None:
-        log.record_reset(state)
-    observe = any(pol.needs_obs for pol in slot_policies)
-    episode_return = 0.0
-    while state.terminal == sim.RUNNING:
-        actions = np.zeros(env_cfg.players.num_p)
-        for i, pol in enumerate(slot_policies):
-            actions[i] = pol.act(state, i, obs)
-        out = sim.step(state, actions, observe=observe)
+
+    __slots__ = ("state", "obs", "per_slot", "stacked", "observe", "actions", "episode_return", "log")
+
+    def __init__(self, env_cfg: EnvConfig, slot_policies, seed: int, log=None):
+        self.state, self.obs = sim.reset(env_cfg, seed)
+        ep_rng = substream(seed, "policies")
+        actors = [pol.begin_episode(ep_rng) for pol in slot_policies]
+        self.per_slot = [(i, actor) for i, actor in enumerate(actors) if not hasattr(actor, "act_rows")]
+        self.stacked = [(i, actor) for i, actor in enumerate(actors) if hasattr(actor, "act_rows")]
+        self.observe = any(actor.needs_obs for actor in actors)
+        self.episode_return = 0.0
+        self.log = log
         if log is not None:
-            log.record_step(state, actions, out)
-        episode_return += out.reward
-        obs = out.observations
-    return EpisodeRecord(
-        terminal=state.terminal,
-        steps=state.step,
-        episode_return=episode_return,
-        seed_block=0,
-        index=0,
-    )
+            log.record_reset(self.state)
+
+
+def _play(env_cfg: EnvConfig, episodes: list[_Episode]) -> list[EpisodeRecord]:
+    """Step the episodes side by side until each is terminal.
+
+    Per step, each episode's per-slot actors act, then each actor with
+    `act_rows` acts once for all its slots in all running episodes, and
+    then each running episode makes its own `sim.step`. Episodes share no
+    rng or state, so each plays as it would alone.
+    """
+    num_p = env_cfg.players.num_p
+    running = [ep for ep in episodes if ep.state.terminal == sim.RUNNING]
+    while running:
+        groups = {}
+        for ep in running:
+            ep.actions = actions = np.zeros(num_p)
+            state, obs = ep.state, ep.obs
+            for i, actor in ep.per_slot:
+                actions[i] = actor.act(state, i, obs)
+            for i, actor in ep.stacked:
+                group = groups.get(actor)
+                if group is None:
+                    group = groups[actor] = ([], [])
+                group[0].append(obs[i])
+                group[1].append((actions, i))
+        for actor, (rows, targets) in groups.items():
+            for (actions, i), action in zip(targets, actor.act_rows(np.stack(rows))):
+                actions[i] = action
+        ended = False
+        for ep in running:
+            state = ep.state
+            out = sim.step(state, ep.actions, observe=ep.observe)
+            if ep.log is not None:
+                ep.log.record_step(state, ep.actions, out)
+            ep.episode_return += out.reward
+            ep.obs = out.observations
+            ended = ended or state.terminal != sim.RUNNING
+        if ended:
+            running = [ep for ep in running if ep.state.terminal == sim.RUNNING]
+    return [EpisodeRecord(ep.state.terminal, ep.state.step, ep.episode_return, seed_block=0, index=0) for ep in episodes]
+
+
+def play_episodes(env_cfg: EnvConfig, episodes) -> list[EpisodeRecord]:
+    """Run full episodes side by side; `episodes` lists (slot policies, seed)
+    pairs, and the records come back in that order.
+
+    Each record has the bits that `play_episode` gives the episode alone:
+    the episode keeps its own reset, policy rng and actors, and makes one
+    `sim.step` per step. The steps build observation rows only when some
+    slot reads them (`needs_obs`); otherwise every slot is handed None for
+    them.
+    """
+    return _play(env_cfg, [_Episode(env_cfg, slot_policies, seed) for slot_policies, seed in episodes])
+
+
+def play_episode(env_cfg: EnvConfig, slot_policies, seed: int, log=None) -> EpisodeRecord:
+    """Run one full episode with the given per-slot policies: the
+    one-episode case of `play_episodes`, whose steps `log` records."""
+    return _play(env_cfg, [_Episode(env_cfg, slot_policies, seed, log)])[0]
 
 
 @dataclass
@@ -219,13 +270,14 @@ def compute_metrics(records, seed: int = 0, seed_blocks: int | None = None) -> E
 
 
 def _eval_block(args) -> list[EpisodeRecord]:
-    """One seed block of evaluation episodes (top-level for multiprocessing).
+    """One seed block of evaluation episodes, played side by side
+    (top-level for multiprocessing).
 
     `policies` holds the slot policy of every ref, shared by all the slots
     and episodes that draw the ref."""
     policies, learner_refs, zoo, env_cfg, block, episodes, seed = args
     learners = [policies[ref] for ref in learner_refs]
-    records = []
+    block_episodes = []
     for e in range(episodes):
         ep_seed = int(substream(seed, "eval", block, e).integers(0, 2**63))
         zoo_rng = substream(seed, "zoo", block, e)
@@ -233,8 +285,9 @@ def _eval_block(args) -> list[EpisodeRecord]:
         for _ in range(env_cfg.players.num_unctrl):
             ref = zoo.members[int(zoo_rng.integers(0, len(zoo.members)))]
             slots.append(policies[ref])
-        records.append(replace(play_episode(env_cfg, slots, ep_seed), seed_block=block, index=e))
-    return records
+        block_episodes.append((slots, ep_seed))
+    records = play_episodes(env_cfg, block_episodes)
+    return [replace(rec, seed_block=block, index=e) for e, rec in enumerate(records)]
 
 
 def run_evaluation(

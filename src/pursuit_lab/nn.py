@@ -64,13 +64,16 @@ def mlp_init(dims, rng: np.random.Generator, dtype=np.float32, final_scale: floa
 def mlp_forward(mlp: Mlp, x: np.ndarray):
     """Batched forward pass. Returns (output, cache-for-backward).
 
-    x is (batch, d_in); hidden activations are tanh, output is linear.
+    x is (batch, d_in); hidden activations are tanh, output is linear. A
+    stacked (k, 1, d_in) input runs numpy's one-row kernel on each slice, so
+    each of its k outputs has the bits of that row's own (1, d_in) forward;
+    a plain multi-row (k, d_in) product does not keep them.
     """
     dtype = mlp.weights[0].dtype
     h = np.asarray(x, dtype=dtype)
     fan_in = mlp.weights[0].shape[0]
-    if h.shape[1:] != (fan_in,):
-        raise ValueError(f"input shape {h.shape} is not (batch, {fan_in})")
+    if h.ndim < 2 or h.shape[-1] != fan_in:
+        raise ValueError(f"input shape {h.shape} is not (batch, {fan_in}) or (k, 1, {fan_in})")
     activations = [h]
     n_layers = len(mlp.weights)
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):

@@ -143,14 +143,16 @@ def estimate_edge_weight(edge_policies, env_cfg: EnvConfig, episodes: int, seed:
 
     The episode seeds come from `substream(seed, "edge-weight")` alone, so
     every hyperedge of every generation plays the same episode starts: the
-    edges of one generation are compared on paired episodes.
+    edges of one generation are compared on paired episodes. The episodes
+    are played side by side (`evalkit.play_episodes`).
     """
     if len(edge_policies) != env_cfg.players.num_p:
         raise ValueError("edge policies must fill every pursuer slot")
     rng = substream(seed, "edge-weight")
+    records = evalkit.play_episodes(env_cfg, [(edge_policies, int(rng.integers(0, 2**63))) for _ in range(episodes)])
     total = 0.0
-    for _ in range(episodes):
-        total += evalkit.play_episode(env_cfg, edge_policies, int(rng.integers(0, 2**63))).episode_return
+    for record in records:  # summed in episode order: the weight's bits depend on it
+        total += record.episode_return
     return total / episodes
 
 

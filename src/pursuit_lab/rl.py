@@ -60,6 +60,8 @@ class PpoConfig:
         return cls(batch=batch, minibatch=batch // 4, **fields)
 
     def validate(self) -> None:
+        if self.batch < 1 or self.minibatch < 1:
+            raise ValueError(f"batch and minibatch must be at least 1 (got {self.batch} and {self.minibatch})")
         if self.batch % self.minibatch != 0:
             raise ValueError("minibatch must divide batch")
 
@@ -355,7 +357,11 @@ def ppo_update(model: ActorCritic, opt: nn.AdamState, batch: PpoBatch, cfg: PpoC
 # a history window) returns an `EpisodeActor` holding a fresh copy of that
 # state, so that one policy object can fill several slots of one episode.
 # `needs_obs` says whether `act` reads `obs`; when no slot of an episode
-# does, its steps build no observations and `obs` is None.
+# does, its steps build no observations and `obs` is None. An actor that
+# reads only its slot's observation row may also have `act_rows(rows)`,
+# which acts for many slots at once, one row each, with `act`'s bits; the
+# episode loop of `evalkit.play_episodes` then hands it the rows of all its
+# slots in all running episodes in one call per step.
 # ---------------------------------------------------------------------------
 
 class EpisodeActor:
@@ -427,6 +433,12 @@ class NetSlotPolicy:
             return float(self.model.action_mean(row)[0, 0])
         action, _ = self.model.act(row, rng)
         return float(action[0, 0])
+
+    def act_rows(self, rows: np.ndarray) -> list[float]:
+        """The action means of the (k, d) observation rows of k slots that
+        this deterministic policy drives, from one stacked (k, 1, d) forward:
+        each has the bits of `act` on its row alone."""
+        return self.model.action_mean(rows[:, None, :])[:, 0, 0].tolist()
 
 
 class UniformTeammates:
@@ -695,7 +707,11 @@ def train_loop(
     collector: RolloutCollector, model, cfg: PpoConfig, seed: int, update=None, out_dir=None, ckpt_prefix: str = "ckpt"
 ) -> TrainResult:
     """The PPO outer loop: `Learner.step` until `cfg.total_steps`, with five
-    periodic checkpoints in `out_dir` (if any)."""
+    periodic checkpoints in `out_dir` (if any).
+
+    The budget rounds up to whole batches: it runs ceil(total_steps / batch)
+    updates, at least one, so `total_steps=64` with a 1024-transition batch
+    trains 1024 transitions."""
     learner = Learner(collector, model, cfg, substream(seed, "update"), update)
     n_updates = max(1, int(np.ceil(cfg.total_steps / cfg.batch)))
     ckpt_every = max(1, n_updates // 5)

@@ -57,6 +57,16 @@ def test_train_sp_writes_outputs(tmp_path):
     assert header.startswith("step,update,ep_return_mean,suc")
 
 
+def test_train_budgets_round_up_to_whole_ppo_batches(tmp_path):
+    # a budget of 64 learner transitions trains one whole 1024-transition batch
+    out = tmp_path / "run"
+    rc = run_cli("train", "--algo", "sp", "--env", "4p2e3o", "--seed", "1", "--steps", "64", "--out", str(out))
+    assert rc == 0
+    assert sorted(p for p in os.listdir(out) if p.startswith("sp_")) == ["sp_000001024.zip"]
+    rows = (out / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["1024"]
+
+
 def test_train_hola_nog_runs(tmp_path):
     out = tmp_path / "hola"
     rc = run_cli(

@@ -1,7 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pursuit_lab import config, evalkit, nn, rl, sim, teammate
 from pursuit_lab.seeding import substream
@@ -287,6 +290,10 @@ class RecordingNet(rl.NetSlotPolicy):
         self.rows.append(obs[slot].copy())
         return super().act(world, slot, obs)
 
+    def act_rows(self, rows):
+        self.rows.extend(row.copy() for row in rows)
+        return super().act_rows(rows)
+
 
 def test_a_team_with_a_net_slot_still_receives_its_observation_rows():
     cfg = config.builtin_env("4p3e5o")
@@ -342,3 +349,56 @@ def test_one_policy_object_in_two_slots_plays_like_two_objects(kind):
         got = evalkit.play_episode(cfg, greedy + [shared, shared], seed)
         assert got == want
         assert got.episode_return.hex() == want.episode_return.hex()
+
+
+# ---------------------------------------------------------------------------
+# Episodes played side by side equal each episode played alone
+# ---------------------------------------------------------------------------
+
+SLOT_KINDS = ("net", "other-net", "stochastic-net", "naht-d", "greedy", "vicsek", "random")
+
+
+@functools.cache
+def arena_policies(name):
+    """(arena, slot policy of each kind), each policy one object that all
+    slots and episodes share; the nets' heads are scaled up so that they
+    steer."""
+    cfg = config.builtin_env(name)
+    obs_dim = sim.obs_length(cfg)
+    ppo = rl.PpoConfig(hidden=(32, 32))
+    nets = []
+    for i in range(2):
+        model = rl.init_actor_critic(obs_dim, obs_dim, ppo, substream(i, "init"))
+        model.actor.weights[-1] *= 100.0
+        nets.append(model)
+    naht = teammate.init_naht_model(cfg, ppo, substream(2, "init"))
+    policies = {
+        "net": rl.NetSlotPolicy(nets[0]),
+        "other-net": rl.NetSlotPolicy(nets[1]),
+        "stochastic-net": rl.NetSlotPolicy(nets[0], deterministic=False),
+        "naht-d": teammate.NahtSlotPolicy(naht),
+        "greedy": rl.ScriptedSlotPolicy("greedy"),
+        "vicsek": rl.ScriptedSlotPolicy("vicsek"),
+        "random": rl.RandomSlotPolicy(),
+    }
+    return cfg, policies
+
+
+def side_by_side_episodes(name):
+    """(arena name, up to 6 (slot kinds, seed) episodes)."""
+    num_p = config.builtin_env(name).players.num_p
+    team = st.lists(st.sampled_from(SLOT_KINDS), min_size=num_p, max_size=num_p)
+    return st.tuples(st.just(name), st.lists(st.tuples(team, st.integers(0, 2**63 - 1)), max_size=6))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(config.BUILTIN_ENV_NAMES).flatmap(side_by_side_episodes))
+@example(("4p2e3o", []))  # no episodes give no records
+def test_episodes_played_side_by_side_equal_each_played_alone(drawn):
+    name, teams = drawn
+    cfg, policies = arena_policies(name)
+    episodes = [([policies[kind] for kind in kinds], seed) for kinds, seed in teams]
+    got = evalkit.play_episodes(cfg, episodes)
+    want = [reference_episode(cfg, slots, seed) for slots, seed in episodes]
+    assert got == want
+    assert [r.episode_return.hex() for r in got] == [r.episode_return.hex() for r in want]

@@ -320,3 +320,20 @@ def test_checkpoint_resave_is_byte_identical(tmp_path):
     assert (tmp_path / "a.zip").read_bytes() == (tmp_path / "b.zip").read_bytes()
     with zipfile.ZipFile(tmp_path / "a.zip") as zf:
         assert [info.date_time for info in zf.infolist()] == [nn.ZIP_DATE_TIME] * 2
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden", [64, 128])
+def test_a_stacked_forward_equals_one_row_forwards_bitwise(dtype, hidden):
+    # the episode loop acts for k slots with one (k, 1, d) forward; each row
+    # must keep the bits of its own one-row forward, as the golden keys need
+    rng = np.random.default_rng(hidden)
+    mlp = nn.mlp_init([18, hidden, hidden, 1], rng, dtype=dtype)
+    for k in (1, 4, 20, 40):
+        rows = rng.standard_normal((k, 18))
+        stacked, _ = nn.mlp_forward(mlp, rows[:, None, :])
+        assert stacked.shape == (k, 1, 1) and stacked.dtype == dtype
+        one_row = np.concatenate([nn.mlp_forward(mlp, rows[j : j + 1])[0] for j in range(k)])
+        assert stacked[:, 0, :].tobytes() == one_row.tobytes()
+    with pytest.raises(ValueError):
+        nn.mlp_forward(mlp, rows[0])

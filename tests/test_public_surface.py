@@ -29,6 +29,8 @@ SRC = Path(__file__).parents[1] / "src" / "pursuit_lab"
 #: Public names kept without a caller in `src`, each with its reason.
 ALLOWED = {
     "sim.TrajectoryLog": "the per-step episode log that `render` reads; the CLI does not write one yet",
+    "evalkit.play_episode": "the one-episode loop that the benchmark tracer traces and the golden trajectory log "
+    "plays through; `eval --log-episodes` will call it",
 }
 
 #: Defaulted parameters that no call in `src` passes, each with its reason.

@@ -152,6 +152,14 @@ def test_ppo_update_requires_full_batch():
         rl.ppo_update(model, opt, batch, cfg, rng)
 
 
+@pytest.mark.parametrize("batch, minibatch", [(1024, 0), (1024, -256), (0, 256), (-1024, 256)])
+def test_validate_rejects_a_batch_or_minibatch_below_one(batch, minibatch):
+    # a zero minibatch once raised ZeroDivisionError, and -256 divides 1024
+    with pytest.raises(ValueError, match="at least 1"):
+        rl.PpoConfig(batch=batch, minibatch=minibatch).validate()
+    rl.PpoConfig(batch=64, minibatch=64).validate()
+
+
 # ---------------------------------------------------------------------------
 # Rollout collection
 # ---------------------------------------------------------------------------
@@ -454,6 +462,8 @@ def test_deterministic_net_slot_acts_with_the_action_mean():
     pol = rl.NetSlotPolicy(model, deterministic=True).begin_episode(substream(0, "episode"))
     for slot, row in enumerate(rows):
         assert pol.act(None, slot, rows) == float(model.action_mean(row[None, :])[0, 0])
+    # the rows of many slots in one call keep each slot's bits
+    assert [a.hex() for a in pol.act_rows(rows)] == [pol.act(None, slot, rows).hex() for slot in range(len(rows))]
     # begin_episode draws from the episode rng whether or not the slot samples
     draws = []
     for deterministic in (True, False):
