@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import __version__, config, evalkit, population, render, rl, sim, teammate
 
@@ -223,7 +224,7 @@ def cmd_eval(args) -> int:
     _write_manifest(args.report, "eval", args, env_cfg)
     try:
         zoo = evalkit.build_zoo(f"zoo{args.zoo}", _zoo_assets(args.zoo_assets))
-        report, _records = evalkit.run_evaluation(
+        report, records = evalkit.run_evaluation(
             list(args.ckpt),
             zoo,
             env_cfg,
@@ -237,6 +238,10 @@ def cmd_eval(args) -> int:
     with open(os.path.join(args.report, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
     report.write_csv(os.path.join(args.report, "report.csv"))
+    with open(os.path.join(args.report, "episodes.ndjson"), "w", encoding="utf-8") as fh:
+        for rec in records:
+            row = {**asdict(rec), "seed": evalkit.episode_seed(args.seed, rec.seed_block, rec.index)}
+            fh.write(json.dumps(row) + "\n")
     print(
         f"SUC {report.suc:.2f}%  COL {report.col}  "
         f"AST {report.ast if report.ast is not None else 'n/a'}  REW {report.rew:.2f}"
@@ -320,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--env", required=True)
     p_eval.add_argument("--episodes", type=int, default=evalkit.DEFAULT_EPISODES)
     p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--report", required=True)
+    p_eval.add_argument(
+        "--report", required=True, help="output directory: manifest.json, report.json, report.csv, episodes.ndjson"
+    )
     p_eval.add_argument("--zoo-assets", default=None, help="directory of self-play checkpoints (default $PURSUIT_LAB_DIR)")
     p_eval.add_argument("--jobs", type=int, default=1)
     p_eval.set_defaults(fn=cmd_eval)

@@ -138,15 +138,19 @@ def _play(env_cfg: EnvConfig, episodes: list[_Episode]) -> list[EpisodeRecord]:
 
     Per step, each episode's per-slot actors act, then each actor with
     `act_rows` acts once for all its slots in all running episodes, and
-    then each running episode makes its own `sim.step`. Episodes share no
-    rng or state, so each plays as it would alone.
+    then each running episode makes its own `sim.step` (`sim.step_many`,
+    which builds the rows of the observing episodes in one pass). Episodes
+    share no rng or state, so each plays as it would alone.
     """
     num_p = env_cfg.players.num_p
     running = [ep for ep in episodes if ep.state.terminal == sim.RUNNING]
+    states, observe = [ep.state for ep in running], [ep.observe for ep in running]
     while running:
         groups = {}
+        step_actions = []
         for ep in running:
             ep.actions = actions = np.zeros(num_p)
+            step_actions.append(actions)
             state, obs = ep.state, ep.obs
             for i, actor in ep.per_slot:
                 actions[i] = actor.act(state, i, obs)
@@ -160,16 +164,15 @@ def _play(env_cfg: EnvConfig, episodes: list[_Episode]) -> list[EpisodeRecord]:
             for (actions, i), action in zip(targets, actor.act_rows(np.stack(rows))):
                 actions[i] = action
         ended = False
-        for ep in running:
-            state = ep.state
-            out = sim.step(state, ep.actions, observe=ep.observe)
+        for ep, out in zip(running, sim.step_many(states, step_actions, observe)):
             if ep.log is not None:
-                ep.log.record_step(state, ep.actions, out)
+                ep.log.record_step(ep.state, ep.actions, out)
             ep.episode_return += out.reward
             ep.obs = out.observations
-            ended = ended or state.terminal != sim.RUNNING
+            ended = ended or out.terminal != sim.RUNNING
         if ended:
             running = [ep for ep in running if ep.state.terminal == sim.RUNNING]
+            states, observe = [ep.state for ep in running], [ep.observe for ep in running]
     return [EpisodeRecord(ep.state.terminal, ep.state.step, ep.episode_return, seed_block=0, index=0) for ep in episodes]
 
 
@@ -269,6 +272,11 @@ def compute_metrics(records, seed: int = 0, seed_blocks: int | None = None) -> E
     )
 
 
+def episode_seed(seed: int, block: int, index: int) -> int:
+    """The env seed of episode `index` of seed block `block` of an evaluation."""
+    return int(substream(seed, "eval", block, index).integers(0, 2**63))
+
+
 def _eval_block(args) -> list[EpisodeRecord]:
     """One seed block of evaluation episodes, played side by side
     (top-level for multiprocessing).
@@ -279,7 +287,7 @@ def _eval_block(args) -> list[EpisodeRecord]:
     learners = [policies[ref] for ref in learner_refs]
     block_episodes = []
     for e in range(episodes):
-        ep_seed = int(substream(seed, "eval", block, e).integers(0, 2**63))
+        ep_seed = episode_seed(seed, block, e)
         zoo_rng = substream(seed, "zoo", block, e)
         slots = list(learners)
         for _ in range(env_cfg.players.num_unctrl):

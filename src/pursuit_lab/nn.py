@@ -65,15 +65,16 @@ def mlp_forward(mlp: Mlp, x: np.ndarray):
     """Batched forward pass. Returns (output, cache-for-backward).
 
     x is (batch, d_in); hidden activations are tanh, output is linear. A
-    stacked (k, 1, d_in) input runs numpy's one-row kernel on each slice, so
-    each of its k outputs has the bits of that row's own (1, d_in) forward;
-    a plain multi-row (k, d_in) product does not keep them.
+    stacked (k, m, d_in) input runs numpy's (m, d_in) kernel on each slice,
+    so each of its k blocks has the bits of that block's own forward: a
+    (k, 1, d_in) stack keeps the bits of k one-row forwards, which a plain
+    multi-row (k, d_in) product does not.
     """
     dtype = mlp.weights[0].dtype
     h = np.asarray(x, dtype=dtype)
     fan_in = mlp.weights[0].shape[0]
     if h.ndim < 2 or h.shape[-1] != fan_in:
-        raise ValueError(f"input shape {h.shape} is not (batch, {fan_in}) or (k, 1, {fan_in})")
+        raise ValueError(f"input shape {h.shape} is not (batch, {fan_in}) or (k, m, {fan_in})")
     activations = [h]
     n_layers = len(mlp.weights)
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):

@@ -137,23 +137,28 @@ class PopulationState:
         return tuple(sorted(self.policies))
 
 
-def estimate_edge_weight(edge_policies, env_cfg: EnvConfig, episodes: int, seed: int) -> float:
-    """Mean episode return of a full pursuer team over seeded episodes;
-    `edge_policies` fills the pursuer slots in order.
+def estimate_edge_weight(edges, env_cfg: EnvConfig, episodes: int, seed: int) -> list[float]:
+    """Mean episode return of each full pursuer team over seeded episodes;
+    `edges` lists the teams, each filling the pursuer slots in order.
 
     The episode seeds come from `substream(seed, "edge-weight")` alone, so
     every hyperedge of every generation plays the same episode starts: the
-    edges of one generation are compared on paired episodes. The episodes
-    are played side by side (`evalkit.play_episodes`).
+    edges of one generation are compared on paired episodes. All edges'
+    episodes are played side by side (`evalkit.play_episodes`), and each
+    weight has the bits of its edge scored alone.
     """
-    if len(edge_policies) != env_cfg.players.num_p:
+    if any(len(edge) != env_cfg.players.num_p for edge in edges):
         raise ValueError("edge policies must fill every pursuer slot")
     rng = substream(seed, "edge-weight")
-    records = evalkit.play_episodes(env_cfg, [(edge_policies, int(rng.integers(0, 2**63))) for _ in range(episodes)])
-    total = 0.0
-    for record in records:  # summed in episode order: the weight's bits depend on it
-        total += record.episode_return
-    return total / episodes
+    seeds = [int(rng.integers(0, 2**63)) for _ in range(episodes)]
+    records = evalkit.play_episodes(env_cfg, [(edge, ep_seed) for edge in edges for ep_seed in seeds])
+    weights = []
+    for k in range(len(edges)):
+        total = 0.0
+        for record in records[k * episodes : (k + 1) * episodes]:  # in episode order: the bits depend on it
+            total += record.episode_return
+        weights.append(total / episodes)
+    return weights
 
 
 def build_learner_subgraph(
@@ -172,16 +177,12 @@ def build_learner_subgraph(
     nodes = tuple(sorted((LEARNER, *non_learners)))
     # the shared trainee repeats, keeping every hyperedge at N + M member slots
     learner_members = (LEARNER,) * n
-    edges = []
-    weights = {}
     learner_policy = rl.NetSlotPolicy(pop.learner_model, deterministic=True)
-    for combo in combinations(non_learners, m):
-        edge = canonical_edge(learner_members + combo)
-        slot_policies = [learner_policy] * n
-        slot_policies += [pop.policies[name] for name in combo]
-        weights[edge] = estimate_edge_weight(slot_policies, env_cfg, episodes, seed)
-        edges.append(edge)
-    return Hypergraph(nodes=nodes, edges=tuple(edges), weights=weights)
+    combos = list(combinations(non_learners, m))
+    edges = tuple(canonical_edge(learner_members + combo) for combo in combos)
+    teams = [[learner_policy] * n + [pop.policies[name] for name in combo] for combo in combos]
+    weights = estimate_edge_weight(teams, env_cfg, episodes, seed)
+    return Hypergraph(nodes=nodes, edges=edges, weights=dict(zip(edges, weights)))
 
 
 def partner_strategy(

@@ -655,16 +655,22 @@ def _metrics_row(step, update, window_stats, diag) -> dict:
 
 def evaluate_selfplay_suc(model: ActorCritic, env_cfg: EnvConfig, seed: int) -> float:
     """Deterministic self-play success rate over `SELFPLAY_EVAL_EPISODES`
-    episodes; recorded in checkpoint manifests."""
+    episodes; recorded in checkpoint manifests.
+
+    The episodes step side by side (`sim.step_many`). Each step makes one
+    (B, num_p, d) `action_mean` call over the running episodes, and each
+    episode's slice has the bits of its own (num_p, d) forward.
+    """
     sp_cfg = with_control_split(env_cfg, env_cfg.players.num_p, 0)
-    wins = 0
     rng = substream(seed, "selfplay-eval")
-    for _ in range(SELFPLAY_EVAL_EPISODES):
-        state, obs = sim.reset(sp_cfg, int(rng.integers(0, 2**63)))
-        while state.terminal == sim.RUNNING:
-            out = sim.step(state, model.action_mean(obs)[:, 0])
-            obs = out.observations
-        wins += state.terminal == sim.SUCCESS
+    worlds = [sim.reset(sp_cfg, int(rng.integers(0, 2**63))) for _ in range(SELFPLAY_EVAL_EPISODES)]
+    running = worlds
+    while running:
+        states = [state for state, _ in running]
+        actions = model.action_mean(np.stack([obs for _, obs in running]))[:, :, 0]
+        outcomes = sim.step_many(states, actions, [True] * len(states))
+        running = [(state, out.observations) for state, out in zip(states, outcomes) if out.terminal == sim.RUNNING]
+    wins = sum(state.terminal == sim.SUCCESS for state, _ in worlds)
     return 100.0 * wins / SELFPLAY_EVAL_EPISODES
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,6 +144,30 @@ def test_eval_rerun_byte_identical(tmp_path):
         assert rc == 0
     assert (dirs[0] / "report.json").read_bytes() == (dirs[1] / "report.json").read_bytes()
     assert (dirs[0] / "report.csv").read_bytes() == (dirs[1] / "report.csv").read_bytes()
+
+
+def test_eval_episode_records_give_the_report_and_ignore_jobs(tmp_path):
+    # one record per episode in block order, with its env seed; the metrics
+    # over the parsed records are report.json's bytes
+    dirs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
+    for jobs, d in dirs.items():
+        rc = run_cli(
+            "eval", "--ckpt", "greedy", "--zoo", "1", "--env", "4p2e3o",
+            "--episodes", "7", "--seed", "11", "--jobs", str(jobs), "--report", str(d),
+        )
+        assert rc == 0
+    text = (dirs[1] / "episodes.ndjson").read_bytes()
+    assert (dirs[2] / "episodes.ndjson").read_bytes() == text
+    rows = [json.loads(line) for line in text.decode().splitlines()]
+    seeds = [row.pop("seed") for row in rows]
+    records = [evalkit.EpisodeRecord(**row) for row in rows]
+    assert [(r.seed_block, r.index) for r in records] == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (3, 0), (4, 0)]
+    report = evalkit.compute_metrics(records, seed=11, seed_blocks=evalkit.SEED_BLOCKS)
+    assert report.to_json().encode() == (dirs[1] / "report.json").read_bytes()
+    env = config.builtin_env("4p2e3o")
+    greedy = [rl.ScriptedSlotPolicy("greedy")] * env.players.num_p
+    for record, seed in zip(records, seeds):
+        assert evalkit.play_episode(env, greedy, seed) == replace(record, seed_block=0, index=0)
 
 
 def test_render_roundtrip_and_errors(tmp_path, capsys, env_4p2e3o):

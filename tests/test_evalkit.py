@@ -262,23 +262,33 @@ def scripted_team(kinds):
 
 @pytest.mark.parametrize("name", config.BUILTIN_ENV_NAMES)
 def test_scripted_episode_equals_the_observing_loop_and_observes_only_at_reset(name, monkeypatch):
+    # alone, and side by side with more episodes than OBSERVE_MANY_MIN
     cfg = config.builtin_env(name)
-    real_observe_all = sim.observe_all
+    real_observe_all, real_observe_many = sim.observe_all, sim.observe_many
     calls = []
 
     def counting_observe_all(*args, **kwargs):
-        calls.append(1)
+        calls.append("observe_all")
         return real_observe_all(*args, **kwargs)
 
-    for seed, kinds in [(1, ["greedy"] * 4), (2, ["greedy", "vicsek", "random", "greedy"])]:
-        want = reference_episode(cfg, scripted_team(kinds), seed)
-        monkeypatch.setattr(sim, "observe_all", counting_observe_all)
+    def counting_observe_many(*args, **kwargs):
+        calls.append("observe_many")
+        return real_observe_many(*args, **kwargs)
+
+    teams = [(1, ["greedy"] * 4), (2, ["greedy", "vicsek", "random", "greedy"])]
+    wants = [reference_episode(cfg, scripted_team(kinds), seed) for seed, kinds in teams]
+    monkeypatch.setattr(sim, "observe_all", counting_observe_all)
+    monkeypatch.setattr(sim, "observe_many", counting_observe_many)
+    for (seed, kinds), want in zip(teams, wants):
         got = evalkit.play_episode(cfg, scripted_team(kinds), seed)
-        monkeypatch.setattr(sim, "observe_all", real_observe_all)
         assert got == want
         assert got.episode_return.hex() == want.episode_return.hex()
-        assert len(calls) == 1  # the reset's
+        assert calls == ["observe_all"]  # the reset's
         calls.clear()
+    copies = 2 * sim.OBSERVE_MANY_MIN
+    got = evalkit.play_episodes(cfg, [(scripted_team(kinds), seed) for seed, kinds in teams] * copies)
+    assert got == wants * copies
+    assert calls == ["observe_all"] * len(got)  # the resets'
 
 
 class RecordingNet(rl.NetSlotPolicy):
@@ -394,6 +404,7 @@ def side_by_side_episodes(name):
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(config.BUILTIN_ENV_NAMES).flatmap(side_by_side_episodes))
 @example(("4p2e3o", []))  # no episodes give no records
+@example(("4p3e5o", [(["net", "greedy", "other-net", "random"], seed) for seed in range(5)]))  # rows from observe_many
 def test_episodes_played_side_by_side_equal_each_played_alone(drawn):
     name, teams = drawn
     cfg, policies = arena_policies(name)

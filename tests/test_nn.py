@@ -337,3 +337,18 @@ def test_a_stacked_forward_equals_one_row_forwards_bitwise(dtype, hidden):
         assert stacked[:, 0, :].tobytes() == one_row.tobytes()
     with pytest.raises(ValueError):
         nn.mlp_forward(mlp, rows[0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 4])
+def test_a_batch_of_row_blocks_equals_one_forward_per_block_bitwise(dtype, k):
+    # the self-play score acts for B episodes' k slots with one (B, k, d)
+    # forward; each episode's block must keep the bits of its own (k, d) one
+    rng = np.random.default_rng(k)
+    mlp = nn.mlp_init([18, 128, 128, 1], rng, dtype=dtype)
+    for b in (1, 3, 50):
+        blocks = rng.standard_normal((b, k, 18))
+        stacked, _ = nn.mlp_forward(mlp, blocks)
+        assert stacked.shape == (b, k, 1) and stacked.dtype == dtype
+        each = np.stack([nn.mlp_forward(mlp, block)[0] for block in blocks])
+        assert stacked.tobytes() == each.tobytes()

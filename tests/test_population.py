@@ -225,8 +225,8 @@ def small_population(env, seed=0):
 def test_edge_weight_single_episode_is_deterministic():
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     policies = [rl.ScriptedSlotPolicy("greedy")] * 4
-    w1 = pop.estimate_edge_weight(policies, env, episodes=1, seed=5)
-    assert pop.estimate_edge_weight(policies, env, episodes=1, seed=5) == w1
+    [w1] = pop.estimate_edge_weight([policies], env, episodes=1, seed=5)
+    assert pop.estimate_edge_weight([policies], env, episodes=1, seed=5) == [w1]
     # oracle: play the same single episode directly
     episode_seed = int(substream(5, "edge-weight").integers(0, 2**63))
     assert evalkit.play_episode(env, policies, episode_seed).episode_return == w1
@@ -236,9 +236,31 @@ def test_greedy_team_beats_random_team():
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     greedy_team = [rl.ScriptedSlotPolicy("greedy")] * 4
     random_team = [rl.RandomSlotPolicy() for _ in range(4)]
-    w_greedy = pop.estimate_edge_weight(greedy_team, env, episodes=10, seed=3)
-    w_random = pop.estimate_edge_weight(random_team, env, episodes=10, seed=3)
+    w_greedy, w_random = pop.estimate_edge_weight([greedy_team, random_team], env, episodes=10, seed=3)
     assert w_greedy > w_random
+
+
+def test_edges_scored_together_keep_the_bits_of_each_scored_alone():
+    # all edges' episodes play side by side, each weight summing its own
+    # edge's returns in episode order
+    env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
+    state, _cfg = small_population(env)
+    learner = rl.NetSlotPolicy(state.learner_model)
+    partners = [[state.policies[a], state.policies[b]] for a, b in combinations(state.non_learners, 2)]
+    teams = [[learner, learner] + pair for pair in partners] + [[rl.ScriptedSlotPolicy("greedy")] * 4]
+    together = pop.estimate_edge_weight(teams, env, episodes=4, seed=7)
+    rng = substream(7, "edge-weight")
+    seeds = [int(rng.integers(0, 2**63)) for _ in range(4)]
+    alone = []
+    for team in teams:
+        total = 0.0
+        for seed in seeds:
+            total += evalkit.play_episode(env, team, seed).episode_return
+        alone.append(total / 4)
+    assert [w.hex() for w in together] == [w.hex() for w in alone]
+    assert pop.estimate_edge_weight([], env, episodes=4, seed=7) == []
+    with pytest.raises(ValueError):
+        pop.estimate_edge_weight(teams + [teams[0][:3]], env, episodes=4, seed=7)
 
 
 def test_build_learner_subgraph_edge_counts():

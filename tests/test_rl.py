@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from pursuit_lab import config, evalkit, nn, rl, sim
 from pursuit_lab.seeding import substream
-from conftest import FixedTeammates, reduced_4p2e3o
+from conftest import FixedTeammates, open_arena, reduced_4p2e3o
 
 
 def brute_force_gae(rewards, values, terminals, gamma, lam, bootstrap=0.0):
@@ -298,6 +299,58 @@ def test_ippo_selfplay_smoke_and_checkpoint_roundtrip(tmp_path):
         return np.stack(poses)
 
     np.testing.assert_array_equal(eval_traj(res.model), eval_traj(loaded))
+
+
+def sequential_selfplay_episodes(model, env_cfg, seed):
+    """The self-play score's episodes one after another, each step with its
+    own (num_p, d) forward: the oracle of `evaluate_selfplay_suc`'s
+    side-by-side loop. (terminal, steps) per episode."""
+    sp_cfg = config.with_control_split(env_cfg, env_cfg.players.num_p, 0)
+    rng = substream(seed, "selfplay-eval")
+    episodes = []
+    for _ in range(rl.SELFPLAY_EVAL_EPISODES):
+        state, obs = sim.reset(sp_cfg, int(rng.integers(0, 2**63)))
+        while state.terminal == sim.RUNNING:
+            obs = sim.step(state, model.action_mean(obs)[:, 0]).observations
+        episodes.append((state.terminal, state.step))
+    return episodes
+
+
+def pursuing_model(cfg, dtype):
+    """An actor whose small random weights carry one path that steers each
+    drone toward the first evader's bearing."""
+    obs_dim = sim.obs_length(cfg)
+    model = rl.init_actor_critic(obs_dim, obs_dim, rl.PpoConfig(hidden=(32, 32)), substream(0, "init"), dtype=dtype)
+    weights = model.actor.weights
+    for w in weights:
+        w *= 0.05
+    weights[0][1, 0] += 1.0  # the first evader's bearing / pi
+    weights[1][0, 0] += 1.0
+    weights[2][0, 0] += 10.0
+    return model
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_selfplay_score_ends_each_episode_as_the_sequential_loop(dtype, monkeypatch):
+    # four drones chasing one evader on an open arena: some capture it, most
+    # collide on the way
+    cfg = open_arena(num_p=4, num_e=1, velocity_e=0.3, horizon=300)
+    cfg = replace(cfg, players=replace(cfg.players, reception_range=10.0))
+    model = pursuing_model(cfg, dtype)
+    want = sequential_selfplay_episodes(model, cfg, 0)
+    assert {sim.SUCCESS, sim.COLLISION} <= {terminal for terminal, _ in want}
+    states = []
+    real_reset = sim.reset
+
+    def recording_reset(*args):
+        state, obs = real_reset(*args)
+        states.append(state)
+        return state, obs
+
+    monkeypatch.setattr(sim, "reset", recording_reset)
+    suc = rl.evaluate_selfplay_suc(model, cfg, 0)
+    assert [(state.terminal, state.step) for state in states] == want
+    assert suc == 100.0 * sum(terminal == sim.SUCCESS for terminal, _ in want) / rl.SELFPLAY_EVAL_EPISODES
 
 
 def test_train_loop_runs_the_patched_ppo_update(monkeypatch):

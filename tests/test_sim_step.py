@@ -10,7 +10,10 @@ against: capture range and the drone proximity band between drones, the
 safe radius and its band at obstacle rims, rectangle corners and walls, the
 reception range, points inside obstacles and outside the arena, coordinates
 of +-0.0, exact clearance ties, captured evaders, the last step of the
-horizon, and steer commands outside [-1, 1].
+horizon, and steer commands outside [-1, 1]. `sim.observe_many` must give
+each of a batch of such states (and of random-walk states) the bytes of
+`sim.observe_all`, and `sim.step_many` each state the outcome of its own
+`sim.step`.
 
 The float code reproduces numpy's bits through libm: `abs(complex(dx, dy))`
 and `np.hypot` both call `hypot`, `math.cos`/`math.sin` match `np.cos`/
@@ -34,7 +37,7 @@ from hypothesis import strategies as st
 
 from pursuit_lab import config, geometry, sim
 import sim_oracle
-from conftest import make_state, open_arena, ties_arena
+from conftest import assert_states_equal, make_state, open_arena, ties_arena
 
 GOLDEN_PLATFORM = json.loads((Path(__file__).parent / "golden" / "hashes.json").read_text())["platform"]
 pytestmark = pytest.mark.skipif(
@@ -172,6 +175,91 @@ def test_float_observations_equal_the_numpy_oracle_bitwise(name):
         assert same_bytes(sim.observe_all(state, geom), want)
         learner_obs = want[:2]
         assert same_bytes(sim.central_observation(state, learner_obs), sim_oracle.central_observation(state, learner_obs))
+
+    check()
+
+
+@st.composite
+def walked_states(draw, cfg):
+    """A state of a seeded random walk: a reset, then up to 40 steps of
+    random steering (fewer if the episode ends)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    state, _ = sim.reset(cfg, seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(draw(st.integers(0, 40))):
+        if state.terminal != sim.RUNNING:
+            break
+        sim.step(state, rng.uniform(-1.0, 1.0, cfg.players.num_p), observe=False)
+    return state
+
+
+def observed_batches(cfg):
+    """1 to 8 states of `cfg`: random-walk states and the threshold states
+    of `scenes` (captured evaders, entries at the reception range, drones
+    on obstacle rims, wall and obstacle ties)."""
+    state = walked_states(cfg) | scenes(cfg).map(lambda scene: replace(scene[0], cfg=cfg))
+    return st.lists(state, min_size=1, max_size=8)
+
+
+def assert_observed_alone(states):
+    rows = sim.observe_many(states)
+    cfg = states[0].cfg
+    assert rows.shape == (len(states), cfg.players.num_p, sim.obs_length(cfg))
+    for b, state in enumerate(states):
+        assert same_bytes(rows[b], sim.observe_all(state))
+
+
+@pytest.mark.parametrize("name", ARENAS)
+def test_observe_many_equals_observe_all_per_state_bitwise(name):
+    cfg = ARENAS[name]
+    ranges = [cfg.players.reception_range, 1.0, 0.5]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(ranges).flatmap(lambda r: observed_batches(with_reception(cfg, r))))
+    def check(states):
+        assert_observed_alone(states)
+
+    check()
+
+
+def test_observe_many_breaks_exact_static_ties_as_observe_all():
+    # on the ties arena: a drone as far from the first square as from the
+    # left wall, one between the two squares, one between the second square
+    # and the circle, and one as far from the left wall as from the bottom
+    # wall; the wall wins the first, the lower obstacle index the next two
+    cfg = ARENAS["ties"]
+    drones = [[0.375, 2.5, 0.3], [1.5, 2.5, -1.0], [2.5, 2.5, 2.0], [0.125, 0.125, -2.5]]
+    tied = make_state(cfg, drones, [[3.5, 4.0, 0.0], [0.5, 4.5, 1.0]], captured=[False, True])
+    walked, _ = sim.reset(cfg, 3)
+    assert_observed_alone([tied, walked, tied])
+
+
+@pytest.mark.parametrize("name", ARENAS)
+def test_step_many_gives_each_state_its_own_step(name):
+    # below and above OBSERVE_MANY_MIN observing states, and with none
+    cfg = ARENAS[name]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(walked_states(cfg), st.booleans()), max_size=6), st.integers(0, 2**32 - 1))
+    def check(drawn, seed):
+        running = [(state, flag) for state, flag in drawn if state.terminal == sim.RUNNING]
+        states, flags = [state for state, _ in running], [flag for _, flag in running]
+        rng = np.random.default_rng(seed)
+        actions = [rng.uniform(-1.5, 1.5, cfg.players.num_p) for _ in running]
+        want_states = copy.deepcopy(states)
+        want = [sim.step(state, a, flag) for state, a, flag in zip(want_states, actions, flags)]
+        got = sim.step_many(states, actions, flags)
+        assert len(got) == len(want)
+        for g, w, flag in zip(got, want, flags):
+            assert (g.reward.hex(), g.terminal, g.captures, g.collisions) == (
+                w.reward.hex(), w.terminal, w.captures, w.collisions
+            )
+            if flag:
+                assert same_bytes(g.observations, w.observations)
+            else:
+                assert g.observations is None and w.observations is None
+        for g, w in zip(states, want_states):
+            assert_states_equal(g, w)
 
     check()
 
