@@ -204,12 +204,8 @@ def _train(args, cfg: rl.PpoConfig, env_cfg) -> int:
 
 def _zoo_assets(root: str | None) -> evalkit.ZooAssets:
     root = root or os.environ.get("PURSUIT_LAB_DIR", "")
-    checkpoints = []
-    if root and os.path.isdir(root):
-        for name in sorted(os.listdir(root)):
-            if name.endswith(".zip"):
-                checkpoints.append(os.path.join(root, name))
-    return evalkit.ZooAssets(sp_checkpoints=checkpoints)
+    names = sorted(os.listdir(root)) if root and os.path.isdir(root) else []
+    return evalkit.ZooAssets(sp_checkpoints=[os.path.join(root, name) for name in names if name.endswith(".zip")])
 
 
 def cmd_eval(args) -> int:

@@ -37,9 +37,10 @@ class ZooAssets:
     sp_checkpoints: list[str] = field(default_factory=list)
 
     def checkpoint_sucs(self) -> list[tuple[str, float]]:
-        """(path, recorded self-play success rate) of each checkpoint, read
-        from its manifest alone."""
-        return [(path, float(nn.load_manifest(path)["extra"].get("selfplay_suc", 0.0))) for path in self.sp_checkpoints]
+        """(path, recorded self-play success rate) of each checkpoint whose
+        manifest records one; only the manifests are read."""
+        extras = [(path, nn.load_manifest(path)["extra"]) for path in self.sp_checkpoints]
+        return [(path, float(extra["selfplay_suc"])) for path, extra in extras if "selfplay_suc" in extra]
 
 
 def build_zoo(zoo_id: str, assets: ZooAssets) -> ZooSpec:

@@ -211,10 +211,18 @@ class ArrayTable(dict):
         raise ValueError(f"checkpoint has no array named {name!r}")
 
 
+def _read_member(path, name: str) -> bytes:
+    """Member `name` of the archive `path`; ValueError naming `path` when it is not a readable zip holding it."""
+    try:
+        with zipfile.ZipFile(path, "r") as zf:
+            return zf.read(name)
+    except (OSError, zipfile.BadZipFile, KeyError) as exc:
+        raise ValueError(f"{path}: not a readable checkpoint archive ({exc})") from None
+
+
 def load_manifest(path) -> dict:
     """A checkpoint's manifest alone, without reading `params.bin`; ValueError on an unknown format version."""
-    with zipfile.ZipFile(path, "r") as zf:
-        manifest = json.loads(zf.read("manifest.json").decode("utf-8"))
+    manifest = json.loads(_read_member(path, "manifest.json").decode("utf-8"))
     version = manifest.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"{path}: checkpoint format_version {version!r} is not {CHECKPOINT_FORMAT_VERSION}")
@@ -224,12 +232,12 @@ def load_manifest(path) -> dict:
 def load_arrays(path) -> tuple[dict, ArrayTable]:
     """Read a checkpoint archive back into (manifest, name -> float32 array).
 
-    Raises ValueError on an unknown format version and on a `params.bin`
-    whose size differs from the manifest's array table.
+    Raises ValueError on a path that is not a readable zip holding both
+    members, on an unknown format version and on a `params.bin` whose size
+    differs from the manifest's array table.
     """
     manifest = load_manifest(path)
-    with zipfile.ZipFile(path, "r") as zf:
-        raw = zf.read("params.bin")
+    raw = _read_member(path, "params.bin")
     sizes = [math.prod(spec["shape"]) for spec in manifest["arrays"]]
     if len(raw) != 4 * sum(sizes):
         raise ValueError(f"{path}: params.bin holds {len(raw)} bytes, its array table {4 * sum(sizes)}")

@@ -359,9 +359,9 @@ def ppo_update(model: ActorCritic, opt: nn.AdamState, batch: PpoBatch, cfg: PpoC
 # `needs_obs` says whether `act` reads `obs`; when no slot of an episode
 # does, its steps build no observations and `obs` is None. An actor that
 # reads only its slot's observation row may also have `act_rows(rows)`,
-# which acts for many slots at once, one row each, with `act`'s bits; the
-# episode loop of `evalkit.play_episodes` then hands it the rows of all its
-# slots in all running episodes in one call per step.
+# which acts for many slots at once, one row each, with `act`'s bits. The one
+# episode loop, `evalkit.play_episodes` (eval, HOLA, the self-play score),
+# hands it the rows of all its slots in all running episodes once per step.
 # ---------------------------------------------------------------------------
 
 class EpisodeActor:
@@ -655,22 +655,16 @@ def _metrics_row(step, update, window_stats, diag) -> dict:
 
 def evaluate_selfplay_suc(model: ActorCritic, env_cfg: EnvConfig, seed: int) -> float:
     """Deterministic self-play success rate over `SELFPLAY_EVAL_EPISODES`
-    episodes; recorded in checkpoint manifests.
-
-    The episodes step side by side (`sim.step_many`). Each step makes one
-    (B, num_p, d) `action_mean` call over the running episodes, and each
-    episode's slice has the bits of its own (num_p, d) forward.
+    episodes, recorded in checkpoint manifests: `NetSlotPolicy(model)` in
+    every slot, played by `evalkit.play_episodes` with eval's one-row bits.
     """
+    from . import evalkit  # evalkit imports rl at module level
+
     sp_cfg = with_control_split(env_cfg, env_cfg.players.num_p, 0)
     rng = substream(seed, "selfplay-eval")
-    worlds = [sim.reset(sp_cfg, int(rng.integers(0, 2**63))) for _ in range(SELFPLAY_EVAL_EPISODES)]
-    running = worlds
-    while running:
-        states = [state for state, _ in running]
-        actions = model.action_mean(np.stack([obs for _, obs in running]))[:, :, 0]
-        outcomes = sim.step_many(states, actions, [True] * len(states))
-        running = [(state, out.observations) for state, out in zip(states, outcomes) if out.terminal == sim.RUNNING]
-    wins = sum(state.terminal == sim.SUCCESS for state, _ in worlds)
+    team = [NetSlotPolicy(model)] * sp_cfg.players.num_p
+    episodes = [(team, int(rng.integers(0, 2**63))) for _ in range(SELFPLAY_EVAL_EPISODES)]
+    wins = sum(rec.terminal == sim.SUCCESS for rec in evalkit.play_episodes(sp_cfg, episodes))
     return 100.0 * wins / SELFPLAY_EVAL_EPISODES
 
 

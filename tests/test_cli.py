@@ -1,5 +1,6 @@
 import json
 import os
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -118,7 +119,7 @@ def test_eval_zoo1_and_errors(tmp_path):
     ) == 1
 
 
-def test_eval_rejects_a_checkpoint_with_a_misshapen_array(tmp_path):
+def test_eval_rejects_a_checkpoint_with_a_misshapen_array(tmp_path, capsys):
     # a (1,) bias broadcasts over its layer: without the shape check this
     # checkpoint loads and acts
     env = config.builtin_env("4p2e3o")
@@ -126,12 +127,26 @@ def test_eval_rejects_a_checkpoint_with_a_misshapen_array(tmp_path):
     model = rl.init_actor_critic(obs_dim, obs_dim, rl.PpoConfig(), substream(0, "init"))
     named, meta = rl.actor_critic_arrays(model)
     named = [(n, a[:1] if n == "actor.b0" else a) for n, a in named]
-    path = tmp_path / "bad.zip"
-    nn.save_arrays(path, "actor_critic", named, extra=meta)
-    assert run_cli(
-        "eval", "--ckpt", str(path), "--zoo", "1", "--env", "4p2e3o",
-        "--episodes", "2", "--seed", "0", "--report", str(tmp_path / "rep"),
-    ) == 1
+    misshapen = tmp_path / "bad.zip"
+    nn.save_arrays(misshapen, "actor_critic", named, extra=meta)
+    # a file that is not a zip, a zip without manifest.json or params.bin and
+    # a directory once ended in a BadZipFile, KeyError or OSError traceback
+    not_a_zip = tmp_path / "not_a_zip.zip"
+    not_a_zip.write_bytes(b"not a zip archive")
+    no_manifest, no_params = tmp_path / "no_manifest.zip", tmp_path / "no_params.zip"
+    with zipfile.ZipFile(misshapen) as whole, zipfile.ZipFile(no_manifest, "w") as a, zipfile.ZipFile(no_params, "w") as b:
+        a.writestr("params.bin", whole.read("params.bin"))
+        b.writestr("manifest.json", whole.read("manifest.json"))
+    directory = tmp_path / "dir.zip"
+    directory.mkdir()
+    for path in (misshapen, not_a_zip, no_manifest, no_params, directory):
+        assert run_cli(
+            "eval", "--ckpt", str(path), "--zoo", "1", "--env", "4p2e3o",
+            "--episodes", "2", "--seed", "0", "--report", str(tmp_path / "rep"),
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert ("actor.b0" if path == misshapen else str(path)) in err
 
 
 def test_eval_rerun_byte_identical(tmp_path):

@@ -84,6 +84,15 @@ def test_zoo_compositions(tmp_path):
     with pytest.raises(ValueError):
         evalkit.build_zoo("zoo9", assets)
 
+    # archives without a recorded score (a periodic checkpoint, a NAHT-D
+    # model) are not ranked: they once became zoo 2's 0 % "weak" member
+    model = rl.init_actor_critic(sim.obs_length(env), sim.obs_length(env), cfg, substream(3, "init"))
+    unscored = rl.save_checkpoint(tmp_path, "sp_000001024.zip", model, {"step": 1024})
+    assets = evalkit.ZooAssets(sp_checkpoints=[paths[0], paths[1], unscored])
+    assert evalkit.build_zoo("zoo2", assets).members == (f"ckpt:{paths[1]}", f"ckpt:{paths[0]}")
+    with pytest.raises(ValueError, match="recorded SUC"):
+        evalkit.build_zoo("zoo2", evalkit.ZooAssets(sp_checkpoints=[paths[0], unscored]))
+
 
 def test_resolve_policy_checks_dims(tmp_path):
     env = reduced_4p2e3o()

@@ -302,17 +302,21 @@ def test_ippo_selfplay_smoke_and_checkpoint_roundtrip(tmp_path):
 
 
 def sequential_selfplay_episodes(model, env_cfg, seed):
-    """The self-play score's episodes one after another, each step with its
-    own (num_p, d) forward: the oracle of `evaluate_selfplay_suc`'s
-    side-by-side loop. (terminal, steps) per episode."""
+    """The self-play score's episodes one after another, each slot acting
+    from its own one-row forward (the bits of `NetSlotPolicy.act`): the
+    oracle of `evaluate_selfplay_suc`'s side-by-side play. (terminal, steps,
+    the bytes of every step's actions) per episode."""
     sp_cfg = config.with_control_split(env_cfg, env_cfg.players.num_p, 0)
     rng = substream(seed, "selfplay-eval")
     episodes = []
     for _ in range(rl.SELFPLAY_EVAL_EPISODES):
         state, obs = sim.reset(sp_cfg, int(rng.integers(0, 2**63)))
+        taken = []
         while state.terminal == sim.RUNNING:
-            obs = sim.step(state, model.action_mean(obs)[:, 0]).observations
-        episodes.append((state.terminal, state.step))
+            actions = np.array([float(model.action_mean(obs[i : i + 1])[0, 0]) for i in range(len(obs))])
+            taken.append(actions.tobytes())
+            obs = sim.step(state, actions).observations
+        episodes.append((state.terminal, state.step, b"".join(taken)))
     return episodes
 
 
@@ -338,19 +342,25 @@ def test_selfplay_score_ends_each_episode_as_the_sequential_loop(dtype, monkeypa
     cfg = replace(cfg, players=replace(cfg.players, reception_range=10.0))
     model = pursuing_model(cfg, dtype)
     want = sequential_selfplay_episodes(model, cfg, 0)
-    assert {sim.SUCCESS, sim.COLLISION} <= {terminal for terminal, _ in want}
-    states = []
-    real_reset = sim.reset
+    assert {sim.SUCCESS, sim.COLLISION} <= {terminal for terminal, _, _ in want}
+    states, taken = [], {}
+    real_reset, real_step = sim.reset, sim.step
 
     def recording_reset(*args):
         state, obs = real_reset(*args)
         states.append(state)
+        taken[id(state)] = []
         return state, obs
 
+    def recording_step(state, actions, observe=True):
+        taken[id(state)].append(np.asarray(actions, dtype=float).tobytes())
+        return real_step(state, actions, observe)
+
     monkeypatch.setattr(sim, "reset", recording_reset)
+    monkeypatch.setattr(sim, "step", recording_step)
     suc = rl.evaluate_selfplay_suc(model, cfg, 0)
-    assert [(state.terminal, state.step) for state in states] == want
-    assert suc == 100.0 * sum(terminal == sim.SUCCESS for terminal, _ in want) / rl.SELFPLAY_EVAL_EPISODES
+    assert [(state.terminal, state.step, b"".join(taken[id(state)])) for state in states] == want
+    assert suc == 100.0 * sum(terminal == sim.SUCCESS for terminal, _, _ in want) / rl.SELFPLAY_EVAL_EPISODES
 
 
 def test_train_loop_runs_the_patched_ppo_update(monkeypatch):
