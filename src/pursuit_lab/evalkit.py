@@ -111,69 +111,13 @@ class EpisodeRecord:
     index: int
 
 
-class _Episode:
-    """One episode of `play_episodes` in progress.
-
-    Its slots' actors are split at reset into the per-slot ones and the
-    ones with `act_rows` (see the slot-policy notes in `rl`), which act
-    for the slots of every running episode in one call per step.
-    """
-
-    __slots__ = ("state", "obs", "per_slot", "stacked", "observe", "actions", "episode_return", "log")
-
-    def __init__(self, env_cfg: EnvConfig, slot_policies, seed: int, log=None):
-        self.state, self.obs = sim.reset(env_cfg, seed)
-        ep_rng = substream(seed, "policies")
-        actors = [pol.begin_episode(ep_rng) for pol in slot_policies]
-        self.per_slot = [(i, actor) for i, actor in enumerate(actors) if not hasattr(actor, "act_rows")]
-        self.stacked = [(i, actor) for i, actor in enumerate(actors) if hasattr(actor, "act_rows")]
-        self.observe = any(actor.needs_obs for actor in actors)
-        self.episode_return = 0.0
-        self.log = log
-        if log is not None:
-            log.record_reset(self.state)
-
-
-def _play(env_cfg: EnvConfig, episodes: list[_Episode]) -> list[EpisodeRecord]:
-    """Step the episodes side by side until each is terminal.
-
-    Per step, each episode's per-slot actors act, then each actor with
-    `act_rows` acts once for all its slots in all running episodes, and
-    then each running episode makes its own `sim.step` (`sim.step_many`,
-    which builds the rows of the observing episodes in one pass). Episodes
-    share no rng or state, so each plays as it would alone.
-    """
-    num_p = env_cfg.players.num_p
+def _play(episodes: list[rl.Episode]) -> list[EpisodeRecord]:
+    """Step the episodes side by side through `rl.step_episodes` until each
+    is terminal; their records, in order."""
     running = [ep for ep in episodes if ep.state.terminal == sim.RUNNING]
-    states, observe = [ep.state for ep in running], [ep.observe for ep in running]
     while running:
-        groups = {}
-        step_actions = []
-        for ep in running:
-            ep.actions = actions = np.zeros(num_p)
-            step_actions.append(actions)
-            state, obs = ep.state, ep.obs
-            for i, actor in ep.per_slot:
-                actions[i] = actor.act(state, i, obs)
-            for i, actor in ep.stacked:
-                group = groups.get(actor)
-                if group is None:
-                    group = groups[actor] = ([], [])
-                group[0].append(obs[i])
-                group[1].append((actions, i))
-        for actor, (rows, targets) in groups.items():
-            for (actions, i), action in zip(targets, actor.act_rows(np.stack(rows))):
-                actions[i] = action
-        ended = False
-        for ep, out in zip(running, sim.step_many(states, step_actions, observe)):
-            if ep.log is not None:
-                ep.log.record_step(ep.state, ep.actions, out)
-            ep.episode_return += out.reward
-            ep.obs = out.observations
-            ended = ended or out.terminal != sim.RUNNING
-        if ended:
-            running = [ep for ep in running if ep.state.terminal == sim.RUNNING]
-            states, observe = [ep.state for ep in running], [ep.observe for ep in running]
+        rl.step_episodes(running)
+        running = [ep for ep in running if ep.state.terminal == sim.RUNNING]
     return [EpisodeRecord(ep.state.terminal, ep.state.step, ep.episode_return, seed_block=0, index=0) for ep in episodes]
 
 
@@ -182,18 +126,19 @@ def play_episodes(env_cfg: EnvConfig, episodes) -> list[EpisodeRecord]:
     pairs, and the records come back in that order.
 
     Each record has the bits that `play_episode` gives the episode alone:
-    the episode keeps its own reset, policy rng and actors, and makes one
-    `sim.step` per step. The steps build observation rows only when some
-    slot reads them (`needs_obs`); otherwise every slot is handed None for
-    them.
+    the episode keeps its own reset, actors begun from its
+    `(seed, "policies")` substream, and one `sim.step` per step. The steps
+    (`rl.step_episodes`, which the rollout collectors step through too)
+    build observation rows only when some slot reads them (`needs_obs`);
+    otherwise every slot is handed None for them.
     """
-    return _play(env_cfg, [_Episode(env_cfg, slot_policies, seed) for slot_policies, seed in episodes])
+    return _play([rl.Episode(env_cfg, slots, seed, substream(seed, "policies")) for slots, seed in episodes])
 
 
 def play_episode(env_cfg: EnvConfig, slot_policies, seed: int, log=None) -> EpisodeRecord:
     """Run one full episode with the given per-slot policies: the
     one-episode case of `play_episodes`, whose steps `log` records."""
-    return _play(env_cfg, [_Episode(env_cfg, slot_policies, seed, log)])[0]
+    return _play([rl.Episode(env_cfg, slot_policies, seed, substream(seed, "policies"), log)])[0]
 
 
 @dataclass

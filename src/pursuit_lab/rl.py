@@ -360,8 +360,10 @@ def ppo_update(model: ActorCritic, opt: nn.AdamState, batch: PpoBatch, cfg: PpoC
 # does, its steps build no observations and `obs` is None. An actor that
 # reads only its slot's observation row may also have `act_rows(rows)`,
 # which acts for many slots at once, one row each, with `act`'s bits. The one
-# episode loop, `evalkit.play_episodes` (eval, HOLA, the self-play score),
-# hands it the rows of all its slots in all running episodes once per step.
+# episode step, `step_episodes` (eval, HOLA, the self-play score and the
+# rollout collectors), hands it the rows of all its slots in all running
+# episodes once per step. A slot without a policy (None) is the caller's: a
+# collector sets its learner slots' actions before each step.
 # ---------------------------------------------------------------------------
 
 class EpisodeActor:
@@ -441,6 +443,63 @@ class NetSlotPolicy:
         return self.model.action_mean(rows[:, None, :])[:, 0, 0].tolist()
 
 
+class Episode:
+    """One episode in progress, stepped by `step_episodes`.
+
+    Each slot holds a policy, whose actor begins from `rng` in slot order,
+    or None: the caller owns that slot and sets its action in `actions`
+    before each step. The episode observes when it has a caller-owned slot
+    or an actor that reads the rows (`needs_obs`). `log` records its steps.
+    """
+
+    __slots__ = ("state", "obs", "per_slot", "stacked", "observe", "actions", "episode_return", "log")
+
+    def __init__(self, env_cfg: EnvConfig, slot_policies, seed: int, rng: np.random.Generator, log=None):
+        self.state, self.obs = sim.reset(env_cfg, seed)
+        actors = [None if pol is None else pol.begin_episode(rng) for pol in slot_policies]
+        self.per_slot = [(i, actor) for i, actor in enumerate(actors) if actor is not None and not hasattr(actor, "act_rows")]
+        self.stacked = [(i, actor) for i, actor in enumerate(actors) if hasattr(actor, "act_rows")]
+        self.observe = any(actor is None or actor.needs_obs for actor in actors)
+        self.actions = np.zeros(len(actors))
+        self.episode_return = 0.0
+        self.log = log
+        if log is not None:
+            log.record_reset(self.state)
+
+
+def step_episodes(episodes: list[Episode]) -> list[sim.StepOutcome]:
+    """One step of running episodes side by side, their caller-owned slots'
+    actions already set; the outcomes, in order.
+
+    Each episode's per-slot actors act, then each actor with `act_rows`
+    acts once for all its slots in all the episodes, and then `sim.step_many`
+    steps each episode (building the rows of the observing ones in one
+    pass). Episodes share no rng or state, so each plays as it would alone.
+    """
+    groups = {}
+    for ep in episodes:
+        state, obs, actions = ep.state, ep.obs, ep.actions
+        for i, actor in ep.per_slot:
+            actions[i] = actor.act(state, i, obs)
+        for i, actor in ep.stacked:
+            group = groups.get(actor)
+            if group is None:
+                group = groups[actor] = ([], [])
+            group[0].append(obs[i])
+            group[1].append((actions, i))
+    for actor, (rows, targets) in groups.items():
+        for (actions, i), action in zip(targets, actor.act_rows(np.stack(rows))):
+            actions[i] = action
+    states, step_actions = [ep.state for ep in episodes], [ep.actions for ep in episodes]
+    outcomes = sim.step_many(states, step_actions, [ep.observe for ep in episodes])
+    for ep, out in zip(episodes, outcomes):
+        if ep.log is not None:
+            ep.log.record_step(ep.state, ep.actions, out)
+        ep.episode_return += out.reward
+        ep.obs = out.observations
+    return outcomes
+
+
 class UniformTeammates:
     """Each uncontrolled slot draws independently and uniformly from a pool."""
 
@@ -477,8 +536,10 @@ class RolloutCollector:
     teammate sampler each episode. With `central=True` the critic consumes the
     centralized observation (all learner observations plus global evader
     positions); otherwise each slot's critic reads that slot's observation.
+    The episode in progress is an `Episode` whose learner slots the
+    collector owns; `step_episodes` acts for the teammates and steps it.
     Subclasses feed extra actor inputs and record extra per-step rows through
-    `_actor_input` and `_record_step`.
+    `_actor_input` and `_step`.
     """
 
     def __init__(
@@ -503,27 +564,21 @@ class RolloutCollector:
             raise ValueError(f"batch {cfg.batch} is not a multiple of the {self.n_learners} learner slots")
         if env_cfg.players.num_unctrl > 0 and teammates is None:
             raise ValueError("uncontrolled slots present but no teammate sampler given")
-        self.state = None
-        self._obs = None  # the observation rows of `state`, while it runs
-        self._episode_reward = 0.0
-        self._slot_policies = []
+        self.episode = None
 
     # -- episode plumbing ---------------------------------------------------
 
-    def _begin_episode(self):
+    def _begin_episode(self) -> None:
+        # the rollout rng draws the env seed, then the teammates, then their actors' seeds
         seed = int(self.rng.integers(0, 2**63))
-        self.state, obs = sim.reset(self.env_cfg, seed)
-        self._episode_reward = 0.0
-        self._slot_policies = []
-        if self.env_cfg.players.num_unctrl > 0:
-            self._slot_policies = [pol.begin_episode(self.rng) for pol in self.teammates.sample(self.rng)]
-        return obs
+        mates = self.teammates.sample(self.rng) if self.env_cfg.players.num_unctrl > 0 else []
+        self.episode = Episode(self.env_cfg, [None] * self.n_learners + mates, seed, self.rng)
 
     def _critic(self, learner_obs):
         """(critic input rows, value per learner slot) in the current state."""
         if not self.central:
             return learner_obs, self.model.values(learner_obs)
-        critic_in = sim.central_observation(self.state, learner_obs)[None, :]
+        critic_in = sim.central_observation(self.episode.state, learner_obs)[None, :]
         values = self.model.values(critic_in)
         return np.repeat(critic_in, self.n_learners, axis=0), np.repeat(values, self.n_learners)
 
@@ -531,8 +586,9 @@ class RolloutCollector:
         """Actor input for this step; the batch keeps the raw observations."""
         return learner_obs
 
-    def _record_step(self, learner_obs, actions) -> None:
-        """Sees each step's joint actions before the env steps."""
+    def _step(self) -> sim.StepOutcome:
+        """Step the episode once the learner slots' actions are set."""
+        return step_episodes([self.episode])[0]
 
     def collect(self, n_transitions: int) -> tuple[PpoBatch, RolloutStats]:
         """Gather at least n_transitions learner transitions (multiple of
@@ -543,24 +599,16 @@ class RolloutCollector:
         value_rows, reward_rows, term_rows = [], [], []
         steps_needed = -(-n_transitions // n)
 
-        if self.state is None or self.state.terminal != sim.RUNNING:
-            obs = self._begin_episode()
-        else:
-            obs = self._obs
+        if self.episode is None or self.episode.state.terminal != sim.RUNNING:
+            self._begin_episode()
 
         for step_i in range(steps_needed):
-            learner_obs = obs[:n]
+            ep = self.episode
+            learner_obs = ep.obs[:n]
             actions, logp = self.model.act(self._actor_input(learner_obs), self.rng)
             critic_step, value_step = self._critic(learner_obs)
-
-            all_actions = np.zeros(self.env_cfg.players.num_p)
-            all_actions[:n] = actions[:, 0]
-            for k, pol in enumerate(self._slot_policies, n):
-                all_actions[k] = pol.act(self.state, k, obs)
-            self._record_step(learner_obs, all_actions)
-
-            out = sim.step(self.state, all_actions)
-            self._episode_reward += out.reward
+            ep.actions[:n] = actions[:, 0]
+            out = self._step()
 
             obs_rows.append(learner_obs)
             critic_rows.append(critic_step)
@@ -571,20 +619,17 @@ class RolloutCollector:
             term_rows.append(1.0 if out.terminal != sim.RUNNING else 0.0)
 
             if out.terminal != sim.RUNNING:
-                stats.episode_returns.append(self._episode_reward)
-                stats.episode_lengths.append(self.state.step)
+                stats.episode_returns.append(ep.episode_return)
+                stats.episode_lengths.append(ep.state.step)
                 stats.episode_terminals.append(out.terminal)
                 if step_i + 1 < steps_needed:
-                    obs = self._begin_episode()
-            else:
-                obs = out.observations
-        self._obs = obs
+                    self._begin_episode()
 
         # One GAE pass over all episodes and slots; a cut episode bootstraps each slot with its
         # value of the current state. At a terminal, the next episode's first value times
         # nonterminal = 0 may be -0.0 where a pass per episode bootstrapped +0.0; the reward it
         # is added to is never -0.0 (`sim.compute_reward` starts from +0.0), so the bits agree.
-        bootstrap = self._critic(obs[:n])[1] if self.state.terminal == sim.RUNNING else 0.0
+        bootstrap = self._critic(ep.obs[:n])[1] if ep.state.terminal == sim.RUNNING else 0.0
         values = np.stack(value_rows)  # (T, n_learners)
         advantages, returns = compute_gae(reward_rows, values, term_rows, GAMMA, GAE_LAMBDA, bootstrap)
 
@@ -706,8 +751,10 @@ class Learner:
 def train_loop(
     collector: RolloutCollector, model, cfg: PpoConfig, seed: int, update=None, out_dir=None, ckpt_prefix: str = "ckpt"
 ) -> TrainResult:
-    """The PPO outer loop: `Learner.step` until `cfg.total_steps`, with five
-    periodic checkpoints in `out_dir` (if any).
+    """The PPO outer loop: `Learner.step` until `cfg.total_steps`, with a
+    periodic checkpoint in `out_dir` (if any) after every
+    max(1, n_updates // 5) updates: one per update below 10 updates, and
+    5 to 9 of them from 10 updates on.
 
     The budget rounds up to whole batches: it runs ceil(total_steps / batch)
     updates, at least one, so `total_steps=64` with a 1024-transition batch

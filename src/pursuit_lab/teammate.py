@@ -342,19 +342,20 @@ class NahtCollector(rl.RolloutCollector):
 
     def _begin_episode(self):
         self._records = np.zeros((self.n_learners, self.layout.step_len))
-        return super()._begin_episode()
+        super()._begin_episode()
 
     def _actor_input(self, learner_obs):
         self._win_rows.append(self._records)
         emb, _ = encode(self.naht_model.encoder, self._records)
         return self.naht_model.actor_input(learner_obs, emb)
 
-    def _record_step(self, learner_obs, actions) -> None:
-        # the world is still before the step, like the observation
-        self._records = np.stack(
-            [self.layout.step_record(learner_obs[i], self.state, i, float(actions[i])) for i in range(self.n_learners)]
-        )
-        self._mate_rows.append(np.tile(actions[self.n_learners :], (self.n_learners, 1)))
+    def _step(self) -> sim.StepOutcome:
+        ep, n = self.episode, self.n_learners
+        # the record reads each learner's pose before the step, like its observation
+        self._records = np.stack([self.layout.step_record(ep.obs[i], ep.state, i, float(ep.actions[i])) for i in range(n)])
+        out = super()._step()
+        self._mate_rows.append(np.tile(ep.actions[n:], (n, 1)))  # the step filled in the teammates' actions
+        return out
 
     def collect(self, n_transitions: int) -> tuple[NahtBatch, rl.RolloutStats]:
         self._win_rows, self._mate_rows = [], []

@@ -229,8 +229,8 @@ def test_cut_rollout_bootstraps_each_slot_with_its_own_value():
     model = make_model(obs_dim=sim.obs_length(env), critic_dim=sim.obs_length(env), dtype=np.float32, cfg=cfg)
     collector = rl.RolloutCollector(env, model, cfg, substream(4, "roll"))
     batch, _ = collector.collect(64)
-    assert collector.state.terminal == sim.RUNNING
-    tail = model.values(sim.observe_all(collector.state)[:4]).astype(np.float64)
+    assert collector.episode.state.terminal == sim.RUNNING
+    tail = model.values(sim.observe_all(collector.episode.state)[:4]).astype(np.float64)
     assert np.ptp(tail) > 1e-4
     last = batch.returns[-4:]
     np.testing.assert_allclose(last - last[0], rl.GAMMA * (tail - tail[0]), rtol=0, atol=1e-9)
@@ -466,8 +466,8 @@ def test_pbt_rounds_continue_one_rollout_stream_per_member(monkeypatch):
         seeds.append(seed)
         return real_reset(cfg, seed)
 
-    def step(state, actions, **kwargs):
-        out = real_step(state, actions, **kwargs)
+    def step(state, actions, *args):
+        out = real_step(state, actions, *args)
         lengths[0] = max(lengths[0], state.step)
         return out
 
