@@ -4,10 +4,10 @@ Exit codes: 0 success, 1 domain violation (invalid config, failed check, or a
 ValueError from `train` or `eval` such as an infeasible respawn region or a
 bad policy reference), 2 usage or IO error, a `train` flag that the chosen
 `--algo` does not read and a count flag below its minimum included. Every long-running command writes
-a run manifest into its output directory before any heavy computation;
-rerunning a command with the same arguments reproduces its outputs byte for
-byte. `eval --jobs J` runs seed blocks in J worker processes with results
-identical for any J. `train` sizes its PPO batch for the env's learner
+a run manifest into its output directory before any heavy computation; the
+rest of a `train` run directory comes from the trainer. Rerunning a command
+with the same arguments reproduces its outputs byte for byte. `eval --jobs J`
+runs seed blocks in J worker processes with results identical for any J. `train` sizes its PPO batch for the env's learner
 slots (`rl.PpoConfig.for_learners`). The PURSUIT_LAB_DIR environment
 variable provides the default asset root for zoo checkpoints.
 """
@@ -147,27 +147,25 @@ def cmd_train(args) -> int:
     cfg = rl.PpoConfig.for_learners(*slots.get(args.algo, (p.num_ctrl,)), total_steps=args.steps)
     _write_manifest(args.out, "train", args, env_cfg)
     try:
-        return _train(args, cfg, env_cfg)
+        _train(args, cfg, env_cfg)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
-def _train(args, cfg: rl.PpoConfig, env_cfg) -> int:
+def _train(args, cfg: rl.PpoConfig, env_cfg) -> None:
+    """Run the trainer of `--algo`, which writes the rest of the run directory."""
     out = args.out
     if args.algo == "sp":
-        result = rl.ippo_selfplay_train(cfg, env_cfg, args.seed, out_dir=out)
-        rl.write_metrics_csv(os.path.join(out, "metrics.csv"), result.metrics)
+        rl.ippo_selfplay_train(cfg, env_cfg, args.seed, out_dir=out)
     elif args.algo == "pbt":
-        result = rl.pbt_train(args.pop_size, cfg, env_cfg, args.seed, out_dir=out)
-        for i, member in enumerate(result.members):
-            rl.write_metrics_csv(os.path.join(out, f"metrics_member{i}.csv"), member.learner.metrics)
+        rl.pbt_train(args.pop_size, cfg, env_cfg, args.seed, out_dir=out)
     elif args.algo == "mappo":
         pool = _teammate_pool(args.teammates, env_cfg) if env_cfg.players.num_unctrl > 0 else None
-        result = rl.mappo_train(cfg, env_cfg, args.seed, teammate_pool=pool, out_dir=out)
-        rl.write_metrics_csv(os.path.join(out, "metrics.csv"), result.metrics)
+        rl.mappo_train(cfg, env_cfg, args.seed, teammate_pool=pool, out_dir=out)
     elif args.algo in ("hola", "hola-nog"):
-        _, reports = population.hola_train(
+        population.hola_train(
             cfg,
             env_cfg,
             args.seed,
@@ -177,25 +175,9 @@ def _train(args, cfg: rl.PpoConfig, env_cfg) -> int:
             uniform_rho=args.algo == "hola-nog",
             out_dir=out,
         )
-        for report in reports:
-            rl.write_metrics_csv(
-                os.path.join(out, f"metrics_gen{report.generation:03d}.csv"), report.metrics
-            )
     else:  # naht-d / naht-d-nodec
-        if env_cfg.players.num_unctrl < 1:
-            print("naht-d needs uncontrolled teammate slots in the env config", file=sys.stderr)
-            return 1
         pool = _teammate_pool(args.teammates, env_cfg)
-        result = teammate.naht_d_train(
-            cfg,
-            env_cfg,
-            pool,
-            args.seed,
-            no_decoder=args.algo == "naht-d-nodec",
-            out_dir=out,
-        )
-        rl.write_metrics_csv(os.path.join(out, "metrics.csv"), result.metrics)
-    return 0
+        teammate.naht_d_train(cfg, env_cfg, pool, args.seed, no_decoder=args.algo == "naht-d-nodec", out_dir=out)
 
 
 # ---------------------------------------------------------------------------

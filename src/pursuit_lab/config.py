@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from importlib import resources
 
@@ -265,48 +265,20 @@ def parse_config(text: str, *, validate: bool = True) -> EnvConfig:
 
 
 def serialize_config(cfg: EnvConfig) -> str:
-    """Canonical JSON for an EnvConfig; parse_config(serialize_config(c)) == c."""
-    obstacles = {}
-    for i, ob in enumerate(cfg.site.obstacles, start=1):
-        entry: dict = {"shape": ob.shape, "center": list(ob.center)}
-        if ob.shape == "circle":
-            entry["radius"] = ob.radius
-        else:
-            entry["half_extents"] = list(ob.half_extents)
-        obstacles[f"obstacle{i}"] = entry
-    doc = {
-        "players": {
-            "num_p": cfg.players.num_p,
-            "num_e": cfg.players.num_e,
-            "num_ctrl": cfg.players.num_ctrl,
-            "num_unctrl": cfg.players.num_unctrl,
-            "random_respawn": cfg.players.random_respawn,
-            "respawn_region": {
-                "pursuer": _rect_to_json(cfg.players.respawn_region.pursuer),
-                "evader": _rect_to_json(cfg.players.respawn_region.evader),
-            },
-            "reception_range": cfg.players.reception_range,
-            "velocity_p": cfg.players.velocity_p,
-            "velocity_e": cfg.players.velocity_e,
-            "unseen_drones": list(cfg.players.unseen_drones),
-        },
-        "site": {
-            "boundary": {"width": cfg.site.boundary_width, "height": cfg.site.boundary_height},
-            "obstacles": obstacles,
-        },
-        "task": {
-            "task_name": cfg.task.task_name,
-            "capture_range": cfg.task.capture_range,
-            "safe_radius": cfg.task.safe_radius,
-            "task_horizon": cfg.task.task_horizon,
-            "fps": cfg.task.fps,
+    """Canonical JSON for an EnvConfig; parse_config(serialize_config(c)) == c.
+
+    The document is the dataclasses' fields in order, except the site
+    section: a boundary object, and obstacles keyed `obstacle{i}` without
+    the other shape's None field."""
+    doc = asdict(cfg)
+    doc["site"] = {
+        "boundary": {"width": cfg.site.boundary_width, "height": cfg.site.boundary_height},
+        "obstacles": {
+            f"obstacle{i}": {key: value for key, value in asdict(ob).items() if value is not None}
+            for i, ob in enumerate(cfg.site.obstacles, start=1)
         },
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def _rect_to_json(r: Rect) -> dict:
-    return {"x_min": r.x_min, "y_min": r.y_min, "x_max": r.x_max, "y_max": r.y_max}
 
 
 # ---------------------------------------------------------------------------

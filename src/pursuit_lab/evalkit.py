@@ -80,7 +80,9 @@ def resolve_policy(ref: str, env_cfg: EnvConfig, deterministic: bool = True):
     """Turn a policy reference into a slot policy.
 
     Accepts scripted ids ("greedy", "vicsek", "random") and checkpoint refs
-    ("ckpt:<path>" or a bare path to a checkpoint archive).
+    ("ckpt:<path>" or a bare path to a checkpoint archive). A checkpoint must
+    match the env's observation length, and a NAHT-D one also its pursuer
+    and evader counts, which its step records lay out (ValueError otherwise).
     """
     if ref == "greedy" or ref == "vicsek":
         return rl.ScriptedSlotPolicy(ref)
@@ -94,6 +96,12 @@ def resolve_policy(ref: str, env_cfg: EnvConfig, deterministic: bool = True):
     if obs_dim != sim.obs_length(env_cfg):
         raise ValueError(f"checkpoint obs dim {obs_dim} does not match env obs length {sim.obs_length(env_cfg)}")
     if manifest["kind"] == "naht_d":
+        trained = (manifest["extra"]["num_p"], manifest["extra"]["num_e"])
+        if trained != (env_cfg.players.num_p, env_cfg.players.num_e):
+            raise ValueError(
+                f"{path}: NAHT-D checkpoint of {trained[0]} pursuers and {trained[1]} evaders does not match "
+                f"the env's {env_cfg.players.num_p} and {env_cfg.players.num_e}"
+            )
         return teammate.NahtSlotPolicy(model, deterministic=deterministic)
     return rl.NetSlotPolicy(model, deterministic=deterministic)
 
@@ -254,8 +262,8 @@ def run_evaluation(
 ) -> tuple[EvalReport, list[EpisodeRecord]]:
     """Evaluate learner policies (slots [0, N)) with zoo partners (slots [N, num_p)).
 
-    `learner_refs` is a single policy ref or a list; a single ref is shared
-    across all N learner slots. Zoo members are drawn independently per
+    `learner_refs` lists one policy ref per learner slot, or one ref that
+    fills all N of them. Zoo members are drawn independently per
     uncontrolled slot each episode. The episodes are split over `SEED_BLOCKS`
     seed blocks. Everything is seeded: episode e of block b uses the
     (seed, "eval", b, e) substream, so results are identical for any `jobs`
@@ -264,8 +272,6 @@ def run_evaluation(
     worker processes receive the resolved policies.
     """
     p = env_cfg.players
-    if isinstance(learner_refs, str):
-        learner_refs = [learner_refs] * p.num_ctrl
     if len(learner_refs) == 1 and p.num_ctrl > 1:
         learner_refs = list(learner_refs) * p.num_ctrl
     if len(learner_refs) != p.num_ctrl:

@@ -332,7 +332,10 @@ def hola_train(
     uniform_rho: bool = False,
     out_dir=None,
 ) -> tuple[rl.ActorCritic, list[GenerationReport]]:
-    """Full HOLA loop; `uniform_rho=True` is the no-hypergraph ablation."""
+    """Full HOLA loop; `uniform_rho=True` is the no-hypergraph ablation.
+
+    With an `out_dir`, each generation g writes `generation_{g:03d}.json` and
+    `metrics_gen{g:03d}.csv` there, and the trainee ends as `final.zip`."""
     if env_cfg.players.num_unctrl < 1:
         raise ValueError("hola_train needs uncontrolled teammate slots (num_unctrl >= 1)")
     pop = init_population(env_cfg, ppo_cfg, seed, sp_budget=sp_budget)
@@ -352,6 +355,7 @@ def hola_train(
             os.makedirs(out_dir, exist_ok=True)
             with open(os.path.join(out_dir, f"generation_{report.generation:03d}.json"), "w") as fh:
                 fh.write(report.to_json() + "\n")
+            rl.write_metrics_csv(os.path.join(out_dir, f"metrics_gen{report.generation:03d}.csv"), report.metrics)
     if out_dir is not None:
         extra = {"algo": "hola-nog" if uniform_rho else "hola", "seed": seed, "generations": generations}
         rl.finish_training(rl.TrainResult(pop.learner_model), out_dir, extra, scored_on=(env_cfg, seed))

@@ -10,6 +10,10 @@ metrics row): `train_loop` repeats it, and `pbt_train` steps each member once
 per round. `finish_training` scores and saves every final model through
 `save_checkpoint`, the one writer of checkpoint archives.
 
+A trainer given an `out_dir` writes its whole run directory there, metrics
+CSVs through `write_metrics_csv` next to the archives; the CLI adds only
+`manifest.json`.
+
 Rollouts count *learner transitions*: one env step with N learner slots
 contributes N transitions, and `PpoConfig.total_steps` / `batch` are
 denominated in those units.
@@ -751,10 +755,10 @@ class Learner:
 def train_loop(
     collector: RolloutCollector, model, cfg: PpoConfig, seed: int, update=None, out_dir=None, ckpt_prefix: str = "ckpt"
 ) -> TrainResult:
-    """The PPO outer loop: `Learner.step` until `cfg.total_steps`, with a
-    periodic checkpoint in `out_dir` (if any) after every
-    max(1, n_updates // 5) updates: one per update below 10 updates, and
-    5 to 9 of them from 10 updates on.
+    """The PPO outer loop: `Learner.step` until `cfg.total_steps`. With an
+    `out_dir` it writes a periodic checkpoint there after every
+    max(1, n_updates // 5) updates (one per update below 10 updates, and
+    5 to 9 of them from 10 updates on), and `metrics.csv` at the end.
 
     The budget rounds up to whole batches: it runs ceil(total_steps / batch)
     updates, at least one, so `total_steps=64` with a 1024-transition batch
@@ -768,6 +772,8 @@ def train_loop(
         if out_dir is not None and (i + 1) % ckpt_every == 0:
             name = f"{ckpt_prefix}_{learner.steps:09d}.zip"
             checkpoints.append(save_checkpoint(out_dir, name, model, {"step": learner.steps}))
+    if out_dir is not None:
+        write_metrics_csv(os.path.join(out_dir, "metrics.csv"), learner.metrics)
     return TrainResult(model=model, metrics=learner.metrics, checkpoints=checkpoints)
 
 
@@ -864,7 +870,8 @@ def pbt_train(
     with this round's update of every member j < i. Every `exploit_interval`
     learner steps the bottom quartile copies parameters from a uniformly
     chosen top-quartile member and perturbs lr and entropy_coef by x0.8 or
-    x1.25.
+    x1.25. With an `out_dir`, member i ends as `pbt_member{i}.zip` and
+    `metrics_member{i}.csv` there.
     """
     if pop_size < 2:
         raise ValueError("pop_size must be >= 2")
@@ -899,6 +906,7 @@ def pbt_train(
             extra = {"algo": "pbt", "member": i}
             finish_training(result, out_dir, extra, scored_on=(env_cfg, seed + i), name=f"pbt_member{i}.zip")
             checkpoints.append(result.final_path)
+            write_metrics_csv(os.path.join(out_dir, f"metrics_member{i}.csv"), member.learner.metrics)
     return PbtResult(members=members, exploit_events=exploit_events, checkpoints=checkpoints)
 
 

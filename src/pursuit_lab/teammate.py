@@ -332,8 +332,6 @@ class NahtCollector(rl.RolloutCollector):
     observed teammate actions."""
 
     def __init__(self, env_cfg: EnvConfig, model: NahtModel, cfg: rl.PpoConfig, rng, teammates):
-        if env_cfg.players.num_unctrl < 1:
-            raise ValueError("NAHT-D needs at least one uncontrolled teammate slot")
         super().__init__(env_cfg, model.ac, cfg, rng, teammates=teammates, central=True)
         self.naht_model = model
         self.layout = model.encoder.layout
@@ -386,6 +384,8 @@ def naht_d_train(
     from `teammate_pool`. `no_decoder=True` is the published ablation: the
     decoder and its reconstruction term are removed entirely.
     """
+    if env_cfg.players.num_unctrl < 1:
+        raise ValueError("naht_d_train needs uncontrolled teammate slots (num_unctrl >= 1)")
     if not teammate_pool:
         raise ValueError("teammate pool must be nonempty")
     model = init_naht_model(env_cfg, cfg, substream(seed, "init"), no_decoder=no_decoder)

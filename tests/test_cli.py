@@ -263,19 +263,23 @@ def write_env(tmp_path, **players):
 
 
 @pytest.mark.parametrize(
-    "players, message",
+    "algo, players, message",
     [
         # a valid but infeasible pursuer respawn region
-        ({"respawn_region": {
+        ("sp", {"respawn_region": {
             "pursuer": {"x_min": 1.0, "y_min": 0.2, "x_max": 1.3, "y_max": 0.5},
             "evader": {"x_min": 0.2, "y_min": 4.2, "x_max": 3.4, "y_max": 4.8},
         }}, "infeasible"),
+        # NAHT-D trains with teammates in the uncontrolled slots
+        ("naht-d", {"num_ctrl": 4, "num_unctrl": 0, "unseen_drones": []}, "uncontrolled teammate slots"),
     ],
 )
-def test_train_maps_value_errors_to_exit_1(tmp_path, capsys, players, message):
+def test_train_maps_value_errors_to_exit_1(tmp_path, capsys, algo, players, message):
     env = write_env(tmp_path, **players)
-    assert run_cli("train", "--algo", "sp", "--env", env, "--steps", "64", "--out", str(tmp_path / "run")) == 1
-    assert message in capsys.readouterr().err
+    assert run_cli("train", "--algo", algo, "--env", env, "--steps", "64", "--out", str(tmp_path / "run")) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("num_p", [3, 5])

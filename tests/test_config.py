@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -131,6 +132,29 @@ def test_builtins_validate_clean(name):
 def test_builtin_roundtrip(name):
     cfg = builtin_env(name)
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+#: sha256 of `serialize_config`'s text, recorded when it listed every field
+#: by hand. Every run manifest's `config_sha256` hashes these bytes, so a
+#: change of key order, value or whitespace shows here.
+SERIALIZED_SHA256 = {
+    "4p2e3o": "104398608efcf6b6ee39a92005974b2a099e4b645a73c186ed008e7b52c3632d",
+    "4p2e1o": "e627ef17c224d6976bfdf9abae756623dad1be12f52eed305f0b44fa0c66f858",
+    "4p2e5o": "58b30ebde928de0823b15c3e2b27aa212ce2e13f8a3619769cf4fdbacb6b6f81",
+    "4p3e5o": "54edcc7b6605464686f342f1c5665b434773919108681bae3e682c7e1fb4c736",
+    # 2 learners, 2 teammates; circle and rectangle obstacles
+    "4p2e5o split": "92ef5f3650f15aa7d1f5c14e7c656102e49491d07d84cccdabb87ba776d0d49a",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SERIALIZED_SHA256))
+def test_serialized_bytes_are_pinned(key):
+    name, _, variant = key.partition(" ")
+    cfg = builtin_env(name)
+    if variant:
+        cfg = config.with_control_split(cfg, 2, 2, ("greedy", "vicsek"))
+    text = serialize_config(cfg)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SERIALIZED_SHA256[key]
 
 
 def test_builtin_env_deterministic_bytes():

@@ -1,5 +1,6 @@
 import functools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,16 +112,30 @@ def test_resolve_policy_checks_dims(tmp_path):
         evalkit.resolve_policy("ckpt:/nonexistent/x.zip", env)
 
 
+def test_resolve_policy_rejects_a_naht_checkpoint_of_other_drone_counts(tmp_path):
+    # 4 pursuers with 2 evaders and 3 pursuers with 3 evaders both give
+    # 18-long observation rows, but the step records differ in layout
+    trained_env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
+    other = replace(trained_env, players=replace(trained_env.players, num_p=3, num_e=3, num_ctrl=1))
+    assert sim.obs_length(other) == sim.obs_length(trained_env)
+    model = teammate.init_naht_model(trained_env, rl.PpoConfig(hidden=(8,)), substream(0, "init"))
+    path = rl.save_checkpoint(tmp_path, "naht.zip", model, {})
+    assert isinstance(evalkit.resolve_policy(path, trained_env), teammate.NahtSlotPolicy)
+    with pytest.raises(ValueError, match="4 pursuers and 2 evaders") as err:
+        evalkit.resolve_policy(f"ckpt:{path}", other)
+    assert path in str(err.value)
+
+
 def test_run_evaluation_scripted_deterministic():
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     zoo = evalkit.ZooSpec(zoo_id="zoo1", members=("greedy",))
-    report1, records1 = evalkit.run_evaluation("greedy", zoo, env, n_episodes=10, seed=5)
-    report2, records2 = evalkit.run_evaluation("greedy", zoo, env, n_episodes=10, seed=5)
+    report1, records1 = evalkit.run_evaluation(["greedy"], zoo, env, n_episodes=10, seed=5)
+    report2, records2 = evalkit.run_evaluation(["greedy"], zoo, env, n_episodes=10, seed=5)
     assert report1.to_json() == report2.to_json()
     assert [r.terminal for r in records1] == [r.terminal for r in records2]
     assert report1.n_episodes == 10
     # single-episode report equals that episode's literal outcome
-    r_single, recs = evalkit.run_evaluation("greedy", zoo, env, n_episodes=1, seed=6)
+    r_single, recs = evalkit.run_evaluation(["greedy"], zoo, env, n_episodes=1, seed=6)
     assert r_single.n_episodes == 1
     assert r_single.suc == (100.0 if recs[0].terminal == sim.SUCCESS else 0.0)
     assert r_single.rew == pytest.approx(recs[0].episode_return)
@@ -129,8 +144,8 @@ def test_run_evaluation_scripted_deterministic():
 def test_run_evaluation_parallel_jobs_identical():
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     zoo = evalkit.ZooSpec(zoo_id="zoo1", members=("greedy",))
-    seq, _ = evalkit.run_evaluation("greedy", zoo, env, n_episodes=10, seed=7, jobs=1)
-    par, _ = evalkit.run_evaluation("greedy", zoo, env, n_episodes=10, seed=7, jobs=4)
+    seq, _ = evalkit.run_evaluation(["greedy"], zoo, env, n_episodes=10, seed=7, jobs=1)
+    par, _ = evalkit.run_evaluation(["greedy"], zoo, env, n_episodes=10, seed=7, jobs=4)
     assert seq.to_json() == par.to_json()
 
 
@@ -157,10 +172,10 @@ def test_run_evaluation_reads_each_checkpoint_once(tmp_path, monkeypatch):
     loads = count_loads(monkeypatch)
     # the learner ref fills both learner slots; the zoo repeats a checkpoint
     zoo = evalkit.ZooSpec(zoo_id="zoo3", members=("greedy", refs[1], refs[0]))
-    seq, _ = evalkit.run_evaluation(refs[0], zoo, env, n_episodes=5, seed=4)
+    seq, _ = evalkit.run_evaluation([refs[0]], zoo, env, n_episodes=5, seed=4)
     assert sorted(loads) == sorted(ref[5:] for ref in refs)
     loads.clear()
-    par, _ = evalkit.run_evaluation(refs[0], zoo, env, n_episodes=5, seed=4, jobs=2)
+    par, _ = evalkit.run_evaluation([refs[0]], zoo, env, n_episodes=5, seed=4, jobs=2)
     assert len(loads) == 2  # the workers receive the loaded policies
     assert par.to_json() == seq.to_json()
 
@@ -175,7 +190,7 @@ def test_zoo2_eval_loads_only_the_two_chosen_archives(tmp_path, monkeypatch):
         paths.append(rl.save_checkpoint(tmp_path, f"sp{i}.zip", model, {"selfplay_suc": suc}))
     loads = count_loads(monkeypatch)
     zoo = evalkit.build_zoo("zoo2", evalkit.ZooAssets(sp_checkpoints=paths))
-    evalkit.run_evaluation("greedy", zoo, env, n_episodes=2, seed=0)
+    evalkit.run_evaluation(["greedy"], zoo, env, n_episodes=2, seed=0)
     assert sorted(loads) == sorted([paths[0], paths[1]])
 
 
@@ -200,7 +215,7 @@ def test_load_checkpoint_rejects_an_unknown_kind(tmp_path):
 def test_ast_bounded_by_horizon():
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     zoo = evalkit.ZooSpec(zoo_id="zoo1", members=("greedy",))
-    report, records = evalkit.run_evaluation("greedy", zoo, env, n_episodes=20, seed=8)
+    report, records = evalkit.run_evaluation(["greedy"], zoo, env, n_episodes=20, seed=8)
     if report.ast is not None:
         assert report.ast <= env.task.task_horizon
     for rec in records:
