@@ -42,6 +42,9 @@ GAE_LAMBDA = 0.95
 CLIP_RATIO = 0.2
 VALUE_COEF = 1.0
 INIT_STD = 0.5
+#: Episodes that a rollout collector steps side by side, at most: a collector
+#: keeps the largest divisor of this that divides the env steps of its batch.
+ROLLOUT_ENVS = 1
 
 
 @dataclass
@@ -208,33 +211,37 @@ def save_checkpoint(out_dir, name: str, model, extra: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def compute_gae(rewards, values, terminals, gamma: float, lam: float, bootstrap_value=0.0):
-    """Standard recursive GAE over a (possibly multi-episode) sequence.
+    """Standard recursive GAE over (possibly multi-episode) sequences.
 
-    `values` is (T,) or (T, n_slots); the (T,) rewards and terminals are
-    shared by all slots. `terminals[t]` marks that transition t ended its
-    episode; the bootstrap value (a scalar or one per slot) is used for the
-    value of the state after the final transition when that transition is
-    non-terminal. Every step is elementwise float64 in the order of the
-    scalar recursion, so each slot's result is bitwise the one of a
-    separate (T,) call.
+    `rewards` and `terminals` are (T,) or (T, n_envs): one step sequence per
+    env, each a run of episodes. `values` has their shape plus optional
+    trailing slot axes, such as (T, n_envs, n_slots); the slots share their
+    env's rewards and terminals. `terminals[t]` marks that transition t ended
+    its episode; the bootstrap value (a scalar or one per env and slot) is
+    used for the value of the state after the final transition when that
+    transition is non-terminal. Every step is elementwise float64 in the
+    order of the scalar recursion, so each env's and slot's result is bitwise
+    the one of a separate (T,) call.
     """
     values = np.asarray(values, dtype=np.float64)
-    if not (len(rewards) == len(values) == len(terminals)):
-        raise ValueError("rewards/values/terminals length mismatch")
-    per_step = (len(values),) + (1,) * (values.ndim - 1)  # broadcast over slots
-    rewards = np.asarray(rewards, dtype=np.float64).reshape(per_step)
-    nonterminal = 1.0 - np.asarray(terminals, dtype=np.float64).reshape(per_step)
+    rewards = np.asarray(rewards, dtype=np.float64)
+    terminals = np.asarray(terminals, dtype=np.float64)
+    if terminals.shape != rewards.shape or values.shape[: rewards.ndim] != rewards.shape:
+        raise ValueError(f"rewards {rewards.shape}, values {values.shape} and terminals {terminals.shape} do not match")
+    per_step = rewards.shape + (1,) * (values.ndim - rewards.ndim)  # broadcast over slots
+    rewards = rewards.reshape(per_step)
+    nonterminal = 1.0 - terminals.reshape(per_step)
     bootstrap = np.broadcast_to(np.asarray(bootstrap_value, dtype=np.float64), values.shape[1:])
     next_values = np.concatenate([values[1:], bootstrap[None]])
     deltas = rewards + gamma * next_values * nonterminal - values
-    decay = gamma * lam * nonterminal
+    decay = np.broadcast_to(gamma * lam * nonterminal, values.shape)
     # the recursion runs backwards over Python floats (IEEE float64 too), one
-    # list of slots per step: on a few slots that beats per-step numpy calls
+    # list of env slots per step: on a few slots that beats per-step numpy calls
     n_slots = int(np.prod(values.shape[1:]))
     last = [0.0] * n_slots
     reversed_adv = []
-    for delta, coef in zip(deltas.reshape(-1, n_slots).tolist()[::-1], decay.reshape(-1).tolist()[::-1]):
-        last = [d + coef * a for d, a in zip(delta, last)]
+    for delta, coef in zip(deltas.reshape(-1, n_slots).tolist()[::-1], decay.reshape(-1, n_slots).tolist()[::-1]):
+        last = [d + c * a for d, c, a in zip(delta, coef, last)]
         reversed_adv.append(last)
     advantages = np.array(reversed_adv[::-1]).reshape(values.shape)
     return advantages, advantages + values
@@ -534,14 +541,17 @@ class RolloutStats:
 
 
 class RolloutCollector:
-    """Streams learner transitions from one env into PPO batches.
+    """Streams learner transitions from `n_envs` episodes side by side into
+    PPO batches.
 
     Learner slots are [0, num_ctrl); the remaining slots are filled by the
     teammate sampler each episode. With `central=True` the critic consumes the
     centralized observation (all learner observations plus global evader
     positions); otherwise each slot's critic reads that slot's observation.
-    The episode in progress is an `Episode` whose learner slots the
-    collector owns; `step_episodes` acts for the teammates and steps it.
+    Each env's episode in progress is an `Episode` whose learner slots the
+    collector owns; `step_episodes` acts for the teammates and steps them
+    all. `n_envs` is the largest divisor of `ROLLOUT_ENVS` that divides the
+    env steps of a batch, `cfg.batch // num_ctrl`.
     Subclasses feed extra actor inputs and record extra per-step rows through
     `_actor_input` and `_step`.
     """
@@ -568,73 +578,88 @@ class RolloutCollector:
             raise ValueError(f"batch {cfg.batch} is not a multiple of the {self.n_learners} learner slots")
         if env_cfg.players.num_unctrl > 0 and teammates is None:
             raise ValueError("uncontrolled slots present but no teammate sampler given")
-        self.episode = None
+        self.n_envs = math.gcd(ROLLOUT_ENVS, cfg.batch // self.n_learners)
+        self.episodes: list[Episode | None] = [None] * self.n_envs
 
     # -- episode plumbing ---------------------------------------------------
 
-    def _begin_episode(self) -> None:
+    def _begin_episode(self, env: int) -> None:
         # the rollout rng draws the env seed, then the teammates, then their actors' seeds
         seed = int(self.rng.integers(0, 2**63))
         mates = self.teammates.sample(self.rng) if self.env_cfg.players.num_unctrl > 0 else []
-        self.episode = Episode(self.env_cfg, [None] * self.n_learners + mates, seed, self.rng)
+        self.episodes[env] = Episode(self.env_cfg, [None] * self.n_learners + mates, seed, self.rng)
 
     def _critic(self, learner_obs):
-        """(critic input rows, value per learner slot) in the current state."""
+        """(critic input rows, value per learner row) of the (n_envs * n,
+        obs) learner rows in the episodes' current states."""
         if not self.central:
             return learner_obs, self.model.values(learner_obs)
-        critic_in = sim.central_observation(self.episode.state, learner_obs)[None, :]
+        n = self.n_learners
+        critic_in = np.stack(
+            [sim.central_observation(ep.state, learner_obs[e * n : (e + 1) * n]) for e, ep in enumerate(self.episodes)]
+        )
         values = self.model.values(critic_in)
-        return np.repeat(critic_in, self.n_learners, axis=0), np.repeat(values, self.n_learners)
+        return np.repeat(critic_in, n, axis=0), np.repeat(values, n)
 
     def _actor_input(self, learner_obs):
         """Actor input for this step; the batch keeps the raw observations."""
         return learner_obs
 
-    def _step(self) -> sim.StepOutcome:
-        """Step the episode once the learner slots' actions are set."""
-        return step_episodes([self.episode])[0]
+    def _step(self) -> list[sim.StepOutcome]:
+        """Step the episodes once the learner slots' actions are set."""
+        return step_episodes(self.episodes)
 
     def collect(self, n_transitions: int) -> tuple[PpoBatch, RolloutStats]:
         """Gather at least n_transitions learner transitions (multiple of
-        n_learners), running whole steps and bootstrapping a cut episode."""
-        n = self.n_learners
+        n_envs * n_learners), running whole steps of every env and
+        bootstrapping each cut episode. The rows of a step are the envs'
+        in order, each env's learner slots in order."""
+        n, n_envs = self.n_learners, self.n_envs
         stats = RolloutStats()
         obs_rows, critic_rows, act_rows, logp_rows = [], [], [], []
         value_rows, reward_rows, term_rows = [], [], []
-        steps_needed = -(-n_transitions // n)
+        steps_needed = -(-n_transitions // (n * n_envs))
 
-        if self.episode is None or self.episode.state.terminal != sim.RUNNING:
-            self._begin_episode()
+        for e, ep in enumerate(self.episodes):
+            if ep is None or ep.state.terminal != sim.RUNNING:
+                self._begin_episode(e)
 
         for step_i in range(steps_needed):
-            ep = self.episode
-            learner_obs = ep.obs[:n]
+            episodes = self.episodes
+            learner_obs = np.concatenate([ep.obs[:n] for ep in episodes])
             actions, logp = self.model.act(self._actor_input(learner_obs), self.rng)
             critic_step, value_step = self._critic(learner_obs)
-            ep.actions[:n] = actions[:, 0]
-            out = self._step()
+            for e, ep in enumerate(episodes):
+                ep.actions[:n] = actions[e * n : (e + 1) * n, 0]
+            outcomes = self._step()
 
             obs_rows.append(learner_obs)
             critic_rows.append(critic_step)
             act_rows.append(actions)
             logp_rows.append(logp)
             value_rows.append(value_step)
-            reward_rows.append(out.reward)
-            term_rows.append(1.0 if out.terminal != sim.RUNNING else 0.0)
+            reward_rows.append([out.reward for out in outcomes])
+            term_rows.append([1.0 if out.terminal != sim.RUNNING else 0.0 for out in outcomes])
 
-            if out.terminal != sim.RUNNING:
-                stats.episode_returns.append(ep.episode_return)
-                stats.episode_lengths.append(ep.state.step)
-                stats.episode_terminals.append(out.terminal)
-                if step_i + 1 < steps_needed:
-                    self._begin_episode()
+            for e, (ep, out) in enumerate(zip(episodes, outcomes)):
+                if out.terminal != sim.RUNNING:
+                    stats.episode_returns.append(ep.episode_return)
+                    stats.episode_lengths.append(ep.state.step)
+                    stats.episode_terminals.append(out.terminal)
+                    if step_i + 1 < steps_needed:
+                        self._begin_episode(e)
 
-        # One GAE pass over all episodes and slots; a cut episode bootstraps each slot with its
-        # value of the current state. At a terminal, the next episode's first value times
-        # nonterminal = 0 may be -0.0 where a pass per episode bootstrapped +0.0; the reward it
-        # is added to is never -0.0 (`sim.compute_reward` starts from +0.0), so the bits agree.
-        bootstrap = self._critic(ep.obs[:n])[1] if ep.state.terminal == sim.RUNNING else 0.0
-        values = np.stack(value_rows)  # (T, n_learners)
+        # One GAE pass over all envs, episodes and slots; a cut episode bootstraps each slot with
+        # its value of the current state, an ended one with 0.0. At a terminal, the next episode's
+        # first value times nonterminal = 0 may be -0.0 where a pass per episode bootstrapped +0.0;
+        # the reward it is added to is never -0.0 (`sim.compute_reward` starts from +0.0), so the
+        # bits agree.
+        running = np.array([ep.state.terminal == sim.RUNNING for ep in self.episodes])
+        bootstrap = 0.0
+        if running.any():
+            tail = self._critic(np.concatenate([ep.obs[:n] for ep in self.episodes]))[1].reshape(n_envs, n)
+            bootstrap = np.where(running[:, None], tail, 0.0)
+        values = np.stack(value_rows).reshape(steps_needed, n_envs, n)
         advantages, returns = compute_gae(reward_rows, values, term_rows, GAMMA, GAE_LAMBDA, bootstrap)
 
         batch = PpoBatch(

@@ -66,15 +66,17 @@ class WindowLayout:
         """Input widths of the evader, self and relative-position branches."""
         return self.evader_len, self.self_len, 3
 
-    def step_record(self, obs_row: np.ndarray, world, slot: int, action: float) -> np.ndarray:
-        """Encode one completed step (observation, own pose before the step, own action)."""
-        ev = obs_row[: self.evader_len]
-        obstacle = obs_row[self.evader_len : self.evader_len + 3]
-        rel = obs_row[self.evader_len + 3 :]
-        x, y, heading = world.pursuers[slot]
-        site = world.cfg.site
-        pose = np.array([2.0 * x / site.boundary_width - 1.0, 2.0 * y / site.boundary_height - 1.0, heading / np.pi])
-        return np.concatenate([ev, pose, obstacle, [action], rel])
+    def step_record(self, obs_rows: np.ndarray, poses, site, actions) -> np.ndarray:
+        """The (k, step_len) records of k completed steps of learners in
+        arenas of `site`: their (k, obs_len) observation rows, their (k, 3)
+        poses (x, y, heading) before the step and their k actions."""
+        e = self.evader_len
+        poses = np.asarray(poses, dtype=np.float64)
+        xy = 2.0 * poses[:, :2] / (site.boundary_width, site.boundary_height) - 1.0
+        own = np.asarray(actions, dtype=np.float64).reshape(-1, 1)
+        return np.concatenate(
+            [obs_rows[:, :e], xy, poses[:, 2:] / np.pi, obs_rows[:, e : e + 3], own, obs_rows[:, e + 3 :]], axis=1
+        )
 
     def split_branches(self, records: np.ndarray):
         """(evader input, self input, relpos rows) for a batch of step records.
@@ -329,31 +331,41 @@ def naht_update(
 class NahtCollector(rl.RolloutCollector):
     """Rollout collector for NAHT-D: the centralized-critic collector with an
     embedding-conditioned actor, each learner's previous step record and the
-    observed teammate actions."""
+    observed teammate actions. Each step makes one `encode` over the records
+    of every learner row of every env."""
 
     def __init__(self, env_cfg: EnvConfig, model: NahtModel, cfg: rl.PpoConfig, rng, teammates):
         super().__init__(env_cfg, model.ac, cfg, rng, teammates=teammates, central=True)
         self.naht_model = model
         self.layout = model.encoder.layout
-        self._records = None
+        # each learner row's previous step record; a new array every step, so rows zeroed in place at an
+        # episode's start never touch one that a batch holds
+        self._records = np.zeros((self.n_envs * self.n_learners, self.layout.step_len))
         self._win_rows, self._mate_rows = [], []
 
-    def _begin_episode(self):
-        self._records = np.zeros((self.n_learners, self.layout.step_len))
-        super()._begin_episode()
+    def _begin_episode(self, env: int):
+        n = self.n_learners
+        self._records[env * n : (env + 1) * n] = 0.0
+        super()._begin_episode(env)
 
     def _actor_input(self, learner_obs):
         self._win_rows.append(self._records)
         emb, _ = encode(self.naht_model.encoder, self._records)
         return self.naht_model.actor_input(learner_obs, emb)
 
-    def _step(self) -> sim.StepOutcome:
-        ep, n = self.episode, self.n_learners
+    def _step(self) -> list[sim.StepOutcome]:
+        episodes, n = self.episodes, self.n_learners
         # the record reads each learner's pose before the step, like its observation
-        self._records = np.stack([self.layout.step_record(ep.obs[i], ep.state, i, float(ep.actions[i])) for i in range(n)])
-        out = super()._step()
-        self._mate_rows.append(np.tile(ep.actions[n:], (n, 1)))  # the step filled in the teammates' actions
-        return out
+        self._records = self.layout.step_record(
+            np.concatenate([ep.obs[:n] for ep in episodes]),
+            [pose for ep in episodes for pose in ep.state.pursuers[:n]],
+            self.env_cfg.site,
+            np.concatenate([ep.actions[:n] for ep in episodes]),
+        )
+        outcomes = super()._step()
+        # the step filled in the teammates' actions
+        self._mate_rows.append(np.repeat(np.stack([ep.actions[n:] for ep in episodes]), n, axis=0))
+        return outcomes
 
     def collect(self, n_transitions: int) -> tuple[NahtBatch, rl.RolloutStats]:
         self._win_rows, self._mate_rows = [], []
@@ -364,7 +376,6 @@ class NahtCollector(rl.RolloutCollector):
             teammate_actions=np.concatenate(self._mate_rows, axis=0),
         )
         return batch, stats
-
 
 # ---------------------------------------------------------------------------
 # Trainer and checkpointing
@@ -434,18 +445,18 @@ class NahtSlotPolicy:
         self.deterministic = deterministic
 
     def begin_episode(self, rng: np.random.Generator) -> rl.EpisodeActor:
-        return rl.EpisodeActor(self, [np.zeros(self.model.encoder.layout.step_len), rl.episode_rng(rng)])
+        return rl.EpisodeActor(self, [np.zeros((1, self.model.encoder.layout.step_len)), rl.episode_rng(rng)])
 
     def act(self, world, slot: int, obs, episode: list) -> float:
-        """`episode` is [previous step record, rng]; the record is replaced by this step's."""
+        """`episode` is [previous step record (one row), rng]; the record is replaced by this step's."""
         record, rng = episode
-        obs_row = obs[slot]
-        emb, _ = encode(self.model.encoder, record[None, :])
-        actor_in = self.model.actor_input(obs_row[None, :], emb)
+        obs_row = obs[slot : slot + 1]
+        emb, _ = encode(self.model.encoder, record)
+        actor_in = self.model.actor_input(obs_row, emb)
         if self.deterministic:
             action = float(self.model.ac.action_mean(actor_in)[0, 0])
         else:
             actions, _ = self.model.ac.act(actor_in, rng)
             action = float(actions[0, 0])
-        episode[0] = self.model.encoder.layout.step_record(obs_row, world, slot, action)
+        episode[0] = self.model.encoder.layout.step_record(obs_row, [world.pursuers[slot]], world.cfg.site, [action])
         return action

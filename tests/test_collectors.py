@@ -1,17 +1,21 @@
 """The rollout collectors against their old episode loop, and the caller-owned
 slots of `rl.step_episodes`.
 
-`rl.RolloutCollector` and `teammate.NahtCollector` step their episode
-through `rl.step_episodes`, the step that eval plays through. `LoopCollector`
-keeps the loop they replaced as the oracle: one `sim.reset` per episode, and
-per step the learners' `model.act`, each teammate's own `act` and one
-`sim.step`. Both must give the same batches and episode statistics, bit for
-bit, for self-play, MAPPO and NAHT-D, with scripted, stochastic-net and
-deterministic-net teammates (the last act through `act_rows`), and across
-episodes cut by a batch and continued by the next.
+`rl.RolloutCollector` and `teammate.NahtCollector` step their `n_envs`
+episodes side by side through `rl.step_episodes`, the step that eval plays
+through. `LoopCollector` keeps the loop they replaced as the oracle: `n_envs`
+envs, each with one `sim.reset` per episode, and per step one `model.act`
+over the learner rows of every env, then in env order each teammate's own
+`act` and one `sim.step` per env; a NAHT-D step record per learner and a GAE
+pass per env. Both must give the same batches and episode statistics, bit
+for bit, with one env and with `rl.ROLLOUT_ENVS`, for self-play, MAPPO and
+NAHT-D, with scripted, stochastic-net and deterministic-net teammates (the
+last act through `act_rows`), and across episodes cut by a batch and
+continued by the next.
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,79 +29,99 @@ COLLECTS = 4
 
 
 class LoopCollector:
-    """`rl.RolloutCollector`'s batches and statistics from a plain
-    reset/step loop; with a `teammate.NahtModel` as `naht`,
-    `teammate.NahtCollector`'s (the acting model is then `naht.ac`)."""
+    """`rl.RolloutCollector`'s batches and statistics over `n_envs` envs from
+    a plain reset/step loop; with a `teammate.NahtModel` as `naht`,
+    `teammate.NahtCollector`'s (the acting model is then `naht.ac`).
 
-    def __init__(self, env_cfg, model, rng, teammates=None, central=False, naht=None):
+    The rollout rng draws as the collector's does: each env's seed, its
+    teammates and their actors' seeds when its episode begins (envs in
+    order), and one `model.act` over all learner rows per step.
+    """
+
+    def __init__(self, env_cfg, model, rng, n_envs, teammates=None, central=False, naht=None):
         self.env_cfg, self.model, self.rng = env_cfg, model, rng
         self.teammates, self.central, self.naht = teammates, central, naht
         self.n = env_cfg.players.num_ctrl
-        self.state = None
+        self.envs = [None] * n_envs
 
-    def begin_episode(self):
+    def begin_episode(self, e):
         seed = int(self.rng.integers(0, 2**63))
-        self.state, self.obs = sim.reset(self.env_cfg, seed)
-        self.episode_return = 0.0
-        self.mates = []
+        state, obs = sim.reset(self.env_cfg, seed)
+        mates = []
         if self.env_cfg.players.num_unctrl > 0:
-            self.mates = [pol.begin_episode(self.rng) for pol in self.teammates.sample(self.rng)]
-        if self.naht is not None:
-            self.records = np.zeros((self.n, self.naht.encoder.layout.step_len))
+            mates = [pol.begin_episode(self.rng) for pol in self.teammates.sample(self.rng)]
+        records = None if self.naht is None else np.zeros((self.n, self.naht.encoder.layout.step_len))
+        self.envs[e] = SimpleNamespace(state=state, obs=obs, episode_return=0.0, mates=mates, records=records)
 
     def critic(self, learner_obs):
+        """(critic rows, values) of the (n_envs * n, obs) learner rows."""
         if not self.central:
             return learner_obs, self.model.values(learner_obs)
-        critic_in = sim.central_observation(self.state, learner_obs)[None, :]
-        return np.repeat(critic_in, self.n, axis=0), np.repeat(self.model.values(critic_in), self.n)
+        n = self.n
+        critic_in = np.stack(
+            [sim.central_observation(env.state, learner_obs[e * n : (e + 1) * n]) for e, env in enumerate(self.envs)]
+        )
+        return np.repeat(critic_in, n, axis=0), np.repeat(self.model.values(critic_in), n)
 
     def collect(self, n_transitions):
-        n, stats = self.n, rl.RolloutStats()
+        n, n_envs, stats = self.n, len(self.envs), rl.RolloutStats()
         obs_rows, critic_rows, act_rows, logp_rows, win_rows, mate_rows = [], [], [], [], [], []
         value_rows, reward_rows, term_rows = [], [], []
-        steps_needed = -(-n_transitions // n)
-        if self.state is None or self.state.terminal != sim.RUNNING:
-            self.begin_episode()
+        steps_needed = -(-n_transitions // (n * n_envs))
+        for e, env in enumerate(self.envs):
+            if env is None or env.state.terminal != sim.RUNNING:
+                self.begin_episode(e)
         for step_i in range(steps_needed):
-            learner_obs = self.obs[:n]
+            learner_obs = np.concatenate([env.obs[:n] for env in self.envs])
             actor_in = learner_obs
             if self.naht is not None:
-                win_rows.append(self.records)
-                emb, _ = teammate.encode(self.naht.encoder, self.records)
+                records = np.concatenate([env.records for env in self.envs])
+                win_rows.append(records)
+                emb, _ = teammate.encode(self.naht.encoder, records)
                 actor_in = self.naht.actor_input(learner_obs, emb)
             actions, logp = self.model.act(actor_in, self.rng)
             critic_step, value_step = self.critic(learner_obs)
-            all_actions = np.zeros(self.env_cfg.players.num_p)
-            all_actions[:n] = actions[:, 0]
-            for k, actor in enumerate(self.mates, n):
-                all_actions[k] = actor.act(self.state, k, self.obs)
-            if self.naht is not None:
-                layout = self.naht.encoder.layout
-                self.records = np.stack(
-                    [layout.step_record(learner_obs[i], self.state, i, float(all_actions[i])) for i in range(n)]
-                )
-                mate_rows.append(np.tile(all_actions[n:], (n, 1)))
-            out = sim.step(self.state, all_actions)
-            self.episode_return += out.reward
+            outcomes = []
+            for e, env in enumerate(self.envs):
+                all_actions = np.zeros(self.env_cfg.players.num_p)
+                all_actions[:n] = actions[e * n : (e + 1) * n, 0]
+                for k, actor in enumerate(env.mates, n):
+                    all_actions[k] = actor.act(env.state, k, env.obs)
+                if self.naht is not None:
+                    layout, site = self.naht.encoder.layout, self.env_cfg.site
+                    env.records = np.concatenate(
+                        [
+                            layout.step_record(env.obs[i : i + 1], [env.state.pursuers[i]], site, [all_actions[i]])
+                            for i in range(n)
+                        ]
+                    )
+                    mate_rows.append(np.tile(all_actions[n:], (n, 1)))
+                out = sim.step(env.state, all_actions)
+                env.episode_return += out.reward
+                env.obs = out.observations
+                outcomes.append(out)
             obs_rows.append(learner_obs)
             critic_rows.append(critic_step)
             act_rows.append(actions)
             logp_rows.append(logp)
-            value_rows.append(value_step)
-            reward_rows.append(out.reward)
-            term_rows.append(1.0 if out.terminal != sim.RUNNING else 0.0)
-            if out.terminal != sim.RUNNING:
-                stats.episode_returns.append(self.episode_return)
-                stats.episode_lengths.append(self.state.step)
-                stats.episode_terminals.append(out.terminal)
-                if step_i + 1 < steps_needed:
-                    self.begin_episode()
-            else:
-                self.obs = out.observations
-        bootstrap = self.critic(self.obs[:n])[1] if self.state.terminal == sim.RUNNING else 0.0
-        advantages, returns = rl.compute_gae(
-            reward_rows, np.stack(value_rows), term_rows, rl.GAMMA, rl.GAE_LAMBDA, bootstrap
-        )
+            value_rows.append(value_step.reshape(n_envs, n))
+            reward_rows.append([out.reward for out in outcomes])
+            term_rows.append([float(out.terminal != sim.RUNNING) for out in outcomes])
+            for e, (env, out) in enumerate(zip(self.envs, outcomes)):
+                if out.terminal != sim.RUNNING:
+                    stats.episode_returns.append(env.episode_return)
+                    stats.episode_lengths.append(env.state.step)
+                    stats.episode_terminals.append(out.terminal)
+                    if step_i + 1 < steps_needed:
+                        self.begin_episode(e)
+        tail = self.critic(np.concatenate([env.obs[:n] for env in self.envs]))[1].reshape(n_envs, n)
+        values, rewards, terms = np.stack(value_rows), np.array(reward_rows), np.array(term_rows)
+        advantages, returns = np.zeros(values.shape), np.zeros(values.shape)
+        for e, env in enumerate(self.envs):
+            bootstrap = tail[e] if env.state.terminal == sim.RUNNING else 0.0
+            advantages[:, e], returns[:, e] = rl.compute_gae(
+                rewards[:, e], values[:, e], terms[:, e], rl.GAMMA, rl.GAE_LAMBDA, bootstrap
+            )
         batch = rl.PpoBatch(
             actor_in=np.concatenate(obs_rows, axis=0),
             critic_in=np.concatenate(critic_rows, axis=0),
@@ -126,29 +150,28 @@ POOLS = {
 }
 
 
-def collector_pair(algo, pool):
-    """(collector, oracle) on the same model, teammates and rollout seed."""
+def collector_pair(algo, pool, cfg):
+    """(collector, oracle) on the same model, teammates and rollout seed, the
+    oracle with as many envs as the collector."""
     if algo == "selfplay":
         env = reduced_4p2e3o()
         obs_dim = sim.obs_length(env)
-        model = rl.init_actor_critic(obs_dim, obs_dim, PPO, substream(0, "init"))
-        return (
-            rl.RolloutCollector(env, model, PPO, substream(3, "rollout")),
-            LoopCollector(env, model, substream(3, "rollout")),
-        )
+        model = rl.init_actor_critic(obs_dim, obs_dim, cfg, substream(0, "init"))
+        collector = rl.RolloutCollector(env, model, cfg, substream(3, "rollout"))
+        return collector, LoopCollector(env, model, substream(3, "rollout"), collector.n_envs)
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     mates = rl.UniformTeammates(POOLS[pool](env), env.players.num_unctrl)
     if algo == "mappo":
         critic_dim = sim.central_obs_length(env, env.players.num_ctrl)
-        model = rl.init_actor_critic(sim.obs_length(env), critic_dim, PPO, substream(0, "init"))
-        return (
-            rl.RolloutCollector(env, model, PPO, substream(3, "rollout"), teammates=mates, central=True),
-            LoopCollector(env, model, substream(3, "rollout"), teammates=mates, central=True),
+        model = rl.init_actor_critic(sim.obs_length(env), critic_dim, cfg, substream(0, "init"))
+        collector = rl.RolloutCollector(env, model, cfg, substream(3, "rollout"), teammates=mates, central=True)
+        return collector, LoopCollector(
+            env, model, substream(3, "rollout"), collector.n_envs, teammates=mates, central=True
         )
-    model = teammate.init_naht_model(env, PPO, substream(0, "init"))
-    return (
-        teammate.NahtCollector(env, model, PPO, substream(3, "rollout"), mates),
-        LoopCollector(env, model.ac, substream(3, "rollout"), teammates=mates, central=True, naht=model),
+    model = teammate.init_naht_model(env, cfg, substream(0, "init"))
+    collector = teammate.NahtCollector(env, model, cfg, substream(3, "rollout"), mates)
+    return collector, LoopCollector(
+        env, model.ac, substream(3, "rollout"), collector.n_envs, teammates=mates, central=True, naht=model
     )
 
 
@@ -172,18 +195,23 @@ CASES = [("selfplay", None)] + [(algo, pool) for algo in ("mappo", "naht-d") for
 
 
 @pytest.mark.parametrize("algo, pool", CASES)
-def test_collector_equals_the_reset_step_loop(algo, pool):
-    collector, oracle = collector_pair(algo, pool)
-    ended = cut = 0
-    for _ in range(COLLECTS):
-        batch, stats = collector.collect(PPO.batch)
-        want_batch, want_stats = oracle.collect(PPO.batch)
-        assert batch_bits(batch) == batch_bits(want_batch)
-        assert stats_bits(stats) == stats_bits(want_stats)
-        ended += len(stats.episode_terminals)
-        cut += collector.episode.state.terminal == sim.RUNNING
-    # episodes ended inside a batch, and some batch cut one that the next continued
-    assert ended and cut
+def test_collector_equals_the_reset_step_loop(monkeypatch, algo, pool):
+    for n_envs in sorted({1, rl.ROLLOUT_ENVS}):
+        monkeypatch.setattr(rl, "ROLLOUT_ENVS", n_envs)
+        # as many steps per env and batch at any n_envs
+        cfg = replace(PPO, batch=PPO.batch * n_envs)
+        collector, oracle = collector_pair(algo, pool, cfg)
+        assert collector.n_envs == n_envs
+        ended = cut = 0
+        for _ in range(COLLECTS):
+            batch, stats = collector.collect(cfg.batch)
+            want_batch, want_stats = oracle.collect(cfg.batch)
+            assert batch_bits(batch) == batch_bits(want_batch)
+            assert stats_bits(stats) == stats_bits(want_stats)
+            ended += len(stats.episode_terminals)
+            cut += sum(ep.state.terminal == sim.RUNNING for ep in collector.episodes)
+        # episodes ended inside a batch, and some batch cut one that the next continued
+        assert ended and cut
 
 
 def test_caller_owned_slots_step_with_their_preset_actions_and_observe(monkeypatch):

@@ -192,31 +192,39 @@ def test_collect_rollouts_deterministic():
 
 def test_collect_rollouts_learner_streams_only():
     # 2 learner slots + 2 scripted greedy: the batch holds exactly the two
-    # learner streams, whose observations match an independent replay.
+    # learner streams of each of the collector's envs, whose observations
+    # match an independent replay.
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     cfg = rl.PpoConfig(batch=64, minibatch=32)
     model = make_model(obs_dim=sim.obs_length(env), critic_dim=sim.obs_length(env), dtype=np.float32, cfg=cfg)
     teammates = FixedTeammates([rl.ScriptedSlotPolicy("greedy"), rl.ScriptedSlotPolicy("greedy")])
-    batch, _ = rl.RolloutCollector(env, model, cfg, substream(9, "roll"), teammates=teammates).collect(64)
-    assert len(batch) == 64  # 32 env steps x 2 learner slots
+    collector = rl.RolloutCollector(env, model, cfg, substream(9, "roll"), teammates=teammates)
+    batch, _ = collector.collect(64)
+    n_envs = collector.n_envs
+    assert len(batch) == 64  # 32 env steps x 2 learner slots, over n_envs envs
 
-    # independent replay with an identical collector run
+    # independent replay with an identical collector run: n_envs envs in
+    # lockstep, up to the step in which the first episode ends
     model2 = make_model(obs_dim=sim.obs_length(env), critic_dim=sim.obs_length(env), dtype=np.float32, cfg=cfg)
     rng = substream(9, "roll")
-    state, obs = sim.reset(env, int(rng.integers(0, 2**63)))
+    envs = [list(sim.reset(env, int(rng.integers(0, 2**63)))) for _ in range(n_envs)]
     replay_rows = []
-    for _step in range(32):
-        learner_obs = obs[:2]
-        replay_rows.append(learner_obs.copy())
+    for _step in range(32 // n_envs):
+        learner_obs = np.concatenate([obs[:2] for _, obs in envs])
+        replay_rows.append(learner_obs)
         actions, _ = model2.act(learner_obs, rng)
-        all_actions = np.zeros(4)
-        all_actions[:2] = actions[:, 0]
-        for k in (2, 3):
-            all_actions[k] = rl.ScriptedSlotPolicy("greedy").act(state, k, obs)
-        out = sim.step(state, all_actions)
-        if out.terminal != sim.RUNNING:
+        ended = False
+        for e, pair in enumerate(envs):
+            state, obs = pair
+            all_actions = np.zeros(4)
+            all_actions[:2] = actions[2 * e : 2 * e + 2, 0]
+            for k in (2, 3):
+                all_actions[k] = rl.ScriptedSlotPolicy("greedy").act(state, k, obs)
+            out = sim.step(state, all_actions)
+            ended |= out.terminal != sim.RUNNING
+            pair[1] = out.observations
+        if ended:
             break
-        obs = out.observations
     replay = np.concatenate(replay_rows, axis=0)
     np.testing.assert_array_equal(batch.actor_in[: len(replay)], replay)
 
@@ -229,11 +237,17 @@ def test_cut_rollout_bootstraps_each_slot_with_its_own_value():
     model = make_model(obs_dim=sim.obs_length(env), critic_dim=sim.obs_length(env), dtype=np.float32, cfg=cfg)
     collector = rl.RolloutCollector(env, model, cfg, substream(4, "roll"))
     batch, _ = collector.collect(64)
-    assert collector.episode.state.terminal == sim.RUNNING
-    tail = model.values(sim.observe_all(collector.episode.state)[:4]).astype(np.float64)
-    assert np.ptp(tail) > 1e-4
-    last = batch.returns[-4:]
-    np.testing.assert_allclose(last - last[0], rl.GAMMA * (tail - tail[0]), rtol=0, atol=1e-9)
+    n_envs = collector.n_envs
+    # the collector's bootstrap: one critic forward over every env's rows
+    rows = np.concatenate([sim.observe_all(ep.state)[:4] for ep in collector.episodes])
+    tails = model.values(rows).astype(np.float64).reshape(n_envs, 4)
+    lasts = batch.returns.reshape(-1, n_envs, 4)[-1]
+    cut = [e for e, ep in enumerate(collector.episodes) if ep.state.terminal == sim.RUNNING]
+    assert cut
+    for e in cut:
+        tail, last = tails[e], lasts[e]
+        assert np.ptp(tail) > 1e-4
+        np.testing.assert_allclose(last - last[0], rl.GAMMA * (tail - tail[0]), rtol=0, atol=1e-9)
 
 
 def test_mappo_critic_input_length():
@@ -456,9 +470,11 @@ def test_pbt_train_runs_and_checkpoints(tmp_path):
 
 def test_pbt_rounds_continue_one_rollout_stream_per_member(monkeypatch):
     # each member keeps one collector: no episode seed is replayed in a later
-    # round, and an episode is not cut at every round's batch / num_ctrl steps
+    # round, and an episode is not cut at every round's batch / (num_ctrl *
+    # n_envs) steps; the batch gives each env 32 steps per round
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
-    cfg = rl.PpoConfig(batch=64, minibatch=32, epochs=1, total_steps=3 * 64)
+    batch = 64 * rl.ROLLOUT_ENVS
+    cfg = rl.PpoConfig(batch=batch, minibatch=32, epochs=1, total_steps=3 * batch)
     seeds, lengths = [], [0]
     real_reset, real_step = sim.reset, sim.step
 
@@ -473,10 +489,13 @@ def test_pbt_rounds_continue_one_rollout_stream_per_member(monkeypatch):
 
     monkeypatch.setattr(sim, "reset", reset)
     monkeypatch.setattr(sim, "step", step)
-    rl.pbt_train(2, cfg, env, seed=0, exploit_interval=None)
-    assert len(seeds) > 2
+    res = rl.pbt_train(2, cfg, env, seed=0, exploit_interval=None)
+    n_envs = res.members[0].learner.collector.n_envs
+    assert n_envs == rl.ROLLOUT_ENVS
+    # more episodes than the ones each member's envs begin with
+    assert len(seeds) > 2 * n_envs
     assert len(set(seeds)) == len(seeds)
-    assert lengths[0] > cfg.batch // env.players.num_ctrl
+    assert lengths[0] > cfg.batch // (env.players.num_ctrl * n_envs)
 
 
 def test_pbt_metrics_rows_average_each_members_last_50_episodes(monkeypatch):
@@ -636,6 +655,51 @@ def test_one_gae_pass_over_a_batch_is_bitwise_the_per_episode_passes(batch, coef
     want_adv, want_ret = per_episode_gae(rewards, values, terminals, *coefs, bootstrap)
     assert adv.tobytes() == want_adv.tobytes()
     assert ret.tobytes() == want_ret.tobytes()
+
+
+@st.composite
+def env_batches(draw):
+    """(rewards, terminals, values, bootstrap) of the batch of `n_envs`
+    envs side by side: (T, n_envs) rewards and terminals, (T, n_envs, n)
+    values, and a bootstrap per env and slot that is 0.0 where the env's
+    last episode ended. Each env's terminals fall anywhere, so an env may
+    end or cut its last episode, and values and rewards are drawn as in
+    `episode_batches`."""
+    n_envs = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([1, 2, 4]))
+    T = draw(st.integers(1, 24))
+    ends = st.lists(st.sampled_from([0.0, 0.0, 0.0, 1.0]), min_size=T, max_size=T)
+    terminals = np.array([draw(ends) for _ in range(n_envs)]).T.reshape(T, n_envs)
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-50, 50, width=32))
+    reward = st.one_of(st.just(0.0), st.floats(-20, 20)).map(lambda r: r + 0.0)
+    rewards = np.array(draw(st.lists(reward, min_size=T * n_envs, max_size=T * n_envs))).reshape(T, n_envs)
+    values = np.array(draw(st.lists(value, min_size=T * n_envs * n, max_size=T * n_envs * n)))
+    bootstrap = np.array(draw(st.lists(value, min_size=n_envs * n, max_size=n_envs * n))).reshape(n_envs, n)
+    bootstrap[terminals[-1] == 1.0] = 0.0
+    return rewards, terminals, values.reshape(T, n_envs, n), bootstrap
+
+
+@settings(max_examples=200, deadline=None)
+@given(env_batches(), st.sampled_from([(rl.GAMMA, rl.GAE_LAMBDA), (1.0, 1.0), (0.5, 0.25)]))
+def test_one_gae_pass_over_side_by_side_envs_is_bitwise_a_pass_per_env_and_slot(batch, coefs):
+    rewards, terminals, values, bootstrap = batch
+    adv, ret = rl.compute_gae(rewards, values, terminals, *coefs, bootstrap_value=bootstrap)
+    assert adv.shape == ret.shape == values.shape
+    for e in range(values.shape[1]):
+        for slot in range(values.shape[2]):
+            want_adv, want_ret = per_episode_gae(
+                rewards[:, e], values[:, e, slot], terminals[:, e], *coefs, bootstrap[e, slot]
+            )
+            assert adv[:, e, slot].tobytes() == want_adv.tobytes()
+            assert ret[:, e, slot].tobytes() == want_ret.tobytes()
+
+
+def test_gae_rejects_rewards_and_terminals_of_other_shapes():
+    values = np.zeros((5, 2, 3))
+    with pytest.raises(ValueError, match="do not match"):
+        rl.compute_gae(np.zeros((5, 3)), values, np.zeros((5, 3)), 0.99, 0.95)
+    with pytest.raises(ValueError, match="do not match"):
+        rl.compute_gae(np.zeros((5, 2)), values, np.zeros(5), 0.99, 0.95)
 
 
 def test_collector_rejects_batch_not_a_multiple_of_the_learner_slots():
