@@ -219,18 +219,18 @@ def max_step_train(
     env_cfg: EnvConfig,
     budget: int,
     seed: int,
-) -> list[dict]:
+) -> rl.TrainResult:
     """Approximate best response: PPO against partners drawn from `strategy`.
 
-    Mutates the trainee in place; returns the training metrics rows. A zero
-    budget is a no-op.
+    Mutates the trainee in place; returns the training result (its metrics
+    and timing rows). A zero budget is a no-op.
     """
-    if budget <= 0:
-        return []
-    teammates = MixtureTeammates(strategy, pop.policies)
     model = pop.learner_model
+    if budget <= 0:
+        return rl.TrainResult(model)
+    teammates = MixtureTeammates(strategy, pop.policies)
     collector = rl.RolloutCollector(env_cfg, model, ppo_cfg, substream(seed, "rollout"), teammates=teammates)
-    return rl.train_loop(collector, model, replace(ppo_cfg, total_steps=budget), seed).metrics
+    return rl.train_loop(collector, model, replace(ppo_cfg, total_steps=budget), seed)
 
 
 @dataclass
@@ -241,6 +241,7 @@ class GenerationReport:
     centralities: dict[str, float]
     strategy: MixedStrategy
     metrics: list[dict]
+    timings: list[dict]  # max-step's `rl.TIMING_FIELDS` rows, kept out of `to_json`
 
     def to_json(self) -> str:
         doc = {
@@ -284,14 +285,15 @@ def hola_generation(
     grown = PopulationState(generation=t + 1, policies=policies, learner_model=pop.learner_model)
     g = build_learner_subgraph(grown, env_cfg, episodes=episodes_per_edge, seed=seed)
     strategy, centralities = partner_strategy(g, grown, env_cfg, uniform=uniform_rho)
-    metrics = max_step_train(grown, strategy, ppo_cfg, env_cfg, gen_budget, substream_seed_int(seed, "max-step", t))
+    trained = max_step_train(grown, strategy, ppo_cfg, env_cfg, gen_budget, substream_seed_int(seed, "max-step", t))
     report = GenerationReport(
         generation=t + 1,
         population=tuple(sorted(policies)),
         edge_weights=g.weights,
         centralities=centralities,
         strategy=strategy,
-        metrics=metrics,
+        metrics=trained.metrics,
+        timings=trained.timings,
     )
     return grown, report
 
@@ -334,8 +336,9 @@ def hola_train(
 ) -> tuple[rl.ActorCritic, list[GenerationReport]]:
     """Full HOLA loop; `uniform_rho=True` is the no-hypergraph ablation.
 
-    With an `out_dir`, each generation g writes `generation_{g:03d}.json` and
-    `metrics_gen{g:03d}.csv` there, and the trainee ends as `final.zip`."""
+    With an `out_dir`, each generation g writes `generation_{g:03d}.json`,
+    `metrics_gen{g:03d}.csv` and `timing_gen{g:03d}.csv` there, and the
+    trainee ends as `final.zip`."""
     if env_cfg.players.num_unctrl < 1:
         raise ValueError("hola_train needs uncontrolled teammate slots (num_unctrl >= 1)")
     pop = init_population(env_cfg, ppo_cfg, seed, sp_budget=sp_budget)
@@ -355,7 +358,9 @@ def hola_train(
             os.makedirs(out_dir, exist_ok=True)
             with open(os.path.join(out_dir, f"generation_{report.generation:03d}.json"), "w") as fh:
                 fh.write(report.to_json() + "\n")
-            rl.write_metrics_csv(os.path.join(out_dir, f"metrics_gen{report.generation:03d}.csv"), report.metrics)
+            gen = report.generation
+            rl.write_csv(os.path.join(out_dir, f"metrics_gen{gen:03d}.csv"), rl.METRIC_FIELDS, report.metrics)
+            rl.write_csv(os.path.join(out_dir, f"timing_gen{gen:03d}.csv"), rl.TIMING_FIELDS, report.timings)
     if out_dir is not None:
         extra = {"algo": "hola-nog" if uniform_rho else "hola", "seed": seed, "generations": generations}
         rl.finish_training(rl.TrainResult(pop.learner_model), out_dir, extra, scored_on=(env_cfg, seed))

@@ -10,9 +10,11 @@ metrics row): `train_loop` repeats it, and `pbt_train` steps each member once
 per round. `finish_training` scores and saves every final model through
 `save_checkpoint`, the one writer of checkpoint archives.
 
-A trainer given an `out_dir` writes its whole run directory there, metrics
-CSVs through `write_metrics_csv` next to the archives; the CLI adds only
-`manifest.json`.
+A trainer given an `out_dir` writes its whole run directory there, the
+metrics and timing CSVs through `write_csv` next to the archives; the CLI
+adds only `manifest.json`. `Learner.step` times each update's rollout and
+PPO update; those wall times go only into the timing CSVs, apart from the
+deterministic files.
 
 Rollouts count *learner transitions*: one env step with N learner slots
 contributes N transitions, and `PpoConfig.total_steps` / `batch` are
@@ -28,6 +30,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -684,6 +687,7 @@ class TrainResult:
     checkpoints: list[str] = field(default_factory=list)
     final_path: str | None = None
     selfplay_suc: float | None = None
+    timings: list[dict] = field(default_factory=list)  # one `Learner.step` timing row per update
 
 
 SELFPLAY_EVAL_EPISODES = 50
@@ -702,12 +706,18 @@ METRIC_FIELDS = (
 )
 
 
-def write_metrics_csv(path, rows) -> None:
+#: Columns of the timing CSVs: wall seconds of each update's rollout and PPO
+#: update, and the env steps of its rollout (all `n_envs` envs) per rollout second.
+TIMING_FIELDS = ("update", "rollout_s", "update_s", "env_steps", "env_steps_per_s")
+
+
+def write_csv(path, fields, rows) -> None:
+    """`rows` (dicts) under the header `fields`; a missing field is empty."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRIC_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: row.get(k, "") for k in METRIC_FIELDS})
+            writer.writerow({k: row.get(k, "") for k in fields})
 
 
 def _metrics_row(step, update, window_stats, diag) -> dict:
@@ -749,7 +759,8 @@ class Learner:
     `update(model, opt, batch, cfg, rng)` runs one update and returns its
     diagnostics (default: `ppo_update`, looked up at call time so that a
     patched `rl.ppo_update` is the one that runs). `window` holds every
-    episode the collector ended, `metrics` one row per update.
+    episode the collector ended, `metrics` one row per update and `timings`
+    its `TIMING_FIELDS` row.
     """
 
     def __init__(self, collector: RolloutCollector, model, cfg: PpoConfig, rng: np.random.Generator, update=None):
@@ -762,6 +773,7 @@ class Learner:
         self.opt = nn.adam_init(model.params(), lr=cfg.lr)
         self.window = RolloutStats()
         self.metrics: list[dict] = []
+        self.timings: list[dict] = []
 
     @property
     def steps(self) -> int:
@@ -770,9 +782,22 @@ class Learner:
 
     def step(self) -> RolloutStats:
         """One update on a fresh batch; returns the episodes the batch ended."""
+        t0 = time.perf_counter()
         batch, stats = self.collector.collect(self.cfg.batch)
+        t1 = time.perf_counter()
         self.window.extend(stats)
         diag = (self.update or ppo_update)(self.model, self.opt, batch, self.cfg, self.rng)
+        t2 = time.perf_counter()
+        env_steps = self.cfg.batch // self.collector.n_learners
+        self.timings.append(
+            {
+                "update": len(self.metrics),
+                "rollout_s": t1 - t0,
+                "update_s": t2 - t1,
+                "env_steps": env_steps,
+                "env_steps_per_s": env_steps / (t1 - t0),
+            }
+        )
         self.metrics.append(_metrics_row(self.steps + self.cfg.batch, len(self.metrics), self.window, diag))
         return stats
 
@@ -783,7 +808,8 @@ def train_loop(
     """The PPO outer loop: `Learner.step` until `cfg.total_steps`. With an
     `out_dir` it writes a periodic checkpoint there after every
     max(1, n_updates // 5) updates (one per update below 10 updates, and
-    5 to 9 of them from 10 updates on), and `metrics.csv` at the end.
+    5 to 9 of them from 10 updates on), and `metrics.csv` and `timing.csv`
+    at the end.
 
     The budget rounds up to whole batches: it runs ceil(total_steps / batch)
     updates, at least one, so `total_steps=64` with a 1024-transition batch
@@ -798,8 +824,9 @@ def train_loop(
             name = f"{ckpt_prefix}_{learner.steps:09d}.zip"
             checkpoints.append(save_checkpoint(out_dir, name, model, {"step": learner.steps}))
     if out_dir is not None:
-        write_metrics_csv(os.path.join(out_dir, "metrics.csv"), learner.metrics)
-    return TrainResult(model=model, metrics=learner.metrics, checkpoints=checkpoints)
+        write_csv(os.path.join(out_dir, "metrics.csv"), METRIC_FIELDS, learner.metrics)
+        write_csv(os.path.join(out_dir, "timing.csv"), TIMING_FIELDS, learner.timings)
+    return TrainResult(model=model, metrics=learner.metrics, checkpoints=checkpoints, timings=learner.timings)
 
 
 def finish_training(result: TrainResult, out_dir, extra: dict, scored_on=None, name: str = "final.zip") -> TrainResult:
@@ -895,8 +922,8 @@ def pbt_train(
     with this round's update of every member j < i. Every `exploit_interval`
     learner steps the bottom quartile copies parameters from a uniformly
     chosen top-quartile member and perturbs lr and entropy_coef by x0.8 or
-    x1.25. With an `out_dir`, member i ends as `pbt_member{i}.zip` and
-    `metrics_member{i}.csv` there.
+    x1.25. With an `out_dir`, member i ends as `pbt_member{i}.zip`,
+    `metrics_member{i}.csv` and `timing_member{i}.csv` there.
     """
     if pop_size < 2:
         raise ValueError("pop_size must be >= 2")
@@ -931,7 +958,8 @@ def pbt_train(
             extra = {"algo": "pbt", "member": i}
             finish_training(result, out_dir, extra, scored_on=(env_cfg, seed + i), name=f"pbt_member{i}.zip")
             checkpoints.append(result.final_path)
-            write_metrics_csv(os.path.join(out_dir, f"metrics_member{i}.csv"), member.learner.metrics)
+            write_csv(os.path.join(out_dir, f"metrics_member{i}.csv"), METRIC_FIELDS, member.learner.metrics)
+            write_csv(os.path.join(out_dir, f"timing_member{i}.csv"), TIMING_FIELDS, member.learner.timings)
     return PbtResult(members=members, exploit_events=exploit_events, checkpoints=checkpoints)
 
 

@@ -287,8 +287,8 @@ def test_max_step_zero_budget_is_noop():
     state, cfg = small_population(env)
     before = [p.copy() for p in state.learner_model.params()]
     strategy = pop.uniform_strategy([("greedy", "vicsek")])
-    metrics = pop.max_step_train(state, strategy, cfg, env, budget=0, seed=0)
-    assert metrics == []
+    result = pop.max_step_train(state, strategy, cfg, env, budget=0, seed=0)
+    assert result.metrics == [] and result.timings == []
     for a, b in zip(state.learner_model.params(), before):
         np.testing.assert_array_equal(a, b)
 
@@ -297,8 +297,8 @@ def test_max_step_point_mass_trains_against_fixed_partners():
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     state, cfg = small_population(env)
     strategy = pop.MixedStrategy(support=(("greedy", "vicsek"),), probs=np.array([1.0]))
-    metrics = pop.max_step_train(state, strategy, cfg, env, budget=cfg.batch, seed=0)
-    assert len(metrics) == 1
+    result = pop.max_step_train(state, strategy, cfg, env, budget=cfg.batch, seed=0)
+    assert len(result.metrics) == len(result.timings) == 1
 
 
 def test_hola_generation_grows_population_and_is_deterministic():

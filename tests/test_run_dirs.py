@@ -4,6 +4,8 @@
 from the trainer given the `out_dir`. The golden keys pin these files' bytes
 but skip on another BLAS kernel, so this test pins their names on any
 machine: one tiny update per run (two PBT members, one HOLA generation).
+The timing CSVs hold wall times, so no golden key covers them; this test
+checks their header and the row of each update.
 """
 
 import csv
@@ -25,25 +27,32 @@ def mixed():
 RUNS = {
     "sp": (
         lambda out: rl.ippo_selfplay_train(PPO, reduced_4p2e3o(), SEED, out_dir=out),
-        ["final.zip", "metrics.csv", "sp_000000064.zip"],
+        ["final.zip", "metrics.csv", "sp_000000064.zip", "timing.csv"],
     ),
     "mappo": (
         lambda out: rl.mappo_train(PPO, mixed(), SEED, teammate_pool=POOL, out_dir=out),
-        ["final.zip", "mappo_000000064.zip", "metrics.csv"],
+        ["final.zip", "mappo_000000064.zip", "metrics.csv", "timing.csv"],
     ),
     "naht-d": (
         lambda out: teammate.naht_d_train(PPO, mixed(), POOL, SEED, out_dir=out),
-        ["final.zip", "metrics.csv", "naht_000000064.zip"],
+        ["final.zip", "metrics.csv", "naht_000000064.zip", "timing.csv"],
     ),
     "pbt": (
         lambda out: rl.pbt_train(2, PPO, mixed(), SEED, out_dir=out),
-        ["metrics_member0.csv", "metrics_member1.csv", "pbt_member0.zip", "pbt_member1.zip"],
+        [
+            "metrics_member0.csv",
+            "metrics_member1.csv",
+            "pbt_member0.zip",
+            "pbt_member1.zip",
+            "timing_member0.csv",
+            "timing_member1.csv",
+        ],
     ),
     "hola": (
         lambda out: population.hola_train(
             PPO, mixed(), SEED, generations=1, gen_budget=64, sp_budget=64, episodes_per_edge=2, out_dir=out
         ),
-        ["final.zip", "generation_001.json", "metrics_gen001.csv"],
+        ["final.zip", "generation_001.json", "metrics_gen001.csv", "timing_gen001.csv"],
     ),
 }
 
@@ -54,8 +63,18 @@ def test_each_trainer_writes_its_whole_run_directory(tmp_path, run):
     out = tmp_path / run
     train(str(out))
     assert sorted(path.name for path in out.iterdir()) == expected
-    for path in out.glob("metrics*.csv"):
+    for pattern, fields in (("metrics*.csv", rl.METRIC_FIELDS), ("timing*.csv", rl.TIMING_FIELDS)):
+        for path in out.glob(pattern):
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == list(fields)
+            assert len(rows) == 2  # one update
+    for path in out.glob("timing*.csv"):
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == list(rl.METRIC_FIELDS)
-        assert len(rows) == 2  # one update
+            (row,) = csv.DictReader(fh)
+        assert row["update"] == "0"
+        # the batch's learner transitions over its learner slots (4 in self-play, else 2)
+        assert int(row["env_steps"]) == PPO.batch // (4 if run == "sp" else 2)
+        rollout_s, update_s = float(row["rollout_s"]), float(row["update_s"])
+        assert rollout_s > 0.0 and update_s > 0.0
+        assert float(row["env_steps_per_s"]) == int(row["env_steps"]) / rollout_s
