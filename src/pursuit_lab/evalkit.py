@@ -81,8 +81,12 @@ def resolve_policy(ref: str, env_cfg: EnvConfig, deterministic: bool = True):
 
     Accepts scripted ids ("greedy", "vicsek", "random") and checkpoint refs
     ("ckpt:<path>" or a bare path to a checkpoint archive). A checkpoint must
-    match the env's observation length, and a NAHT-D one also its pursuer
-    and evader counts, which its step records lay out (ValueError otherwise).
+    match the env's observation length, and its pursuer and evader counts
+    when its manifest records them (ValueError naming the path otherwise):
+    observation rows of other counts can have the same length, and a NAHT-D
+    model's step records lay the counts out. Every archive that a trainer
+    writes records them; archives written before actor-critic ones did are
+    checked by length alone.
     """
     if ref == "greedy" or ref == "vicsek":
         return rl.ScriptedSlotPolicy(ref)
@@ -92,16 +96,18 @@ def resolve_policy(ref: str, env_cfg: EnvConfig, deterministic: bool = True):
     if not os.path.exists(path):
         raise FileNotFoundError(f"checkpoint not found: {path}")
     model, manifest = load_checkpoint(path)
-    obs_dim = manifest["extra"]["obs_dim"]
+    extra = manifest["extra"]
+    obs_dim = extra["obs_dim"]
     if obs_dim != sim.obs_length(env_cfg):
         raise ValueError(f"checkpoint obs dim {obs_dim} does not match env obs length {sim.obs_length(env_cfg)}")
-    if manifest["kind"] == "naht_d":
-        trained = (manifest["extra"]["num_p"], manifest["extra"]["num_e"])
+    if "num_p" in extra:
+        trained = (extra["num_p"], extra["num_e"])
         if trained != (env_cfg.players.num_p, env_cfg.players.num_e):
             raise ValueError(
-                f"{path}: NAHT-D checkpoint of {trained[0]} pursuers and {trained[1]} evaders does not match "
-                f"the env's {env_cfg.players.num_p} and {env_cfg.players.num_e}"
+                f"{path}: {manifest['kind']} checkpoint of {trained[0]} pursuers and {trained[1]} evaders does not "
+                f"match the env's {env_cfg.players.num_p} and {env_cfg.players.num_e}"
             )
+    if manifest["kind"] == "naht_d":
         return teammate.NahtSlotPolicy(model, deterministic=deterministic)
     return rl.NetSlotPolicy(model, deterministic=deterministic)
 

@@ -197,6 +197,13 @@ def actor_critic_from_arrays(arrays: dict, meta: dict) -> ActorCritic:
     return ActorCritic(actor, log_std.copy(), critic, obs_dim, act_dim, critic_in_dim)
 
 
+def drone_counts(env_cfg: EnvConfig) -> dict:
+    """The pursuer and evader counts that an archive records: observation
+    rows of other counts can have the same length, so `evalkit.resolve_policy`
+    checks these too."""
+    return {"num_p": env_cfg.players.num_p, "num_e": env_cfg.players.num_e}
+
+
 def save_checkpoint(out_dir, name: str, model, extra: dict) -> str:
     """Write `model` to the archive `out_dir/name` and return its path: the
     one checkpoint writer. An `ActorCritic` and a `teammate.NahtModel` give
@@ -822,7 +829,8 @@ def train_loop(
         learner.step()
         if out_dir is not None and (i + 1) % ckpt_every == 0:
             name = f"{ckpt_prefix}_{learner.steps:09d}.zip"
-            checkpoints.append(save_checkpoint(out_dir, name, model, {"step": learner.steps}))
+            extra = {"step": learner.steps, **drone_counts(collector.env_cfg)}
+            checkpoints.append(save_checkpoint(out_dir, name, model, extra))
     if out_dir is not None:
         write_csv(os.path.join(out_dir, "metrics.csv"), METRIC_FIELDS, learner.metrics)
         write_csv(os.path.join(out_dir, "timing.csv"), TIMING_FIELDS, learner.timings)
@@ -832,10 +840,12 @@ def train_loop(
 def finish_training(result: TrainResult, out_dir, extra: dict, scored_on=None, name: str = "final.zip") -> TrainResult:
     """The end of every trainer: with `scored_on` = (env config, seed),
     record `evaluate_selfplay_suc` of the model, then save it as
-    `out_dir/name` (if any) with `extra` and that score in the manifest."""
+    `out_dir/name` (if any) with `extra`, that score and the env's
+    `drone_counts` in the manifest (a NAHT-D model records its counts
+    itself)."""
     if scored_on is not None:
         result.selfplay_suc = evaluate_selfplay_suc(result.model, *scored_on)
-        extra = {**extra, "selfplay_suc": result.selfplay_suc}
+        extra = {**extra, **drone_counts(scored_on[0]), "selfplay_suc": result.selfplay_suc}
     if out_dir is not None:
         result.final_path = save_checkpoint(out_dir, name, result.model, extra)
         result.checkpoints.append(result.final_path)

@@ -9,10 +9,11 @@ checks their header and the row of each update.
 """
 
 import csv
+import json
 
 import pytest
 
-from pursuit_lab import population, rl, teammate
+from pursuit_lab import cli, config, evalkit, nn, population, rl, teammate
 from conftest import reduced_4p2e3o
 
 PPO = rl.PpoConfig(batch=64, minibatch=32, epochs=1, total_steps=64, hidden=(8,))
@@ -78,3 +79,27 @@ def test_each_trainer_writes_its_whole_run_directory(tmp_path, run):
         rollout_s, update_s = float(row["rollout_s"]), float(row["update_s"])
         assert rollout_s > 0.0 and update_s > 0.0
         assert float(row["env_steps_per_s"]) == int(row["env_steps"]) / rollout_s
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_each_archive_records_the_drone_counts_that_eval_checks(tmp_path, capsys, run):
+    # 3 pursuers with 3 evaders give the 18-long observation rows of the
+    # trained 4 with 2: only the recorded counts tell the arenas apart
+    train, _ = RUNS[run]
+    out = tmp_path / run
+    train(str(out))
+    doc = json.loads(config.builtin_env_text("4p2e3o"))
+    doc["players"].update(num_p=3, num_e=3, num_ctrl=3, num_unctrl=0, unseen_drones=[])
+    other = tmp_path / "3p3e.json"
+    other.write_text(json.dumps(doc))
+    archives = sorted(out.glob("*.zip"))
+    assert archives
+    for path in archives:
+        extra = nn.load_manifest(path)["extra"]
+        assert (extra["num_p"], extra["num_e"]) == (4, 2)
+        evalkit.resolve_policy(str(path), mixed())
+        argv = ["eval", "--ckpt", str(path), "--zoo", "1", "--env", str(other), "--episodes", "1"]
+        assert cli.main(argv + ["--report", str(tmp_path / "report")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(path) in err and "4 pursuers and 2 evaders" in err
