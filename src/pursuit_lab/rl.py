@@ -45,9 +45,14 @@ GAE_LAMBDA = 0.95
 CLIP_RATIO = 0.2
 VALUE_COEF = 1.0
 INIT_STD = 0.5
-#: Episodes that a rollout collector steps side by side, at most: a collector
-#: keeps the largest divisor of this that divides the env steps of its batch.
-ROLLOUT_ENVS = 1
+#: Episodes that a rollout collector steps side by side, at most, and the env
+#: steps that each of them runs per batch, at least, where the batch has them:
+#: cut into shorter segments, few episodes end inside a batch and most
+#: advantages lean on the bootstrap. A collector keeps the largest divisor of
+#: `ROLLOUT_ENVS` that divides the env steps of its batch and leaves each
+#: episode `ROLLOUT_MIN_STEPS` of them (1 if none does).
+ROLLOUT_ENVS = 8
+ROLLOUT_MIN_STEPS = 32
 
 
 @dataclass
@@ -561,7 +566,8 @@ class RolloutCollector:
     Each env's episode in progress is an `Episode` whose learner slots the
     collector owns; `step_episodes` acts for the teammates and steps them
     all. `n_envs` is the largest divisor of `ROLLOUT_ENVS` that divides the
-    env steps of a batch, `cfg.batch // num_ctrl`.
+    env steps of a batch, `cfg.batch // num_ctrl`, into `ROLLOUT_MIN_STEPS`
+    or more per env.
     Subclasses feed extra actor inputs and record extra per-step rows through
     `_actor_input` and `_step`.
     """
@@ -588,7 +594,11 @@ class RolloutCollector:
             raise ValueError(f"batch {cfg.batch} is not a multiple of the {self.n_learners} learner slots")
         if env_cfg.players.num_unctrl > 0 and teammates is None:
             raise ValueError("uncontrolled slots present but no teammate sampler given")
-        self.n_envs = math.gcd(ROLLOUT_ENVS, cfg.batch // self.n_learners)
+        steps = cfg.batch // self.n_learners
+        common = math.gcd(ROLLOUT_ENVS, steps)
+        self.n_envs = max(
+            d for d in range(1, common + 1) if common % d == 0 and (d == 1 or steps // d >= ROLLOUT_MIN_STEPS)
+        )
         self.episodes: list[Episode | None] = [None] * self.n_envs
 
     # -- episode plumbing ---------------------------------------------------

@@ -198,8 +198,8 @@ CASES = [("selfplay", None)] + [(algo, pool) for algo in ("mappo", "naht-d") for
 def test_collector_equals_the_reset_step_loop(monkeypatch, algo, pool):
     for n_envs in sorted({1, rl.ROLLOUT_ENVS}):
         monkeypatch.setattr(rl, "ROLLOUT_ENVS", n_envs)
-        # as many steps per env and batch at any n_envs
-        cfg = replace(PPO, batch=PPO.batch * n_envs)
+        # ROLLOUT_MIN_STEPS steps of each env per batch with 4 learners, twice that with 2
+        cfg = replace(PPO, batch=rl.ROLLOUT_MIN_STEPS * 4 * n_envs)
         collector, oracle = collector_pair(algo, pool, cfg)
         assert collector.n_envs == n_envs
         ended = cut = 0
@@ -212,6 +212,29 @@ def test_collector_equals_the_reset_step_loop(monkeypatch, algo, pool):
             cut += sum(ep.state.terminal == sim.RUNNING for ep in collector.episodes)
         # episodes ended inside a batch, and some batch cut one that the next continued
         assert ended and cut
+
+
+@pytest.mark.parametrize(
+    "batch, n_learners, n_envs",
+    [
+        # the CLI's batches for 1 to 7 learner slots
+        (1024, 1, 8), (1024, 2, 8), (1020, 3, 4), (1024, 4, 8), (1020, 5, 4), (1020, 6, 2), (1008, 7, 4),
+        # env steps that 8 divides, but into fewer than ROLLOUT_MIN_STEPS per env
+        (512, 4, 4), (64, 2, 1), (64, 4, 1),
+        # odd env steps
+        (66, 2, 1),
+    ],
+)
+def test_collector_keeps_the_most_envs_that_split_the_batch_into_long_enough_segments(batch, n_learners, n_envs):
+    env = reduced_4p2e3o()
+    num_p = max(n_learners, 4)
+    env = replace(env, players=replace(env.players, num_p=num_p, num_ctrl=n_learners, num_unctrl=num_p - n_learners))
+    model = rl.init_actor_critic(1, 1, PPO, substream(0, "init"))
+    mates = rl.UniformTeammates([rl.ScriptedSlotPolicy("greedy")], env.players.num_unctrl)
+    cfg = replace(PPO, batch=batch, minibatch=batch // 2)
+    collector = rl.RolloutCollector(env, model, cfg, substream(0, "rollout"), teammates=mates)
+    assert collector.n_envs == n_envs
+    assert (batch // n_learners) % n_envs == 0 and rl.ROLLOUT_ENVS % n_envs == 0
 
 
 def test_caller_owned_slots_step_with_their_preset_actions_and_observe(monkeypatch):

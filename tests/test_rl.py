@@ -195,13 +195,15 @@ def test_collect_rollouts_learner_streams_only():
     # learner streams of each of the collector's envs, whose observations
     # match an independent replay.
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
-    cfg = rl.PpoConfig(batch=64, minibatch=32)
+    n_envs = rl.ROLLOUT_ENVS
+    batch_size = 64 * n_envs  # 32 env steps of each env
+    cfg = rl.PpoConfig(batch=batch_size, minibatch=32)
     model = make_model(obs_dim=sim.obs_length(env), critic_dim=sim.obs_length(env), dtype=np.float32, cfg=cfg)
     teammates = FixedTeammates([rl.ScriptedSlotPolicy("greedy"), rl.ScriptedSlotPolicy("greedy")])
     collector = rl.RolloutCollector(env, model, cfg, substream(9, "roll"), teammates=teammates)
-    batch, _ = collector.collect(64)
-    n_envs = collector.n_envs
-    assert len(batch) == 64  # 32 env steps x 2 learner slots, over n_envs envs
+    batch, _ = collector.collect(batch_size)
+    assert collector.n_envs == n_envs
+    assert len(batch) == batch_size  # 32 env steps x 2 learner slots x n_envs envs
 
     # independent replay with an identical collector run: n_envs envs in
     # lockstep, up to the step in which the first episode ends
@@ -209,7 +211,7 @@ def test_collect_rollouts_learner_streams_only():
     rng = substream(9, "roll")
     envs = [list(sim.reset(env, int(rng.integers(0, 2**63)))) for _ in range(n_envs)]
     replay_rows = []
-    for _step in range(32 // n_envs):
+    for _step in range(32):
         learner_obs = np.concatenate([obs[:2] for _, obs in envs])
         replay_rows.append(learner_obs)
         actions, _ = model2.act(learner_obs, rng)
@@ -233,11 +235,12 @@ def test_cut_rollout_bootstraps_each_slot_with_its_own_value():
     # the last transition of a cut episode is non-terminal, so its return is
     # the shared reward plus gamma times the bootstrap of its own slot
     env = reduced_4p2e3o(num_ctrl=4, num_unctrl=0)
-    cfg = rl.PpoConfig(batch=64, minibatch=32)
+    n_envs = rl.ROLLOUT_ENVS
+    cfg = rl.PpoConfig(batch=rl.ROLLOUT_MIN_STEPS * 4 * n_envs, minibatch=32)
     model = make_model(obs_dim=sim.obs_length(env), critic_dim=sim.obs_length(env), dtype=np.float32, cfg=cfg)
     collector = rl.RolloutCollector(env, model, cfg, substream(4, "roll"))
-    batch, _ = collector.collect(64)
-    n_envs = collector.n_envs
+    batch, _ = collector.collect(cfg.batch)
+    assert collector.n_envs == n_envs
     # the collector's bootstrap: one critic forward over every env's rows
     rows = np.concatenate([sim.observe_all(ep.state)[:4] for ep in collector.episodes])
     tails = model.values(rows).astype(np.float64).reshape(n_envs, 4)
@@ -679,7 +682,7 @@ def env_batches(draw):
     return rewards, terminals, values.reshape(T, n_envs, n), bootstrap
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(env_batches(), st.sampled_from([(rl.GAMMA, rl.GAE_LAMBDA), (1.0, 1.0), (0.5, 0.25)]))
 def test_one_gae_pass_over_side_by_side_envs_is_bitwise_a_pass_per_env_and_slot(batch, coefs):
     rewards, terminals, values, bootstrap = batch
