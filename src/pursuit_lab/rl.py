@@ -22,7 +22,8 @@ denominated in those units.
 
 The PPO settings that no run varies are constants: the discount `GAMMA`,
 the GAE `GAE_LAMBDA`, the surrogate's `CLIP_RATIO`, the value-loss weight
-`VALUE_COEF` and the initial policy std `INIT_STD`.
+`VALUE_COEF`, the initial policy std `INIT_STD`, and the rollout's episodes
+side by side, `ROLLOUT_ENVS` at most with `ROLLOUT_MIN_STEPS` steps each.
 """
 
 from __future__ import annotations
@@ -669,16 +670,12 @@ class RolloutCollector:
                     if step_i + 1 < steps_needed:
                         self._begin_episode(e)
 
-        # One GAE pass over all envs, episodes and slots; a cut episode bootstraps each slot with
-        # its value of the current state, an ended one with 0.0. At a terminal, the next episode's
-        # first value times nonterminal = 0 may be -0.0 where a pass per episode bootstrapped +0.0;
-        # the reward it is added to is never -0.0 (`sim.compute_reward` starts from +0.0), so the
-        # bits agree.
-        running = np.array([ep.state.terminal == sim.RUNNING for ep in self.episodes])
-        bootstrap = 0.0
-        if running.any():
-            tail = self._critic(np.concatenate([ep.obs[:n] for ep in self.episodes]))[1].reshape(n_envs, n)
-            bootstrap = np.where(running[:, None], tail, 0.0)
+        # One GAE pass over all envs, episodes and slots; each env bootstraps each slot with its
+        # value of the current state, which counts only for a cut episode: at a terminal (an
+        # episode that ended inside the batch or at its end) the next value times nonterminal = 0
+        # may be -0.0 where a pass per episode bootstrapped +0.0, and the reward it is added to is
+        # never -0.0 (`sim.compute_reward` starts from +0.0), so the bits agree.
+        bootstrap = self._critic(np.concatenate([ep.obs[:n] for ep in self.episodes]))[1].reshape(n_envs, n)
         values = np.stack(value_rows).reshape(steps_needed, n_envs, n)
         advantages, returns = compute_gae(reward_rows, values, term_rows, GAMMA, GAE_LAMBDA, bootstrap)
 

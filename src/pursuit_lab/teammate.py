@@ -377,6 +377,7 @@ class NahtCollector(rl.RolloutCollector):
         )
         return batch, stats
 
+
 # ---------------------------------------------------------------------------
 # Trainer and checkpointing
 # ---------------------------------------------------------------------------
