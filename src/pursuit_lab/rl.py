@@ -389,7 +389,10 @@ def ppo_update(model: ActorCritic, opt: nn.AdamState, batch: PpoBatch, cfg: PpoC
 # which acts for many slots at once, one row each, with `act`'s bits. The one
 # episode step, `step_episodes` (eval, HOLA, the self-play score and the
 # rollout collectors), hands it the rows of all its slots in all running
-# episodes once per step. A slot without a policy (None) is the caller's: a
+# episodes once per step. A scripted actor instead has `policy_id` and
+# `act_slots(world, slots)`, which steers several slots of one world with
+# `act`'s bits: each episode calls it once per step and policy kind, for all
+# the slots of that kind. A slot without a policy (None) is the caller's: a
 # collector sets its learner slots' actions before each step.
 # ---------------------------------------------------------------------------
 
@@ -412,19 +415,24 @@ def episode_rng(rng: np.random.Generator) -> np.random.Generator:
 
 
 class ScriptedSlotPolicy:
-    """Wraps a scripted pursuer function; acts from the slot's `sim.pursuer_view`."""
+    """Wraps a scripted pursuer's team kernel (`scripted.pursuer_policy`),
+    which steers from the world's rows: `act_slots` steers several slots of
+    one world in one call, with the bits of `act` for each."""
 
     needs_obs = False
 
     def __init__(self, policy_id: str):
         self.policy_id = policy_id
-        self._fn = scripted.pursuer_policy(policy_id)
+        self._kernel = scripted.pursuer_policy(policy_id)
 
     def begin_episode(self, rng: np.random.Generator) -> "ScriptedSlotPolicy":
         return self
 
     def act(self, world, slot: int, obs) -> float:
-        return self._fn(sim.pursuer_view(world, slot))
+        return self.act_slots(world, [slot])[0]
+
+    def act_slots(self, world, slots: list[int]) -> list[float]:
+        return self._kernel(world.cfg, world.pursuers, world.evaders, world.captured, slots)
 
 
 class RandomSlotPolicy:
@@ -476,16 +484,25 @@ class Episode:
     Each slot holds a policy, whose actor begins from `rng` in slot order,
     or None: the caller owns that slot and sets its action in `actions`
     before each step. The episode observes when it has a caller-owned slot
-    or an actor that reads the rows (`needs_obs`). `log` records its steps.
+    or an actor that reads the rows (`needs_obs`). `scripted` holds one
+    (actor, slots) pair per scripted policy kind, in the order the kinds
+    first appear. `log` records its steps.
     """
 
-    __slots__ = ("state", "obs", "per_slot", "stacked", "observe", "actions", "episode_return", "log")
+    __slots__ = ("state", "obs", "per_slot", "stacked", "scripted", "observe", "actions", "episode_return", "log")
 
     def __init__(self, env_cfg: EnvConfig, slot_policies, seed: int, rng: np.random.Generator, log=None):
         self.state, self.obs = sim.reset(env_cfg, seed)
         actors = [None if pol is None else pol.begin_episode(rng) for pol in slot_policies]
-        self.per_slot = [(i, actor) for i, actor in enumerate(actors) if actor is not None and not hasattr(actor, "act_rows")]
-        self.stacked = [(i, actor) for i, actor in enumerate(actors) if hasattr(actor, "act_rows")]
+        self.per_slot, self.stacked, kinds = [], [], {}
+        for i, actor in enumerate(actors):
+            if hasattr(actor, "act_slots"):
+                kinds.setdefault(actor.policy_id, (actor, []))[1].append(i)
+            elif hasattr(actor, "act_rows"):
+                self.stacked.append((i, actor))
+            elif actor is not None:
+                self.per_slot.append((i, actor))
+        self.scripted = list(kinds.values())
         self.observe = any(actor is None or actor.needs_obs for actor in actors)
         self.actions = np.zeros(len(actors))
         self.episode_return = 0.0
@@ -498,14 +515,18 @@ def step_episodes(episodes: list[Episode]) -> list[sim.StepOutcome]:
     """One step of running episodes side by side, their caller-owned slots'
     actions already set; the outcomes, in order.
 
-    Each episode's per-slot actors act, then each actor with `act_rows`
-    acts once for all its slots in all the episodes, and then `sim.step_many`
+    Each episode's scripted kinds act once each and its per-slot actors
+    act, then each actor with `act_rows` acts once for all its slots in all
+    the episodes, and then `sim.step_many`
     steps each episode (building the rows of the observing ones in one
     pass). Episodes share no rng or state, so each plays as it would alone.
     """
     groups = {}
     for ep in episodes:
         state, obs, actions = ep.state, ep.obs, ep.actions
+        for actor, slots in ep.scripted:
+            for i, action in zip(slots, actor.act_slots(state, slots)):
+                actions[i] = action
         for i, actor in ep.per_slot:
             actions[i] = actor.act(state, i, obs)
         for i, actor in ep.stacked:

@@ -1,17 +1,56 @@
 """Rule-based drones: greedy pursuer, Vicsek-style pursuer, and the evader.
 
-All three are pure functions of an `AgentView` snapshot (no internal state),
-which keeps replays deterministic. Outputs are steer commands in [-1, 1];
-only the desired orientation is controlled, never the speed.
+All three are pure functions of the world (no internal state), which keeps
+replays deterministic. Outputs are steer commands in [-1, 1]; only the
+desired orientation is controlled, never the speed. Each comes in two forms:
+
+- the per-view functions (`greedy_action`, `vicsek_action`, `evader_action`)
+  steer one drone from an `AgentView` snapshot (`sim.pursuer_view`,
+  `sim.evader_view`); they define the policies, and the tests and the
+  benchmark's tracer keep them as the oracles;
+- the team kernels (`greedy_steers`, `vicsek_steers`, `evader_steers`) steer
+  many drones of one world in one call, from its [x, y, heading] rows and
+  capture flags, and build no view. `sim.step` steers its evaders with one
+  `evader_steers` call, and an episode steers the scripted slots of each
+  policy kind with one kernel call (`rl.ScriptedSlotPolicy.act_slots`).
+
+A kernel's steer has the bits of the per-view function on that drone's
+view: it runs the same float operations in the same order, by these rules:
+
+- `math.hypot` wherever the view code takes it: target and drone
+  distances, `Obstacle.clearance` and `geometry.unit`; never the
+  `abs(complex)` of the simulator's clearance matrix, which differs from it
+  in some inputs;
+- `math.atan2` and the scalar `wrap_angle` in the steer, divided by
+  `OMEGA_MAX * (1.0 / fps)`, the product `steer_towards` takes of a view's
+  `omega_max` and `dt` (at some frame rates `OMEGA_MAX / fps` differs);
+- Python's `min` and `max` where the view code takes them, so a tie keeps
+  the first argument, and the nearest target is the first at the least
+  distance;
+- closest points only for the static entries inside `STATIC_RANGE`, listed
+  as `_static_entries` lists them: obstacles in config order, then the
+  walls (left, right, bottom, top);
+- greedy flees the first entry inside its hard radius, drones before static
+  entries;
+- no `sum`, which Python compensates from 3.12 on.
+
+The obstacle parameters are stacked once per obstacle tuple as float rows
+(`obstacle_rows`). `static_clearance` folds them into the signed clearance
+that the evaders' keep-out test and `sim.reset`'s spawn test read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import geometry
-from .config import Obstacle
+from .config import EnvConfig, Obstacle
+
+#: Maximum turn rate (rad/s) at |steer| = 1. Lets a drone reverse heading in
+#: one second at the default 10 fps.
+OMEGA_MAX = math.pi
 
 # Default behavior constants. Avoid ranges clear the 0.1/0.2 m collision
 # thresholds with margin. The drone evasion range exceeds the static one
@@ -188,9 +227,228 @@ PURSUER_POLICIES = {
 }
 
 
+# ---------------------------------------------------------------------------
+# Team kernels: the policies above for many drones of one world at once
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=16)
+def obstacle_rows(obstacles) -> tuple[tuple[bool, float, float, float, float], ...]:
+    """(is a circle, cx, cy, sx, sy) of each obstacle in config order, as
+    floats, stacked once per obstacle tuple: `sx` is a circle's radius or a
+    rectangle's x half extent, `sy` a rectangle's y half extent (0.0 for a
+    circle)."""
+    return tuple(
+        (True, float(ob.center[0]), float(ob.center[1]), float(ob.radius), 0.0)
+        if ob.shape == "circle"
+        else (False, float(ob.center[0]), float(ob.center[1]), float(ob.half_extents[0]), float(ob.half_extents[1]))
+        for ob in obstacles
+    )
+
+
+def static_clearance(rows, w: float, h: float, x: float, y: float) -> float:
+    """Signed clearance of (x, y) to the nearest wall of the w x h arena or
+    obstacle of `obstacle_rows` `rows`: `geometry.boundary_clearance` and
+    then each `Obstacle.clearance` in config order, folded with Python's
+    `min`, with their bits."""
+    clear = geometry.boundary_clearance(x, y, w, h)
+    for circle, cx, cy, sx, sy in rows:
+        if circle:
+            c = math.hypot(x - cx, y - cy) - sx
+        else:
+            dx = abs(x - cx) - sx
+            dy = abs(y - cy) - sy
+            c = math.hypot(dx, dy) if dx > 0.0 and dy > 0.0 else max(dx, dy)
+        if c < clear:
+            clear = c
+    return clear
+
+
+def _statics(rows, w: float, h: float, x: float, y: float) -> list[tuple[float, float, float]]:
+    """`_static_entries` of a view at (x, y), as (clearance, px, py) triples.
+
+    It repeats `static_clearance`'s clearance lines rather than call a
+    helper per drone: that call cost about 6 % of an eval step."""
+    out = []
+    for circle, cx, cy, sx, sy in rows:
+        if circle:
+            clear = math.hypot(x - cx, y - cy) - sx
+            if clear < STATIC_RANGE:
+                out.append((clear, *geometry.closest_point_on_circle(x, y, cx, cy, sx)))
+        else:
+            dx = abs(x - cx) - sx
+            dy = abs(y - cy) - sy
+            clear = math.hypot(dx, dy) if dx > 0.0 and dy > 0.0 else max(dx, dy)
+            if clear < STATIC_RANGE:
+                out.append((clear, *geometry.closest_point_on_rect(x, y, cx, cy, sx, sy)))
+    if x < STATIC_RANGE:
+        out.append((x, 0.0, y))
+    if w - x < STATIC_RANGE:
+        out.append((w - x, w, y))
+    if y < STATIC_RANGE:
+        out.append((y, x, 0.0))
+    if h - y < STATIC_RANGE:
+        out.append((h - y, x, h))
+    return out
+
+
+def _away(x: float, y: float, px: float, py: float) -> tuple[float, float]:
+    """`_away_from` the point (px, py) of a view at (x, y): `geometry.unit`
+    returns (0, 0) only below its 1e-12 norm, as the two quotients of a
+    larger norm cannot both be 0."""
+    dx, dy = x - px, y - py
+    n = math.hypot(dx, dy)
+    if n < 1e-12:
+        return 1.0, 0.0
+    return dx / n, dy / n
+
+
+def _steer(vx: float, vy: float, heading: float, turn: float) -> float:
+    """`steer_towards` with `turn` = omega_max * dt."""
+    if math.hypot(vx, vy) < 1e-9:
+        return 0.0
+    error = math.pi - (math.pi - (math.atan2(vy, vx) - heading)) % geometry.TWO_PI
+    return max(-1.0, min(1.0, error / turn))
+
+
+def _team(cfg: EnvConfig):
+    """(obstacle rows, width, height, omega_max * dt) of an arena, the last
+    as `steer_towards` multiplies a view's fields."""
+    site = cfg.site
+    return obstacle_rows(site.obstacles), site.boundary_width, site.boundary_height, OMEGA_MAX * (1.0 / cfg.task.fps)
+
+
+def _attraction(targets, w: float, h: float, x: float, y: float) -> tuple[float, float]:
+    """The unit vector from (x, y) to `_nearest_target`: the first target at
+    the least `math.hypot` distance, or the arena centre without targets."""
+    if targets:
+        best = None
+        for tx, ty in targets:
+            d = math.hypot(tx - x, ty - y)
+            if best is None or d < best:
+                best, nx, ny = d, tx, ty
+    else:
+        nx, ny = w / 2.0, h / 2.0
+    return geometry.unit(nx - x, ny - y)
+
+
+def _targets(evaders, captured) -> list[tuple[float, float]]:
+    return [(pose[0], pose[1]) for pose, done in zip(evaders, captured) if not done]
+
+
+def greedy_steers(cfg: EnvConfig, pursuers, evaders, captured, slots) -> list[float]:
+    """`greedy_action` of each slot's `sim.pursuer_view`, with its bits: one
+    steer per slot in `slots`, from the [x, y, heading] rows of the pursuers
+    and evaders and the evaders' capture flags."""
+    rows, w, h, turn = _team(cfg)
+    targets = _targets(evaders, captured)
+    out = []
+    for i in slots:
+        x, y, heading = pursuers[i]
+        # (distance, point) of the drones in index order, then of the static
+        # entries: the first inside its hard radius wins, so the static
+        # entries are not needed when a drone is inside its own
+        drones = [(math.hypot(q[0] - x, q[1] - y), q[0], q[1]) for j, q in enumerate(pursuers) if j != i]
+        hit = statics = None
+        for entry in drones:
+            if entry[0] < GREEDY_HARD_DRONE:
+                hit = entry
+                break
+        else:
+            statics = _statics(rows, w, h, x, y)
+            for entry in statics:
+                if entry[0] < GREEDY_HARD_STATIC:
+                    hit = entry
+                    break
+        if hit is not None:
+            ux, uy = _away(x, y, hit[1], hit[2])
+            out.append(_steer(ux, uy, heading, turn))
+            continue
+        ax, ay = _attraction(targets, w, h, x, y)
+        vx, vy = ax, ay
+        for rng, entries in ((GREEDY_DRONE_EVASION_RANGE, drones), (GREEDY_EVASION_RANGE, statics)):
+            for d, px, py in entries:
+                if d >= rng:
+                    continue
+                s = (rng - max(d, 0.0)) / rng
+                ux, uy = _away(x, y, px, py)
+                inward = max(0.0, -(ax * ux + ay * uy))
+                vx += s * inward * ux + GREEDY_AVOID_GAIN * s * s * ux
+                vy += s * inward * uy + GREEDY_AVOID_GAIN * s * s * uy
+                tangent_x, tangent_y = -uy, ux
+                if tangent_x * math.cos(heading) + tangent_y * math.sin(heading) < 0:
+                    tangent_x, tangent_y = uy, -ux
+                vx += GREEDY_TANGENT_GAIN * s * tangent_x
+                vy += GREEDY_TANGENT_GAIN * s * tangent_y
+        out.append(_steer(vx, vy, heading, turn))
+    return out
+
+
+def vicsek_steers(cfg: EnvConfig, pursuers, evaders, captured, slots) -> list[float]:
+    """`vicsek_action` of each slot's `sim.pursuer_view`, with its bits; the
+    arguments are those of `greedy_steers`."""
+    rows, w, h, turn = _team(cfg)
+    targets = _targets(evaders, captured)
+    out = []
+    for i in slots:
+        x, y, heading = pursuers[i]
+        vx, vy = _attraction(targets, w, h, x, y)
+        for j, q in enumerate(pursuers):
+            if j == i:
+                continue
+            d = math.hypot(q[0] - x, q[1] - y)
+            if d < VICSEK_AGENT_RANGE:
+                mag = VICSEK_GAIN * (1.0 / max(d, 1e-6) - 1.0 / VICSEK_AGENT_RANGE)
+                ux, uy = _away(x, y, q[0], q[1])
+                vx += mag * ux
+                vy += mag * uy
+        for d, px, py in _statics(rows, w, h, x, y):
+            if d < VICSEK_OBSTACLE_RANGE:
+                mag = VICSEK_GAIN * (1.0 / max(d, 1e-6) - 1.0 / VICSEK_OBSTACLE_RANGE)
+                ux, uy = _away(x, y, px, py)
+                vx += mag * ux
+                vy += mag * uy
+        out.append(_steer(vx, vy, heading, turn))
+    return out
+
+
+def evader_steers(cfg: EnvConfig, drones, evaders, captured) -> list[float]:
+    """`evader_action` of each uncaptured evader's `sim.evader_view` among
+    the drones, in index order, with its bits. `drones` and `evaders` are
+    [x, y, ...] and [x, y, heading] rows. Each view reads only its own
+    evader's pose, so the steers of all evaders come before any moves."""
+    rows, w, h, turn = _team(cfg)
+    reception = cfg.players.reception_range
+    out = []
+    for (x, y, heading), done in zip(evaders, captured):
+        if done:
+            continue
+        fx = fy = 0.0
+        for q in drones:
+            d = math.hypot(q[0] - x, q[1] - y)
+            if d <= reception:
+                ux, uy = _away(x, y, q[0], q[1])
+                mag = 1.0 / max(d, 1e-3) ** 2
+                fx += mag * ux
+                fy += mag * uy
+        for d, px, py in _statics(rows, w, h, x, y):
+            if d < EVADER_OBSTACLE_RANGE:
+                mag = 1.0 / max(d, 1e-3) - 1.0 / EVADER_OBSTACLE_RANGE
+                ux, uy = _away(x, y, px, py)
+                fx += mag * ux
+                fy += mag * uy
+        out.append(_steer(fx, fy, heading, turn))
+    return out
+
+
+PURSUER_KERNELS = {
+    "greedy": greedy_steers,
+    "vicsek": vicsek_steers,
+}
+
+
 def pursuer_policy(policy_id: str):
-    """Scripted pursuer callable for an identifier ("greedy" or "vicsek")."""
+    """Team kernel of a scripted pursuer identifier ("greedy" or "vicsek")."""
     try:
-        return PURSUER_POLICIES[policy_id]
+        return PURSUER_KERNELS[policy_id]
     except KeyError:
         raise KeyError(f"unknown scripted pursuer policy {policy_id!r}") from None

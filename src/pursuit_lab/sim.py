@@ -1,7 +1,9 @@
 """Deterministic discrete-time kinematic pursuit simulator.
 
 One step, in this fixed order: pursuers turn/advance by their steer commands;
-evaders turn/advance by the scripted escape policy; captures are detected and
+evaders turn/advance by the scripted escape policy (`scripted.evader_steers`,
+which steers every evader before the first one moves, as no evader's steer
+reads another evader); captures are detected and
 applied; one geometry pass (`pursuer_geometry`) measures the pursuers' final
 positions: pursuer-pursuer distances, the pursuer-obstacle clearance matrix
 and wall clearances; from that one pass come the collisions, the reward and
@@ -36,8 +38,11 @@ these rules, checked for numpy 2.4 on x86_64:
 - the progress terms of the reward are summed in numpy's pairwise order
   (`_pairwise_sum`), which below 8 terms is a left fold from -0.0; Python's
   `sum` is compensated from 3.12 on;
-- the evaders' keep-out check keeps `Obstacle.clearance` (`math.hypot`), as
-  it always has;
+- the evaders' keep-out check and the spawn test of `reset` share
+  `scripted.static_clearance` on the stacked obstacle rows: Python's `min`
+  over (x, w - x, y, h - y) and then each obstacle in config order, with
+  the operations of `Obstacle.clearance` (`math.hypot`, not the complex
+  `abs`), as they always had;
 - the nearest-pursuer distances before a move are recomputed from the
   pre-step poses, never cached on the state, which callers may edit.
 
@@ -93,9 +98,9 @@ SUCCESS = "success"
 COLLISION = "collision"
 TIMEOUT = "timeout"
 
-#: Maximum turn rate (rad/s) at |steer| = 1. Lets a drone reverse heading in
-#: one second at the default 10 fps.
-OMEGA_MAX = math.pi
+#: Maximum turn rate (rad/s) at |steer| = 1, which the scripted drones'
+#: steers are scaled by.
+OMEGA_MAX = scripted.OMEGA_MAX
 
 # Reward constants: capture bonus, shaped progress per meter, proximity
 # penalty per offending agent per step, terminal collision penalty, and the
@@ -159,21 +164,16 @@ def obs_length(cfg: EnvConfig) -> int:
 # Reset
 # ---------------------------------------------------------------------------
 
-def _wall_and_obstacle_clearance(cfg: EnvConfig, x: float, y: float) -> float:
-    clear = geometry.boundary_clearance(x, y, cfg.site.boundary_width, cfg.site.boundary_height)
-    for ob in cfg.site.obstacles:
-        clear = min(clear, ob.clearance(x, y))
-    return clear
-
-
 def _sample_positions(cfg: EnvConfig, rng, region, count, existing, min_sep) -> list[tuple[float, float]]:
+    rows = scripted.obstacle_rows(cfg.site.obstacles)
+    w, h = cfg.site.boundary_width, cfg.site.boundary_height
     placed = list(existing)
     out = []
     for _ in range(count):
         for attempt in range(10_000):
             x = rng.uniform(region.x_min, region.x_max)
             y = rng.uniform(region.y_min, region.y_max)
-            if _wall_and_obstacle_clearance(cfg, x, y) < cfg.task.safe_radius:
+            if scripted.static_clearance(rows, w, h, x, y) < cfg.task.safe_radius:
                 continue
             if any(math.hypot(x - px, y - py) < min_sep for px, py in placed):
                 continue
@@ -698,16 +698,15 @@ def step(state: WorldState, actions, observe: bool = True) -> StepOutcome:
     for pose, s in zip(pursuers, steer):
         _advance(pose, -1.0 if s < -1.0 else (1.0 if s > 1.0 else s), cfg.players.velocity_p, dt)
 
-    drones = tuple((x, y) for x, y, _ in pursuers)
-    for pose, done in zip(evaders, captured):
-        if done:
-            continue
-        esteer = scripted.evader_action(evader_view(cfg, pose, drones))
+    rows = scripted.obstacle_rows(cfg.site.obstacles)
+    w, h = cfg.site.boundary_width, cfg.site.boundary_height
+    moving = [pose for pose, done in zip(evaders, captured) if not done]
+    for pose, esteer in zip(moving, scripted.evader_steers(cfg, pursuers, evaders, captured)):
         x, y = pose[0], pose[1]
         _advance(pose, esteer, cfg.players.velocity_e, dt)
         # Evaders never terminate the episode, so block them from entering
         # obstacles or leaving the arena instead (heading still updates).
-        if _wall_and_obstacle_clearance(cfg, pose[0], pose[1]) < 0.0:
+        if scripted.static_clearance(rows, w, h, pose[0], pose[1]) < 0.0:
             pose[0], pose[1] = x, y
 
     nearest = _nearest_pursuers(pursuers, evaders, captured)

@@ -7,8 +7,8 @@ bytes: the same `StepOutcome` fields, the same post-step rows and the same
 observation rows. Its entry points take the `sim.WorldState` that `sim`
 keeps and compute on an array copy of it (`arrays`); `step` writes the
 result back as float rows. It shares with `sim` only what the two paths
-have in common: termination (`sim.is_terminal`), the evader policy and the
-evaders' keep-out check.
+have in common: termination (`sim.is_terminal`) and the per-view evader
+policy (`scripted.evader_action`), which `sim` runs as its team kernel.
 """
 
 from __future__ import annotations
@@ -266,6 +266,15 @@ def evader_view(state, evader_id: int) -> scripted.AgentView:
     )
 
 
+def keep_out_clearance(cfg, x, y) -> float:
+    """Signed clearance of (x, y) to the nearest wall or obstacle, folded
+    with Python's `min` over `Obstacle.clearance` in config order."""
+    clear = geometry.boundary_clearance(x, y, cfg.site.boundary_width, cfg.site.boundary_height)
+    for ob in cfg.site.obstacles:
+        clear = min(clear, ob.clearance(x, y))
+    return clear
+
+
 def advance(row: np.ndarray, steer: float, speed: float, omega_max: float, dt: float) -> None:
     row[2] = geometry.wrap_angle(row[2] + steer * omega_max * dt)
     row[0] += speed * math.cos(row[2]) * dt
@@ -306,7 +315,7 @@ def step_arrays(state, actions, observe: bool = True) -> sim.StepOutcome:
         esteer = scripted.evader_action(evader_view(state, e))
         old_xy = state.evaders[e, :2].copy()
         advance(state.evaders[e], esteer, cfg.players.velocity_e, sim.OMEGA_MAX, dt)
-        if sim._wall_and_obstacle_clearance(cfg, state.evaders[e, 0], state.evaders[e, 1]) < 0.0:
+        if keep_out_clearance(cfg, state.evaders[e, 0], state.evaders[e, 1]) < 0.0:
             state.evaders[e, :2] = old_xy
 
     captures = detect_captures(state)

@@ -1,3 +1,4 @@
+import collections
 import functools
 import json
 from dataclasses import replace
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pursuit_lab import config, evalkit, nn, rl, sim, teammate
+from pursuit_lab import config, evalkit, nn, rl, scripted, sim, teammate
 from pursuit_lab.seeding import substream
 from conftest import reduced_4p2e3o
 
@@ -341,28 +342,42 @@ def test_a_team_with_a_net_slot_still_receives_its_observation_rows():
 
 
 # ---------------------------------------------------------------------------
-# Only scripted slots build a view
+# Only scripted slots run a team kernel, once per episode, kind and step
 # ---------------------------------------------------------------------------
 
-def test_views_are_built_only_for_scripted_slots(monkeypatch):
+def test_kernels_run_once_per_episode_scripted_kind_and_step(monkeypatch):
     cfg = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     net = rl.init_actor_critic(sim.obs_length(cfg), sim.obs_length(cfg), rl.PpoConfig(), substream(0, "init"))
     naht = teammate.init_naht_model(cfg, rl.PpoConfig(), substream(0, "init"))
-    real_view = sim.pursuer_view
     calls = []
+    for kind, real in list(scripted.PURSUER_KERNELS.items()):
 
-    def counting_view(world, slot):
-        calls.append(slot)
-        return real_view(world, slot)
+        def counting(env_cfg, pursuers, evaders, captured, slots, kind=kind, real=real):
+            calls.append((kind, tuple(slots)))
+            return real(env_cfg, pursuers, evaders, captured, slots)
 
-    monkeypatch.setattr(sim, "pursuer_view", counting_view)
+        monkeypatch.setitem(scripted.PURSUER_KERNELS, kind, counting)
+    monkeypatch.setattr(sim, "pursuer_view", None)  # no slot builds a view
     learned = [rl.NetSlotPolicy(net), rl.RandomSlotPolicy(), teammate.NahtSlotPolicy(naht),
                rl.NetSlotPolicy(net, deterministic=False)]
     record = evalkit.play_episode(cfg, learned, 4)
     assert record.steps > 0 and calls == []
 
     record = evalkit.play_episode(cfg, scripted_team(["greedy", "vicsek", "greedy", "vicsek"]), 4)
-    assert calls == [0, 1, 2, 3] * record.steps
+    assert calls == [("greedy", (0, 2)), ("vicsek", (1, 3))] * record.steps
+    calls.clear()
+
+    # side by side, with other slots in between: a call per episode still
+    # covers exactly that episode's slots of its kind
+    teams = [
+        ([rl.NetSlotPolicy(net)] + scripted_team(["vicsek", "random", "vicsek"]), 1),
+        (scripted_team(["random", "greedy", "greedy", "greedy"]), 2),
+        ([teammate.NahtSlotPolicy(naht)] + scripted_team(["greedy", "vicsek"]) + [rl.NetSlotPolicy(net)], 3),
+    ]
+    records = evalkit.play_episodes(cfg, teams)
+    want = {("vicsek", (1, 3)): records[0].steps, ("greedy", (1, 2, 3)): records[1].steps,
+            ("greedy", (1,)): records[2].steps, ("vicsek", (2,)): records[2].steps}
+    assert collections.Counter(calls) == want
 
 
 # ---------------------------------------------------------------------------

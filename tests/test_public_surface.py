@@ -26,11 +26,16 @@ from pathlib import Path
 
 SRC = Path(__file__).parents[1] / "src" / "pursuit_lab"
 
+PER_VIEW_ORACLE = "per-view oracle that `bench/tracer.py` targets; moves to `tests/` with ROADMAP item 2"
+
 #: Public names kept without a caller in `src`, each with its reason.
 ALLOWED = {
     "sim.TrajectoryLog": "the per-step episode log that `render` reads; the CLI does not write one yet",
     "evalkit.play_episode": "the one-episode loop that the benchmark tracer traces and the golden trajectory log "
     "plays through; `eval --log-episodes` will call it",
+    "scripted.evader_action": PER_VIEW_ORACLE,
+    "sim.pursuer_view": PER_VIEW_ORACLE,
+    "sim.evader_view": PER_VIEW_ORACLE,
 }
 
 #: Defaulted parameters that no call in `src` passes, each with its reason.

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pursuit_lab import config, scripted, sim
+from pursuit_lab import config, evalkit, population, rl, scripted, sim
 from pursuit_lab.config import Obstacle
-from conftest import open_arena, ties_arena
+from pursuit_lab.seeding import substream
+import sim_oracle
+from conftest import make_state, open_arena, ties_arena
 
 
 def make_view(x=1.8, y=2.5, heading=0.0, targets=(), drones=(), obstacles=(),
@@ -134,8 +137,10 @@ def test_policies_are_pure():
 
 
 def test_pursuer_policy_registry():
-    assert scripted.pursuer_policy("greedy") is scripted.greedy_action
-    assert scripted.pursuer_policy("vicsek") is scripted.vicsek_action
+    # an id names a team kernel, and its per-view oracle under the same id
+    assert scripted.pursuer_policy("greedy") is scripted.greedy_steers
+    assert scripted.pursuer_policy("vicsek") is scripted.vicsek_steers
+    assert scripted.PURSUER_POLICIES == {"greedy": scripted.greedy_action, "vicsek": scripted.vicsek_action}
     with pytest.raises(KeyError):
         scripted.pursuer_policy("teleport")
 
@@ -254,3 +259,231 @@ def test_entries_at_the_static_range_are_left_out():
         assert min(d for d, _ in every) == r
         assert scripted._static_entries(view) == [e for e in every if e[0] < r]
         assert steer_bits(view) == oracle_steer_bits(view)
+
+
+# ---------------------------------------------------------------------------
+# The team kernels against the per-view policies, bit for bit
+# ---------------------------------------------------------------------------
+
+#: Distances at which a policy's comparison flips: the hard radii, the
+#: evasion and repulsion ranges, `STATIC_RANGE` and the arenas' reception range.
+RADII = sorted({
+    scripted.GREEDY_HARD_DRONE, scripted.GREEDY_HARD_STATIC, scripted.GREEDY_EVASION_RANGE,
+    scripted.GREEDY_DRONE_EVASION_RANGE, scripted.VICSEK_AGENT_RANGE, scripted.VICSEK_OBSTACLE_RANGE,
+    scripted.EVADER_OBSTACLE_RANGE, scripted.STATIC_RANGE,
+    *(cfg.players.reception_range for cfg in ARENAS.values()),
+})
+
+
+def rim_points(cfg):
+    """Points on each obstacle's rim along the axes, at a corner of its
+    bounding box and at its centre (where `closest_point` picks a fixed
+    direction)."""
+    out = []
+    for ob in cfg.site.obstacles:
+        (cx, cy), (ex, ey) = ob.center, extents(ob)
+        out += [(cx + ex, cy), (cx - ex, cy), (cx, cy + ey), (cx, cy - ey), (cx + ex, cy + ey), (cx, cy)]
+    return out
+
+
+#: Frame rates besides the arenas' 10 fps: at these, OMEGA_MAX / fps is not
+#: the OMEGA_MAX * (1.0 / fps) that `steer_towards` divides by.
+FRAME_RATES = (26.0, 98.73866090226828)
+
+
+@st.composite
+def worlds(draw, cfg):
+    """A world of the arena's drone counts around one anchor drone: the
+    others anywhere (`points`), near it, on it, exactly one of `RADII` from
+    it along an axis, or on an obstacle rim; random capture flags (all set,
+    sometimes, so that no target is left); the anchor itself anywhere, on a
+    rim, or one of `RADII` from another drone or from the left or bottom
+    wall. The arena's frame rate is sometimes one of `FRAME_RATES`."""
+    num_p, num_e = cfg.players.num_p, cfg.players.num_e
+    fps = draw(st.sampled_from((cfg.task.fps,) + FRAME_RATES))
+    cfg = replace(cfg, task=replace(cfg.task, fps=fps))
+    r = draw(st.sampled_from(RADII))
+    y = draw(st.integers(0, int(8 * cfg.site.boundary_height))) / 8.0
+    swap = draw(st.booleans())
+    twice = draw(st.booleans())
+    # r and 2r are exact, and so is their difference: the pair lies exactly r apart
+    anchor_x, partner_x = (2 * r, r) if twice else (r, 2 * r)
+    kind = draw(st.sampled_from(["anywhere", "rim", "pair", "wall"]))
+    if kind == "anywhere":
+        anchor = draw(points(cfg))
+    elif kind == "rim":
+        anchor = draw(st.sampled_from(rim_points(cfg)))
+    elif kind == "pair":
+        anchor = (y, anchor_x) if swap else (anchor_x, y)
+    else:
+        anchor = (y, r) if swap else (r, y)
+    partner = (y, partner_x) if swap else (partner_x, y)
+    near = st.tuples(st.floats(anchor[0] - 1.0, anchor[0] + 1.0), st.floats(anchor[1] - 1.0, anchor[1] + 1.0))
+    placed = st.one_of(points(cfg), near, st.just(anchor), st.just(partner), st.sampled_from(rim_points(cfg)))
+    headings = st.floats(-math.pi, math.pi)
+    poses = [[*draw(placed), draw(headings)] for _ in range(num_p + num_e)]
+    at = draw(st.integers(0, num_p + num_e - 1))
+    poses[at][:2] = anchor
+    captured = draw(st.one_of(st.lists(st.booleans(), min_size=num_e, max_size=num_e), st.just([True] * num_e)))
+    return make_state(cfg, poses[:num_p], poses[num_p:], captured)
+
+
+def pursuer_oracle(fn, state, slots):
+    return [fn(sim.pursuer_view(state, i)).hex() for i in slots]
+
+
+def evader_oracle(state):
+    drones = tuple((x, y) for x, y, _ in state.pursuers)
+    return [
+        scripted.evader_action(sim.evader_view(state.cfg, pose, drones)).hex()
+        for pose, done in zip(state.evaders, state.captured)
+        if not done
+    ]
+
+
+@pytest.mark.parametrize("name", ARENAS)
+def test_team_kernels_steer_bitwise_as_the_per_view_policies(name):
+    cfg = ARENAS[name]
+
+    @settings(max_examples=150, deadline=None)
+    @given(worlds(cfg), st.data())
+    def check(state, data):
+        every = list(range(cfg.players.num_p))
+        some = sorted(data.draw(st.sets(st.sampled_from(every))))
+        assert_kernels_steer_as_the_views(state, every)
+        assert_kernels_steer_as_the_views(state, some)
+
+    check()
+
+
+def assert_kernels_steer_as_the_views(state, slots):
+    """Each kernel's steers, and the static entries of each drone, have the
+    bits of the per-view functions on the state's views."""
+    cfg = state.cfg
+    args = (cfg, state.pursuers, state.evaders, state.captured)
+    for kernel, fn in ((scripted.greedy_steers, scripted.greedy_action), (scripted.vicsek_steers, scripted.vicsek_action)):
+        assert [a.hex() for a in kernel(*args, slots)] == pursuer_oracle(fn, state, slots)
+    assert [a.hex() for a in scripted.evader_steers(*args)] == evader_oracle(state)
+    for pose in state.pursuers + state.evaders:
+        assert_statics_equal(cfg, pose[0], pose[1])
+
+
+def assert_statics_equal(cfg, x, y):
+    """`_statics` at (x, y) has the bits of `_static_entries`, and
+    `static_clearance` those of the clearance fold that reset and the
+    keep-out took."""
+    rows = scripted.obstacle_rows(cfg.site.obstacles)
+    w, h = cfg.site.boundary_width, cfg.site.boundary_height
+    want = [(d.hex(), px.hex(), py.hex()) for d, (px, py) in scripted._static_entries(arena_view(cfg, x, y, 0.0))]
+    assert [tuple(v.hex() for v in e) for e in scripted._statics(rows, w, h, x, y)] == want
+    assert scripted.static_clearance(rows, w, h, x, y).hex() == sim_oracle.keep_out_clearance(cfg, x, y).hex()
+
+
+@pytest.mark.parametrize("name", ARENAS)
+def test_static_entries_and_clearance_are_bitwise_the_per_view_ones_around_every_obstacle(name):
+    # 2000 points around each obstacle and along each wall: math.hypot and
+    # abs(complex) part in about 0.5 % of inputs, so a sweep this dense
+    # tells them apart
+    cfg = ARENAS[name]
+    w, h = cfg.site.boundary_width, cfg.site.boundary_height
+    r = scripted.STATIC_RANGE
+    rng = np.random.default_rng(0)
+    boxes = [(ob.center, tuple(e + r for e in extents(ob))) for ob in cfg.site.obstacles]
+    boxes += [((0.0, h / 2), (r, h / 2)), ((w / 2, 0.0), (w / 2, r)), ((w, h / 2), (r, h / 2)), ((w / 2, h), (w / 2, r))]
+    for (cx, cy), (ex, ey) in boxes:
+        for x, y in zip((cx + ex * rng.uniform(-1.2, 1.2, 2000)).tolist(), (cy + ey * rng.uniform(-1.2, 1.2, 2000)).tolist()):
+            assert_statics_equal(cfg, x, y)
+
+
+@pytest.mark.parametrize("name", ARENAS)
+def test_kernels_steer_as_the_views_at_the_wall_radii(name):
+    # slot 0 exactly one of RADII from the left or the bottom wall, the other
+    # drones 1 m or more away from it: its static entries decide its steer
+    cfg = ARENAS[name]
+    w, h = cfg.site.boundary_width, cfg.site.boundary_height
+    for r in RADII:
+        for along in np.linspace(0.25, min(w, h) - 0.25, 9).tolist():
+            for x, y in ((r, along), (along, r)):
+                far = [[x + 1.0 + k / 4, y + 1.0 + k / 8, 0.5 * k] for k in range(cfg.players.num_p + cfg.players.num_e - 1)]
+                for heading in (-2.5, 0.0, 1.0):
+                    state = make_state(cfg, [[x, y, heading]] + far[: cfg.players.num_p - 1], far[cfg.players.num_p - 1 :])
+                    assert_kernels_steer_as_the_views(state, list(range(cfg.players.num_p)))
+
+
+def test_kernel_edge_cases_take_the_per_view_branches():
+    # each case below reaches a branch that random worlds reach rarely
+    cfg = ARENAS["ties"]
+    r = scripted.GREEDY_HARD_DRONE
+    cases = [
+        # a teammate on the slot: the hard-radius flee along _away_from's (1, 0)
+        make_state(cfg, [[2.0, 4.0, 0.3], [2.0, 4.0, 1.0], [0.5, 0.5, 0.0], [3.5, 0.5, 0.0]], [[2.0, 1.0, 0.0], [1.0, 1.0, 0.0]]),
+        # a teammate exactly at the hard radius: not inside it, so it only deflects
+        make_state(cfg, [[2 * r, 4.0, 0.3], [r, 4.0, 1.0], [0.5, 0.5, 0.0], [3.5, 0.5, 0.0]], [[2.0, 1.0, 0.0], [1.0, 1.0, 0.0]]),
+        # every evader captured: the slots head for the arena centre
+        make_state(cfg, [[0.5, 4.5, 0.0], [3.5, 4.5, 2.0], [0.5, 0.5, -2.0], [3.5, 0.5, 0.0]], [[2.0, 1.0, 0.0], [1.0, 1.0, 0.0]], [True, True]),
+        # two targets at the same distance: the lower index is chased
+        make_state(cfg, [[2.0, 4.0, 0.0], [0.5, 1.0, 0.0], [3.5, 1.0, 0.0], [2.0, 0.5, 0.0]], [[1.5, 4.0, 0.0], [2.5, 4.0, 0.0]]),
+        # a pursuer on an evader, and an evader at a circle's centre
+        make_state(cfg, [[2.0, 1.0, 0.0], [0.5, 4.5, 0.0], [3.5, 4.5, 0.0], [3.0, 3.5, 0.0]], [[2.0, 1.0, 0.0], [3.0, 2.5, 0.0]]),
+    ]
+    for state in cases:
+        assert_kernels_steer_as_the_views(state, list(range(cfg.players.num_p)))
+    # the coincident teammate makes slot 0 flee along +x; the second pair
+    # lies exactly the hard radius apart
+    coincident, at_radius = cases[0], cases[1]
+    assert scripted.greedy_steers(cfg, coincident.pursuers, coincident.evaders, coincident.captured, [0]) == [
+        scripted.steer_towards(sim.pursuer_view(coincident, 0), 1.0, 0.0)
+    ]
+    assert at_radius.pursuers[0][0] - at_radius.pursuers[1][0] == r
+
+
+# ---------------------------------------------------------------------------
+# Whole episodes: the kernels against actors that call the per-view functions
+# ---------------------------------------------------------------------------
+
+class PerViewSlotPolicy:
+    """A scripted slot that acts from its own `sim.pursuer_view`."""
+
+    needs_obs = False
+
+    def __init__(self, policy_id):
+        self._fn = scripted.PURSUER_POLICIES[policy_id]
+
+    def begin_episode(self, rng):
+        return self
+
+    def act(self, world, slot, obs):
+        return self._fn(sim.pursuer_view(world, slot))
+
+
+def per_view_evader_steers(cfg, drones, evaders, captured):
+    points = tuple((q[0], q[1]) for q in drones)
+    return [scripted.evader_action(sim.evader_view(cfg, pose, points)) for pose, done in zip(evaders, captured) if not done]
+
+
+def eval_and_edge_weights(cfg, make_scripted):
+    """(eval records, HOLA edge weights) of scripted learners and zoo
+    members, and of edges that mix scripted slots with a net and a random
+    slot, each scripted slot made by `make_scripted(policy_id)`."""
+    _, records = evalkit.run_evaluation(
+        ["vicsek", "greedy"], evalkit.ZooSpec("zoo", ("greedy", "vicsek")), cfg, n_episodes=5, seed=7
+    )
+    net = rl.init_actor_critic(sim.obs_length(cfg), sim.obs_length(cfg), rl.PpoConfig(hidden=(16,)), substream(0, "init"))
+    greedy, vicsek = make_scripted("greedy"), make_scripted("vicsek")
+    edges = [
+        [greedy, vicsek, greedy, vicsek],
+        [rl.NetSlotPolicy(net), greedy, rl.RandomSlotPolicy(), greedy],
+        [vicsek, vicsek, rl.NetSlotPolicy(net), make_scripted("greedy")],
+    ]
+    weights = population.estimate_edge_weight(edges, cfg, 2, seed=3)
+    return [(r, r.episode_return.hex()) for r in records], [w.hex() for w in weights]
+
+
+@pytest.mark.parametrize("name", ARENAS)
+def test_eval_records_and_edge_weights_equal_those_of_per_view_actors(name, monkeypatch):
+    cfg = config.with_control_split(ARENAS[name], 2, 2, ("greedy",))
+    got = eval_and_edge_weights(cfg, rl.ScriptedSlotPolicy)
+    monkeypatch.setattr(rl, "ScriptedSlotPolicy", PerViewSlotPolicy)  # what evalkit resolves "greedy" to
+    monkeypatch.setattr(scripted, "evader_steers", per_view_evader_steers)
+    want = eval_and_edge_weights(cfg, PerViewSlotPolicy)
+    assert got == want
