@@ -18,8 +18,11 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 from dataclasses import asdict
+
+import numpy as np
 
 from . import __version__, config, evalkit, population, render, rl, sim, teammate
 
@@ -67,6 +70,15 @@ def _env_or_exit_code(spec: str) -> config.EnvConfig | int:
         return 1
 
 
+def _blas() -> str:
+    """Name and version of the BLAS that numpy was built with."""
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # an older numpy whose show_config takes no `mode`
+        blas = {}
+    return f"{blas.get('name', '?')} {blas.get('version', '?')}"
+
+
 def _write_manifest(out_dir: str, command: str, args: argparse.Namespace, env_cfg=None) -> None:
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
@@ -76,6 +88,12 @@ def _write_manifest(out_dir: str, command: str, args: argparse.Namespace, env_cf
         "seed": getattr(args, "seed", None),
         "jobs": getattr(args, "jobs", 1),
         "out_dir": out_dir,
+        # what ran the command
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": _blas(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
     }
     if env_cfg is not None:
         text = config.serialize_config(env_cfg)

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import zipfile
 from dataclasses import replace
 
@@ -234,6 +235,13 @@ def test_manifest_written_before_outputs(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tool_version"]
     assert manifest["argv"][0] == "train"
+    # what ran it
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["machine"] == platform.machine()
+    assert manifest["cpu_count"] == os.cpu_count()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["blas"] == f"{blas['name']} {blas['version']}"
 
 
 @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--deterministic"]])
