@@ -24,7 +24,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, config, evalkit, population, render, rl, sim, teammate
+from . import __version__, config, evalkit, nn, population, render, rl, sim, teammate
 
 ALGOS = ("sp", "pbt", "mappo", "hola", "hola-nog", "naht-d", "naht-d-nodec")
 
@@ -70,17 +70,20 @@ def _env_or_exit_code(spec: str) -> config.EnvConfig | int:
         return 1
 
 
-def _blas() -> str:
-    """Name and version of the BLAS that numpy was built with."""
+def _numpy_config() -> dict:
+    """numpy's build report, with its enabled SIMD dispatch targets (which
+    NPY_DISABLE_CPU_FEATURES narrows); empty on an older numpy whose
+    show_config takes no `mode`."""
     try:
-        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    except TypeError:  # an older numpy whose show_config takes no `mode`
-        blas = {}
-    return f"{blas.get('name', '?')} {blas.get('version', '?')}"
+        return np.show_config(mode="dicts")
+    except TypeError:
+        return {}
 
 
 def _write_manifest(out_dir: str, command: str, args: argparse.Namespace, env_cfg=None) -> None:
     os.makedirs(out_dir, exist_ok=True)
+    numpy_config = _numpy_config()
+    blas = numpy_config.get("Build Dependencies", {}).get("blas", {})
     manifest = {
         "command": command,
         "argv": getattr(args, "_argv", sys.argv[1:]),
@@ -91,7 +94,9 @@ def _write_manifest(out_dir: str, command: str, args: argparse.Namespace, env_cf
         # what ran the command
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas": _blas(),
+        "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+        "blas_fingerprint": nn.blas_fingerprint(),
+        "simd": numpy_config.get("SIMD Extensions", {}).get("found", []),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
     }

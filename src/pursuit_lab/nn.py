@@ -6,10 +6,25 @@ and lets the test suite check every gradient against central finite
 differences. Parameters default to float32; pass dtype=np.float64 for
 gradient-check precision. Adam's moment decays and denominator term are the
 constants `ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPS`.
+
+The forward and backward passes give the bits of the plain formulas
+(`tests/mlp_oracle.py`) with less work:
+- An in-place ufunc (`h += b`, `np.tanh(h, out=h)`, `dh *= delta`) rounds
+  each element as the out-of-place one does, and IEEE multiplication is
+  commutative, so `dh *= delta` equals `delta * dh`.
+- Backward through a one-column layer, `delta @ w.T` with `w` of shape
+  (h, 1), is the broadcast product `delta * w.T` followed by `+= 0.0`:
+  matmul adds each product to +0.0, which turns a -0.0 product into +0.0.
+  numpy's matmul is two to three times slower on that shape.
+- `mlp_backward(..., input_grad=False)` skips the first layer's product
+  for a caller that reads no input gradient.
+`blas_fingerprint` tells whether this machine's BLAS kernel gives the
+products the bits that the golden hashes were recorded with.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -68,7 +83,8 @@ def mlp_forward(mlp: Mlp, x: np.ndarray):
     stacked (k, m, d_in) input runs numpy's (m, d_in) kernel on each slice,
     so each of its k blocks has the bits of that block's own forward: a
     (k, 1, d_in) stack keeps the bits of k one-row forwards, which a plain
-    multi-row (k, d_in) product does not.
+    multi-row (k, d_in) product does not. The bias and tanh go in place into
+    each layer's product, never into `x`.
     """
     dtype = mlp.weights[0].dtype
     h = np.asarray(x, dtype=dtype)
@@ -76,35 +92,68 @@ def mlp_forward(mlp: Mlp, x: np.ndarray):
     if h.ndim < 2 or h.shape[-1] != fan_in:
         raise ValueError(f"input shape {h.shape} is not (batch, {fan_in}) or (k, m, {fan_in})")
     activations = [h]
-    n_layers = len(mlp.weights)
+    last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        h = h @ w + b
-        if i < n_layers - 1:
-            h = np.tanh(h)
+        h = h @ w
+        h += b
+        if i < last:
+            np.tanh(h, out=h)
         activations.append(h)
     return h, activations
 
 
-def mlp_backward(mlp: Mlp, cache: list[np.ndarray], dout: np.ndarray):
-    """Exact reverse-mode gradients. Returns (grads aligned with arrays(), dx)."""
+def mlp_backward(mlp: Mlp, cache: list[np.ndarray], dout: np.ndarray, *, input_grad: bool = True):
+    """Exact reverse-mode gradients. Returns (grads aligned with arrays(), dx).
+
+    dx is d(loss)/d(input), or None with `input_grad=False`, which skips the
+    first layer's product for a caller that does not read it. `dout` is
+    never written to.
+    """
     dout = np.asarray(dout, dtype=mlp.weights[0].dtype)
     if dout.shape != cache[-1].shape:
         raise ValueError(f"output-gradient shape {dout.shape} != output shape {cache[-1].shape}")
     n_layers = len(mlp.weights)
-    grads_w = [None] * n_layers
-    grads_b = [None] * n_layers
+    grads = [None] * (2 * n_layers)
     delta = dout
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
-            delta = delta * (1.0 - cache[i + 1] ** 2)  # tanh'
-        grads_w[i] = cache[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
-        delta = delta @ mlp.weights[i].T
-    grads = []
-    for gw, gb in zip(grads_w, grads_b):
-        grads.append(gw)
-        grads.append(gb)
+            # tanh': 1 - h**2 in one new array, times delta
+            dh = np.square(cache[i + 1])
+            np.subtract(1.0, dh, out=dh)
+            dh *= delta
+            delta = dh
+        grads[2 * i] = cache[i].T @ delta
+        grads[2 * i + 1] = delta.sum(axis=0)
+        if i == 0 and not input_grad:
+            return grads, None
+        delta = _backprop(delta, mlp.weights[i])
     return grads, delta
+
+
+def _backprop(delta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """delta @ w.T; for a one-column w, the broadcast product plus 0.0,
+    which has matmul's bits (see the module docstring)."""
+    if w.shape[1] != 1:
+        return delta @ w.T
+    out = delta * w.T
+    out += 0.0
+    return out
+
+
+def blas_fingerprint() -> str:
+    """sha256 of seeded float32 matmuls of the trainings' shapes: forwards of
+    1 to 64 rows of 18-wide observations and of 128-wide layers, and the
+    products of their backward passes. Two BLAS kernels that give these the
+    same bits are taken to give the trainings the same bits."""
+    rng = np.random.default_rng(0)
+    h = hashlib.sha256()
+    for rows, fan_in, fan_out in ((1, 18, 128), (4, 18, 128), (32, 128, 128), (64, 128, 128), (64, 128, 1)):
+        x = rng.standard_normal((rows, fan_in)).astype(np.float32)
+        w = rng.standard_normal((fan_in, fan_out)).astype(np.float32)
+        y = x @ w
+        for product in (y, x.T @ y, y @ w.T):
+            h.update(product.tobytes())
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +207,19 @@ def adam_init(params: list[np.ndarray], lr: float = 3e-4) -> AdamState:
 
 
 def adam_step(opt: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
-    """Bias-corrected adaptive-moment update, in place. Fails fast on non-finite grads."""
+    """Bias-corrected adaptive-moment update, in place. Fails fast, before
+    changing anything, on a gradient of the wrong shape or a non-finite one."""
     if len(params) != len(grads):
         raise ValueError("params/grads length mismatch")
-    for g in grads:
+    for p, g in zip(params, grads):
+        if p.shape != g.shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("non-finite gradient")
     opt.t += 1
     bc1 = 1.0 - ADAM_BETA1**opt.t
     bc2 = 1.0 - ADAM_BETA2**opt.t
     for p, g, m, v in zip(params, grads, opt.m, opt.v):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2

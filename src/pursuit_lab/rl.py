@@ -311,7 +311,7 @@ def ppo_loss_and_grads(model: ActorCritic, actor_in, critic_in, actions, old_log
     v_err = v - ret
     v_loss = float(np.mean(v_err**2))
     dv = (VALUE_COEF * 2.0 * v_err / B)[:, None]
-    critic_grads, _ = nn.mlp_backward(model.critic, c_cache, dv.astype(v.dtype))
+    critic_grads, _ = nn.mlp_backward(model.critic, c_cache, dv.astype(v.dtype), input_grad=False)
 
     grads = actor_grads + [dlog_std.astype(model.log_std.dtype)] + critic_grads
     diag = {

@@ -145,10 +145,10 @@ def encode(enc: TeamEncoder, windows: np.ndarray):
 def encode_backward(enc: TeamEncoder, cache, demb: np.ndarray) -> list[np.ndarray]:
     """Gradients of a scalar loss wrt encoder params, given d(loss)/d(embedding)."""
     c_ev, c_sf, c_rel, o_ev, o_sf, o_rel, w, B, R = cache
-    g_ev, _ = nn.mlp_backward(enc.evader_net, c_ev, w[0] * demb)
-    g_sf, _ = nn.mlp_backward(enc.self_net, c_sf, w[1] * demb)
+    g_ev, _ = nn.mlp_backward(enc.evader_net, c_ev, w[0] * demb, input_grad=False)
+    g_sf, _ = nn.mlp_backward(enc.self_net, c_sf, w[1] * demb, input_grad=False)
     drel_rows = np.repeat(w[2] * demb / R, R, axis=0)
-    g_rel, _ = nn.mlp_backward(enc.relpos_net, c_rel, drel_rows)
+    g_rel, _ = nn.mlp_backward(enc.relpos_net, c_rel, drel_rows, input_grad=False)
     # softmax mixing: dz_b = sum_i w_b * (s_b,i - sum_c w_c s_c,i)
     s = np.stack(
         [np.sum(demb * o_ev, axis=1), np.sum(demb * o_sf, axis=1), np.sum(demb * o_rel, axis=1)]

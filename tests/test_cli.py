@@ -1,7 +1,10 @@
 import json
 import os
 import platform
+import subprocess
+import sys
 import zipfile
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
@@ -240,8 +243,27 @@ def test_manifest_written_before_outputs(tmp_path):
     assert manifest["numpy"] == np.__version__
     assert manifest["machine"] == platform.machine()
     assert manifest["cpu_count"] == os.cpu_count()
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    numpy_config = np.show_config(mode="dicts")
+    blas = numpy_config["Build Dependencies"]["blas"]
     assert manifest["blas"] == f"{blas['name']} {blas['version']}"
+    assert manifest["blas_fingerprint"] == nn.blas_fingerprint()
+    assert manifest["simd"] == numpy_config["SIMD Extensions"]["found"]
+
+
+def test_manifest_records_the_enabled_simd_targets(tmp_path):
+    # NPY_DISABLE_CPU_FEATURES acts when numpy loads, so a fresh process
+    # reports the narrowed dispatch in its manifest
+    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    if not found:
+        pytest.skip("numpy dispatches to no SIMD target above its baseline here")
+    report = tmp_path / "report"
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": found[-1], "PYTHONPATH": src}
+    argv = ["eval", "--ckpt", "greedy", "--zoo", "1", "--env", "4p2e3o", "--episodes", "1", "--report", str(report)]
+    code = f"import sys; from pursuit_lab import cli; sys.exit(cli.main({argv!r}))"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
+    manifest = json.loads((report / "manifest.json").read_text())
+    assert manifest["simd"] == found[:-1]
 
 
 @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--deterministic"]])

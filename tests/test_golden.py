@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pursuit_lab import cli, config, evalkit, population, rl, sim, teammate
+from pursuit_lab import cli, config, evalkit, nn, population, rl, sim, teammate
 from pursuit_lab.seeding import substream
 from conftest import reduced_4p2e3o
 
@@ -63,26 +63,10 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def blas_fingerprint() -> str:
-    """sha256 of seeded float32 matmuls of the trainings' shapes: forwards of
-    1 to 64 rows of 18-wide observations and of 128-wide layers, and the
-    products of their backward passes. Two BLAS kernels that give these the
-    same bits are taken to give the trainings the same bits."""
-    rng = np.random.default_rng(0)
-    h = hashlib.sha256()
-    for rows, fan_in, fan_out in ((1, 18, 128), (4, 18, 128), (32, 128, 128), (64, 128, 128), (64, 128, 1)):
-        x = rng.standard_normal((rows, fan_in)).astype(np.float32)
-        w = rng.standard_normal((fan_in, fan_out)).astype(np.float32)
-        y = x @ w
-        for product in (y, x.T @ y, y @ w.T):
-            h.update(product.tobytes())
-    return h.hexdigest()
-
-
 def platform_tag() -> dict:
     """Float results depend on the numpy build and the CPU architecture, and
     the networks' also on the BLAS kernel."""
-    return {"numpy": np.__version__, "machine": platform.machine(), "blas": blas_fingerprint()}
+    return {"numpy": np.__version__, "machine": platform.machine(), "blas": nn.blas_fingerprint()}
 
 
 def checkpoint_hashes(run: str, path) -> dict[str, str]:
@@ -206,7 +190,7 @@ def test_scripted_eval_matches_the_golden_hash(golden):
 
 
 def test_outputs_match_the_golden_hashes(tmp_path, golden):
-    if golden["platform"]["blas"] != blas_fingerprint():
+    if golden["platform"]["blas"] != nn.blas_fingerprint():
         pytest.skip("the network keys were recorded with another BLAS kernel")
     hashes = golden["hashes"]
     assert golden_hashes(tmp_path) == {key: value for key, value in hashes.items() if key not in SEPARATE_KEYS}

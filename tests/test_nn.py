@@ -4,7 +4,10 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mlp_oracle
 from pursuit_lab import nn
 
 
@@ -256,6 +259,22 @@ def test_adam_rejects_nonfinite():
         nn.adam_step(opt, params, [np.array([np.nan])])
 
 
+def test_adam_shape_mismatch_changes_nothing():
+    # the last gradient has the wrong shape: the step fails before it updates
+    # the parameters, moments or step count
+    rng = np.random.default_rng(12)
+    params = [rng.standard_normal((3, 3)), rng.standard_normal(3), rng.standard_normal(2)]
+    opt = nn.adam_init(params, lr=1e-3)
+    nn.adam_step(opt, params, [rng.standard_normal(p.shape) for p in params])
+    before = [a.copy() for a in params + opt.m + opt.v]
+    grads = [rng.standard_normal((3, 3)), rng.standard_normal(3), rng.standard_normal(3)]
+    with pytest.raises(ValueError, match="gradient shape"):
+        nn.adam_step(opt, params, grads)
+    assert opt.t == 1
+    for a, b in zip(params + opt.m + opt.v, before):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     arrays = [
@@ -352,3 +371,83 @@ def test_a_batch_of_row_blocks_equals_one_forward_per_block_bitwise(dtype, k):
         assert stacked.shape == (b, k, 1) and stacked.dtype == dtype
         each = np.stack([nn.mlp_forward(mlp, block)[0] for block in blocks])
         assert stacked.tobytes() == each.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The kernels against the plain formulas of `mlp_oracle`, bit for bit
+# ---------------------------------------------------------------------------
+
+@st.composite
+def mlp_cases(draw):
+    """An MLP of the trainings' kinds (1-, 2- and 16-wide outputs), an input
+    batch and an output gradient with signed zeros and zero rows."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    hidden = draw(st.lists(st.sampled_from([1, 5, 64, 128]), min_size=0, max_size=2))
+    dims = [draw(st.integers(1, 40)), *hidden, draw(st.sampled_from([1, 2, 16]))]
+    rows = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mlp = nn.mlp_init(dims, rng, dtype=dtype)
+    for b in mlp.biases:
+        b[:] = rng.standard_normal(b.shape)
+    # signed zeros in the output layer, whose one-column product must keep +0.0
+    w = mlp.weights[-1]
+    w[rng.random(w.shape) < 0.1] = 0.0
+    w[rng.random(w.shape) < 0.1] = -0.0
+    x = rng.standard_normal((rows, dims[0])).astype(dtype)
+    # subnormal scales: products underflow to signed zeros (float32 at 1e-42, float64 at 1e-320)
+    scale = draw(st.sampled_from([1.0, 1e-20, 1e-42, 1e-320]))
+    dout = (rng.standard_normal((rows, dims[-1])) * scale).astype(dtype)
+    dout[rng.random(dout.shape) < 0.2] = 0.0
+    dout[rng.random(dout.shape) < 0.2] = -0.0
+    dout[rng.random(rows) < 0.2] = 0.0
+    dout[rng.random(rows) < 0.2] = -0.0
+    return mlp, x, dout
+
+
+def assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(mlp_cases())
+def test_kernels_equal_the_oracle_bitwise(case):
+    mlp, x, dout = case
+    x_before, dout_before = x.copy(), dout.copy()
+    out, cache = nn.mlp_forward(mlp, x)
+    want_out, want_cache = mlp_oracle.mlp_forward(mlp, x)
+    assert_same_bytes([out, *cache], [want_out, *want_cache])
+    grads, dx = nn.mlp_backward(mlp, cache, dout)
+    want_grads, want_dx = mlp_oracle.mlp_backward(mlp, want_cache, dout)
+    assert_same_bytes(grads, want_grads)
+    # NAHT-D reads the actor's and the decoder's input gradients
+    assert_same_bytes([dx], [want_dx])
+    grads_only, no_dx = nn.mlp_backward(mlp, cache, dout, input_grad=False)
+    assert no_dx is None
+    assert_same_bytes(grads_only, want_grads)
+    # neither pass writes into its caller's arrays
+    assert x.tobytes() == x_before.tobytes() and dout.tobytes() == dout_before.tobytes()
+    assert_same_bytes(cache, want_cache)
+
+
+@settings(max_examples=50, deadline=None)
+@given(mlp_cases(), st.integers(1, 40))
+def test_stacked_forward_equals_the_oracle_bitwise(case, k):
+    mlp, x, _ = case
+    stack = x[:k, None, :]
+    out, cache = nn.mlp_forward(mlp, stack)
+    want_out, want_cache = mlp_oracle.mlp_forward(mlp, stack)
+    assert_same_bytes([out, *cache], [want_out, *want_cache])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_one_column_backward_product_writes_positive_zeros(dtype):
+    # matmul sums its products from +0.0, so 0.0 * -w gives +0.0 there; the
+    # broadcast multiply alone would give -0.0
+    mlp = nn.Mlp([np.full((3, 1), -2.0, dtype=dtype)], [np.zeros(1, dtype=dtype)])
+    _, cache = nn.mlp_forward(mlp, np.ones((2, 3)))
+    _, dx = nn.mlp_backward(mlp, cache, np.array([[0.0], [1.0]], dtype=dtype))
+    assert dx.tobytes() == np.array([[0.0] * 3, [-2.0] * 3], dtype=dtype).tobytes()
+    assert not np.signbit(dx[0]).any()
