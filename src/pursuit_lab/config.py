@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, wraps
 from importlib import resources
 
 from . import geometry
@@ -406,3 +406,29 @@ def with_control_split(cfg: EnvConfig, num_ctrl: int, num_unctrl: int, unseen_dr
     )
     return replace(cfg, players=players)
 
+
+# ---------------------------------------------------------------------------
+# Per-arena tables
+# ---------------------------------------------------------------------------
+
+#: How many configs a `per_config` table keeps: the oldest entry goes first.
+PER_CONFIG_SIZE = 16
+
+
+def per_config(build):
+    """`build(cfg)`, computed once per config object and looked up by the
+    object's identity: hashing an `EnvConfig` hashes every field, down to
+    each `Obstacle`, on every lookup. An entry holds its config, so the
+    config's `id` cannot be reused while the entry lives."""
+    table: dict[int, tuple[EnvConfig, object]] = {}
+
+    @wraps(build)
+    def lookup(cfg: EnvConfig):
+        hit = table.get(id(cfg))
+        if hit is None:
+            if len(table) >= PER_CONFIG_SIZE:
+                del table[next(iter(table))]
+            hit = table[id(cfg)] = (cfg, build(cfg))
+        return hit[1]
+
+    return lookup

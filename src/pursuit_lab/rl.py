@@ -280,10 +280,12 @@ class PpoBatch:
         return self.actor_in.shape[0]
 
 
-def ppo_loss_and_grads(model: ActorCritic, actor_in, critic_in, actions, old_logp, adv, ret, cfg: PpoConfig):
+def ppo_loss_and_grads(model: ActorCritic, actor_in, critic_in, actions, old_logp, adv, ret, cfg: PpoConfig, *, input_grad: bool):
     """Clipped-surrogate loss, parameter gradients, and d(loss)/d(actor input).
 
     Returns (grads aligned with model.params(), dactor_in, diagnostics).
+    dactor_in is None with `input_grad=False`, which skips the actor's
+    first-layer input product; the other outputs keep their bits.
     """
     B = actor_in.shape[0]
     mean, a_cache = nn.mlp_forward(model.actor, actor_in)
@@ -304,7 +306,7 @@ def ppo_loss_and_grads(model: ActorCritic, actor_in, critic_in, actions, old_log
     dlog_std_pi = np.sum(dlogp[:, None] * (z * z - 1.0), axis=0)
     entropy = nn.gaussian_entropy(model.log_std)
     dlog_std = (dlog_std_pi - cfg.entropy_coef) * nn.log_std_grad_mask(model.log_std)
-    actor_grads, dactor_in = nn.mlp_backward(model.actor, a_cache, dmean)
+    actor_grads, dactor_in = nn.mlp_backward(model.actor, a_cache, dmean, input_grad=input_grad)
 
     v, c_cache = nn.mlp_forward(model.critic, critic_in)
     v = v[:, 0]
@@ -367,6 +369,7 @@ def ppo_update(model: ActorCritic, opt: nn.AdamState, batch: PpoBatch, cfg: PpoC
             adv[mb],
             batch.returns[mb],
             cfg,
+            input_grad=False,
         )
         return grads, diag
 

@@ -34,19 +34,24 @@ view: it runs the same float operations in the same order, by these rules:
   entries;
 - no `sum`, which Python compensates from 3.12 on.
 
-The obstacle parameters are stacked once per obstacle tuple as float rows
-(`obstacle_rows`). `static_clearance` folds them into the signed clearance
-that the evaders' keep-out test and `sim.reset`'s spawn test read.
+The obstacle parameters are stacked as float rows with their culling boxes
+once per config object, and looked up by its identity (`arena`). Each
+static query of a kernel, `_statics` for the steering entries and
+`static_below` for the evaders' keep-out and `sim.reset`'s spawn test,
+skips the obstacles whose box does not hold its point: their clearances are
+at least the reach, beyond every threshold these queries compare with (the
+culling rule in `sim`'s module notes). The kernels take a drone's
+`math.hypot` distance again as the norm of the direction away from it, as
+fl(a - b) == -fl(b - a) and `math.hypot` ignores signs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import geometry
-from .config import EnvConfig, Obstacle
+from .config import EnvConfig, Obstacle, per_config
 
 #: Maximum turn rate (rad/s) at |steer| = 1. Lets a drone reverse heading in
 #: one second at the default 10 fps.
@@ -68,6 +73,9 @@ EVADER_OBSTACLE_RANGE = 0.5
 #: Every policy ignores an obstacle or wall at or beyond its own range, and
 #: no range exceeds this one, so the views report nothing farther away.
 STATIC_RANGE = max(GREEDY_EVASION_RANGE, VICSEK_OBSTACLE_RANGE, EVADER_OBSTACLE_RANGE)
+#: Width of the step's proximity band beyond each collision threshold
+#: (`sim.PROX_BAND`), kept here because the culling boxes of `arena` cover it.
+PROX_BAND = 0.1
 
 
 @dataclass(frozen=True)
@@ -231,55 +239,85 @@ PURSUER_POLICIES = {
 # Team kernels: the policies above for many drones of one world at once
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def obstacle_rows(obstacles) -> tuple[tuple[bool, float, float, float, float], ...]:
-    """(is a circle, cx, cy, sx, sy) of each obstacle in config order, as
-    floats, stacked once per obstacle tuple: `sx` is a circle's radius or a
-    rectangle's x half extent, `sy` a rectangle's y half extent (0.0 for a
-    circle)."""
-    return tuple(
-        (True, float(ob.center[0]), float(ob.center[1]), float(ob.radius), 0.0)
-        if ob.shape == "circle"
-        else (False, float(ob.center[0]), float(ob.center[1]), float(ob.half_extents[0]), float(ob.half_extents[1]))
-        for ob in obstacles
-    )
+#: The margin by which a culling box exceeds the reach: far above the
+#: rounding error of a clearance in an arena up to 1e5 m across (a few ulps,
+#: under 1e-10), so a point outside the box has a computed clearance of at
+#: least the reach.
+CULL_MARGIN = 1e-9
 
 
-def static_clearance(rows, w: float, h: float, x: float, y: float) -> float:
-    """Signed clearance of (x, y) to the nearest wall of the w x h arena or
-    obstacle of `obstacle_rows` `rows`: `geometry.boundary_clearance` and
-    then each `Obstacle.clearance` in config order, folded with Python's
-    `min`, with their bits."""
-    clear = geometry.boundary_clearance(x, y, w, h)
-    for circle, cx, cy, sx, sy in rows:
-        if circle:
-            c = math.hypot(x - cx, y - cy) - sx
+@per_config
+def arena(cfg: EnvConfig):
+    """(rows, width, height, omega_max * dt) of an arena, the last as
+    `steer_towards` multiplies a view's fields, looked up by the config's
+    identity (`config.per_config`).
+
+    `rows` holds (is a circle, cx, cy, sx, sy, x0, x1, y0, y1) per obstacle,
+    in config order, as floats: `sx` is a circle's radius or a rectangle's x
+    half extent, `sy` a rectangle's y half extent (0.0 for a circle), and
+    (x0, x1, y0, y1) its culling box, the obstacle's bounding box widened by
+    the reach max(`STATIC_RANGE`, safe_radius + `PROX_BAND`) plus
+    `CULL_MARGIN`. The reach is the largest threshold any static query
+    compares a clearance with, and a point outside the box is at least the
+    reach from the obstacle, so each query skips the obstacles whose box
+    does not hold its point and computes the others as the full scan would.
+    """
+    site = cfg.site
+    reach = max(STATIC_RANGE, cfg.task.safe_radius + PROX_BAND) + CULL_MARGIN
+    rows = []
+    for ob in site.obstacles:
+        cx, cy = float(ob.center[0]), float(ob.center[1])
+        if ob.shape == "circle":
+            sx, sy = float(ob.radius), 0.0
+            ex = ey = sx + reach
         else:
-            dx = abs(x - cx) - sx
-            dy = abs(y - cy) - sy
-            c = math.hypot(dx, dy) if dx > 0.0 and dy > 0.0 else max(dx, dy)
-        if c < clear:
-            clear = c
-    return clear
+            sx, sy = float(ob.half_extents[0]), float(ob.half_extents[1])
+            ex, ey = sx + reach, sy + reach
+        rows.append((ob.shape == "circle", cx, cy, sx, sy, cx - ex, cx + ex, cy - ey, cy + ey))
+    return tuple(rows), site.boundary_width, site.boundary_height, OMEGA_MAX * (1.0 / cfg.task.fps)
+
+
+def static_below(rows, w: float, h: float, x: float, y: float, limit: float) -> bool:
+    """Whether the clearance of (x, y) to some wall of the w x h arena or
+    obstacle of `arena` `rows` is below `limit`, at most the rows' reach:
+    the test `clear < limit` of the fold of `geometry.boundary_clearance`
+    and each `Obstacle.clearance`, with its bits, as a minimum is below the
+    limit exactly when one of its terms is. The evaders' keep-out asks it
+    with limit 0.0 and `sim.reset`'s spawn test with safe_radius."""
+    if geometry.boundary_clearance(x, y, w, h) < limit:
+        return True
+    for circle, cx, cy, sx, sy, x0, x1, y0, y1 in rows:
+        if x0 < x < x1 and y0 < y < y1:
+            if circle:
+                if math.hypot(x - cx, y - cy) - sx < limit:
+                    return True
+            else:
+                dx = abs(x - cx) - sx
+                dy = abs(y - cy) - sy
+                if (math.hypot(dx, dy) if dx > 0.0 and dy > 0.0 else max(dx, dy)) < limit:
+                    return True
+    return False
 
 
 def _statics(rows, w: float, h: float, x: float, y: float) -> list[tuple[float, float, float]]:
-    """`_static_entries` of a view at (x, y), as (clearance, px, py) triples.
+    """`_static_entries` of a view at (x, y), as (clearance, px, py) triples,
+    over the obstacles whose culling box holds the point.
 
-    It repeats `static_clearance`'s clearance lines rather than call a
-    helper per drone: that call cost about 6 % of an eval step."""
+    The box test and the clearance lines are written here, not called per
+    drone: a helper call per drone cost about 6 % of an eval step."""
     out = []
-    for circle, cx, cy, sx, sy in rows:
-        if circle:
-            clear = math.hypot(x - cx, y - cy) - sx
-            if clear < STATIC_RANGE:
-                out.append((clear, *geometry.closest_point_on_circle(x, y, cx, cy, sx)))
-        else:
-            dx = abs(x - cx) - sx
-            dy = abs(y - cy) - sy
-            clear = math.hypot(dx, dy) if dx > 0.0 and dy > 0.0 else max(dx, dy)
-            if clear < STATIC_RANGE:
-                out.append((clear, *geometry.closest_point_on_rect(x, y, cx, cy, sx, sy)))
+    for circle, cx, cy, sx, sy, x0, x1, y0, y1 in rows:
+        if x0 < x < x1 and y0 < y < y1:
+            if circle:
+                clear = math.hypot(x - cx, y - cy) - sx
+                if clear < STATIC_RANGE:
+                    out.append((clear, *geometry.closest_point_on_circle(x, y, cx, cy, sx)))
+            else:
+                dx = abs(x - cx) - sx
+                dy = abs(y - cy) - sy
+                clear = math.hypot(dx, dy) if dx > 0.0 and dy > 0.0 else max(dx, dy)
+                if clear < STATIC_RANGE:
+                    out.append((clear, *geometry.closest_point_on_rect(x, y, cx, cy, sx, sy)))
     if x < STATIC_RANGE:
         out.append((x, 0.0, y))
     if w - x < STATIC_RANGE:
@@ -291,12 +329,12 @@ def _statics(rows, w: float, h: float, x: float, y: float) -> list[tuple[float, 
     return out
 
 
-def _away(x: float, y: float, px: float, py: float) -> tuple[float, float]:
-    """`_away_from` the point (px, py) of a view at (x, y): `geometry.unit`
-    returns (0, 0) only below its 1e-12 norm, as the two quotients of a
-    larger norm cannot both be 0."""
-    dx, dy = x - px, y - py
-    n = math.hypot(dx, dy)
+def _away(dx: float, dy: float, n: float) -> tuple[float, float]:
+    """`_away_from` a point at (x - dx, y - dy) of a view at (x, y), with
+    n = math.hypot(dx, dy): `geometry.unit` returns (0, 0) only below its
+    1e-12 norm, as the two quotients of a larger norm cannot both be 0. A
+    drone's distance math.hypot(px - x, py - y) serves as n, with the same
+    bits: fl(a - b) == -fl(b - a), and `math.hypot` ignores signs."""
     if n < 1e-12:
         return 1.0, 0.0
     return dx / n, dy / n
@@ -308,13 +346,6 @@ def _steer(vx: float, vy: float, heading: float, turn: float) -> float:
         return 0.0
     error = math.pi - (math.pi - (math.atan2(vy, vx) - heading)) % geometry.TWO_PI
     return max(-1.0, min(1.0, error / turn))
-
-
-def _team(cfg: EnvConfig):
-    """(obstacle rows, width, height, omega_max * dt) of an arena, the last
-    as `steer_towards` multiplies a view's fields."""
-    site = cfg.site
-    return obstacle_rows(site.obstacles), site.boundary_width, site.boundary_height, OMEGA_MAX * (1.0 / cfg.task.fps)
 
 
 def _attraction(targets, w: float, h: float, x: float, y: float) -> tuple[float, float]:
@@ -339,7 +370,7 @@ def greedy_steers(cfg: EnvConfig, pursuers, evaders, captured, slots) -> list[fl
     """`greedy_action` of each slot's `sim.pursuer_view`, with its bits: one
     steer per slot in `slots`, from the [x, y, heading] rows of the pursuers
     and evaders and the evaders' capture flags."""
-    rows, w, h, turn = _team(cfg)
+    rows, w, h, turn = arena(cfg)
     targets = _targets(evaders, captured)
     out = []
     for i in slots:
@@ -349,28 +380,29 @@ def greedy_steers(cfg: EnvConfig, pursuers, evaders, captured, slots) -> list[fl
         # entries are not needed when a drone is inside its own
         drones = [(math.hypot(q[0] - x, q[1] - y), q[0], q[1]) for j, q in enumerate(pursuers) if j != i]
         hit = statics = None
-        for entry in drones:
-            if entry[0] < GREEDY_HARD_DRONE:
-                hit = entry
+        for d, px, py in drones:
+            if d < GREEDY_HARD_DRONE:
+                hit = _away(x - px, y - py, d)
                 break
         else:
             statics = _statics(rows, w, h, x, y)
-            for entry in statics:
-                if entry[0] < GREEDY_HARD_STATIC:
-                    hit = entry
+            for d, px, py in statics:
+                if d < GREEDY_HARD_STATIC:
+                    dx, dy = x - px, y - py
+                    hit = _away(dx, dy, math.hypot(dx, dy))
                     break
         if hit is not None:
-            ux, uy = _away(x, y, hit[1], hit[2])
-            out.append(_steer(ux, uy, heading, turn))
+            out.append(_steer(*hit, heading, turn))
             continue
         ax, ay = _attraction(targets, w, h, x, y)
         vx, vy = ax, ay
-        for rng, entries in ((GREEDY_DRONE_EVASION_RANGE, drones), (GREEDY_EVASION_RANGE, statics)):
+        for rng, entries, drone in ((GREEDY_DRONE_EVASION_RANGE, drones, True), (GREEDY_EVASION_RANGE, statics, False)):
             for d, px, py in entries:
                 if d >= rng:
                     continue
                 s = (rng - max(d, 0.0)) / rng
-                ux, uy = _away(x, y, px, py)
+                dx, dy = x - px, y - py
+                ux, uy = _away(dx, dy, d if drone else math.hypot(dx, dy))
                 inward = max(0.0, -(ax * ux + ay * uy))
                 vx += s * inward * ux + GREEDY_AVOID_GAIN * s * s * ux
                 vy += s * inward * uy + GREEDY_AVOID_GAIN * s * s * uy
@@ -386,7 +418,7 @@ def greedy_steers(cfg: EnvConfig, pursuers, evaders, captured, slots) -> list[fl
 def vicsek_steers(cfg: EnvConfig, pursuers, evaders, captured, slots) -> list[float]:
     """`vicsek_action` of each slot's `sim.pursuer_view`, with its bits; the
     arguments are those of `greedy_steers`."""
-    rows, w, h, turn = _team(cfg)
+    rows, w, h, turn = arena(cfg)
     targets = _targets(evaders, captured)
     out = []
     for i in slots:
@@ -398,13 +430,14 @@ def vicsek_steers(cfg: EnvConfig, pursuers, evaders, captured, slots) -> list[fl
             d = math.hypot(q[0] - x, q[1] - y)
             if d < VICSEK_AGENT_RANGE:
                 mag = VICSEK_GAIN * (1.0 / max(d, 1e-6) - 1.0 / VICSEK_AGENT_RANGE)
-                ux, uy = _away(x, y, q[0], q[1])
+                ux, uy = _away(x - q[0], y - q[1], d)
                 vx += mag * ux
                 vy += mag * uy
         for d, px, py in _statics(rows, w, h, x, y):
             if d < VICSEK_OBSTACLE_RANGE:
                 mag = VICSEK_GAIN * (1.0 / max(d, 1e-6) - 1.0 / VICSEK_OBSTACLE_RANGE)
-                ux, uy = _away(x, y, px, py)
+                dx, dy = x - px, y - py
+                ux, uy = _away(dx, dy, math.hypot(dx, dy))
                 vx += mag * ux
                 vy += mag * uy
         out.append(_steer(vx, vy, heading, turn))
@@ -416,7 +449,7 @@ def evader_steers(cfg: EnvConfig, drones, evaders, captured) -> list[float]:
     the drones, in index order, with its bits. `drones` and `evaders` are
     [x, y, ...] and [x, y, heading] rows. Each view reads only its own
     evader's pose, so the steers of all evaders come before any moves."""
-    rows, w, h, turn = _team(cfg)
+    rows, w, h, turn = arena(cfg)
     reception = cfg.players.reception_range
     out = []
     for (x, y, heading), done in zip(evaders, captured):
@@ -426,14 +459,15 @@ def evader_steers(cfg: EnvConfig, drones, evaders, captured) -> list[float]:
         for q in drones:
             d = math.hypot(q[0] - x, q[1] - y)
             if d <= reception:
-                ux, uy = _away(x, y, q[0], q[1])
+                ux, uy = _away(x - q[0], y - q[1], d)
                 mag = 1.0 / max(d, 1e-3) ** 2
                 fx += mag * ux
                 fy += mag * uy
         for d, px, py in _statics(rows, w, h, x, y):
             if d < EVADER_OBSTACLE_RANGE:
                 mag = 1.0 / max(d, 1e-3) - 1.0 / EVADER_OBSTACLE_RANGE
-                ux, uy = _away(x, y, px, py)
+                dx, dy = x - px, y - py
+                ux, uy = _away(dx, dy, math.hypot(dx, dy))
                 fx += mag * ux
                 fy += mag * uy
         out.append(_steer(fx, fy, heading, turn))

@@ -5,10 +5,10 @@ evaders turn/advance by the scripted escape policy (`scripted.evader_steers`,
 which steers every evader before the first one moves, as no evader's steer
 reads another evader); captures are detected and
 applied; one geometry pass (`pursuer_geometry`) measures the pursuers' final
-positions: pursuer-pursuer distances, the pursuer-obstacle clearance matrix
-and wall clearances; from that one pass come the collisions, the reward and
-the observations, with termination decided before the observations. A step
-called with `observe=False` skips the observations (its outcome carries
+positions: pursuer-pursuer distances, the clearances to the obstacles near
+each pursuer and wall clearances; from that one pass come the collisions and
+the reward; termination is decided, and then the observations are built. A
+step called with `observe=False` skips the observations (its outcome carries
 None), for callers whose policies act from views alone. All
 randomness is confined to `reset` (respawn sampling); given (config, seed,
 action sequence) the whole trajectory is bitwise reproducible on a single
@@ -38,18 +38,35 @@ these rules, checked for numpy 2.4 on x86_64:
 - the progress terms of the reward are summed in numpy's pairwise order
   (`_pairwise_sum`), which below 8 terms is a left fold from -0.0; Python's
   `sum` is compensated from 3.12 on;
-- the evaders' keep-out check and the spawn test of `reset` share
-  `scripted.static_clearance` on the stacked obstacle rows: Python's `min`
-  over (x, w - x, y, h - y) and then each obstacle in config order, with
-  the operations of `Obstacle.clearance` (`math.hypot`, not the complex
-  `abs`), as they always had;
+- the evaders' keep-out check and the spawn test of `reset` ask
+  `scripted.static_below` whether a clearance falls below 0.0 or
+  safe_radius: the test of Python's `min` over (x, w - x, y, h - y) and
+  then each obstacle in config order, with the operations of
+  `Obstacle.clearance` (`math.hypot`, not the complex `abs`), as they
+  always had;
 - the nearest-pursuer distances before a move are recomputed from the
   pre-step poses, never cached on the state, which callers may edit.
 
+Every static query but the observations' nearest static entry culls: it
+skips each obstacle whose culling box (`scripted.arena`) does not hold its
+point, and computes the others as the full scan does. The box is the
+obstacle's bounding box widened by the reach, max(`scripted.STATIC_RANGE`,
+safe_radius + `PROX_BAND`), plus `scripted.CULL_MARGIN`. A point outside
+it is farther than reach + margin from the obstacle along one axis, and a
+computed clearance is never below that axis distance by more than a few
+ulps, far less than the margin; so the skipped clearance is at least the
+reach, and every query compares its clearances with a threshold no larger:
+`STATIC_RANGE` for the scripted entries, 0.0 for the keep-out, safe_radius
+for the spawn test and collisions, safe_radius + `PROX_BAND` for the
+proximity band. A culled query thus takes each decision, and yields each
+value, with the bits of the full scan; `tests/test_sim_geometry.py` holds
+every one to its full scan on rims and box edges.
+
 The observations (`observe_all`, `nearest_static_all`, `central_observation`)
-read the same rows, and reuse the step's float geometry when the step
-passes it. Their bits are those of the array code in `tests/sim_oracle.py`,
-by the rules above and these:
+read the same rows. The nearest static entry needs the true minimum over
+the obstacles, which no culling box bounds, so `observe_all` takes the full
+`obstacle_clearance_matrix`. Their bits are those of the array code in
+`tests/sim_oracle.py`, by the rules above and these:
 
 - the bearings of every visible entry of every row come from one
   `np.arctan2` call over a flat array: `np.arctan2` gives an element the
@@ -69,7 +86,7 @@ by the rules above and these:
 with a leading batch axis, by the same rules. Its distances are `np.hypot`,
 its bearings (the static ones included) come from one `np.arctan2` call and
 pass through the array `wrap_angle` and `/ np.pi`; its static block stacks
-the obstacle parameters once per obstacle tuple, takes the wall point at the
+the obstacle parameters once per config object, takes the wall point at the
 `argmin` of (x, w - x, y, h - y), lets an obstacle win only on a strictly
 lower clearance, asks `Obstacle.closest_point` for the winning rows alone,
 and writes `np.maximum(clear, 0.0)`. These ufuncs give an element the same
@@ -89,7 +106,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry, scripted
-from .config import EnvConfig
+from .config import EnvConfig, per_config
 from .seeding import substream
 
 # Terminal states of an episode.
@@ -109,7 +126,7 @@ R_CAP = 10.0
 C_SHAPE = 1.0
 C_PROX = 0.1
 R_COL = 10.0
-PROX_BAND = 0.1
+PROX_BAND = scripted.PROX_BAND
 
 #: Minimum spacing enforced between drones at respawn: clear of the 0.2 m
 #: drone-drone collision threshold, the proximity band, and two steps of
@@ -165,15 +182,15 @@ def obs_length(cfg: EnvConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _sample_positions(cfg: EnvConfig, rng, region, count, existing, min_sep) -> list[tuple[float, float]]:
-    rows = scripted.obstacle_rows(cfg.site.obstacles)
-    w, h = cfg.site.boundary_width, cfg.site.boundary_height
+    rows, w, h, _ = scripted.arena(cfg)
+    sr = cfg.task.safe_radius
     placed = list(existing)
     out = []
     for _ in range(count):
         for attempt in range(10_000):
             x = rng.uniform(region.x_min, region.x_max)
             y = rng.uniform(region.y_min, region.y_max)
-            if scripted.static_clearance(rows, w, h, x, y) < cfg.task.safe_radius:
+            if scripted.static_below(rows, w, h, x, y, sr):
                 continue
             if any(math.hypot(x - px, y - py) < min_sep for px, py in placed):
                 continue
@@ -238,8 +255,8 @@ def nearest_static_all(cfg: EnvConfig, pursuers, obstacle, wall) -> tuple[list[f
     obstacles and walls.
 
     `obstacle` and `wall` are the pursuers' `obstacle_clearance_matrix` and
-    wall clearances, as in `PursuerGeometry`. A tie goes to the wall, then
-    to the lowest obstacle index.
+    wall clearances (`_wall_clearance`). A tie goes to the wall, then to the
+    lowest obstacle index.
     """
     w, h = cfg.site.boundary_width, cfg.site.boundary_height
     clears, points = [], []
@@ -281,11 +298,8 @@ def _relative_entries(row: list, x: float, y: float, heading: float, targets, re
         row += (0.0, 0.0, 0.0)
 
 
-def observe_all(state: WorldState, geom: PursuerGeometry | None = None) -> np.ndarray:
+def observe_all(state: WorldState) -> np.ndarray:
     """Observations for every pursuer, one row per agent.
-
-    `geom` is the `pursuer_geometry` of the state's pursuers, when the
-    caller has it.
 
     Row layout (all components in [-1, 1], masked entries exactly 0, mask 0):
       [per evader: dist/reception, bearing/pi, mask] * num_e
@@ -296,9 +310,8 @@ def observe_all(state: WorldState, geom: PursuerGeometry | None = None) -> np.nd
     reception = cfg.players.reception_range
     pursuers = state.pursuers
     evaders = [None if done else pose for pose, done in zip(state.evaders, state.captured)]
-    if geom is None:
-        geom = pursuer_geometry(cfg, pursuers)
-    clears, points = nearest_static_all(cfg, pursuers, geom.obstacle, geom.wall)
+    walls = [_wall_clearance(cfg, x, y) for x, y, _ in pursuers]
+    clears, points = nearest_static_all(cfg, pursuers, obstacle_clearance_matrix(cfg, pursuers), walls)
 
     rows, bearings = [], []
     for i, (x, y, heading) in enumerate(pursuers):
@@ -332,9 +345,11 @@ class _ShapeColumns(NamedTuple):
     sy: np.ndarray  # y half extent of a rectangle (0 for a circle)
 
 
-@lru_cache(maxsize=16)
-def _stacked_obstacles(obstacles) -> tuple[_ShapeColumns, _ShapeColumns]:
-    """(circles, rectangles) of an obstacle tuple, stacked once per tuple."""
+@per_config
+def _stacked_obstacles(cfg: EnvConfig) -> tuple[_ShapeColumns, _ShapeColumns]:
+    """(circles, rectangles) of an arena's obstacles, stacked once per
+    config object (`config.per_config`)."""
+    obstacles = cfg.site.obstacles
 
     def columns(shape: str) -> _ShapeColumns:
         picked = [(k, ob) for k, ob in enumerate(obstacles) if ob.shape == shape]
@@ -363,7 +378,7 @@ def _nearest_static_many(cfg: EnvConfig, xy: np.ndarray) -> tuple[np.ndarray, np
     obstacles = cfg.site.obstacles
     if not obstacles:
         return clear, points
-    circles, rects = _stacked_obstacles(obstacles)
+    circles, rects = _stacked_obstacles(cfg)
     matrix = np.empty((len(xy), len(obstacles)))
     x, y = xy[:, 0:1], xy[:, 1:2]
     if circles.cols.size:
@@ -532,24 +547,42 @@ class PursuerGeometry(NamedTuple):
     """Static geometry of the pursuers' positions, as float rows."""
 
     pair: list[list[float]]  # (num_p, num_p) center distances
-    obstacle: list[list[float]]  # (num_p, n_obstacles) signed clearances, config order
+    # per pursuer: (index, signed clearance) of each obstacle whose culling
+    # box holds it, in config order
+    near: list[list[tuple[int, float]]]
     wall: list[float]  # (num_p,) signed clearance to the nearest wall
 
 
 def pursuer_geometry(cfg: EnvConfig, pursuers) -> PursuerGeometry:
-    """The geometry pass over the pursuer poses that a step's collisions,
-    reward and observations share."""
+    """The geometry pass over the pursuer poses that a step's collisions
+    and reward share.
+
+    A pursuer's `near` entries hold the clearances of its
+    `obstacle_clearance_matrix` row, with their bits, to the obstacles whose
+    culling box (`scripted.arena`) holds it. Each clearance left out is at
+    least the reach, which is at least safe_radius + `PROX_BAND`, so every
+    collision and proximity test reads the same as on the full row.
+    """
     n = len(pursuers)
     pair = [[0.0] * n for _ in range(n)]
     for i, (xi, yi, _) in enumerate(pursuers):
         for j in range(i + 1, n):
             xj, yj, _ = pursuers[j]
             pair[i][j] = pair[j][i] = abs(complex(xi - xj, yi - yj))
-    return PursuerGeometry(
-        pair=pair,
-        obstacle=obstacle_clearance_matrix(cfg, pursuers),
-        wall=[_wall_clearance(cfg, x, y) for x, y, _ in pursuers],
-    )
+    rows = scripted.arena(cfg)[0]
+    near = []
+    for x, y, _ in pursuers:
+        entries = []
+        for k, (circle, cx, cy, sx, sy, x0, x1, y0, y1) in enumerate(rows):
+            if x0 < x < x1 and y0 < y < y1:
+                if circle:
+                    entries.append((k, abs(complex(x - cx, y - cy)) - sx))
+                else:
+                    dx = abs(x - cx) - sx
+                    dy = abs(y - cy) - sy
+                    entries.append((k, abs(complex(dx, dy)) if dx > 0.0 and dy > 0.0 else (dx if dx > dy else dy)))
+        near.append(entries)
+    return PursuerGeometry(pair=pair, near=near, wall=[_wall_clearance(cfg, x, y) for x, y, _ in pursuers])
 
 
 def _nearest_pursuers(pursuers, evaders, captured) -> list[tuple[float, int] | None]:
@@ -595,8 +628,8 @@ def detect_collisions(cfg: EnvConfig, geom: PursuerGeometry) -> list[CollisionEv
     events = [
         CollisionEvent(kind="drone-drone", agents=(i, j)) for i in range(n) for j in range(i + 1, n) if pair[i][j] < cr
     ]
-    for i, (row, wall) in enumerate(zip(geom.obstacle, geom.wall)):
-        for k, clear in enumerate(row):
+    for i, (near, wall) in enumerate(zip(geom.near, geom.wall)):
+        for k, clear in near:
             if clear < sr:
                 events.append(CollisionEvent(kind="drone-obstacle", agents=(i,), obstacle=k))
         if wall < sr:
@@ -620,10 +653,18 @@ def _proximity_count(cfg: EnvConfig, geom: PursuerGeometry) -> int:
     cr, sr = cfg.task.capture_range, cfg.task.safe_radius
     cr_band, sr_band = cr + PROX_BAND, sr + PROX_BAND
     count = 0
-    for i, (dists, row, wall) in enumerate(zip(geom.pair, geom.obstacle, geom.wall)):
-        static = min(wall, min(row, default=wall))
-        if sr <= static < sr_band or any(cr <= d < cr_band for j, d in enumerate(dists) if j != i):
+    for i, (dists, near, wall) in enumerate(zip(geom.pair, geom.near, geom.wall)):
+        static = wall
+        for _, clear in near:
+            if clear < static:
+                static = clear
+        if sr <= static < sr_band:
             count += 1
+            continue
+        for j, d in enumerate(dists):
+            if cr <= d < cr_band and j != i:
+                count += 1
+                break
     return count
 
 
@@ -698,22 +739,22 @@ def step(state: WorldState, actions, observe: bool = True) -> StepOutcome:
     for pose, s in zip(pursuers, steer):
         _advance(pose, -1.0 if s < -1.0 else (1.0 if s > 1.0 else s), cfg.players.velocity_p, dt)
 
-    rows = scripted.obstacle_rows(cfg.site.obstacles)
-    w, h = cfg.site.boundary_width, cfg.site.boundary_height
+    rows, w, h, _ = scripted.arena(cfg)
     moving = [pose for pose, done in zip(evaders, captured) if not done]
     for pose, esteer in zip(moving, scripted.evader_steers(cfg, pursuers, evaders, captured)):
         x, y = pose[0], pose[1]
         _advance(pose, esteer, cfg.players.velocity_e, dt)
         # Evaders never terminate the episode, so block them from entering
         # obstacles or leaving the arena instead (heading still updates).
-        if scripted.static_clearance(rows, w, h, pose[0], pose[1]) < 0.0:
+        if scripted.static_below(rows, w, h, pose[0], pose[1], 0.0):
             pose[0], pose[1] = x, y
 
     nearest = _nearest_pursuers(pursuers, evaders, captured)
     captures = detect_captures(cfg, nearest)
     for ev in captures:
         captured[ev.evader] = True
-    # Pursuer poses are final from here on: one geometry pass serves the rest.
+    # Pursuer poses are final from here on: one geometry pass serves the
+    # collisions and the reward.
     geom = pursuer_geometry(cfg, pursuers)
     collisions = detect_collisions(cfg, geom)
     reward = compute_reward(cfg, prev_nearest, nearest, captured, captures, collisions, geom)
@@ -722,7 +763,7 @@ def step(state: WorldState, actions, observe: bool = True) -> StepOutcome:
     state.terminal = is_terminal(state, collisions)
 
     return StepOutcome(
-        observations=observe_all(state, geom) if observe else None,
+        observations=observe_all(state) if observe else None,
         reward=reward,
         terminal=state.terminal,
         captures=captures,

@@ -293,6 +293,7 @@ def naht_loss_and_grads(model: NahtModel, mb: NahtBatch, idx, cfg: rl.PpoConfig)
         mb.base.advantages[idx],
         mb.base.returns[idx],
         cfg,
+        input_grad=True,
     )
     demb = dactor_in[:, model.obs_dim :]
     recon = 0.0

@@ -268,7 +268,9 @@ def evader_view(state, evader_id: int) -> scripted.AgentView:
 
 def keep_out_clearance(cfg, x, y) -> float:
     """Signed clearance of (x, y) to the nearest wall or obstacle, folded
-    with Python's `min` over `Obstacle.clearance` in config order."""
+    with Python's `min` over `Obstacle.clearance` in config order: the full
+    scan that `scripted.static_below` culls, which the evaders' keep-out
+    compares with 0.0 and `sim.reset`'s spawn test with safe_radius."""
     clear = geometry.boundary_clearance(x, y, cfg.site.boundary_width, cfg.site.boundary_height)
     for ob in cfg.site.obstacles:
         clear = min(clear, ob.clearance(x, y))

@@ -81,7 +81,7 @@ def test_ppo_ratio_is_one_on_fresh_batch():
     obs = rng.normal(size=(64, 5))
     actions, logp = model.act(obs, rng)
     adv = rng.normal(size=64)
-    _, _, diag = rl.ppo_loss_and_grads(model, obs, obs, actions, logp, adv, rng.normal(size=64), cfg)
+    _, _, diag = rl.ppo_loss_and_grads(model, obs, obs, actions, logp, adv, rng.normal(size=64), cfg, input_grad=False)
     np.testing.assert_allclose(diag["ratio"], 1.0, atol=1e-12)
     assert diag["clip_frac"] == 0.0
     assert abs(diag["approx_kl"]) < 1e-12
@@ -94,7 +94,7 @@ def test_ppo_zero_advantages_skip_policy_term():
     obs = rng.normal(size=(32, 5))
     actions, logp = model.act(obs, rng)
     grads, _, diag = rl.ppo_loss_and_grads(
-        model, obs, obs, actions, logp, np.zeros(32), rng.normal(size=32), cfg
+        model, obs, obs, actions, logp, np.zeros(32), rng.normal(size=32), cfg, input_grad=False
     )
     assert diag["pi_loss"] == 0.0
     # actor weight gradients vanish; log_std only carries the entropy term
@@ -102,6 +102,20 @@ def test_ppo_zero_advantages_skip_policy_term():
     for g in grads[:n_actor]:
         np.testing.assert_allclose(g, 0.0, atol=1e-15)
     np.testing.assert_allclose(grads[n_actor], -cfg.entropy_coef, atol=1e-15)
+
+
+def test_ppo_grads_keep_their_bits_without_the_input_gradient():
+    cfg = rl.PpoConfig()
+    model = make_model(cfg=cfg)
+    rng = substream(2, "roll")
+    obs = rng.normal(size=(32, 5))
+    actions, logp = model.act(obs, rng)
+    args = (model, obs, obs, actions, logp, rng.normal(size=32), rng.normal(size=32), cfg)
+    grads, dx, diag = rl.ppo_loss_and_grads(*args, input_grad=True)
+    grads_only, no_dx, diag_only = rl.ppo_loss_and_grads(*args, input_grad=False)
+    assert dx.shape == obs.shape and no_dx is None
+    assert [g.tobytes() for g in grads_only] == [g.tobytes() for g in grads]
+    assert diag_only["loss"].hex() == diag["loss"].hex()
 
 
 def test_ppo_loss_matches_hand_computation():
@@ -127,7 +141,7 @@ def test_ppo_loss_matches_hand_computation():
     entropy = 0.5 * (1 + math.log(2 * math.pi))
     expected = pi_loss + v_loss - 0.01 * entropy
 
-    _, _, diag = rl.ppo_loss_and_grads(model, obs, obs, actions, old_logp, adv, ret, cfg)
+    _, _, diag = rl.ppo_loss_and_grads(model, obs, obs, actions, old_logp, adv, ret, cfg, input_grad=False)
     assert diag["loss"] == pytest.approx(expected, abs=1e-6)
     assert diag["pi_loss"] == pytest.approx(pi_loss, abs=1e-9)
     assert diag["v_loss"] == pytest.approx(v_loss, abs=1e-9)

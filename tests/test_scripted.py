@@ -370,13 +370,14 @@ def assert_kernels_steer_as_the_views(state, slots):
 
 def assert_statics_equal(cfg, x, y):
     """`_statics` at (x, y) has the bits of `_static_entries`, and
-    `static_clearance` those of the clearance fold that reset and the
-    keep-out took."""
-    rows = scripted.obstacle_rows(cfg.site.obstacles)
-    w, h = cfg.site.boundary_width, cfg.site.boundary_height
+    `static_below` decides the keep-out and the spawn test as the clearance
+    fold of `Obstacle.clearance` does."""
+    rows, w, h, _ = scripted.arena(cfg)
     want = [(d.hex(), px.hex(), py.hex()) for d, (px, py) in scripted._static_entries(arena_view(cfg, x, y, 0.0))]
     assert [tuple(v.hex() for v in e) for e in scripted._statics(rows, w, h, x, y)] == want
-    assert scripted.static_clearance(rows, w, h, x, y).hex() == sim_oracle.keep_out_clearance(cfg, x, y).hex()
+    clear = sim_oracle.keep_out_clearance(cfg, x, y)
+    for limit in (0.0, cfg.task.safe_radius):
+        assert scripted.static_below(rows, w, h, x, y, limit) == (clear < limit)
 
 
 @pytest.mark.parametrize("name", ARENAS)

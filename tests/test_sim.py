@@ -257,8 +257,8 @@ def test_nearest_obstacle_block_reflects_wall(env_4p2e3o):
         pursuers=[[0.05, 2.5, 0.0], [0.5, 0.5, 0.0], [1.8, 0.5, 0.0], [3.3, 0.5, 0.0]],
         evaders=[[0.3, 4.5, 0.0], [3.3, 4.5, 0.0]],
     )
-    geom = geometry_of(state)
-    clear, points = sim.nearest_static_all(env_4p2e3o, state.pursuers[:1], geom.obstacle[:1], geom.wall[:1])
+    first = state.pursuers[:1]
+    clear, points = sim.nearest_static_all(env_4p2e3o, first, sim.obstacle_clearance_matrix(env_4p2e3o, first), geometry_of(state).wall[:1])
     clearance, point = clear[0], points[0]
     brute = min(
         [ob.clearance(0.05, 2.5) for ob in env_4p2e3o.site.obstacles]

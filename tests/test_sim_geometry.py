@@ -8,16 +8,24 @@ layout, including points inside obstacles, points outside the walls,
 pursuers within `capture_range` of each other, and exact ties between two
 obstacles or between an obstacle and a wall (the `ties` arena, whose
 dyadic sizes make such ties exact).
+
+Every static query but the observations' nearest static entry skips the
+obstacles whose culling box (`scripted.arena`) does not hold its point. The
+last test holds each culled query to its full scan, bitwise, on the points
+where a rounding could tell them apart: obstacle rims, the rims at each
+threshold, the culling-box edges, one and two `math.nextafter` steps either
+side of them, arena corners and points just outside the arena.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pursuit_lab import config, sim
+from pursuit_lab import config, scripted, sim
 import sim_oracle
 from conftest import make_state, open_arena, ties_arena
 
@@ -25,6 +33,9 @@ from conftest import make_state, open_arena, ties_arena
 ARENAS = {name: config.builtin_env(name) for name in config.BUILTIN_ENV_NAMES}
 ARENAS["open"] = open_arena(num_p=4, num_e=2)
 ARENAS["ties"] = ties_arena()
+# safe_radius + PROX_BAND beyond STATIC_RANGE: the proximity band sets the reach
+_BASE = config.builtin_env("4p2e5o")
+ARENAS["wide"] = replace(_BASE, task=replace(_BASE.task, safe_radius=0.45))
 EXAMPLES = settings(max_examples=100, deadline=None)
 
 
@@ -166,13 +177,21 @@ def test_geometry_equals_the_per_obstacle_oracles(name):
         state = scene(cfg, pursuers)
         pts = pursuers[:, :2]
         geom = sim.pursuer_geometry(cfg, state.pursuers)
-        obstacle, wall = np.array(geom.obstacle), np.array(geom.wall)
+        matrix = sim.obstacle_clearance_matrix(cfg, state.pursuers)
+        obstacle, wall = np.array(matrix).reshape(len(pts), -1), np.array(geom.wall)
         assert same_bytes(np.array(geom.pair), sim_oracle.pair_distances(pursuers, pursuers))
-        assert same_bytes(obstacle, oracle_clearance_matrix(cfg, pts))
+        want = oracle_clearance_matrix(cfg, pts)
+        assert same_bytes(obstacle, want)
         assert same_bytes(wall, oracle_wall_clearances(cfg, pts))
+        # the step's entries: the same clearances, and none left out below the reach
+        for i, near in enumerate(geom.near):
+            kept = [k for k, _ in near]
+            assert kept == sorted(set(kept))
+            assert same_bytes([c for _, c in near], want[i, kept])
+            assert np.all(np.delete(want[i], kept) >= reach(cfg))
 
         want_clear, want_pts = oracle_nearest_static_all(cfg, pts)
-        clear, points = sim.nearest_static_all(cfg, state.pursuers, geom.obstacle, geom.wall)
+        clear, points = sim.nearest_static_all(cfg, state.pursuers, matrix, geom.wall)
         assert same_bytes(clear, want_clear)
         assert same_bytes(points, want_pts)
         clear, points = sim_oracle.nearest_static_all(cfg, pts, obstacle, wall)
@@ -192,10 +211,11 @@ def test_ties_go_to_the_wall_then_to_the_lowest_obstacle():
     pursuers = np.array([[1.5, 2.5, 0.0], [2.5, 2.5, 0.0], [0.375, 2.5, 0.0], [0.375, 2.375, 0.0]])
     state = scene(cfg, pursuers)
     geom = sim.pursuer_geometry(cfg, state.pursuers)
-    assert geom.obstacle[0][0] == geom.obstacle[0][1] == 0.25
-    assert geom.obstacle[1][1] == geom.obstacle[1][2] == 0.25
-    assert geom.obstacle[2][0] == geom.wall[2] == 0.375
-    clear, points = sim.nearest_static_all(cfg, pursuers.tolist(), geom.obstacle, geom.wall)
+    matrix = sim.obstacle_clearance_matrix(cfg, state.pursuers)
+    assert matrix[0][0] == matrix[0][1] == 0.25
+    assert matrix[1][1] == matrix[1][2] == 0.25
+    assert matrix[2][0] == geom.wall[2] == 0.375
+    clear, points = sim.nearest_static_all(cfg, pursuers.tolist(), matrix, geom.wall)
     assert clear == [0.25, 0.25, 0.375, 0.375]
     assert points == [(1.25, 2.5), (2.25, 2.5), (0.0, 2.5), (0.0, 2.375)]
     want_clear, want_points = oracle_nearest_static_all(cfg, pursuers[:, :2])
@@ -236,3 +256,90 @@ def test_wall_clearance_keeps_numpy_signed_zero():
     assert math.copysign(1.0, wall[0]) == -1.0
     assert same_bytes(wall, sim_oracle.wall_clearances(cfg, pursuers[:, :2]))
     assert same_bytes(wall, oracle_wall_clearances(cfg, pursuers[:, :2]))
+
+
+# ---------------------------------------------------------------------------
+# Culled static queries == their full scans, bitwise
+# ---------------------------------------------------------------------------
+
+def reach(cfg):
+    """The largest threshold a static query compares a clearance with."""
+    return max(scripted.STATIC_RANGE, cfg.task.safe_radius + sim.PROX_BAND)
+
+
+def nudged(draw, v):
+    """v, or one or two `math.nextafter` steps either side of it."""
+    steps = draw(st.integers(-2, 2))
+    for _ in range(abs(steps)):
+        v = math.nextafter(v, math.copysign(math.inf, steps))
+    return v
+
+
+@st.composite
+def edge_points(draw, cfg):
+    """(x, y) where a culled query and its full scan could part: on an
+    obstacle's rim or at a threshold's distance from it, on or at a corner
+    of a culling box, at an arena corner or just outside a wall, each
+    nudged by up to two ulps."""
+    rows, w, h, _ = scripted.arena(cfg)
+    sr = cfg.task.safe_radius
+    kinds = ["corner", "wall"] + (["rim", "box"] if rows else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "corner":
+        x, y = draw(st.sampled_from([0.0, w])), draw(st.sampled_from([0.0, h]))
+    elif kind == "wall":
+        out = draw(st.floats(-0.2, 0.0))
+        along = draw(st.floats(0.0, 1.0))
+        x, y = draw(st.sampled_from([(out, along * h), (w - out, along * h), (along * w, out), (along * w, h - out)]))
+    else:
+        circle, cx, cy, sx, sy, x0, x1, y0, y1 = draw(st.sampled_from(rows))
+        if kind == "box":
+            xs, ys = [x0, x1, cx], [y0, y1, cy]
+            x = draw(st.sampled_from(xs) | st.floats(x0, x1))
+            y = draw(st.sampled_from(ys)) if x not in (x0, x1) else draw(st.sampled_from(ys) | st.floats(y0, y1))
+        else:
+            thresholds = [0.0, sr, sr + sim.PROX_BAND, scripted.STATIC_RANGE, reach(cfg)]
+            t = draw(st.sampled_from(thresholds) | st.floats(-0.05, reach(cfg) + 0.05))
+            a = draw(st.floats(0.0, 2.0 * math.pi))
+            if circle:
+                x, y = cx + (sx + t) * math.cos(a), cy + (sx + t) * math.sin(a)
+            else:
+                side = draw(st.sampled_from(["x", "y", "corner"]))
+                u = draw(st.floats(-1.0, 1.0))
+                sgn_x, sgn_y = draw(st.sampled_from([-1.0, 1.0])), draw(st.sampled_from([-1.0, 1.0]))
+                if side == "x":
+                    x, y = cx + sgn_x * (sx + t), cy + u * sy
+                elif side == "y":
+                    x, y = cx + u * sx, cy + sgn_y * (sy + t)
+                else:
+                    x, y = cx + sgn_x * (sx + t * abs(math.cos(a))), cy + sgn_y * (sy + t * abs(math.sin(a)))
+    return nudged(draw, x), nudged(draw, y)
+
+
+@pytest.mark.parametrize("name", ARENAS)
+def test_culled_static_queries_equal_the_full_scans(name):
+    cfg = ARENAS[name]
+    rows, w, h, _ = scripted.arena(cfg)
+    sr = cfg.task.safe_radius
+    num_p = cfg.players.num_p
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(edge_points(cfg), min_size=num_p, max_size=num_p))
+    def check(pts):
+        for x, y in pts:
+            # scripted steering: the (clearance, closest point) entries of a view
+            view = scripted.AgentView(x, y, 0.0, (), (), cfg.site.obstacles, (w, h), 1.0, 1.0, 0.1)
+            want = [(d.hex(), px.hex(), py.hex()) for d, (px, py) in scripted._static_entries(view)]
+            assert [tuple(v.hex() for v in e) for e in scripted._statics(rows, w, h, x, y)] == want
+            # the evaders' keep-out and the spawn test
+            clear = sim_oracle.keep_out_clearance(cfg, x, y)
+            assert scripted.static_below(rows, w, h, x, y, 0.0) == (clear < 0.0)
+            assert scripted.static_below(rows, w, h, x, y, sr) == (clear < sr)
+        # the step's collision events and proximity count
+        state = scene(cfg, np.array([[x, y, 0.0] for x, y in pts]))
+        geom = sim.pursuer_geometry(cfg, state.pursuers)
+        full = sim_oracle.pursuer_geometry(state)
+        assert sim.detect_collisions(cfg, geom) == sim_oracle.detect_collisions(state, full)
+        assert sim._proximity_count(cfg, geom) == sim_oracle.proximity_count(state, full)
+
+    check()

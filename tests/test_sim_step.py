@@ -171,8 +171,6 @@ def test_float_observations_equal_the_numpy_oracle_bitwise(name):
         state, _ = scene
         want = sim_oracle.observe_all(state)
         assert same_bytes(sim.observe_all(state), want)
-        geom = sim.pursuer_geometry(state.cfg, state.pursuers)
-        assert same_bytes(sim.observe_all(state, geom), want)
         learner_obs = want[:2]
         assert same_bytes(sim.central_observation(state, learner_obs), sim_oracle.central_observation(state, learner_obs))
 
