@@ -24,9 +24,11 @@ view: it runs the same float operations in the same order, by these rules:
 - `math.atan2` and the scalar `wrap_angle` in the steer, divided by
   `OMEGA_MAX * (1.0 / fps)`, the product `steer_towards` takes of a view's
   `omega_max` and `dt` (at some frame rates `OMEGA_MAX / fps` differs);
-- Python's `min` and `max` where the view code takes them, so a tie keeps
-  the first argument, and the nearest target is the first at the least
-  distance;
+- where the view code takes Python's `min` or `max` of floats, a
+  conditional that returns what the builtin returns: `max(a, b)` is
+  `b if b > a else a` and `min(a, b)` is `b if b < a else a`, so a tie keeps
+  the first argument, +0.0 against -0.0 too; the nearest target is the
+  first at the least distance;
 - closest points only for the static entries inside `STATIC_RANGE`, listed
   as `_static_entries` lists them: obstacles in config order, then the
   walls (left, right, bottom, top);
@@ -40,9 +42,18 @@ static query of a kernel, `_statics` for the steering entries and
 `static_below` for the evaders' keep-out and `sim.reset`'s spawn test,
 skips the obstacles whose box does not hold its point: their clearances are
 at least the reach, beyond every threshold these queries compare with (the
-culling rule in `sim`'s module notes). The kernels take a drone's
-`math.hypot` distance again as the norm of the direction away from it, as
-fl(a - b) == -fl(b - a) and `math.hypot` ignores signs.
+culling rule in `sim`'s module notes).
+
+A kernel calls no helper per drone or per entry besides `_statics`: the
+attraction, `geometry.unit`, `_away_from` and `steer_towards` are written
+out in each kernel, as a Python call costs about as much as the arithmetic
+it wraps. Greedy takes each pursuer pair's `math.hypot` once per call and
+files it under both drones, in index order, and every kernel takes a
+drone's distance again as the norm of the direction away from it: the bits
+are the same, as fl(a - b) == -fl(b - a) and `math.hypot` ignores signs.
+`_away_from`'s fixed direction (1, 0) is taken exactly when that norm is
+below `geometry.unit`'s 1e-12, as the two quotients of a larger norm cannot
+both be 0.
 """
 
 from __future__ import annotations
@@ -294,7 +305,7 @@ def static_below(rows, w: float, h: float, x: float, y: float, limit: float) -> 
             else:
                 dx = abs(x - cx) - sx
                 dy = abs(y - cy) - sy
-                if (math.hypot(dx, dy) if dx > 0.0 and dy > 0.0 else max(dx, dy)) < limit:
+                if (math.hypot(dx, dy) if dx > 0.0 and dy > 0.0 else (dy if dy > dx else dx)) < limit:
                     return True
     return False
 
@@ -315,7 +326,7 @@ def _statics(rows, w: float, h: float, x: float, y: float) -> list[tuple[float, 
             else:
                 dx = abs(x - cx) - sx
                 dy = abs(y - cy) - sy
-                clear = math.hypot(dx, dy) if dx > 0.0 and dy > 0.0 else max(dx, dy)
+                clear = math.hypot(dx, dy) if dx > 0.0 and dy > 0.0 else (dy if dy > dx else dx)
                 if clear < STATIC_RANGE:
                     out.append((clear, *geometry.closest_point_on_rect(x, y, cx, cy, sx, sy)))
     if x < STATIC_RANGE:
@@ -329,89 +340,91 @@ def _statics(rows, w: float, h: float, x: float, y: float) -> list[tuple[float, 
     return out
 
 
-def _away(dx: float, dy: float, n: float) -> tuple[float, float]:
-    """`_away_from` a point at (x - dx, y - dy) of a view at (x, y), with
-    n = math.hypot(dx, dy): `geometry.unit` returns (0, 0) only below its
-    1e-12 norm, as the two quotients of a larger norm cannot both be 0. A
-    drone's distance math.hypot(px - x, py - y) serves as n, with the same
-    bits: fl(a - b) == -fl(b - a), and `math.hypot` ignores signs."""
-    if n < 1e-12:
-        return 1.0, 0.0
-    return dx / n, dy / n
-
-
-def _steer(vx: float, vy: float, heading: float, turn: float) -> float:
-    """`steer_towards` with `turn` = omega_max * dt."""
-    if math.hypot(vx, vy) < 1e-9:
-        return 0.0
-    error = math.pi - (math.pi - (math.atan2(vy, vx) - heading)) % geometry.TWO_PI
-    return max(-1.0, min(1.0, error / turn))
-
-
-def _attraction(targets, w: float, h: float, x: float, y: float) -> tuple[float, float]:
-    """The unit vector from (x, y) to `_nearest_target`: the first target at
-    the least `math.hypot` distance, or the arena centre without targets."""
-    if targets:
-        best = None
-        for tx, ty in targets:
-            d = math.hypot(tx - x, ty - y)
-            if best is None or d < best:
-                best, nx, ny = d, tx, ty
-    else:
-        nx, ny = w / 2.0, h / 2.0
-    return geometry.unit(nx - x, ny - y)
-
-
-def _targets(evaders, captured) -> list[tuple[float, float]]:
-    return [(pose[0], pose[1]) for pose, done in zip(evaders, captured) if not done]
-
-
 def greedy_steers(cfg: EnvConfig, pursuers, evaders, captured, slots) -> list[float]:
     """`greedy_action` of each slot's `sim.pursuer_view`, with its bits: one
     steer per slot in `slots`, from the [x, y, heading] rows of the pursuers
     and evaders and the evaders' capture flags."""
     rows, w, h, turn = arena(cfg)
-    targets = _targets(evaders, captured)
+    targets = [(pose[0], pose[1]) for pose, done in zip(evaders, captured) if not done]
+    # (distance, x, y) of the other drones of each drone, in index order,
+    # with one math.hypot per pair
+    near = [[] for _ in pursuers]
+    for a, (qx, qy, _) in enumerate(pursuers):
+        for b in range(a + 1, len(pursuers)):
+            rx, ry, _ = pursuers[b]
+            d = math.hypot(rx - qx, ry - qy)
+            near[a].append((d, rx, ry))
+            near[b].append((d, qx, qy))
     out = []
     for i in slots:
         x, y, heading = pursuers[i]
-        # (distance, point) of the drones in index order, then of the static
-        # entries: the first inside its hard radius wins, so the static
-        # entries are not needed when a drone is inside its own
-        drones = [(math.hypot(q[0] - x, q[1] - y), q[0], q[1]) for j, q in enumerate(pursuers) if j != i]
-        hit = statics = None
+        drones = near[i]
+        # the first drone, then static entry, inside its hard radius is fled
+        # outright; the static entries are not needed when a drone is inside
+        flee = statics = None
         for d, px, py in drones:
             if d < GREEDY_HARD_DRONE:
-                hit = _away(x - px, y - py, d)
+                flee = x - px, y - py, d
                 break
         else:
             statics = _statics(rows, w, h, x, y)
             for d, px, py in statics:
                 if d < GREEDY_HARD_STATIC:
                     dx, dy = x - px, y - py
-                    hit = _away(dx, dy, math.hypot(dx, dy))
+                    flee = dx, dy, math.hypot(dx, dy)
                     break
-        if hit is not None:
-            out.append(_steer(*hit, heading, turn))
-            continue
-        ax, ay = _attraction(targets, w, h, x, y)
-        vx, vy = ax, ay
-        for rng, entries, drone in ((GREEDY_DRONE_EVASION_RANGE, drones, True), (GREEDY_EVASION_RANGE, statics, False)):
-            for d, px, py in entries:
-                if d >= rng:
-                    continue
-                s = (rng - max(d, 0.0)) / rng
-                dx, dy = x - px, y - py
-                ux, uy = _away(dx, dy, d if drone else math.hypot(dx, dy))
-                inward = max(0.0, -(ax * ux + ay * uy))
-                vx += s * inward * ux + GREEDY_AVOID_GAIN * s * s * ux
-                vy += s * inward * uy + GREEDY_AVOID_GAIN * s * s * uy
-                tangent_x, tangent_y = -uy, ux
-                if tangent_x * math.cos(heading) + tangent_y * math.sin(heading) < 0:
-                    tangent_x, tangent_y = uy, -ux
-                vx += GREEDY_TANGENT_GAIN * s * tangent_x
-                vy += GREEDY_TANGENT_GAIN * s * tangent_y
-        out.append(_steer(vx, vy, heading, turn))
+        if flee is not None:
+            dx, dy, n = flee
+            vx, vy = (1.0, 0.0) if n < 1e-12 else (dx / n, dy / n)
+        else:
+            if targets:
+                best = None
+                for tx, ty in targets:
+                    d = math.hypot(tx - x, ty - y)
+                    if best is None or d < best:
+                        best, nx, ny = d, tx, ty
+            else:
+                nx, ny = w / 2.0, h / 2.0
+            dx, dy = nx - x, ny - y
+            n = math.hypot(dx, dy)
+            ax, ay = (0.0, 0.0) if n < 1e-12 else (dx / n, dy / n)
+            vx, vy = ax, ay
+            for d, px, py in drones:
+                if d < GREEDY_DRONE_EVASION_RANGE:
+                    # a hypot is never below +0.0, so max(d, 0.0) is d
+                    s = (GREEDY_DRONE_EVASION_RANGE - d) / GREEDY_DRONE_EVASION_RANGE
+                    dx, dy = x - px, y - py
+                    ux, uy = (1.0, 0.0) if d < 1e-12 else (dx / d, dy / d)
+                    inward = -(ax * ux + ay * uy)
+                    inward = inward if inward > 0.0 else 0.0
+                    vx += s * inward * ux + GREEDY_AVOID_GAIN * s * s * ux
+                    vy += s * inward * uy + GREEDY_AVOID_GAIN * s * s * uy
+                    tangent_x, tangent_y = -uy, ux
+                    if tangent_x * math.cos(heading) + tangent_y * math.sin(heading) < 0:
+                        tangent_x, tangent_y = uy, -ux
+                    vx += GREEDY_TANGENT_GAIN * s * tangent_x
+                    vy += GREEDY_TANGENT_GAIN * s * tangent_y
+            for d, px, py in statics:
+                if d < GREEDY_EVASION_RANGE:
+                    s = (GREEDY_EVASION_RANGE - (0.0 if 0.0 > d else d)) / GREEDY_EVASION_RANGE
+                    dx, dy = x - px, y - py
+                    n = math.hypot(dx, dy)
+                    ux, uy = (1.0, 0.0) if n < 1e-12 else (dx / n, dy / n)
+                    inward = -(ax * ux + ay * uy)
+                    inward = inward if inward > 0.0 else 0.0
+                    vx += s * inward * ux + GREEDY_AVOID_GAIN * s * s * ux
+                    vy += s * inward * uy + GREEDY_AVOID_GAIN * s * s * uy
+                    tangent_x, tangent_y = -uy, ux
+                    if tangent_x * math.cos(heading) + tangent_y * math.sin(heading) < 0:
+                        tangent_x, tangent_y = uy, -ux
+                    vx += GREEDY_TANGENT_GAIN * s * tangent_x
+                    vy += GREEDY_TANGENT_GAIN * s * tangent_y
+        if math.hypot(vx, vy) < 1e-9:
+            out.append(0.0)
+        else:
+            e = (math.pi - (math.pi - (math.atan2(vy, vx) - heading)) % geometry.TWO_PI) / turn
+            e = e if e < 1.0 else 1.0
+            out.append(e if e > -1.0 else -1.0)
     return out
 
 
@@ -419,28 +432,45 @@ def vicsek_steers(cfg: EnvConfig, pursuers, evaders, captured, slots) -> list[fl
     """`vicsek_action` of each slot's `sim.pursuer_view`, with its bits; the
     arguments are those of `greedy_steers`."""
     rows, w, h, turn = arena(cfg)
-    targets = _targets(evaders, captured)
+    targets = [(pose[0], pose[1]) for pose, done in zip(evaders, captured) if not done]
     out = []
     for i in slots:
         x, y, heading = pursuers[i]
-        vx, vy = _attraction(targets, w, h, x, y)
+        if targets:
+            best = None
+            for tx, ty in targets:
+                d = math.hypot(tx - x, ty - y)
+                if best is None or d < best:
+                    best, nx, ny = d, tx, ty
+        else:
+            nx, ny = w / 2.0, h / 2.0
+        dx, dy = nx - x, ny - y
+        n = math.hypot(dx, dy)
+        vx, vy = (0.0, 0.0) if n < 1e-12 else (dx / n, dy / n)
         for j, q in enumerate(pursuers):
             if j == i:
                 continue
-            d = math.hypot(q[0] - x, q[1] - y)
+            dx, dy = x - q[0], y - q[1]
+            d = math.hypot(dx, dy)
             if d < VICSEK_AGENT_RANGE:
-                mag = VICSEK_GAIN * (1.0 / max(d, 1e-6) - 1.0 / VICSEK_AGENT_RANGE)
-                ux, uy = _away(x - q[0], y - q[1], d)
+                mag = VICSEK_GAIN * (1.0 / (1e-6 if 1e-6 > d else d) - 1.0 / VICSEK_AGENT_RANGE)
+                ux, uy = (1.0, 0.0) if d < 1e-12 else (dx / d, dy / d)
                 vx += mag * ux
                 vy += mag * uy
         for d, px, py in _statics(rows, w, h, x, y):
             if d < VICSEK_OBSTACLE_RANGE:
-                mag = VICSEK_GAIN * (1.0 / max(d, 1e-6) - 1.0 / VICSEK_OBSTACLE_RANGE)
+                mag = VICSEK_GAIN * (1.0 / (1e-6 if 1e-6 > d else d) - 1.0 / VICSEK_OBSTACLE_RANGE)
                 dx, dy = x - px, y - py
-                ux, uy = _away(dx, dy, math.hypot(dx, dy))
+                n = math.hypot(dx, dy)
+                ux, uy = (1.0, 0.0) if n < 1e-12 else (dx / n, dy / n)
                 vx += mag * ux
                 vy += mag * uy
-        out.append(_steer(vx, vy, heading, turn))
+        if math.hypot(vx, vy) < 1e-9:
+            out.append(0.0)
+        else:
+            e = (math.pi - (math.pi - (math.atan2(vy, vx) - heading)) % geometry.TWO_PI) / turn
+            e = e if e < 1.0 else 1.0
+            out.append(e if e > -1.0 else -1.0)
     return out
 
 
@@ -457,20 +487,27 @@ def evader_steers(cfg: EnvConfig, drones, evaders, captured) -> list[float]:
             continue
         fx = fy = 0.0
         for q in drones:
-            d = math.hypot(q[0] - x, q[1] - y)
+            dx, dy = x - q[0], y - q[1]
+            d = math.hypot(dx, dy)
             if d <= reception:
-                ux, uy = _away(x - q[0], y - q[1], d)
-                mag = 1.0 / max(d, 1e-3) ** 2
+                ux, uy = (1.0, 0.0) if d < 1e-12 else (dx / d, dy / d)
+                mag = 1.0 / (1e-3 if 1e-3 > d else d) ** 2
                 fx += mag * ux
                 fy += mag * uy
         for d, px, py in _statics(rows, w, h, x, y):
             if d < EVADER_OBSTACLE_RANGE:
-                mag = 1.0 / max(d, 1e-3) - 1.0 / EVADER_OBSTACLE_RANGE
+                mag = 1.0 / (1e-3 if 1e-3 > d else d) - 1.0 / EVADER_OBSTACLE_RANGE
                 dx, dy = x - px, y - py
-                ux, uy = _away(dx, dy, math.hypot(dx, dy))
+                n = math.hypot(dx, dy)
+                ux, uy = (1.0, 0.0) if n < 1e-12 else (dx / n, dy / n)
                 fx += mag * ux
                 fy += mag * uy
-        out.append(_steer(fx, fy, heading, turn))
+        if math.hypot(fx, fy) < 1e-9:
+            out.append(0.0)
+        else:
+            e = (math.pi - (math.pi - (math.atan2(fy, fx) - heading)) % geometry.TWO_PI) / turn
+            e = e if e < 1.0 else 1.0
+            out.append(e if e > -1.0 else -1.0)
     return out
 
 

@@ -24,11 +24,18 @@ checkpoint, HOLA's `generation_*.json` and `report.json`. Archive members are co
 recorded numbers count.
 
 All of them are keys of the same file, recorded with its platform: the
-numpy version, the machine and a fingerprint of the BLAS kernel. Every key
-skips on another numpy version or machine. The simulator and scripted keys
-call no BLAS; the training and evaluation keys do, so they also skip when
-the fingerprint differs (OpenBLAS picks its kernel by CPU, and on x86_64 an
-AVX2-only kernel gives other network bits than an AVX-512 one). A refactor
+numpy version, the machine, a fingerprint of the BLAS kernel and numpy's
+enabled SIMD dispatch targets. Every key skips on another numpy version or
+machine. The simulator and scripted keys call no BLAS; the training and
+evaluation keys do, so they also skip when the fingerprint differs
+(OpenBLAS picks its kernel by CPU, and on x86_64 an AVX2-only kernel gives
+other network bits than an AVX-512 one). numpy picks its SIMD kernels by
+CPU too, and with its AVX-512 dispatch float64 `np.arctan2` and `np.exp`
+differ from libm in some inputs. The observations take their bearings from
+`np.arctan2` and the PPO ratio from `np.exp`, so the step-outcome key and
+the training and evaluation keys also skip when the targets differ
+(`NPY_DISABLE_CPU_FEATURES` narrows them). The scripted evaluation reads no
+observation and no network, so its key checks at every SIMD level. A refactor
 leaves every hash unchanged. After a change that moves outputs on purpose, rerun
 `PYTHONPATH=src python tests/golden/regen_hashes.py` and say in the commit
 why the bytes moved.
@@ -64,9 +71,18 @@ def sha256(data: bytes) -> str:
 
 
 def platform_tag() -> dict:
-    """Float results depend on the numpy build and the CPU architecture, and
-    the networks' also on the BLAS kernel."""
-    return {"numpy": np.__version__, "machine": platform.machine(), "blas": nn.blas_fingerprint()}
+    """Float results depend on the numpy build and the CPU architecture, the
+    networks' also on the BLAS kernel, and those that pass through float64
+    `np.arctan2` or `np.exp` on numpy's SIMD targets, read as the run
+    manifests read them."""
+    simd = cli._numpy_config().get("SIMD Extensions", {}).get("found", [])
+    return {"numpy": np.__version__, "machine": platform.machine(), "blas": nn.blas_fingerprint(), "simd": simd}
+
+
+def skip_on_other_simd(golden, keys: str) -> None:
+    here = platform_tag()["simd"]
+    if golden["platform"]["simd"] != here:
+        pytest.skip(f"{keys}: recorded with numpy's SIMD targets {golden['platform']['simd']}, not {here}")
 
 
 def checkpoint_hashes(run: str, path) -> dict[str, str]:
@@ -182,6 +198,7 @@ def golden() -> dict:
 
 
 def test_step_outcomes_match_the_golden_hash(golden):
+    skip_on_other_simd(golden, STEP_KEY)
     assert step_outcome_hash() == golden["hashes"][STEP_KEY]
 
 
@@ -192,5 +209,6 @@ def test_scripted_eval_matches_the_golden_hash(golden):
 def test_outputs_match_the_golden_hashes(tmp_path, golden):
     if golden["platform"]["blas"] != nn.blas_fingerprint():
         pytest.skip("the network keys were recorded with another BLAS kernel")
+    skip_on_other_simd(golden, "the network keys")
     hashes = golden["hashes"]
     assert golden_hashes(tmp_path) == {key: value for key, value in hashes.items() if key not in SEPARATE_KEYS}

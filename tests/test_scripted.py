@@ -438,6 +438,55 @@ def test_kernel_edge_cases_take_the_per_view_branches():
     assert at_radius.pursuers[0][0] - at_radius.pursuers[1][0] == r
 
 
+#: Pursuers and an evader far from (1.0, 4.0), from each other and from
+#: every static entry, which the cases below fill in around that point.
+FAR_PURSUERS = [[3.5, 0.5, 0.0], [3.5, 1.5, 0.0], [0.5, 0.5, 0.0]]
+FAR_EVADER = [0.5, 1.5, 0.0]
+
+
+def test_kernels_take_min_and_max_ties_as_the_views():
+    # the kernels write each min and max of floats as a conditional; at a
+    # tie the builtin returns its first argument, and so must they
+    cfg = ARENAS["ties"]
+    turn = scripted.OMEGA_MAX * (1.0 / cfg.task.fps)
+    cases = []
+    # the evader's floor of 1e-3: its left wall alone, then its left wall
+    # and a pursuer on that wall, exactly 1e-3 away
+    cases.append(make_state(cfg, FAR_PURSUERS + [[2.0, 4.0, 0.0]], [[1e-3, 4.0, 0.3], FAR_EVADER]))
+    cases.append(make_state(cfg, [[0.0, 4.0, 0.0]] + FAR_PURSUERS, [[1e-3, 4.0, 0.3], FAR_EVADER]))
+    # Vicsek's floor of 1e-6, the same way for slot 0
+    cases.append(make_state(cfg, [[1e-6, 4.0, 0.3]] + FAR_PURSUERS, [[2.0, 4.0, 0.0], FAR_EVADER]))
+    cases.append(make_state(cfg, [[1e-6, 4.0, 0.3], [0.0, 4.0, 0.0]] + FAR_PURSUERS[:2], [[2.0, 4.0, 0.0], FAR_EVADER]))
+    assert math.hypot(0.0 - 1e-3, 0.0) == 1e-3 and math.hypot(0.0 - 1e-6, 0.0) == 1e-6
+    # a steer error of exactly +turn and -turn: slot 0 and evader 0 both
+    # steer towards +x, slot 0 to its target due east, the evader away
+    # from slot 0 due west of it
+    for e in (1.0, -1.0):
+        heading = -e * turn
+        assert (math.pi - (math.pi - (math.atan2(0.0, 1.0) - heading)) % (2.0 * math.pi)) / turn == e
+        cases.append(make_state(cfg, [[1.0, 4.0, heading]] + FAR_PURSUERS, [[2.0, 4.0, heading], FAR_EVADER]))
+    # rectangle points with dx == dy: the first square's corner (dx = dy =
+    # +0.0) and a point on its diagonal inside it; then a square in the
+    # arena's corner and drones at (+-0.0, +-0.0), whose dx and dy are both
+    # +0.0 (abs(x - cx) - sx is never -0.0)
+    cases.append(make_state(cfg, [[1.25, 2.75, 0.5], [1.125, 2.625, -0.5]] + FAR_PURSUERS[:2], [[1.25, 2.75, 1.0], FAR_EVADER]))
+    cornered = replace(cfg, site=replace(cfg.site, obstacles=(Obstacle("rectangle", (0.25, 0.25), half_extents=(0.25, 0.25)),)))
+    cases.append(make_state(cornered, [[-0.0, -0.0, 0.3], [0.0, -0.0, 1.0], [-0.0, 0.0, -1.0], [3.5, 4.5, 0.0]], [[-0.0, -0.0, 2.0], FAR_EVADER]))
+    assert abs(-0.0 - 0.25) - 0.25 == 0.0 and math.copysign(1.0, abs(-0.0 - 0.25) - 0.25) == 1.0
+    # greedy's inward term at -0.0: slot 0's target lies due east and the
+    # threat due north, a teammate 0.5 m away, then the top wall 0.3 m away
+    cases.append(make_state(cfg, [[1.0, 4.0, 0.3], [1.0, 4.5, 0.0]] + FAR_PURSUERS[:2], [[2.0, 4.0, 0.0], FAR_EVADER]))
+    cases.append(make_state(cfg, [[1.0, 4.7, 0.3]] + FAR_PURSUERS, [[2.0, 4.7, 0.0], FAR_EVADER]))
+    assert -(1.0 * 0.0 + 0.0 * -1.0) == 0.0 and math.copysign(1.0, -(1.0 * 0.0 + 0.0 * -1.0)) == -1.0
+    for state in cases:
+        assert_kernels_steer_as_the_views(state, list(range(state.cfg.players.num_p)))
+    # the cases reach their ties: the clamped steers are exactly +-1
+    for e, state in zip((1.0, -1.0), cases[4:6]):
+        args = (cfg, state.pursuers, state.evaders, state.captured)
+        assert scripted.greedy_steers(*args, [0]) == scripted.vicsek_steers(*args, [0]) == [e]
+        assert scripted.evader_steers(*args)[0] == e
+
+
 # ---------------------------------------------------------------------------
 # Whole episodes: the kernels against actors that call the per-view functions
 # ---------------------------------------------------------------------------
