@@ -18,6 +18,26 @@ The forward and backward passes give the bits of the plain formulas
   numpy's matmul is two to three times slower on that shape.
 - `mlp_backward(..., input_grad=False)` skips the first layer's product
   for a caller that reads no input gradient.
+- Two temporaries of the backward pass never leave it: tanh's derivative
+  product and the backward product of every layer but the first. They go
+  with `out=` into two buffers per (shape, dtype) from a small cache
+  (`_backward_scratch`), so an update step does not hand freed
+  hundred-kilobyte arrays back to the allocator and fault them in again
+  on the next minibatch. That is safe because a backward call reads
+  nothing of a previous one and the trainers run one update at a time in
+  one thread (`eval --jobs` uses processes). The returned gradients and
+  input gradient are fresh arrays. Forward outputs stay fresh too:
+  `ActorCritic.values` returns a view of one and the rollout collector
+  keeps it across steps, so a reused buffer would alias.
+
+Adam keeps the moments of all of a model's parameters in one flat vector
+each and steps them in one pass (`adam_step`): the gradients are
+concatenated once, and the per-array formulas of `tests/mlp_oracle.py`
+run on the flat vectors, in the same order and on the same operand dtypes,
+writing into two reused scratch vectors with `out=`. Elementwise IEEE
+arithmetic does not depend on where an element sits, so every parameter
+and moment keeps its bits.
+
 `blas_fingerprint` tells whether this machine's BLAS kernel gives the
 products the bits that the golden hashes were recorded with.
 """
@@ -29,7 +49,8 @@ import io
 import json
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,9 +128,12 @@ def mlp_backward(mlp: Mlp, cache: list[np.ndarray], dout: np.ndarray, *, input_g
 
     dx is d(loss)/d(input), or None with `input_grad=False`, which skips the
     first layer's product for a caller that does not read it. `dout` is
-    never written to.
+    never written to. tanh's derivative product and the backward product of
+    every layer but the first go into `_backward_scratch` buffers; the
+    returned arrays are fresh.
     """
-    dout = np.asarray(dout, dtype=mlp.weights[0].dtype)
+    dtype = mlp.weights[0].dtype
+    dout = np.asarray(dout, dtype=dtype)
     if dout.shape != cache[-1].shape:
         raise ValueError(f"output-gradient shape {dout.shape} != output shape {cache[-1].shape}")
     n_layers = len(mlp.weights)
@@ -117,8 +141,9 @@ def mlp_backward(mlp: Mlp, cache: list[np.ndarray], dout: np.ndarray, *, input_g
     delta = dout
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
-            # tanh': 1 - h**2 in one new array, times delta
-            dh = np.square(cache[i + 1])
+            # tanh': 1 - h**2, times delta
+            dh = _backward_scratch(cache[i + 1].shape, dtype)[0]
+            np.square(cache[i + 1], out=dh)
             np.subtract(1.0, dh, out=dh)
             dh *= delta
             delta = dh
@@ -126,16 +151,25 @@ def mlp_backward(mlp: Mlp, cache: list[np.ndarray], dout: np.ndarray, *, input_g
         grads[2 * i + 1] = delta.sum(axis=0)
         if i == 0 and not input_grad:
             return grads, None
-        delta = _backprop(delta, mlp.weights[i])
+        shape = cache[i].shape
+        out = _backward_scratch(shape, dtype)[1] if i > 0 else np.empty(shape, dtype)
+        delta = _backprop(delta, mlp.weights[i], out)
     return grads, delta
 
 
-def _backprop(delta: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """delta @ w.T; for a one-column w, the broadcast product plus 0.0,
-    which has matmul's bits (see the module docstring)."""
+@lru_cache(maxsize=8)
+def _backward_scratch(shape: tuple[int, ...], dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Two reused buffers of `shape`: tanh's derivative product and a
+    backward product (see the module docstring)."""
+    return np.empty(shape, dtype), np.empty(shape, dtype)
+
+
+def _backprop(delta: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """delta @ w.T into `out`; for a one-column w, the broadcast product plus
+    0.0, which has matmul's bits (see the module docstring)."""
     if w.shape[1] != 1:
-        return delta @ w.T
-    out = delta * w.T
+        return np.matmul(delta, w.T, out=out)
+    np.multiply(delta, w.T, out=out)
     out += 0.0
     return out
 
@@ -192,39 +226,90 @@ def gaussian_sample(mean: np.ndarray, log_std: np.ndarray, rng: np.random.Genera
 
 @dataclass
 class AdamState:
+    """Adam's step count and moments. The moments of all parameters are one
+    flat vector each, `m_flat` and `v_flat`, in parameter order; `m` and `v`
+    give their per-parameter views. `scratch` holds two vectors of the same
+    length that every step overwrites."""
+
     lr: float
+    shapes: list[tuple[int, ...]]
+    m_flat: np.ndarray
+    v_flat: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]
     t: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+
+    @property
+    def m(self) -> list[np.ndarray]:
+        return _split(self.m_flat, self.shapes)
+
+    @property
+    def v(self) -> list[np.ndarray]:
+        return _split(self.v_flat, self.shapes)
+
+
+def _split(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Views of consecutive slices of `flat`, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return views
 
 
 def adam_init(params: list[np.ndarray], lr: float = 3e-4) -> AdamState:
+    """Zero moments for `params`, which must share one dtype."""
+    dtypes = {p.dtype for p in params}
+    if len(dtypes) != 1:
+        raise ValueError(f"parameters must share one dtype, got {sorted(map(str, dtypes))}")
+    (dtype,) = dtypes
+    size = sum(p.size for p in params)
     return AdamState(
         lr=lr,
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
+        shapes=[p.shape for p in params],
+        m_flat=np.zeros(size, dtype),
+        v_flat=np.zeros(size, dtype),
+        scratch=(np.empty(size, dtype), np.empty(size, dtype)),
     )
 
 
 def adam_step(opt: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
     """Bias-corrected adaptive-moment update, in place. Fails fast, before
-    changing anything, on a gradient of the wrong shape or a non-finite one."""
-    if len(params) != len(grads):
+    changing anything, on a gradient of the wrong shape or dtype or a
+    non-finite one."""
+    if not len(params) == len(grads) == len(opt.shapes):
         raise ValueError("params/grads length mismatch")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
+    for p, g, shape in zip(params, grads, opt.shapes):
+        if p.shape != shape:
+            raise ValueError(f"parameter shape {p.shape} != optimizer shape {shape}")
+        if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient")
+        if g.dtype != p.dtype:
+            raise ValueError(f"gradient dtype {g.dtype} != parameter dtype {p.dtype}")
+    g = np.concatenate([grad.ravel() for grad in grads])
+    if not np.isfinite(g).all():
+        raise FloatingPointError("non-finite gradient")
     opt.t += 1
     bc1 = 1.0 - ADAM_BETA1**opt.t
     bc2 = 1.0 - ADAM_BETA2**opt.t
-    for p, g, m, v in zip(params, grads, opt.m, opt.v):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    m, v = opt.m_flat, opt.v_flat
+    step, denom = opt.scratch
+    m *= ADAM_BETA1
+    np.multiply(1.0 - ADAM_BETA1, g, out=step)
+    m += step
+    v *= ADAM_BETA2
+    np.multiply(1.0 - ADAM_BETA2, g, out=step)
+    step *= g
+    v += step
+    # step = (lr * (m / bc1)) / (sqrt(v / bc2) + eps)
+    np.divide(m, bc1, out=step)
+    np.multiply(opt.lr, step, out=step)
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step /= denom
+    for p, s in zip(params, _split(step, opt.shapes)):
+        p -= s
     return params
 
 

@@ -76,10 +76,19 @@ class PpoConfig:
         return cls(batch=batch, minibatch=batch // 4, **fields)
 
     def validate(self) -> None:
+        """ValueError naming the first field that would break an update."""
         if self.batch < 1 or self.minibatch < 1:
             raise ValueError(f"batch and minibatch must be at least 1 (got {self.batch} and {self.minibatch})")
         if self.batch % self.minibatch != 0:
             raise ValueError("minibatch must divide batch")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1 (got {self.epochs})")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive (got {self.lr})")
+        if not math.isfinite(self.entropy_coef):
+            raise ValueError(f"entropy_coef must be finite (got {self.entropy_coef})")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be at least 1 (got {self.hidden})")
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +146,9 @@ def init_actor_critic(
     rng: np.random.Generator,
     dtype=np.float32,
 ) -> ActorCritic:
-    """A fresh actor-critic; the action is the one steer scalar."""
+    """A fresh actor-critic; the action is the one steer scalar. Validates
+    `cfg` first, so that a bad config fails before any model is built."""
+    cfg.validate()
     actor = nn.mlp_init([obs_dim, *cfg.hidden, 1], rng, dtype=dtype, final_scale=0.01)
     critic = nn.mlp_init([critic_in_dim, *cfg.hidden, 1], rng, dtype=dtype)
     log_std = np.full(1, np.log(INIT_STD), dtype=dtype)

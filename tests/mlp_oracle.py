@@ -1,14 +1,17 @@
-"""The MLP forward and backward passes as plain formulas: the bitwise
-oracles of `nn.mlp_forward` and `nn.mlp_backward`.
+"""The MLP forward and backward passes and the Adam step as plain formulas:
+the bitwise oracles of `nn.mlp_forward`, `nn.mlp_backward` and
+`nn.adam_step`.
 
-`nn` adds the bias and applies tanh in place, forms tanh's derivative in one
-temporary, writes a one-column layer's backward product as a broadcast
-multiply and can skip the input gradient. This module keeps the formulas
-those kernels replaced, operation for operation, so that the tests can
-require equal bytes.
+`nn` adds the bias and applies tanh in place, forms tanh's derivative in a
+reused buffer, writes a one-column layer's backward product as a broadcast
+multiply and can skip the input gradient; its Adam steps one flat vector
+per model. This module keeps the formulas those kernels replaced, operation
+for operation, so that the tests can require equal bytes.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,3 +50,30 @@ def mlp_backward(mlp: nn.Mlp, cache: list[np.ndarray], dout: np.ndarray):
         grads.append(gw)
         grads.append(gb)
     return grads, delta
+
+
+@dataclass
+class AdamState:
+    """Per-array Adam moments, one array per parameter."""
+
+    lr: float
+    m: list[np.ndarray]
+    v: list[np.ndarray]
+    t: int = 0
+
+
+def adam_init(params: list[np.ndarray], lr: float) -> AdamState:
+    return AdamState(lr=lr, m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
+
+
+def adam_step(opt: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    """One bias-corrected Adam step, array by array, in place."""
+    opt.t += 1
+    bc1 = 1.0 - nn.ADAM_BETA1**opt.t
+    bc2 = 1.0 - nn.ADAM_BETA2**opt.t
+    for p, g, m, v in zip(params, grads, opt.m, opt.v):
+        m *= nn.ADAM_BETA1
+        m += (1.0 - nn.ADAM_BETA1) * g
+        v *= nn.ADAM_BETA2
+        v += (1.0 - nn.ADAM_BETA2) * g * g
+        p -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + nn.ADAM_EPS)

@@ -260,19 +260,30 @@ def test_adam_rejects_nonfinite():
 
 
 def test_adam_shape_mismatch_changes_nothing():
-    # the last gradient has the wrong shape: the step fails before it updates
-    # the parameters, moments or step count
+    # the last gradient has the wrong shape or dtype or is not finite: the
+    # step fails before it updates the parameters, moments or step count
     rng = np.random.default_rng(12)
     params = [rng.standard_normal((3, 3)), rng.standard_normal(3), rng.standard_normal(2)]
     opt = nn.adam_init(params, lr=1e-3)
     nn.adam_step(opt, params, [rng.standard_normal(p.shape) for p in params])
     before = [a.copy() for a in params + opt.m + opt.v]
-    grads = [rng.standard_normal((3, 3)), rng.standard_normal(3), rng.standard_normal(3)]
-    with pytest.raises(ValueError, match="gradient shape"):
-        nn.adam_step(opt, params, grads)
-    assert opt.t == 1
-    for a, b in zip(params + opt.m + opt.v, before):
-        assert a.tobytes() == b.tobytes()
+    bad_last = [
+        (rng.standard_normal(3), ValueError, "gradient shape"),
+        (rng.standard_normal(2).astype(np.float32), ValueError, "gradient dtype"),
+        (np.array([1.0, np.inf]), FloatingPointError, "non-finite"),
+    ]
+    for last, error, message in bad_last:
+        grads = [rng.standard_normal((3, 3)), rng.standard_normal(3), last]
+        with pytest.raises(error, match=message):
+            nn.adam_step(opt, params, grads)
+        assert opt.t == 1
+        for a, b in zip(params + opt.m + opt.v, before):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_adam_init_rejects_mixed_dtypes():
+    with pytest.raises(ValueError, match="one dtype"):
+        nn.adam_init([np.zeros(3, np.float32), np.zeros(2, np.float64)])
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -451,3 +462,83 @@ def test_a_one_column_backward_product_writes_positive_zeros(dtype):
     _, dx = nn.mlp_backward(mlp, cache, np.array([[0.0], [1.0]], dtype=dtype))
     assert dx.tobytes() == np.array([[0.0] * 3, [-2.0] * 3], dtype=dtype).tobytes()
     assert not np.signbit(dx[0]).any()
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("dims, rows", [([18, 128, 128, 1], 256), ([3, 128, 16], 768)], ids=["actor", "relpos"])
+def test_backward_scratch_never_escapes(dims, rows, input_grad):
+    # the backward pass reuses its temporaries from call to call: a second
+    # call of the same shapes must leave the first call's results as they were
+    rng = np.random.default_rng(rows)
+    mlp = nn.mlp_init(dims, rng)
+    x1, x2 = rng.standard_normal((2, rows, dims[0])).astype(np.float32)
+    d1, d2 = rng.standard_normal((2, rows, dims[-1])).astype(np.float32)
+    _, c1 = nn.mlp_forward(mlp, x1)
+    grads, dx = nn.mlp_backward(mlp, c1, d1, input_grad=input_grad)
+    first = grads + [dx] * input_grad
+    kept = [a.copy() for a in first]
+    _, c2 = nn.mlp_forward(mlp, x2)
+    nn.mlp_backward(mlp, c2, d2, input_grad=input_grad)
+    assert_same_bytes(first, kept)
+    want_grads, want_dx = mlp_oracle.mlp_backward(mlp, c1, d1)
+    assert_same_bytes(first, want_grads + [want_dx] * input_grad)
+    # calls of other shapes fill, and evict from, the buffer cache; a call
+    # of the first shapes after them still has the oracle's bits
+    for other_rows in range(1, 11):
+        other = nn.mlp_init([5, 64, 64, 2], rng)
+        _, cache = nn.mlp_forward(other, rng.standard_normal((other_rows, 5)))
+        nn.mlp_backward(other, cache, rng.standard_normal((other_rows, 2)))
+    d1_before = d1.copy()
+    again, again_dx = nn.mlp_backward(mlp, c1, d1, input_grad=input_grad)
+    assert_same_bytes(again + [again_dx] * input_grad, want_grads + [want_dx] * input_grad)
+    assert d1.tobytes() == d1_before.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The flat Adam step against the per-array oracle, bit for bit
+# ---------------------------------------------------------------------------
+
+@st.composite
+def adam_cases(draw):
+    """Parameters of one dtype, an lr and a gradient per step with signed
+    zeros, subnormals and +-1e30."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shapes = draw(
+        st.lists(
+            st.one_of(st.just((1,)), st.tuples(st.integers(1, 300)), st.tuples(st.integers(1, 40), st.integers(1, 40))),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    lr = draw(st.floats(1e-6, 1.0))
+    n_steps = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, 1e30, -1e30], dtype=dtype)
+    steps = []
+    for _ in range(n_steps):
+        grads = []
+        for shape in shapes:
+            g = (rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3)).astype(dtype)
+            pick = rng.random(shape) < 0.1
+            g[pick] = rng.choice(specials, size=int(pick.sum()))
+            grads.append(g)
+        steps.append(grads)
+    return params, lr, steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(adam_cases())
+def test_adam_step_equals_the_oracle_bitwise(case):
+    params, lr, steps = case
+    mine = [p.copy() for p in params]
+    opt = nn.adam_init(mine, lr=lr)
+    want = [p.copy() for p in params]
+    oracle = mlp_oracle.adam_init(want, lr=lr)
+    with np.errstate(over="ignore"):  # +-1e30 squares to inf in float32
+        for grads in steps:
+            nn.adam_step(opt, mine, grads)
+            mlp_oracle.adam_step(oracle, want, grads)
+            assert opt.t == oracle.t
+            assert_same_bytes(mine + opt.m + opt.v, want + oracle.m + oracle.v)

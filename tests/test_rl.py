@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pursuit_lab import config, evalkit, nn, rl, sim
+from pursuit_lab import config, evalkit, nn, rl, sim, teammate
 from pursuit_lab.seeding import substream
 from conftest import FixedTeammates, open_arena, reduced_4p2e3o
 
@@ -173,6 +173,43 @@ def test_validate_rejects_a_batch_or_minibatch_below_one(batch, minibatch):
     with pytest.raises(ValueError, match="at least 1"):
         rl.PpoConfig(batch=batch, minibatch=minibatch).validate()
     rl.PpoConfig(batch=64, minibatch=64).validate()
+
+
+BAD_FIELDS = [
+    ("epochs", 0),
+    ("epochs", -1),
+    ("lr", math.nan),
+    ("lr", math.inf),
+    ("lr", -1.0),
+    ("lr", 0.0),
+    ("entropy_coef", math.inf),
+    ("entropy_coef", -math.inf),
+    ("entropy_coef", math.nan),
+    ("hidden", (0,)),
+    ("hidden", (128, 0)),
+]
+
+
+@pytest.mark.parametrize("name, value", BAD_FIELDS)
+def test_trainers_reject_fields_that_break_the_update_before_building_a_model(name, value, monkeypatch):
+    # these once failed after a whole rollout (epochs < 1: IndexError; a
+    # non-finite lr or entropy_coef: "non-finite loss"), trained silently
+    # (lr = -1) or failed inside mlp_init (hidden width 0: ZeroDivisionError)
+    cfg = rl.PpoConfig(batch=64, minibatch=32, **{name: value})
+    with pytest.raises(ValueError, match=f"^{name} "):
+        cfg.validate()
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(nn, "mlp_init", no_model)
+    with pytest.raises(ValueError, match=f"^{name} "):
+        rl.ippo_selfplay_unscored(cfg, config.builtin_env("4p2e3o"), 0)
+    with pytest.raises(ValueError, match=f"^{name} "):
+        rl.pbt_train(2, cfg, config.builtin_env("4p2e3o"), 0)
+    teammates = [rl.ScriptedSlotPolicy("greedy")]
+    with pytest.raises(ValueError, match=f"^{name} "):
+        teammate.naht_d_train(cfg, reduced_4p2e3o(num_ctrl=2, num_unctrl=2), teammates, 0)
 
 
 # ---------------------------------------------------------------------------
