@@ -73,12 +73,19 @@ class Obstacle:
     half_extents: tuple[float, float] | None = None
 
     def clearance(self, px: float, py: float) -> float:
-        """Signed distance from a point to this obstacle (negative inside)."""
+        """Signed distance from a point to this obstacle (negative inside).
+
+        The one clearance rule, with the bits of its array form (`np.hypot`,
+        `np.maximum`): `abs(complex(dx, dy))` calls the C library's `hypot`
+        as `np.hypot` does, and `dx if dx > dy else dy` keeps the second of
+        two equal values as `np.maximum` does. The step's and the scripted
+        drones' static queries write these lines inline."""
+        cx, cy = self.center
         if self.shape == "circle":
-            return geometry.circle_clearance(px, py, self.center[0], self.center[1], self.radius)
-        return geometry.rect_clearance(
-            px, py, self.center[0], self.center[1], self.half_extents[0], self.half_extents[1]
-        )
+            return abs(complex(px - cx, py - cy)) - self.radius
+        dx = abs(px - cx) - self.half_extents[0]
+        dy = abs(py - cy) - self.half_extents[1]
+        return abs(complex(dx, dy)) if dx > 0.0 and dy > 0.0 else (dx if dx > dy else dy)
 
     def closest_point(self, px: float, py: float) -> tuple[float, float]:
         if self.shape == "circle":
@@ -300,7 +307,8 @@ def _obstacle_inside_boundary(ob: Obstacle, width: float, height: float) -> bool
 
 def _region_hits_obstacle(region: Rect, ob: Obstacle, inflation: float) -> bool:
     if ob.shape == "circle":
-        return geometry.rect_circle_intersect(region.as_tuple(), ob.center[0], ob.center[1], ob.radius + inflation)
+        box = Obstacle("rectangle", region.center, half_extents=(region.width / 2.0, region.height / 2.0))
+        return box.clearance(*ob.center) < ob.radius + inflation
     hx, hy = ob.half_extents
     inflated = (
         ob.center[0] - hx - inflation,

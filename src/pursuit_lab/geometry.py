@@ -3,6 +3,8 @@
 Conventions: positions are (x, y) in meters, headings are radians in
 (-pi, pi], rectangles are axis-aligned. "Clearance" distances are signed:
 negative means the point is inside the shape (or outside the boundary).
+The obstacle clearance is `config.Obstacle.clearance`, the wall clearance
+`wall_clearance`.
 """
 
 from __future__ import annotations
@@ -29,20 +31,6 @@ def unit(vx: float, vy: float) -> tuple[float, float]:
     return vx / n, vy / n
 
 
-def circle_clearance(px: float, py: float, cx: float, cy: float, radius: float) -> float:
-    """Distance from a point to a circle's rim; negative inside."""
-    return math.hypot(px - cx, py - cy) - radius
-
-
-def rect_clearance(px: float, py: float, cx: float, cy: float, hx: float, hy: float) -> float:
-    """Distance from a point to an axis-aligned rectangle; negative inside."""
-    dx = abs(px - cx) - hx
-    dy = abs(py - cy) - hy
-    if dx > 0.0 and dy > 0.0:
-        return math.hypot(dx, dy)
-    return max(dx, dy)
-
-
 def closest_point_on_circle(px: float, py: float, cx: float, cy: float, radius: float) -> tuple[float, float]:
     ux, uy = unit(px - cx, py - cy)
     if ux == 0.0 and uy == 0.0:
@@ -67,9 +55,13 @@ def closest_point_on_rect(px: float, py: float, cx: float, cy: float, hx: float,
     return qx, qy
 
 
-def boundary_clearance(px: float, py: float, width: float, height: float) -> float:
-    """Distance to the nearest arena wall; negative outside the arena."""
-    return min(px, width - px, py, height - py)
+def wall_clearance(px: float, py: float, width: float, height: float) -> float:
+    """Distance to the nearest arena wall; negative outside the arena. It is
+    numpy's running minimum of (x, w - x, y, h - y), which keeps the second
+    of two equal values: -0.0 against +0.0 shows it."""
+    clear = px if px < width - px else width - px
+    clear = clear if clear < py else py
+    return clear if clear < height - py else height - py
 
 
 def rects_intersect(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> bool:
@@ -78,9 +70,3 @@ def rects_intersect(a: tuple[float, float, float, float], b: tuple[float, float,
     bx0, by0, bx1, by1 = b
     return ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1
 
-
-def rect_circle_intersect(a: tuple[float, float, float, float], cx: float, cy: float, radius: float) -> bool:
-    ax0, ay0, ax1, ay1 = a
-    hx = (ax1 - ax0) / 2.0
-    hy = (ay1 - ay0) / 2.0
-    return rect_clearance(cx, cy, (ax0 + ax1) / 2.0, (ay0 + ay1) / 2.0, hx, hy) < radius

@@ -17,10 +17,8 @@ desired orientation is controlled, never the speed. Each comes in two forms:
 A kernel's steer has the bits of the per-view function on that drone's
 view: it runs the same float operations in the same order, by these rules:
 
-- `math.hypot` wherever the view code takes it: target and drone
-  distances, `Obstacle.clearance` and `geometry.unit`; never the
-  `abs(complex)` of the simulator's clearance matrix, which differs from it
-  in some inputs;
+- `math.hypot` for target and drone distances and in `geometry.unit`, and
+  the lines of `Obstacle.clearance` for the clearances;
 - `math.atan2` and the scalar `wrap_angle` in the steer, divided by
   `OMEGA_MAX * (1.0 / fps)`, the product `steer_towards` takes of a view's
   `omega_max` and `dt` (at some frame rates `OMEGA_MAX / fps` differs);
@@ -291,21 +289,21 @@ def arena(cfg: EnvConfig):
 def static_below(rows, w: float, h: float, x: float, y: float, limit: float) -> bool:
     """Whether the clearance of (x, y) to some wall of the w x h arena or
     obstacle of `arena` `rows` is below `limit`, at most the rows' reach:
-    the test `clear < limit` of the fold of `geometry.boundary_clearance`
-    and each `Obstacle.clearance`, with its bits, as a minimum is below the
-    limit exactly when one of its terms is. The evaders' keep-out asks it
-    with limit 0.0 and `sim.reset`'s spawn test with safe_radius."""
-    if geometry.boundary_clearance(x, y, w, h) < limit:
+    the test `clear < limit` of the fold of `geometry.wall_clearance` and
+    each `Obstacle.clearance`, as a minimum is below the limit exactly when
+    one of its terms is. The evaders' keep-out asks it with limit 0.0 and
+    `sim.reset`'s spawn test with safe_radius."""
+    if geometry.wall_clearance(x, y, w, h) < limit:
         return True
     for circle, cx, cy, sx, sy, x0, x1, y0, y1 in rows:
         if x0 < x < x1 and y0 < y < y1:
             if circle:
-                if math.hypot(x - cx, y - cy) - sx < limit:
+                if abs(complex(x - cx, y - cy)) - sx < limit:
                     return True
             else:
                 dx = abs(x - cx) - sx
                 dy = abs(y - cy) - sy
-                if (math.hypot(dx, dy) if dx > 0.0 and dy > 0.0 else (dy if dy > dx else dx)) < limit:
+                if (abs(complex(dx, dy)) if dx > 0.0 and dy > 0.0 else (dx if dx > dy else dy)) < limit:
                     return True
     return False
 
@@ -314,19 +312,19 @@ def _statics(rows, w: float, h: float, x: float, y: float) -> list[tuple[float, 
     """`_static_entries` of a view at (x, y), as (clearance, px, py) triples,
     over the obstacles whose culling box holds the point.
 
-    The box test and the clearance lines are written here, not called per
-    drone: a helper call per drone cost about 6 % of an eval step."""
+    The box test and the lines of `Obstacle.clearance` are written here, not
+    called per drone: a helper call per drone cost about 6 % of an eval step."""
     out = []
     for circle, cx, cy, sx, sy, x0, x1, y0, y1 in rows:
         if x0 < x < x1 and y0 < y < y1:
             if circle:
-                clear = math.hypot(x - cx, y - cy) - sx
+                clear = abs(complex(x - cx, y - cy)) - sx
                 if clear < STATIC_RANGE:
                     out.append((clear, *geometry.closest_point_on_circle(x, y, cx, cy, sx)))
             else:
                 dx = abs(x - cx) - sx
                 dy = abs(y - cy) - sy
-                clear = math.hypot(dx, dy) if dx > 0.0 and dy > 0.0 else (dy if dy > dx else dx)
+                clear = abs(complex(dx, dy)) if dx > 0.0 and dy > 0.0 else (dx if dx > dy else dy)
                 if clear < STATIC_RANGE:
                     out.append((clear, *geometry.closest_point_on_rect(x, y, cx, cy, sx, sy)))
     if x < STATIC_RANGE:

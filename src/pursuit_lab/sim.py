@@ -27,8 +27,8 @@ these rules, checked for numpy 2.4 on x86_64:
 
 - every distance where numpy would call `np.hypot` (pair distances, circle
   clearances, rectangle-corner clearances) is `abs(complex(dx, dy))`, which
-  calls the C library's `hypot` as `np.hypot` does; `math.hypot` differs
-  from it in about 0.5 % of inputs;
+  calls the C library's `hypot` as `np.hypot` does; the clearances are those
+  of `Obstacle.clearance` and `geometry.wall_clearance`;
 - `math.cos`/`math.sin` give the bits of `np.cos`/`np.sin`, and Python's
   `%` those of `np.mod`;
 - `np.minimum(a, b)` is `a if a < b else b` and `np.maximum(a, b)` is
@@ -38,12 +38,6 @@ these rules, checked for numpy 2.4 on x86_64:
 - the progress terms of the reward are summed in numpy's pairwise order
   (`_pairwise_sum`), which below 8 terms is a left fold from -0.0; Python's
   `sum` is compensated from 3.12 on;
-- the evaders' keep-out check and the spawn test of `reset` ask
-  `scripted.static_below` whether a clearance falls below 0.0 or
-  safe_radius: the test of Python's `min` over (x, w - x, y, h - y) and
-  then each obstacle in config order, with the operations of
-  `Obstacle.clearance` (`math.hypot`, not the complex `abs`), as they
-  always had;
 - the nearest-pursuer distances before a move are recomputed from the
   pre-step poses, never cached on the state, which callers may edit.
 
@@ -255,8 +249,8 @@ def nearest_static_all(cfg: EnvConfig, pursuers, obstacle, wall) -> tuple[list[f
     obstacles and walls.
 
     `obstacle` and `wall` are the pursuers' `obstacle_clearance_matrix` and
-    wall clearances (`_wall_clearance`). A tie goes to the wall, then to the
-    lowest obstacle index.
+    wall clearances (`geometry.wall_clearance`). A tie goes to the wall, then
+    to the lowest obstacle index.
     """
     w, h = cfg.site.boundary_width, cfg.site.boundary_height
     clears, points = [], []
@@ -310,7 +304,8 @@ def observe_all(state: WorldState) -> np.ndarray:
     reception = cfg.players.reception_range
     pursuers = state.pursuers
     evaders = [None if done else pose for pose, done in zip(state.evaders, state.captured)]
-    walls = [_wall_clearance(cfg, x, y) for x, y, _ in pursuers]
+    w, h = cfg.site.boundary_width, cfg.site.boundary_height
+    walls = [geometry.wall_clearance(x, y, w, h) for x, y, _ in pursuers]
     clears, points = nearest_static_all(cfg, pursuers, obstacle_clearance_matrix(cfg, pursuers), walls)
 
     rows, bearings = [], []
@@ -509,38 +504,10 @@ def _advance(pose: list, steer: float, speed: float, dt: float) -> None:
 
 
 def obstacle_clearance_matrix(cfg: EnvConfig, pts) -> list[list[float]]:
-    """Per point ([x, y, ...]): its signed clearance to each obstacle, in
-    config order; rows are empty without obstacles.
-
-    The operations of `Obstacle.clearance`, with `abs(complex(dx, dy))` for
-    its `hypot`.
-    """
-    rows = [[] for _ in pts]
-    for ob in cfg.site.obstacles:
-        cx, cy = ob.center
-        if ob.shape == "circle":
-            r = ob.radius
-            for row, p in zip(rows, pts):
-                row.append(abs(complex(p[0] - cx, p[1] - cy)) - r)
-        else:
-            hx, hy = ob.half_extents
-            for row, p in zip(rows, pts):
-                dx = abs(p[0] - cx) - hx
-                dy = abs(p[1] - cy) - hy
-                if dx > 0.0 and dy > 0.0:
-                    row.append(abs(complex(dx, dy)))
-                else:
-                    row.append(dx if dx > dy else dy)
-    return rows
-
-
-def _wall_clearance(cfg: EnvConfig, x: float, y: float) -> float:
-    """Signed clearance to the nearest wall, as numpy's running minimum of
-    (x, w - x, y, h - y) takes it."""
-    w, h = cfg.site.boundary_width, cfg.site.boundary_height
-    clear = x if x < w - x else w - x
-    clear = clear if clear < y else y
-    return clear if clear < h - y else h - y
+    """Per point ([x, y, ...]): its `Obstacle.clearance` to each obstacle, in
+    config order; rows are empty without obstacles."""
+    obstacles = cfg.site.obstacles
+    return [[ob.clearance(p[0], p[1]) for ob in obstacles] for p in pts]
 
 
 class PursuerGeometry(NamedTuple):
@@ -557,9 +524,8 @@ def pursuer_geometry(cfg: EnvConfig, pursuers) -> PursuerGeometry:
     """The geometry pass over the pursuer poses that a step's collisions
     and reward share.
 
-    A pursuer's `near` entries hold the clearances of its
-    `obstacle_clearance_matrix` row, with their bits, to the obstacles whose
-    culling box (`scripted.arena`) holds it. Each clearance left out is at
+    A pursuer's `near` entries hold its `Obstacle.clearance`, written inline,
+    to the obstacles whose culling box (`scripted.arena`) holds it. Each clearance left out is at
     least the reach, which is at least safe_radius + `PROX_BAND`, so every
     collision and proximity test reads the same as on the full row.
     """
@@ -569,7 +535,7 @@ def pursuer_geometry(cfg: EnvConfig, pursuers) -> PursuerGeometry:
         for j in range(i + 1, n):
             xj, yj, _ = pursuers[j]
             pair[i][j] = pair[j][i] = abs(complex(xi - xj, yi - yj))
-    rows = scripted.arena(cfg)[0]
+    rows, w, h, _ = scripted.arena(cfg)
     near = []
     for x, y, _ in pursuers:
         entries = []
@@ -582,7 +548,7 @@ def pursuer_geometry(cfg: EnvConfig, pursuers) -> PursuerGeometry:
                     dy = abs(y - cy) - sy
                     entries.append((k, abs(complex(dx, dy)) if dx > 0.0 and dy > 0.0 else (dx if dx > dy else dy)))
         near.append(entries)
-    return PursuerGeometry(pair=pair, near=near, wall=[_wall_clearance(cfg, x, y) for x, y, _ in pursuers])
+    return PursuerGeometry(pair=pair, near=near, wall=[geometry.wall_clearance(x, y, w, h) for x, y, _ in pursuers])
 
 
 def _nearest_pursuers(pursuers, evaders, captured) -> list[tuple[float, int] | None]:

@@ -267,14 +267,12 @@ def evader_view(state, evader_id: int) -> scripted.AgentView:
 
 
 def keep_out_clearance(cfg, x, y) -> float:
-    """Signed clearance of (x, y) to the nearest wall or obstacle, folded
-    with Python's `min` over `Obstacle.clearance` in config order: the full
+    """Signed clearance of (x, y) to the nearest wall or obstacle, the least
+    of its `obstacle_clearance_matrix` row and its wall clearance: the full
     scan that `scripted.static_below` culls, which the evaders' keep-out
     compares with 0.0 and `sim.reset`'s spawn test with safe_radius."""
-    clear = geometry.boundary_clearance(x, y, cfg.site.boundary_width, cfg.site.boundary_height)
-    for ob in cfg.site.obstacles:
-        clear = min(clear, ob.clearance(x, y))
-    return clear
+    pts = np.array([[x, y]], dtype=np.float64)
+    return float(np.append(obstacle_clearance_matrix(cfg, pts), wall_clearances(cfg, pts)).min())
 
 
 def advance(row: np.ndarray, steer: float, speed: float, omega_max: float, dt: float) -> None:

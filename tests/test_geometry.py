@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pursuit_lab import geometry
+from pursuit_lab import config, geometry
+from pursuit_lab.config import Obstacle, Rect
 
 
 def test_wrap_angle_range_and_values():
@@ -41,15 +42,16 @@ def test_rect_clearance_against_sampled_boundary():
     for _ in range(200):
         px, py = rng.uniform(-1, 3), rng.uniform(0, 4)
         brute = float(np.min(np.hypot(edges[:, 0] - px, edges[:, 1] - py)))
-        got = geometry.rect_clearance(px, py, cx, cy, hx, hy)
+        got = Obstacle("rectangle", (cx, cy), half_extents=(hx, hy)).clearance(px, py)
         assert abs(abs(got) - brute) < 2e-4
         inside = abs(px - cx) < hx and abs(py - cy) < hy
         assert (got < 0) == inside
 
 
 def test_circle_clearance_sign():
-    assert geometry.circle_clearance(0, 0, 0, 0, 1.0) == -1.0
-    assert geometry.circle_clearance(2, 0, 0, 0, 1.0) == 1.0
+    circle = Obstacle("circle", (0.0, 0.0), radius=1.0)
+    assert circle.clearance(0.0, 0.0) == -1.0
+    assert circle.clearance(2.0, 0.0) == 1.0
 
 
 def test_closest_points_lie_on_shapes():
@@ -64,13 +66,18 @@ def test_closest_points_lie_on_shapes():
         assert on_x_edge or on_y_edge
 
 
-def test_boundary_clearance():
-    assert geometry.boundary_clearance(0.05, 2.0, 3.6, 5.0) == pytest.approx(0.05)
-    assert geometry.boundary_clearance(-0.1, 2.0, 3.6, 5.0) == pytest.approx(-0.1)
+def test_wall_clearance():
+    assert geometry.wall_clearance(0.05, 2.0, 3.6, 5.0) == 0.05
+    assert geometry.wall_clearance(-0.1, 2.0, 3.6, 5.0) == -0.1
+    # numpy's running minimum keeps the second of two equal values
+    assert math.copysign(1.0, geometry.wall_clearance(0.0, -0.0, 3.6, 5.0)) == -1.0
+    assert math.copysign(1.0, geometry.wall_clearance(-0.0, 0.0, 3.6, 5.0)) == 1.0
 
 
 def test_rect_intersections():
     assert geometry.rects_intersect((0, 0, 1, 1), (0.5, 0.5, 2, 2))
     assert not geometry.rects_intersect((0, 0, 1, 1), (1.5, 0, 2, 1))
-    assert geometry.rect_circle_intersect((0, 0, 1, 1), 1.2, 0.5, 0.3)
-    assert not geometry.rect_circle_intersect((0, 0, 1, 1), 1.5, 0.5, 0.3)
+    region = Rect(0.0, 0.0, 1.0, 1.0)
+    assert config._region_hits_obstacle(region, Obstacle("circle", (1.2, 0.5), radius=0.3), 0.0)
+    assert not config._region_hits_obstacle(region, Obstacle("circle", (1.5, 0.5), radius=0.3), 0.0)
+    assert config._region_hits_obstacle(region, Obstacle("circle", (1.5, 0.5), radius=0.3), 0.25)

@@ -376,15 +376,17 @@ def assert_statics_equal(cfg, x, y):
     want = [(d.hex(), px.hex(), py.hex()) for d, (px, py) in scripted._static_entries(arena_view(cfg, x, y, 0.0))]
     assert [tuple(v.hex() for v in e) for e in scripted._statics(rows, w, h, x, y)] == want
     clear = sim_oracle.keep_out_clearance(cfg, x, y)
-    for limit in (0.0, cfg.task.safe_radius):
+    # at the clearance and the float after it, a term one ulp off decides otherwise
+    near = [clear, math.nextafter(clear, math.inf)] if clear < scripted.STATIC_RANGE else []
+    for limit in [0.0, cfg.task.safe_radius] + near:
         assert scripted.static_below(rows, w, h, x, y, limit) == (clear < limit)
 
 
 @pytest.mark.parametrize("name", ARENAS)
 def test_static_entries_and_clearance_are_bitwise_the_per_view_ones_around_every_obstacle(name):
-    # 2000 points around each obstacle and along each wall: math.hypot and
-    # abs(complex) part in about 0.5 % of inputs, so a sweep this dense
-    # tells them apart
+    # 2000 points around each obstacle and along each wall: two hypots part
+    # in about 0.5 % of inputs, so a sweep this dense tells a kernel's
+    # inline clearance lines from `Obstacle.clearance` if they ever part
     cfg = ARENAS[name]
     w, h = cfg.site.boundary_width, cfg.site.boundary_height
     r = scripted.STATIC_RANGE

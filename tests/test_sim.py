@@ -262,7 +262,7 @@ def test_nearest_obstacle_block_reflects_wall(env_4p2e3o):
     clearance, point = clear[0], points[0]
     brute = min(
         [ob.clearance(0.05, 2.5) for ob in env_4p2e3o.site.obstacles]
-        + [geometry.boundary_clearance(0.05, 2.5, 3.6, 5.0)]
+        + [geometry.wall_clearance(0.05, 2.5, 3.6, 5.0)]
     )
     assert clearance == pytest.approx(brute) == pytest.approx(0.05)
     assert point == (0.0, 2.5)

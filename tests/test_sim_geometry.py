@@ -11,10 +11,12 @@ dyadic sizes make such ties exact).
 
 Every static query but the observations' nearest static entry skips the
 obstacles whose culling box (`scripted.arena`) does not hold its point. The
-last test holds each culled query to its full scan, bitwise, on the points
-where a rounding could tell them apart: obstacle rims, the rims at each
-threshold, the culling-box edges, one and two `math.nextafter` steps either
-side of them, arena corners and points just outside the arena.
+last tests hold each culled query to its full scan, and every path that
+takes a clearance to the one rule (`Obstacle.clearance` and
+`geometry.wall_clearance`), bitwise with the sign, on the points where a
+rounding could tell them apart: obstacle rims, the rims at each threshold,
+the culling-box edges, one and two `math.nextafter` steps either side of
+them, arena corners and points just outside the arena.
 """
 
 import math
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pursuit_lab import config, scripted, sim
+from pursuit_lab import config, geometry, scripted, sim
 import sim_oracle
 from conftest import make_state, open_arena, ties_arena
 
@@ -240,7 +242,7 @@ def test_clearance_matrix_is_the_scalar_clearance_with_the_inside_sign(name):
         assert np.array(matrix).shape == (cfg.players.num_p, len(cfg.site.obstacles))
         for (x, y, _), row in zip(pursuers.tolist(), matrix):
             for ob, c in zip(cfg.site.obstacles, row):
-                assert abs(c - ob.clearance(x, y)) <= 1e-12
+                assert c.hex() == ob.clearance(x, y).hex()
                 if abs(c) > 1e-9:  # away from the rim, where rounding decides
                     assert (c < 0) == inside(ob, x, y)
 
@@ -279,14 +281,14 @@ def nudged(draw, v):
 def edge_points(draw, cfg):
     """(x, y) where a culled query and its full scan could part: on an
     obstacle's rim or at a threshold's distance from it, on or at a corner
-    of a culling box, at an arena corner or just outside a wall, each
-    nudged by up to two ulps."""
+    of a culling box, at an arena corner (with +-0.0) or just outside a
+    wall, each nudged by up to two ulps."""
     rows, w, h, _ = scripted.arena(cfg)
     sr = cfg.task.safe_radius
     kinds = ["corner", "wall"] + (["rim", "box"] if rows else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "corner":
-        x, y = draw(st.sampled_from([0.0, w])), draw(st.sampled_from([0.0, h]))
+        x, y = draw(st.sampled_from([0.0, -0.0, w])), draw(st.sampled_from([0.0, -0.0, h]))
     elif kind == "wall":
         out = draw(st.floats(-0.2, 0.0))
         along = draw(st.floats(0.0, 1.0))
@@ -343,3 +345,65 @@ def test_culled_static_queries_equal_the_full_scans(name):
         assert sim._proximity_count(cfg, geom) == sim_oracle.proximity_count(state, full)
 
     check()
+
+
+@pytest.mark.parametrize("name", ARENAS)
+def test_every_static_clearance_has_the_bits_of_the_one_rule(name):
+    # the float obstacle and wall forms against the observations' matrix,
+    # the array oracle, the step's geometry, the scripted entries, the
+    # keep-out and spawn tests and observe_many's nearest clearance
+    cfg = ARENAS[name]
+    obstacles = cfg.site.obstacles
+    rows, w, h, _ = scripted.arena(cfg)
+    sr = cfg.task.safe_radius
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(edge_points(cfg), min_size=cfg.players.num_p, max_size=cfg.players.num_p))
+    def check(pts):
+        clears = [[ob.clearance(x, y) for ob in obstacles] for x, y in pts]
+        walls = [geometry.wall_clearance(x, y, w, h) for x, y in pts]
+        want = [[c.hex() for c in row] for row in clears]
+        poses, xy = [[x, y, 0.0] for x, y in pts], np.array(pts)
+        assert [[c.hex() for c in row] for row in sim.obstacle_clearance_matrix(cfg, poses)] == want
+        assert [[c.hex() for c in row] for row in sim_oracle.obstacle_clearance_matrix(cfg, xy).tolist()] == want
+        assert [c.hex() for c in sim_oracle.wall_clearances(cfg, xy).tolist()] == [c.hex() for c in walls]
+        geom = sim.pursuer_geometry(cfg, poses)
+        assert [c.hex() for c in geom.wall] == [c.hex() for c in walls]
+        for row, near in zip(want, geom.near):
+            assert [(k, c.hex()) for k, c in near] == [(k, row[k]) for k, _ in near]
+        least = []
+        for (x, y), row, wall in zip(pts, clears, walls):
+            # every obstacle left out of a culled query is at least STATIC_RANGE away
+            entries = [c for c in row if c < scripted.STATIC_RANGE] + [d for d in (x, w - x, y, h - y) if d < scripted.STATIC_RANGE]
+            assert [d.hex() for d, _, _ in scripted._statics(rows, w, h, x, y)] == [d.hex() for d in entries]
+            # at the thresholds, and at each clearance below the reach and the
+            # float after it, where a term one ulp off would decide otherwise
+            terms = [c for c in [wall] + row if c < reach(cfg)]
+            for limit in [0.0, sr] + terms + [math.nextafter(c, math.inf) for c in terms]:
+                assert scripted.static_below(rows, w, h, x, y, limit) == (min([wall] + row) < limit)
+            # the nearest static entry: an obstacle wins on a strictly lower clearance
+            for c in row:
+                if c < wall:
+                    wall = c
+            least.append(wall.hex())
+        assert [c.hex() for c in sim._nearest_static_many(cfg, xy)[0].tolist()] == least
+
+    check()
+
+
+@pytest.mark.parametrize("name", ARENAS)
+def test_the_step_and_observation_clearances_are_the_one_rule_around_every_obstacle(name):
+    # 2000 points around each obstacle: two hypots part in about 0.5 % of
+    # inputs, so a sweep this dense finds a path that leaves the rule
+    cfg = ARENAS[name]
+    rng = np.random.default_rng(0)
+    for ob in cfg.site.obstacles:
+        (cx, cy), (ex, ey) = ob.center, (e + reach(cfg) for e in extents(ob))
+        xy = np.column_stack([cx + ex * rng.uniform(-1.2, 1.2, 2000), cy + ey * rng.uniform(-1.2, 1.2, 2000)])
+        poses = [[x, y, 0.0] for x, y in xy.tolist()]
+        want = [[o.clearance(x, y).hex() for o in cfg.site.obstacles] for x, y, _ in poses]
+        assert [[c.hex() for c in row] for row in sim.obstacle_clearance_matrix(cfg, poses)] == want
+        assert [[c.hex() for c in row] for row in sim_oracle.obstacle_clearance_matrix(cfg, xy).tolist()] == want
+        for pose, row in zip(poses, want):
+            near = sim.pursuer_geometry(cfg, [pose]).near[0]
+            assert [(k, c.hex()) for k, c in near] == [(k, row[k]) for k, _ in near]
