@@ -968,35 +968,26 @@ def pbt_train(
     """Population-based training over IPPO learners with cross-member rollouts.
 
     Members occupy the env's learner slots; uncontrolled slots (if any) are
-    filled per episode by uniform draws from the current population. Each
-    round steps every member's `Learner` once, in member order. The pools
-    hold the members' models themselves, so member i's teammates already act
-    with this round's update of every member j < i. Every `exploit_interval`
-    learner steps the bottom quartile copies parameters from a uniformly
-    chosen top-quartile member and perturbs lr and entropy_coef by x0.8 or
-    x1.25. With an `out_dir`, member i ends as `pbt_member{i}.zip`,
-    `metrics_member{i}.csv` and `timing_member{i}.csv` there.
+    filled per episode by uniform draws from the population, each acting
+    with a snapshot copy of its member's model (`_pbt_members`). Each round
+    first copies every member's parameters into its snapshot, then steps
+    every member's `Learner` once: teammates act with the round-start
+    parameters, so no member sees another's update of the same round. Every
+    `exploit_interval` learner steps the bottom quartile copies parameters
+    from a uniformly chosen top-quartile member and perturbs lr and
+    entropy_coef by x0.8 or x1.25. With an `out_dir`, member i ends as
+    `pbt_member{i}.zip`, `metrics_member{i}.csv` and `timing_member{i}.csv`
+    there.
     """
     if pop_size < 2:
         raise ValueError("pop_size must be >= 2")
-    obs_dim = sim.obs_length(env_cfg)
-    models = [init_actor_critic(obs_dim, obs_dim, cfg, substream(seed, "init", i)) for i in range(pop_size)]
-    # One collector per member for the whole run, so that its rollout stream
-    # and its unfinished episode carry over from round to round. Each has its
-    # own teammate pool, one stochastic policy per member.
-    members = []
-    for i, model in enumerate(models):
-        teammates = None
-        if env_cfg.players.num_unctrl > 0:
-            pool = [NetSlotPolicy(m, deterministic=False) for m in models]
-            teammates = UniformTeammates(pool, env_cfg.players.num_unctrl)
-        collector = RolloutCollector(env_cfg, model, cfg, substream(seed, "rollout", i), teammates=teammates)
-        members.append(PbtMember(Learner(collector, model, cfg, substream(seed, "update", i))))
+    members, snapshot = _pbt_members(pop_size, cfg, env_cfg, seed)
     exploit_rng = substream(seed, "exploit")
     exploit_events: list[dict] = []
     next_exploit = exploit_interval if exploit_interval else None
 
     while min(m.learner.steps for m in members) < cfg.total_steps:
+        snapshot()
         for member in members:
             member.recent_returns = (member.recent_returns + member.learner.step().episode_returns)[-20:]
         if next_exploit is not None and min(m.learner.steps for m in members) >= next_exploit:
@@ -1015,11 +1006,40 @@ def pbt_train(
     return PbtResult(members=members, exploit_events=exploit_events, checkpoints=checkpoints)
 
 
+def _pbt_members(pop_size: int, cfg: PpoConfig, env_cfg: EnvConfig, seed: int):
+    """(members, snapshot) of a PBT run: `snapshot()` copies every member's
+    parameters, in place, into the model copy that the teammate pool acts
+    with.
+
+    Each member keeps one collector for the whole run, so that its rollout
+    stream and its unfinished episodes carry over from round to round. The
+    collectors share one teammate pool, one stochastic policy per member.
+    """
+    obs_dim = sim.obs_length(env_cfg)
+    models = [init_actor_critic(obs_dim, obs_dim, cfg, substream(seed, "init", i)) for i in range(pop_size)]
+    snapshots = [model.copy() for model in models]
+    teammates = None
+    if env_cfg.players.num_unctrl > 0:
+        pool = [NetSlotPolicy(snap, deterministic=False) for snap in snapshots]
+        teammates = UniformTeammates(pool, env_cfg.players.num_unctrl)
+    members = []
+    for i, model in enumerate(models):
+        collector = RolloutCollector(env_cfg, model, cfg, substream(seed, "rollout", i), teammates=teammates)
+        members.append(PbtMember(Learner(collector, model, cfg, substream(seed, "update", i))))
+
+    def snapshot() -> None:
+        for snap, model in zip(snapshots, models):
+            for mine, theirs in zip(snap.params(), model.params()):
+                mine[...] = theirs
+
+    return members, snapshot
+
+
 def _pbt_exploit(members: list[PbtMember], rng: np.random.Generator) -> list[dict]:
     """Bottom quartile copies parameters from a uniform top-quartile member.
 
-    The copy is in place, so every collector and teammate pool that holds a
-    member's model acts with the copied parameters.
+    The copy is in place, so the member's collector acts with the copied
+    parameters, and the teammate pool from the next round's snapshot on.
     """
     k = len(members) // 4
     if k < 1:

@@ -582,14 +582,43 @@ def test_pbt_metrics_rows_average_each_members_last_50_episodes(monkeypatch):
 
 
 def test_pbt_collectors_and_pools_follow_the_exploited_models():
+    # a collector acts with its member's model; the one shared teammate pool
+    # with snapshot copies, which the next round's snapshot brings up to date
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
-    cfg = rl.PpoConfig(batch=64, minibatch=32, epochs=1, total_steps=2 * 64)
-    res = rl.pbt_train(4, cfg, env, seed=0, exploit_interval=cfg.batch)
-    assert res.exploit_events
-    for member in res.members:
-        collector = member.learner.collector
-        assert collector.model is member.learner.model
-        assert [pol.model for pol in collector.teammates.pool] == [m.learner.model for m in res.members]
+    cfg = rl.PpoConfig(batch=64, minibatch=32, epochs=1)
+    members, snapshot = rl._pbt_members(4, cfg, env, 0)
+    pool = members[0].learner.collector.teammates.pool
+    for i, member in enumerate(members):
+        member.learner.step()
+        member.recent_returns = [float(i)]
+    assert rl._pbt_exploit(members, substream(0, "exploit"))
+    models = [member.learner.model for member in members]
+    for member in members:
+        assert member.learner.collector.model is member.learner.model
+        assert member.learner.collector.teammates.pool is pool
+    assert all(pol.model is not model for pol, model in zip(pool, models))
+    snapshot()
+    for pol, model in zip(pool, models):
+        assert all(np.array_equal(a, b) for a, b in zip(pol.model.params(), model.params()))
+
+
+def test_pbt_members_collect_against_the_round_start_parameters():
+    # every member's teammates act with the parameters of the round's start,
+    # so the members of a round may step in any order: reversed, they give
+    # the same bytes
+    env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
+    cfg = rl.PpoConfig(batch=64, minibatch=32, epochs=1)
+
+    def run(order):
+        members, snapshot = rl._pbt_members(3, cfg, env, 0)
+        for _ in range(3):
+            snapshot()
+            for member in order(members):
+                member.learner.step()
+        params = [[p.tobytes() for p in member.learner.model.params()] for member in members]
+        return params, [member.learner.metrics for member in members]
+
+    assert run(list) == run(lambda members: members[::-1])
 
 
 def test_deterministic_net_slot_acts_with_the_action_mean():
