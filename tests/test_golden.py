@@ -12,8 +12,11 @@ with zoo 1 partners on `4p3e5o`, and the trajectory-log bytes of one episode tha
 and random slots play on that arena.
 
 SP, MAPPO and NAHT-D each train for two PPO updates (batch 64, minibatch 32,
-one epoch) on `reduced_4p2e3o`; a 6-episode `eval` then runs the NAHT-D and
-MAPPO checkpoints side by side with greedy partners. On the same mixed
+one epoch) on `reduced_4p2e3o`, so that each collects from one episode at a
+time; a second NAHT-D run trains two updates of batch 512, whose collector
+steps 8 episodes side by side (`rl.ROLLOUT_ENVS`), 32 steps each per batch.
+A 6-episode `eval` then runs the NAHT-D and MAPPO checkpoints side by side
+with greedy partners. On the same mixed
 arena, a 4-member PBT run trains two rounds with an exploit after each, and
 a HOLA run trains two generations of one update each from a population
 whose self-play seeds had one update each. The sha256 of every
@@ -56,6 +59,8 @@ from conftest import reduced_4p2e3o
 
 HASHES = Path(__file__).parent / "golden" / "hashes.json"
 PPO = rl.PpoConfig(batch=64, minibatch=32, epochs=1, total_steps=128)
+#: 8 episodes side by side, 32 steps each, of the 2 learners of the mixed arena
+SIDE_BY_SIDE_PPO = rl.PpoConfig(batch=8 * 32 * 2, minibatch=128, epochs=1, total_steps=2 * 8 * 32 * 2)
 SEED = 5
 STEP_KEY = "sim/step-outcomes"
 STEP_EPISODES = 3
@@ -142,10 +147,15 @@ def scripted_eval_hash() -> str:
 SEPARATE_KEYS = {STEP_KEY: step_outcome_hash, SCRIPTED_EVAL_KEY: scripted_eval_hash}
 
 
+def mixed_arena():
+    """`reduced_4p2e3o` with 2 learner slots and 2 uncontrolled ones."""
+    return reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
+
+
 def golden_hashes(root: Path) -> dict[str, str]:
     """Run the golden trainings and evaluation under `root`; hash their outputs."""
     solo = reduced_4p2e3o()
-    mixed = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
+    mixed = mixed_arena()
     pool = [rl.ScriptedSlotPolicy("greedy")]
     runs = {
         "sp": lambda out: rl.ippo_selfplay_train(PPO, solo, SEED, out_dir=out),
@@ -159,6 +169,11 @@ def golden_hashes(root: Path) -> dict[str, str]:
         hashes[f"{run}/metrics.csv"] = sha256((out / "metrics.csv").read_bytes())
         for path in result.checkpoints:
             hashes.update(checkpoint_hashes(run, path))
+
+    out = root / "naht-d-8envs"
+    teammate.naht_d_train(SIDE_BY_SIDE_PPO, mixed, pool, SEED, out_dir=str(out))
+    hashes["naht-d-8envs/metrics.csv"] = sha256((out / "metrics.csv").read_bytes())
+    hashes.update(checkpoint_hashes("naht-d-8envs", out / "final.zip"))
 
     out = root / "pbt"
     pbt = rl.pbt_train(4, PPO, mixed, SEED, exploit_interval=PPO.batch, out_dir=str(out))
@@ -204,6 +219,16 @@ def test_step_outcomes_match_the_golden_hash(golden):
 
 def test_scripted_eval_matches_the_golden_hash(golden):
     assert scripted_eval_hash() == golden["hashes"][SCRIPTED_EVAL_KEY]
+
+
+def test_side_by_side_training_steps_8_episodes_of_32_steps():
+    # the collector of the "naht-d-8envs" run, built as `naht_d_train` builds it
+    mixed = mixed_arena()
+    model = teammate.init_naht_model(mixed, SIDE_BY_SIDE_PPO, substream(SEED, "init"))
+    mates = rl.UniformTeammates([rl.ScriptedSlotPolicy("greedy")], mixed.players.num_unctrl)
+    collector = teammate.NahtCollector(mixed, model, SIDE_BY_SIDE_PPO, substream(SEED, "rollout"), mates)
+    assert collector.n_envs == 8 == rl.ROLLOUT_ENVS
+    assert SIDE_BY_SIDE_PPO.batch // (collector.n_learners * collector.n_envs) == 32
 
 
 def test_outputs_match_the_golden_hashes(tmp_path, golden):
