@@ -1009,7 +1009,7 @@ def pbt_train(
 def _pbt_members(pop_size: int, cfg: PpoConfig, env_cfg: EnvConfig, seed: int):
     """(members, snapshot) of a PBT run: `snapshot()` copies every member's
     parameters, in place, into the model copy that the teammate pool acts
-    with.
+    with (there is none without uncontrolled slots).
 
     Each member keeps one collector for the whole run, so that its rollout
     stream and its unfinished episodes carry over from round to round. The
@@ -1017,9 +1017,9 @@ def _pbt_members(pop_size: int, cfg: PpoConfig, env_cfg: EnvConfig, seed: int):
     """
     obs_dim = sim.obs_length(env_cfg)
     models = [init_actor_critic(obs_dim, obs_dim, cfg, substream(seed, "init", i)) for i in range(pop_size)]
-    snapshots = [model.copy() for model in models]
-    teammates = None
+    snapshots, teammates = [], None
     if env_cfg.players.num_unctrl > 0:
+        snapshots = [model.copy() for model in models]
         pool = [NetSlotPolicy(snap, deterministic=False) for snap in snapshots]
         teammates = UniformTeammates(pool, env_cfg.players.num_unctrl)
     members = []

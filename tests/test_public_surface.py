@@ -26,7 +26,7 @@ from pathlib import Path
 
 SRC = Path(__file__).parents[1] / "src" / "pursuit_lab"
 
-PER_VIEW_ORACLE = "per-view oracle that `bench/tracer.py` targets; moves to `tests/` with ROADMAP item 2"
+PER_VIEW_ORACLE = "per-view oracle that `bench/tracer.py` targets; moves to `tests/` once no tracer target names it (ROADMAP item 1)"
 
 #: Public names kept without a caller in `src`, each with its reason.
 ALLOWED = {
