@@ -382,10 +382,11 @@ def test_every_static_clearance_has_the_bits_of_the_one_rule(name):
             for limit in [0.0, sr] + terms + [math.nextafter(c, math.inf) for c in terms]:
                 assert scripted.static_below(rows, w, h, x, y, limit) == (min([wall] + row) < limit)
             # the nearest static entry: an obstacle wins on a strictly lower clearance
+            best = wall
             for c in row:
-                if c < wall:
-                    wall = c
-            least.append(wall.hex())
+                if c < best:
+                    best = c
+            least.append(best.hex())
         assert [c.hex() for c in sim._nearest_static_many(cfg, xy)[0].tolist()] == least
 
     check()
