@@ -140,7 +140,7 @@ def play_episodes(env_cfg: EnvConfig, episodes) -> list[EpisodeRecord]:
     pairs, and the records come back in that order.
 
     Each record has the bits that `play_episode` gives the episode alone:
-    the episode keeps its own reset, actors begun from its
+    the episode keeps its own reset, slot states begun from its
     `(seed, "policies")` substream, and one `sim.step` per step. The steps
     (`rl.step_episodes`, which the rollout collectors step through too)
     build observation rows only when some slot reads them (`needs_obs`);

@@ -390,80 +390,68 @@ def ppo_update(model: ActorCritic, opt: nn.AdamState, batch: PpoBatch, cfg: PpoC
 # ---------------------------------------------------------------------------
 # Slot policies (runtime behavior of non-learner pursuer slots)
 #
-# A slot policy has `begin_episode(rng) -> actor`, called once per episode
-# and slot with the episode's policy rng, and the actor's `act(world, slot,
-# obs) -> steer` drives pursuer `slot` of the `sim.WorldState` `world` for
-# that episode; `obs` holds the step's observation rows, one per pursuer. A
-# stateless policy is its own actor; a policy with per-episode state (an rng,
-# a history window) returns an `EpisodeActor` holding a fresh copy of that
-# state, so that one policy object can fill several slots of one episode.
-# `needs_obs` says whether `act` reads `obs`; when no slot of an episode
-# does, its steps build no observations and `obs` is None. An actor that
-# reads only its slot's observation row may also have `act_rows(rows)`,
-# which acts for many slots at once, one row each, with `act`'s bits. The one
-# episode step, `step_episodes` (eval, HOLA, the self-play score and the
-# rollout collectors), hands it the rows of all its slots in all running
-# episodes once per step. A scripted actor instead has `policy_id` and
-# `act_slots(world, slots)`, which steers several slots of one world with
-# `act`'s bits: each episode calls it once per step and policy kind, for all
-# the slots of that kind. A slot without a policy (None) is the caller's: a
-# collector sets its learner slots' actions before each step.
+# Every slot policy has the same three members. `begin_episode(rng)`, called
+# once per episode and slot, in slot order, with the episode's policy rng,
+# returns that slot's episode state: its own rng, a step record, or None.
+# `act(seats)` steers: `seats` holds one (episode, slots, states) triple per
+# running episode, the `Episode` (its `sim.WorldState` `state` and `obs`, the
+# step's observation rows, one per pursuer), the slots that the policy
+# drives there and their episode states, and `act` returns one steer per
+# slot, in that order. `needs_obs` says whether `act` reads `obs`; when no
+# slot of an episode does, its steps build no observations and `obs` is
+# None. A policy keeps no per-episode state of its own, so one object can
+# fill several slots of several episodes, and `act` reads its current model.
+# The one episode step, `step_episodes` (eval, HOLA, the self-play score and
+# the rollout collectors), calls each policy once per step for all its slots
+# in all the running episodes. A slot without a policy (None) is the
+# caller's: a collector sets its learner slots' actions before each step.
 # ---------------------------------------------------------------------------
-
-class EpisodeActor:
-    """A policy bound to one slot's state for one episode: `act` is the
-    policy's `act` with that state, so it reads the policy's current model."""
-
-    def __init__(self, policy, state):
-        self.policy = policy
-        self.state = state
-        self.needs_obs = policy.needs_obs
-
-    def act(self, world, slot: int, obs) -> float:
-        return self.policy.act(world, slot, obs, self.state)
-
 
 def episode_rng(rng: np.random.Generator) -> np.random.Generator:
     """A slot's own rng for one episode, seeded by one draw from `rng`."""
     return np.random.default_rng(rng.integers(0, 2**63))
 
 
+@dataclass(frozen=True)
 class ScriptedSlotPolicy:
-    """Wraps a scripted pursuer's team kernel (`scripted.pursuer_policy`),
-    which steers from the world's rows: `act_slots` steers several slots of
-    one world in one call, with the bits of `act` for each."""
+    """A scripted pursuer's team kernel (`scripted.pursuer_policy`), which
+    steers from the world's rows: one kernel call per episode for all its
+    slots there. Policies of one kind are equal, so an episode gives all
+    its slots of that kind to one of them."""
 
+    policy_id: str
     needs_obs = False
 
-    def __init__(self, policy_id: str):
-        self.policy_id = policy_id
-        self._kernel = scripted.pursuer_policy(policy_id)
+    def __post_init__(self):
+        scripted.pursuer_policy(self.policy_id)  # KeyError for an unknown kind
 
-    def begin_episode(self, rng: np.random.Generator) -> "ScriptedSlotPolicy":
-        return self
+    def begin_episode(self, rng: np.random.Generator) -> None:
+        return None
 
-    def act(self, world, slot: int, obs) -> float:
-        return self.act_slots(world, [slot])[0]
-
-    def act_slots(self, world, slots: list[int]) -> list[float]:
-        return self._kernel(world.cfg, world.pursuers, world.evaders, world.captured, slots)
+    def act(self, seats) -> list[float]:
+        kernel = scripted.pursuer_policy(self.policy_id)
+        steers = []
+        for ep, slots, _ in seats:
+            world = ep.state
+            steers += kernel(world.cfg, world.pursuers, world.evaders, world.captured, slots)
+        return steers
 
 
 class RandomSlotPolicy:
-    """Uniform random steering from a per-episode rng."""
+    """Uniform random steering from each slot's own episode rng."""
 
     needs_obs = False
 
-    def begin_episode(self, rng: np.random.Generator) -> EpisodeActor:
-        return EpisodeActor(self, episode_rng(rng))
+    def begin_episode(self, rng: np.random.Generator) -> np.random.Generator:
+        return episode_rng(rng)
 
-    def act(self, world, slot: int, obs, rng: np.random.Generator) -> float:
-        return float(rng.uniform(-1.0, 1.0))
+    def act(self, seats) -> list[float]:
+        return [float(rng.uniform(-1.0, 1.0)) for _, _, rngs in seats for rng in rngs]
 
 
 class NetSlotPolicy:
-    """Frozen actor-critic policy driving one pursuer slot: the action mean
-    when deterministic, else a sample from the episode-seeded rng."""
+    """Frozen actor-critic policy driving pursuer slots: the action mean
+    when deterministic, else a sample from each slot's episode rng."""
 
     needs_obs = True
 
@@ -471,54 +459,52 @@ class NetSlotPolicy:
         self.model = model
         self.deterministic = deterministic
 
-    def begin_episode(self, rng: np.random.Generator):
+    def begin_episode(self, rng: np.random.Generator) -> np.random.Generator | None:
         # the draw happens either way, so that the episode rng's stream does
         # not depend on whether a slot samples
         own = episode_rng(rng)
-        return self if self.deterministic else EpisodeActor(self, own)
+        return None if self.deterministic else own
 
-    def act(self, world, slot: int, obs, rng: np.random.Generator | None = None) -> float:
-        """The action mean without `rng`, else a sample drawn from it."""
-        row = obs[slot : slot + 1]
-        if rng is None:
-            return float(self.model.action_mean(row)[0, 0])
-        action, _ = self.model.act(row, rng)
-        return float(action[0, 0])
-
-    def act_rows(self, rows: np.ndarray) -> list[float]:
-        """The action means of the (k, d) observation rows of k slots that
-        this deterministic policy drives, from one stacked (k, 1, d) forward:
-        each has the bits of `act` on its row alone."""
-        return self.model.action_mean(rows[:, None, :])[:, 0, 0].tolist()
+    def act(self, seats) -> list[float]:
+        """Deterministic: the action means of the k slots' observation rows
+        from one stacked (k, 1, d) forward, each with the bits of its row
+        alone. Else one sample per slot, from its row and its rng."""
+        if self.deterministic:
+            rows = np.stack([ep.obs[i] for ep, slots, _ in seats for i in slots])
+            return self.model.action_mean(rows[:, None, :])[:, 0, 0].tolist()
+        steers = []
+        for ep, slots, rngs in seats:
+            for i, rng in zip(slots, rngs):
+                action, _ = self.model.act(ep.obs[i : i + 1], rng)
+                steers.append(float(action[0, 0]))
+        return steers
 
 
 class Episode:
     """One episode in progress, stepped by `step_episodes`.
 
-    Each slot holds a policy, whose actor begins from `rng` in slot order,
-    or None: the caller owns that slot and sets its action in `actions`
-    before each step. The episode observes when it has a caller-owned slot
-    or an actor that reads the rows (`needs_obs`). `scripted` holds one
-    (actor, slots) pair per scripted policy kind, in the order the kinds
-    first appear. `log` records its steps.
+    Each slot holds a policy, whose episode state begins from `rng` in slot
+    order, or None: the caller owns that slot and sets its action in
+    `actions` before each step. `policies` holds one (policy, slots, states)
+    triple per distinct policy, in the order the policies first appear:
+    equal policies (scripted ones of one kind) share one. The episode
+    observes when it has a caller-owned slot or a policy that reads the rows
+    (`needs_obs`). `log` records its steps.
     """
 
-    __slots__ = ("state", "obs", "per_slot", "stacked", "scripted", "observe", "actions", "episode_return", "log")
+    __slots__ = ("state", "obs", "policies", "observe", "actions", "episode_return", "log")
 
     def __init__(self, env_cfg: EnvConfig, slot_policies, seed: int, rng: np.random.Generator, log=None):
         self.state, self.obs = sim.reset(env_cfg, seed)
-        actors = [None if pol is None else pol.begin_episode(rng) for pol in slot_policies]
-        self.per_slot, self.stacked, kinds = [], [], {}
-        for i, actor in enumerate(actors):
-            if hasattr(actor, "act_slots"):
-                kinds.setdefault(actor.policy_id, (actor, []))[1].append(i)
-            elif hasattr(actor, "act_rows"):
-                self.stacked.append((i, actor))
-            elif actor is not None:
-                self.per_slot.append((i, actor))
-        self.scripted = list(kinds.values())
-        self.observe = any(actor is None or actor.needs_obs for actor in actors)
-        self.actions = np.zeros(len(actors))
+        groups = {}
+        for i, pol in enumerate(slot_policies):
+            if pol is not None:
+                _, slots, states = groups.setdefault(pol, (pol, [], []))
+                slots.append(i)
+                states.append(pol.begin_episode(rng))
+        self.policies = list(groups.values())
+        self.observe = any(pol is None or pol.needs_obs for pol in slot_policies)
+        self.actions = np.zeros(len(slot_policies))
         self.episode_return = 0.0
         self.log = log
         if log is not None:
@@ -529,29 +515,22 @@ def step_episodes(episodes: list[Episode]) -> list[sim.StepOutcome]:
     """One step of running episodes side by side, their caller-owned slots'
     actions already set; the outcomes, in order.
 
-    Each episode's scripted kinds act once each and its per-slot actors
-    act, then each actor with `act_rows` acts once for all its slots in all
-    the episodes, and then `sim.step_many`
-    steps each episode (building the rows of the observing ones in one
-    pass). Episodes share no rng or state, so each plays as it would alone.
+    Each policy object acts once, for its seats in all the episodes (in
+    episode order), and then `sim.step_many` steps each episode (building
+    the rows of the observing ones in one pass). Episodes share no rng or
+    state, so each plays as it would alone.
     """
-    groups = {}
+    seats = {}  # by identity: hashing a scripted policy per seat and step costs more
     for ep in episodes:
-        state, obs, actions = ep.state, ep.obs, ep.actions
-        for actor, slots in ep.scripted:
-            for i, action in zip(slots, actor.act_slots(state, slots)):
-                actions[i] = action
-        for i, actor in ep.per_slot:
-            actions[i] = actor.act(state, i, obs)
-        for i, actor in ep.stacked:
-            group = groups.get(actor)
+        for pol, slots, states in ep.policies:
+            group = seats.get(id(pol))
             if group is None:
-                group = groups[actor] = ([], [])
-            group[0].append(obs[i])
-            group[1].append((actions, i))
-    for actor, (rows, targets) in groups.items():
-        for (actions, i), action in zip(targets, actor.act_rows(np.stack(rows))):
-            actions[i] = action
+                group = seats[id(pol)] = (pol, [])
+            group[1].append((ep, slots, states))
+    for pol, pol_seats in seats.values():
+        targets = [(ep.actions, i) for ep, slots, _ in pol_seats for i in slots]
+        for (actions, i), steer in zip(targets, pol.act(pol_seats), strict=True):
+            actions[i] = steer
     states, step_actions = [ep.state for ep in episodes], [ep.actions for ep in episodes]
     outcomes = sim.step_many(states, step_actions, [ep.observe for ep in episodes])
     for ep, out in zip(episodes, outcomes):

@@ -12,7 +12,7 @@ desired orientation is controlled, never the speed. Each comes in two forms:
   many drones of one world in one call, from its [x, y, heading] rows and
   capture flags, and build no view. `sim.step` steers its evaders with one
   `evader_steers` call, and an episode steers the scripted slots of each
-  policy kind with one kernel call (`rl.ScriptedSlotPolicy.act_slots`).
+  policy kind with one kernel call (`rl.ScriptedSlotPolicy.act`).
 
 A kernel's steer has the bits of the per-view function on that drone's
 view: it runs the same float operations in the same order, by these rules:

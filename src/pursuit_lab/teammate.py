@@ -437,8 +437,8 @@ def naht_from_arrays(arrays: dict, meta: dict) -> NahtModel:
 
 
 class NahtSlotPolicy:
-    """Runs a NAHT-D checkpoint in one pursuer slot; each episode's actor
-    keeps its own previous step record and rng."""
+    """Runs a NAHT-D checkpoint in pursuer slots; each slot's episode state
+    is its own previous step record and rng."""
 
     needs_obs = True
 
@@ -446,19 +446,25 @@ class NahtSlotPolicy:
         self.model = model
         self.deterministic = deterministic
 
-    def begin_episode(self, rng: np.random.Generator) -> rl.EpisodeActor:
-        return rl.EpisodeActor(self, [np.zeros((1, self.model.encoder.layout.step_len)), rl.episode_rng(rng)])
+    def begin_episode(self, rng: np.random.Generator) -> list:
+        return [np.zeros((1, self.model.encoder.layout.step_len)), rl.episode_rng(rng)]
 
-    def act(self, world, slot: int, obs, episode: list) -> float:
-        """`episode` is [previous step record (one row), rng]; the record is replaced by this step's."""
-        record, rng = episode
-        obs_row = obs[slot : slot + 1]
-        emb, _ = encode(self.model.encoder, record)
-        actor_in = self.model.actor_input(obs_row, emb)
-        if self.deterministic:
-            action = float(self.model.ac.action_mean(actor_in)[0, 0])
-        else:
-            actions, _ = self.model.ac.act(actor_in, rng)
-            action = float(actions[0, 0])
-        episode[0] = self.model.encoder.layout.step_record(obs_row, [world.pursuers[slot]], world.cfg.site, [action])
-        return action
+    def act(self, seats) -> list[float]:
+        """One encode and forward per slot, from its state [previous step
+        record (one row), rng]; the record is replaced by this step's."""
+        layout, steers = self.model.encoder.layout, []
+        for ep, slots, states in seats:
+            world = ep.state
+            for slot, state in zip(slots, states):
+                record, rng = state
+                obs_row = ep.obs[slot : slot + 1]
+                emb, _ = encode(self.model.encoder, record)
+                actor_in = self.model.actor_input(obs_row, emb)
+                if self.deterministic:
+                    action = float(self.model.ac.action_mean(actor_in)[0, 0])
+                else:
+                    actions, _ = self.model.ac.act(actor_in, rng)
+                    action = float(actions[0, 0])
+                state[0] = layout.step_record(obs_row, [world.pursuers[slot]], world.cfg.site, [action])
+                steers.append(action)
+        return steers

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +33,13 @@ def make_state(cfg, pursuers, evaders, captured=None, step=0):
         terminal=sim.RUNNING,
         rng=substream(0, "fixture"),
     )
+
+
+def act_alone(pol, state, obs, slot, slot_state):
+    """The steer of slot policy `pol` for `slot` alone, with its episode
+    state `slot_state`, in the world `state` whose observation rows are `obs`:
+    its `act` over one seat of that one slot."""
+    return pol.act([(SimpleNamespace(state=state, obs=obs), [slot], [slot_state])])[0]
 
 
 class FixedTeammates:

@@ -6,12 +6,12 @@ episodes side by side through `rl.step_episodes`, the step that eval plays
 through. `LoopCollector` keeps the loop they replaced as the oracle: `n_envs`
 envs, each with one `sim.reset` per episode, and per step one `model.act`
 over the learner rows of every env, then in env order each teammate's own
-`act` and one `sim.step` per env; a NAHT-D step record per learner and a GAE
+`act` alone (`conftest.act_alone`) and one `sim.step` per env; a NAHT-D step record per learner and a GAE
 pass per env. Both must give the same batches and episode statistics, bit
 for bit, with one env and with `rl.ROLLOUT_ENVS`, for self-play, MAPPO and
 NAHT-D, with scripted, stochastic-net and deterministic-net teammates (the
-last act through `act_rows`), and across episodes cut by a batch and
-continued by the next.
+last act for all their slots in all envs in one stacked forward), and across
+episodes cut by a batch and continued by the next.
 """
 
 from dataclasses import fields, replace
@@ -22,7 +22,7 @@ import pytest
 
 from pursuit_lab import rl, sim, teammate
 from pursuit_lab.seeding import substream
-from conftest import reduced_4p2e3o
+from conftest import act_alone, reduced_4p2e3o
 
 PPO = rl.PpoConfig(batch=64, minibatch=32, hidden=(32, 32))
 COLLECTS = 4
@@ -49,7 +49,7 @@ class LoopCollector:
         state, obs = sim.reset(self.env_cfg, seed)
         mates = []
         if self.env_cfg.players.num_unctrl > 0:
-            mates = [pol.begin_episode(self.rng) for pol in self.teammates.sample(self.rng)]
+            mates = [(pol, pol.begin_episode(self.rng)) for pol in self.teammates.sample(self.rng)]
         records = None if self.naht is None else np.zeros((self.n, self.naht.encoder.layout.step_len))
         self.envs[e] = SimpleNamespace(state=state, obs=obs, episode_return=0.0, mates=mates, records=records)
 
@@ -85,8 +85,8 @@ class LoopCollector:
             for e, env in enumerate(self.envs):
                 all_actions = np.zeros(self.env_cfg.players.num_p)
                 all_actions[:n] = actions[e * n : (e + 1) * n, 0]
-                for k, actor in enumerate(env.mates, n):
-                    all_actions[k] = actor.act(env.state, k, env.obs)
+                for k, (pol, slot_state) in enumerate(env.mates, n):
+                    all_actions[k] = act_alone(pol, env.state, env.obs, k, slot_state)
                 if self.naht is not None:
                     layout, site = self.naht.encoder.layout, self.env_cfg.site
                     env.records = np.concatenate(
@@ -141,8 +141,8 @@ def mate_model(env):
 
 
 #: Teammate pools, uniformly drawn per uncontrolled slot and episode. A
-#: deterministic net policy that fills both slots acts for them in one
-#: `act_rows` call.
+#: deterministic net policy acts for all its slots in all envs in one stacked
+#: forward.
 POOLS = {
     "scripted": lambda env: [rl.ScriptedSlotPolicy("greedy"), rl.ScriptedSlotPolicy("vicsek")],
     "stochastic-net": lambda env: [rl.NetSlotPolicy(mate_model(env), deterministic=False)],
@@ -255,7 +255,7 @@ def test_caller_owned_slots_step_with_their_preset_actions_and_observe(monkeypat
     preset = [0.1, -1.0 / 3.0]  # not float32 values: a narrowing would show
     for _ in range(5):
         owned.actions[:2] = preset
-        mates = [greedy.act(owned.state, i, None) for i in (2, 3)]
+        mates = [act_alone(greedy, owned.state, None, i, None) for i in (2, 3)]
         calls.clear()
         outcomes = rl.step_episodes([owned, scripted])
         (owned_actions, owned_args), (_, scripted_args) = calls

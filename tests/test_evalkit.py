@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pursuit_lab import config, evalkit, nn, rl, scripted, sim, teammate
 from pursuit_lab.seeding import substream
-from conftest import reduced_4p2e3o
+from conftest import act_alone, reduced_4p2e3o
 
 
 def make_record(terminal, steps=100, ret=1.0, block=0, index=0):
@@ -267,12 +267,12 @@ def reference_episode(env_cfg, slot_policies, seed):
     """`play_episode`'s loop with every step observing and every slot handed the rows."""
     state, obs = sim.reset(env_cfg, seed)
     ep_rng = substream(seed, "policies")
-    slot_policies = [pol.begin_episode(ep_rng) for pol in slot_policies]
+    slot_states = [pol.begin_episode(ep_rng) for pol in slot_policies]
     episode_return = 0.0
     while state.terminal == sim.RUNNING:
         actions = np.zeros(env_cfg.players.num_p)
-        for i, pol in enumerate(slot_policies):
-            actions[i] = pol.act(state, i, obs)
+        for i, (pol, slot_state) in enumerate(zip(slot_policies, slot_states)):
+            actions[i] = act_alone(pol, state, obs, i, slot_state)
         out = sim.step(state, actions, observe=True)
         episode_return += out.reward
         obs = out.observations
@@ -321,13 +321,9 @@ class RecordingNet(rl.NetSlotPolicy):
         super().__init__(model)
         self.rows = []
 
-    def act(self, world, slot, obs):
-        self.rows.append(obs[slot].copy())
-        return super().act(world, slot, obs)
-
-    def act_rows(self, rows):
-        self.rows.extend(row.copy() for row in rows)
-        return super().act_rows(rows)
+    def act(self, seats):
+        self.rows.extend(ep.obs[i].copy() for ep, slots, _ in seats for i in slots)
+        return super().act(seats)
 
 
 def test_a_team_with_a_net_slot_still_receives_its_observation_rows():
@@ -378,6 +374,53 @@ def test_kernels_run_once_per_episode_scripted_kind_and_step(monkeypatch):
     want = {("vicsek", (1, 3)): records[0].steps, ("greedy", (1, 2, 3)): records[1].steps,
             ("greedy", (1,)): records[2].steps, ("vicsek", (2,)): records[2].steps}
     assert collections.Counter(calls) == want
+
+
+def test_each_policy_object_acts_once_per_step_for_its_slots_in_every_episode(monkeypatch):
+    # one act call per policy object and step, whose seats are the running
+    # episodes that hold it, in order, with its slots there; and one forward
+    # of a deterministic net per step, however many slots and episodes it drives
+    cfg = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
+    obs_dim, ppo = sim.obs_length(cfg), rl.PpoConfig(hidden=(16,))
+    net = rl.init_actor_critic(obs_dim, obs_dim, ppo, substream(0, "init"))
+    det = rl.NetSlotPolicy(net)
+    sto = rl.NetSlotPolicy(rl.init_actor_critic(obs_dim, obs_dim, ppo, substream(1, "init")), deterministic=False)
+    naht = teammate.NahtSlotPolicy(teammate.init_naht_model(cfg, ppo, substream(0, "init")))
+    rand, greedy, vicsek = rl.RandomSlotPolicy(), rl.ScriptedSlotPolicy("greedy"), rl.ScriptedSlotPolicy("vicsek")
+    teams = [[det, greedy, det, rand], [sto, det, vicsek, naht], [greedy, vicsek, greedy, det], [naht, naht, sto, rand]]
+    acts, forwards, running = [], [], []
+    for cls in (rl.NetSlotPolicy, rl.RandomSlotPolicy, rl.ScriptedSlotPolicy, teammate.NahtSlotPolicy):
+
+        def act(self, seats, real=cls.act):
+            acts[-1].append((id(self), [(id(ep), slots) for ep, slots, _ in seats]))
+            return real(self, seats)
+
+        monkeypatch.setattr(cls, "act", act)
+
+    def forward(mlp, x, real=nn.mlp_forward):
+        forwards[-1] += mlp is net.actor
+        return real(mlp, x)
+
+    def step(episodes, real=rl.step_episodes):
+        acts.append([])
+        forwards.append(0)
+        running.append([id(ep) for ep in episodes])
+        return real(episodes)
+
+    monkeypatch.setattr(nn, "mlp_forward", forward)
+    monkeypatch.setattr(rl, "step_episodes", step)
+    records = evalkit.play_episodes(cfg, [(team, seed) for seed, team in enumerate(teams)])
+    assert len({r.steps for r in records}) > 1  # episodes end apart
+    assert len(acts) == max(r.steps for r in records)
+    team_of = dict(zip(running[0], teams))
+    for step_acts, step_forwards, step_running in zip(acts, forwards, running):
+        want = {}
+        for ep in step_running:
+            team = team_of[ep]
+            for pol in dict.fromkeys(team):
+                want.setdefault(id(pol), []).append((ep, [i for i, other in enumerate(team) if other is pol]))
+        assert len(step_acts) == len(want) and dict(step_acts) == want
+        assert step_forwards == (id(det) in want)
 
 
 # ---------------------------------------------------------------------------

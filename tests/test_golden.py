@@ -55,7 +55,7 @@ import pytest
 
 from pursuit_lab import cli, config, evalkit, nn, population, rl, sim, teammate
 from pursuit_lab.seeding import substream
-from conftest import reduced_4p2e3o
+from conftest import act_alone, reduced_4p2e3o
 
 HASHES = Path(__file__).parent / "golden" / "hashes.json"
 PPO = rl.PpoConfig(batch=64, minibatch=32, epochs=1, total_steps=128)
@@ -118,11 +118,12 @@ def step_outcome_hash() -> str:
             state, obs = sim.reset(cfg, seed)
             policies = step_slot_policies(cfg.players.num_p, episode)
             rng = substream(seed, "policies")
-            policies = [pol.begin_episode(rng) for pol in policies]
+            slot_states = [pol.begin_episode(rng) for pol in policies]
             for arr in (obs, state.pursuers, state.evaders):
                 h.update(np.array(arr).tobytes())
             while state.terminal == sim.RUNNING and state.step < STEP_LIMIT:
-                actions = np.array([pol.act(state, i, obs) for i, pol in enumerate(policies)])
+                seats = enumerate(zip(policies, slot_states))
+                actions = np.array([act_alone(pol, state, obs, i, slot_state) for i, (pol, slot_state) in seats])
                 out = sim.step(state, actions)
                 obs = out.observations
                 for arr in (actions, obs, state.pursuers, state.evaders, state.captured):

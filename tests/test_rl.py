@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from pursuit_lab import config, evalkit, nn, rl, sim, teammate
 from pursuit_lab.seeding import substream
-from conftest import FixedTeammates, open_arena, reduced_4p2e3o
+from conftest import FixedTeammates, act_alone, open_arena, reduced_4p2e3o
 
 
 def brute_force_gae(rewards, values, terminals, gamma, lam, bootstrap=0.0):
@@ -272,7 +273,7 @@ def test_collect_rollouts_learner_streams_only():
             all_actions = np.zeros(4)
             all_actions[:2] = actions[2 * e : 2 * e + 2, 0]
             for k in (2, 3):
-                all_actions[k] = rl.ScriptedSlotPolicy("greedy").act(state, k, obs)
+                all_actions[k] = act_alone(rl.ScriptedSlotPolicy("greedy"), state, obs, k, None)
             out = sim.step(state, all_actions)
             ended |= out.terminal != sim.RUNNING
             pair[1] = out.observations
@@ -624,11 +625,15 @@ def test_pbt_members_collect_against_the_round_start_parameters():
 def test_deterministic_net_slot_acts_with_the_action_mean():
     model = make_model(dtype=np.float32)
     rows = substream(0, "rows").normal(size=(20, 5))
-    pol = rl.NetSlotPolicy(model, deterministic=True).begin_episode(substream(0, "episode"))
-    for slot, row in enumerate(rows):
-        assert pol.act(None, slot, rows) == float(model.action_mean(row[None, :])[0, 0])
-    # the rows of many slots in one call keep each slot's bits
-    assert [a.hex() for a in pol.act_rows(rows)] == [pol.act(None, slot, rows).hex() for slot in range(len(rows))]
+    pol = rl.NetSlotPolicy(model, deterministic=True)
+    slot_state = pol.begin_episode(substream(0, "episode"))
+    alone = [act_alone(pol, None, rows, slot, slot_state) for slot in range(len(rows))]
+    assert alone == [float(model.action_mean(row[None, :])[0, 0]) for row in rows]
+    # the rows of many slots of several episodes in one call keep each slot's bits
+    slots = [[0, 3, 5], list(range(20))]
+    seats = [(SimpleNamespace(obs=rows), some, [None] * len(some)) for some in slots]
+    want = [alone[i].hex() for i in slots[0] + slots[1]]
+    assert [a.hex() for a in pol.act(seats)] == want
     # begin_episode draws from the episode rng whether or not the slot samples
     draws = []
     for deterministic in (True, False):
@@ -639,22 +644,24 @@ def test_deterministic_net_slot_acts_with_the_action_mean():
 
 
 def test_a_running_actor_acts_with_its_policys_current_model():
-    # an episode actor acts through its policy: a model set on the policy
-    # while an episode runs is the one that acts
+    # a slot acts through its policy: a model set on the policy while an
+    # episode runs is the one that acts
     old, new = make_model(dtype=np.float32, seed=0), make_model(dtype=np.float32, seed=1)
     obs = substream(0, "rows").normal(size=(1, 5))
     for deterministic in (True, False):
         pol = rl.NetSlotPolicy(old, deterministic=deterministic)
-        actor = pol.begin_episode(substream(0, "episode"))
+        slot_state = pol.begin_episode(substream(0, "episode"))
         pol.model = new
-        want = rl.NetSlotPolicy(new, deterministic=deterministic).begin_episode(substream(0, "episode"))
-        assert actor.act(None, 0, obs) == want.act(None, 0, obs)
+        want_pol = rl.NetSlotPolicy(new, deterministic=deterministic)
+        want = act_alone(want_pol, None, obs, 0, want_pol.begin_episode(substream(0, "episode")))
+        assert act_alone(pol, None, obs, 0, slot_state) == want
 
 
 def test_random_policy_bounds():
-    pol = rl.RandomSlotPolicy().begin_episode(substream(0, "r"))
+    pol = rl.RandomSlotPolicy()
+    rng = pol.begin_episode(substream(0, "r"))
     for _ in range(100):
-        assert -1.0 <= pol.act(None, 0, None) <= 1.0
+        assert -1.0 <= act_alone(pol, None, None, 0, rng) <= 1.0
 
 
 def scalar_gae(rewards, values, terminals, gamma, lam, bootstrap):

@@ -502,10 +502,10 @@ class PerViewSlotPolicy:
         self._fn = scripted.PURSUER_POLICIES[policy_id]
 
     def begin_episode(self, rng):
-        return self
+        return None
 
-    def act(self, world, slot, obs):
-        return self._fn(sim.pursuer_view(world, slot))
+    def act(self, seats):
+        return [self._fn(sim.pursuer_view(ep.state, slot)) for ep, slots, _ in seats for slot in slots]
 
 
 def per_view_evader_steers(cfg, drones, evaders, captured):

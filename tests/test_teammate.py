@@ -3,7 +3,7 @@ import pytest
 
 from pursuit_lab import evalkit, nn, rl, sim, teammate
 from pursuit_lab.seeding import substream
-from conftest import FixedTeammates, reduced_4p2e3o
+from conftest import FixedTeammates, act_alone, reduced_4p2e3o
 
 from test_nn import finite_difference, max_rel_error
 
@@ -309,9 +309,9 @@ def test_naht_train_smoke_and_checkpoint_roundtrip(tmp_path):
 
     # the loaded policy drives a slot deterministically
     pol = teammate.NahtSlotPolicy(loaded)
-    pol = pol.begin_episode(substream(0, "ep"))
+    slot_state = pol.begin_episode(substream(0, "ep"))
     state, obs = sim.reset(env, 5)
-    action = pol.act(state, 0, obs)
+    action = act_alone(pol, state, obs, 0, slot_state)
     assert np.isfinite(action)
 
 
