@@ -142,8 +142,9 @@ def estimate_edge_weight(edges, env_cfg: EnvConfig, episodes: int, seed: int) ->
     `edges` lists the teams, each filling the pursuer slots in order.
 
     The episode seeds come from `substream(seed, "edge-weight")` alone, so
-    every hyperedge of every generation plays the same episode starts: the
-    edges of one generation are compared on paired episodes. All edges'
+    every hyperedge of one call plays the same episode starts: the edges are
+    compared on paired episodes. (`hola_train` gives each generation a seed
+    of its own, so no generation replays another's starts.) All edges'
     episodes are played side by side (`evalkit.play_episodes`), and each
     weight has the bits of its edge scored alone.
     """
@@ -271,10 +272,10 @@ def hola_generation(
 ) -> tuple[PopulationState, GenerationReport]:
     """One open-ended generation: snapshot, re-score, min-step, max-step.
 
-    Every generation scores its edges on the same episode starts (see
-    `estimate_edge_weight`), which pairs the edges within a generation;
-    keying the starts by generation would change every HOLA output. Only
-    max-step's seed depends on the generation.
+    The edges are scored on the episode starts that `seed` gives (see
+    `estimate_edge_weight`), which pairs them within the generation, and
+    max-step's seed is `seed` keyed by the generation. `hola_train` passes
+    each generation a seed of its own.
     """
     t = pop.generation
     snapshot_id = f"gen{t}_snapshot"
@@ -336,9 +337,11 @@ def hola_train(
 ) -> tuple[rl.ActorCritic, list[GenerationReport]]:
     """Full HOLA loop; `uniform_rho=True` is the no-hypergraph ablation.
 
-    With an `out_dir`, each generation g writes `generation_{g:03d}.json`,
-    `metrics_gen{g:03d}.csv` and `timing_gen{g:03d}.csv` there, and the
-    trainee ends as `final.zip`."""
+    Generation t runs `hola_generation` with its own seed,
+    `substream_seed_int(seed, "generation", t)`, so that it scores its edges
+    on episode starts of its own. With an `out_dir`, each generation g writes
+    `generation_{g:03d}.json`, `metrics_gen{g:03d}.csv` and
+    `timing_gen{g:03d}.csv` there, and the trainee ends as `final.zip`."""
     if env_cfg.players.num_unctrl < 1:
         raise ValueError("hola_train needs uncontrolled teammate slots (num_unctrl >= 1)")
     pop = init_population(env_cfg, ppo_cfg, seed, sp_budget=sp_budget)
@@ -349,7 +352,7 @@ def hola_train(
             env_cfg,
             ppo_cfg,
             gen_budget,
-            seed,
+            substream_seed_int(seed, "generation", pop.generation),
             episodes_per_edge=episodes_per_edge,
             uniform_rho=uniform_rho,
         )

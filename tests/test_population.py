@@ -332,3 +332,19 @@ def test_hola_ablation_uses_uniform_strategy():
         state, env, cfg, gen_budget=0, seed=4, episodes_per_edge=1, uniform_rho=True
     )
     np.testing.assert_allclose(report.strategy.probs, 1.0 / len(report.strategy.probs))
+
+
+def test_hola_generations_score_their_edges_on_different_episode_seeds(monkeypatch):
+    env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
+    cfg = rl.PpoConfig(batch=64, minibatch=32, epochs=1, hidden=(16,))
+    episode_seeds = []
+    real = evalkit.play_episodes
+
+    def recording(env_cfg, episodes):
+        episode_seeds.append({seed for _, seed in episodes})
+        return real(env_cfg, episodes)
+
+    monkeypatch.setattr(evalkit, "play_episodes", recording)  # edge estimation's one call per generation
+    pop.hola_train(cfg, env, seed=3, generations=2, gen_budget=64, sp_budget=64, episodes_per_edge=2)
+    assert [len(seeds) for seeds in episode_seeds] == [2, 2]
+    assert not episode_seeds[0] & episode_seeds[1]
