@@ -366,5 +366,6 @@ def hola_train(
             rl.write_csv(os.path.join(out_dir, f"timing_gen{gen:03d}.csv"), rl.TIMING_FIELDS, report.timings)
     if out_dir is not None:
         extra = {"algo": "hola-nog" if uniform_rho else "hola", "seed": seed, "generations": generations}
-        rl.finish_training(rl.TrainResult(pop.learner_model), out_dir, extra, scored_on=(env_cfg, seed))
+        max_step_cfg = replace(ppo_cfg, total_steps=gen_budget)  # each generation's max-step
+        rl.finish_training(rl.TrainResult(pop.learner_model), out_dir, extra, max_step_cfg, scored_on=(env_cfg, seed))
     return pop.learner_model, reports

@@ -32,7 +32,7 @@ import csv
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -850,7 +850,7 @@ def train_loop(
         learner.step()
         if out_dir is not None and (i + 1) % ckpt_every == 0:
             name = f"{ckpt_prefix}_{learner.steps:09d}.zip"
-            extra = {"step": learner.steps, **drone_counts(collector.env_cfg)}
+            extra = {"step": learner.steps, **drone_counts(collector.env_cfg), "ppo": asdict(cfg)}
             checkpoints.append(save_checkpoint(out_dir, name, model, extra))
     if out_dir is not None:
         write_csv(os.path.join(out_dir, "metrics.csv"), METRIC_FIELDS, learner.metrics)
@@ -858,12 +858,16 @@ def train_loop(
     return TrainResult(model=model, metrics=learner.metrics, checkpoints=checkpoints, timings=learner.timings)
 
 
-def finish_training(result: TrainResult, out_dir, extra: dict, scored_on=None, name: str = "final.zip") -> TrainResult:
+def finish_training(
+    result: TrainResult, out_dir, extra: dict, cfg: PpoConfig, scored_on=None, name: str = "final.zip"
+) -> TrainResult:
     """The end of every trainer: with `scored_on` = (env config, seed),
     record `evaluate_selfplay_suc` of the model, then save it as
-    `out_dir/name` (if any) with `extra`, that score and the env's
+    `out_dir/name` (if any) with `extra`, the fields of `cfg` (the PPO
+    settings it trained with) as `ppo`, that score and the env's
     `drone_counts` in the manifest (a NAHT-D model records its counts
     itself)."""
+    extra = {**extra, "ppo": asdict(cfg)}
     if scored_on is not None:
         result.selfplay_suc = evaluate_selfplay_suc(result.model, *scored_on)
         extra = {**extra, **drone_counts(scored_on[0]), "selfplay_suc": result.selfplay_suc}
@@ -888,7 +892,7 @@ def ippo_selfplay_unscored(cfg: PpoConfig, env_cfg: EnvConfig, seed: int, out_di
 def ippo_selfplay_train(cfg: PpoConfig, env_cfg: EnvConfig, seed: int, out_dir=None) -> TrainResult:
     """Self-play IPPO, scored by `evaluate_selfplay_suc` and saved as `final.zip`."""
     result = ippo_selfplay_unscored(cfg, env_cfg, seed, out_dir=out_dir)
-    return finish_training(result, out_dir, {"algo": "sp", "seed": seed}, scored_on=(env_cfg, seed))
+    return finish_training(result, out_dir, {"algo": "sp", "seed": seed}, cfg, scored_on=(env_cfg, seed))
 
 
 def mappo_train(
@@ -913,7 +917,7 @@ def mappo_train(
     model = init_actor_critic(sim.obs_length(env_cfg), critic_dim, cfg, substream(seed, "init"))
     collector = RolloutCollector(env_cfg, model, cfg, substream(seed, "rollout"), teammates=teammates, central=True)
     result = train_loop(collector, model, cfg, seed, out_dir=out_dir, ckpt_prefix="mappo")
-    return finish_training(result, out_dir, {"algo": "mappo", "seed": seed}, scored_on=(env_cfg, seed))
+    return finish_training(result, out_dir, {"algo": "mappo", "seed": seed}, cfg, scored_on=(env_cfg, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -977,8 +981,8 @@ def pbt_train(
     if out_dir is not None:
         for i, member in enumerate(members):
             result = TrainResult(member.learner.model)
-            extra = {"algo": "pbt", "member": i}
-            finish_training(result, out_dir, extra, scored_on=(env_cfg, seed + i), name=f"pbt_member{i}.zip")
+            extra, name = {"algo": "pbt", "member": i}, f"pbt_member{i}.zip"
+            finish_training(result, out_dir, extra, member.learner.cfg, scored_on=(env_cfg, seed + i), name=name)
             checkpoints.append(result.final_path)
             write_csv(os.path.join(out_dir, f"metrics_member{i}.csv"), METRIC_FIELDS, member.learner.metrics)
             write_csv(os.path.join(out_dir, f"timing_member{i}.csv"), TIMING_FIELDS, member.learner.timings)

@@ -406,7 +406,7 @@ def naht_d_train(
     collector = NahtCollector(env_cfg, model, cfg, substream(seed, "rollout"), teammates)
     result = rl.train_loop(collector, model, cfg, seed, update=naht_update, out_dir=out_dir, ckpt_prefix="naht")
     algo = "naht-d-nodec" if no_decoder else "naht-d"
-    return rl.finish_training(result, out_dir, {"algo": algo, "seed": seed, "beta": RECON_BETA})
+    return rl.finish_training(result, out_dir, {"algo": algo, "seed": seed, "beta": RECON_BETA}, cfg)
 
 
 _ENCODER_NETS = (("enc_evader", "evader_net"), ("enc_self", "self_net"), ("enc_relpos", "relpos_net"))

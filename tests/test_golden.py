@@ -222,6 +222,13 @@ def test_scripted_eval_matches_the_golden_hash(golden):
     assert scripted_eval_hash() == golden["hashes"][SCRIPTED_EVAL_KEY]
 
 
+def test_checkpoints_trained_with_other_batches_have_other_manifests():
+    # an archive records its PPO settings, so the two NAHT-D runs' final
+    # manifests differ, although their dims are the same
+    hashes = json.loads(HASHES.read_text())["hashes"]
+    assert hashes["naht-d/final.zip/manifest.json"] != hashes["naht-d-8envs/final.zip/manifest.json"]
+
+
 def test_side_by_side_training_steps_8_episodes_of_32_steps():
     # the collector of the "naht-d-8envs" run, built as `naht_d_train` builds it
     mixed = mixed_arena()

@@ -1,5 +1,6 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -521,6 +522,15 @@ def test_pbt_train_runs_and_checkpoints(tmp_path):
     assert res.exploit_events == []
     for m in res.members:
         assert m.learner.steps >= 256
+
+
+def test_pbt_archives_record_each_members_current_ppo_config(tmp_path):
+    env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
+    cfg = rl.PpoConfig(batch=64, minibatch=32, epochs=1, total_steps=128, hidden=(8,))
+    res = rl.pbt_train(4, cfg, env, seed=0, exploit_interval=cfg.batch, out_dir=tmp_path)
+    recorded = [nn.load_manifest(path)["extra"]["ppo"] for path in res.checkpoints]
+    assert recorded == [json.loads(json.dumps(asdict(m.learner.cfg))) for m in res.members]
+    assert res.exploit_events and any(ppo["lr"] != cfg.lr for ppo in recorded)
 
 
 def test_pbt_rounds_continue_one_rollout_stream_per_member(monkeypatch):

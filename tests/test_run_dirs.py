@@ -10,6 +10,7 @@ checks their header and the row of each update.
 
 import csv
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -97,6 +98,8 @@ def test_each_archive_records_the_drone_counts_that_eval_checks(tmp_path, capsys
     for path in archives:
         extra = nn.load_manifest(path)["extra"]
         assert (extra["num_p"], extra["num_e"]) == (4, 2)
+        # and the PPO settings it trained with (a HOLA generation's max-step budget is PPO's total_steps)
+        assert extra["ppo"] == json.loads(json.dumps(asdict(PPO)))
         evalkit.resolve_policy(str(path), mixed())
         argv = ["eval", "--ckpt", str(path), "--zoo", "1", "--env", str(other), "--episodes", "1"]
         assert cli.main(argv + ["--report", str(tmp_path / "report")]) == 1
