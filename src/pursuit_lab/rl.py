@@ -523,14 +523,17 @@ def step_episodes(episodes: list[Episode]) -> list[sim.StepOutcome]:
     seats = {}  # by identity: hashing a scripted policy per seat and step costs more
     for ep in episodes:
         for pol, slots, states in ep.policies:
-            group = seats.get(id(pol))
-            if group is None:
-                group = seats[id(pol)] = (pol, [])
-            group[1].append((ep, slots, states))
+            key = id(pol)
+            if key in seats:
+                seats[key][1].append((ep, slots, states))
+            else:
+                seats[key] = (pol, [(ep, slots, states)])
     for pol, pol_seats in seats.values():
-        targets = [(ep.actions, i) for ep, slots, _ in pol_seats for i in slots]
-        for (actions, i), steer in zip(targets, pol.act(pol_seats), strict=True):
-            actions[i] = steer
+        steers = iter(pol.act(pol_seats))
+        for ep, slots, _ in pol_seats:
+            actions = ep.actions
+            for i in slots:
+                actions[i] = next(steers)
     states, step_actions = [ep.state for ep in episodes], [ep.actions for ep in episodes]
     outcomes = sim.step_many(states, step_actions, [ep.observe for ep in episodes])
     for ep, out in zip(episodes, outcomes):
