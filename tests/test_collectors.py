@@ -5,13 +5,14 @@ slots of `rl.step_episodes`.
 episodes side by side through `rl.step_episodes`, the step that eval plays
 through. `LoopCollector` keeps the loop they replaced as the oracle: `n_envs`
 envs, each with one `sim.reset` per episode, and per step one `model.act`
-over the learner rows of every env, then in env order each teammate's own
-`act` alone (`conftest.act_alone`) and one `sim.step` per env; a NAHT-D step record per learner and a GAE
-pass per env. Both must give the same batches and episode statistics, bit
-for bit, with one env and with `rl.ROLLOUT_ENVS`, for self-play, MAPPO and
-NAHT-D, with scripted, stochastic-net and deterministic-net teammates (the
-last act for all their slots in all envs in one stacked forward), and across
-episodes cut by a batch and continued by the next.
+over the learner rows of every env, then in env order each teammate's
+`act` for its slot alone (`conftest.act_alone`) and one `sim.step` per env;
+a NAHT-D step record per learner and a GAE pass per env. Both must give the
+same batches and episode statistics, bit for bit, with one env and with
+`rl.ROLLOUT_ENVS`, for self-play, MAPPO and NAHT-D, with scripted,
+stochastic-net and deterministic-net teammates (the last act for all their
+slots in all envs in one stacked forward), and across episodes cut by a
+batch and continued by the next.
 """
 
 from dataclasses import fields, replace
