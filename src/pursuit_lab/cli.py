@@ -267,14 +267,14 @@ def cmd_render(args) -> int:
         env_cfg = _env_or_exit_code(args.env)
         if isinstance(env_cfg, int):
             return env_cfg
-    elif "env" not in records[0]:
+    elif not isinstance(records[0], dict) or "env" not in records[0]:
         print("error: log has no embedded env; pass --env", file=sys.stderr)
         return 2
     try:
         if not args.env:
             env_cfg = config.parse_config(json.dumps(records[0]["env"]))
         svg = render.render_episode(records, env_cfg)
-    except (config.ConfigError, config.InvalidConfigError, KeyError) as exc:
+    except ValueError as exc:  # ConfigError and InvalidConfigError among them
         print(f"error: malformed log: {exc}", file=sys.stderr)
         return 2
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -8,6 +8,8 @@ collisions orange crosses.
 
 from __future__ import annotations
 
+import math
+
 from .config import EnvConfig
 
 SCALE = 100.0  # px per meter
@@ -49,8 +51,45 @@ def _tx(cfg: EnvConfig):
     return to_px
 
 
+def _is_pose(row) -> bool:
+    return isinstance(row, list) and len(row) == 3 and all(type(v) in (int, float) and math.isfinite(v) for v in row)
+
+
+def _indices(values, *bounds: int) -> bool:
+    """Whether `values` is a list of one int per bound, each in [0, bound)."""
+    return isinstance(values, list) and len(values) == len(bounds) and all(
+        type(v) is int and 0 <= v < n for v, n in zip(values, bounds)
+    )
+
+
+def _check_records(records: list, cfg: EnvConfig) -> None:
+    """Raise ValueError unless every record is an object with num_p pursuer
+    and num_e evader poses of 3 finite numbers, num_e boolean capture flags,
+    and capture and collision events that name drones of `cfg`."""
+    num_p, num_e = cfg.players.num_p, cfg.players.num_e
+    for t, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ValueError(f"record {t} is not an object")
+        for key, count in (("pursuers", num_p), ("evaders", num_e)):
+            rows = rec.get(key)
+            if not (isinstance(rows, list) and len(rows) == count and all(map(_is_pose, rows))):
+                raise ValueError(f"record {t}: {key!r} must be {count} poses of 3 finite numbers")
+        flags = rec.get("captured")
+        if not (isinstance(flags, list) and len(flags) == num_e and all(type(f) is bool for f in flags)):
+            raise ValueError(f"record {t}: 'captured' must be {num_e} booleans")
+        captures, collisions = rec.get("captures", []), rec.get("collisions", [])
+        if not (isinstance(captures, list) and all(_indices(c, num_e, num_p) for c in captures)):
+            raise ValueError(f"record {t}: 'captures' must be [evader, pursuer] pairs")
+        events = collisions if isinstance(collisions, list) else [None]
+        agents = [c.get("agents") if isinstance(c, dict) else None for c in events]
+        if not all(_indices(a, num_p) or _indices(a, num_p, num_p) for a in agents):
+            raise ValueError(f"record {t}: 'collisions' must be events of one or two pursuers")
+
+
 def render_episode(records: list[dict], cfg: EnvConfig) -> str:
-    """SVG for a trajectory log (list of step records, reset record first)."""
+    """SVG for a trajectory log (list of step records, reset record first);
+    a ValueError (`_check_records`) for a record it cannot draw."""
+    _check_records(records, cfg)
     to_px = _tx(cfg)
     width_px = cfg.site.boundary_width * SCALE + 2 * MARGIN
     height_px = cfg.site.boundary_height * SCALE + 2 * MARGIN

@@ -691,7 +691,7 @@ class RolloutCollector:
         # value of the current state, which counts only for a cut episode: at a terminal (an
         # episode that ended inside the batch or at its end) the next value times nonterminal = 0
         # may be -0.0 where a pass per episode bootstrapped +0.0, and the reward it is added to is
-        # never -0.0 (`sim.compute_reward` starts from +0.0), so the bits agree.
+        # never -0.0 (`sim.step`'s reward starts from +0.0), so the bits agree.
         bootstrap = self._critic(np.concatenate([ep.obs[:n] for ep in self.episodes]))[1].reshape(n_envs, n)
         values = np.stack(value_rows).reshape(steps_needed, n_envs, n)
         advantages, returns = compute_gae(reward_rows, values, term_rows, GAMMA, GAE_LAMBDA, bootstrap)

@@ -1,15 +1,18 @@
 """Deterministic discrete-time kinematic pursuit simulator.
 
-One step, in this fixed order: pursuers turn/advance by their steer commands;
-evaders turn/advance by the scripted escape policy (`scripted.evader_steers`,
-which steers every evader before the first one moves, as no evader's steer
-reads another evader); captures are detected and
-applied; one geometry pass (`pursuer_geometry`) measures the pursuers' final
-positions: pursuer-pursuer distances, the clearances to the obstacles near
-each pursuer and wall clearances; from that one pass come the collisions and
-the reward; termination is decided, and then the observations are built. A
-step called with `observe=False` skips the observations (its outcome carries
-None), for callers whose policies act from views alone. All
+One step, in this fixed order, one pass per concern: each uncaptured
+evader's distance to its nearest pursuer; pursuers turn/advance by their
+steer commands; evaders turn/advance by the scripted escape policy
+(`scripted.evader_steers`, which steers every evader before the first one
+moves, as no evader's steer reads another evader); one pass over the evaders
+(`detect_captures`) gives the captures, which are applied, and the reward's
+progress terms; one geometry pass over the pursuers' final positions
+(`detect_collisions`: pair distances, the clearances to the obstacles near
+each pursuer and wall clearances) gives the collisions and the proximity
+count; the reward is summed, termination is decided (`is_terminal`), and
+then the observations are built. A step called with `observe=False` skips
+the observations (its outcome carries None), for callers whose policies act
+from views alone. All
 randomness is confined to `reset` (respawn sampling); given (config, seed,
 action sequence) the whole trajectory is bitwise reproducible on a single
 thread.
@@ -34,7 +37,12 @@ these rules, checked for numpy 2.4 on x86_64:
 - `np.minimum(a, b)` is `a if a < b else b` and `np.maximum(a, b)` is
   `a if a > b else b`: on a tie the second argument wins, which shows when
   +0.0 meets -0.0, whereas Python's `min` and `max` keep the first; so the
-  step writes these conditionals where numpy took a minimum or maximum;
+  step writes these conditionals where numpy took a minimum or maximum,
+  except over distances, which are never -0.0;
+- a move is written out in the step as `geometry.wrap_angle(heading +
+  steer * OMEGA_MAX * dt)`, then `x + speed * cos(heading) * dt` and the
+  same with `sin` for y, each product evaluated left to right as numpy
+  does: a precomputed `OMEGA_MAX * dt` or `speed * dt` rounds otherwise;
 - the progress terms of the reward are summed in numpy's pairwise order
   (`_pairwise_sum`), which below 8 terms is a left fold from -0.0; Python's
   `sum` is compensated from 3.12 on;
@@ -496,13 +504,6 @@ def evader_view(cfg: EnvConfig, evader, drones) -> scripted.AgentView:
 # Step
 # ---------------------------------------------------------------------------
 
-def _advance(pose: list, steer: float, speed: float, dt: float) -> None:
-    """Turn the [x, y, heading] pose by `steer`, then move it along its new heading."""
-    pose[2] = geometry.wrap_angle(pose[2] + steer * OMEGA_MAX * dt)
-    pose[0] += speed * math.cos(pose[2]) * dt
-    pose[1] += speed * math.sin(pose[2]) * dt
-
-
 def obstacle_clearance_matrix(cfg: EnvConfig, pts) -> list[list[float]]:
     """Per point ([x, y, ...]): its `Obstacle.clearance` to each obstacle, in
     config order; rows are empty without obstacles."""
@@ -510,97 +511,92 @@ def obstacle_clearance_matrix(cfg: EnvConfig, pts) -> list[list[float]]:
     return [[ob.clearance(p[0], p[1]) for ob in obstacles] for p in pts]
 
 
-class PursuerGeometry(NamedTuple):
-    """Static geometry of the pursuers' positions, as float rows."""
+@per_config
+def _stepping(cfg: EnvConfig) -> tuple:
+    """What a step reads of its config, looked up by the config's identity
+    (`config.per_config`): the arena rows and size (`scripted.arena`), dt,
+    the drones' speeds and count, the collision thresholds and the outer
+    edges of their proximity bands."""
+    rows, w, h, _ = scripted.arena(cfg)
+    players, task = cfg.players, cfg.task
+    cr, sr, dt = task.capture_range, task.safe_radius, 1.0 / task.fps
+    return rows, w, h, dt, players.velocity_p, players.velocity_e, players.num_p, cr, sr, cr + PROX_BAND, sr + PROX_BAND
 
-    pair: list[list[float]]  # (num_p, num_p) center distances
-    # per pursuer: (index, signed clearance) of each obstacle whose culling
-    # box holds it, in config order
-    near: list[list[tuple[int, float]]]
-    wall: list[float]  # (num_p,) signed clearance to the nearest wall
 
+def detect_captures(cfg: EnvConfig, pursuers, evaders, before) -> tuple[list[CaptureEvent], list[float]]:
+    """The captures and progress terms of a step, from the poses after its
+    moves.
 
-def pursuer_geometry(cfg: EnvConfig, pursuers) -> PursuerGeometry:
-    """The geometry pass over the pursuer poses that a step's collisions
-    and reward share.
-
-    A pursuer's `near` entries hold its `Obstacle.clearance`, written inline,
-    to the obstacles whose culling box (`scripted.arena`) holds it. Each clearance left out is at
-    least the reach, which is at least safe_radius + `PROX_BAND`, so every
-    collision and proximity test reads the same as on the full row.
+    `before` holds each evader's distance to its nearest pursuer before the
+    moves, None for an evader captured before them; only the others are
+    looked at. Each one within capture_range of its nearest pursuer is
+    captured by it (the lowest index on a tie); each other one gives the
+    progress term max(0, before - distance now), in evader order.
     """
+    cr = cfg.task.capture_range
+    captures, progress = [], []
+    for e, ((ex, ey, _), b) in enumerate(zip(evaders, before)):
+        if b is None:
+            continue
+        dists = [abs(complex(px - ex, py - ey)) for px, py, _ in pursuers]
+        d = min(dists)
+        if d < cr:
+            captures.append(CaptureEvent(evader=e, pursuer=dists.index(d)))
+        else:
+            gain = b - d
+            progress.append(0.0 if 0.0 > gain else gain)
+    return captures, progress
+
+
+def detect_collisions(cfg: EnvConfig, pursuers) -> tuple[list[CollisionEvent], int]:
+    """The step's one geometry pass over the pursuers' positions ([x, y,
+    ...] rows): their collision events and how many are in a proximity band.
+
+    Only pursuers collide: a pair at center distance < capture_range, a
+    pursuer with an obstacle or a wall at clearance < safe_radius. Events
+    come as drone-drone pairs (i < j), then per pursuer its obstacles by
+    index and then its wall. A pursuer is in the band when its least static
+    clearance is in [safe_radius, safe_radius + `PROX_BAND`) or another
+    pursuer's distance in [capture_range, capture_range + `PROX_BAND`).
+    The clearances are `geometry.wall_clearance` and `Obstacle.clearance`,
+    written inline, to the obstacles whose culling box (`scripted.arena`)
+    holds the pursuer: each one left out is at least the reach, so every
+    test reads as on the full scan.
+    """
+    rows, w, h, _, _, _, _, cr, sr, cr_band, sr_band = _stepping(cfg)
     n = len(pursuers)
-    pair = [[0.0] * n for _ in range(n)]
-    for i, (xi, yi, _) in enumerate(pursuers):
+    events = []
+    banded = [False] * n
+    for i in range(n):
+        xi, yi, _ = pursuers[i]
         for j in range(i + 1, n):
             xj, yj, _ = pursuers[j]
-            pair[i][j] = pair[j][i] = abs(complex(xi - xj, yi - yj))
-    rows, w, h, _ = scripted.arena(cfg)
-    near = []
-    for x, y, _ in pursuers:
-        entries = []
+            d = abs(complex(xi - xj, yi - yj))
+            if d < cr:
+                events.append(CollisionEvent(kind="drone-drone", agents=(i, j)))
+            elif d < cr_band:
+                banded[i] = banded[j] = True
+    count = 0
+    wall_clearance = geometry.wall_clearance
+    for i, (x, y, _) in enumerate(pursuers):
+        wall = static = wall_clearance(x, y, w, h)
         for k, (circle, cx, cy, sx, sy, x0, x1, y0, y1) in enumerate(rows):
             if x0 < x < x1 and y0 < y < y1:
                 if circle:
-                    entries.append((k, abs(complex(x - cx, y - cy)) - sx))
+                    clear = abs(complex(x - cx, y - cy)) - sx
                 else:
                     dx = abs(x - cx) - sx
                     dy = abs(y - cy) - sy
-                    entries.append((k, abs(complex(dx, dy)) if dx > 0.0 and dy > 0.0 else (dx if dx > dy else dy)))
-        near.append(entries)
-    return PursuerGeometry(pair=pair, near=near, wall=[geometry.wall_clearance(x, y, w, h) for x, y, _ in pursuers])
-
-
-def _nearest_pursuers(pursuers, evaders, captured) -> list[tuple[float, int] | None]:
-    """Per evader: the distance to its nearest pursuer and that pursuer's
-    index (the lowest on a tie); None for a captured evader."""
-    out = []
-    for (ex, ey, _), done in zip(evaders, captured):
-        if done:
-            out.append(None)
-            continue
-        best = None
-        for j, (px, py, _) in enumerate(pursuers):
-            d = abs(complex(px - ex, py - ey))
-            if best is None or d < best[0]:
-                best = (d, j)
-        out.append(best)
-    return out
-
-
-def detect_captures(cfg: EnvConfig, nearest) -> list[CaptureEvent]:
-    """Uncaptured evaders within capture_range of a pursuer, the nearest
-    pursuer capturing; `nearest` is `_nearest_pursuers` of the poses."""
-    cr = cfg.task.capture_range
-    return [
-        CaptureEvent(evader=e, pursuer=near[1])
-        for e, near in enumerate(nearest)
-        if near is not None and near[0] < cr
-    ]
-
-
-def detect_collisions(cfg: EnvConfig, geom: PursuerGeometry) -> list[CollisionEvent]:
-    """Drone-drone, drone-obstacle, and drone-wall collision events.
-
-    Only pursuers collide; evaders are excluded from collision failure.
-    Thresholds: center distance < capture_range for drone-drone, clearance
-    < safe_radius for obstacles and walls. `geom` is the pursuers'
-    `pursuer_geometry`. Order: drone-drone pairs (i < j), then per pursuer
-    its obstacles by index and then its wall.
-    """
-    cr, sr = cfg.task.capture_range, cfg.task.safe_radius
-    pair = geom.pair
-    n = len(pair)
-    events = [
-        CollisionEvent(kind="drone-drone", agents=(i, j)) for i in range(n) for j in range(i + 1, n) if pair[i][j] < cr
-    ]
-    for i, (near, wall) in enumerate(zip(geom.near, geom.wall)):
-        for k, clear in near:
-            if clear < sr:
-                events.append(CollisionEvent(kind="drone-obstacle", agents=(i,), obstacle=k))
+                    clear = abs(complex(dx, dy)) if dx > 0.0 and dy > 0.0 else (dx if dx > dy else dy)
+                if clear < sr:
+                    events.append(CollisionEvent(kind="drone-obstacle", agents=(i,), obstacle=k))
+                if clear < static:
+                    static = clear
         if wall < sr:
             events.append(CollisionEvent(kind="drone-wall", agents=(i,)))
-    return events
+        if banded[i] or sr <= static < sr_band:
+            count += 1
+    return events, count
 
 
 def is_terminal(state: WorldState, collisions=()) -> str:
@@ -612,26 +608,6 @@ def is_terminal(state: WorldState, collisions=()) -> str:
     if state.step >= state.cfg.task.task_horizon:
         return TIMEOUT
     return RUNNING
-
-
-def _proximity_count(cfg: EnvConfig, geom: PursuerGeometry) -> int:
-    """Agents inside the penalty band beyond a collision threshold."""
-    cr, sr = cfg.task.capture_range, cfg.task.safe_radius
-    cr_band, sr_band = cr + PROX_BAND, sr + PROX_BAND
-    count = 0
-    for i, (dists, near, wall) in enumerate(zip(geom.pair, geom.near, geom.wall)):
-        static = wall
-        for _, clear in near:
-            if clear < static:
-                static = clear
-        if sr <= static < sr_band:
-            count += 1
-            continue
-        for j, d in enumerate(dists):
-            if cr <= d < cr_band and j != i:
-                count += 1
-                break
-    return count
 
 
 def _pairwise_sum(values: list[float]) -> float:
@@ -659,30 +635,6 @@ def _pairwise_sum(values: list[float]) -> float:
     return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
-def compute_reward(cfg: EnvConfig, prev_nearest, nearest, captured, captures, collisions, geom: PursuerGeometry) -> float:
-    """Shared team reward of one transition.
-
-    `prev_nearest` and `nearest` are `_nearest_pursuers` before and after the
-    move (both over the evaders uncaptured before it), `captured` the flags
-    after the captures, and `geom` the `pursuer_geometry` after the move.
-
-    capture bonus + one-sided min-distance progress shaping on evaders that
-    stay uncaptured - proximity-band penalty - terminal collision penalty.
-    """
-    reward = R_CAP * len(captures)
-    progress = []
-    for before, after, done in zip(prev_nearest, nearest, captured):
-        if before is not None and not done:
-            gain = before[0] - after[0]
-            progress.append(0.0 if 0.0 > gain else gain)
-    if progress:
-        reward += C_SHAPE * _pairwise_sum(progress)
-    reward -= C_PROX * _proximity_count(cfg, geom)
-    if collisions:
-        reward -= R_COL
-    return reward
-
-
 def step(state: WorldState, actions, observe: bool = True) -> StepOutcome:
     """Advance the world one tick. Mutates `state` and returns the outcome.
 
@@ -693,37 +645,45 @@ def step(state: WorldState, actions, observe: bool = True) -> StepOutcome:
     if state.terminal != RUNNING:
         raise RuntimeError(f"step() on a terminal state ({state.terminal})")
     steer = np.asarray(actions, dtype=np.float64).reshape(-1).tolist()
-    if len(steer) != cfg.players.num_p:
-        raise ValueError(f"expected {cfg.players.num_p} actions, got {len(steer)}")
+    rows, w, h, dt, speed_p, speed_e, num_p, _, _, _, _ = _stepping(cfg)
+    if len(steer) != num_p:
+        raise ValueError(f"expected {num_p} actions, got {len(steer)}")
     if not all(map(math.isfinite, steer)):
         raise ValueError(f"steer commands must be finite, got {steer}")
 
     pursuers, evaders, captured = state.pursuers, state.evaders, state.captured
-    prev_nearest = _nearest_pursuers(pursuers, evaders, captured)
-    dt = 1.0 / cfg.task.fps
+    before = [
+        None if done else min([abs(complex(px - ex, py - ey)) for px, py, _ in pursuers])
+        for (ex, ey, _), done in zip(evaders, captured)
+    ]
 
+    # turn by the steer (wrapped as `geometry.wrap_angle`), then move along the new heading
+    pi, two_pi, omega, cos, sin = math.pi, geometry.TWO_PI, OMEGA_MAX, math.cos, math.sin
     for pose, s in zip(pursuers, steer):
-        _advance(pose, -1.0 if s < -1.0 else (1.0 if s > 1.0 else s), cfg.players.velocity_p, dt)
-
-    rows, w, h, _ = scripted.arena(cfg)
+        s = -1.0 if s < -1.0 else (1.0 if s > 1.0 else s)
+        pose[2] = a = pi - (pi - (pose[2] + s * omega * dt)) % two_pi
+        pose[0] += speed_p * cos(a) * dt
+        pose[1] += speed_p * sin(a) * dt
     moving = [pose for pose, done in zip(evaders, captured) if not done]
-    for pose, esteer in zip(moving, scripted.evader_steers(cfg, pursuers, evaders, captured)):
-        x, y = pose[0], pose[1]
-        _advance(pose, esteer, cfg.players.velocity_e, dt)
+    for pose, s in zip(moving, scripted.evader_steers(cfg, pursuers, evaders, captured)):
+        pose[2] = a = pi - (pi - (pose[2] + s * omega * dt)) % two_pi
+        x = pose[0] + speed_e * cos(a) * dt
+        y = pose[1] + speed_e * sin(a) * dt
         # Evaders never terminate the episode, so block them from entering
         # obstacles or leaving the arena instead (heading still updates).
-        if scripted.static_below(rows, w, h, pose[0], pose[1], 0.0):
+        if not scripted.static_below(rows, w, h, x, y, 0.0):
             pose[0], pose[1] = x, y
 
-    nearest = _nearest_pursuers(pursuers, evaders, captured)
-    captures = detect_captures(cfg, nearest)
+    captures, progress = detect_captures(cfg, pursuers, evaders, before)
     for ev in captures:
         captured[ev.evader] = True
-    # Pursuer poses are final from here on: one geometry pass serves the
-    # collisions and the reward.
-    geom = pursuer_geometry(cfg, pursuers)
-    collisions = detect_collisions(cfg, geom)
-    reward = compute_reward(cfg, prev_nearest, nearest, captured, captures, collisions, geom)
+    collisions, banded = detect_collisions(cfg, pursuers)
+    reward = R_CAP * len(captures)
+    if progress:
+        reward += C_SHAPE * _pairwise_sum(progress)
+    reward -= C_PROX * banded
+    if collisions:
+        reward -= R_COL
 
     state.step += 1
     state.terminal = is_terminal(state, collisions)

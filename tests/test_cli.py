@@ -232,6 +232,32 @@ def test_render_roundtrip_and_errors(tmp_path, capsys, env_4p2e3o):
     assert not (tmp_path / "e.svg").exists() and not (tmp_path / "f.svg").exists()
 
 
+@pytest.mark.parametrize(
+    "alter",
+    [
+        lambda rec: {**rec, "pursuers": "abc"},
+        lambda rec: {**rec, "evaders": [rec["evaders"][0][:2]] + rec["evaders"][1:]},
+        lambda rec: {**rec, "evaders": None},
+        lambda rec: list(rec.values()),
+    ],
+    ids=["pursuers-a-string", "two-number-pose", "evaders-null", "record-a-list"],
+)
+def test_render_rejects_a_malformed_record(tmp_path, capsys, env_4p2e3o, alter):
+    # a valid 2-record log with its step record altered: exit 2, no traceback
+    state, _ = sim.reset(env_4p2e3o, 2)
+    log = sim.TrajectoryLog(env_4p2e3o)
+    log.record_reset(state)
+    actions = [0.0] * env_4p2e3o.players.num_p
+    log.record_step(state, actions, sim.step(state, actions))
+    log.records[1] = alter(log.records[1])
+    path = tmp_path / "traj.ndjson"
+    log.write(path)
+    capsys.readouterr()
+    assert run_cli("render", "--log", str(path), "--out", str(tmp_path / "a.svg")) == 2
+    assert capsys.readouterr().err.startswith("error: malformed log: record 1")
+    assert not (tmp_path / "a.svg").exists()
+
+
 def test_manifest_written_before_outputs(tmp_path):
     out = tmp_path / "run"
     run_cli("train", "--algo", "sp", "--env", "4p2e3o", "--steps", "256", "--out", str(out), "--seed", "5")
@@ -258,7 +284,9 @@ def test_manifest_records_the_enabled_simd_targets(tmp_path):
         pytest.skip("numpy dispatches to no SIMD target above its baseline here")
     report = tmp_path / "report"
     src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": found[-1], "PYTHONPATH": src}
+    # add the target to an inherited cap: replacing the cap would lift it
+    disabled = " ".join(filter(None, [os.environ.get("NPY_DISABLE_CPU_FEATURES", ""), found[-1]]))
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled, "PYTHONPATH": src}
     argv = ["eval", "--ckpt", "greedy", "--zoo", "1", "--env", "4p2e3o", "--episodes", "1", "--report", str(report)]
     code = f"import sys; from pursuit_lab import cli; sys.exit(cli.main({argv!r}))"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)

@@ -727,7 +727,7 @@ def episode_batches(draw):
 
     Values are float32 network outputs; zeros of both signs are drawn often,
     since the sign of a zero is what a one-pass GAE could change. Rewards are
-    never -0.0: `sim.compute_reward` starts from +0.0, and only a -0.0 reward
+    never -0.0: `sim.step`'s reward starts from +0.0, and only a -0.0 reward
     would tell the next episode's zeroed value (of either sign) from the
     +0.0 bootstrap of a separate pass; `r + 0.0` turns -0.0 into +0.0.
     """

@@ -1,29 +1,25 @@
 import copy
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pursuit_lab import config, geometry, scripted, sim
+import sim_oracle
 from conftest import assert_states_equal, make_state, open_arena, reduced_4p2e3o
 
 
-def geometry_of(state):
-    return sim.pursuer_geometry(state.cfg, state.pursuers)
-
-
-def nearest(state, captured=None):
-    flags = state.captured if captured is None else captured
-    return sim._nearest_pursuers(state.pursuers, state.evaders, flags)
-
-
 def collisions(state):
-    return sim.detect_collisions(state.cfg, geometry_of(state))
+    return sim.detect_collisions(state.cfg, state.pursuers)[0]
 
 
 def captures(state):
-    return sim.detect_captures(state.cfg, nearest(state))
+    # a captured evader has no distance before the move; the others' values
+    # only feed the progress terms, which this helper drops
+    before = [None if done else 0.0 for done in state.captured]
+    return sim.detect_captures(state.cfg, state.pursuers, state.evaders, before)[0]
 
 
 def test_reset_is_deterministic(env_4p2e3o):
@@ -258,7 +254,8 @@ def test_nearest_obstacle_block_reflects_wall(env_4p2e3o):
         evaders=[[0.3, 4.5, 0.0], [3.3, 4.5, 0.0]],
     )
     first = state.pursuers[:1]
-    clear, points = sim.nearest_static_all(env_4p2e3o, first, sim.obstacle_clearance_matrix(env_4p2e3o, first), geometry_of(state).wall[:1])
+    wall = [geometry.wall_clearance(0.05, 2.5, 3.6, 5.0)]
+    clear, points = sim.nearest_static_all(env_4p2e3o, first, sim.obstacle_clearance_matrix(env_4p2e3o, first), wall)
     clearance, point = clear[0], points[0]
     brute = min(
         [ob.clearance(0.05, 2.5) for ob in env_4p2e3o.site.obstacles]
@@ -274,41 +271,49 @@ def test_nearest_obstacle_block_reflects_wall(env_4p2e3o):
     assert block[2] == 1.0
 
 
-def transition_reward(prev, nxt, captures=()):
-    # both distance passes cover the evaders uncaptured before the transition
-    before, after = nearest(prev), nearest(nxt, captured=prev.captured)
-    return sim.compute_reward(nxt.cfg, before, after, nxt.captured, list(captures), [], geometry_of(nxt))
+def still(cfg):
+    """`cfg` with both drones' speeds at 0: a step keeps every position, so
+    a test can place the drones where the reward is decided."""
+    return replace(cfg, players=replace(cfg.players, velocity_p=0.0, velocity_e=0.0))
+
+
+def stepped_reward(state, actions):
+    # the float step's reward, with the bits of the array oracle's
+    want = sim_oracle.step(copy.deepcopy(state), actions).reward
+    got = sim.step(state, actions).reward
+    assert got.hex() == want.hex()
+    return got
 
 
 def test_reward_stationary_zero():
-    cfg = open_arena(num_p=2, num_e=1, velocity_e=1e-9)
+    cfg = still(open_arena(num_p=2, num_e=1))
     state = make_state(cfg, [[1.0, 1.0, 0.0], [1.0, 4.0, math.pi]], [[3.0, 2.5, 0.0]])
-    assert transition_reward(state, state) == 0.0
+    assert stepped_reward(state, [0.0, 0.0]) == 0.0
 
 
 def test_reward_single_capture_is_r_cap():
-    cfg = open_arena(num_p=1, num_e=1, velocity_e=1e-9)
-    prev = make_state(cfg, [[1.0, 1.0, 0.0]], [[3.0, 2.5, 0.0]])
-    nxt = make_state(cfg, [[1.0, 1.0, 0.0]], [[3.0, 2.5, 0.0]], captured=[True])
-    reward = transition_reward(prev, nxt, captures=[sim.CaptureEvent(0, 0)])
-    assert reward == pytest.approx(sim.R_CAP) == pytest.approx(10.0)
+    cfg = still(open_arena(num_p=1, num_e=1))
+    state = make_state(cfg, [[1.0, 1.0, 0.0]], [[1.1, 1.0, 0.0]])
+    assert stepped_reward(state, [0.0]) == sim.R_CAP == 10.0
+    assert state.captured == [True]
 
 
 def test_reward_shaping_fixture():
-    # min-distance to the lone evader shrinks by exactly 0.03 m -> +0.03.
-    cfg = open_arena(num_p=1, num_e=1, velocity_e=1e-9)
-    prev = make_state(cfg, [[1.0, 2.5, 0.0]], [[3.0, 2.5, 0.0]])
-    nxt = make_state(cfg, [[1.03, 2.5, 0.0]], [[3.0, 2.5, 0.0]])
-    assert transition_reward(prev, nxt) == pytest.approx(sim.C_SHAPE * 0.03)
+    # min-distance to the lone evader shrinks by 0.03 m (0.3 m/s at 10 fps) -> +0.03
+    cfg = open_arena(num_p=1, num_e=1)
+    cfg = replace(cfg, players=replace(cfg.players, velocity_e=0.0))
+    towards = make_state(cfg, [[1.0, 2.5, 0.0]], [[3.0, 2.5, 0.0]])
+    assert stepped_reward(towards, [0.0]) == pytest.approx(sim.C_SHAPE * 0.03)
     # moving away is not penalized by the one-sided shaping
-    assert transition_reward(nxt, prev) == 0.0
+    away = make_state(cfg, [[1.0, 2.5, math.pi]], [[3.0, 2.5, 0.0]])
+    assert stepped_reward(away, [0.0]) == 0.0
 
 
 def test_reward_proximity_band():
-    cfg = open_arena(num_p=2, num_e=1, velocity_e=1e-9)
-    # drones 0.25 m apart: inside (0.2, 0.3) band, both count
+    cfg = still(open_arena(num_p=2, num_e=1))
+    # drones 0.25 m apart: inside the [0.2, 0.3) band, both count
     state = make_state(cfg, [[1.0, 2.5, 0.0], [1.25, 2.5, 0.0]], [[3.0, 4.0, 0.0]])
-    assert transition_reward(state, state) == pytest.approx(-2 * sim.C_PROX)
+    assert stepped_reward(state, [0.0, 0.0]) == pytest.approx(-2 * sim.C_PROX)
 
 
 def test_terminal_precedence(env_4p2e3o):

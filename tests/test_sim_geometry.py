@@ -1,10 +1,10 @@
 """The simulator's geometry against per-obstacle loops.
 
-The oracles below are the scalar-loop versions of `nearest_static_all`,
-`detect_collisions` and `_proximity_count`: one obstacle at a time, one
-pursuer at a time. The simulator's versions, on float rows, and the array
-`nearest_static_all` of `sim_oracle` must give the same bytes on any pursuer
-layout, including points inside obstacles, points outside the walls,
+The oracles below are the scalar-loop versions of `nearest_static_all` and
+of `detect_collisions`' events and proximity count: one obstacle at a time,
+one pursuer at a time. The simulator's versions, on float rows, and the
+array `nearest_static_all` of `sim_oracle` must give the same bytes on any
+pursuer layout, including points inside obstacles, points outside the walls,
 pursuers within `capture_range` of each other, and exact ties between two
 obstacles or between an obstacle and a wall (the `ties` arena, whose
 dyadic sizes make such ties exact).
@@ -16,9 +16,15 @@ takes a clearance to the one rule (`Obstacle.clearance` and
 `geometry.wall_clearance`), bitwise with the sign, on the points where a
 rounding could tell them apart: obstacle rims, the rims at each threshold,
 the culling-box edges, one and two `math.nextafter` steps either side of
-them, arena corners and points just outside the arena.
+them, arena corners and points just outside the arena. The step's
+geometry pass (`detect_collisions`) keeps its distances and clearances to
+itself, so its bits are held through its decisions: with a collision
+threshold set to each distance or clearance, or to the float after it, and
+with a proximity band ending at each, its events and proximity count must
+be those of the full scan.
 """
 
+import copy
 import math
 from dataclasses import replace
 
@@ -155,6 +161,43 @@ def layouts(draw, cfg):
     return np.array(rows)
 
 
+def band_start(end):
+    """The threshold t with t + PROX_BAND == end, or None where no float has it."""
+    t = end - sim.PROX_BAND
+    for candidate in (t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf)):
+        if candidate + sim.PROX_BAND == end:
+            return candidate
+    return None
+
+
+def at_thresholds(cfg, field, terms):
+    """Copies of `cfg` whose task `field` (capture_range or safe_radius)
+    puts each of `terms` at the threshold and one float below it, and at
+    the proximity band's outer edge and one float below that edge: where a
+    term one ulp off would flip a collision or a proximity decision."""
+    out = []
+    for c in sorted(set(terms)):
+        after = math.nextafter(c, math.inf)
+        for limit in (c, after, band_start(c), band_start(after)):
+            if limit is not None:
+                out.append(replace(cfg, task=replace(cfg.task, **{field: limit})))
+    return out
+
+
+def assert_pass_is_full_scan(state, full, configs):
+    """`detect_collisions` under each config: the events and proximity
+    count of the oracle's full scan `full` (`sim_oracle.pursuer_geometry`)."""
+    for cfg in configs:
+        at = replace(state, cfg=cfg)
+        want = sim_oracle.detect_collisions(at, full), sim_oracle.proximity_count(at, full)
+        assert sim.detect_collisions(cfg, state.pursuers) == want
+
+
+def walls_of(cfg, poses):
+    w, h = cfg.site.boundary_width, cfg.site.boundary_height
+    return [geometry.wall_clearance(p[0], p[1], w, h) for p in poses]
+
+
 def scene(cfg, pursuers):
     evaders = [[cfg.site.boundary_width / 2.0, cfg.site.boundary_height / 2.0, 0.0]] * cfg.players.num_e
     return make_state(cfg, pursuers, evaders)
@@ -178,32 +221,29 @@ def test_geometry_equals_the_per_obstacle_oracles(name):
     def check(pursuers):
         state = scene(cfg, pursuers)
         pts = pursuers[:, :2]
-        geom = sim.pursuer_geometry(cfg, state.pursuers)
+        walls = walls_of(cfg, state.pursuers)
         matrix = sim.obstacle_clearance_matrix(cfg, state.pursuers)
-        obstacle, wall = np.array(matrix).reshape(len(pts), -1), np.array(geom.wall)
-        assert same_bytes(np.array(geom.pair), sim_oracle.pair_distances(pursuers, pursuers))
-        want = oracle_clearance_matrix(cfg, pts)
-        assert same_bytes(obstacle, want)
+        obstacle, wall = np.array(matrix).reshape(len(pts), -1), np.array(walls)
+        assert same_bytes(obstacle, oracle_clearance_matrix(cfg, pts))
         assert same_bytes(wall, oracle_wall_clearances(cfg, pts))
-        # the step's entries: the same clearances, and none left out below the reach
-        for i, near in enumerate(geom.near):
-            kept = [k for k, _ in near]
-            assert kept == sorted(set(kept))
-            assert same_bytes([c for _, c in near], want[i, kept])
-            assert np.all(np.delete(want[i], kept) >= reach(cfg))
 
         want_clear, want_pts = oracle_nearest_static_all(cfg, pts)
-        clear, points = sim.nearest_static_all(cfg, state.pursuers, matrix, geom.wall)
+        clear, points = sim.nearest_static_all(cfg, state.pursuers, matrix, walls)
         assert same_bytes(clear, want_clear)
         assert same_bytes(points, want_pts)
         clear, points = sim_oracle.nearest_static_all(cfg, pts, obstacle, wall)
         assert same_bytes(clear, want_clear)
         assert same_bytes(points, want_pts)
 
-        assert sim.detect_collisions(cfg, geom) == oracle_detect_collisions(cfg, pursuers)
-        pair = np.array(geom.pair)
-        assert sim._proximity_count(cfg, geom) == oracle_proximity_count(cfg, pursuers)
-        assert same_bytes(np.array(geom.pair), pair)  # the shared matrix is left as it was
+        poses = copy.deepcopy(state.pursuers)
+        events, banded = sim.detect_collisions(cfg, state.pursuers)
+        assert events == oracle_detect_collisions(cfg, pursuers)
+        assert banded == oracle_proximity_count(cfg, pursuers)
+        assert state.pursuers == poses  # the pass only reads the poses
+        # the pair distances: each at capture_range, and one float below it
+        pair = sim_oracle.pair_distances(pursuers, pursuers)
+        terms = pair[np.triu_indices(len(pair), 1)].tolist()
+        assert_pass_is_full_scan(state, sim_oracle.pursuer_geometry(state), at_thresholds(cfg, "capture_range", terms))
 
     check()
 
@@ -212,12 +252,12 @@ def test_ties_go_to_the_wall_then_to_the_lowest_obstacle():
     cfg = ARENAS["ties"]
     pursuers = np.array([[1.5, 2.5, 0.0], [2.5, 2.5, 0.0], [0.375, 2.5, 0.0], [0.375, 2.375, 0.0]])
     state = scene(cfg, pursuers)
-    geom = sim.pursuer_geometry(cfg, state.pursuers)
+    walls = walls_of(cfg, state.pursuers)
     matrix = sim.obstacle_clearance_matrix(cfg, state.pursuers)
     assert matrix[0][0] == matrix[0][1] == 0.25
     assert matrix[1][1] == matrix[1][2] == 0.25
-    assert matrix[2][0] == geom.wall[2] == 0.375
-    clear, points = sim.nearest_static_all(cfg, pursuers.tolist(), matrix, geom.wall)
+    assert matrix[2][0] == walls[2] == 0.375
+    clear, points = sim.nearest_static_all(cfg, pursuers.tolist(), matrix, walls)
     assert clear == [0.25, 0.25, 0.375, 0.375]
     assert points == [(1.25, 2.5), (2.25, 2.5), (0.0, 2.5), (0.0, 2.375)]
     want_clear, want_points = oracle_nearest_static_all(cfg, pursuers[:, :2])
@@ -254,7 +294,7 @@ def test_wall_clearance_keeps_numpy_signed_zero():
     # first: at (0.0, -0.0) numpy's running minimum ends at -0.0
     cfg = ARENAS["open"]
     pursuers = np.array([[0.0, -0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [-0.0, 0.0, 0.0]])
-    wall = np.array(sim.pursuer_geometry(cfg, pursuers.tolist()).wall)
+    wall = np.array(walls_of(cfg, pursuers.tolist()))
     assert math.copysign(1.0, wall[0]) == -1.0
     assert same_bytes(wall, sim_oracle.wall_clearances(cfg, pursuers[:, :2]))
     assert same_bytes(wall, oracle_wall_clearances(cfg, pursuers[:, :2]))
@@ -339,10 +379,10 @@ def test_culled_static_queries_equal_the_full_scans(name):
             assert scripted.static_below(rows, w, h, x, y, sr) == (clear < sr)
         # the step's collision events and proximity count
         state = scene(cfg, np.array([[x, y, 0.0] for x, y in pts]))
-        geom = sim.pursuer_geometry(cfg, state.pursuers)
         full = sim_oracle.pursuer_geometry(state)
-        assert sim.detect_collisions(cfg, geom) == sim_oracle.detect_collisions(state, full)
-        assert sim._proximity_count(cfg, geom) == sim_oracle.proximity_count(state, full)
+        assert sim.detect_collisions(cfg, state.pursuers) == (
+            sim_oracle.detect_collisions(state, full), sim_oracle.proximity_count(state, full)
+        )
 
     check()
 
@@ -350,8 +390,9 @@ def test_culled_static_queries_equal_the_full_scans(name):
 @pytest.mark.parametrize("name", ARENAS)
 def test_every_static_clearance_has_the_bits_of_the_one_rule(name):
     # the float obstacle and wall forms against the observations' matrix,
-    # the array oracle, the step's geometry, the scripted entries, the
-    # keep-out and spawn tests and observe_many's nearest clearance
+    # the array oracle, the step's geometry pass (through its decisions),
+    # the scripted entries, the keep-out and spawn tests and observe_many's
+    # nearest clearance
     cfg = ARENAS[name]
     obstacles = cfg.site.obstacles
     rows, w, h, _ = scripted.arena(cfg)
@@ -367,10 +408,6 @@ def test_every_static_clearance_has_the_bits_of_the_one_rule(name):
         assert [[c.hex() for c in row] for row in sim.obstacle_clearance_matrix(cfg, poses)] == want
         assert [[c.hex() for c in row] for row in sim_oracle.obstacle_clearance_matrix(cfg, xy).tolist()] == want
         assert [c.hex() for c in sim_oracle.wall_clearances(cfg, xy).tolist()] == [c.hex() for c in walls]
-        geom = sim.pursuer_geometry(cfg, poses)
-        assert [c.hex() for c in geom.wall] == [c.hex() for c in walls]
-        for row, near in zip(want, geom.near):
-            assert [(k, c.hex()) for k, c in near] == [(k, row[k]) for k, _ in near]
         least = []
         for (x, y), row, wall in zip(pts, clears, walls):
             # every obstacle left out of a culled query is at least STATIC_RANGE away
@@ -388,6 +425,11 @@ def test_every_static_clearance_has_the_bits_of_the_one_rule(name):
                     best = c
             least.append(best.hex())
         assert [c.hex() for c in sim._nearest_static_many(cfg, xy)[0].tolist()] == least
+        # the step's culled pass, with each clearance below the reach at
+        # safe_radius and at safe_radius + PROX_BAND, and the float after each
+        terms = [c for row, wall in zip(clears, walls) for c in [wall] + row if c < reach(cfg)]
+        state = scene(cfg, np.array(poses))
+        assert_pass_is_full_scan(state, sim_oracle.pursuer_geometry(state), at_thresholds(cfg, "safe_radius", terms))
 
     check()
 
@@ -405,6 +447,19 @@ def test_the_step_and_observation_clearances_are_the_one_rule_around_every_obsta
         want = [[o.clearance(x, y).hex() for o in cfg.site.obstacles] for x, y, _ in poses]
         assert [[c.hex() for c in row] for row in sim.obstacle_clearance_matrix(cfg, poses)] == want
         assert [[c.hex() for c in row] for row in sim_oracle.obstacle_clearance_matrix(cfg, xy).tolist()] == want
-        for pose, row in zip(poses, want):
-            near = sim.pursuer_geometry(cfg, [pose]).near[0]
-            assert [(k, c.hex()) for k, c in near] == [(k, row[k]) for k, _ in near]
+        # the step's pass, one drone at a time, with safe_radius at the
+        # swept obstacle's clearance and at the float after it
+        wall = walls_of(cfg, poses)
+        for pose, row, w in zip(poses, want, wall):
+            c = ob.clearance(pose[0], pose[1])
+            if c >= reach(cfg):
+                continue
+            for sr in (c, math.nextafter(c, math.inf)):
+                at = replace(cfg, task=replace(cfg.task, safe_radius=sr))
+                events = [
+                    sim.CollisionEvent(kind="drone-obstacle", agents=(0,), obstacle=k)
+                    for k, h in enumerate(row)
+                    if float.fromhex(h) < sr
+                ]
+                events += [sim.CollisionEvent(kind="drone-wall", agents=(0,))] * (w < sr)
+                assert sim.detect_collisions(at, [pose])[0] == events

@@ -284,14 +284,54 @@ def test_pairwise_sum_is_numpy_sum():
             assert sim._pairwise_sum(values.tolist()).hex() == want.hex()
 
 
-@pytest.mark.parametrize("gains", [[1.0, 1e-16, 1e-16], [1.0] + [1e-16] * 8])
-def test_reward_sums_progress_in_numpy_order(gains):
-    # three terms fold left (not compensated), nine go through numpy's eight running sums
-    cfg = open_arena(num_p=1, num_e=len(gains))
-    before, after = [(g, 0) for g in gains], [(0.0, 0)] * len(gains)
-    geom = sim.pursuer_geometry(cfg, [[1.0, 2.5, 0.0]])
-    reward = sim.compute_reward(cfg, before, after, [False] * len(gains), [], [], geom)
-    assert reward.hex() == (sim.C_SHAPE * float(np.array(gains).sum())).hex()
+def left_fold(values):
+    total = -0.0
+    for v in values:
+        total += v
+    return total
+
+
+def progress_scene(num_e):
+    """(state, gains): one pursuer among `num_e` still evaders, far from
+    them and from the walls, and the progress terms of its next straight
+    1 m move, on the first layout whose terms numpy sums to other bits than
+    the exact sum (`math.fsum`, which Python's `sum` nears from 3.12 on)
+    and, from 8 terms on, than a left fold. Terms near 1 m sum past 2, where
+    their low bits round."""
+    cfg = open_arena(num_p=1, num_e=num_e)
+    cfg = replace(cfg, players=replace(cfg.players, velocity_p=10.0, velocity_e=0.0))
+    w, h = cfg.site.boundary_width, cfg.site.boundary_height
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        pursuer = [w / 2.0, h / 2.0, rng.uniform(-math.pi, math.pi)]
+        evaders = []
+        while len(evaders) < num_e:
+            x, y = rng.uniform(0.3, w - 0.3), rng.uniform(0.3, h - 0.3)
+            if math.hypot(x - pursuer[0], y - pursuer[1]) > 0.6:
+                evaders.append([x, y, 0.0])
+        state = make_state(cfg, [pursuer], evaders)
+        moved = copy.deepcopy(state)
+        sim_oracle.step(moved, [0.0], observe=False)
+        ev = np.array(evaders)[:, :2]
+        before = np.hypot(ev[:, 0] - pursuer[0], ev[:, 1] - pursuer[1])
+        after = np.hypot(ev[:, 0] - moved.pursuers[0][0], ev[:, 1] - moved.pursuers[0][1])
+        gains = np.maximum(0.0, before - after)
+        total = float(gains.sum())
+        tells_apart = total != math.fsum(gains.tolist()) and (num_e < 8 or total != left_fold(gains.tolist()))
+        if after.min() > 0.3 and tells_apart:
+            return state, gains
+    raise AssertionError("no layout tells the summation orders apart")
+
+
+@pytest.mark.parametrize("num_e", [3, 9])
+def test_reward_sums_progress_in_numpy_order(num_e):
+    # three terms fold left (not compensated), nine go through numpy's eight
+    # running sums: the step's reward is the oracle's np.sum of the terms
+    state, gains = progress_scene(num_e)
+    want = sim_oracle.step(copy.deepcopy(state), [0.0], observe=False)
+    got = sim.step(state, [0.0], observe=False)
+    assert (got.captures, got.collisions) == ([], [])
+    assert got.reward.hex() == want.reward.hex() == (sim.C_SHAPE * float(gains.sum())).hex()
 
 
 def test_abs_complex_is_numpy_hypot():
