@@ -135,24 +135,50 @@ def _play(episodes: list[rl.Episode]) -> list[EpisodeRecord]:
     return [EpisodeRecord(ep.state.terminal, ep.state.step, ep.episode_return, seed_block=0, index=0) for ep in episodes]
 
 
+def _own_copy(start):
+    """A copy of a reset's (state, observation rows) that shares no pose
+    list, flag list, rows array or rng with it."""
+    state, obs = start
+    bits = np.random.PCG64(0)
+    bits.state = state.rng.bit_generator.state
+    own = replace(
+        state,
+        pursuers=[pose.copy() for pose in state.pursuers],
+        evaders=[pose.copy() for pose in state.evaders],
+        captured=state.captured.copy(),
+        rng=np.random.Generator(bits),
+    )
+    return own, obs.copy()
+
+
 def play_episodes(env_cfg: EnvConfig, episodes) -> list[EpisodeRecord]:
     """Run full episodes side by side; `episodes` lists (slot policies, seed)
     pairs, and the records come back in that order.
 
     Each record has the bits that `play_episode` gives the episode alone:
-    the episode keeps its own reset, slot states begun from its
-    `(seed, "policies")` substream, and one `sim.step` per step. The steps
-    (`rl.step_episodes`, which the rollout collectors step through too)
-    build observation rows only when some slot reads them (`needs_obs`);
-    otherwise every slot is handed None for them.
+    the episode keeps slot states begun from its `(seed, "policies")`
+    substream and one `sim.step` per step. Each distinct seed is reset once:
+    `sim.reset` is a pure function of config and seed, so every other
+    episode of that seed starts from its own copy of that start (`_own_copy`)
+    and shares no state with it. The steps (`rl.step_episodes`, which the
+    rollout collectors step through too) build observation rows only when
+    some slot reads them (`needs_obs`); otherwise every slot is handed None
+    for them.
     """
-    return _play([rl.Episode(env_cfg, slots, seed, substream(seed, "policies")) for slots, seed in episodes])
+    starts, played = {}, []
+    for slots, seed in episodes:
+        if seed in starts:
+            start = _own_copy(starts[seed])
+        else:
+            start = starts[seed] = sim.reset(env_cfg, seed)
+        played.append(rl.Episode(start, slots, substream(seed, "policies")))
+    return _play(played)
 
 
 def play_episode(env_cfg: EnvConfig, slot_policies, seed: int, log=None) -> EpisodeRecord:
     """Run one full episode with the given per-slot policies: the
     one-episode case of `play_episodes`, whose steps `log` records."""
-    return _play([rl.Episode(env_cfg, slot_policies, seed, substream(seed, "policies"), log)])[0]
+    return _play([rl.Episode(sim.reset(env_cfg, seed), slot_policies, substream(seed, "policies"), log)])[0]
 
 
 @dataclass

@@ -460,10 +460,12 @@ class NetSlotPolicy:
         self.deterministic = deterministic
 
     def begin_episode(self, rng: np.random.Generator) -> np.random.Generator | None:
-        # the draw happens either way, so that the episode rng's stream does
-        # not depend on whether a slot samples
-        own = episode_rng(rng)
-        return None if self.deterministic else own
+        if self.deterministic:
+            # the draw that seeds a sampling slot's rng happens either way, so
+            # that the episode rng's stream does not depend on whether a slot samples
+            rng.integers(0, 2**63)
+            return None
+        return episode_rng(rng)
 
     def act(self, seats) -> list[float]:
         """Deterministic: the action means of the k slots' observation rows
@@ -481,7 +483,9 @@ class NetSlotPolicy:
 
 
 class Episode:
-    """One episode in progress, stepped by `step_episodes`.
+    """One episode in progress from `start`, the (state, observation rows)
+    pair of a `sim.reset`, which it steps in place; stepped by
+    `step_episodes`.
 
     Each slot holds a policy, whose episode state begins from `rng` in slot
     order, or None: the caller owns that slot and sets its action in
@@ -494,8 +498,8 @@ class Episode:
 
     __slots__ = ("state", "obs", "policies", "observe", "actions", "episode_return", "log")
 
-    def __init__(self, env_cfg: EnvConfig, slot_policies, seed: int, rng: np.random.Generator, log=None):
-        self.state, self.obs = sim.reset(env_cfg, seed)
+    def __init__(self, start: tuple[sim.WorldState, np.ndarray], slot_policies, rng: np.random.Generator, log=None):
+        self.state, self.obs = start
         groups = {}
         for i, pol in enumerate(slot_policies):
             if pol is not None:
@@ -625,7 +629,7 @@ class RolloutCollector:
         # the rollout rng draws the env seed, then the teammates, then their actors' seeds
         seed = int(self.rng.integers(0, 2**63))
         mates = self.teammates.sample(self.rng) if self.env_cfg.players.num_unctrl > 0 else []
-        self.episodes[env] = Episode(self.env_cfg, [None] * self.n_learners + mates, seed, self.rng)
+        self.episodes[env] = Episode(sim.reset(self.env_cfg, seed), [None] * self.n_learners + mates, self.rng)
 
     def _critic(self, learner_obs):
         """(critic input rows, value per learner row) of the (n_envs * n,

@@ -90,9 +90,16 @@ its bearings (the static ones included) come from one `np.arctan2` call and
 pass through the array `wrap_angle` and `/ np.pi`; its static block stacks
 the obstacle parameters once per config object, takes the wall point at the
 `argmin` of (x, w - x, y, h - y), lets an obstacle win only on a strictly
-lower clearance, asks `Obstacle.closest_point` for the winning rows alone,
-and writes `np.maximum(clear, 0.0)`. These ufuncs give an element the same
-bits whatever the array's shape, so each of its rows has the bytes of
+lower clearance, and writes `np.maximum(clear, 0.0)`. The closest points
+of the rows that an obstacle wins come from one array pass
+(`_closest_points`): a rectangle's clamp of a point outside it follows
+`geometry.closest_point_on_rect` with Python's `max` and `min` tie rule,
+`np.where(lo > px, lo, px)` and then `np.where(hi < q, hi, q)`, which keep
+the point's own coordinate on a tie (+0.0 against -0.0 shows it;
+`np.maximum` and `np.minimum` keep the other). Only the rows that a circle
+wins, whose `geometry.unit` takes `math.hypot`'s bits, and points inside a
+rectangle ask `Obstacle.closest_point`. These ufuncs give an element the
+same bits whatever the array's shape, so each of its rows has the bytes of
 `observe_all`. `step_many` uses it once at least `OBSERVE_MANY_MIN` states
 observe.
 """
@@ -395,8 +402,35 @@ def _nearest_static_many(cfg: EnvConfig, xy: np.ndarray) -> tuple[np.ndarray, np
     ob_clear = matrix[rows, nearest]
     wins = ob_clear < clear
     if wins.any():
-        points[wins] = [obstacles[k].closest_point(*p) for k, p in zip(nearest[wins].tolist(), xy[wins].tolist())]
+        points[wins] = _closest_points(cfg, nearest[wins], xy[wins])
     return np.where(wins, ob_clear, clear), points
+
+
+def _closest_points(cfg: EnvConfig, nearest: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """The closest point on obstacle `nearest[r]` to each (x, y) row `xy[r]`,
+    with the bits of `Obstacle.closest_point`: a rectangle's clamp in one
+    array pass, `Obstacle.closest_point` for circles and for points inside a
+    rectangle."""
+    _, rects = _stacked_obstacles(cfg)
+    points = np.empty_like(xy)
+    rest = np.arange(len(xy))
+    if rects.cols.size:
+        # `geometry.closest_point_on_rect`'s clamp: Python's max(p, lo) and
+        # min(q, hi) keep p and q on a tie, which np.maximum and np.minimum do not
+        j = np.searchsorted(rects.cols, nearest).clip(max=rects.cols.size - 1)
+        px, py = xy[:, 0], xy[:, 1]
+        cx, cy, hx, hy = rects.cx[j], rects.cy[j], rects.sx[j], rects.sy[j]
+        qx = np.where(cx - hx > px, cx - hx, px)
+        qx = np.where(cx + hx < qx, cx + hx, qx)
+        qy = np.where(cy - hy > py, cy - hy, py)
+        qy = np.where(cy + hy < qy, cy + hy, qy)
+        clamped = (rects.cols[j] == nearest) & ((qx != px) | (qy != py))
+        points[:, 0], points[:, 1] = qx, qy
+        rest = rest[~clamped]
+    if rest.size:
+        obstacles = cfg.site.obstacles
+        points[rest] = [obstacles[k].closest_point(*p) for k, p in zip(nearest[rest].tolist(), xy[rest].tolist())]
+    return points
 
 
 @lru_cache(maxsize=16)

@@ -249,8 +249,8 @@ def test_caller_owned_slots_step_with_their_preset_actions_and_observe(monkeypat
         return real_step(state, actions, *args)
 
     monkeypatch.setattr(sim, "step", recording_step)
-    owned = rl.Episode(env, [None, None, greedy, greedy], 11, substream(11, "policies"))
-    scripted = rl.Episode(env, [greedy] * 4, 11, substream(11, "policies"))
+    owned = rl.Episode(sim.reset(env, 11), [None, None, greedy, greedy], substream(11, "policies"))
+    scripted = rl.Episode(sim.reset(env, 11), [greedy] * 4, substream(11, "policies"))
     # every policy slot is scripted, so only the episode with caller-owned slots observes
     assert owned.observe and not scripted.observe
     preset = [0.1, -1.0 / 3.0]  # not float32 values: a narrowing would show

@@ -1,4 +1,5 @@
 import collections
+import copy
 import functools
 import json
 from dataclasses import replace
@@ -313,7 +314,7 @@ def test_scripted_episode_equals_the_observing_loop_and_observes_only_at_reset(n
     copies = 2 * sim.OBSERVE_MANY_MIN
     got = evalkit.play_episodes(cfg, [(scripted_team(kinds), seed) for seed, kinds in teams] * copies)
     assert got == wants * copies
-    assert calls == ["observe_all"] * len(got)  # the resets'
+    assert calls == ["observe_all"] * len(teams)  # the resets', one per distinct seed
 
 
 class RecordingNet(rl.NetSlotPolicy):
@@ -495,3 +496,65 @@ def test_episodes_played_side_by_side_equal_each_played_alone(drawn):
     want = [reference_episode(cfg, slots, seed) for slots, seed in episodes]
     assert got == want
     assert [r.episode_return.hex() for r in got] == [r.episode_return.hex() for r in want]
+
+
+# ---------------------------------------------------------------------------
+# The episodes of one seed start from one reset, each from its own copy
+# ---------------------------------------------------------------------------
+
+def repeated_seed_episodes(name):
+    """(arena, episodes of every slot kind on two seeds, each seed thrice)."""
+    cfg, policies = arena_policies(name)
+    teams = [
+        (["net", "greedy", "other-net", "random"], 5),
+        (["stochastic-net", "naht-d", "vicsek", "net"], 7),
+        (["greedy", "vicsek", "greedy", "greedy"], 5),
+        (["net", "net", "naht-d", "random"], 7),
+        (["random", "stochastic-net", "net", "vicsek"], 5),
+        (["naht-d", "other-net", "greedy", "net"], 7),
+    ]
+    return cfg, [([policies[kind] for kind in kinds], seed) for kinds, seed in teams]
+
+
+def start_of(state, obs):
+    """A snapshot of a start: its poses and flags, its rows' bytes and its
+    rng's state."""
+    return copy.deepcopy((state.pursuers, state.evaders, state.captured)), obs.tobytes(), state.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["4p2e3o", "4p3e5o"])
+def test_episodes_of_one_seed_reset_once_and_keep_the_records_played_alone(name, monkeypatch):
+    cfg, episodes = repeated_seed_episodes(name)
+    want = [evalkit.play_episode(cfg, slots, seed) for slots, seed in episodes]
+    resets = []
+
+    def counting_reset(env_cfg, seed, real=sim.reset):
+        resets.append(seed)
+        return real(env_cfg, seed)
+
+    monkeypatch.setattr(sim, "reset", counting_reset)
+    got = evalkit.play_episodes(cfg, episodes)
+    assert got == want
+    assert [r.episode_return.hex() for r in got] == [r.episode_return.hex() for r in want]
+    assert resets == [5, 7]
+
+
+@pytest.mark.parametrize("name", ["4p2e3o", "4p3e5o"])
+def test_episodes_of_one_seed_share_no_pose_flag_rows_or_rng(name, monkeypatch):
+    # each episode starts where a reset of its seed does, and changing one
+    # episode's start in place leaves every other episode's start as it was
+    cfg, episodes = repeated_seed_episodes(name)
+    started = []
+    monkeypatch.setattr(evalkit, "_play", lambda built: started.extend(built) or [])
+    evalkit.play_episodes(cfg, episodes)
+    assert [start_of(ep.state, ep.obs) for ep in started] == [start_of(*sim.reset(cfg, seed)) for _, seed in episodes]
+    for i, ep in enumerate(started):
+        before = [start_of(other.state, other.obs) for other in started]
+        for pose in ep.state.pursuers + ep.state.evaders:
+            pose[0] += 1.0
+        ep.state.captured[0] = not ep.state.captured[0]
+        ep.obs += 1.0
+        ep.state.rng.integers(0, 2**63)
+        after = [start_of(other.state, other.obs) for other in started]
+        changed = [[x != y for x, y in zip(a, b)] for a, b in zip(after, before)]
+        assert changed == [[j == i] * 3 for j in range(len(started))]

@@ -653,6 +653,22 @@ def test_deterministic_net_slot_acts_with_the_action_mean():
     assert draws[0] == draws[1]
 
 
+def test_net_slots_leave_the_episode_rng_one_draw_on_whether_or_not_they_sample():
+    # a deterministic slot keeps no rng but makes the draw that seeds a
+    # sampling slot's, so the slots after it draw the same streams either way
+    model = make_model(dtype=np.float32)
+    one_on = substream(0, "episode")
+    seed = one_on.integers(0, 2**63)
+    for deterministic in (True, False):
+        rng = substream(0, "episode")
+        slot_state = rl.NetSlotPolicy(model, deterministic=deterministic).begin_episode(rng)
+        assert rng.bit_generator.state == one_on.bit_generator.state
+        if deterministic:
+            assert slot_state is None
+        else:
+            assert slot_state.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+
 def test_a_running_actor_acts_with_its_policys_current_model():
     # a slot acts through its policy: a model set on the policy while an
     # episode runs is the one that acts

@@ -30,7 +30,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pursuit_lab import config, geometry, scripted, sim
@@ -262,6 +262,53 @@ def test_ties_go_to_the_wall_then_to_the_lowest_obstacle():
     assert points == [(1.25, 2.5), (2.25, 2.5), (0.0, 2.5), (0.0, 2.375)]
     want_clear, want_points = oracle_nearest_static_all(cfg, pursuers[:, :2])
     assert same_bytes(clear, want_clear) and same_bytes(points, want_points)
+
+
+# ---------------------------------------------------------------------------
+# The observations' array closest points == Obstacle.closest_point, bitwise
+# ---------------------------------------------------------------------------
+
+def probe_coordinates(c, h):
+    """A coordinate at the rectangle's edges c - h and c + h (as
+    `geometry.closest_point_on_rect` computes them) and one float either
+    side, at +-0.0, at the center, between the edges, or beyond them."""
+    lo, hi = c - h, c + h
+    edges = [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(lo, math.inf),
+             math.nextafter(hi, -math.inf), math.nextafter(hi, math.inf)]
+    return st.sampled_from(edges + [0.0, -0.0, c]) | st.floats(lo, hi) | st.floats(c - 3.0 * h - 1.0, c + 3.0 * h + 1.0)
+
+
+@st.composite
+def rectangle_probes(draw):
+    """(rectangle, points, obstacle index per point): some rectangles have
+    an edge at exactly 0.0 (center +-half extent), where +-0.0 ties the
+    clamp; points lie outside, on the edges, at the corners, inside, and on
+    +-0.0. The rectangle is obstacle 1, between two circles."""
+    hx, hy = (draw(st.sampled_from([0.15, 0.25, 0.5]) | st.floats(0.01, 1.0)) for _ in range(2))
+    cx = draw(st.sampled_from([hx, -hx]) | st.floats(-3.0, 3.0))
+    cy = draw(st.sampled_from([hy, -hy]) | st.floats(-3.0, 3.0))
+    rect = config.Obstacle("rectangle", (cx, cy), half_extents=(hx, hy))
+    pts = draw(st.lists(st.tuples(probe_coordinates(cx, hx), probe_coordinates(cy, hy)), min_size=1, max_size=12))
+    ks = draw(st.lists(st.sampled_from([1, 1, 0, 2]), min_size=len(pts), max_size=len(pts)))
+    return rect, pts, ks
+
+
+@settings(max_examples=300, deadline=None)
+@given(rectangle_probes())
+@example((config.Obstacle("rectangle", (0.5, 0.5), half_extents=(0.5, 0.5)), [(-0.0, 2.0), (2.0, -0.0)], [1, 1]))
+@example((config.Obstacle("rectangle", (-0.5, -0.5), half_extents=(0.5, 0.5)), [(-0.0, -2.0), (-2.0, -0.0)], [1, 1]))
+@example((config.Obstacle("rectangle", (1.0, 2.5), half_extents=(0.25, 0.25)), [(1.0, 2.5), (1.125, 2.5)], [1, 1]))
+def test_array_closest_points_have_the_bits_of_closest_point(probe):
+    # a tie of +-0.0 at an edge keeps the point's coordinate, as Python's
+    # max and min do (the first two examples); a point inside projects to
+    # the nearest edge (the third)
+    rect, pts, ks = probe
+    circles = [config.Obstacle("circle", (x, 1.0), radius=0.3) for x in (-1.0, 1.0)]
+    obstacles = (circles[0], rect, circles[1])
+    cfg = replace(ARENAS["ties"], site=replace(ARENAS["ties"].site, obstacles=obstacles))
+    got = sim._closest_points(cfg, np.array(ks, dtype=np.intp), np.array(pts, dtype=np.float64))
+    want = np.array([obstacles[k].closest_point(x, y) for k, (x, y) in zip(ks, pts)], dtype=np.float64)
+    assert same_bytes(got, want)
 
 
 def inside(ob, x, y):

@@ -191,11 +191,39 @@ def walked_states(draw, cfg):
     return state
 
 
+@st.composite
+def rectangle_states(draw, cfg):
+    """A state whose drones sit inside a rectangle (its edges included) or
+    on one of its clamp edges: at x = cx +- hx with y beyond the rectangle,
+    or at y = cy +- hy with x beyond it, where the closest point keeps the
+    drone's own coordinate."""
+    rects = [ob for ob in cfg.site.obstacles if ob.shape == "rectangle"]
+    p = cfg.players
+    rows = []
+    for _ in range(p.num_p + p.num_e):
+        (cx, cy), (hx, hy) = draw(st.sampled_from([(ob.center, ob.half_extents) for ob in rects]))
+        gap = draw(st.sampled_from([0.0, 0.01, 0.05]) | st.floats(0.0, 0.3))
+        side = draw(st.sampled_from([-1.0, 1.0]))
+        place = draw(st.sampled_from(["inside", "x-clamp", "y-clamp"]))
+        if place == "inside":
+            x, y = draw(st.floats(cx - hx, cx + hx)), draw(st.floats(cy - hy, cy + hy))
+        elif place == "x-clamp":
+            x, y = draw(st.sampled_from([cx - hx, cx + hx])), cy + side * (hy + gap)
+        else:
+            x, y = cx + side * (hx + gap), draw(st.sampled_from([cy - hy, cy + hy]))
+        rows.append([x, y, draw(st.floats(-math.pi, math.pi))])
+    captured = [draw(st.booleans()) for _ in range(p.num_e)]
+    return make_state(cfg, rows[: p.num_p], rows[p.num_p :], captured=captured)
+
+
 def observed_batches(cfg):
-    """1 to 8 states of `cfg`: random-walk states and the threshold states
-    of `scenes` (captured evaders, entries at the reception range, drones
-    on obstacle rims, wall and obstacle ties)."""
+    """1 to 8 states of `cfg`: random-walk states, the threshold states of
+    `scenes` (captured evaders, entries at the reception range, drones on
+    obstacle rims, wall and obstacle ties) and drones inside a rectangle or
+    on its clamp edges."""
     state = walked_states(cfg) | scenes(cfg).map(lambda scene: replace(scene[0], cfg=cfg))
+    if any(ob.shape == "rectangle" for ob in cfg.site.obstacles):
+        state |= rectangle_states(cfg)
     return st.lists(state, min_size=1, max_size=8)
 
 
