@@ -145,8 +145,10 @@ def estimate_edge_weight(edges, env_cfg: EnvConfig, episodes: int, seed: int) ->
     every hyperedge of one call plays the same episode starts: the edges are
     compared on paired episodes. (`hola_train` gives each generation a seed
     of its own, so no generation replays another's starts.) All edges'
-    episodes are played side by side (`evalkit.play_episodes`), and each
-    weight has the bits of its edge scored alone.
+    episodes are played side by side (`evalkit.play_episodes`), which resets
+    each of the `episodes` distinct seeds once and starts the other edges'
+    episodes of that seed from copies, and each weight has the bits of its
+    edge scored alone.
     """
     if any(len(edge) != env_cfg.players.num_p for edge in edges):
         raise ValueError("edge policies must fill every pursuer slot")

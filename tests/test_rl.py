@@ -644,13 +644,6 @@ def test_deterministic_net_slot_acts_with_the_action_mean():
     seats = [(SimpleNamespace(obs=rows), some, [None] * len(some)) for some in slots]
     want = [alone[i].hex() for i in slots[0] + slots[1]]
     assert [a.hex() for a in pol.act(seats)] == want
-    # begin_episode draws from the episode rng whether or not the slot samples
-    draws = []
-    for deterministic in (True, False):
-        rng = substream(0, "episode")
-        rl.NetSlotPolicy(model, deterministic=deterministic).begin_episode(rng)
-        draws.append(rng.integers(0, 2**63))
-    assert draws[0] == draws[1]
 
 
 def test_net_slots_leave_the_episode_rng_one_draw_on_whether_or_not_they_sample():

@@ -7,7 +7,10 @@ array `nearest_static_all` of `sim_oracle` must give the same bytes on any
 pursuer layout, including points inside obstacles, points outside the walls,
 pursuers within `capture_range` of each other, and exact ties between two
 obstacles or between an obstacle and a wall (the `ties` arena, whose
-dyadic sizes make such ties exact).
+dyadic sizes make such ties exact). The observations' array closest points
+(`sim._closest_points`) must have the bits of `Obstacle.closest_point` for
+points outside a rectangle, on its edges and corners, inside it, and with a
+coordinate of +-0.0 tied against an edge at 0.0.
 
 Every static query but the observations' nearest static entry skips the
 obstacles whose culling box (`scripted.arena`) does not hold its point. The
