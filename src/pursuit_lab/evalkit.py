@@ -137,16 +137,13 @@ def _play(episodes: list[rl.Episode]) -> list[EpisodeRecord]:
 
 def _own_copy(start):
     """A copy of a reset's (state, observation rows) that shares no pose
-    list, flag list, rows array or rng with it."""
+    list, flag list or rows array with it."""
     state, obs = start
-    bits = np.random.PCG64(0)
-    bits.state = state.rng.bit_generator.state
     own = replace(
         state,
         pursuers=[pose.copy() for pose in state.pursuers],
         evaders=[pose.copy() for pose in state.evaders],
         captured=state.captured.copy(),
-        rng=np.random.Generator(bits),
     )
     return own, obs.copy()
 

@@ -9,10 +9,9 @@ moves, as no evader's steer reads another evader); one pass over the evaders
 progress terms; one geometry pass over the pursuers' final positions
 (`detect_collisions`: pair distances, the clearances to the obstacles near
 each pursuer and wall clearances) gives the collisions and the proximity
-count; the reward is summed, termination is decided (`is_terminal`), and
-then the observations are built. A step called with `observe=False` skips
-the observations (its outcome carries None), for callers whose policies act
-from views alone. All
+count; the reward is summed and termination is decided (`is_terminal`). A
+step builds no observation rows (its outcome carries None): `step_many`
+builds those of the states that observe, in one `observe_all` pass. All
 randomness is confined to `reset` (respawn sampling); given (config, seed,
 action sequence) the whole trajectory is bitwise reproducible on a single
 thread.
@@ -64,44 +63,26 @@ proximity band. A culled query thus takes each decision, and yields each
 value, with the bits of the full scan; `tests/test_sim_geometry.py` holds
 every one to its full scan on rims and box edges.
 
-The observations (`observe_all`, `nearest_static_all`, `central_observation`)
-read the same rows. The nearest static entry needs the true minimum over
-the obstacles, which no culling box bounds, so `observe_all` takes the full
-`obstacle_clearance_matrix`. Their bits are those of the array code in
-`tests/sim_oracle.py`, by the rules above and these:
-
-- the bearings of every visible entry of every row come from one
-  `np.arctan2` call over a flat array: `np.arctan2` gives an element the
-  same bits whatever the array's length or shape, whereas `math.atan2`
-  differs from it in a few percent of inputs; masked entries are written as
-  (0.0, 0.0, 0.0) and never reach the call;
-- each bearing is turned into the drone's frame with the scalar
-  `geometry.wrap_angle`, which gives the bits of its array form;
-- the clearance term is `clear if clear > 0.0 else 0.0`, numpy's
-  `np.maximum(clear, 0.0)`, which turns -0.0 into 0.0;
-- the nearest wall point is the first minimum of (x, w - x, y, h - y), the
-  nearest obstacle the first minimum of its clearance row, and an obstacle
-  wins only when its clearance is strictly below the wall's, as `argmin`
-  and `np.where` take them.
-
-`observe_many` builds the rows of B states at once: it is that array code
-with a leading batch axis, by the same rules. Its distances are `np.hypot`,
-its bearings (the static ones included) come from one `np.arctan2` call and
-pass through the array `wrap_angle` and `/ np.pi`; its static block stacks
-the obstacle parameters once per config object, takes the wall point at the
-`argmin` of (x, w - x, y, h - y), lets an obstacle win only on a strictly
-lower clearance, and writes `np.maximum(clear, 0.0)`. The closest points
-of the rows that an obstacle wins come from one array pass
-(`_closest_points`): a rectangle's clamp of a point outside it follows
-`geometry.closest_point_on_rect` with Python's `max` and `min` tie rule,
-`np.where(lo > px, lo, px)` and then `np.where(hi < q, hi, q)`, which keep
-the point's own coordinate on a tie (+0.0 against -0.0 shows it;
-`np.maximum` and `np.minimum` keep the other). Only the rows that a circle
-wins, whose `geometry.unit` takes `math.hypot`'s bits, and points inside a
-rectangle ask `Obstacle.closest_point`. These ufuncs give an element the
-same bits whatever the array's shape, so each of its rows has the bytes of
-`observe_all`. `step_many` uses it once at least `OBSERVE_MANY_MIN` states
-observe.
+The observation rows, which `central_observation` reads too, come from one
+array pass over the states of one config (`observe_all`). Each state's rows
+have the bits of the per-state array code in `tests/sim_oracle.py`: the
+pass's ufuncs give an element the same bits whatever the array's shape. Distances are
+`np.hypot`; the bearings of every entry, the static ones included, come
+from one `np.arctan2` call and pass through the array `wrap_angle` and
+`/ np.pi`; masked entries are written as (0.0, 0.0, 0.0). The nearest static
+entry (`nearest_static_all`) needs the true minimum over the obstacles,
+which no culling box bounds, so it takes the full `obstacle_clearance_matrix`.
+Its wall point is at the `argmin` of (x, w - x, y, h - y), its obstacle at
+the first minimum of the point's clearance row, and an obstacle wins only on
+a clearance strictly below the wall's; its term is `np.maximum(clear, 0.0)`,
+which turns -0.0 into 0.0. The closest points of the rows that an obstacle
+wins come from one array pass (`_closest_points`): a rectangle's clamp of a
+point outside it follows `geometry.closest_point_on_rect` with Python's
+`max` and `min` tie rule, `np.where(lo > px, lo, px)` and then
+`np.where(hi < q, hi, q)`, which keep the point's own coordinate on a tie
+(+0.0 against -0.0 shows it; `np.maximum` and `np.minimum` keep the other).
+Only the rows that a circle wins, whose `geometry.unit` takes `math.hypot`'s
+bits, and points inside a rectangle ask `Obstacle.closest_point`.
 """
 
 from __future__ import annotations
@@ -169,12 +150,11 @@ class WorldState:
     evaders: list[list[float]]  # num_e rows
     captured: list[bool]  # num_e flags
     terminal: str
-    rng: np.random.Generator
 
 
 @dataclass
 class StepOutcome:
-    observations: np.ndarray | None  # (num_p, obs_len); None from step(..., observe=False)
+    observations: np.ndarray | None  # (num_p, obs_len) from step_many; None from step
     reward: float
     terminal: str
     captures: list[CaptureEvent] = field(default_factory=list)
@@ -250,99 +230,13 @@ def reset(cfg: EnvConfig, seed: int) -> tuple[WorldState, np.ndarray]:
         evaders=[[x, y, h] for (x, y), h in zip(pos_e, headings_e)],
         captured=[False] * p.num_e,
         terminal=RUNNING,
-        rng=rng,
     )
-    return state, observe_all(state)
+    return state, observe_all([state])[0]
 
 
 # ---------------------------------------------------------------------------
 # Observations
 # ---------------------------------------------------------------------------
-
-def nearest_static_all(cfg: EnvConfig, pursuers, obstacle, wall) -> tuple[list[float], list[tuple[float, float]]]:
-    """Per pursuer ([x, y, ...] row): (clearance, closest point) over all
-    obstacles and walls.
-
-    `obstacle` and `wall` are the pursuers' `obstacle_clearance_matrix` and
-    wall clearances (`geometry.wall_clearance`). A tie goes to the wall, then
-    to the lowest obstacle index.
-    """
-    w, h = cfg.site.boundary_width, cfg.site.boundary_height
-    clears, points = [], []
-    for p, row, clear in zip(pursuers, obstacle, wall):
-        x, y = p[0], p[1]
-        # the wall point: the first of (left, right, bottom, top) at the minimum
-        point, best = (0.0, y), x
-        if w - x < best:
-            point, best = (w, y), w - x
-        if y < best:
-            point, best = (x, 0.0), y
-        if h - y < best:
-            point = (x, h)
-        if row:
-            k = row.index(min(row))  # the first minimum
-            if row[k] < clear:
-                clear, point = row[k], cfg.site.obstacles[k].closest_point(x, y)
-        clears.append(clear)
-        points.append(point)
-    return clears, points
-
-
-def _relative_entries(row: list, x: float, y: float, heading: float, targets, reception: float, bearings: list) -> None:
-    """Append (dist/reception, bearing/pi, mask) to `row` per target ([x, y,
-    ...], or None for a masked one), as seen from (x, y, heading).
-
-    A visible entry's bearing is left at 0.0 and queued on `bearings` as
-    (row, column, dy, dx, heading) for `observe_all`'s one `np.arctan2` call.
-    """
-    for t in targets:
-        if t is not None:
-            dx = t[0] - x
-            dy = t[1] - y
-            d = abs(complex(dx, dy))
-            if d <= reception:
-                bearings.append((row, len(row) + 1, dy, dx, heading))
-                row += (d / reception, 0.0, 1.0)
-                continue
-        row += (0.0, 0.0, 0.0)
-
-
-def observe_all(state: WorldState) -> np.ndarray:
-    """Observations for every pursuer, one row per agent.
-
-    Row layout (all components in [-1, 1], masked entries exactly 0, mask 0):
-      [per evader: dist/reception, bearing/pi, mask] * num_e
-      [nearest obstacle or wall: clearance/reception, angle/pi, mask]
-      [per teammate (index order, skipping self): dist/reception, bearing/pi, mask] * (num_p-1)
-    """
-    cfg = state.cfg
-    reception = cfg.players.reception_range
-    pursuers = state.pursuers
-    evaders = [None if done else pose for pose, done in zip(state.evaders, state.captured)]
-    w, h = cfg.site.boundary_width, cfg.site.boundary_height
-    walls = [geometry.wall_clearance(x, y, w, h) for x, y, _ in pursuers]
-    clears, points = nearest_static_all(cfg, pursuers, obstacle_clearance_matrix(cfg, pursuers), walls)
-
-    rows, bearings = [], []
-    for i, (x, y, heading) in enumerate(pursuers):
-        row = []
-        _relative_entries(row, x, y, heading, evaders, reception, bearings)
-        clear = clears[i]
-        if clear <= reception:
-            px, py = points[i]
-            bearings.append((row, len(row) + 1, py - y, px - x, heading))
-            row += ((clear if clear > 0.0 else 0.0) / reception, 0.0, 1.0)
-        else:
-            row += (0.0, 0.0, 0.0)
-        _relative_entries(row, x, y, heading, pursuers[:i] + pursuers[i + 1 :], reception, bearings)
-        rows.append(row)
-
-    if bearings:
-        angles = np.arctan2([b[2] for b in bearings], [b[3] for b in bearings]).tolist()
-        for (row, col, _, _, heading), a in zip(bearings, angles):
-            row[col] = geometry.wrap_angle(a - heading) / math.pi
-    return np.array(rows, dtype=np.float64)
-
 
 class _ShapeColumns(NamedTuple):
     """The obstacles of one shape, stacked: their columns in config order
@@ -375,21 +269,11 @@ def _stacked_obstacles(cfg: EnvConfig) -> tuple[_ShapeColumns, _ShapeColumns]:
     return columns("circle"), columns("rectangle")
 
 
-def _nearest_static_many(cfg: EnvConfig, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(clearance, closest point) of the nearest wall or obstacle of each
-    (x, y) row of `xy`, by the rules of `nearest_static_all`."""
-    w, h = cfg.site.boundary_width, cfg.site.boundary_height
-    x, y = xy[:, 0], xy[:, 1]
-    which = np.array([x, w - x, y, h - y]).argmin(axis=0)  # left, right, bottom, top
-    points = xy.copy()
-    rows = np.arange(len(xy))
-    points[rows, which >> 1] = np.array((0.0, w, 0.0, h))[which]
-    clear = np.minimum(np.minimum(np.minimum(x, w - x), y), h - y)
-    obstacles = cfg.site.obstacles
-    if not obstacles:
-        return clear, points
+def obstacle_clearance_matrix(cfg: EnvConfig, xy: np.ndarray) -> np.ndarray:
+    """(n, k): the `Obstacle.clearance` of each (x, y) row of `xy` to each of
+    the k obstacles, in config order."""
     circles, rects = _stacked_obstacles(cfg)
-    matrix = np.empty((len(xy), len(obstacles)))
+    matrix = np.empty((len(xy), len(cfg.site.obstacles)))
     x, y = xy[:, 0:1], xy[:, 1:2]
     if circles.cols.size:
         matrix[:, circles.cols] = np.hypot(x - circles.cx, y - circles.cy) - circles.sx
@@ -398,6 +282,23 @@ def _nearest_static_many(cfg: EnvConfig, xy: np.ndarray) -> tuple[np.ndarray, np
         dy = np.abs(y - rects.cy) - rects.sy
         outside = np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
         matrix[:, rects.cols] = np.where((dx > 0) & (dy > 0), outside, np.maximum(dx, dy))
+    return matrix
+
+
+def nearest_static_all(cfg: EnvConfig, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(clearance, closest point) of the nearest wall or obstacle of each
+    (x, y) row of `xy`. A tie goes to the wall, then to the lowest obstacle
+    index."""
+    w, h = cfg.site.boundary_width, cfg.site.boundary_height
+    x, y = xy[:, 0], xy[:, 1]
+    which = np.array([x, w - x, y, h - y]).argmin(axis=0)  # left, right, bottom, top
+    points = xy.copy()
+    rows = np.arange(len(xy))
+    points[rows, which >> 1] = np.array((0.0, w, 0.0, h))[which]
+    clear = np.minimum(np.minimum(np.minimum(x, w - x), y), h - y)
+    if not cfg.site.obstacles:
+        return clear, points
+    matrix = obstacle_clearance_matrix(cfg, xy)
     nearest = matrix.argmin(axis=1)
     ob_clear = matrix[rows, nearest]
     wins = ob_clear < clear
@@ -447,10 +348,15 @@ def _entry_columns(num_e: int, num_p: int) -> np.ndarray:
     )
 
 
-def observe_many(states) -> np.ndarray:
+def observe_all(states) -> np.ndarray:
     """The (B, num_p, obs_len) observation rows of B states of one config,
-    from one array pass: `observe_many(states)[b]` has the bytes of
-    `observe_all(states[b])` (see the module notes)."""
+    from one array pass (see the module notes): one row per pursuer.
+
+    Row layout (all components in [-1, 1], masked entries exactly 0, mask 0):
+      [per evader: dist/reception, bearing/pi, mask] * num_e
+      [nearest obstacle or wall: clearance/reception, angle/pi, mask]
+      [per teammate (index order, skipping self): dist/reception, bearing/pi, mask] * (num_p-1)
+    """
     cfg = states[0].cfg
     reception = cfg.players.reception_range
     poses = np.array([s.pursuers for s in states])  # (B, num_p, 3)
@@ -458,7 +364,7 @@ def observe_many(states) -> np.ndarray:
     captured = np.array([s.captured for s in states], dtype=bool)  # (B, num_e)
     b, n, _ = poses.shape
     ne = evaders.shape[1]
-    clear, static = _nearest_static_many(cfg, poses[..., :2].reshape(-1, 2))
+    clear, static = nearest_static_all(cfg, poses[..., :2].reshape(-1, 2))
     targets = np.concatenate([evaders[..., :2], static.reshape(b, n, 2), poses[..., :2]], axis=1)
     delta = targets[:, _entry_columns(ne, n)] - poses[:, :, None, :2]  # (B, num_p, num_e + num_p, 2)
     dx, dy = delta[..., 0], delta[..., 1]
@@ -478,9 +384,9 @@ def observe_many(states) -> np.ndarray:
 def central_observation(state: WorldState, learner_obs: np.ndarray) -> np.ndarray:
     """Centralized-critic input: learner observations plus global evader positions.
 
-    `learner_obs` holds the `observe_all(state)` rows of the learner slots, in
-    slot order. Evader positions are normalized to [-1, 1] over the arena;
-    captured evaders are zeroed.
+    `learner_obs` holds the learner slots' rows of the state's `observe_all`
+    pass, in slot order. Evader positions are normalized to [-1, 1] over the
+    arena; captured evaders are zeroed.
     """
     w, h = state.cfg.site.boundary_width, state.cfg.site.boundary_height
     ev = []
@@ -537,13 +443,6 @@ def evader_view(cfg: EnvConfig, evader, drones) -> scripted.AgentView:
 # ---------------------------------------------------------------------------
 # Step
 # ---------------------------------------------------------------------------
-
-def obstacle_clearance_matrix(cfg: EnvConfig, pts) -> list[list[float]]:
-    """Per point ([x, y, ...]): its `Obstacle.clearance` to each obstacle, in
-    config order; rows are empty without obstacles."""
-    obstacles = cfg.site.obstacles
-    return [[ob.clearance(p[0], p[1]) for ob in obstacles] for p in pts]
-
 
 @per_config
 def _stepping(cfg: EnvConfig) -> tuple:
@@ -669,12 +568,9 @@ def _pairwise_sum(values: list[float]) -> float:
     return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
-def step(state: WorldState, actions, observe: bool = True) -> StepOutcome:
-    """Advance the world one tick. Mutates `state` and returns the outcome.
-
-    With `observe=False` the outcome's observations are None and the rest is
-    unchanged: the observations are the last thing a step computes.
-    """
+def step(state: WorldState, actions) -> StepOutcome:
+    """Advance the world one tick. Mutates `state` and returns the outcome,
+    whose observations are None (`step_many` builds them)."""
     cfg = state.cfg
     if state.terminal != RUNNING:
         raise RuntimeError(f"step() on a terminal state ({state.terminal})")
@@ -723,7 +619,7 @@ def step(state: WorldState, actions, observe: bool = True) -> StepOutcome:
     state.terminal = is_terminal(state, collisions)
 
     return StepOutcome(
-        observations=observe_all(state) if observe else None,
+        observations=None,
         reward=reward,
         terminal=state.terminal,
         captures=captures,
@@ -731,31 +627,18 @@ def step(state: WorldState, actions, observe: bool = True) -> StepOutcome:
     )
 
 
-#: `step_many` builds the rows of its observing states in one `observe_many`
-#: pass from this many of them on. On `4p2e3o` (one x86_64 core) the pass
-#: cost 85-110 us for 1 state, 95-190 us for 3, 150-210 us for 4 and
-#: 370-400 us for 20, against 35, 95-155, 185-215 and 880-900 us for as
-#: many `observe_all` calls from the step's geometry. In whole runs 3 beat
-#: 4: HOLA edge scoring took 1.53-1.56 s against 1.55-1.61 s and four
-#: self-play scores 0.95-0.98 s against 1.02 s (medians of two interleaved
-#: rounds); 1 and 2 were within the noise of 3.
-OBSERVE_MANY_MIN = 3
-
-
 def step_many(states, actions, observe: list[bool]) -> list[StepOutcome]:
-    """`step(state, action, flag)` for each state with its actions and
-    `observe` flag, in order: the outcomes of those calls.
-
-    Each state makes its own `step` call. When at least `OBSERVE_MANY_MIN`
-    states observe, their steps skip the rows and one `observe_many` pass
-    builds them afterwards, each row a view into that pass's array.
+    """`step(state, action)` for each state with its actions, in order: the
+    outcomes of those calls, with the observation rows of each state whose
+    `observe` flag is set. One `observe_all` pass over those states builds
+    them, each row a view into its array; none is made when no state
+    observes.
     """
-    if observe.count(True) < OBSERVE_MANY_MIN:
-        return [step(state, a, flag) for state, a, flag in zip(states, actions, observe)]
-    outcomes = [step(state, a, False) for state, a in zip(states, actions)]
-    observing = [i for i, flag in enumerate(observe) if flag]
-    for i, rows in zip(observing, observe_many([states[i] for i in observing])):
-        outcomes[i].observations = rows
+    outcomes = [step(state, a) for state, a in zip(states, actions)]
+    if any(observe):
+        observing = [i for i, flag in enumerate(observe) if flag]
+        for i, rows in zip(observing, observe_all([states[i] for i in observing])):
+            outcomes[i].observations = rows
     return outcomes
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pursuit_lab import config, sim
-from pursuit_lab.seeding import substream
 
 
 @pytest.fixture(scope="session")
@@ -31,7 +30,6 @@ def make_state(cfg, pursuers, evaders, captured=None, step=0):
         evaders=np.array(evaders, dtype=np.float64).reshape(cfg.players.num_e, 3).tolist(),
         captured=np.array(cap, dtype=bool).tolist(),
         terminal=sim.RUNNING,
-        rng=substream(0, "fixture"),
     )
 
 

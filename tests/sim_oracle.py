@@ -149,7 +149,8 @@ def relative_blocks(origins: np.ndarray, headings: np.ndarray, targets: np.ndarr
 
 
 def observe_all(state, geom: ArrayGeometry | None = None) -> np.ndarray:
-    """`sim.observe_all` on numpy arrays."""
+    """The rows of one state's `sim.observe_all` pass, per block on numpy
+    arrays."""
     state = arrays(state)
     cfg = state.cfg
     reception = cfg.players.reception_range

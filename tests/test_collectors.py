@@ -6,13 +6,13 @@ episodes side by side through `rl.step_episodes`, the step that eval plays
 through. `LoopCollector` keeps the loop they replaced as the oracle: `n_envs`
 envs, each with one `sim.reset` per episode, and per step one `model.act`
 over the learner rows of every env, then in env order each teammate's
-`act` for its slot alone (`conftest.act_alone`) and one `sim.step` per env;
-a NAHT-D step record per learner and a GAE pass per env. Both must give the
-same batches and episode statistics, bit for bit, with one env and with
-`rl.ROLLOUT_ENVS`, for self-play, MAPPO and NAHT-D, with scripted,
-stochastic-net and deterministic-net teammates (the last act for all their
-slots in all envs in one stacked forward), and across episodes cut by a
-batch and continued by the next.
+`act` for its slot alone (`conftest.act_alone`) and one `sim.step` and one
+`sim.observe_all` per env; a NAHT-D step record per learner and a GAE pass
+per env. Both must give the same batches and episode statistics, bit for
+bit, with one env and with `rl.ROLLOUT_ENVS`, for self-play, MAPPO and
+NAHT-D, with scripted, stochastic-net and deterministic-net teammates (the
+last act for all their slots in all envs in one stacked forward), and across
+episodes cut by a batch and continued by the next.
 """
 
 from dataclasses import fields, replace
@@ -99,7 +99,7 @@ class LoopCollector:
                     mate_rows.append(np.tile(all_actions[n:], (n, 1)))
                 out = sim.step(env.state, all_actions)
                 env.episode_return += out.reward
-                env.obs = out.observations
+                env.obs = sim.observe_all([env.state])[0]
                 outcomes.append(out)
             obs_rows.append(learner_obs)
             critic_rows.append(critic_step)
@@ -241,14 +241,19 @@ def test_collector_keeps_the_most_envs_that_split_the_batch_into_long_enough_seg
 def test_caller_owned_slots_step_with_their_preset_actions_and_observe(monkeypatch):
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     greedy = rl.ScriptedSlotPolicy("greedy")
-    calls = []
-    real_step = sim.step
+    steps, observed = [], []
+    real_step, real_observe_all = sim.step, sim.observe_all
 
-    def recording_step(state, actions, *args):
-        calls.append((np.array(actions), args))
-        return real_step(state, actions, *args)
+    def recording_step(state, actions):
+        steps.append(np.array(actions))
+        return real_step(state, actions)
+
+    def recording_observe_all(states):
+        observed.append(list(states))
+        return real_observe_all(states)
 
     monkeypatch.setattr(sim, "step", recording_step)
+    monkeypatch.setattr(sim, "observe_all", recording_observe_all)
     owned = rl.Episode(sim.reset(env, 11), [None, None, greedy, greedy], substream(11, "policies"))
     scripted = rl.Episode(sim.reset(env, 11), [greedy] * 4, substream(11, "policies"))
     # every policy slot is scripted, so only the episode with caller-owned slots observes
@@ -257,10 +262,16 @@ def test_caller_owned_slots_step_with_their_preset_actions_and_observe(monkeypat
     for _ in range(5):
         owned.actions[:2] = preset
         mates = [act_alone(greedy, owned.state, None, i, None) for i in (2, 3)]
-        calls.clear()
+        steps.clear()
+        observed.clear()
         outcomes = rl.step_episodes([owned, scripted])
-        (owned_actions, owned_args), (_, scripted_args) = calls
+        owned_actions, _ = steps
         assert owned_actions.tolist() == preset + mates
-        assert (owned_args, scripted_args) == ((True,), (False,))
+        assert len(observed) == 1 and len(observed[0]) == 1 and observed[0][0] is owned.state  # one pass
         assert outcomes[0].observations is not None and outcomes[1].observations is None
         assert owned.obs is outcomes[0].observations
+    # a step in which no episode observes builds no rows
+    assert scripted.state.terminal == sim.RUNNING
+    observed.clear()
+    (outcome,) = rl.step_episodes([scripted])
+    assert observed == [] and outcome.observations is None

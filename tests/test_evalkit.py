@@ -274,9 +274,9 @@ def reference_episode(env_cfg, slot_policies, seed):
         actions = np.zeros(env_cfg.players.num_p)
         for i, (pol, slot_state) in enumerate(zip(slot_policies, slot_states)):
             actions[i] = act_alone(pol, state, obs, i, slot_state)
-        out = sim.step(state, actions, observe=True)
+        out = sim.step(state, actions)
         episode_return += out.reward
-        obs = out.observations
+        obs = sim.observe_all([state])[0]
     return evalkit.EpisodeRecord(state.terminal, state.step, episode_return, seed_block=0, index=0)
 
 
@@ -288,33 +288,28 @@ def scripted_team(kinds):
 
 @pytest.mark.parametrize("name", config.BUILTIN_ENV_NAMES)
 def test_scripted_episode_equals_the_observing_loop_and_observes_only_at_reset(name, monkeypatch):
-    # alone, and side by side with more episodes than OBSERVE_MANY_MIN
+    # alone, and side by side with six episodes of each seed
     cfg = config.builtin_env(name)
-    real_observe_all, real_observe_many = sim.observe_all, sim.observe_many
+    real_observe_all = sim.observe_all
     calls = []
 
-    def counting_observe_all(*args, **kwargs):
-        calls.append("observe_all")
-        return real_observe_all(*args, **kwargs)
-
-    def counting_observe_many(*args, **kwargs):
-        calls.append("observe_many")
-        return real_observe_many(*args, **kwargs)
+    def counting_observe_all(states):
+        calls.append(len(states))
+        return real_observe_all(states)
 
     teams = [(1, ["greedy"] * 4), (2, ["greedy", "vicsek", "random", "greedy"])]
     wants = [reference_episode(cfg, scripted_team(kinds), seed) for seed, kinds in teams]
     monkeypatch.setattr(sim, "observe_all", counting_observe_all)
-    monkeypatch.setattr(sim, "observe_many", counting_observe_many)
     for (seed, kinds), want in zip(teams, wants):
         got = evalkit.play_episode(cfg, scripted_team(kinds), seed)
         assert got == want
         assert got.episode_return.hex() == want.episode_return.hex()
-        assert calls == ["observe_all"]  # the reset's
+        assert calls == [1]  # the reset's
         calls.clear()
-    copies = 2 * sim.OBSERVE_MANY_MIN
+    copies = 6
     got = evalkit.play_episodes(cfg, [(scripted_team(kinds), seed) for seed, kinds in teams] * copies)
     assert got == wants * copies
-    assert calls == ["observe_all"] * len(teams)  # the resets', one per distinct seed
+    assert calls == [1] * len(teams)  # the resets', one per distinct seed
 
 
 class RecordingNet(rl.NetSlotPolicy):
@@ -487,7 +482,7 @@ def side_by_side_episodes(name):
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(config.BUILTIN_ENV_NAMES).flatmap(side_by_side_episodes))
 @example(("4p2e3o", []))  # no episodes give no records
-@example(("4p3e5o", [(["net", "greedy", "other-net", "random"], seed) for seed in range(5)]))  # rows from observe_many
+@example(("4p3e5o", [(["net", "greedy", "other-net", "random"], seed) for seed in range(5)]))  # one pass builds five episodes' rows
 def test_episodes_played_side_by_side_equal_each_played_alone(drawn):
     name, teams = drawn
     cfg, policies = arena_policies(name)
@@ -517,9 +512,8 @@ def repeated_seed_episodes(name):
 
 
 def start_of(state, obs):
-    """A snapshot of a start: its poses and flags, its rows' bytes and its
-    rng's state."""
-    return copy.deepcopy((state.pursuers, state.evaders, state.captured)), obs.tobytes(), state.rng.bit_generator.state
+    """A snapshot of a start: its poses and flags and its rows' bytes."""
+    return copy.deepcopy((state.pursuers, state.evaders, state.captured)), obs.tobytes()
 
 
 @pytest.mark.parametrize("name", ["4p2e3o", "4p3e5o"])
@@ -540,7 +534,7 @@ def test_episodes_of_one_seed_reset_once_and_keep_the_records_played_alone(name,
 
 
 @pytest.mark.parametrize("name", ["4p2e3o", "4p3e5o"])
-def test_episodes_of_one_seed_share_no_pose_flag_rows_or_rng(name, monkeypatch):
+def test_episodes_of_one_seed_share_no_pose_flag_or_rows(name, monkeypatch):
     # each episode starts where a reset of its seed does, and changing one
     # episode's start in place leaves every other episode's start as it was
     cfg, episodes = repeated_seed_episodes(name)
@@ -554,7 +548,6 @@ def test_episodes_of_one_seed_share_no_pose_flag_rows_or_rng(name, monkeypatch):
             pose[0] += 1.0
         ep.state.captured[0] = not ep.state.captured[0]
         ep.obs += 1.0
-        ep.state.rng.integers(0, 2**63)
         after = [start_of(other.state, other.obs) for other in started]
         changed = [[x != y for x, y in zip(a, b)] for a, b in zip(after, before)]
-        assert changed == [[j == i] * 3 for j in range(len(started))]
+        assert changed == [[j == i] * 2 for j in range(len(started))]

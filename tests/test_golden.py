@@ -125,7 +125,7 @@ def step_outcome_hash() -> str:
                 seats = enumerate(zip(policies, slot_states))
                 actions = np.array([act_alone(pol, state, obs, i, slot_state) for i, (pol, slot_state) in seats])
                 out = sim.step(state, actions)
-                obs = out.observations
+                obs = sim.observe_all([state])[0]
                 for arr in (actions, obs, state.pursuers, state.evaders, state.captured):
                     h.update(np.array(arr).tobytes())
                 h.update(repr((out.reward, out.terminal, out.captures, out.collisions)).encode())

@@ -277,7 +277,7 @@ def test_collect_rollouts_learner_streams_only():
                 all_actions[k] = act_alone(rl.ScriptedSlotPolicy("greedy"), state, obs, k, None)
             out = sim.step(state, all_actions)
             ended |= out.terminal != sim.RUNNING
-            pair[1] = out.observations
+            pair[1] = sim.observe_all([state])[0]
         if ended:
             break
     replay = np.concatenate(replay_rows, axis=0)
@@ -295,7 +295,7 @@ def test_cut_rollout_bootstraps_each_slot_with_its_own_value():
     batch, _ = collector.collect(cfg.batch)
     assert collector.n_envs == n_envs
     # the collector's bootstrap: one critic forward over every env's rows
-    rows = np.concatenate([sim.observe_all(ep.state)[:4] for ep in collector.episodes])
+    rows = np.concatenate([sim.observe_all([ep.state])[0, :4] for ep in collector.episodes])
     tails = model.values(rows).astype(np.float64).reshape(n_envs, 4)
     lasts = batch.returns.reshape(-1, n_envs, 4)[-1]
     cut = [e for e, ep in enumerate(collector.episodes) if ep.state.terminal == sim.RUNNING]
@@ -363,8 +363,8 @@ def test_ippo_selfplay_smoke_and_checkpoint_roundtrip(tmp_path):
         state, obs = sim.reset(sp, 123)
         poses = []
         while state.terminal == sim.RUNNING and state.step < 100:
-            out = sim.step(state, model.action_mean(obs)[:, 0])
-            obs = out.observations
+            sim.step(state, model.action_mean(obs)[:, 0])
+            obs = sim.observe_all([state])[0]
             poses.append(np.array(state.pursuers))
         return np.stack(poses)
 
@@ -385,7 +385,8 @@ def sequential_selfplay_episodes(model, env_cfg, seed):
         while state.terminal == sim.RUNNING:
             actions = np.array([float(model.action_mean(obs[i : i + 1])[0, 0]) for i in range(len(obs))])
             taken.append(actions.tobytes())
-            obs = sim.step(state, actions).observations
+            sim.step(state, actions)
+            obs = sim.observe_all([state])[0]
         episodes.append((state.terminal, state.step, b"".join(taken)))
     return episodes
 
@@ -422,9 +423,9 @@ def test_selfplay_score_ends_each_episode_as_the_sequential_loop(dtype, monkeypa
         taken[id(state)] = []
         return state, obs
 
-    def recording_step(state, actions, observe=True):
+    def recording_step(state, actions):
         taken[id(state)].append(np.asarray(actions, dtype=float).tobytes())
-        return real_step(state, actions, observe)
+        return real_step(state, actions)
 
     monkeypatch.setattr(sim, "reset", recording_reset)
     monkeypatch.setattr(sim, "step", recording_step)

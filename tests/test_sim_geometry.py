@@ -2,9 +2,10 @@
 
 The oracles below are the scalar-loop versions of `nearest_static_all` and
 of `detect_collisions`' events and proximity count: one obstacle at a time,
-one pursuer at a time. The simulator's versions, on float rows, and the
-array `nearest_static_all` of `sim_oracle` must give the same bytes on any
-pursuer layout, including points inside obstacles, points outside the walls,
+one pursuer at a time. The simulator's versions (the observations' array
+`obstacle_clearance_matrix` and `nearest_static_all`, the step's pass on
+float rows) and the array `nearest_static_all` of `sim_oracle` must give the
+same bytes on any pursuer layout, including points inside obstacles, points outside the walls,
 pursuers within `capture_range` of each other, and exact ties between two
 obstacles or between an obstacle and a wall (the `ties` arena, whose
 dyadic sizes make such ties exact). The observations' array closest points
@@ -224,14 +225,12 @@ def test_geometry_equals_the_per_obstacle_oracles(name):
     def check(pursuers):
         state = scene(cfg, pursuers)
         pts = pursuers[:, :2]
-        walls = walls_of(cfg, state.pursuers)
-        matrix = sim.obstacle_clearance_matrix(cfg, state.pursuers)
-        obstacle, wall = np.array(matrix).reshape(len(pts), -1), np.array(walls)
+        obstacle, wall = sim.obstacle_clearance_matrix(cfg, pts), np.array(walls_of(cfg, state.pursuers))
         assert same_bytes(obstacle, oracle_clearance_matrix(cfg, pts))
         assert same_bytes(wall, oracle_wall_clearances(cfg, pts))
 
         want_clear, want_pts = oracle_nearest_static_all(cfg, pts)
-        clear, points = sim.nearest_static_all(cfg, state.pursuers, matrix, walls)
+        clear, points = sim.nearest_static_all(cfg, pts)
         assert same_bytes(clear, want_clear)
         assert same_bytes(points, want_pts)
         clear, points = sim_oracle.nearest_static_all(cfg, pts, obstacle, wall)
@@ -254,15 +253,14 @@ def test_geometry_equals_the_per_obstacle_oracles(name):
 def test_ties_go_to_the_wall_then_to_the_lowest_obstacle():
     cfg = ARENAS["ties"]
     pursuers = np.array([[1.5, 2.5, 0.0], [2.5, 2.5, 0.0], [0.375, 2.5, 0.0], [0.375, 2.375, 0.0]])
-    state = scene(cfg, pursuers)
-    walls = walls_of(cfg, state.pursuers)
-    matrix = sim.obstacle_clearance_matrix(cfg, state.pursuers)
-    assert matrix[0][0] == matrix[0][1] == 0.25
-    assert matrix[1][1] == matrix[1][2] == 0.25
-    assert matrix[2][0] == walls[2] == 0.375
-    clear, points = sim.nearest_static_all(cfg, pursuers.tolist(), matrix, walls)
-    assert clear == [0.25, 0.25, 0.375, 0.375]
-    assert points == [(1.25, 2.5), (2.25, 2.5), (0.0, 2.5), (0.0, 2.375)]
+    walls = walls_of(cfg, pursuers.tolist())
+    matrix = sim.obstacle_clearance_matrix(cfg, pursuers[:, :2])
+    assert matrix[0, 0] == matrix[0, 1] == 0.25
+    assert matrix[1, 1] == matrix[1, 2] == 0.25
+    assert matrix[2, 0] == walls[2] == 0.375
+    clear, points = sim.nearest_static_all(cfg, pursuers[:, :2])
+    assert clear.tolist() == [0.25, 0.25, 0.375, 0.375]
+    assert points.tolist() == [[1.25, 2.5], [2.25, 2.5], [0.0, 2.5], [0.0, 2.375]]
     want_clear, want_points = oracle_nearest_static_all(cfg, pursuers[:, :2])
     assert same_bytes(clear, want_clear) and same_bytes(points, want_points)
 
@@ -328,9 +326,9 @@ def test_clearance_matrix_is_the_scalar_clearance_with_the_inside_sign(name):
     @EXAMPLES
     @given(layouts(cfg))
     def check(pursuers):
-        matrix = sim.obstacle_clearance_matrix(cfg, pursuers.tolist())
-        assert np.array(matrix).shape == (cfg.players.num_p, len(cfg.site.obstacles))
-        for (x, y, _), row in zip(pursuers.tolist(), matrix):
+        matrix = sim.obstacle_clearance_matrix(cfg, pursuers[:, :2])
+        assert matrix.shape == (cfg.players.num_p, len(cfg.site.obstacles))
+        for (x, y, _), row in zip(pursuers.tolist(), matrix.tolist()):
             for ob, c in zip(cfg.site.obstacles, row):
                 assert c.hex() == ob.clearance(x, y).hex()
                 if abs(c) > 1e-9:  # away from the rim, where rounding decides
@@ -441,8 +439,8 @@ def test_culled_static_queries_equal_the_full_scans(name):
 def test_every_static_clearance_has_the_bits_of_the_one_rule(name):
     # the float obstacle and wall forms against the observations' matrix,
     # the array oracle, the step's geometry pass (through its decisions),
-    # the scripted entries, the keep-out and spawn tests and observe_many's
-    # nearest clearance
+    # the scripted entries, the keep-out and spawn tests and the
+    # observations' nearest clearance
     cfg = ARENAS[name]
     obstacles = cfg.site.obstacles
     rows, w, h, _ = scripted.arena(cfg)
@@ -455,7 +453,7 @@ def test_every_static_clearance_has_the_bits_of_the_one_rule(name):
         walls = [geometry.wall_clearance(x, y, w, h) for x, y in pts]
         want = [[c.hex() for c in row] for row in clears]
         poses, xy = [[x, y, 0.0] for x, y in pts], np.array(pts)
-        assert [[c.hex() for c in row] for row in sim.obstacle_clearance_matrix(cfg, poses)] == want
+        assert [[c.hex() for c in row] for row in sim.obstacle_clearance_matrix(cfg, xy).tolist()] == want
         assert [[c.hex() for c in row] for row in sim_oracle.obstacle_clearance_matrix(cfg, xy).tolist()] == want
         assert [c.hex() for c in sim_oracle.wall_clearances(cfg, xy).tolist()] == [c.hex() for c in walls]
         least = []
@@ -474,7 +472,7 @@ def test_every_static_clearance_has_the_bits_of_the_one_rule(name):
                 if c < best:
                     best = c
             least.append(best.hex())
-        assert [c.hex() for c in sim._nearest_static_many(cfg, xy)[0].tolist()] == least
+        assert [c.hex() for c in sim.nearest_static_all(cfg, xy)[0].tolist()] == least
         # the step's culled pass, with each clearance below the reach at
         # safe_radius and at safe_radius + PROX_BAND, and the float after each
         terms = [c for row, wall in zip(clears, walls) for c in [wall] + row if c < reach(cfg)]
@@ -495,7 +493,7 @@ def test_the_step_and_observation_clearances_are_the_one_rule_around_every_obsta
         xy = np.column_stack([cx + ex * rng.uniform(-1.2, 1.2, 2000), cy + ey * rng.uniform(-1.2, 1.2, 2000)])
         poses = [[x, y, 0.0] for x, y in xy.tolist()]
         want = [[o.clearance(x, y).hex() for o in cfg.site.obstacles] for x, y, _ in poses]
-        assert [[c.hex() for c in row] for row in sim.obstacle_clearance_matrix(cfg, poses)] == want
+        assert [[c.hex() for c in row] for row in sim.obstacle_clearance_matrix(cfg, xy).tolist()] == want
         assert [[c.hex() for c in row] for row in sim_oracle.obstacle_clearance_matrix(cfg, xy).tolist()] == want
         # the step's pass, one drone at a time, with safe_radius at the
         # swept obstacle's clearance and at the float after it

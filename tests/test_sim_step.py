@@ -1,26 +1,30 @@
-"""`sim.step` and the observations on Python floats against their numpy
-oracles, bitwise.
+"""`sim.step` on Python floats and the observations' one array pass against
+their numpy oracles, bitwise.
 
 `sim_oracle.step` is the array step that the float step replaced, and
-`sim_oracle.observe_all` the array observations. Both steps run from copies
-of one state; the outcome (reward bits, terminal, capture and collision
-events, observation bytes) and the post-step rows and flags must be equal. States
-are drawn on and near every threshold the step and the observations compare
-against: capture range and the drone proximity band between drones, the
-safe radius and its band at obstacle rims, rectangle corners and walls, the
-reception range, points inside obstacles and outside the arena, coordinates
-of +-0.0, exact clearance ties, captured evaders, the last step of the
-horizon, and steer commands outside [-1, 1]. `sim.observe_many` must give
-each of a batch of such states (and of random-walk states) the bytes of
-`sim.observe_all`, and `sim.step_many` each state the outcome of its own
-`sim.step`.
+`sim_oracle.observe_all` the per-state array observations. Both steps run
+from copies of one state; the outcome (reward bits, terminal, capture and
+collision events), the post-step rows and flags, and the post-step
+observation bytes (`sim.observe_all` of the stepped state against the
+oracle's outcome) must be equal. States are drawn on and near every
+threshold the step and the observations compare against: capture range and
+the drone proximity band between drones, the safe radius and its band at
+obstacle rims, rectangle corners and walls, the reception range, points
+inside obstacles and outside the arena, coordinates of +-0.0, exact
+clearance ties, captured evaders, the last step of the horizon, and steer
+commands outside [-1, 1]. `sim.observe_all` must give each state of a batch
+of 1 to 8 such states (random-walk states, and drones inside a rectangle or
+on its clamp edges among them) the bytes of `sim_oracle.observe_all` of that
+state alone, and `sim.step_many` each state the outcome of its own
+`sim.step` with, where it observes, the oracle's rows.
 
-The float code reproduces numpy's bits through libm: `abs(complex(dx, dy))`
-and `np.hypot` both call `hypot`, `math.cos`/`math.sin` match `np.cos`/
-`np.sin`, and one `np.arctan2` call over all bearings gives each the bits of
-the oracle's per-block calls. Those are facts of a numpy build and a CPU, so
-these tests run on the platform that `tests/golden/hashes.json` was recorded
-on and skip elsewhere, as the golden tests do.
+The float step reproduces numpy's bits through libm: `abs(complex(dx, dy))`
+and `np.hypot` both call `hypot`, and `math.cos`/`math.sin` match `np.cos`/
+`np.sin`. The one pass takes every bearing of a batch from one `np.arctan2`
+call, which gives each the bits of the oracle's per-block calls. Those are
+facts of a numpy build and a CPU, so these tests run on the platform that
+`tests/golden/hashes.json` was recorded on and skip elsewhere, as the golden
+tests do.
 """
 
 import copy
@@ -125,18 +129,16 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_same_step(state, actions, observe=True):
+def assert_same_step(state, actions):
     got_state, want_state = copy.deepcopy(state), copy.deepcopy(state)
-    got = sim.step(got_state, actions, observe=observe)
-    want = sim_oracle.step(want_state, actions, observe=observe)
+    got = sim.step(got_state, actions)
+    want = sim_oracle.step(want_state, actions)
     assert got.reward.hex() == want.reward.hex()
     assert got.terminal == want.terminal
     assert got.captures == want.captures
     assert got.collisions == want.collisions
-    if observe:
-        assert same_bytes(got.observations, want.observations)
-    else:
-        assert got.observations is None and want.observations is None
+    assert got.observations is None
+    assert same_bytes(sim.observe_all([got_state])[0], want.observations)
     for name in ("pursuers", "evaders", "captured"):
         assert same_bytes(getattr(got_state, name), getattr(want_state, name))
     assert (got_state.step, got_state.terminal) == (want_state.step, want_state.terminal)
@@ -147,10 +149,9 @@ def test_float_step_equals_the_numpy_oracle_bitwise(name):
     cfg = ARENAS[name]
 
     @EXAMPLES
-    @given(scenes(cfg), st.booleans())
-    def check(scene, observe):
-        state, actions = scene
-        assert_same_step(state, actions, observe)
+    @given(scenes(cfg))
+    def check(scene):
+        assert_same_step(*scene)
 
     check()
 
@@ -160,7 +161,7 @@ def with_reception(cfg, reception):
 
 
 @pytest.mark.parametrize("name", ARENAS)
-def test_float_observations_equal_the_numpy_oracle_bitwise(name):
+def test_observations_equal_the_numpy_oracle_bitwise(name):
     # below the arena's half width a static clearance can equal the range
     cfg = ARENAS[name]
     ranges = [cfg.players.reception_range, 1.0, 0.5]
@@ -170,7 +171,7 @@ def test_float_observations_equal_the_numpy_oracle_bitwise(name):
     def check(scene):
         state, _ = scene
         want = sim_oracle.observe_all(state)
-        assert same_bytes(sim.observe_all(state), want)
+        assert same_bytes(sim.observe_all([state])[0], want)
         learner_obs = want[:2]
         assert same_bytes(sim.central_observation(state, learner_obs), sim_oracle.central_observation(state, learner_obs))
 
@@ -187,7 +188,7 @@ def walked_states(draw, cfg):
     for _ in range(draw(st.integers(0, 40))):
         if state.terminal != sim.RUNNING:
             break
-        sim.step(state, rng.uniform(-1.0, 1.0, cfg.players.num_p), observe=False)
+        sim.step(state, rng.uniform(-1.0, 1.0, cfg.players.num_p))
     return state
 
 
@@ -228,15 +229,15 @@ def observed_batches(cfg):
 
 
 def assert_observed_alone(states):
-    rows = sim.observe_many(states)
+    rows = sim.observe_all(states)
     cfg = states[0].cfg
     assert rows.shape == (len(states), cfg.players.num_p, sim.obs_length(cfg))
     for b, state in enumerate(states):
-        assert same_bytes(rows[b], sim.observe_all(state))
+        assert same_bytes(rows[b], sim_oracle.observe_all(state))
 
 
 @pytest.mark.parametrize("name", ARENAS)
-def test_observe_many_equals_observe_all_per_state_bitwise(name):
+def test_observed_batches_equal_the_numpy_oracle_per_state_bitwise(name):
     cfg = ARENAS[name]
     ranges = [cfg.players.reception_range, 1.0, 0.5]
 
@@ -248,7 +249,7 @@ def test_observe_many_equals_observe_all_per_state_bitwise(name):
     check()
 
 
-def test_observe_many_breaks_exact_static_ties_as_observe_all():
+def test_observations_break_exact_static_ties_as_the_oracle():
     # on the ties arena: a drone as far from the first square as from the
     # left wall, one between the two squares, one between the second square
     # and the circle, and one as far from the left wall as from the bottom
@@ -262,7 +263,7 @@ def test_observe_many_breaks_exact_static_ties_as_observe_all():
 
 @pytest.mark.parametrize("name", ARENAS)
 def test_step_many_gives_each_state_its_own_step(name):
-    # below and above OBSERVE_MANY_MIN observing states, and with none
+    # with every, some or no state observing
     cfg = ARENAS[name]
 
     @settings(max_examples=30, deadline=None)
@@ -273,17 +274,18 @@ def test_step_many_gives_each_state_its_own_step(name):
         rng = np.random.default_rng(seed)
         actions = [rng.uniform(-1.5, 1.5, cfg.players.num_p) for _ in running]
         want_states = copy.deepcopy(states)
-        want = [sim.step(state, a, flag) for state, a, flag in zip(want_states, actions, flags)]
+        want = [sim.step(state, a) for state, a in zip(want_states, actions)]
         got = sim.step_many(states, actions, flags)
         assert len(got) == len(want)
-        for g, w, flag in zip(got, want, flags):
+        for g, w, flag, state in zip(got, want, flags, want_states):
             assert (g.reward.hex(), g.terminal, g.captures, g.collisions) == (
                 w.reward.hex(), w.terminal, w.captures, w.collisions
             )
+            assert w.observations is None
             if flag:
-                assert same_bytes(g.observations, w.observations)
+                assert same_bytes(g.observations, sim_oracle.observe_all(state))
             else:
-                assert g.observations is None and w.observations is None
+                assert g.observations is None
         for g, w in zip(states, want_states):
             assert_states_equal(g, w)
 
@@ -300,7 +302,7 @@ def test_float_episodes_equal_the_numpy_oracle_bitwise(name):
         while state.terminal == sim.RUNNING and state.step < 150:
             actions = rng.uniform(-1.5, 1.5, cfg.players.num_p)
             assert_same_step(state, actions)
-            sim.step(state, actions, observe=False)
+            sim.step(state, actions)
 
 
 def test_pairwise_sum_is_numpy_sum():
@@ -357,7 +359,7 @@ def test_reward_sums_progress_in_numpy_order(num_e):
     # running sums: the step's reward is the oracle's np.sum of the terms
     state, gains = progress_scene(num_e)
     want = sim_oracle.step(copy.deepcopy(state), [0.0], observe=False)
-    got = sim.step(state, [0.0], observe=False)
+    got = sim.step(state, [0.0])
     assert (got.captures, got.collisions) == ([], [])
     assert got.reward.hex() == want.reward.hex() == (sim.C_SHAPE * float(gains.sum())).hex()
 
@@ -383,8 +385,8 @@ def bearing_inputs(n):
 
 
 def test_one_flat_arctan2_call_is_the_per_shape_calls():
-    # observe_all gathers every bearing into one call; the array oracle
-    # calls np.arctan2 on (origins, targets) blocks and on (num_p,) columns
+    # observe_all takes a batch's every bearing from one call; the array
+    # oracle calls np.arctan2 on (origins, targets) blocks and on (num_p,) columns
     dy, dx = bearing_inputs(200_000)
     flat = np.arctan2(dy, dx)
     for length in (1, 3, 7, 8, 13, 24, 40):
@@ -400,7 +402,8 @@ def test_one_flat_arctan2_call_is_the_per_shape_calls():
 
 
 def test_scalar_wrap_angle_is_the_array_form():
-    # the float step wraps headings, observe_all wraps arctan2 - heading
+    # the float step wraps headings with the scalar form, the oracle step
+    # with the array form
     dy, dx = bearing_inputs(200_000)
     rng = np.random.default_rng(6)
     headings = rng.uniform(-math.pi, math.pi, len(dy))
