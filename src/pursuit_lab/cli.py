@@ -122,14 +122,15 @@ def cmd_validate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        cfg = config.parse_config(text, validate=False)
+        config.parse_config(text)
     except config.ConfigError as exc:
         print(f"parse error:\n{exc}", file=sys.stderr)
         return 2
-    violations = config.validate_config(cfg)
-    for v in violations:
-        print(v)
-    return 1 if violations else 0
+    except config.InvalidConfigError as exc:
+        for v in exc.violations:
+            print(v)
+        return 1
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -219,12 +219,12 @@ def _obstacle(obj: dict) -> Obstacle:
     return Obstacle("rectangle", _point(obj["center"]), half_extents=_point(obj["half_extents"]))
 
 
-def parse_config(text: str, *, validate: bool = True) -> EnvConfig:
+def parse_config(text: str) -> EnvConfig:
     """Parse a JSON config document into an EnvConfig.
 
     Raises ConfigError for structural problems (every problem listed with its
-    JSON path) and, when `validate` is true, InvalidConfigError if the parsed
-    document violates any config invariant.
+    JSON path) and InvalidConfigError, which carries every violation, if the
+    parsed document violates any config invariant.
     """
     try:
         doc = json.loads(text)
@@ -264,10 +264,9 @@ def parse_config(text: str, *, validate: bool = True) -> EnvConfig:
             fps=float(t["fps"]),
         ),
     )
-    if validate:
-        violations = validate_config(cfg)
-        if violations:
-            raise InvalidConfigError(violations)
+    violations = validate_config(cfg)
+    if violations:
+        raise InvalidConfigError(violations)
     return cfg
 
 

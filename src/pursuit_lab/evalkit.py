@@ -8,7 +8,6 @@ EvalReport with dispersion over seed blocks.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass, field, fields, replace
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import nn, rl, sim, teammate
 from .config import EnvConfig
-from .seeding import substream
+from .seeding import substream, substream_seed_int
 
 DEFAULT_EPISODES = 250
 SEED_BLOCKS = 5
@@ -84,9 +83,9 @@ def resolve_policy(ref: str, env_cfg: EnvConfig, deterministic: bool = True):
     match the env's observation length, and its pursuer and evader counts
     when its manifest records them (ValueError naming the path otherwise):
     observation rows of other counts can have the same length, and a NAHT-D
-    model's step records lay the counts out. Every archive that a trainer
-    writes records them; archives written before actor-critic ones did are
-    checked by length alone.
+    model's step records lay the counts out. Every archive that
+    `rl.save_checkpoint` writes records them; archives written before it did
+    are checked by length alone.
     """
     if ref == "greedy" or ref == "vicsek":
         return rl.ScriptedSlotPolicy(ref)
@@ -205,50 +204,46 @@ class EvalReport:
 
     def write_csv(self, path) -> None:
         row = self._row()
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(row)
-            writer.writerow(["" if v is None else v for v in row.values()])
+        rl.write_csv(path, list(row), [row])
+
+
+def _metric_values(records) -> tuple[float, int, float | None, float]:
+    """(SUC %, COL count, AST or None without a success, REW) of a nonempty
+    list of episode records."""
+    success_steps = [r.steps for r in records if r.terminal == sim.SUCCESS]
+    suc = 100.0 * len(success_steps) / len(records)
+    col = sum(r.terminal == sim.COLLISION for r in records)
+    ast = float(np.mean(success_steps)) if success_steps else None
+    return suc, col, ast, float(np.mean([r.episode_return for r in records]))
 
 
 def compute_metrics(records, seed: int = 0, seed_blocks: int | None = None) -> EvalReport:
-    """SUC/COL/AST/REW over episode records, with std over seed blocks."""
+    """SUC/COL/AST/REW over episode records, with std over seed blocks (each
+    block's AST counts only when the block has a success)."""
     records = list(records)
     if not records:
         raise ValueError("no episode records")
     n = len(records)
-    successes = [r for r in records if r.terminal == sim.SUCCESS]
-    collisions = [r for r in records if r.terminal == sim.COLLISION]
-    timeouts = [r for r in records if r.terminal == sim.TIMEOUT]
-    suc = 100.0 * len(successes) / n
-    col = len(collisions)
-    ast = float(np.mean([r.steps for r in successes])) if successes else None
-    rew = float(np.mean([r.episode_return for r in records]))
+    suc, col, ast, rew = _metric_values(records)
+    timeouts = sum(r.terminal == sim.TIMEOUT for r in records)
 
     blocks = sorted({r.seed_block for r in records})
-    suc_b, col_b, ast_b, rew_b = [], [], [], []
     if seed_blocks is None:
         seed_blocks = len(blocks)
-    if len(blocks) > 1:
-        for b in blocks:
-            sub = [r for r in records if r.seed_block == b]
-            swins = [r for r in sub if r.terminal == sim.SUCCESS]
-            suc_b.append(100.0 * len(swins) / len(sub))
-            col_b.append(sum(r.terminal == sim.COLLISION for r in sub))
-            rew_b.append(np.mean([r.episode_return for r in sub]))
-            if swins:
-                ast_b.append(np.mean([r.steps for r in swins]))
+    per_block = [_metric_values([r for r in records if r.seed_block == b]) for b in blocks] if len(blocks) > 1 else []
+    columns = [[m[i] for m in per_block if m[i] is not None] for i in range(4)]
+    suc_std, col_std, ast_std, rew_std = (float(np.std(c)) if c else None for c in columns)
     return EvalReport(
         suc=suc,
         col=col,
         ast=ast,
         rew=rew,
         col_pct=100.0 * col / n,
-        timeout_pct=100.0 * len(timeouts) / n,
-        suc_std=float(np.std(suc_b)) if suc_b else None,
-        col_std=float(np.std(col_b)) if col_b else None,
-        ast_std=float(np.std(ast_b)) if ast_b else None,
-        rew_std=float(np.std(rew_b)) if rew_b else None,
+        timeout_pct=100.0 * timeouts / n,
+        suc_std=suc_std,
+        col_std=col_std,
+        ast_std=ast_std,
+        rew_std=rew_std,
         n_episodes=n,
         seed_blocks=seed_blocks,
         seed=seed,
@@ -257,7 +252,7 @@ def compute_metrics(records, seed: int = 0, seed_blocks: int | None = None) -> E
 
 def episode_seed(seed: int, block: int, index: int) -> int:
     """The env seed of episode `index` of seed block `block` of an evaluation."""
-    return int(substream(seed, "eval", block, index).integers(0, 2**63))
+    return substream_seed_int(seed, "eval", block, index)
 
 
 def _eval_block(args) -> list[EpisodeRecord]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import evalkit, rl, sim
 from .config import EnvConfig
-from .seeding import substream
+from .seeding import substream, substream_seed_int
 
 MIN_STEP_EPSILON = 0.01
 EDGE_EPISODES_DEFAULT = 20
@@ -301,15 +301,11 @@ def hola_generation(
     return grown, report
 
 
-def substream_seed_int(seed: int, *parts) -> int:
-    return int(substream(seed, *parts).integers(0, 2**63))
-
-
 def init_population(
     env_cfg: EnvConfig,
     ppo_cfg: rl.PpoConfig,
     seed: int,
-    sp_budget: int = 50_000,
+    sp_budget: int,
 ) -> PopulationState:
     """Seed population: greedy, vicsek, and two short-trained self-play nets."""
     policies: dict[str, object] = {
@@ -330,9 +326,9 @@ def hola_train(
     ppo_cfg: rl.PpoConfig,
     env_cfg: EnvConfig,
     seed: int,
-    generations: int = 5,
-    gen_budget: int = 200_000,
-    sp_budget: int = 50_000,
+    generations: int,
+    gen_budget: int,
+    sp_budget: int,
     episodes_per_edge: int = EDGE_EPISODES_DEFAULT,
     uniform_rho: bool = False,
     out_dir=None,
@@ -346,7 +342,7 @@ def hola_train(
     `timing_gen{g:03d}.csv` there, and the trainee ends as `final.zip`."""
     if env_cfg.players.num_unctrl < 1:
         raise ValueError("hola_train needs uncontrolled teammate slots (num_unctrl >= 1)")
-    pop = init_population(env_cfg, ppo_cfg, seed, sp_budget=sp_budget)
+    pop = init_population(env_cfg, ppo_cfg, seed, sp_budget)
     reports = []
     for _ in range(generations):
         pop, report = hola_generation(
@@ -367,7 +363,7 @@ def hola_train(
             rl.write_csv(os.path.join(out_dir, f"metrics_gen{gen:03d}.csv"), rl.METRIC_FIELDS, report.metrics)
             rl.write_csv(os.path.join(out_dir, f"timing_gen{gen:03d}.csv"), rl.TIMING_FIELDS, report.timings)
     if out_dir is not None:
-        extra = {"algo": "hola-nog" if uniform_rho else "hola", "seed": seed, "generations": generations}
+        fields = {"algo": "hola-nog" if uniform_rho else "hola", "seed": seed, "generations": generations}
         max_step_cfg = replace(ppo_cfg, total_steps=gen_budget)  # each generation's max-step
-        rl.finish_training(rl.TrainResult(pop.learner_model), out_dir, extra, max_step_cfg, scored_on=(env_cfg, seed))
+        rl.finish_training(rl.TrainResult(pop.learner_model), out_dir, env_cfg, max_step_cfg, fields, seed)
     return pop.learner_model, reports

@@ -8,7 +8,9 @@ feed extra (learned) features into the actor can backpropagate through them.
 Every trainer runs `Learner.step`, the one PPO update step (collect, update,
 metrics row): `train_loop` repeats it, and `pbt_train` steps each member once
 per round. `finish_training` scores and saves every final model through
-`save_checkpoint`, the one writer of checkpoint archives.
+`save_checkpoint`, the one writer of checkpoint archives and so the one
+place that decides what a manifest records: the model's dims, the arena's
+pursuer and evader counts, the PPO settings and the run's own fields.
 
 A trainer given an `out_dir` writes its whole run directory there, the
 metrics and timing CSVs through `write_csv` next to the archives; the CLI
@@ -214,22 +216,21 @@ def actor_critic_from_arrays(arrays: dict, meta: dict) -> ActorCritic:
     return ActorCritic(actor, log_std.copy(), critic, obs_dim, act_dim, critic_in_dim)
 
 
-def drone_counts(env_cfg: EnvConfig) -> dict:
-    """The pursuer and evader counts that an archive records: observation
-    rows of other counts can have the same length, so `evalkit.resolve_policy`
-    checks these too."""
-    return {"num_p": env_cfg.players.num_p, "num_e": env_cfg.players.num_e}
-
-
-def save_checkpoint(out_dir, name: str, model, extra: dict) -> str:
+def save_checkpoint(out_dir, name: str, model, env_cfg: EnvConfig, cfg: PpoConfig, fields: dict) -> str:
     """Write `model` to the archive `out_dir/name` and return its path: the
-    one checkpoint writer. An `ActorCritic` and a `teammate.NahtModel` give
-    their kind, named arrays and manifest dims through `checkpoint_arrays`;
-    `extra` is added to the dims."""
+    one checkpoint writer, so the one place that decides what a manifest
+    records. An `ActorCritic` and a `teammate.NahtModel` give their kind,
+    named arrays and dims through `checkpoint_arrays`; the manifest adds the
+    pursuer and evader counts of `env_cfg` (observation rows of other counts
+    can have the same length, so `evalkit.resolve_policy` checks these too),
+    the fields of `cfg` (the PPO settings the model trained with) as `ppo`,
+    and then the run's `fields`."""
     kind, named, meta = model.checkpoint_arrays()
+    players = env_cfg.players
+    extra = {**meta, "num_p": players.num_p, "num_e": players.num_e, "ppo": asdict(cfg), **fields}
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    nn.save_arrays(path, kind, named, extra={**meta, **extra})
+    nn.save_arrays(path, kind, named, extra=extra)
     return path
 
 
@@ -719,8 +720,6 @@ class RolloutCollector:
 class TrainResult:
     model: ActorCritic
     metrics: list[dict] = field(default_factory=list)
-    checkpoints: list[str] = field(default_factory=list)
-    final_path: str | None = None
     selfplay_suc: float | None = None
     timings: list[dict] = field(default_factory=list)  # one `Learner.step` timing row per update
 
@@ -852,35 +851,30 @@ def train_loop(
     learner = Learner(collector, model, cfg, substream(seed, "update"), update)
     n_updates = max(1, int(np.ceil(cfg.total_steps / cfg.batch)))
     ckpt_every = max(1, n_updates // 5)
-    checkpoints = []
     for i in range(n_updates):
         learner.step()
         if out_dir is not None and (i + 1) % ckpt_every == 0:
             name = f"{ckpt_prefix}_{learner.steps:09d}.zip"
-            extra = {"step": learner.steps, **drone_counts(collector.env_cfg), "ppo": asdict(cfg)}
-            checkpoints.append(save_checkpoint(out_dir, name, model, extra))
+            save_checkpoint(out_dir, name, model, collector.env_cfg, cfg, {"step": learner.steps})
     if out_dir is not None:
         write_csv(os.path.join(out_dir, "metrics.csv"), METRIC_FIELDS, learner.metrics)
         write_csv(os.path.join(out_dir, "timing.csv"), TIMING_FIELDS, learner.timings)
-    return TrainResult(model=model, metrics=learner.metrics, checkpoints=checkpoints, timings=learner.timings)
+    return TrainResult(model=model, metrics=learner.metrics, timings=learner.timings)
 
 
 def finish_training(
-    result: TrainResult, out_dir, extra: dict, cfg: PpoConfig, scored_on=None, name: str = "final.zip"
+    result: TrainResult, out_dir, env_cfg: EnvConfig, cfg: PpoConfig, fields: dict,
+    score_seed: int | None = None, name: str = "final.zip",
 ) -> TrainResult:
-    """The end of every trainer: with `scored_on` = (env config, seed),
-    record `evaluate_selfplay_suc` of the model, then save it as
-    `out_dir/name` (if any) with `extra`, the fields of `cfg` (the PPO
-    settings it trained with) as `ppo`, that score and the env's
-    `drone_counts` in the manifest (a NAHT-D model records its counts
-    itself)."""
-    extra = {**extra, "ppo": asdict(cfg)}
-    if scored_on is not None:
-        result.selfplay_suc = evaluate_selfplay_suc(result.model, *scored_on)
-        extra = {**extra, **drone_counts(scored_on[0]), "selfplay_suc": result.selfplay_suc}
+    """The end of every trainer: with a `score_seed`, record the model's
+    `evaluate_selfplay_suc` on `env_cfg` in `result` and as the manifest's
+    `selfplay_suc`, then save it as `out_dir/name` (if any) through
+    `save_checkpoint` with `fields`."""
+    if score_seed is not None:
+        result.selfplay_suc = evaluate_selfplay_suc(result.model, env_cfg, score_seed)
+        fields = {**fields, "selfplay_suc": result.selfplay_suc}
     if out_dir is not None:
-        result.final_path = save_checkpoint(out_dir, name, result.model, extra)
-        result.checkpoints.append(result.final_path)
+        save_checkpoint(out_dir, name, result.model, env_cfg, cfg, fields)
     return result
 
 
@@ -899,7 +893,7 @@ def ippo_selfplay_unscored(cfg: PpoConfig, env_cfg: EnvConfig, seed: int, out_di
 def ippo_selfplay_train(cfg: PpoConfig, env_cfg: EnvConfig, seed: int, out_dir=None) -> TrainResult:
     """Self-play IPPO, scored by `evaluate_selfplay_suc` and saved as `final.zip`."""
     result = ippo_selfplay_unscored(cfg, env_cfg, seed, out_dir=out_dir)
-    return finish_training(result, out_dir, {"algo": "sp", "seed": seed}, cfg, scored_on=(env_cfg, seed))
+    return finish_training(result, out_dir, env_cfg, cfg, {"algo": "sp", "seed": seed}, seed)
 
 
 def mappo_train(
@@ -924,7 +918,7 @@ def mappo_train(
     model = init_actor_critic(sim.obs_length(env_cfg), critic_dim, cfg, substream(seed, "init"))
     collector = RolloutCollector(env_cfg, model, cfg, substream(seed, "rollout"), teammates=teammates, central=True)
     result = train_loop(collector, model, cfg, seed, out_dir=out_dir, ckpt_prefix="mappo")
-    return finish_training(result, out_dir, {"algo": "mappo", "seed": seed}, cfg, scored_on=(env_cfg, seed))
+    return finish_training(result, out_dir, env_cfg, cfg, {"algo": "mappo", "seed": seed}, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -944,7 +938,6 @@ class PbtMember:
 class PbtResult:
     members: list[PbtMember]
     exploit_events: list[dict]
-    checkpoints: list[str]
 
 
 def pbt_train(
@@ -984,16 +977,13 @@ def pbt_train(
             exploit_events += _pbt_exploit(members, exploit_rng)
             next_exploit += exploit_interval
 
-    checkpoints = []
     if out_dir is not None:
         for i, member in enumerate(members):
-            result = TrainResult(member.learner.model)
-            extra, name = {"algo": "pbt", "member": i}, f"pbt_member{i}.zip"
-            finish_training(result, out_dir, extra, member.learner.cfg, scored_on=(env_cfg, seed + i), name=name)
-            checkpoints.append(result.final_path)
+            result, fields = TrainResult(member.learner.model), {"algo": "pbt", "member": i}
+            finish_training(result, out_dir, env_cfg, member.learner.cfg, fields, seed + i, f"pbt_member{i}.zip")
             write_csv(os.path.join(out_dir, f"metrics_member{i}.csv"), METRIC_FIELDS, member.learner.metrics)
             write_csv(os.path.join(out_dir, f"timing_member{i}.csv"), TIMING_FIELDS, member.learner.timings)
-    return PbtResult(members=members, exploit_events=exploit_events, checkpoints=checkpoints)
+    return PbtResult(members=members, exploit_events=exploit_events)
 
 
 def _pbt_members(pop_size: int, cfg: PpoConfig, env_cfg: EnvConfig, seed: int):

@@ -30,3 +30,9 @@ def substream_seed(seed: int, *parts) -> np.random.SeedSequence:
 def substream(seed: int, *parts) -> np.random.Generator:
     """Fresh PCG64 generator for the named substream."""
     return np.random.default_rng(substream_seed(seed, *parts))
+
+
+def substream_seed_int(seed: int, *parts) -> int:
+    """A seed in [0, 2**63) drawn from the (seed, *parts) substream, for a
+    callee that takes an int seed."""
+    return int(substream(seed, *parts).integers(0, 2**63))

@@ -238,15 +238,12 @@ class NahtModel:
         named.append(("mix_logits", self.encoder.mix_logits))
         if self.decoder is not None:
             named += rl._named_mlp_arrays("decoder", self.decoder.net)
-        layout = self.encoder.layout
         meta.update(
             obs_dim=self.obs_dim,  # the raw observation; the actor also reads the embedding
             embed_dim=self.embed_dim,
             encoder_layers=len(self.encoder.evader_net.weights),
             decoder_layers=len(self.decoder.net.weights) if self.decoder else 0,
             has_decoder=self.decoder is not None,
-            num_e=layout.num_e,
-            num_p=layout.num_p,
             history_k=1,  # the encoder reads one step record
         )
         return "naht_d", named, meta
@@ -406,16 +403,19 @@ def naht_d_train(
     collector = NahtCollector(env_cfg, model, cfg, substream(seed, "rollout"), teammates)
     result = rl.train_loop(collector, model, cfg, seed, update=naht_update, out_dir=out_dir, ckpt_prefix="naht")
     algo = "naht-d-nodec" if no_decoder else "naht-d"
-    return rl.finish_training(result, out_dir, {"algo": algo, "seed": seed, "beta": RECON_BETA}, cfg)
+    return rl.finish_training(result, out_dir, env_cfg, cfg, {"algo": algo, "seed": seed, "beta": RECON_BETA})
 
 
 _ENCODER_NETS = (("enc_evader", "evader_net"), ("enc_self", "self_net"), ("enc_relpos", "relpos_net"))
 
 
 def naht_from_arrays(arrays: dict, meta: dict) -> NahtModel:
-    """Inverse of `NahtModel.checkpoint_arrays`, from a checkpoint's arrays and manifest extra;
-    every array's shape is checked against the manifest dims first
-    (ValueError naming the array)."""
+    """A NAHT-D model from a checkpoint's arrays and manifest extra: the
+    inverse of `rl.save_checkpoint` for a NAHT-D model, not of
+    `NahtModel.checkpoint_arrays` alone, since the encoder's layout comes
+    from the `num_e` and `num_p` that every archive records. Every array's
+    shape is checked against the manifest dims first (ValueError naming the
+    array)."""
     embed_dim = meta["embed_dim"]
     # the actor reads the raw observation and the embedding
     ac = rl.actor_critic_from_arrays(arrays, {**meta, "obs_dim": meta["obs_dim"] + embed_dim})

@@ -356,7 +356,7 @@ def test_train_teammates_default_to_the_unseen_drones(tmp_path, monkeypatch, fla
 
     def fake_mappo_train(cfg, env_cfg, seed, teammate_pool=None, out_dir=None):
         pools.append(teammate_pool)
-        return rl.TrainResult(model=None, metrics=[], checkpoints=[], final_path=None)
+        return rl.TrainResult(model=None)
 
     monkeypatch.setattr(rl, "mappo_train", fake_mappo_train)
     assert run_cli("train", "--algo", "mappo", "--env", env, "--out", str(tmp_path / "run"), *flag) == 0

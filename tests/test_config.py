@@ -20,6 +20,13 @@ def doc_dict(name="4p2e3o"):
     return json.loads(builtin_env_text(name))
 
 
+def violations_of(doc) -> list[str]:
+    """The violations of the `InvalidConfigError` that parsing `doc` raises."""
+    with pytest.raises(InvalidConfigError) as err:
+        parse_config(json.dumps(doc))
+    return err.value.violations
+
+
 def test_parse_appendix_style_document():
     doc = doc_dict()
     doc["players"]["num_p"] = 4
@@ -88,8 +95,7 @@ def test_validate_collects_all_violations():
     doc = doc_dict()
     doc["task"]["capture_range"] = -0.2
     doc["task"]["safe_radius"] = -1
-    cfg = parse_config(json.dumps(doc), validate=False)
-    violations = validate_config(cfg)
+    violations = violations_of(doc)
     assert "capture_range must be positive" in violations
     assert "safe_radius must be positive" in violations
     assert len(violations) >= 2
@@ -98,8 +104,7 @@ def test_validate_collects_all_violations():
 def test_negative_capture_range_message():
     doc = doc_dict()
     doc["task"]["capture_range"] = -0.2
-    cfg = parse_config(json.dumps(doc), validate=False)
-    assert validate_config(cfg) == ["capture_range must be positive"]
+    assert violations_of(doc) == ["capture_range must be positive"]
 
 
 def test_respawn_region_obstacle_overlap_detected():
@@ -107,12 +112,11 @@ def test_respawn_region_obstacle_overlap_detected():
     # analytic intersection test against a brute-force point grid.
     doc = doc_dict()
     doc["site"]["obstacles"]["obstacle3"] = {"shape": "circle", "center": [1.8, 4.3], "radius": 0.25}
-    cfg = parse_config(json.dumps(doc), validate=False)
-    violations = validate_config(cfg)
-    assert any("respawn region intersects obstacle" in v for v in violations)
+    assert any("respawn region intersects obstacle" in v for v in violations_of(doc))
 
+    cfg = builtin_env("4p2e3o")
     region = cfg.players.respawn_region.evader
-    ob = cfg.site.obstacles[2]
+    ob = config.Obstacle("circle", (1.8, 4.3), radius=0.25)
     hit = False
     for i in range(81):
         for j in range(81):
@@ -213,12 +217,10 @@ def test_unknown_builtin_name():
 def test_unseen_drones_consistency_rules():
     doc = doc_dict()
     doc["players"]["unseen_drones"] = []
-    cfg = parse_config(json.dumps(doc), validate=False)
-    assert "unseen_drones must be nonempty when num_unctrl > 0" in validate_config(cfg)
+    assert "unseen_drones must be nonempty when num_unctrl > 0" in violations_of(doc)
 
     doc["players"]["unseen_drones"] = ["teleport"]
-    cfg = parse_config(json.dumps(doc), validate=False)
-    assert any("unknown unseen_drones policy id" in v for v in validate_config(cfg))
+    assert any("unknown unseen_drones policy id" in v for v in violations_of(doc))
 
 
 def test_schema_document_accepts_builtins():
@@ -377,7 +379,9 @@ def test_parser_rejects_exactly_what_the_schema_rejects(name):
     disagreements = []
     for label, doc in mutations(doc_dict(name)):
         try:
-            parse_config(json.dumps(doc), validate=False)
+            parse_config(json.dumps(doc))
+            parsed = True
+        except InvalidConfigError:  # the document parsed; a range keyword is `validate_config`'s
             parsed = True
         except ConfigError:
             parsed = False

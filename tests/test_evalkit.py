@@ -77,7 +77,7 @@ def test_zoo_compositions(tmp_path):
     paths = []
     for i, suc in enumerate((54.0, 70.0, 60.0)):
         model = rl.init_actor_critic(sim.obs_length(env), sim.obs_length(env), cfg, substream(i, "init"))
-        paths.append(rl.save_checkpoint(tmp_path, f"sp{i}.zip", model, {"selfplay_suc": suc}))
+        paths.append(rl.save_checkpoint(tmp_path, f"sp{i}.zip", model, env, cfg, {"selfplay_suc": suc}))
     assets = evalkit.ZooAssets(sp_checkpoints=paths)
     zoo2 = evalkit.build_zoo("zoo2", assets)
     # maximally separated pair: 70 (strong) and 54 (weak)
@@ -90,7 +90,7 @@ def test_zoo_compositions(tmp_path):
     # archives without a recorded score (a periodic checkpoint, a NAHT-D
     # model) are not ranked: they once became zoo 2's 0 % "weak" member
     model = rl.init_actor_critic(sim.obs_length(env), sim.obs_length(env), cfg, substream(3, "init"))
-    unscored = rl.save_checkpoint(tmp_path, "sp_000001024.zip", model, {"step": 1024})
+    unscored = rl.save_checkpoint(tmp_path, "sp_000001024.zip", model, env, cfg, {"step": 1024})
     assets = evalkit.ZooAssets(sp_checkpoints=[paths[0], paths[1], unscored])
     assert evalkit.build_zoo("zoo2", assets).members == (f"ckpt:{paths[1]}", f"ckpt:{paths[0]}")
     with pytest.raises(ValueError, match="recorded SUC"):
@@ -101,13 +101,13 @@ def test_resolve_policy_checks_dims(tmp_path):
     env = reduced_4p2e3o()
     cfg = rl.PpoConfig()
     model = rl.init_actor_critic(7, 7, cfg, substream(0, "init"))  # wrong obs dim
-    path = rl.save_checkpoint(tmp_path, "bad.zip", model, {})
+    path = rl.save_checkpoint(tmp_path, "bad.zip", model, env, cfg, {})
     with pytest.raises(ValueError):
         evalkit.resolve_policy(f"ckpt:{path}", env)
     # a NAHT-D checkpoint of a 3-evader arena: one more evader block
     naht_env = config.with_control_split(config.builtin_env("4p3e5o"), 2, 2, ("greedy",))
     naht_model = teammate.init_naht_model(naht_env, cfg, substream(0, "init"))
-    naht_path = rl.save_checkpoint(tmp_path, "naht.zip", naht_model, {})
+    naht_path = rl.save_checkpoint(tmp_path, "naht.zip", naht_model, naht_env, cfg, {})
     with pytest.raises(ValueError, match="obs dim"):
         evalkit.resolve_policy(f"ckpt:{naht_path}", env)
     with pytest.raises(FileNotFoundError):
@@ -120,12 +120,33 @@ def test_resolve_policy_rejects_a_naht_checkpoint_of_other_drone_counts(tmp_path
     trained_env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     other = replace(trained_env, players=replace(trained_env.players, num_p=3, num_e=3, num_ctrl=1))
     assert sim.obs_length(other) == sim.obs_length(trained_env)
-    model = teammate.init_naht_model(trained_env, rl.PpoConfig(hidden=(8,)), substream(0, "init"))
-    path = rl.save_checkpoint(tmp_path, "naht.zip", model, {})
+    cfg = rl.PpoConfig(hidden=(8,))
+    model = teammate.init_naht_model(trained_env, cfg, substream(0, "init"))
+    path = rl.save_checkpoint(tmp_path, "naht.zip", model, trained_env, cfg, {})
     assert isinstance(evalkit.resolve_policy(path, trained_env), teammate.NahtSlotPolicy)
     with pytest.raises(ValueError, match="4 pursuers and 2 evaders") as err:
         evalkit.resolve_policy(f"ckpt:{path}", other)
     assert path in str(err.value)
+
+
+def test_resolve_policy_checks_an_archive_without_drone_counts_by_length(tmp_path):
+    # archives written before trainers recorded the counts hold the model's
+    # dims alone: any env of their observation length resolves them
+    env = reduced_4p2e3o()
+    other = replace(env, players=replace(env.players, num_p=3, num_e=3, num_ctrl=3))
+    obs_dim = sim.obs_length(env)
+    assert sim.obs_length(other) == obs_dim
+    model = rl.init_actor_critic(obs_dim, obs_dim, rl.PpoConfig(hidden=(8,)), substream(0, "init"))
+    kind, named, meta = model.checkpoint_arrays()
+    path = str(tmp_path / "old.zip")
+    nn.save_arrays(path, kind, named, extra=meta)
+    assert "num_p" not in nn.load_manifest(path)["extra"]
+    for env_cfg in (env, other):
+        policy = evalkit.resolve_policy(f"ckpt:{path}", env_cfg)
+        for a, b in zip(policy.model.params(), model.params()):
+            np.testing.assert_array_equal(a, b)
+    with pytest.raises(ValueError, match="obs dim"):
+        evalkit.resolve_policy(path, config.builtin_env("4p3e5o"))
 
 
 def test_run_evaluation_scripted_deterministic():
@@ -169,8 +190,9 @@ def test_run_evaluation_reads_each_checkpoint_once(tmp_path, monkeypatch):
     obs_dim = sim.obs_length(env)
     refs = []
     for i in range(2):
-        model = rl.init_actor_critic(obs_dim, obs_dim, rl.PpoConfig(hidden=(16,)), substream(i, "init"))
-        refs.append(f"ckpt:{rl.save_checkpoint(tmp_path, f'sp{i}.zip', model, {})}")
+        cfg = rl.PpoConfig(hidden=(16,))
+        model = rl.init_actor_critic(obs_dim, obs_dim, cfg, substream(i, "init"))
+        refs.append(f"ckpt:{rl.save_checkpoint(tmp_path, f'sp{i}.zip', model, env, cfg, {})}")
     loads = count_loads(monkeypatch)
     # the learner ref fills both learner slots; the zoo repeats a checkpoint
     zoo = evalkit.ZooSpec(zoo_id="zoo3", members=("greedy", refs[1], refs[0]))
@@ -188,8 +210,9 @@ def test_zoo2_eval_loads_only_the_two_chosen_archives(tmp_path, monkeypatch):
     obs_dim = sim.obs_length(env)
     paths = []
     for i, suc in enumerate((54.0, 70.0, 60.0)):
-        model = rl.init_actor_critic(obs_dim, obs_dim, rl.PpoConfig(hidden=(16,)), substream(i, "init"))
-        paths.append(rl.save_checkpoint(tmp_path, f"sp{i}.zip", model, {"selfplay_suc": suc}))
+        cfg = rl.PpoConfig(hidden=(16,))
+        model = rl.init_actor_critic(obs_dim, obs_dim, cfg, substream(i, "init"))
+        paths.append(rl.save_checkpoint(tmp_path, f"sp{i}.zip", model, env, cfg, {"selfplay_suc": suc}))
     loads = count_loads(monkeypatch)
     zoo = evalkit.build_zoo("zoo2", evalkit.ZooAssets(sp_checkpoints=paths))
     evalkit.run_evaluation(["greedy"], zoo, env, n_episodes=2, seed=0)
@@ -197,11 +220,12 @@ def test_zoo2_eval_loads_only_the_two_chosen_archives(tmp_path, monkeypatch):
 
 
 def test_zoo_ranking_checks_the_format_version(tmp_path, monkeypatch):
-    obs_dim = sim.obs_length(reduced_4p2e3o())
-    model = rl.init_actor_critic(obs_dim, obs_dim, rl.PpoConfig(hidden=(16,)), substream(0, "init"))
-    good = rl.save_checkpoint(tmp_path, "good.zip", model, {"selfplay_suc": 50.0})
+    env, cfg = reduced_4p2e3o(), rl.PpoConfig(hidden=(16,))
+    obs_dim = sim.obs_length(env)
+    model = rl.init_actor_critic(obs_dim, obs_dim, cfg, substream(0, "init"))
+    good = rl.save_checkpoint(tmp_path, "good.zip", model, env, cfg, {"selfplay_suc": 50.0})
     monkeypatch.setattr(nn, "CHECKPOINT_FORMAT_VERSION", 2)
-    future = rl.save_checkpoint(tmp_path, "future.zip", model, {"selfplay_suc": 60.0})
+    future = rl.save_checkpoint(tmp_path, "future.zip", model, env, cfg, {"selfplay_suc": 60.0})
     monkeypatch.undo()
     with pytest.raises(ValueError, match="format_version 2"):
         evalkit.build_zoo("zoo2", evalkit.ZooAssets(sp_checkpoints=[good, future]))

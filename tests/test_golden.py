@@ -166,9 +166,9 @@ def golden_hashes(root: Path) -> dict[str, str]:
     hashes = {}
     for run, train in runs.items():
         out = root / run
-        result = train(str(out))
+        train(str(out))
         hashes[f"{run}/metrics.csv"] = sha256((out / "metrics.csv").read_bytes())
-        for path in result.checkpoints:
+        for path in sorted(out.glob("*.zip")):
             hashes.update(checkpoint_hashes(run, path))
 
     out = root / "naht-d-8envs"
@@ -177,10 +177,10 @@ def golden_hashes(root: Path) -> dict[str, str]:
     hashes.update(checkpoint_hashes("naht-d-8envs", out / "final.zip"))
 
     out = root / "pbt"
-    pbt = rl.pbt_train(4, PPO, mixed, SEED, exploit_interval=PPO.batch, out_dir=str(out))
+    rl.pbt_train(4, PPO, mixed, SEED, exploit_interval=PPO.batch, out_dir=str(out))
     for path in sorted(out.glob("metrics_member*.csv")):
         hashes[f"pbt/{path.name}"] = sha256(path.read_bytes())
-    for path in pbt.checkpoints:
+    for path in sorted(out.glob("*.zip")):
         hashes.update(checkpoint_hashes("pbt", path))
 
     out = root / "hola"

@@ -348,11 +348,11 @@ def test_ippo_selfplay_smoke_and_checkpoint_roundtrip(tmp_path):
     env = reduced_4p2e3o()
     cfg = rl.PpoConfig(batch=256, minibatch=64, epochs=2, total_steps=512)
     res = rl.ippo_selfplay_train(cfg, env, seed=3, out_dir=tmp_path)
-    assert res.final_path is not None
+    assert (tmp_path / "final.zip").exists()
     assert len(res.metrics) == 2
     assert res.selfplay_suc is not None
 
-    loaded, manifest = evalkit.load_checkpoint(res.final_path)
+    loaded, manifest = evalkit.load_checkpoint(tmp_path / "final.zip")
     assert manifest["extra"]["algo"] == "sp"
     for pa, pb in zip(res.model.params(), loaded.params()):
         np.testing.assert_array_equal(pa, pb)  # float32 round trip is exact
@@ -519,7 +519,7 @@ def test_pbt_train_runs_and_checkpoints(tmp_path):
     cfg = rl.PpoConfig(batch=128, minibatch=64, epochs=1, total_steps=256)
     res = rl.pbt_train(2, cfg, env, seed=0, exploit_interval=None, out_dir=tmp_path)
     assert len(res.members) == 2
-    assert len(res.checkpoints) == 2
+    assert sorted(path.name for path in tmp_path.glob("*.zip")) == ["pbt_member0.zip", "pbt_member1.zip"]
     assert res.exploit_events == []
     for m in res.members:
         assert m.learner.steps >= 256
@@ -529,7 +529,7 @@ def test_pbt_archives_record_each_members_current_ppo_config(tmp_path):
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     cfg = rl.PpoConfig(batch=64, minibatch=32, epochs=1, total_steps=128, hidden=(8,))
     res = rl.pbt_train(4, cfg, env, seed=0, exploit_interval=cfg.batch, out_dir=tmp_path)
-    recorded = [nn.load_manifest(path)["extra"]["ppo"] for path in res.checkpoints]
+    recorded = [nn.load_manifest(tmp_path / f"pbt_member{i}.zip")["extra"]["ppo"] for i in range(4)]
     assert recorded == [json.loads(json.dumps(asdict(m.learner.cfg))) for m in res.members]
     assert res.exploit_events and any(ppo["lr"] != cfg.lr for ppo in recorded)
 

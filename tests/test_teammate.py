@@ -298,11 +298,11 @@ def test_naht_train_smoke_and_checkpoint_roundtrip(tmp_path):
     cfg = rl.PpoConfig(batch=128, minibatch=64, epochs=1, total_steps=256)
     pool = [rl.ScriptedSlotPolicy("greedy")]
     res = teammate.naht_d_train(cfg, env, pool, seed=1, out_dir=tmp_path)
-    assert res.final_path is not None
+    assert (tmp_path / "final.zip").exists()
     assert all("recon_loss" in row for row in res.metrics)
     assert any(row["recon_loss"] != 0.0 for row in res.metrics)
 
-    loaded, manifest = evalkit.load_checkpoint(res.final_path)
+    loaded, manifest = evalkit.load_checkpoint(tmp_path / "final.zip")
     assert manifest["extra"]["algo"] == "naht-d"
     for a, b in zip(res.model.params(), loaded.params()):
         np.testing.assert_array_equal(a, b)
@@ -337,8 +337,9 @@ def test_naht_ablation_recon_identically_zero():
 )
 def test_naht_checkpoint_array_shapes_are_checked(tmp_path, name, shape):
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
-    model = teammate.init_naht_model(env, rl.PpoConfig(hidden=(128,)), substream(0, "init"))
-    good = rl.save_checkpoint(tmp_path, "good.zip", model, {})
+    cfg = rl.PpoConfig(hidden=(128,))
+    model = teammate.init_naht_model(env, cfg, substream(0, "init"))
+    good = rl.save_checkpoint(tmp_path, "good.zip", model, env, cfg, {})
     manifest, arrays = nn.load_arrays(good)
     named = [(n, np.zeros(shape, dtype=np.float32) if n == name else arrays[n]) for n in (a["name"] for a in manifest["arrays"])]
     bad = tmp_path / "bad.zip"
