@@ -303,7 +303,8 @@ def ppo_loss_and_grads(model: ActorCritic, actor_in, critic_in, actions, old_log
     mean, a_cache = nn.mlp_forward(model.actor, actor_in)
     sigma = np.exp(nn.clamp_log_std(model.log_std))
     logp = nn.gaussian_log_prob(mean, model.log_std, actions)
-    ratio = np.exp(logp - old_logp)
+    # libm's exp per element: numpy's float64 exp takes other bits at other SIMD levels
+    ratio = np.array(list(map(math.exp, (logp - old_logp).tolist())))
     surr1 = ratio * adv
     clipped_ratio = np.clip(ratio, 1.0 - CLIP_RATIO, 1.0 + CLIP_RATIO)
     surr2 = clipped_ratio * adv

@@ -67,9 +67,11 @@ The observation rows, which `central_observation` reads too, come from one
 array pass over the states of one config (`observe_all`). Each state's rows
 have the bits of the per-state array code in `tests/sim_oracle.py`: the
 pass's ufuncs give an element the same bits whatever the array's shape. Distances are
-`np.hypot`; the bearings of every entry, the static ones included, come
-from one `np.arctan2` call and pass through the array `wrap_angle` and
-`/ np.pi`; masked entries are written as (0.0, 0.0, 0.0). The nearest static
+`np.hypot`; the bearings of the visible entries, the static ones included,
+come from libm's `atan2` per element (`math.atan2`: float64 `np.arctan2`
+takes other bits at other numpy SIMD levels) and pass through the array
+`wrap_angle` and `/ np.pi`; masked entries are not computed and are
+written as (0.0, 0.0, 0.0). The nearest static
 entry (`nearest_static_all`) needs the true minimum over the obstacles,
 which no culling box bounds, so it takes the full `obstacle_clearance_matrix`.
 Its wall point is at the `argmin` of (x, w - x, y, h - y), its obstacle at
@@ -373,7 +375,9 @@ def observe_all(states) -> np.ndarray:
     dist[..., ne] = np.maximum(clear, 0.0).reshape(b, n)
     visible = dist <= reception
     visible[..., :ne] &= ~captured[:, None, :]
-    bearing = geometry.wrap_angle(np.arctan2(dy, dx) - poses[..., 2:3]) / np.pi
+    angle = np.zeros(dy.shape)
+    angle[visible] = list(map(math.atan2, dy[visible].tolist(), dx[visible].tolist()))
+    bearing = geometry.wrap_angle(angle - poses[..., 2:3]) / np.pi
     rows = np.empty(dist.shape + (3,))
     rows[..., 0] = np.where(visible, dist / reception, 0.0)
     rows[..., 1] = np.where(visible, bearing, 0.0)

@@ -36,6 +36,10 @@ def arrays(state) -> sim.WorldState:
     )
 
 
+#: libm's `atan2` per element, as `sim.observe_all` takes the bearings
+atan2 = np.vectorize(math.atan2, otypes=[np.float64])
+
+
 def pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
 
@@ -140,7 +144,7 @@ def relative_blocks(origins: np.ndarray, headings: np.ndarray, targets: np.ndarr
     vis = d <= reception
     if visible_mask is not None:
         vis &= visible_mask[None, :]
-    bearing = geometry.wrap_angle(np.arctan2(dy, dx) - headings[:, None])
+    bearing = geometry.wrap_angle(atan2(dy, dx) - headings[:, None])
     block = np.zeros(d.shape + (3,))
     block[..., 0] = np.where(vis, d / reception, 0.0)
     block[..., 1] = np.where(vis, bearing / np.pi, 0.0)
@@ -163,7 +167,7 @@ def observe_all(state, geom: ArrayGeometry | None = None) -> np.ndarray:
     if geom is None:
         geom = pursuer_geometry(state)
     clear, pts = nearest_static_all(cfg, P[:, :2], geom.obstacle, geom.wall)
-    angle = geometry.wrap_angle(np.arctan2(pts[:, 1] - P[:, 1], pts[:, 0] - P[:, 0]) - headings)
+    angle = geometry.wrap_angle(atan2(pts[:, 1] - P[:, 1], pts[:, 0] - P[:, 0]) - headings)
     o_vis = clear <= reception
     ob_block = np.zeros((n, 3))
     ob_block[:, 0] = np.where(o_vis, np.maximum(clear, 0.0) / reception, 0.0)

@@ -27,18 +27,15 @@ checkpoint, HOLA's `generation_*.json` and `report.json`. Archive members are co
 recorded numbers count.
 
 All of them are keys of the same file, recorded with its platform: the
-numpy version, the machine, a fingerprint of the BLAS kernel and numpy's
-enabled SIMD dispatch targets. Every key skips on another numpy version or
-machine. The simulator and scripted keys call no BLAS; the training and
-evaluation keys do, so they also skip when the fingerprint differs
-(OpenBLAS picks its kernel by CPU, and on x86_64 an AVX2-only kernel gives
-other network bits than an AVX-512 one). numpy picks its SIMD kernels by
-CPU too, and with its AVX-512 dispatch float64 `np.arctan2` and `np.exp`
-differ from libm in some inputs. The observations take their bearings from
-`np.arctan2` and the PPO ratio from `np.exp`, so the step-outcome key and
-the training and evaluation keys also skip when the targets differ
-(`NPY_DISABLE_CPU_FEATURES` narrows them). The scripted evaluation reads no
-observation and no network, so its key checks at every SIMD level. A refactor
+numpy version, the machine, the C library and a fingerprint of the BLAS
+kernel. Every key skips on another numpy version, machine or C library (the
+observations' bearings and the PPO ratio come from libm). The simulator and
+scripted keys call no BLAS; the training and evaluation keys do, so they
+also skip when the fingerprint differs (OpenBLAS picks its kernel by CPU,
+and on x86_64 an AVX2-only kernel gives other network bits than an AVX-512
+one). numpy's SIMD dispatch is not part of the platform: no key passes
+through a float64 numpy transcendental, whose bits differ between numpy's
+AVX-512 and AVX2 kernels, so every key holds at both levels. A refactor
 leaves every hash unchanged. After a change that moves outputs on purpose, rerun
 `PYTHONPATH=src python tests/golden/regen_hashes.py` and say in the commit
 why the bytes moved.
@@ -76,18 +73,11 @@ def sha256(data: bytes) -> str:
 
 
 def platform_tag() -> dict:
-    """Float results depend on the numpy build and the CPU architecture, the
-    networks' also on the BLAS kernel, and those that pass through float64
-    `np.arctan2` or `np.exp` on numpy's SIMD targets, read as the run
-    manifests read them."""
-    simd = cli._numpy_config().get("SIMD Extensions", {}).get("found", [])
-    return {"numpy": np.__version__, "machine": platform.machine(), "blas": nn.blas_fingerprint(), "simd": simd}
-
-
-def skip_on_other_simd(golden, keys: str) -> None:
-    here = platform_tag()["simd"]
-    if golden["platform"]["simd"] != here:
-        pytest.skip(f"{keys}: recorded with numpy's SIMD targets {golden['platform']['simd']}, not {here}")
+    """Float results depend on the numpy build, the CPU architecture and the
+    C library, whose libm gives the bearings and the PPO ratio, and the
+    networks' also on the BLAS kernel."""
+    libc = " ".join(platform.libc_ver())
+    return {"numpy": np.__version__, "machine": platform.machine(), "libc": libc, "blas": nn.blas_fingerprint()}
 
 
 def checkpoint_hashes(run: str, path) -> dict[str, str]:
@@ -205,16 +195,15 @@ def golden_hashes(root: Path) -> dict[str, str]:
 
 @pytest.fixture(scope="module")
 def golden() -> dict:
-    """The recorded document; skips on another numpy version or machine."""
+    """The recorded document; skips on another numpy version, machine or C library."""
     doc = json.loads(HASHES.read_text())
     here = platform_tag()
-    if any(doc["platform"][k] != here[k] for k in ("numpy", "machine")):
+    if any(doc["platform"][k] != here[k] for k in ("numpy", "machine", "libc")):
         pytest.skip(f"golden hashes were recorded on {doc['platform']}, not {here}")
     return doc
 
 
 def test_step_outcomes_match_the_golden_hash(golden):
-    skip_on_other_simd(golden, STEP_KEY)
     assert step_outcome_hash() == golden["hashes"][STEP_KEY]
 
 
@@ -242,6 +231,5 @@ def test_side_by_side_training_steps_8_episodes_of_32_steps():
 def test_outputs_match_the_golden_hashes(tmp_path, golden):
     if golden["platform"]["blas"] != nn.blas_fingerprint():
         pytest.skip("the network keys were recorded with another BLAS kernel")
-    skip_on_other_simd(golden, "the network keys")
     hashes = golden["hashes"]
     assert golden_hashes(tmp_path) == {key: value for key, value in hashes.items() if key not in SEPARATE_KEYS}
