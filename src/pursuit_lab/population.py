@@ -365,5 +365,5 @@ def hola_train(
     if out_dir is not None:
         fields = {"algo": "hola-nog" if uniform_rho else "hola", "seed": seed, "generations": generations}
         max_step_cfg = replace(ppo_cfg, total_steps=gen_budget)  # each generation's max-step
-        rl.finish_training(rl.TrainResult(pop.learner_model), out_dir, env_cfg, max_step_cfg, fields, seed)
+        rl.finish_training(pop.learner_model, out_dir, env_cfg, max_step_cfg, fields, seed)
     return pop.learner_model, reports

@@ -864,19 +864,20 @@ def train_loop(
 
 
 def finish_training(
-    result: TrainResult, out_dir, env_cfg: EnvConfig, cfg: PpoConfig, fields: dict,
+    model, out_dir, env_cfg: EnvConfig, cfg: PpoConfig, fields: dict,
     score_seed: int | None = None, name: str = "final.zip",
-) -> TrainResult:
-    """The end of every trainer: with a `score_seed`, record the model's
-    `evaluate_selfplay_suc` on `env_cfg` in `result` and as the manifest's
-    `selfplay_suc`, then save it as `out_dir/name` (if any) through
-    `save_checkpoint` with `fields`."""
+) -> float | None:
+    """The end of every trainer: with a `score_seed`, score the model's
+    `evaluate_selfplay_suc` on `env_cfg` and record it as the manifest's
+    `selfplay_suc`, then save the model as `out_dir/name` (if any) through
+    `save_checkpoint` with `fields`. Returns the score, None unscored."""
+    score = None
     if score_seed is not None:
-        result.selfplay_suc = evaluate_selfplay_suc(result.model, env_cfg, score_seed)
-        fields = {**fields, "selfplay_suc": result.selfplay_suc}
+        score = evaluate_selfplay_suc(model, env_cfg, score_seed)
+        fields = {**fields, "selfplay_suc": score}
     if out_dir is not None:
-        save_checkpoint(out_dir, name, result.model, env_cfg, cfg, fields)
-    return result
+        save_checkpoint(out_dir, name, model, env_cfg, cfg, fields)
+    return score
 
 
 def ippo_selfplay_unscored(cfg: PpoConfig, env_cfg: EnvConfig, seed: int, out_dir=None) -> TrainResult:
@@ -894,7 +895,8 @@ def ippo_selfplay_unscored(cfg: PpoConfig, env_cfg: EnvConfig, seed: int, out_di
 def ippo_selfplay_train(cfg: PpoConfig, env_cfg: EnvConfig, seed: int, out_dir=None) -> TrainResult:
     """Self-play IPPO, scored by `evaluate_selfplay_suc` and saved as `final.zip`."""
     result = ippo_selfplay_unscored(cfg, env_cfg, seed, out_dir=out_dir)
-    return finish_training(result, out_dir, env_cfg, cfg, {"algo": "sp", "seed": seed}, seed)
+    result.selfplay_suc = finish_training(result.model, out_dir, env_cfg, cfg, {"algo": "sp", "seed": seed}, seed)
+    return result
 
 
 def mappo_train(
@@ -919,7 +921,8 @@ def mappo_train(
     model = init_actor_critic(sim.obs_length(env_cfg), critic_dim, cfg, substream(seed, "init"))
     collector = RolloutCollector(env_cfg, model, cfg, substream(seed, "rollout"), teammates=teammates, central=True)
     result = train_loop(collector, model, cfg, seed, out_dir=out_dir, ckpt_prefix="mappo")
-    return finish_training(result, out_dir, env_cfg, cfg, {"algo": "mappo", "seed": seed}, seed)
+    result.selfplay_suc = finish_training(model, out_dir, env_cfg, cfg, {"algo": "mappo", "seed": seed}, seed)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -980,10 +983,10 @@ def pbt_train(
 
     if out_dir is not None:
         for i, member in enumerate(members):
-            result, fields = TrainResult(member.learner.model), {"algo": "pbt", "member": i}
-            finish_training(result, out_dir, env_cfg, member.learner.cfg, fields, seed + i, f"pbt_member{i}.zip")
-            write_csv(os.path.join(out_dir, f"metrics_member{i}.csv"), METRIC_FIELDS, member.learner.metrics)
-            write_csv(os.path.join(out_dir, f"timing_member{i}.csv"), TIMING_FIELDS, member.learner.timings)
+            learner, fields = member.learner, {"algo": "pbt", "member": i}
+            finish_training(learner.model, out_dir, env_cfg, learner.cfg, fields, seed + i, f"pbt_member{i}.zip")
+            write_csv(os.path.join(out_dir, f"metrics_member{i}.csv"), METRIC_FIELDS, learner.metrics)
+            write_csv(os.path.join(out_dir, f"timing_member{i}.csv"), TIMING_FIELDS, learner.timings)
     return PbtResult(members=members, exploit_events=exploit_events)
 
 

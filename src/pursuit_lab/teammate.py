@@ -254,14 +254,13 @@ def init_naht_model(
     cfg: rl.PpoConfig,
     rng,
     no_decoder: bool = False,
-    dtype=np.float32,
 ) -> NahtModel:
     obs_dim = sim.obs_length(env_cfg)
     layout = WindowLayout(num_e=env_cfg.players.num_e, num_p=env_cfg.players.num_p)
     critic_dim = sim.central_obs_length(env_cfg, env_cfg.players.num_ctrl)
     ac = rl.init_actor_critic(obs_dim + EMBED_DIM, critic_dim, cfg, rng)
-    encoder = init_encoder(layout, rng, dtype=dtype)
-    decoder = None if no_decoder else init_decoder(EMBED_DIM, rng, dtype=dtype)
+    encoder = init_encoder(layout, rng)
+    decoder = None if no_decoder else init_decoder(EMBED_DIM, rng)
     return NahtModel(ac=ac, encoder=encoder, decoder=decoder, obs_dim=obs_dim, embed_dim=EMBED_DIM)
 
 
@@ -403,7 +402,8 @@ def naht_d_train(
     collector = NahtCollector(env_cfg, model, cfg, substream(seed, "rollout"), teammates)
     result = rl.train_loop(collector, model, cfg, seed, update=naht_update, out_dir=out_dir, ckpt_prefix="naht")
     algo = "naht-d-nodec" if no_decoder else "naht-d"
-    return rl.finish_training(result, out_dir, env_cfg, cfg, {"algo": algo, "seed": seed, "beta": RECON_BETA})
+    rl.finish_training(model, out_dir, env_cfg, cfg, {"algo": algo, "seed": seed, "beta": RECON_BETA})
+    return result
 
 
 _ENCODER_NETS = (("enc_evader", "evader_net"), ("enc_self", "self_net"), ("enc_relpos", "relpos_net"))

@@ -17,7 +17,7 @@ import sys
 import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).parents[1]))
-from test_golden import HASHES, SEPARATE_KEYS, golden_hashes, platform_tag
+from test_golden import HASHES, computed_hashes, platform_tag
 
 prefixes = tuple(sys.argv[1:])
 recorded = json.loads(HASHES.read_text()) if HASHES.exists() else {"platform": None, "hashes": {}}
@@ -25,7 +25,7 @@ if prefixes and recorded["platform"] != platform_tag():
     sys.exit(f"recorded on {recorded['platform']}, not {platform_tag()}: regenerate every key or none")
 
 with tempfile.TemporaryDirectory() as tmp:
-    computed = {**golden_hashes(pathlib.Path(tmp)), **{key: run() for key, run in SEPARATE_KEYS.items()}}
+    computed = computed_hashes(pathlib.Path(tmp))
 old = recorded["hashes"]
 new = {key: value for key, value in old.items() if prefixes and not key.startswith(prefixes)}
 new.update({key: value for key, value in computed.items() if not prefixes or key.startswith(prefixes)})

@@ -33,17 +33,21 @@ observations' bearings and the PPO ratio come from libm). The simulator and
 scripted keys call no BLAS; the training and evaluation keys do, so they
 also skip when the fingerprint differs (OpenBLAS picks its kernel by CPU,
 and on x86_64 an AVX2-only kernel gives other network bits than an AVX-512
-one). numpy's SIMD dispatch is not part of the platform: no key passes
+one). numpy's SIMD dispatch is not part of the platform. No key passes
 through a float64 numpy transcendental, whose bits differ between numpy's
-AVX-512 and AVX2 kernels, so every key holds at both levels. A refactor
-leaves every hash unchanged. After a change that moves outputs on purpose, rerun
+AVX-512 and AVX2 kernels, and the last test recomputes every key in a
+subprocess with the dispatch capped at X86_V3. A refactor leaves every hash
+unchanged. After a change that moves outputs on purpose, rerun
 `PYTHONPATH=src python tests/golden/regen_hashes.py` and say in the commit
 why the bytes moved.
 """
 
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
 import zipfile
 from pathlib import Path
 
@@ -193,6 +197,15 @@ def golden_hashes(root: Path) -> dict[str, str]:
     return dict(sorted(hashes.items()))
 
 
+def computed_hashes(root: Path, networks: bool = True) -> dict[str, str]:
+    """Every key, computed under `root`; only the simulator and scripted keys
+    without `networks`."""
+    hashes = {key: run() for key, run in SEPARATE_KEYS.items()}
+    if networks:
+        hashes.update(golden_hashes(root))
+    return dict(sorted(hashes.items()))
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     """The recorded document; skips on another numpy version, machine or C library."""
@@ -233,3 +246,29 @@ def test_outputs_match_the_golden_hashes(tmp_path, golden):
         pytest.skip("the network keys were recorded with another BLAS kernel")
     hashes = golden["hashes"]
     assert golden_hashes(tmp_path) == {key: value for key, value in hashes.items() if key not in SEPARATE_KEYS}
+
+
+def test_every_key_holds_with_numpy_dispatch_capped_at_x86_v3(tmp_path, golden):
+    # a fresh process computes the keys with every SIMD target above X86_V3
+    # disabled (NPY_DISABLE_CPU_FEATURES acts when numpy loads); the network
+    # keys only where the BLAS kernel is the recorded one
+    found = cli._numpy_config().get("SIMD Extensions", {}).get("found", [])
+    if "X86_V3" not in found:
+        pytest.skip("numpy dispatches to no X86_V3 kernels here")
+    level = found.index("X86_V3") + 1
+    # add the targets to an inherited cap: replacing the cap would lift it
+    disabled = " ".join(filter(None, [os.environ.get("NPY_DISABLE_CPU_FEATURES", ""), *found[level:]]))
+    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled, "PYTHONPATH": path}
+    networks = golden["platform"]["blas"] == nn.blas_fingerprint()
+    out = tmp_path / "capped.json"
+    code = (
+        "import json, pathlib, test_golden as g; "
+        "found = g.cli._numpy_config()['SIMD Extensions']['found']; "
+        f"hashes = g.computed_hashes(pathlib.Path({str(tmp_path)!r}), {networks}); "
+        f"pathlib.Path({str(out)!r}).write_text(json.dumps({{'found': found, 'hashes': hashes}}))"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
+    capped = json.loads(out.read_text())
+    assert capped["found"] == found[:level]
+    assert capped["hashes"] == {key: value for key, value in golden["hashes"].items() if networks or key in SEPARATE_KEYS}

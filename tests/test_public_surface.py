@@ -43,10 +43,11 @@ ALLOWED_DEFAULTS = {
     "population.hola_train.episodes_per_edge": "the golden and unit tests run HOLA with fewer edge episodes",
     "rl.pbt_train.exploit_interval": "the golden and unit tests exploit after fewer steps",
     "rl.init_actor_critic.dtype": "float64 models for the finite-difference gradient checks",
-    "teammate.init_naht_model.dtype": "float64 models for the finite-difference gradient checks",
     "teammate.init_encoder.hidden": "small float64 encoders for the finite-difference gradient checks",
     "teammate.init_encoder.embed_dim": "small float64 encoders for the finite-difference gradient checks",
+    "teammate.init_encoder.dtype": "float64 encoders for the finite-difference gradient checks",
     "teammate.init_decoder.hidden": "small float64 decoders for the finite-difference gradient checks",
+    "teammate.init_decoder.dtype": "float64 decoders for the finite-difference gradient checks",
     "evalkit.play_episode.log": "the trajectory log that the CLI does not write yet",
     "config.with_control_split.unseen_drones": "the tests' arenas with uncontrolled slots",
     "cli.main.argv": "the tests call the CLI in process; the console script reads sys.argv",

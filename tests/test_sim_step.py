@@ -20,11 +20,10 @@ state alone, and `sim.step_many` each state the outcome of its own
 
 The float step reproduces numpy's bits through libm: `abs(complex(dx, dy))`
 and `np.hypot` both call `hypot`, and `math.cos`/`math.sin` match `np.cos`/
-`np.sin`. The one pass takes every bearing of a batch from one `np.arctan2`
-call, which gives each the bits of the oracle's per-block calls. Those are
-facts of a numpy build and a CPU, so these tests run on the platform that
-`tests/golden/hashes.json` was recorded on and skip elsewhere, as the golden
-tests do.
+`np.sin`. The one pass and the oracle both take their bearings from libm's
+`atan2`, one call per entry. Those are facts of a numpy build and a CPU, so
+these tests run on the numpy version and machine that
+`tests/golden/hashes.json` was recorded on and skip elsewhere.
 """
 
 import copy
@@ -382,23 +381,6 @@ def bearing_inputs(n):
     edges = [0.0, -0.0, 1e-300, -1e-300, 2.0, -2.0, math.inf, -math.inf]
     dydx = np.concatenate([dydx, np.array([(a, b) for a in edges for b in edges])])
     return dydx[:, 0].copy(), dydx[:, 1].copy()
-
-
-def test_one_flat_arctan2_call_is_the_per_shape_calls():
-    # observe_all takes a batch's every bearing from one call; the array
-    # oracle calls np.arctan2 on (origins, targets) blocks and on (num_p,) columns
-    dy, dx = bearing_inputs(200_000)
-    flat = np.arctan2(dy, dx)
-    for length in (1, 3, 7, 8, 13, 24, 40):
-        chunks = [np.arctan2(dy[i : i + length], dx[i : i + length]) for i in range(0, len(dy), length)]
-        assert same_bytes(np.concatenate(chunks), flat)
-    for cols in (2, 3, 4):
-        cut = len(dy) - len(dy) % cols
-        block = np.arctan2(dy[:cut].reshape(-1, cols), dx[:cut].reshape(-1, cols))
-        assert same_bytes(block.reshape(-1), flat[:cut])
-    assert same_bytes(np.arctan2(dy[1::3], dx[1::3]), flat[1::3])
-    scalars = [float(np.arctan2(np.float64(a), np.float64(b))) for a, b in zip(dy[:20_000].tolist(), dx[:20_000].tolist())]
-    assert same_bytes(np.array(scalars), flat[:20_000])
 
 
 def test_scalar_wrap_angle_is_the_array_form():
