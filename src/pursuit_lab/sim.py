@@ -68,10 +68,10 @@ array pass over the states of one config (`observe_all`). Each state's rows
 have the bits of the per-state array code in `tests/sim_oracle.py`: the
 pass's ufuncs give an element the same bits whatever the array's shape. Distances are
 `np.hypot`; the bearings of the visible entries, the static ones included,
-come from libm's `atan2` per element (`math.atan2`: float64 `np.arctan2`
-takes other bits at other numpy SIMD levels) and pass through the array
-`wrap_angle` and `/ np.pi`; masked entries are not computed and are
-written as (0.0, 0.0, 0.0). The nearest static
+come from libm's `atan2` per element (`math.atan2`, as numpy's float64
+two-argument arctan takes other bits at other SIMD levels) and pass through
+the array `wrap_angle` and `/ np.pi`; masked entries are not computed and
+are written as (0.0, 0.0, 0.0). The nearest static
 entry (`nearest_static_all`) needs the true minimum over the obstacles,
 which no culling box bounds, so it takes the full `obstacle_clearance_matrix`.
 Its wall point is at the `argmin` of (x, w - x, y, h - y), its obstacle at
