@@ -268,7 +268,8 @@ def test_every_key_holds_with_numpy_dispatch_capped_at_x86_v3(tmp_path, golden):
         f"hashes = g.computed_hashes(pathlib.Path({str(tmp_path)!r}), {networks}); "
         f"pathlib.Path({str(out)!r}).write_text(json.dumps({{'found': found, 'hashes': hashes}}))"
     )
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
     capped = json.loads(out.read_text())
     assert capped["found"] == found[:level]
     assert capped["hashes"] == {key: value for key, value in golden["hashes"].items() if networks or key in SEPARATE_KEYS}
