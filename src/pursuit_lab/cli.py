@@ -5,7 +5,8 @@ ValueError from `train` or `eval` such as an infeasible respawn region or a
 bad policy reference), 2 usage or IO error, a `train` flag that the chosen
 `--algo` does not read and a count flag below its minimum included. Every long-running command writes
 a run manifest into its output directory before any heavy computation; the
-rest of a `train` run directory comes from the trainer. Rerunning a command
+rest of a `train` run directory comes from the trainer, and `rl.RunDir`
+writes every file of both (`render --out` is one SVG file). Rerunning a command
 with the same arguments reproduces its outputs byte for byte. `eval --jobs J`
 runs seed blocks in J worker processes with results identical for any J. `train` sizes its PPO batch for the env's learner
 slots (`rl.PpoConfig.for_learners`). The PURSUIT_LAB_DIR environment
@@ -80,8 +81,7 @@ def _numpy_config() -> dict:
         return {}
 
 
-def _write_manifest(out_dir: str, command: str, args: argparse.Namespace, env_cfg=None) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+def _write_manifest(run: rl.RunDir, command: str, args: argparse.Namespace, env_cfg=None) -> None:
     numpy_config = _numpy_config()
     blas = numpy_config.get("Build Dependencies", {}).get("blas", {})
     manifest = {
@@ -90,7 +90,7 @@ def _write_manifest(out_dir: str, command: str, args: argparse.Namespace, env_cf
         "tool_version": __version__,
         "seed": getattr(args, "seed", None),
         "jobs": getattr(args, "jobs", 1),
-        "out_dir": out_dir,
+        "out_dir": run.path,
         # what ran the command
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -104,10 +104,7 @@ def _write_manifest(out_dir: str, command: str, args: argparse.Namespace, env_cf
         text = config.serialize_config(env_cfg)
         manifest["env"] = env_cfg.task.task_name
         manifest["config_sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    run.text("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +166,7 @@ def cmd_train(args) -> int:
     # self-play trains every slot; HOLA's initial population is self-play too
     slots = {"sp": (p.num_p,), "hola": (p.num_p, p.num_ctrl), "hola-nog": (p.num_p, p.num_ctrl)}
     cfg = rl.PpoConfig.for_learners(*slots.get(args.algo, (p.num_ctrl,)), total_steps=args.steps)
-    _write_manifest(args.out, "train", args, env_cfg)
+    _write_manifest(rl.RunDir(args.out), "train", args, env_cfg)
     try:
         _train(args, cfg, env_cfg)
     except (ValueError, FileNotFoundError) as exc:
@@ -223,7 +220,8 @@ def cmd_eval(args) -> int:
     env_cfg = _env_or_exit_code(args.env)
     if isinstance(env_cfg, int):
         return env_cfg
-    _write_manifest(args.report, "eval", args, env_cfg)
+    run = rl.RunDir(args.report)
+    _write_manifest(run, "eval", args, env_cfg)
     try:
         zoo = evalkit.build_zoo(f"zoo{args.zoo}", _zoo_assets(args.zoo_assets))
         report, records = evalkit.run_evaluation(
@@ -237,13 +235,11 @@ def cmd_eval(args) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    with open(os.path.join(args.report, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-    report.write_csv(os.path.join(args.report, "report.csv"))
-    with open(os.path.join(args.report, "episodes.ndjson"), "w", encoding="utf-8") as fh:
-        for rec in records:
-            row = {**asdict(rec), "seed": evalkit.episode_seed(args.seed, rec.seed_block, rec.index)}
-            fh.write(json.dumps(row) + "\n")
+    run.text("report.json", report.to_json())
+    row = report.row()
+    run.csv("report.csv", list(row), [row])
+    episodes = [{**asdict(rec), "seed": evalkit.episode_seed(args.seed, rec.seed_block, rec.index)} for rec in records]
+    run.text("episodes.ndjson", "".join(json.dumps(ep) + "\n" for ep in episodes))
     print(
         f"SUC {report.suc:.2f}%  COL {report.col}  "
         f"AST {report.ast if report.ast is not None else 'n/a'}  REW {report.rew:.2f}"

@@ -84,7 +84,7 @@ def resolve_policy(ref: str, env_cfg: EnvConfig, deterministic: bool = True):
     when its manifest records them (ValueError naming the path otherwise):
     observation rows of other counts can have the same length, and a NAHT-D
     model's step records lay the counts out. Every archive that
-    `rl.save_checkpoint` writes records them; archives written before it did
+    `rl.RunDir.archive` writes records them; archives written before it did
     are checked by length alone.
     """
     if ref == "greedy" or ref == "vicsek":
@@ -193,18 +193,15 @@ class EvalReport:
     seed_blocks: int
     seed: int
 
-    def _row(self) -> dict:
+    def row(self) -> dict:
         """Every field by name, in declaration order: floats rounded to 6
-        places, ints and None as they are."""
+        places, ints and None as they are. `report.json` holds this row,
+        and `eval` writes it as the one row of `report.csv`."""
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         return {name: round(float(v), 6) if isinstance(v, float) else v for name, v in values.items()}
 
     def to_json(self) -> str:
-        return json.dumps(self._row(), indent=2) + "\n"
-
-    def write_csv(self, path) -> None:
-        row = self._row()
-        rl.write_csv(path, list(row), [row])
+        return json.dumps(self.row(), indent=2) + "\n"
 
 
 def _metric_values(records) -> tuple[float, int, float | None, float]:

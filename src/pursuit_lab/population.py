@@ -14,7 +14,6 @@ distribution over partner subsets.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -338,11 +337,12 @@ def hola_train(
     Generation t runs `hola_generation` with its own seed,
     `substream_seed_int(seed, "generation", t)`, so that it scores its edges
     on episode starts of its own. With an `out_dir`, each generation g writes
-    `generation_{g:03d}.json`, `metrics_gen{g:03d}.csv` and
-    `timing_gen{g:03d}.csv` there, and the trainee ends as `final.zip`."""
+    `generation_{g:03d}.json`, `metrics_gen{g:03d}.csv` and `timing_gen{g:03d}.csv`
+    there through one `rl.RunDir`, and the trainee ends as `final.zip`."""
     if env_cfg.players.num_unctrl < 1:
         raise ValueError("hola_train needs uncontrolled teammate slots (num_unctrl >= 1)")
     pop = init_population(env_cfg, ppo_cfg, seed, sp_budget)
+    run = rl.RunDir(out_dir)
     reports = []
     for _ in range(generations):
         pop, report = hola_generation(
@@ -355,15 +355,12 @@ def hola_train(
             uniform_rho=uniform_rho,
         )
         reports.append(report)
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            with open(os.path.join(out_dir, f"generation_{report.generation:03d}.json"), "w") as fh:
-                fh.write(report.to_json() + "\n")
-            gen = report.generation
-            rl.write_csv(os.path.join(out_dir, f"metrics_gen{gen:03d}.csv"), rl.METRIC_FIELDS, report.metrics)
-            rl.write_csv(os.path.join(out_dir, f"timing_gen{gen:03d}.csv"), rl.TIMING_FIELDS, report.timings)
+        gen = report.generation
+        run.text(f"generation_{gen:03d}.json", report.to_json() + "\n")
+        run.csv(f"metrics_gen{gen:03d}.csv", rl.METRIC_FIELDS, report.metrics)
+        run.csv(f"timing_gen{gen:03d}.csv", rl.TIMING_FIELDS, report.timings)
     if out_dir is not None:
         fields = {"algo": "hola-nog" if uniform_rho else "hola", "seed": seed, "generations": generations}
         max_step_cfg = replace(ppo_cfg, total_steps=gen_budget)  # each generation's max-step
-        rl.finish_training(pop.learner_model, out_dir, env_cfg, max_step_cfg, fields, seed)
+        rl.finish_training(pop.learner_model, run, env_cfg, max_step_cfg, fields, seed)
     return pop.learner_model, reports

@@ -7,16 +7,15 @@ feed extra (learned) features into the actor can backpropagate through them.
 
 Every trainer runs `Learner.step`, the one PPO update step (collect, update,
 metrics row): `train_loop` repeats it, and `pbt_train` steps each member once
-per round. `finish_training` scores and saves every final model through
-`save_checkpoint`, the one writer of checkpoint archives and so the one
-place that decides what a manifest records: the model's dims, the arena's
-pursuer and evader counts, the PPO settings and the run's own fields.
+per round. `finish_training` scores and saves every final model.
 
-A trainer given an `out_dir` writes its whole run directory there, the
-metrics and timing CSVs through `write_csv` next to the archives; the CLI
-adds only `manifest.json`. `Learner.step` times each update's rollout and
-PPO update; those wall times go only into the timing CSVs, apart from the
-deterministic files.
+`RunDir` is the one writer of run directories and of their formats; its
+`archive` is the one place that decides what a manifest records: the model's
+dims, the arena's pursuer and evader counts, the PPO settings and the run's
+own fields. A trainer given an `out_dir` writes its whole run directory
+there; the CLI adds only `manifest.json`. `Learner.step` times each update's
+rollout and PPO update; those wall times go only into the timing CSVs, apart
+from the deterministic files.
 
 Rollouts count *learner transitions*: one env step with N learner slots
 contributes N transitions, and `PpoConfig.total_steps` / `batch` are
@@ -40,7 +39,7 @@ import numpy as np
 
 from . import nn, scripted, sim
 from .config import EnvConfig, with_control_split
-from .seeding import substream
+from .seeding import substream, substream_seed_int
 
 
 GAMMA = 0.99
@@ -137,7 +136,7 @@ class ActorCritic:
         return v[:, 0]
 
     def checkpoint_arrays(self):
-        """(checkpoint kind, named arrays, manifest dims) for `save_checkpoint`."""
+        """(checkpoint kind, named arrays, manifest dims) for `RunDir.archive`."""
         return ("actor_critic", *actor_critic_arrays(self))
 
 
@@ -216,22 +215,47 @@ def actor_critic_from_arrays(arrays: dict, meta: dict) -> ActorCritic:
     return ActorCritic(actor, log_std.copy(), critic, obs_dim, act_dim, critic_in_dim)
 
 
-def save_checkpoint(out_dir, name: str, model, env_cfg: EnvConfig, cfg: PpoConfig, fields: dict) -> str:
-    """Write `model` to the archive `out_dir/name` and return its path: the
-    one checkpoint writer, so the one place that decides what a manifest
-    records. An `ActorCritic` and a `teammate.NahtModel` give their kind,
-    named arrays and dims through `checkpoint_arrays`; the manifest adds the
-    pursuer and evader counts of `env_cfg` (observation rows of other counts
-    can have the same length, so `evalkit.resolve_policy` checks these too),
-    the fields of `cfg` (the PPO settings the model trained with) as `ppo`,
-    and then the run's `fields`."""
-    kind, named, meta = model.checkpoint_arrays()
-    players = env_cfg.players
-    extra = {**meta, "num_p": players.num_p, "num_e": players.num_e, "ppo": asdict(cfg), **fields}
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    nn.save_arrays(path, kind, named, extra=extra)
-    return path
+class RunDir:
+    """The one writer of a run directory, which it makes at `path`, and of its
+    formats: checkpoint archives, CSV tables in the csv module's dialect
+    (CRLF line ends) and UTF-8 text. `RunDir(None)` writes nothing."""
+
+    def __init__(self, path):
+        self.path = path
+        if path is not None:
+            os.makedirs(path, exist_ok=True)
+
+    def archive(self, name: str, model, env_cfg: EnvConfig, cfg: PpoConfig, fields: dict):
+        """Write `model` to the archive `name` and return its path (None
+        without a directory). An `ActorCritic` and a `teammate.NahtModel`
+        give their kind, named arrays and dims through `checkpoint_arrays`;
+        the manifest adds the pursuer and evader counts of `env_cfg`
+        (observation rows of other counts can have the same length, so
+        `evalkit.resolve_policy` checks these too), the fields of `cfg` (the
+        PPO settings the model trained with) as `ppo`, and then the run's
+        `fields`."""
+        if self.path is None:
+            return None
+        kind, named, meta = model.checkpoint_arrays()
+        players = env_cfg.players
+        extra = {**meta, "num_p": players.num_p, "num_e": players.num_e, "ppo": asdict(cfg), **fields}
+        path = os.path.join(self.path, name)
+        nn.save_arrays(path, kind, named, extra=extra)
+        return path
+
+    def csv(self, name: str, fields, rows) -> None:
+        """`rows` (dicts) under the header `fields`; a missing field is an empty cell."""
+        if self.path is not None:
+            with open(os.path.join(self.path, name), "w", newline="", encoding="utf-8") as fh:
+                writer = csv.DictWriter(fh, fieldnames=fields)
+                writer.writeheader()
+                writer.writerows({k: row.get(k, "") for k in fields} for row in rows)
+
+    def text(self, name: str, text: str) -> None:
+        """`text` as it is, UTF-8 with no newline translation."""
+        if self.path is not None:
+            with open(os.path.join(self.path, name), "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -746,15 +770,6 @@ METRIC_FIELDS = (
 TIMING_FIELDS = ("update", "rollout_s", "update_s", "env_steps", "env_steps_per_s")
 
 
-def write_csv(path, fields, rows) -> None:
-    """`rows` (dicts) under the header `fields`; a missing field is empty."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in fields})
-
-
 def _metrics_row(step, update, window_stats, diag) -> dict:
     returns = window_stats.episode_returns[-50:]
     terms = window_stats.episode_terminals[-50:]
@@ -838,13 +853,12 @@ class Learner:
 
 
 def train_loop(
-    collector: RolloutCollector, model, cfg: PpoConfig, seed: int, update=None, out_dir=None, ckpt_prefix: str = "ckpt"
+    collector: RolloutCollector, model, cfg: PpoConfig, seed: int, update=None, run=RunDir(None), ckpt_prefix="ckpt"
 ) -> TrainResult:
-    """The PPO outer loop: `Learner.step` until `cfg.total_steps`. With an
-    `out_dir` it writes a periodic checkpoint there after every
-    max(1, n_updates // 5) updates (one per update below 10 updates, and
-    5 to 9 of them from 10 updates on), and `metrics.csv` and `timing.csv`
-    at the end.
+    """The PPO outer loop: `Learner.step` until `cfg.total_steps`. Through
+    `run` it writes a periodic checkpoint after every max(1, n_updates // 5)
+    updates (one per update below 10 updates, and 5 to 9 of them from 10
+    updates on), and `metrics.csv` and `timing.csv` at the end.
 
     The budget rounds up to whole batches: it runs ceil(total_steps / batch)
     updates, at least one, so `total_steps=64` with a 1024-transition batch
@@ -854,33 +868,31 @@ def train_loop(
     ckpt_every = max(1, n_updates // 5)
     for i in range(n_updates):
         learner.step()
-        if out_dir is not None and (i + 1) % ckpt_every == 0:
+        if (i + 1) % ckpt_every == 0:
             name = f"{ckpt_prefix}_{learner.steps:09d}.zip"
-            save_checkpoint(out_dir, name, model, collector.env_cfg, cfg, {"step": learner.steps})
-    if out_dir is not None:
-        write_csv(os.path.join(out_dir, "metrics.csv"), METRIC_FIELDS, learner.metrics)
-        write_csv(os.path.join(out_dir, "timing.csv"), TIMING_FIELDS, learner.timings)
+            run.archive(name, model, collector.env_cfg, cfg, {"step": learner.steps})
+    run.csv("metrics.csv", METRIC_FIELDS, learner.metrics)
+    run.csv("timing.csv", TIMING_FIELDS, learner.timings)
     return TrainResult(model=model, metrics=learner.metrics, timings=learner.timings)
 
 
 def finish_training(
-    model, out_dir, env_cfg: EnvConfig, cfg: PpoConfig, fields: dict,
+    model, run: RunDir, env_cfg: EnvConfig, cfg: PpoConfig, fields: dict,
     score_seed: int | None = None, name: str = "final.zip",
 ) -> float | None:
     """The end of every trainer: with a `score_seed`, score the model's
     `evaluate_selfplay_suc` on `env_cfg` and record it as the manifest's
-    `selfplay_suc`, then save the model as `out_dir/name` (if any) through
-    `save_checkpoint` with `fields`. Returns the score, None unscored."""
+    `selfplay_suc`, then save the model as the archive `name` of `run` with
+    `fields`. Returns the score, None unscored."""
     score = None
     if score_seed is not None:
         score = evaluate_selfplay_suc(model, env_cfg, score_seed)
         fields = {**fields, "selfplay_suc": score}
-    if out_dir is not None:
-        save_checkpoint(out_dir, name, model, env_cfg, cfg, fields)
+    run.archive(name, model, env_cfg, cfg, fields)
     return score
 
 
-def ippo_selfplay_unscored(cfg: PpoConfig, env_cfg: EnvConfig, seed: int, out_dir=None) -> TrainResult:
+def ippo_selfplay_unscored(cfg: PpoConfig, env_cfg: EnvConfig, seed: int, run=RunDir(None)) -> TrainResult:
     """Self-play IPPO: one shared actor-critic drives all pursuer slots.
 
     Trains and writes the periodic checkpoints, but neither scores the result
@@ -889,13 +901,14 @@ def ippo_selfplay_unscored(cfg: PpoConfig, env_cfg: EnvConfig, seed: int, out_di
     sp_cfg = with_control_split(env_cfg, env_cfg.players.num_p, 0)
     model = init_actor_critic(sim.obs_length(sp_cfg), sim.obs_length(sp_cfg), cfg, substream(seed, "init"))
     collector = RolloutCollector(sp_cfg, model, cfg, substream(seed, "rollout"))
-    return train_loop(collector, model, cfg, seed, out_dir=out_dir, ckpt_prefix="sp")
+    return train_loop(collector, model, cfg, seed, run=run, ckpt_prefix="sp")
 
 
 def ippo_selfplay_train(cfg: PpoConfig, env_cfg: EnvConfig, seed: int, out_dir=None) -> TrainResult:
     """Self-play IPPO, scored by `evaluate_selfplay_suc` and saved as `final.zip`."""
-    result = ippo_selfplay_unscored(cfg, env_cfg, seed, out_dir=out_dir)
-    result.selfplay_suc = finish_training(result.model, out_dir, env_cfg, cfg, {"algo": "sp", "seed": seed}, seed)
+    run = RunDir(out_dir)
+    result = ippo_selfplay_unscored(cfg, env_cfg, seed, run=run)
+    result.selfplay_suc = finish_training(result.model, run, env_cfg, cfg, {"algo": "sp", "seed": seed}, seed)
     return result
 
 
@@ -914,14 +927,13 @@ def mappo_train(
     n_learners = env_cfg.players.num_ctrl
     teammates = None
     if env_cfg.players.num_unctrl > 0:
-        if not teammate_pool:
-            raise ValueError("mappo_train with uncontrolled slots needs a teammate pool")
         teammates = UniformTeammates(teammate_pool, env_cfg.players.num_unctrl)
     critic_dim = sim.central_obs_length(env_cfg, n_learners)
     model = init_actor_critic(sim.obs_length(env_cfg), critic_dim, cfg, substream(seed, "init"))
     collector = RolloutCollector(env_cfg, model, cfg, substream(seed, "rollout"), teammates=teammates, central=True)
-    result = train_loop(collector, model, cfg, seed, out_dir=out_dir, ckpt_prefix="mappo")
-    result.selfplay_suc = finish_training(model, out_dir, env_cfg, cfg, {"algo": "mappo", "seed": seed}, seed)
+    run = RunDir(out_dir)
+    result = train_loop(collector, model, cfg, seed, run=run, ckpt_prefix="mappo")
+    result.selfplay_suc = finish_training(model, run, env_cfg, cfg, {"algo": "mappo", "seed": seed}, seed)
     return result
 
 
@@ -962,7 +974,8 @@ def pbt_train(
     parameters, so no member sees another's update of the same round. Every
     `exploit_interval` learner steps the bottom quartile copies parameters
     from a uniformly chosen top-quartile member and perturbs lr and
-    entropy_coef by x0.8 or x1.25. With an `out_dir`, member i ends as
+    entropy_coef by x0.8 or x1.25. With an `out_dir`, member i is scored on
+    its own seed, `substream_seed_int(seed, "member", i)`, and ends as
     `pbt_member{i}.zip`, `metrics_member{i}.csv` and `timing_member{i}.csv`
     there.
     """
@@ -982,11 +995,13 @@ def pbt_train(
             next_exploit += exploit_interval
 
     if out_dir is not None:
+        run = RunDir(out_dir)
         for i, member in enumerate(members):
             learner, fields = member.learner, {"algo": "pbt", "member": i}
-            finish_training(learner.model, out_dir, env_cfg, learner.cfg, fields, seed + i, f"pbt_member{i}.zip")
-            write_csv(os.path.join(out_dir, f"metrics_member{i}.csv"), METRIC_FIELDS, learner.metrics)
-            write_csv(os.path.join(out_dir, f"timing_member{i}.csv"), TIMING_FIELDS, learner.timings)
+            score_seed = substream_seed_int(seed, "member", i)
+            finish_training(learner.model, run, env_cfg, learner.cfg, fields, score_seed, f"pbt_member{i}.zip")
+            run.csv(f"metrics_member{i}.csv", METRIC_FIELDS, learner.metrics)
+            run.csv(f"timing_member{i}.csv", TIMING_FIELDS, learner.timings)
     return PbtResult(members=members, exploit_events=exploit_events)
 
 

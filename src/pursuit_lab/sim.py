@@ -695,10 +695,6 @@ class TrajectoryLog:
     def dumps(self) -> str:
         return "".join(json.dumps(rec) + "\n" for rec in self.records)
 
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dumps())
-
 
 def load_trajectory(path) -> list[dict]:
     with open(path, "r", encoding="utf-8") as fh:

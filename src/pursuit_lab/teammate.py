@@ -231,7 +231,7 @@ class NahtModel:
         return np.concatenate([obs, emb], axis=1)
 
     def checkpoint_arrays(self):
-        """(checkpoint kind, named arrays, manifest dims) for `rl.save_checkpoint`."""
+        """(checkpoint kind, named arrays, manifest dims) for `rl.RunDir.archive`."""
         named, meta = rl.actor_critic_arrays(self.ac)
         for prefix, attr in _ENCODER_NETS:
             named += rl._named_mlp_arrays(prefix, getattr(self.encoder, attr))
@@ -395,14 +395,13 @@ def naht_d_train(
     """
     if env_cfg.players.num_unctrl < 1:
         raise ValueError("naht_d_train needs uncontrolled teammate slots (num_unctrl >= 1)")
-    if not teammate_pool:
-        raise ValueError("teammate pool must be nonempty")
-    model = init_naht_model(env_cfg, cfg, substream(seed, "init"), no_decoder=no_decoder)
     teammates = rl.UniformTeammates(teammate_pool, env_cfg.players.num_unctrl)
+    model = init_naht_model(env_cfg, cfg, substream(seed, "init"), no_decoder=no_decoder)
     collector = NahtCollector(env_cfg, model, cfg, substream(seed, "rollout"), teammates)
-    result = rl.train_loop(collector, model, cfg, seed, update=naht_update, out_dir=out_dir, ckpt_prefix="naht")
+    run = rl.RunDir(out_dir)
+    result = rl.train_loop(collector, model, cfg, seed, update=naht_update, run=run, ckpt_prefix="naht")
     algo = "naht-d-nodec" if no_decoder else "naht-d"
-    rl.finish_training(model, out_dir, env_cfg, cfg, {"algo": algo, "seed": seed, "beta": RECON_BETA})
+    rl.finish_training(model, run, env_cfg, cfg, {"algo": algo, "seed": seed, "beta": RECON_BETA})
     return result
 
 
@@ -411,7 +410,7 @@ _ENCODER_NETS = (("enc_evader", "evader_net"), ("enc_self", "self_net"), ("enc_r
 
 def naht_from_arrays(arrays: dict, meta: dict) -> NahtModel:
     """A NAHT-D model from a checkpoint's arrays and manifest extra: the
-    inverse of `rl.save_checkpoint` for a NAHT-D model, not of
+    inverse of `rl.RunDir.archive` for a NAHT-D model, not of
     `NahtModel.checkpoint_arrays` alone, since the encoder's layout comes
     from the `num_e` and `num_p` that every archive records. Every array's
     shape is checked against the manifest dims first (ValueError naming the

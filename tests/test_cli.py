@@ -201,7 +201,7 @@ def test_render_roundtrip_and_errors(tmp_path, capsys, env_4p2e3o):
         out = sim.step(state, actions)
         log.record_step(state, actions, out)
     log_path = tmp_path / "traj.ndjson"
-    log.write(log_path)
+    log_path.write_text(log.dumps(), encoding="utf-8")
 
     out1 = tmp_path / "a.svg"
     out2 = tmp_path / "b.svg"
@@ -251,7 +251,7 @@ def test_render_rejects_a_malformed_record(tmp_path, capsys, env_4p2e3o, alter):
     log.record_step(state, actions, sim.step(state, actions))
     log.records[1] = alter(log.records[1])
     path = tmp_path / "traj.ndjson"
-    log.write(path)
+    path.write_text(log.dumps(), encoding="utf-8")
     capsys.readouterr()
     assert run_cli("render", "--log", str(path), "--out", str(tmp_path / "a.svg")) == 2
     assert capsys.readouterr().err.startswith("error: malformed log: record 1")
@@ -385,6 +385,14 @@ def test_train_rejects_a_flag_its_algo_does_not_read(tmp_path, capsys, algo, fla
     assert run_cli("train", "--algo", algo, "--env", "4p2e3o", "--steps", "64", "--out", str(out), *flag) == 2
     assert f"does not read {flag[0]}" in capsys.readouterr().err
     assert not out.exists()  # refused before the manifest
+
+
+@pytest.mark.parametrize("algo", ["mappo", "naht-d"])
+def test_train_rejects_an_empty_teammate_pool_with_one_message(tmp_path, capsys, algo):
+    out = str(tmp_path / "run")
+    assert run_cli("train", "--algo", algo, "--env", "4p2e3o", "--steps", "64", "--out", out, "--teammates", ",") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: empty teammate pool") and "Traceback" not in err
 
 
 def test_train_rejects_teammates_without_uncontrolled_slots(tmp_path, capsys):

@@ -77,7 +77,7 @@ def test_zoo_compositions(tmp_path):
     paths = []
     for i, suc in enumerate((54.0, 70.0, 60.0)):
         model = rl.init_actor_critic(sim.obs_length(env), sim.obs_length(env), cfg, substream(i, "init"))
-        paths.append(rl.save_checkpoint(tmp_path, f"sp{i}.zip", model, env, cfg, {"selfplay_suc": suc}))
+        paths.append(rl.RunDir(tmp_path).archive(f"sp{i}.zip", model, env, cfg, {"selfplay_suc": suc}))
     assets = evalkit.ZooAssets(sp_checkpoints=paths)
     zoo2 = evalkit.build_zoo("zoo2", assets)
     # maximally separated pair: 70 (strong) and 54 (weak)
@@ -90,7 +90,7 @@ def test_zoo_compositions(tmp_path):
     # archives without a recorded score (a periodic checkpoint, a NAHT-D
     # model) are not ranked: they once became zoo 2's 0 % "weak" member
     model = rl.init_actor_critic(sim.obs_length(env), sim.obs_length(env), cfg, substream(3, "init"))
-    unscored = rl.save_checkpoint(tmp_path, "sp_000001024.zip", model, env, cfg, {"step": 1024})
+    unscored = rl.RunDir(tmp_path).archive("sp_000001024.zip", model, env, cfg, {"step": 1024})
     assets = evalkit.ZooAssets(sp_checkpoints=[paths[0], paths[1], unscored])
     assert evalkit.build_zoo("zoo2", assets).members == (f"ckpt:{paths[1]}", f"ckpt:{paths[0]}")
     with pytest.raises(ValueError, match="recorded SUC"):
@@ -101,13 +101,13 @@ def test_resolve_policy_checks_dims(tmp_path):
     env = reduced_4p2e3o()
     cfg = rl.PpoConfig()
     model = rl.init_actor_critic(7, 7, cfg, substream(0, "init"))  # wrong obs dim
-    path = rl.save_checkpoint(tmp_path, "bad.zip", model, env, cfg, {})
+    path = rl.RunDir(tmp_path).archive("bad.zip", model, env, cfg, {})
     with pytest.raises(ValueError):
         evalkit.resolve_policy(f"ckpt:{path}", env)
     # a NAHT-D checkpoint of a 3-evader arena: one more evader block
     naht_env = config.with_control_split(config.builtin_env("4p3e5o"), 2, 2, ("greedy",))
     naht_model = teammate.init_naht_model(naht_env, cfg, substream(0, "init"))
-    naht_path = rl.save_checkpoint(tmp_path, "naht.zip", naht_model, naht_env, cfg, {})
+    naht_path = rl.RunDir(tmp_path).archive("naht.zip", naht_model, naht_env, cfg, {})
     with pytest.raises(ValueError, match="obs dim"):
         evalkit.resolve_policy(f"ckpt:{naht_path}", env)
     with pytest.raises(FileNotFoundError):
@@ -122,7 +122,7 @@ def test_resolve_policy_rejects_a_naht_checkpoint_of_other_drone_counts(tmp_path
     assert sim.obs_length(other) == sim.obs_length(trained_env)
     cfg = rl.PpoConfig(hidden=(8,))
     model = teammate.init_naht_model(trained_env, cfg, substream(0, "init"))
-    path = rl.save_checkpoint(tmp_path, "naht.zip", model, trained_env, cfg, {})
+    path = rl.RunDir(tmp_path).archive("naht.zip", model, trained_env, cfg, {})
     assert isinstance(evalkit.resolve_policy(path, trained_env), teammate.NahtSlotPolicy)
     with pytest.raises(ValueError, match="4 pursuers and 2 evaders") as err:
         evalkit.resolve_policy(f"ckpt:{path}", other)
@@ -192,7 +192,7 @@ def test_run_evaluation_reads_each_checkpoint_once(tmp_path, monkeypatch):
     for i in range(2):
         cfg = rl.PpoConfig(hidden=(16,))
         model = rl.init_actor_critic(obs_dim, obs_dim, cfg, substream(i, "init"))
-        refs.append(f"ckpt:{rl.save_checkpoint(tmp_path, f'sp{i}.zip', model, env, cfg, {})}")
+        refs.append(f"ckpt:{rl.RunDir(tmp_path).archive(f'sp{i}.zip', model, env, cfg, {})}")
     loads = count_loads(monkeypatch)
     # the learner ref fills both learner slots; the zoo repeats a checkpoint
     zoo = evalkit.ZooSpec(zoo_id="zoo3", members=("greedy", refs[1], refs[0]))
@@ -212,7 +212,7 @@ def test_zoo2_eval_loads_only_the_two_chosen_archives(tmp_path, monkeypatch):
     for i, suc in enumerate((54.0, 70.0, 60.0)):
         cfg = rl.PpoConfig(hidden=(16,))
         model = rl.init_actor_critic(obs_dim, obs_dim, cfg, substream(i, "init"))
-        paths.append(rl.save_checkpoint(tmp_path, f"sp{i}.zip", model, env, cfg, {"selfplay_suc": suc}))
+        paths.append(rl.RunDir(tmp_path).archive(f"sp{i}.zip", model, env, cfg, {"selfplay_suc": suc}))
     loads = count_loads(monkeypatch)
     zoo = evalkit.build_zoo("zoo2", evalkit.ZooAssets(sp_checkpoints=paths))
     evalkit.run_evaluation(["greedy"], zoo, env, n_episodes=2, seed=0)
@@ -223,9 +223,9 @@ def test_zoo_ranking_checks_the_format_version(tmp_path, monkeypatch):
     env, cfg = reduced_4p2e3o(), rl.PpoConfig(hidden=(16,))
     obs_dim = sim.obs_length(env)
     model = rl.init_actor_critic(obs_dim, obs_dim, cfg, substream(0, "init"))
-    good = rl.save_checkpoint(tmp_path, "good.zip", model, env, cfg, {"selfplay_suc": 50.0})
+    good = rl.RunDir(tmp_path).archive("good.zip", model, env, cfg, {"selfplay_suc": 50.0})
     monkeypatch.setattr(nn, "CHECKPOINT_FORMAT_VERSION", 2)
-    future = rl.save_checkpoint(tmp_path, "future.zip", model, env, cfg, {"selfplay_suc": 60.0})
+    future = rl.RunDir(tmp_path).archive("future.zip", model, env, cfg, {"selfplay_suc": 60.0})
     monkeypatch.undo()
     with pytest.raises(ValueError, match="format_version 2"):
         evalkit.build_zoo("zoo2", evalkit.ZooAssets(sp_checkpoints=[good, future]))
@@ -268,7 +268,8 @@ def test_report_serialization(tmp_path):
     text = report.to_json()
     assert '"suc": 100.0' in text
     path = tmp_path / "report.csv"
-    report.write_csv(path)
+    row = report.row()
+    rl.RunDir(tmp_path).csv("report.csv", list(row), [row])
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("suc,col,ast,rew")
     assert len(lines) == 2
@@ -278,7 +279,8 @@ def test_report_serialization(tmp_path):
     report = evalkit.compute_metrics(records, seed=3)
     doc = json.loads(report.to_json())
     assert doc["suc"] == 33.333333 and doc["suc_std"] is None and doc["col"] == 1
-    report.write_csv(path)
+    row = report.row()
+    rl.RunDir(tmp_path).csv("report.csv", list(row), [row])
     header, values = path.read_text().strip().splitlines()
     assert header.split(",") == list(doc)
     assert values.split(",") == ["" if v is None else str(v) for v in doc.values()]

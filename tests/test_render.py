@@ -44,7 +44,7 @@ def test_render_is_deterministic_bytes(env_4p2e3o, tmp_path):
     assert a == b
 
     path = tmp_path / "traj.ndjson"
-    log.write(path)
+    path.write_text(log.dumps(), encoding="utf-8")
     assert render.render_episode(sim.load_trajectory(path), env_4p2e3o) == a
 
 

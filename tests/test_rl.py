@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pursuit_lab import config, evalkit, nn, rl, sim, teammate
-from pursuit_lab.seeding import substream
+from pursuit_lab.seeding import substream, substream_seed_int
 from conftest import FixedTeammates, act_alone, open_arena, reduced_4p2e3o
 
 
@@ -532,6 +532,17 @@ def test_pbt_archives_record_each_members_current_ppo_config(tmp_path):
     recorded = [nn.load_manifest(tmp_path / f"pbt_member{i}.zip")["extra"]["ppo"] for i in range(4)]
     assert recorded == [json.loads(json.dumps(asdict(m.learner.cfg))) for m in res.members]
     assert res.exploit_events and any(ppo["lr"] != cfg.lr for ppo in recorded)
+
+
+def test_pbt_scores_each_member_on_a_seed_of_its_own(tmp_path, monkeypatch):
+    # seed + i would score member i on the episodes of member 0 of a
+    # seed-(s+i) run, and of a seed-(s+i) self-play run
+    env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
+    cfg = rl.PpoConfig(batch=64, minibatch=32, epochs=1, total_steps=64, hidden=(8,))
+    seeds = []
+    monkeypatch.setattr(rl, "evaluate_selfplay_suc", lambda model, env_cfg, seed: seeds.append(seed) or 0.0)
+    rl.pbt_train(3, cfg, env, seed=5, exploit_interval=None, out_dir=tmp_path)
+    assert seeds == [substream_seed_int(5, "member", i) for i in range(3)]
 
 
 def test_pbt_rounds_continue_one_rollout_stream_per_member(monkeypatch):

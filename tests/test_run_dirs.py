@@ -3,7 +3,8 @@
 `train` adds only `manifest.json`; every other file of a run directory comes
 from the trainer given the `out_dir`. The golden keys pin these files' bytes
 but skip on another BLAS kernel, so this test pins their names on any
-machine: one tiny update per run (two PBT members, one HOLA generation).
+machine: one tiny update per run (two PBT members, one HOLA generation),
+and that a rerun rewrites every file but the timing CSVs byte for byte.
 The timing CSVs hold wall times, so no golden key covers them; this test
 checks their header and the row of each update.
 """
@@ -80,6 +81,20 @@ def test_each_trainer_writes_its_whole_run_directory(tmp_path, run):
         rollout_s, update_s = float(row["rollout_s"]), float(row["update_s"])
         assert rollout_s > 0.0 and update_s > 0.0
         assert float(row["env_steps_per_s"]) == int(row["env_steps"]) / rollout_s
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_each_trainer_rewrites_its_run_directory_byte_for_byte(tmp_path, run):
+    # off the recording platform every golden key skips; this checks the
+    # bytes of every file but the wall-time CSVs on any machine
+    train, _ = RUNS[run]
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for out in dirs:
+        train(str(out))
+    names = [sorted(path.name for path in out.iterdir() if not path.name.startswith("timing")) for out in dirs]
+    assert names[0] == names[1]
+    for name in names[0]:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))

@@ -339,7 +339,7 @@ def test_naht_checkpoint_array_shapes_are_checked(tmp_path, name, shape):
     env = reduced_4p2e3o(num_ctrl=2, num_unctrl=2, unseen=("greedy",))
     cfg = rl.PpoConfig(hidden=(128,))
     model = teammate.init_naht_model(env, cfg, substream(0, "init"))
-    good = rl.save_checkpoint(tmp_path, "good.zip", model, env, cfg, {})
+    good = rl.RunDir(tmp_path).archive("good.zip", model, env, cfg, {})
     manifest, arrays = nn.load_arrays(good)
     named = [(n, np.zeros(shape, dtype=np.float32) if n == name else arrays[n]) for n in (a["name"] for a in manifest["arrays"])]
     bad = tmp_path / "bad.zip"
