@@ -81,7 +81,7 @@ def _numpy_config() -> dict:
         return {}
 
 
-def _write_manifest(run: rl.RunDir, command: str, args: argparse.Namespace, env_cfg=None) -> None:
+def _write_manifest(run: rl.RunDir, command: str, args: argparse.Namespace, env_cfg: config.EnvConfig) -> None:
     numpy_config = _numpy_config()
     blas = numpy_config.get("Build Dependencies", {}).get("blas", {})
     manifest = {
@@ -99,11 +99,9 @@ def _write_manifest(run: rl.RunDir, command: str, args: argparse.Namespace, env_
         "simd": numpy_config.get("SIMD Extensions", {}).get("found", []),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
+        "env": env_cfg.task.task_name,
+        "config_sha256": hashlib.sha256(config.serialize_config(env_cfg).encode("utf-8")).hexdigest(),
     }
-    if env_cfg is not None:
-        text = config.serialize_config(env_cfg)
-        manifest["env"] = env_cfg.task.task_name
-        manifest["config_sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     run.text("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 

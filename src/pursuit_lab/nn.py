@@ -3,9 +3,10 @@
 Fixed feed-forward topology only (tanh hidden layers, linear output) with
 hand-written reverse-mode gradients, which keeps training fully deterministic
 and lets the test suite check every gradient against central finite
-differences. Parameters default to float32; pass dtype=np.float64 for
-gradient-check precision. Adam's moment decays and denominator term are the
-constants `ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPS`.
+differences. Every model's parameters are float32; `mlp_init`'s `dtype` is
+the one switch, and the gradient checks pass float64 for precision. Adam's
+moment decays and denominator term are the constants `ADAM_BETA1`,
+`ADAM_BETA2` and `ADAM_EPS`.
 
 The forward and backward passes give the bits of the plain formulas
 (`tests/mlp_oracle.py`) with less work:
@@ -227,9 +228,8 @@ def gaussian_sample(mean: np.ndarray, log_std: np.ndarray, rng: np.random.Genera
 @dataclass
 class AdamState:
     """Adam's step count and moments. The moments of all parameters are one
-    flat vector each, `m_flat` and `v_flat`, in parameter order; `m` and `v`
-    give their per-parameter views. `scratch` holds two vectors of the same
-    length that every step overwrites."""
+    flat vector each, `m_flat` and `v_flat`, in parameter order. `scratch`
+    holds two vectors of the same length that every step overwrites."""
 
     lr: float
     shapes: list[tuple[int, ...]]
@@ -237,14 +237,6 @@ class AdamState:
     v_flat: np.ndarray
     scratch: tuple[np.ndarray, np.ndarray]
     t: int = 0
-
-    @property
-    def m(self) -> list[np.ndarray]:
-        return _split(self.m_flat, self.shapes)
-
-    @property
-    def v(self) -> list[np.ndarray]:
-        return _split(self.v_flat, self.shapes)
 
 
 def _split(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:

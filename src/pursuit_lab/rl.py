@@ -98,25 +98,30 @@ class PpoConfig:
 
 @dataclass
 class ActorCritic:
+    """An actor, its state-independent log std and a critic; the dims are
+    read from the weights."""
+
     actor: nn.Mlp  # obs (+ extras) -> action mean
     log_std: np.ndarray  # (act_dim,), state-independent
     critic: nn.Mlp  # critic input -> value
-    obs_dim: int
-    act_dim: int
-    critic_in_dim: int
+
+    @property
+    def obs_dim(self) -> int:
+        return self.actor.weights[0].shape[0]
+
+    @property
+    def act_dim(self) -> int:
+        return self.actor.weights[-1].shape[1]
+
+    @property
+    def critic_in_dim(self) -> int:
+        return self.critic.weights[0].shape[0]
 
     def params(self) -> list[np.ndarray]:
         return self.actor.arrays() + [self.log_std] + self.critic.arrays()
 
     def copy(self) -> "ActorCritic":
-        return ActorCritic(
-            actor=self.actor.copy(),
-            log_std=self.log_std.copy(),
-            critic=self.critic.copy(),
-            obs_dim=self.obs_dim,
-            act_dim=self.act_dim,
-            critic_in_dim=self.critic_in_dim,
-        )
+        return ActorCritic(self.actor.copy(), self.log_std.copy(), self.critic.copy())
 
     def action_mean(self, obs: np.ndarray) -> np.ndarray:
         mean, _ = nn.mlp_forward(self.actor, obs)
@@ -140,20 +145,14 @@ class ActorCritic:
         return ("actor_critic", *actor_critic_arrays(self))
 
 
-def init_actor_critic(
-    obs_dim: int,
-    critic_in_dim: int,
-    cfg: PpoConfig,
-    rng: np.random.Generator,
-    dtype=np.float32,
-) -> ActorCritic:
-    """A fresh actor-critic; the action is the one steer scalar. Validates
-    `cfg` first, so that a bad config fails before any model is built."""
+def init_actor_critic(obs_dim: int, critic_in_dim: int, cfg: PpoConfig, rng: np.random.Generator) -> ActorCritic:
+    """A fresh float32 actor-critic; the action is the one steer scalar.
+    Validates `cfg` first, so that a bad config fails before any model is
+    built."""
     cfg.validate()
-    actor = nn.mlp_init([obs_dim, *cfg.hidden, 1], rng, dtype=dtype, final_scale=0.01)
-    critic = nn.mlp_init([critic_in_dim, *cfg.hidden, 1], rng, dtype=dtype)
-    log_std = np.full(1, np.log(INIT_STD), dtype=dtype)
-    return ActorCritic(actor, log_std, critic, obs_dim, 1, critic_in_dim)
+    actor = nn.mlp_init([obs_dim, *cfg.hidden, 1], rng, final_scale=0.01)
+    critic = nn.mlp_init([critic_in_dim, *cfg.hidden, 1], rng)
+    return ActorCritic(actor, np.full(1, np.log(INIT_STD), dtype=np.float32), critic)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +211,7 @@ def actor_critic_from_arrays(arrays: dict, meta: dict) -> ActorCritic:
     log_std = arrays["log_std"]
     if log_std.shape != (act_dim,):
         raise ValueError(f"checkpoint array log_std has shape {log_std.shape}, expected ({act_dim},)")
-    return ActorCritic(actor, log_std.copy(), critic, obs_dim, act_dim, critic_in_dim)
+    return ActorCritic(actor, log_std.copy(), critic)
 
 
 class RunDir:
@@ -498,7 +497,7 @@ class NetSlotPolicy:
         from one stacked (k, 1, d) forward, each with the bits of its row
         alone. Else one sample per slot, from its row and its rng."""
         if self.deterministic:
-            rows = np.stack([ep.obs[i] for ep, slots, _ in seats for i in slots])
+            rows = np.array([ep.obs[i] for ep, slots, _ in seats for i in slots])
             return self.model.action_mean(rows[:, None, :])[:, 0, 0].tolist()
         steers = []
         for ep, slots, rngs in seats:

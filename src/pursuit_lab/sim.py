@@ -98,7 +98,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry, scripted
-from .config import EnvConfig, per_config
+from .config import EnvConfig, per_config, serialize_config
 from .seeding import substream
 
 # Terminal states of an episode.
@@ -660,8 +660,6 @@ class TrajectoryLog:
     def record_reset(self, state: WorldState) -> None:
         rec = self._record(state, None, 0.0, [], [])
         # the reset record carries the scenario so logs are self-describing
-        from .config import serialize_config
-
         rec["env"] = json.loads(serialize_config(state.cfg))
         self.records.append(rec)
 

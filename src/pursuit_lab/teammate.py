@@ -12,6 +12,10 @@ consistently, the decoder predicts one shared action distribution that is
 scored against every uncontrolled teammate's observed action (a
 permutation-invariant embedding cannot identify slots, so per-slot distinct
 predictions would be unidentifiable).
+
+The networks are float32 of fixed widths: `EMBED_DIM`, one `ENCODER_HIDDEN`
+tanh layer per branch and one `DECODER_HIDDEN` layer in the decoder. Every
+dim that a model reports is read from its weights.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from .config import EnvConfig
 from .seeding import substream
 
 EMBED_DIM = 16
+ENCODER_HIDDEN = 128
+DECODER_HIDDEN = 64
 RECON_TARGET_STD = 0.1
 RECON_BETA = 0.1
 
@@ -99,7 +105,10 @@ class TeamEncoder:
     relpos_net: nn.Mlp  # shared across teammate rows, mean-pooled
     mix_logits: np.ndarray  # (3,), softmax-normalized branch weights
     layout: WindowLayout
-    embed_dim: int = EMBED_DIM
+
+    @property
+    def embed_dim(self) -> int:
+        return self.evader_net.weights[-1].shape[1]
 
     def params(self) -> list[np.ndarray]:
         return (
@@ -110,16 +119,9 @@ class TeamEncoder:
         )
 
 
-def init_encoder(layout: WindowLayout, rng, hidden: int = 128, embed_dim: int = EMBED_DIM, dtype=np.float32) -> TeamEncoder:
-    ev_dim, self_dim, rel_dim = layout.branch_in_dims
-    return TeamEncoder(
-        evader_net=nn.mlp_init([ev_dim, hidden, embed_dim], rng, dtype=dtype),
-        self_net=nn.mlp_init([self_dim, hidden, embed_dim], rng, dtype=dtype),
-        relpos_net=nn.mlp_init([rel_dim, hidden, embed_dim], rng, dtype=dtype),
-        mix_logits=np.zeros(3, dtype=dtype),
-        layout=layout,
-        embed_dim=embed_dim,
-    )
+def init_encoder(layout: WindowLayout, rng) -> TeamEncoder:
+    ev_net, self_net, rel_net = (nn.mlp_init([d, ENCODER_HIDDEN, EMBED_DIM], rng) for d in layout.branch_in_dims)
+    return TeamEncoder(ev_net, self_net, rel_net, mix_logits=np.zeros(3, dtype=np.float32), layout=layout)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -180,8 +182,8 @@ class TeamDecoder:
 DECODER_OUT = 2
 
 
-def init_decoder(embed_dim: int, rng, hidden: int = 64, dtype=np.float32) -> TeamDecoder:
-    return TeamDecoder(net=nn.mlp_init([embed_dim, hidden, DECODER_OUT], rng, dtype=dtype))
+def init_decoder(rng) -> TeamDecoder:
+    return TeamDecoder(net=nn.mlp_init([EMBED_DIM, DECODER_HIDDEN, DECODER_OUT], rng))
 
 
 def reconstruction_loss(dec: TeamDecoder, emb: np.ndarray, teammate_actions: np.ndarray):
@@ -218,8 +220,15 @@ class NahtModel:
     ac: rl.ActorCritic  # actor input = obs + embedding; critic is centralized
     encoder: TeamEncoder
     decoder: TeamDecoder | None
-    obs_dim: int
-    embed_dim: int
+
+    @property
+    def embed_dim(self) -> int:
+        return self.encoder.embed_dim
+
+    @property
+    def obs_dim(self) -> int:
+        """The raw observation's width; the actor also reads the embedding."""
+        return self.ac.obs_dim - self.embed_dim
 
     def params(self) -> list[np.ndarray]:
         out = self.ac.params() + self.encoder.params()
@@ -239,7 +248,7 @@ class NahtModel:
         if self.decoder is not None:
             named += rl._named_mlp_arrays("decoder", self.decoder.net)
         meta.update(
-            obs_dim=self.obs_dim,  # the raw observation; the actor also reads the embedding
+            obs_dim=self.obs_dim,
             embed_dim=self.embed_dim,
             encoder_layers=len(self.encoder.evader_net.weights),
             decoder_layers=len(self.decoder.net.weights) if self.decoder else 0,
@@ -255,13 +264,12 @@ def init_naht_model(
     rng,
     no_decoder: bool = False,
 ) -> NahtModel:
-    obs_dim = sim.obs_length(env_cfg)
     layout = WindowLayout(num_e=env_cfg.players.num_e, num_p=env_cfg.players.num_p)
     critic_dim = sim.central_obs_length(env_cfg, env_cfg.players.num_ctrl)
-    ac = rl.init_actor_critic(obs_dim + EMBED_DIM, critic_dim, cfg, rng)
+    ac = rl.init_actor_critic(sim.obs_length(env_cfg) + EMBED_DIM, critic_dim, cfg, rng)
     encoder = init_encoder(layout, rng)
-    decoder = None if no_decoder else init_decoder(EMBED_DIM, rng)
-    return NahtModel(ac=ac, encoder=encoder, decoder=decoder, obs_dim=obs_dim, embed_dim=EMBED_DIM)
+    decoder = None if no_decoder else init_decoder(rng)
+    return NahtModel(ac=ac, encoder=encoder, decoder=decoder)
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +436,11 @@ def naht_from_arrays(arrays: dict, meta: dict) -> NahtModel:
     mix_logits = arrays["mix_logits"]
     if mix_logits.shape != (3,):
         raise ValueError(f"checkpoint array mix_logits has shape {mix_logits.shape}, expected (3,)")
-    encoder = TeamEncoder(**nets, mix_logits=mix_logits.copy(), layout=layout, embed_dim=embed_dim)
+    encoder = TeamEncoder(**nets, mix_logits=mix_logits.copy(), layout=layout)
     decoder = None
     if meta["has_decoder"]:
         decoder = TeamDecoder(rl._mlp_from_arrays("decoder", arrays, meta["decoder_layers"], embed_dim, DECODER_OUT))
-    return NahtModel(ac=ac, encoder=encoder, decoder=decoder, obs_dim=meta["obs_dim"], embed_dim=embed_dim)
+    return NahtModel(ac=ac, encoder=encoder, decoder=decoder)
 
 
 class NahtSlotPolicy:

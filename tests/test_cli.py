@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import platform
@@ -61,6 +62,20 @@ def test_train_sp_writes_outputs(tmp_path):
     assert "config_sha256" in manifest
     header = (out / "metrics.csv").read_text().splitlines()[0]
     assert header.startswith("step,update,ep_return_mean,suc")
+
+
+def test_eval_manifest_records_the_arena_as_the_train_manifest_does(tmp_path):
+    # both commands hash the config they loaded, so one arena gives one config_sha256
+    run, report = tmp_path / "run", tmp_path / "rep"
+    assert run_cli("train", "--algo", "sp", "--env", "4p2e3o", "--steps", "64", "--out", str(run)) == 0
+    assert run_cli(
+        "eval", "--ckpt", str(run / "final.zip"), "--zoo", "1", "--env", "4p2e3o",
+        "--episodes", "2", "--report", str(report),
+    ) == 0
+    train, ev = (json.loads((d / "manifest.json").read_text()) for d in (run, report))
+    want = hashlib.sha256(config.serialize_config(config.builtin_env("4p2e3o")).encode("utf-8")).hexdigest()
+    assert (ev["command"], ev["env"], ev["config_sha256"]) == ("eval", "4p2e3o", want)
+    assert (train["command"], train["env"], train["config_sha256"]) == ("train", "4p2e3o", want)
 
 
 def test_train_budgets_round_up_to_whole_ppo_batches(tmp_path):

@@ -266,7 +266,7 @@ def test_adam_shape_mismatch_changes_nothing():
     params = [rng.standard_normal((3, 3)), rng.standard_normal(3), rng.standard_normal(2)]
     opt = nn.adam_init(params, lr=1e-3)
     nn.adam_step(opt, params, [rng.standard_normal(p.shape) for p in params])
-    before = [a.copy() for a in params + opt.m + opt.v]
+    before = [a.copy() for a in params + [opt.m_flat, opt.v_flat]]
     bad_last = [
         (rng.standard_normal(3), ValueError, "gradient shape"),
         (rng.standard_normal(2).astype(np.float32), ValueError, "gradient dtype"),
@@ -277,7 +277,7 @@ def test_adam_shape_mismatch_changes_nothing():
         with pytest.raises(error, match=message):
             nn.adam_step(opt, params, grads)
         assert opt.t == 1
-        for a, b in zip(params + opt.m + opt.v, before):
+        for a, b in zip(params + [opt.m_flat, opt.v_flat], before):
             assert a.tobytes() == b.tobytes()
 
 
@@ -541,4 +541,6 @@ def test_adam_step_equals_the_oracle_bitwise(case):
             nn.adam_step(opt, mine, grads)
             mlp_oracle.adam_step(oracle, want, grads)
             assert opt.t == oracle.t
-            assert_same_bytes(mine + opt.m + opt.v, want + oracle.m + oracle.v)
+            # the flat moments are the oracle's per-array moments, concatenated in parameter order
+            want_m, want_v = (np.concatenate([a.ravel() for a in moments]) for moments in (oracle.m, oracle.v))
+            assert_same_bytes(mine + [opt.m_flat, opt.v_flat], want + [want_m, want_v])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pursuit_lab import config, evalkit, nn, rl, sim, teammate
 from pursuit_lab.seeding import substream, substream_seed_int
 from conftest import FixedTeammates, act_alone, open_arena, reduced_4p2e3o
+import small_nets
 
 
 def brute_force_gae(rewards, values, terminals, gamma, lam, bootstrap=0.0):
@@ -73,7 +74,7 @@ def test_gae_length_mismatch():
 
 def make_model(obs_dim=5, critic_dim=5, dtype=np.float64, seed=0, cfg=None):
     cfg = cfg or rl.PpoConfig()
-    return rl.init_actor_critic(obs_dim, critic_dim, cfg, substream(seed, "init"), dtype=dtype)
+    return small_nets.actor_critic(obs_dim, critic_dim, cfg.hidden, substream(seed, "init"), dtype)
 
 
 def test_ppo_ratio_is_one_on_fresh_batch():
@@ -126,7 +127,7 @@ def test_ppo_loss_matches_hand_computation():
     cfg = rl.PpoConfig(entropy_coef=0.01)
     actor = nn.Mlp(weights=[np.array([[0.5]])], biases=[np.array([0.1])])
     critic = nn.Mlp(weights=[np.array([[-0.3]])], biases=[np.array([0.2])])
-    model = rl.ActorCritic(actor, np.array([0.0]), critic, 1, 1, 1)
+    model = rl.ActorCritic(actor, np.array([0.0]), critic)
     obs = np.array([[1.0], [2.0], [-1.0], [0.5]])
     actions = np.array([[0.7], [1.0], [-0.2], [0.4]])
     old_logp = np.array([-1.0, -1.5, -0.9, -1.1])
@@ -395,7 +396,7 @@ def pursuing_model(cfg, dtype):
     """An actor whose small random weights carry one path that steers each
     drone toward the first evader's bearing."""
     obs_dim = sim.obs_length(cfg)
-    model = rl.init_actor_critic(obs_dim, obs_dim, rl.PpoConfig(hidden=(32, 32)), substream(0, "init"), dtype=dtype)
+    model = small_nets.actor_critic(obs_dim, obs_dim, (32, 32), substream(0, "init"), dtype)
     weights = model.actor.weights
     for w in weights:
         w *= 0.05

@@ -4,6 +4,7 @@ import pytest
 from pursuit_lab import evalkit, nn, rl, sim, teammate
 from pursuit_lab.seeding import substream
 from conftest import FixedTeammates, act_alone, reduced_4p2e3o
+import small_nets
 
 from test_nn import finite_difference, max_rel_error
 
@@ -12,9 +13,8 @@ def small_layout(num_e=2, num_p=4):
     return teammate.WindowLayout(num_e=num_e, num_p=num_p)
 
 
-def small_encoder(layout=None, seed=0, hidden=8, embed=4, dtype=np.float64):
-    layout = layout or small_layout()
-    return teammate.init_encoder(layout, substream(seed, "enc"), hidden=hidden, embed_dim=embed, dtype=dtype)
+def small_encoder():
+    return small_nets.encoder(small_layout(), substream(0, "enc"), hidden=8, embed_dim=4)
 
 
 def test_window_layout_lengths():
@@ -34,7 +34,7 @@ def test_zero_window_zero_bias_gives_zero_embedding():
 
 def test_encoder_and_decoder_take_batches_of_rows():
     enc = small_encoder()
-    dec = teammate.init_decoder(enc.embed_dim, substream(0, "dec"), hidden=8, dtype=np.float64)
+    dec = small_nets.decoder(enc.embed_dim, substream(0, "dec"), hidden=8)
     emb, _ = teammate.encode(enc, np.zeros((2, enc.layout.step_len)))
     with pytest.raises(ValueError):
         teammate.encode(enc, np.zeros(enc.layout.step_len))
@@ -113,7 +113,7 @@ def test_reconstruction_closed_form_value():
 
 
 def test_reconstruction_nonnegative_and_gradients():
-    dec = teammate.init_decoder(4, substream(3, "dec"), dtype=np.float64)
+    dec = small_nets.decoder(4, substream(3, "dec"), hidden=64)
     rng = np.random.default_rng(4)
     emb = rng.normal(size=(3, 4))
     actions = rng.uniform(-1, 1, size=(3, 2))
@@ -133,7 +133,7 @@ def test_recon_loss_invariant_under_paired_permutation():
     # permuting teammate rows in the window together with the observed action
     # vector leaves the joint loss unchanged
     enc = small_encoder()
-    dec = teammate.init_decoder(enc.embed_dim, substream(5, "dec"), dtype=np.float64)
+    dec = small_nets.decoder(enc.embed_dim, substream(5, "dec"), hidden=64)
     rng = np.random.default_rng(6)
     layout = enc.layout
     win = rng.normal(size=(1, layout.step_len))
@@ -191,10 +191,12 @@ def test_joint_gradient_matches_finite_differences():
     obs_dim = sim.obs_length(env)
     critic_dim = sim.central_obs_length(env, 2)
     rng_init = substream(7, "init")
-    ac = rl.init_actor_critic(obs_dim + 4, critic_dim, cfg, rng_init, dtype=np.float64)
-    encoder = teammate.init_encoder(layout, rng_init, hidden=6, embed_dim=4, dtype=np.float64)
-    decoder = teammate.init_decoder(4, rng_init, hidden=6, dtype=np.float64)
-    model = teammate.NahtModel(ac=ac, encoder=encoder, decoder=decoder, obs_dim=obs_dim, embed_dim=4)
+    ac = small_nets.actor_critic(obs_dim + 4, critic_dim, cfg.hidden, rng_init)
+    encoder = small_nets.encoder(layout, rng_init, hidden=6, embed_dim=4)
+    decoder = small_nets.decoder(4, rng_init, hidden=6)
+    model = teammate.NahtModel(ac=ac, encoder=encoder, decoder=decoder)
+    # the dims come from the weights: the joint gradient splits the actor input there
+    assert (model.obs_dim, model.embed_dim, model.ac.act_dim, model.ac.critic_in_dim) == (obs_dim, 4, 1, critic_dim)
     model.encoder.mix_logits = np.array([0.3, -0.2, 0.1])
 
     rng = np.random.default_rng(8)
@@ -243,7 +245,7 @@ def test_zero_embedding_matches_mappo_update():
     obs_dim = sim.obs_length(env)
     critic_dim = sim.central_obs_length(env, 2)
 
-    mappo = rl.init_actor_critic(obs_dim, critic_dim, cfg, substream(11, "init"), dtype=np.float64)
+    mappo = small_nets.actor_critic(obs_dim, critic_dim, cfg.hidden, substream(11, "init"))
     # a float64 naht model with the mappo actor embedded
     layout = teammate.WindowLayout(2, 4)
     ac = rl.ActorCritic(
@@ -253,16 +255,13 @@ def test_zero_embedding_matches_mappo_update():
         ),
         log_std=mappo.log_std.copy(),
         critic=mappo.critic.copy(),
-        obs_dim=obs_dim + 16,
-        act_dim=1,
-        critic_in_dim=critic_dim,
     )
-    encoder = teammate.init_encoder(layout, substream(13, "enc"), embed_dim=16, dtype=np.float64)
+    encoder = small_nets.encoder(layout, substream(13, "enc"), hidden=128, embed_dim=16)
     for net in (encoder.evader_net, encoder.self_net, encoder.relpos_net):
         net.weights[-1][:] = 0.0
         net.biases[-1][:] = 0.0
     encoder_before = [p.copy() for p in encoder.params()]
-    model = teammate.NahtModel(ac=ac, encoder=encoder, decoder=None, obs_dim=obs_dim, embed_dim=16)
+    model = teammate.NahtModel(ac=ac, encoder=encoder, decoder=None)
 
     rng = np.random.default_rng(14)
     B = 32
