@@ -136,13 +136,14 @@ def _play(episodes: list[rl.Episode]) -> list[EpisodeRecord]:
 
 def _own_copy(start):
     """A copy of a reset's (state, observation rows) that shares no pose
-    list, flag list or rows array with it."""
+    list, flag list, distance list or rows array with it."""
     state, obs = start
     own = replace(
         state,
         pursuers=[pose.copy() for pose in state.pursuers],
         evaders=[pose.copy() for pose in state.evaders],
         captured=state.captured.copy(),
+        evader_gaps=state.evader_gaps.copy(),
     )
     return own, obs.copy()
 

@@ -1,20 +1,21 @@
 """Deterministic discrete-time kinematic pursuit simulator.
 
-One step, in this fixed order, one pass per concern: each uncaptured
-evader's distance to its nearest pursuer; pursuers turn/advance by their
-steer commands; evaders turn/advance by the scripted escape policy
+One step, in this fixed order, one pass per concern: pursuers turn/advance
+by their steer commands; evaders turn/advance by the scripted escape policy
 (`scripted.evader_steers`, which steers every evader before the first one
 moves, as no evader's steer reads another evader); one pass over the evaders
-(`detect_captures`) gives the captures, which are applied, and the reward's
-progress terms; one geometry pass over the pursuers' final positions
-(`detect_collisions`: pair distances, the clearances to the obstacles near
-each pursuer and wall clearances) gives the collisions and the proximity
-count; the reward is summed and termination is decided (`is_terminal`). A
-step builds no observation rows (its outcome carries None): `step_many`
-builds those of the states that observe, in one `observe_all` pass. All
-randomness is confined to `reset` (respawn sampling); given (config, seed,
-action sequence) the whole trajectory is bitwise reproducible on a single
-thread.
+(`detect_captures`) gives the captures, which are applied, each evader's
+new distance to its nearest pursuer, which the state keeps
+(`WorldState.evader_gaps`), and the reward's progress terms against the
+distances it kept from the step before; one geometry pass over the
+pursuers' final positions (`detect_collisions`: pair distances, the
+clearances to the obstacles near each pursuer and wall clearances) gives
+the collisions and the proximity count; the reward is summed and
+termination is decided (`is_terminal`). A step builds no observation rows
+(its outcome carries None): `step_many` builds those of the states that
+observe, in one `observe_all` pass. All randomness is confined to `reset`
+(respawn sampling); given (config, seed, action sequence) the whole
+trajectory is bitwise reproducible on a single thread.
 
 Steer commands are finite scalars, clipped to [-1, 1] (a non-finite one is a
 ValueError); one unit of steer turns the drone at OMEGA_MAX rad/s. Distances
@@ -22,8 +23,9 @@ and thresholds come from the config: drone-drone collision and capture both
 trigger below `capture_range`, drone-obstacle and drone-wall collision below
 `safe_radius` clearance.
 
-The state is Python floats: one [x, y, heading] list per drone and one
-bool per evader, which a step updates in place. Its bits are those of the
+The state is Python floats: one [x, y, heading] list per drone, one bool
+and one nearest-pursuer distance (None once captured) per evader, which a
+step updates in place. Its bits are those of the
 same arithmetic on numpy arrays (the oracle in `tests/sim_oracle.py`), by
 these rules, checked for numpy 2.4 on x86_64:
 
@@ -45,8 +47,11 @@ these rules, checked for numpy 2.4 on x86_64:
 - the progress terms of the reward are summed in numpy's pairwise order
   (`_pairwise_sum`), which below 8 terms is a left fold from -0.0; Python's
   `sum` is compensated from 3.12 on;
-- the nearest-pursuer distances before a move are recomputed from the
-  pre-step poses, never cached on the state, which callers may edit.
+- the nearest-pursuer distances before a move are the ones the state
+  carries (`WorldState.evader_gaps`), which the last `reset` or `step`
+  computed from these very poses: poses change only through `reset` and
+  `step`, and a caller that edits them leaves stale gaps, as it leaves
+  stale observation rows.
 
 Every static query but the observations' nearest static entry culls: it
 skips each obstacle whose culling box (`scripted.arena`) does not hold its
@@ -143,14 +148,18 @@ class CollisionEvent:
 
 @dataclass
 class WorldState:
-    """Joint simulator state: one [x, y, heading] list of floats per drone
-    and one capture flag per evader, which `step` updates in place."""
+    """Joint simulator state: one [x, y, heading] list of floats per drone,
+    one capture flag per evader and each evader's distance to its nearest
+    pursuer at these poses (`abs(complex(px - ex, py - ey))`, None once
+    captured), which `step` updates in place and reads back as the next
+    step's distances before the moves."""
 
     cfg: EnvConfig
     step: int
     pursuers: list[list[float]]  # num_p rows
     evaders: list[list[float]]  # num_e rows
     captured: list[bool]  # num_e flags
+    evader_gaps: list[float | None]  # num_e distances, None once captured
     terminal: str
 
 
@@ -231,6 +240,7 @@ def reset(cfg: EnvConfig, seed: int) -> tuple[WorldState, np.ndarray]:
         pursuers=[[x, y, h] for (x, y), h in zip(pos_p, headings_p)],
         evaders=[[x, y, h] for (x, y), h in zip(pos_e, headings_e)],
         captured=[False] * p.num_e,
+        evader_gaps=[min([abs(complex(px - ex, py - ey)) for px, py in pos_p]) for ex, ey in pos_e],
         terminal=RUNNING,
     )
     return state, observe_all([state])[0]
@@ -460,29 +470,37 @@ def _stepping(cfg: EnvConfig) -> tuple:
     return rows, w, h, dt, players.velocity_p, players.velocity_e, players.num_p, cr, sr, cr + PROX_BAND, sr + PROX_BAND
 
 
-def detect_captures(cfg: EnvConfig, pursuers, evaders, before) -> tuple[list[CaptureEvent], list[float]]:
-    """The captures and progress terms of a step, from the poses after its
-    moves.
+def detect_captures(cfg: EnvConfig, pursuers, evaders, before) -> tuple[list[CaptureEvent], list[float], list[float | None]]:
+    """The captures, progress terms and nearest-pursuer distances of a
+    step, from the poses after its moves.
 
     `before` holds each evader's distance to its nearest pursuer before the
     moves, None for an evader captured before them; only the others are
     looked at. Each one within capture_range of its nearest pursuer is
-    captured by it (the lowest index on a tie); each other one gives the
-    progress term max(0, before - distance now), in evader order.
+    captured by it (the lowest index on a tie: the running minimum moves
+    only on a strictly smaller distance); each other one gives the progress
+    term max(0, before - distance now), in evader order. The distances come
+    back per evader, None for each one captured before or by this step.
     """
     cr = cfg.task.capture_range
-    captures, progress = [], []
+    captures, progress, gaps = [], [], []
     for e, ((ex, ey, _), b) in enumerate(zip(evaders, before)):
         if b is None:
+            gaps.append(None)
             continue
-        dists = [abs(complex(px - ex, py - ey)) for px, py, _ in pursuers]
-        d = min(dists)
+        d = math.inf
+        for i, (px, py, _) in enumerate(pursuers):
+            gap = abs(complex(px - ex, py - ey))
+            if gap < d:
+                d, nearest = gap, i
         if d < cr:
-            captures.append(CaptureEvent(evader=e, pursuer=dists.index(d)))
+            captures.append(CaptureEvent(evader=e, pursuer=nearest))
+            gaps.append(None)
         else:
             gain = b - d
             progress.append(0.0 if 0.0 > gain else gain)
-    return captures, progress
+            gaps.append(d)
+    return captures, progress, gaps
 
 
 def detect_collisions(cfg: EnvConfig, pursuers) -> tuple[list[CollisionEvent], int]:
@@ -586,11 +604,6 @@ def step(state: WorldState, actions) -> StepOutcome:
         raise ValueError(f"steer commands must be finite, got {steer}")
 
     pursuers, evaders, captured = state.pursuers, state.evaders, state.captured
-    before = [
-        None if done else min([abs(complex(px - ex, py - ey)) for px, py, _ in pursuers])
-        for (ex, ey, _), done in zip(evaders, captured)
-    ]
-
     # turn by the steer (wrapped as `geometry.wrap_angle`), then move along the new heading
     pi, two_pi, omega, cos, sin = math.pi, geometry.TWO_PI, OMEGA_MAX, math.cos, math.sin
     for pose, s in zip(pursuers, steer):
@@ -598,9 +611,11 @@ def step(state: WorldState, actions) -> StepOutcome:
         pose[2] = a = pi - (pi - (pose[2] + s * omega * dt)) % two_pi
         pose[0] += speed_p * cos(a) * dt
         pose[1] += speed_p * sin(a) * dt
-    moving = [pose for pose, done in zip(evaders, captured) if not done]
-    for pose, s in zip(moving, scripted.evader_steers(cfg, pursuers, evaders, captured)):
-        pose[2] = a = pi - (pi - (pose[2] + s * omega * dt)) % two_pi
+    steers = iter(scripted.evader_steers(cfg, pursuers, evaders, captured))
+    for pose, done in zip(evaders, captured):
+        if done:
+            continue
+        pose[2] = a = pi - (pi - (pose[2] + next(steers) * omega * dt)) % two_pi
         x = pose[0] + speed_e * cos(a) * dt
         y = pose[1] + speed_e * sin(a) * dt
         # Evaders never terminate the episode, so block them from entering
@@ -608,7 +623,7 @@ def step(state: WorldState, actions) -> StepOutcome:
         if not scripted.static_below(rows, w, h, x, y, 0.0):
             pose[0], pose[1] = x, y
 
-    captures, progress = detect_captures(cfg, pursuers, evaders, before)
+    captures, progress, state.evader_gaps = detect_captures(cfg, pursuers, evaders, state.evader_gaps)
     for ev in captures:
         captured[ev.evader] = True
     collisions, banded = detect_collisions(cfg, pursuers)

@@ -19,16 +19,31 @@ def reduced_4p2e3o(velocity_e=0.3, num_ctrl=4, num_unctrl=0, unseen=()):
     return config.with_control_split(cfg, num_ctrl, num_unctrl, unseen)
 
 
+def fresh_gaps(pursuers, evaders, captured):
+    """Each evader's distance to its nearest pursuer, measured afresh from
+    [x, y, ...] rows, None for a captured one: the `evader_gaps` that `sim`
+    carries for these poses."""
+    return [
+        None if done else min(abs(complex(px - ex, py - ey)) for px, py, _ in pursuers)
+        for (ex, ey, _), done in zip(evaders, captured)
+    ]
+
+
 def make_state(cfg, pursuers, evaders, captured=None, step=0):
     """A running WorldState with explicit poses (any array-like of shape
-    (num, 3)), held as the float rows and bool flags that `sim` keeps."""
+    (num, 3)), held as the float rows, bool flags and nearest-pursuer
+    distances that `sim` keeps."""
     cap = np.zeros(cfg.players.num_e, dtype=bool) if captured is None else captured
+    pursuers = np.array(pursuers, dtype=np.float64).reshape(cfg.players.num_p, 3).tolist()
+    evaders = np.array(evaders, dtype=np.float64).reshape(cfg.players.num_e, 3).tolist()
+    captured = np.array(cap, dtype=bool).tolist()
     return sim.WorldState(
         cfg=cfg,
         step=step,
-        pursuers=np.array(pursuers, dtype=np.float64).reshape(cfg.players.num_p, 3).tolist(),
-        evaders=np.array(evaders, dtype=np.float64).reshape(cfg.players.num_e, 3).tolist(),
-        captured=np.array(cap, dtype=bool).tolist(),
+        pursuers=pursuers,
+        evaders=evaders,
+        captured=captured,
+        evader_gaps=fresh_gaps(pursuers, evaders, captured),
         terminal=sim.RUNNING,
     )
 
@@ -85,6 +100,6 @@ def ties_arena():
 
 
 def assert_states_equal(a, b):
-    assert (a.pursuers, a.evaders, a.captured) == (b.pursuers, b.evaders, b.captured)
+    assert (a.pursuers, a.evaders, a.captured, a.evader_gaps) == (b.pursuers, b.evaders, b.captured, b.evader_gaps)
     assert a.step == b.step
     assert a.terminal == b.terminal

@@ -6,9 +6,11 @@ replaced, operation for operation, so that the tests can require equal
 bytes: the same `StepOutcome` fields, the same post-step rows and the same
 observation rows. Its entry points take the `sim.WorldState` that `sim`
 keeps and compute on an array copy of it (`arrays`); `step` writes the
-result back as float rows. It shares with `sim` only what the two paths
-have in common: termination (`sim.is_terminal`) and the per-view evader
-policy (`scripted.evader_action`), which `sim` runs as its team kernel.
+result back as `sim` keeps it: float rows, flags and each evader's
+nearest-pursuer distance, measured afresh. It shares with `sim` only what
+the two paths have in common: termination (`sim.is_terminal`) and the
+per-view evader policy (`scripted.evader_action`), which `sim` runs as its
+team kernel.
 """
 
 from __future__ import annotations
@@ -288,10 +290,13 @@ def advance(row: np.ndarray, steer: float, speed: float, omega_max: float, dt: f
 
 def step(state, actions, observe: bool = True) -> sim.StepOutcome:
     """`sim.step` on numpy arrays: steps an array copy of `state`, then
-    writes its rows and flags back into `state` as `sim` keeps them."""
+    writes its rows, flags and nearest-pursuer distances (None for a
+    captured evader) back into `state` as `sim` keeps them."""
     arr = arrays(state)
     out = step_arrays(arr, actions, observe)
     state.pursuers, state.evaders, state.captured = arr.pursuers.tolist(), arr.evaders.tolist(), arr.captured.tolist()
+    gaps = min_pursuer_distances(arr.pursuers, arr.evaders, arr.captured).tolist()
+    state.evader_gaps = [None if done else gap for gap, done in zip(gaps, state.captured)]
     state.step, state.terminal = arr.step, arr.terminal
     return out
 

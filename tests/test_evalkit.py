@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pursuit_lab import config, evalkit, nn, rl, scripted, sim, teammate
 from pursuit_lab.seeding import substream
-from conftest import act_alone, reduced_4p2e3o
+from conftest import act_alone, fresh_gaps, reduced_4p2e3o, ties_arena
 
 
 def make_record(terminal, steps=100, ret=1.0, block=0, index=0):
@@ -538,8 +538,9 @@ def repeated_seed_episodes(name):
 
 
 def start_of(state, obs):
-    """A snapshot of a start: its poses and flags and its rows' bytes."""
-    return copy.deepcopy((state.pursuers, state.evaders, state.captured)), obs.tobytes()
+    """A snapshot of a start: its poses and flags, its nearest-pursuer
+    distances and its rows' bytes."""
+    return copy.deepcopy((state.pursuers, state.evaders, state.captured)), list(state.evader_gaps), obs.tobytes()
 
 
 @pytest.mark.parametrize("name", ["4p2e3o", "4p3e5o"])
@@ -573,7 +574,31 @@ def test_episodes_of_one_seed_share_no_pose_flag_or_rows(name, monkeypatch):
         for pose in ep.state.pursuers + ep.state.evaders:
             pose[0] += 1.0
         ep.state.captured[0] = not ep.state.captured[0]
+        ep.state.evader_gaps[0] = -1.0
         ep.obs += 1.0
         after = [start_of(other.state, other.obs) for other in started]
         changed = [[x != y for x, y in zip(a, b)] for a, b in zip(after, before)]
-        assert changed == [[j == i] * 2 for j in range(len(started))]
+        assert changed == [[j == i] * 3 for j in range(len(started))]
+
+
+@pytest.mark.parametrize("name", [*config.BUILTIN_ENV_NAMES, "ties"])
+def test_carried_gaps_are_the_fresh_nearest_pursuer_distances(name, monkeypatch):
+    # before and after every step of whole greedy, Vicsek, random and mixed
+    # episodes, each played alone and beside the others from shared starts
+    cfg = ties_arena() if name == "ties" else config.builtin_env(name)
+    greedy, vicsek, rand = rl.ScriptedSlotPolicy("greedy"), rl.ScriptedSlotPolicy("vicsek"), rl.RandomSlotPolicy()
+    teams = [[greedy] * 4, [vicsek] * 4, [rand] * 4, [greedy, vicsek, rand, greedy]]
+    episodes = [(team, seed) for seed in (3, 4) for team in teams]
+    seen = collections.Counter()
+
+    def checked_step(state, actions, real=sim.step):
+        assert state.evader_gaps == fresh_gaps(state.pursuers, state.evaders, state.captured)
+        out = real(state, actions)
+        assert state.evader_gaps == fresh_gaps(state.pursuers, state.evaders, state.captured)
+        seen.update(captured=state.captured.count(True), steps=1)
+        return out
+
+    monkeypatch.setattr(sim, "step", checked_step)
+    alone = [evalkit.play_episode(cfg, team, seed) for team, seed in episodes]
+    assert evalkit.play_episodes(cfg, episodes) == alone
+    assert seen["captured"] > 0 and seen["steps"] == 2 * sum(r.steps for r in alone)

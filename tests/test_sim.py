@@ -16,10 +16,7 @@ def collisions(state):
 
 
 def captures(state):
-    # a captured evader has no distance before the move; the others' values
-    # only feed the progress terms, which this helper drops
-    before = [None if done else 0.0 for done in state.captured]
-    return sim.detect_captures(state.cfg, state.pursuers, state.evaders, before)[0]
+    return sim.detect_captures(state.cfg, state.pursuers, state.evaders, state.evader_gaps)[0]
 
 
 def test_reset_is_deterministic(env_4p2e3o):
@@ -90,18 +87,27 @@ def test_straight_step_displacement(env_4p2e3o):
 
 
 def test_capture_within_range(env_4p2e3o):
-    # After motion the pursuer sits 0.19 m from an uncaptured evader.
+    # After motion the pursuer sits 0.19 m from an uncaptured evader: the
+    # pursuer moves 0.03 m north, the evader flees 0.06 m north.
     state = make_state(
         env_4p2e3o,
         pursuers=[[1.0, 2.28, math.pi / 2], [0.4, 0.5, 0.0], [1.8, 0.5, 0.0], [3.2, 0.5, 0.0]],
-        evaders=[[1.0, 2.5, math.pi / 2], [3.0, 4.5, math.pi / 2]],
+        evaders=[[1.0, 2.28 + 0.03 + 0.19 - 0.06, math.pi / 2], [3.0, 4.5, math.pi / 2]],
     )
-    # evader 0 flees north at 0.06 m/step; pursuer moves 0.03 north: gap 0.22 -> 0.25?
-    # Pin the geometry instead: put evader where post-step distance is 0.19.
-    state.evaders[0] = [1.0, 2.28 + 0.03 + 0.19 - 0.06, math.pi / 2]
     out = sim.step(state, [0.0, 0.0, 0.0, 0.0])
     assert any(ev.evader == 0 for ev in out.captures)
     assert state.captured[0]
+
+
+def test_an_exact_capture_tie_goes_to_the_lower_pursuer():
+    # the evader sits 0.125 m from pursuers 1 and 2, on dyadic coordinates,
+    # so the two distances are equal to the bit; pursuer 0 is far away
+    cfg = still(open_arena(num_p=3, num_e=1))
+    state = make_state(cfg, [[3.0, 4.5, 0.0], [1.0, 2.5, 0.0], [1.25, 2.5, math.pi]], [[1.125, 2.5, 0.0]])
+    assert state.evader_gaps == [0.125]
+    out = sim.step(state, [0.0, 0.0, 0.0])
+    assert out.captures == [sim.CaptureEvent(evader=0, pursuer=1)]
+    assert (state.captured, state.evader_gaps) == ([True], [None])
 
 
 def test_drone_drone_collision_terminates(env_4p2e3o):

@@ -4,10 +4,11 @@ their numpy oracles, bitwise.
 `sim_oracle.step` is the array step that the float step replaced, and
 `sim_oracle.observe_all` the per-state array observations. Both steps run
 from copies of one state; the outcome (reward bits, terminal, capture and
-collision events), the post-step rows and flags, and the post-step
-observation bytes (`sim.observe_all` of the stepped state against the
-oracle's outcome) must be equal. States are drawn on and near every
-threshold the step and the observations compare against: capture range and
+collision events), the post-step rows, flags and nearest-pursuer
+distances, and the post-step observation bytes (`sim.observe_all` of the
+stepped state against the oracle's outcome) must be equal. States are
+drawn on and near every threshold the step and the observations compare
+against: capture range and
 the drone proximity band between drones, the safe radius and its band at
 obstacle rims, rectangle corners and walls, the reception range, points
 inside obstacles and outside the arena, coordinates of +-0.0, exact
@@ -140,7 +141,12 @@ def assert_same_step(state, actions):
     assert same_bytes(sim.observe_all([got_state])[0], want.observations)
     for name in ("pursuers", "evaders", "captured"):
         assert same_bytes(getattr(got_state, name), getattr(want_state, name))
+    assert hexes(got_state.evader_gaps) == hexes(want_state.evader_gaps)
     assert (got_state.step, got_state.terminal) == (want_state.step, want_state.terminal)
+
+
+def hexes(gaps):
+    return [None if gap is None else gap.hex() for gap in gaps]
 
 
 @pytest.mark.parametrize("name", ARENAS)
