@@ -26,18 +26,41 @@ The forward and backward passes give the bits of the plain formulas
   hundred-kilobyte arrays back to the allocator and fault them in again
   on the next minibatch. That is safe because a backward call reads
   nothing of a previous one and the trainers run one update at a time in
-  one thread (`eval --jobs` uses processes). The returned gradients and
-  input gradient are fresh arrays. Forward outputs stay fresh too:
-  `ActorCritic.values` returns a view of one and the rollout collector
-  keeps it across steps, so a reused buffer would alias.
+  one thread (`eval --jobs` uses processes).
+- The parameter gradients go where the caller says: `mlp_backward` writes
+  each weight gradient with `np.matmul(..., out=)` and each bias gradient
+  with `np.add.reduce(..., out=)`, the operations of `cache.T @ delta` and
+  `delta.sum(axis=0)`, into the arrays it is given. A trainer gives it
+  views of its optimizer's gradient vector (below).
+
+What stays fresh: the input gradient of `mlp_backward`, and every forward
+output outside an update. `ActorCritic.values` returns a view of a forward
+output and the rollout collector keeps it across steps, so a reused forward
+buffer would alias there. An update (`rl.minibatch_epochs`) runs inside
+`forward_buffers`, where each network's layer products go into buffers
+reused from minibatch to minibatch: a minibatch forwards each network once
+and reads none of the previous minibatch's outputs. Without them, the
+update's largest allocations are its forward outputs, all freed at the end
+of every minibatch; glibc then returns the top of the heap to the kernel
+and faults the pages in again on the next minibatch (about 14000 to 24000
+minor faults per NAHT-D update), which costs more than the gradient writes
+save.
 
 Adam keeps the moments of all of a model's parameters in one flat vector
-each and steps them in one pass (`adam_step`): the gradients are
-concatenated once, and the per-array formulas of `tests/mlp_oracle.py`
-run on the flat vectors, in the same order and on the same operand dtypes,
-writing into two reused scratch vectors with `out=`. Elementwise IEEE
-arithmetic does not depend on where an element sits, so every parameter
-and moment keeps its bits.
+each, and the gradients in a third, `AdamState.grad_flat`, all in the
+parameters' order. A trainer's minibatch writes its gradients straight
+into `grad_flat` through `grad_views`, and `adam_step` reads it in place:
+the per-array formulas of `tests/mlp_oracle.py` run on the flat vectors,
+in the same order and on the same operand dtypes, writing into two reused
+scratch vectors with `out=`. Elementwise IEEE arithmetic does not depend
+on where an element sits, so every parameter and moment keeps its bits.
+A view of `grad_flat` lives for one update only: `copy.deepcopy` and
+pickle turn a view into an independent copy, so a view kept in an object
+that is copied or pickled between updates (a `rl.Learner`) would go on
+reading stale gradients. `AdamState` therefore holds arrays that own their
+memory, and `rl.minibatch_epochs` makes the views afresh for each update.
+`tests/update_oracle.py` keeps the updates that returned gradient lists
+and concatenated them, as the bitwise oracle of whole updates.
 
 `blas_fingerprint` tells whether this machine's BLAS kernel gives the
 products the bits that the golden hashes were recorded with.
@@ -50,6 +73,7 @@ import io
 import json
 import math
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -98,6 +122,25 @@ def mlp_init(dims, rng: np.random.Generator, dtype=np.float32, final_scale: floa
     return Mlp(weights, biases)
 
 
+#: The layer-output buffers of the `forward_buffers` block that runs, by
+#: (network id, layer, shape); None outside one.
+_forward_buffers: dict | None = None
+
+
+@contextmanager
+def forward_buffers():
+    """Within the block, `mlp_forward` writes each layer's product into a
+    buffer of that network, layer and shape, reused from call to call, and
+    the block's end drops them all. For an update, whose forward outputs die
+    within each minibatch; never for a rollout (see the module docstring)."""
+    global _forward_buffers
+    _forward_buffers = {}
+    try:
+        yield
+    finally:
+        _forward_buffers = None
+
+
 def mlp_forward(mlp: Mlp, x: np.ndarray):
     """Batched forward pass. Returns (output, cache-for-backward).
 
@@ -106,7 +149,8 @@ def mlp_forward(mlp: Mlp, x: np.ndarray):
     so each of its k blocks has the bits of that block's own forward: a
     (k, 1, d_in) stack keeps the bits of k one-row forwards, which a plain
     multi-row (k, d_in) product does not. The bias and tanh go in place into
-    each layer's product, never into `x`.
+    each layer's product, never into `x`; inside `forward_buffers` that
+    product goes into the layer's buffer.
     """
     dtype = mlp.weights[0].dtype
     h = np.asarray(x, dtype=dtype)
@@ -115,8 +159,16 @@ def mlp_forward(mlp: Mlp, x: np.ndarray):
         raise ValueError(f"input shape {h.shape} is not (batch, {fan_in}) or (k, m, {fan_in})")
     activations = [h]
     last = len(mlp.weights) - 1
+    buffers = _forward_buffers
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        h = h @ w
+        if buffers is None:
+            h = h @ w
+        else:
+            shape = h.shape[:-1] + w.shape[1:]
+            out = buffers.get((id(mlp), i, shape))
+            if out is None:
+                out = buffers[id(mlp), i, shape] = np.empty(shape, dtype)
+            h = np.matmul(h, w, out=out)
         h += b
         if i < last:
             np.tanh(h, out=h)
@@ -124,21 +176,24 @@ def mlp_forward(mlp: Mlp, x: np.ndarray):
     return h, activations
 
 
-def mlp_backward(mlp: Mlp, cache: list[np.ndarray], dout: np.ndarray, *, input_grad: bool = True):
-    """Exact reverse-mode gradients. Returns (grads aligned with arrays(), dx).
+def mlp_backward(
+    mlp: Mlp, cache: list[np.ndarray], dout: np.ndarray, grads: list[np.ndarray], *, input_grad: bool = True
+):
+    """Exact reverse-mode gradients, written into `grads`, arrays of the
+    shapes of `mlp.arrays()` in that order. Returns dx, d(loss)/d(input).
 
-    dx is d(loss)/d(input), or None with `input_grad=False`, which skips the
-    first layer's product for a caller that does not read it. `dout` is
-    never written to. tanh's derivative product and the backward product of
-    every layer but the first go into `_backward_scratch` buffers; the
-    returned arrays are fresh.
+    dx is None with `input_grad=False`, which skips the first layer's
+    product for a caller that does not read it. `dout` is never written to.
+    tanh's derivative product and the backward product of every layer but
+    the first go into `_backward_scratch` buffers; dx is fresh.
     """
     dtype = mlp.weights[0].dtype
     dout = np.asarray(dout, dtype=dtype)
     if dout.shape != cache[-1].shape:
         raise ValueError(f"output-gradient shape {dout.shape} != output shape {cache[-1].shape}")
     n_layers = len(mlp.weights)
-    grads = [None] * (2 * n_layers)
+    if len(grads) != 2 * n_layers:
+        raise ValueError(f"{len(grads)} gradient arrays for {2 * n_layers} parameters")
     delta = dout
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
@@ -148,14 +203,14 @@ def mlp_backward(mlp: Mlp, cache: list[np.ndarray], dout: np.ndarray, *, input_g
             np.subtract(1.0, dh, out=dh)
             dh *= delta
             delta = dh
-        grads[2 * i] = cache[i].T @ delta
-        grads[2 * i + 1] = delta.sum(axis=0)
+        np.matmul(cache[i].T, delta, out=grads[2 * i])
+        np.add.reduce(delta, axis=0, out=grads[2 * i + 1])
         if i == 0 and not input_grad:
-            return grads, None
+            return None
         shape = cache[i].shape
         out = _backward_scratch(shape, dtype)[1] if i > 0 else np.empty(shape, dtype)
         delta = _backprop(delta, mlp.weights[i], out)
-    return grads, delta
+    return delta
 
 
 @lru_cache(maxsize=8)
@@ -206,9 +261,16 @@ def log_std_grad_mask(log_std: np.ndarray) -> np.ndarray:
 
 def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """Per-sample log density of `actions` under N(mean, diag(exp(log_std))^2)."""
+    return gaussian_log_prob_z(mean, log_std, actions)[0]
+
+
+def gaussian_log_prob_z(mean: np.ndarray, log_std: np.ndarray, actions: np.ndarray):
+    """(`gaussian_log_prob`, z, std): z = (actions - mean) / std are the
+    standardized actions, which the PPO head's gradients reuse."""
     ls = clamp_log_std(np.asarray(log_std))
-    z = (np.asarray(actions) - mean) / np.exp(ls)
-    return -0.5 * np.sum(z * z, axis=-1) - np.sum(ls) - 0.5 * _LOG_2PI * mean.shape[-1]
+    std = np.exp(ls)
+    z = (np.asarray(actions) - mean) / std
+    return -0.5 * np.sum(z * z, axis=-1) - np.sum(ls) - 0.5 * _LOG_2PI * mean.shape[-1], z, std
 
 
 def gaussian_entropy(log_std: np.ndarray) -> float:
@@ -227,24 +289,29 @@ def gaussian_sample(mean: np.ndarray, log_std: np.ndarray, rng: np.random.Genera
 
 @dataclass
 class AdamState:
-    """Adam's step count and moments. The moments of all parameters are one
-    flat vector each, `m_flat` and `v_flat`, in parameter order. `scratch`
-    holds two vectors of the same length that every step overwrites."""
+    """Adam's step count, moments and gradient. The moments and the
+    gradient of all parameters are one flat vector each, `m_flat`, `v_flat`
+    and `grad_flat`, in parameter order. `scratch` holds two vectors of the
+    same length that every step overwrites. Every array owns its memory
+    (see the module docstring)."""
 
     lr: float
     shapes: list[tuple[int, ...]]
     m_flat: np.ndarray
     v_flat: np.ndarray
+    grad_flat: np.ndarray
     scratch: tuple[np.ndarray, np.ndarray]
     t: int = 0
 
 
-def _split(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Views of consecutive slices of `flat`, one per shape."""
+def grad_views(opt: AdamState) -> list[np.ndarray]:
+    """Views of consecutive slices of `opt.grad_flat`, one per parameter, in
+    its shape: where a minibatch writes its gradients. Make them afresh for
+    each update and keep them in no object that outlives it."""
     views, start = [], 0
-    for shape in shapes:
+    for shape in opt.shapes:
         stop = start + math.prod(shape)
-        views.append(flat[start:stop].reshape(shape))
+        views.append(opt.grad_flat[start:stop].reshape(shape))
         start = stop
     return views
 
@@ -261,24 +328,21 @@ def adam_init(params: list[np.ndarray], lr: float = 3e-4) -> AdamState:
         shapes=[p.shape for p in params],
         m_flat=np.zeros(size, dtype),
         v_flat=np.zeros(size, dtype),
+        grad_flat=np.zeros(size, dtype),
         scratch=(np.empty(size, dtype), np.empty(size, dtype)),
     )
 
 
-def adam_step(opt: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
-    """Bias-corrected adaptive-moment update, in place. Fails fast, before
-    changing anything, on a gradient of the wrong shape or dtype or a
-    non-finite one."""
-    if not len(params) == len(grads) == len(opt.shapes):
-        raise ValueError("params/grads length mismatch")
-    for p, g, shape in zip(params, grads, opt.shapes):
+def adam_step(opt: AdamState, params: list[np.ndarray]) -> list[np.ndarray]:
+    """Bias-corrected adaptive-moment update of `params` by the gradient in
+    `opt.grad_flat`, in place. Fails fast, before changing anything, on a
+    parameter of the wrong shape or a non-finite gradient."""
+    if len(params) != len(opt.shapes):
+        raise ValueError(f"{len(params)} parameters for an optimizer of {len(opt.shapes)}")
+    for p, shape in zip(params, opt.shapes):
         if p.shape != shape:
             raise ValueError(f"parameter shape {p.shape} != optimizer shape {shape}")
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        if g.dtype != p.dtype:
-            raise ValueError(f"gradient dtype {g.dtype} != parameter dtype {p.dtype}")
-    g = np.concatenate([grad.ravel() for grad in grads])
+    g = opt.grad_flat
     if not np.isfinite(g).all():
         raise FloatingPointError("non-finite gradient")
     opt.t += 1
@@ -300,8 +364,11 @@ def adam_step(opt: AdamState, params: list[np.ndarray], grads: list[np.ndarray])
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     step /= denom
-    for p, s in zip(params, _split(step, opt.shapes)):
-        p -= s
+    start = 0
+    for p in params:
+        stop = start + p.size
+        p -= step[start:stop].reshape(p.shape)
+        start = stop
     return params
 
 

@@ -1,9 +1,13 @@
 """PPO machinery and the base trainers: IPPO self-play, PBT, and MAPPO.
 
 Everything trains a shared actor-critic over the learner pursuer slots.
-Gradients are computed analytically against the nn primitives; `ppo_update`
-also returns the gradient with respect to the actor input so trainers that
-feed extra (learned) features into the actor can backpropagate through them.
+Gradients are computed analytically against the nn primitives. Every
+trainer's minibatch writes them in place into its optimizer's gradient
+vector (`nn.AdamState.grad_flat`), through views that `minibatch_epochs`
+makes afresh for each update, and `nn.adam_step` reads that vector.
+`ppo_loss_and_grads` also returns the gradient with respect to the actor
+input so trainers that feed extra (learned) features into the actor can
+backpropagate through them.
 
 Every trainer runs `Learner.step`, the one PPO update step (collect, update,
 metrics row): `train_loop` repeats it, and `pbt_train` steps each member once
@@ -315,53 +319,54 @@ class PpoBatch:
         return self.actor_in.shape[0]
 
 
-def ppo_loss_and_grads(model: ActorCritic, actor_in, critic_in, actions, old_logp, adv, ret, cfg: PpoConfig, *, input_grad: bool):
+def ppo_loss_and_grads(
+    model: ActorCritic, actor_in, critic_in, actions, old_logp, adv, ret, cfg: PpoConfig, grads, *, input_grad: bool
+):
     """Clipped-surrogate loss, parameter gradients, and d(loss)/d(actor input).
 
-    Returns (grads aligned with model.params(), dactor_in, diagnostics).
+    Writes the gradients into `grads`, arrays of the shapes of
+    `model.params()` in that order, and returns (dactor_in, diagnostics).
     dactor_in is None with `input_grad=False`, which skips the actor's
     first-layer input product; the other outputs keep their bits.
     """
     B = actor_in.shape[0]
+    n_actor = 2 * len(model.actor.weights)
     mean, a_cache = nn.mlp_forward(model.actor, actor_in)
-    sigma = np.exp(nn.clamp_log_std(model.log_std))
-    logp = nn.gaussian_log_prob(mean, model.log_std, actions)
+    logp, z, sigma = nn.gaussian_log_prob_z(mean, model.log_std, actions)
     # libm's exp per element: numpy's float64 exp takes other bits at other SIMD levels
     ratio = np.array(list(map(math.exp, (logp - old_logp).tolist())))
     surr1 = ratio * adv
     clipped_ratio = np.clip(ratio, 1.0 - CLIP_RATIO, 1.0 + CLIP_RATIO)
     surr2 = clipped_ratio * adv
-    pi_loss = -float(np.mean(np.minimum(surr1, surr2)))
+    # x.sum() / B is np.mean's own reduction and division
+    pi_loss = -float(np.minimum(surr1, surr2).sum() / B)
 
     in_range = (ratio >= 1.0 - CLIP_RATIO) & (ratio <= 1.0 + CLIP_RATIO)
     active = (surr1 <= surr2) | in_range
     dlogp = -(adv * ratio * active) / B
 
-    z = (actions - mean) / sigma
     dmean = dlogp[:, None] * z / sigma
     dlog_std_pi = np.sum(dlogp[:, None] * (z * z - 1.0), axis=0)
     entropy = nn.gaussian_entropy(model.log_std)
-    dlog_std = (dlog_std_pi - cfg.entropy_coef) * nn.log_std_grad_mask(model.log_std)
-    actor_grads, dactor_in = nn.mlp_backward(model.actor, a_cache, dmean, input_grad=input_grad)
+    grads[n_actor][...] = (dlog_std_pi - cfg.entropy_coef) * nn.log_std_grad_mask(model.log_std)
+    dactor_in = nn.mlp_backward(model.actor, a_cache, dmean, grads[:n_actor], input_grad=input_grad)
 
     v, c_cache = nn.mlp_forward(model.critic, critic_in)
     v = v[:, 0]
     v_err = v - ret
-    v_loss = float(np.mean(v_err**2))
+    v_loss = float((v_err**2).sum() / B)
     dv = (VALUE_COEF * 2.0 * v_err / B)[:, None]
-    critic_grads, _ = nn.mlp_backward(model.critic, c_cache, dv.astype(v.dtype), input_grad=False)
+    nn.mlp_backward(model.critic, c_cache, dv, grads[n_actor + 1 :], input_grad=False)
 
-    grads = actor_grads + [dlog_std.astype(model.log_std.dtype)] + critic_grads
     diag = {
         "pi_loss": pi_loss,
         "v_loss": v_loss,
         "entropy": float(entropy),
-        "clip_frac": float(np.mean(np.abs(ratio - 1.0) > CLIP_RATIO)),
-        "approx_kl": float(np.mean(old_logp - logp)),
+        "clip_frac": np.count_nonzero(np.abs(ratio - 1.0) > CLIP_RATIO) / B,
+        "approx_kl": float((old_logp - logp).sum() / B),
         "loss": pi_loss + VALUE_COEF * v_loss - cfg.entropy_coef * float(entropy),
-        "ratio": ratio,
     }
-    return grads, dactor_in, diag
+    return dactor_in, diag
 
 
 def normalize_advantages(adv: np.ndarray) -> np.ndarray:
@@ -372,31 +377,35 @@ def minibatch_epochs(model, opt: nn.AdamState, n_rows: int, cfg: PpoConfig, rng:
     """The update loop of every trainer: cfg.epochs shuffled passes of Adam
     steps over minibatches of a batch of `n_rows` rows.
 
-    `loss_and_grads(rows)` returns (grads aligned with model.params(),
-    diagnostics) for one minibatch of row indices. Returns the mean of each
-    scalar diagnostic.
+    `loss_and_grads(rows, grads)` writes the gradients of one minibatch of
+    row indices into `grads`, views of `opt.grad_flat` in model.params()
+    order that live for this update alone (see `nn`'s docstring), and
+    returns its diagnostics, which are scalars. Returns the mean of each.
     """
     if n_rows != cfg.batch:
         raise ValueError(f"batch size {n_rows} != cfg.batch {cfg.batch}")
+    params = model.params()
+    grads = nn.grad_views(opt)
     idx = np.arange(n_rows)
     diags = []
-    for _epoch in range(cfg.epochs):
-        rng.shuffle(idx)
-        for start in range(0, n_rows, cfg.minibatch):
-            grads, diag = loss_and_grads(idx[start : start + cfg.minibatch])
-            if not np.isfinite(diag["loss"]):
-                raise FloatingPointError("non-finite loss")
-            nn.adam_step(opt, model.params(), grads)
-            diags.append(diag)
-    return {k: float(np.mean([d[k] for d in diags])) for k, v in diags[0].items() if np.ndim(v) == 0}
+    with nn.forward_buffers():
+        for _epoch in range(cfg.epochs):
+            rng.shuffle(idx)
+            for start in range(0, n_rows, cfg.minibatch):
+                diag = loss_and_grads(idx[start : start + cfg.minibatch], grads)
+                if not math.isfinite(diag["loss"]):
+                    raise FloatingPointError("non-finite loss")
+                nn.adam_step(opt, params)
+                diags.append(diag)
+    return {k: float(np.mean([d[k] for d in diags])) for k in diags[0]}
 
 
 def ppo_update(model: ActorCritic, opt: nn.AdamState, batch: PpoBatch, cfg: PpoConfig, rng: np.random.Generator):
     """Run cfg.epochs of shuffled minibatch updates over one batch."""
     adv = normalize_advantages(batch.advantages)
 
-    def loss_and_grads(mb):
-        grads, _, diag = ppo_loss_and_grads(
+    def loss_and_grads(mb, grads):
+        _, diag = ppo_loss_and_grads(
             model,
             batch.actor_in[mb],
             batch.critic_in[mb],
@@ -405,9 +414,10 @@ def ppo_update(model: ActorCritic, opt: nn.AdamState, batch: PpoBatch, cfg: PpoC
             adv[mb],
             batch.returns[mb],
             cfg,
+            grads,
             input_grad=False,
         )
-        return grads, diag
+        return diag
 
     return minibatch_epochs(model, opt, len(batch), cfg, rng, loss_and_grads)
 

@@ -16,6 +16,12 @@ predictions would be unidentifiable).
 The networks are float32 of fixed widths: `EMBED_DIM`, one `ENCODER_HIDDEN`
 tanh layer per branch and one `DECODER_HIDDEN` layer in the decoder. Every
 dim that a model reports is read from its weights.
+
+The joint update's minibatch (`naht_loss_and_grads`) writes the gradients
+of the actor-critic, the encoder and the decoder in place into the
+optimizer's one gradient vector, in `NahtModel.params()` order, as
+`rl.minibatch_epochs` describes. The decoder's parameters come last, so one
+in-place multiply over their slice applies the `RECON_BETA` weight.
 """
 
 from __future__ import annotations
@@ -144,20 +150,22 @@ def encode(enc: TeamEncoder, windows: np.ndarray):
     return emb, cache
 
 
-def encode_backward(enc: TeamEncoder, cache, demb: np.ndarray) -> list[np.ndarray]:
-    """Gradients of a scalar loss wrt encoder params, given d(loss)/d(embedding)."""
+def encode_backward(enc: TeamEncoder, cache, demb: np.ndarray, grads: list[np.ndarray]) -> None:
+    """Gradients of a scalar loss wrt encoder params, given d(loss)/d(embedding),
+    written into `grads`, arrays of the shapes of `enc.params()` in that order."""
     c_ev, c_sf, c_rel, o_ev, o_sf, o_rel, w, B, R = cache
-    g_ev, _ = nn.mlp_backward(enc.evader_net, c_ev, w[0] * demb, input_grad=False)
-    g_sf, _ = nn.mlp_backward(enc.self_net, c_sf, w[1] * demb, input_grad=False)
+    n_ev = 2 * len(enc.evader_net.weights)
+    n_sf = n_ev + 2 * len(enc.self_net.weights)
+    nn.mlp_backward(enc.evader_net, c_ev, w[0] * demb, grads[:n_ev], input_grad=False)
+    nn.mlp_backward(enc.self_net, c_sf, w[1] * demb, grads[n_ev:n_sf], input_grad=False)
     drel_rows = np.repeat(w[2] * demb / R, R, axis=0)
-    g_rel, _ = nn.mlp_backward(enc.relpos_net, c_rel, drel_rows, input_grad=False)
+    nn.mlp_backward(enc.relpos_net, c_rel, drel_rows, grads[n_sf:-1], input_grad=False)
     # softmax mixing: dz_b = sum_i w_b * (s_b,i - sum_c w_c s_c,i)
     s = np.stack(
         [np.sum(demb * o_ev, axis=1), np.sum(demb * o_sf, axis=1), np.sum(demb * o_rel, axis=1)]
     )  # (3, B)
     weighted = np.sum(w[:, None] * s, axis=0)  # (B,)
-    dz = np.sum(w[:, None] * (s - weighted[None, :]), axis=1).astype(enc.mix_logits.dtype)
-    return g_ev + g_sf + g_rel + [dz]
+    grads[-1][...] = np.sum(w[:, None] * (s - weighted[None, :]), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +194,13 @@ def init_decoder(rng) -> TeamDecoder:
     return TeamDecoder(net=nn.mlp_init([EMBED_DIM, DECODER_HIDDEN, DECODER_OUT], rng))
 
 
-def reconstruction_loss(dec: TeamDecoder, emb: np.ndarray, teammate_actions: np.ndarray):
+def reconstruction_loss(dec: TeamDecoder, emb: np.ndarray, teammate_actions: np.ndarray, grads: list[np.ndarray]):
     """Mean KL(target || predicted) over teammates and batch.
 
     The target for each teammate is a Gaussian centered on its observed
-    action with fixed std `RECON_TARGET_STD`. Returns (loss, grads wrt
-    decoder params, d(loss)/d(embedding)).
+    action with fixed std `RECON_TARGET_STD`. Writes the gradients wrt the
+    decoder params into `grads`, arrays of the shapes of `dec.params()` in
+    that order, and returns (loss, d(loss)/d(embedding)).
     """
     B, M = teammate_actions.shape
     out, cache = nn.mlp_forward(dec.net, emb)
@@ -201,14 +210,13 @@ def reconstruction_loss(dec: TeamDecoder, emb: np.ndarray, teammate_actions: np.
     var = np.exp(2.0 * ls)
     diff = teammate_actions - mu  # (B, M) broadcast
     per = ls - np.log(RECON_TARGET_STD) + (RECON_TARGET_STD**2 + diff**2) / (2.0 * var) - 0.5
-    loss = float(np.mean(per))
+    loss = float(per.sum() / per.size)  # np.mean's own reduction and division
 
     dmu = np.sum(-diff / var, axis=1, keepdims=True) / (B * M)
     dls_raw = np.sum(1.0 - (RECON_TARGET_STD**2 + diff**2) / var, axis=1, keepdims=True) / (B * M)
     dls = dls_raw * nn.log_std_grad_mask(raw_ls)
     dout = np.concatenate([dmu, dls], axis=1).astype(out.dtype)
-    grads, demb = nn.mlp_backward(dec.net, cache, dout)
-    return loss, grads, demb
+    return loss, nn.mlp_backward(dec.net, cache, dout, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +291,19 @@ class NahtBatch:
     teammate_actions: np.ndarray  # (B, M)
 
 
-def naht_loss_and_grads(model: NahtModel, mb: NahtBatch, idx, cfg: rl.PpoConfig):
-    """Joint PPO + RECON_BETA * reconstruction loss over one minibatch of indices."""
+def naht_loss_and_grads(model: NahtModel, mb: NahtBatch, idx, cfg: rl.PpoConfig, grad_flat: np.ndarray, grads):
+    """Joint PPO + RECON_BETA * reconstruction loss over one minibatch of indices.
+
+    Writes the gradients into `grad_flat`, a vector of all of
+    `model.params()` in order, through `grads`, its views in their shapes
+    (`nn.grad_views`), and returns the diagnostics.
+    """
+    n_ac = len(model.ac.params())
+    n_enc = n_ac + len(model.encoder.params())
     obs = mb.base.actor_in[idx]
     emb, enc_cache = encode(model.encoder, mb.windows[idx])
     actor_in = model.actor_input(obs, emb)
-    ac_grads, dactor_in, diag = rl.ppo_loss_and_grads(
+    dactor_in, diag = rl.ppo_loss_and_grads(
         model.ac,
         actor_in,
         mb.base.critic_in[idx],
@@ -297,21 +312,20 @@ def naht_loss_and_grads(model: NahtModel, mb: NahtBatch, idx, cfg: rl.PpoConfig)
         mb.base.advantages[idx],
         mb.base.returns[idx],
         cfg,
+        grads[:n_ac],
         input_grad=True,
     )
     demb = dactor_in[:, model.obs_dim :]
     recon = 0.0
-    dec_grads = None
     if model.decoder is not None:
-        recon, dec_grads, demb_rec = reconstruction_loss(model.decoder, emb, mb.teammate_actions[idx])
+        recon, demb_rec = reconstruction_loss(model.decoder, emb, mb.teammate_actions[idx], grads[n_enc:])
+        # the decoder's parameters come last: one multiply scales all of their gradients
+        grad_flat[grad_flat.size - sum(g.size for g in grads[n_enc:]) :] *= RECON_BETA
         demb = demb + RECON_BETA * demb_rec
-    grads = ac_grads + encode_backward(model.encoder, enc_cache, demb)
-    if model.decoder is not None:
-        grads += [RECON_BETA * g for g in dec_grads]
-    diag = dict(diag)
+    encode_backward(model.encoder, enc_cache, demb, grads[n_ac:n_enc])
     diag["recon_loss"] = float(recon)
     diag["loss"] = diag["loss"] + RECON_BETA * float(recon)
-    return grads, diag
+    return diag
 
 
 def naht_update(
@@ -325,7 +339,12 @@ def naht_update(
     base = replace(batch.base, advantages=rl.normalize_advantages(batch.base.advantages))
     nb = NahtBatch(base=base, windows=batch.windows, teammate_actions=batch.teammate_actions)
     return rl.minibatch_epochs(
-        model, opt, len(base), cfg, rng, lambda rows: naht_loss_and_grads(model, nb, rows, cfg)
+        model,
+        opt,
+        len(base),
+        cfg,
+        rng,
+        lambda rows, grads: naht_loss_and_grads(model, nb, rows, cfg, opt.grad_flat, grads),
     )
 
 

@@ -38,6 +38,32 @@ def max_rel_error(analytic, numeric):
     return worst
 
 
+def flat_views(arrays, offset=1):
+    """Views in the shapes of `arrays`, and their dtype, of consecutive
+    slices of one NaN-filled vector that starts `offset` elements into its
+    buffer: where a trainer's gradients go (`nn.grad_views`), here off the
+    buffer's alignment, and with NaN wherever nothing was written."""
+    flat = np.full(offset + sum(a.size for a in arrays), np.nan, arrays[0].dtype)[offset:]
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return views
+
+
+def backward(mlp, cache, dout, *, input_grad=True):
+    """(grads, dx) of `nn.mlp_backward`, its gradients written into `flat_views`."""
+    grads = flat_views(mlp.arrays())
+    return grads, nn.mlp_backward(mlp, cache, dout, grads, input_grad=input_grad)
+
+
+def adam_step(opt, params, grads):
+    """`nn.adam_step` on `grads`, written into the optimizer's gradient vector first."""
+    for view, g in zip(nn.grad_views(opt), grads):
+        view[...] = g
+    nn.adam_step(opt, params)
+
+
 def test_zero_net_zero_output():
     mlp = nn.Mlp(
         weights=[np.zeros((3, 4)), np.zeros((4, 2))],
@@ -85,7 +111,7 @@ def test_forward_and_backward_take_batches_of_rows():
         nn.mlp_forward(mlp, np.zeros(5))  # one row is (1, 5), not (5,)
     _, cache = nn.mlp_forward(mlp, np.zeros((1, 5)))
     with pytest.raises(ValueError):
-        nn.mlp_backward(mlp, cache, np.zeros(3))
+        backward(mlp, cache, np.zeros(3))
 
 
 def test_backward_matches_finite_differences():
@@ -100,7 +126,7 @@ def test_backward_matches_finite_differences():
             return float(np.sum(out * w))
 
         out, cache = nn.mlp_forward(mlp, x)
-        grads, _ = nn.mlp_backward(mlp, cache, w)
+        grads, _ = backward(mlp, cache, w)
         numeric = finite_difference(loss, mlp.arrays())
         assert max_rel_error(grads, numeric) < 1e-4
 
@@ -116,7 +142,7 @@ def test_backward_input_gradient():
         return float(np.sum(out * w))
 
     _, cache = nn.mlp_forward(mlp, x)
-    _, dx = nn.mlp_backward(mlp, cache, w)
+    _, dx = backward(mlp, cache, w)
     numeric = finite_difference(loss, [x])
     assert max_rel_error([dx], numeric) < 1e-4
 
@@ -126,14 +152,14 @@ def test_backward_zero_gradient_and_linearity():
     mlp = nn.mlp_init([3, 4, 2], rng, dtype=np.float64)
     x = rng.standard_normal((5, 3))
     _, cache = nn.mlp_forward(mlp, x)
-    zero_grads, _ = nn.mlp_backward(mlp, cache, np.zeros((5, 2)))
+    zero_grads, _ = backward(mlp, cache, np.zeros((5, 2)))
     for g in zero_grads:
         np.testing.assert_array_equal(g, np.zeros_like(g))
     g1 = rng.standard_normal((5, 2))
     g2 = rng.standard_normal((5, 2))
-    a, _ = nn.mlp_backward(mlp, cache, g1)
-    b, _ = nn.mlp_backward(mlp, cache, g2)
-    ab, _ = nn.mlp_backward(mlp, cache, g1 + g2)
+    a, _ = backward(mlp, cache, g1)
+    b, _ = backward(mlp, cache, g2)
+    ab, _ = backward(mlp, cache, g1 + g2)
     for ga, gb, gab in zip(a, b, ab):
         np.testing.assert_allclose(ga + gb, gab, rtol=1e-10, atol=1e-12)
 
@@ -229,7 +255,7 @@ def test_adam_zero_gradient_keeps_params():
     params = [rng.standard_normal((3, 3)), rng.standard_normal(3)]
     before = [p.copy() for p in params]
     opt = nn.adam_init(params, lr=1e-3)
-    nn.adam_step(opt, params, [np.zeros((3, 3)), np.zeros(3)])
+    adam_step(opt, params, [np.zeros((3, 3)), np.zeros(3)])
     for p, b in zip(params, before):
         np.testing.assert_array_equal(p, b)
 
@@ -238,7 +264,7 @@ def test_adam_single_step_matches_hand_formula():
     params = [np.array([1.0, -2.0])]
     g = np.array([0.5, -0.25])
     opt = nn.adam_init(params, lr=0.01)
-    nn.adam_step(opt, params, [g.copy()])
+    adam_step(opt, params, [g.copy()])
     # t=1: m_hat = g, v_hat = g^2 -> step = lr * g / (|g| + eps)
     expected = np.array([1.0, -2.0]) - 0.01 * g / (np.abs(g) + 1e-8)
     np.testing.assert_allclose(params[0], expected, rtol=1e-9)
@@ -248,7 +274,7 @@ def test_adam_descends_constant_gradient():
     params = [np.array([0.0])]
     opt = nn.adam_init(params, lr=0.01)
     for _ in range(100):
-        nn.adam_step(opt, params, [np.array([2.0])])
+        adam_step(opt, params, [np.array([2.0])])
     assert params[0][0] < 0.0  # moves opposite the gradient sign
 
 
@@ -256,26 +282,28 @@ def test_adam_rejects_nonfinite():
     params = [np.array([1.0])]
     opt = nn.adam_init(params)
     with pytest.raises(FloatingPointError):
-        nn.adam_step(opt, params, [np.array([np.nan])])
+        adam_step(opt, params, [np.array([np.nan])])
 
 
 def test_adam_shape_mismatch_changes_nothing():
-    # the last gradient has the wrong shape or dtype or is not finite: the
-    # step fails before it updates the parameters, moments or step count
+    # a parameter list of the wrong length or with a parameter of the wrong
+    # shape, or a gradient that is not finite: the step fails before it
+    # updates the parameters, moments or step count
     rng = np.random.default_rng(12)
     params = [rng.standard_normal((3, 3)), rng.standard_normal(3), rng.standard_normal(2)]
     opt = nn.adam_init(params, lr=1e-3)
-    nn.adam_step(opt, params, [rng.standard_normal(p.shape) for p in params])
+    adam_step(opt, params, [rng.standard_normal(p.shape) for p in params])
     before = [a.copy() for a in params + [opt.m_flat, opt.v_flat]]
-    bad_last = [
-        (rng.standard_normal(3), ValueError, "gradient shape"),
-        (rng.standard_normal(2).astype(np.float32), ValueError, "gradient dtype"),
-        (np.array([1.0, np.inf]), FloatingPointError, "non-finite"),
+    bad_steps = [
+        (params[:2], [1.0, 2.0], ValueError, "2 parameters for an optimizer of 3"),
+        (params[:2] + [np.zeros(3)], [1.0, 2.0], ValueError, "parameter shape"),
+        (params, [1.0, np.inf], FloatingPointError, "non-finite"),
+        (params, [np.nan, 2.0], FloatingPointError, "non-finite"),
     ]
-    for last, error, message in bad_last:
-        grads = [rng.standard_normal((3, 3)), rng.standard_normal(3), last]
+    for step_params, last_grad, error, message in bad_steps:
+        grads = [rng.standard_normal((3, 3)), rng.standard_normal(3), np.array(last_grad)]
         with pytest.raises(error, match=message):
-            nn.adam_step(opt, params, grads)
+            adam_step(opt, step_params, grads)
         assert opt.t == 1
         for a, b in zip(params + [opt.m_flat, opt.v_flat], before):
             assert a.tobytes() == b.tobytes()
@@ -430,12 +458,12 @@ def test_kernels_equal_the_oracle_bitwise(case):
     out, cache = nn.mlp_forward(mlp, x)
     want_out, want_cache = mlp_oracle.mlp_forward(mlp, x)
     assert_same_bytes([out, *cache], [want_out, *want_cache])
-    grads, dx = nn.mlp_backward(mlp, cache, dout)
+    grads, dx = backward(mlp, cache, dout)
     want_grads, want_dx = mlp_oracle.mlp_backward(mlp, want_cache, dout)
     assert_same_bytes(grads, want_grads)
     # NAHT-D reads the actor's and the decoder's input gradients
     assert_same_bytes([dx], [want_dx])
-    grads_only, no_dx = nn.mlp_backward(mlp, cache, dout, input_grad=False)
+    grads_only, no_dx = backward(mlp, cache, dout, input_grad=False)
     assert no_dx is None
     assert_same_bytes(grads_only, want_grads)
     # neither pass writes into its caller's arrays
@@ -453,13 +481,34 @@ def test_stacked_forward_equals_the_oracle_bitwise(case, k):
     assert_same_bytes([out, *cache], [want_out, *want_cache])
 
 
+@settings(max_examples=50, deadline=None)
+@given(mlp_cases())
+def test_forward_buffers_keep_the_oracle_bits_and_serve_one_network_each(case):
+    mlp, x, _ = case
+    other = nn.mlp_init([x.shape[1], *[w.shape[1] for w in mlp.weights]], np.random.default_rng(0), dtype=x.dtype)
+    want_out, want_cache = mlp_oracle.mlp_forward(mlp, x)
+    outside, _ = nn.mlp_forward(mlp, x)
+    kept = outside.copy()
+    with nn.forward_buffers():
+        out, cache = nn.mlp_forward(mlp, x)
+        # another network of the same shapes has buffers of its own
+        nn.mlp_forward(other, x[::-1])
+        assert_same_bytes([out, *cache], [want_out, *want_cache])
+        again, _ = nn.mlp_forward(mlp, x[::-1])
+        assert again is out  # a second forward of the network reuses its buffers
+    # outside the block every output is fresh: the first one is as it was
+    nn.mlp_forward(mlp, x[::-1])
+    assert outside.tobytes() == kept.tobytes()
+    assert nn.mlp_forward(mlp, x)[0] is not nn.mlp_forward(mlp, x)[0]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_a_one_column_backward_product_writes_positive_zeros(dtype):
     # matmul sums its products from +0.0, so 0.0 * -w gives +0.0 there; the
     # broadcast multiply alone would give -0.0
     mlp = nn.Mlp([np.full((3, 1), -2.0, dtype=dtype)], [np.zeros(1, dtype=dtype)])
     _, cache = nn.mlp_forward(mlp, np.ones((2, 3)))
-    _, dx = nn.mlp_backward(mlp, cache, np.array([[0.0], [1.0]], dtype=dtype))
+    _, dx = backward(mlp, cache, np.array([[0.0], [1.0]], dtype=dtype))
     assert dx.tobytes() == np.array([[0.0] * 3, [-2.0] * 3], dtype=dtype).tobytes()
     assert not np.signbit(dx[0]).any()
 
@@ -474,11 +523,11 @@ def test_backward_scratch_never_escapes(dims, rows, input_grad):
     x1, x2 = rng.standard_normal((2, rows, dims[0])).astype(np.float32)
     d1, d2 = rng.standard_normal((2, rows, dims[-1])).astype(np.float32)
     _, c1 = nn.mlp_forward(mlp, x1)
-    grads, dx = nn.mlp_backward(mlp, c1, d1, input_grad=input_grad)
+    grads, dx = backward(mlp, c1, d1, input_grad=input_grad)
     first = grads + [dx] * input_grad
     kept = [a.copy() for a in first]
     _, c2 = nn.mlp_forward(mlp, x2)
-    nn.mlp_backward(mlp, c2, d2, input_grad=input_grad)
+    backward(mlp, c2, d2, input_grad=input_grad)
     assert_same_bytes(first, kept)
     want_grads, want_dx = mlp_oracle.mlp_backward(mlp, c1, d1)
     assert_same_bytes(first, want_grads + [want_dx] * input_grad)
@@ -487,9 +536,9 @@ def test_backward_scratch_never_escapes(dims, rows, input_grad):
     for other_rows in range(1, 11):
         other = nn.mlp_init([5, 64, 64, 2], rng)
         _, cache = nn.mlp_forward(other, rng.standard_normal((other_rows, 5)))
-        nn.mlp_backward(other, cache, rng.standard_normal((other_rows, 2)))
+        backward(other, cache, rng.standard_normal((other_rows, 2)))
     d1_before = d1.copy()
-    again, again_dx = nn.mlp_backward(mlp, c1, d1, input_grad=input_grad)
+    again, again_dx = backward(mlp, c1, d1, input_grad=input_grad)
     assert_same_bytes(again + [again_dx] * input_grad, want_grads + [want_dx] * input_grad)
     assert d1.tobytes() == d1_before.tobytes()
 
@@ -538,7 +587,7 @@ def test_adam_step_equals_the_oracle_bitwise(case):
     oracle = mlp_oracle.adam_init(want, lr=lr)
     with np.errstate(over="ignore"):  # +-1e30 squares to inf in float32
         for grads in steps:
-            nn.adam_step(opt, mine, grads)
+            adam_step(opt, mine, grads)
             mlp_oracle.adam_step(oracle, want, grads)
             assert opt.t == oracle.t
             # the flat moments are the oracle's per-array moments, concatenated in parameter order

@@ -6,7 +6,15 @@ from pursuit_lab.seeding import substream
 from conftest import FixedTeammates, act_alone, reduced_4p2e3o
 import small_nets
 
-from test_nn import finite_difference, max_rel_error
+from test_nn import finite_difference, flat_views, max_rel_error
+
+
+def reconstruction_loss(dec, emb, teammate_actions):
+    """(loss, grads, demb) of `teammate.reconstruction_loss`, its gradients
+    written into `flat_views` of `dec.params()`."""
+    grads = flat_views(dec.params())
+    loss, demb = teammate.reconstruction_loss(dec, emb, teammate_actions, grads)
+    return loss, grads, demb
 
 
 def small_layout(num_e=2, num_p=4):
@@ -39,9 +47,9 @@ def test_encoder_and_decoder_take_batches_of_rows():
     with pytest.raises(ValueError):
         teammate.encode(enc, np.zeros(enc.layout.step_len))
     with pytest.raises(ValueError):
-        teammate.reconstruction_loss(dec, emb[0], np.zeros((1, 2)))
+        reconstruction_loss(dec, emb[0], np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        teammate.reconstruction_loss(dec, emb, np.zeros(2))
+        reconstruction_loss(dec, emb, np.zeros(2))
 
 
 def test_softmax_saturation_selects_branch():
@@ -67,7 +75,8 @@ def test_encoder_gradients_match_finite_differences():
         return float(np.sum(emb * w))
 
     emb, cache = teammate.encode(enc, win)
-    grads = teammate.encode_backward(enc, cache, w)
+    grads = flat_views(enc.params())
+    teammate.encode_backward(enc, cache, w, grads)
     numeric = finite_difference(loss, enc.params())
     assert max_rel_error(grads, numeric) < 1e-4
 
@@ -96,7 +105,7 @@ def test_reconstruction_loss_zero_at_match():
     )
     emb = np.random.default_rng(0).normal(size=(3, 4))
     actions = np.full((3, 2), 0.3)
-    loss, _, _ = teammate.reconstruction_loss(dec, emb, actions)
+    loss, _, _ = reconstruction_loss(dec, emb, actions)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
@@ -108,7 +117,7 @@ def test_reconstruction_closed_form_value():
     emb = np.zeros((1, 4))
     actions = np.array([[0.5]])
     assert teammate.RECON_TARGET_STD == 0.1
-    loss, _, _ = teammate.reconstruction_loss(dec, emb, actions)
+    loss, _, _ = reconstruction_loss(dec, emb, actions)
     assert loss == pytest.approx(12.5, abs=1e-9)
 
 
@@ -118,11 +127,11 @@ def test_reconstruction_nonnegative_and_gradients():
     emb = rng.normal(size=(3, 4))
     actions = rng.uniform(-1, 1, size=(3, 2))
 
-    loss, grads, demb = teammate.reconstruction_loss(dec, emb, actions)
+    loss, grads, demb = reconstruction_loss(dec, emb, actions)
     assert loss >= 0.0
 
     def loss_fn():
-        value, _, _ = teammate.reconstruction_loss(dec, emb, actions)
+        value, _, _ = reconstruction_loss(dec, emb, actions)
         return value
 
     numeric = finite_difference(loss_fn, dec.params() + [emb])
@@ -141,7 +150,7 @@ def test_recon_loss_invariant_under_paired_permutation():
 
     def joint(w, a):
         emb, _ = teammate.encode(enc, w)
-        loss, _, _ = teammate.reconstruction_loss(dec, emb, a)
+        loss, _, _ = reconstruction_loss(dec, emb, a)
         return loss
 
     perm = np.array([1, 2, 0])
@@ -215,7 +224,9 @@ def test_joint_gradient_matches_finite_differences():
 
     base = rl.PpoBatch(obs, central, actions, old_logp, adv, ret)
     batch = teammate.NahtBatch(base=base, windows=windows, teammate_actions=mates)
-    grads, diag = teammate.naht_loss_and_grads(model, batch, np.arange(B), cfg)
+    opt = nn.adam_init(model.params())
+    grads = nn.grad_views(opt)
+    diag = teammate.naht_loss_and_grads(model, batch, np.arange(B), cfg, opt.grad_flat, grads)
 
     def loss_fn():
         emb, _ = teammate.encode(model.encoder, windows)
@@ -226,7 +237,7 @@ def test_joint_gradient_matches_finite_differences():
         v, _ = nn.mlp_forward(model.ac.critic, central)
         value_loss = np.mean((v[:, 0] - ret) ** 2)
         entropy = nn.gaussian_entropy(model.ac.log_std)
-        recon, _, _ = teammate.reconstruction_loss(model.decoder, emb, mates)
+        recon, _, _ = reconstruction_loss(model.decoder, emb, mates)
         return float(-np.mean(surr) + value_loss - cfg.entropy_coef * entropy + beta * recon)
 
     assert diag["loss"] == pytest.approx(loss_fn(), abs=1e-9)
